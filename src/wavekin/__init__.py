@@ -2,8 +2,8 @@
 
 The package evaluates the dispersion symbol W, the periodic normalizer B built
 from it, the Mellin symbol U(t, s) of the fundamental solution, and the
-fundamental solution Lambda(t, x) itself, then cross-validates everything
-against a direct log-grid discretization of the collision operator.
+fundamental solution Lambda(t, x) itself, with independent contour routes
+checking one another at every layer.
 
 Layout:
 
@@ -13,9 +13,8 @@ Layout:
 - ``bfunc``     the normalizer B(s) and the residue/constant ledger
 - ``ufunc``     U(t, s) (Mellin symbol) and V(z, s) (Laplace transform)
 - ``fundsol``   Lambda(t, x): regimes, profiles, Q1/Q2 asymptotics, pairings
-- ``kinetic``   direct collision-operator discretization on a log grid
-- ``cauchy``    Cauchy-problem solver by superposition of fundamental solutions
-- ``cli``       command-line entry points, including the ``verify`` suites
+- ``calibration`` frozen constants from ``data/calibration.json``
+- ``errors``    the ``WavekinError`` hierarchy
 """
 
 from wavekin.errors import (

@@ -125,24 +125,6 @@ def _near_b_pole_mask(s, tol=_POLE_GUARD):
     return m
 
 
-def _near_b_pole(s, tol=_POLE_GUARD):
-    """True when s is within tol of the known pole lattice of B."""
-    return bool(_near_b_pole_mask(np.array([s], dtype=complex), tol)[0])
-
-
-def _near_b_zero(s, tol):
-    if abs(s - 3.0) < tol or abs(s - 4.0) < tol:
-        return True
-    n = round(s.real)
-    if n <= -6 and abs(s - n) < tol:
-        return True
-    for sig in _w_zero_table().w_zeros_pos:
-        j = round(s.real - sig)
-        if j >= 1 and abs(s - (sig + j)) < tol:
-            return True
-    return False
-
-
 def _k_plus(s, beta, v):
     # 1/(1 - e^{2 i pi (s - rho)}) on rho = beta + iv, overflow-free
     q = np.exp(2j * np.pi * (s.real - beta))

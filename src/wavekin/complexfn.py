@@ -58,8 +58,9 @@ _SHIFT_TARGET = 12.0
 # Taylor coefficients of W at s = 0 (simple zero; the 4/s poles of the psi and
 # cot parts cancel).  a_k is the coefficient of s^k:
 #   a_{2k} = zeta(2k+1) / 2^{2k-1},  a_{2k+1} from zeta(2k+2) minus the cot
-# series term.  Verified against 40-digit numerical differentiation; see
-# _w_series_coeffs below for the generator.
+# series term.  Verified against 40-digit numerical differentiation:
+# a_k = W^(k)(eps)/k! at eps = 1e-36 with mpmath at 50 digits, using
+# W(s) = -2 gamma - 2 psi(s/2) - pi cot(pi s/4).
 _W_SERIES = [
     -0.8224670334241132182,    # -pi^2/12
     0.6010284515797971427,     # zeta(3)/2
@@ -78,19 +79,6 @@ _W_SERIES = [
 # for the third derivative, so the zone cannot be made much smaller.
 _W_GUARD = 0.05
 _W_POLE_TOL = 1e-8
-
-
-def _w_series_coeffs():  # pragma: no cover
-    """Regenerate _W_SERIES with mpmath (kept for provenance, not used)."""
-    import mpmath as mp
-
-    mp.mp.dps = 50
-
-    def w(s):
-        return -2 * mp.euler - 2 * mp.digamma(s / 2) - mp.pi * mp.cot(mp.pi * s / 4)
-
-    eps = mp.mpf("1e-36")
-    return [mp.diff(w, eps, k) / mp.factorial(k) for k in range(1, 11)]
 
 
 def _as_array(z):

@@ -19,16 +19,21 @@ rotated ray, which keeps the quadrature non-oscillatory for any q.
 
 Regimes
 -------
-direct              the line integral of U itself; needs t > 1/2 so the
-                    |U| ~ v^(-2t) tail is absolutely integrable at x = 1.
+auto                the direct line for every x != 1; at x = 1 with
+                    t <= 1/2, where Lambda is infinite, it returns (inf, inf).
+direct              the line integral of U itself.  For t > 1/2 the
+                    |U| ~ v^(-2t) tail is absolutely integrable at x = 1; for
+                    t <= 1/2 and x != 1 the rotated ray still integrates the
+                    tail model, and the line keeps its relative accuracy down
+                    to |x-1| ~ 1e-30, where Lambda ~ A |x-1|^(2t-1).
 log_regularized     the same line applied to dU/ds; since
                     log x * Lambda = (1/2 i pi) int sqrt(2 pi) dU/ds x^(-s) ds
                     (by parts; the boundary term vanishes on the line)
                     and |dU/ds| ~ v^(-1-2t) log v, this converges for every
                     t > 0 but degrades as x -> 1 where the division by
-                    log x amplifies the quadrature error.
-near_one_scaling    the boundary-layer law Lambda ~ t |x-1|^(2t-1), valid
-                    in the razor-thin zone |x-1| <~ exp(-1/t) for t < 1/2.
+                    log x amplifies the quadrature error.  Kept for
+                    t <= 0.6 as an independent check on direct; auto never
+                    picks it.
 large_t_asymptotic  t^(-3) Q1(x/t) + Q2(t, x/t), exact for t > 1 (Q2's
                     remainder line converges absolutely there).
 small_t_series      the short-time residue series of ``eval_lambda_series``.
@@ -53,8 +58,8 @@ Q2 ~ Res(1/B, 4) B(5) t^-4 theta^-5 = 4 t^-4 theta^-5.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from collections import OrderedDict
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
@@ -73,7 +78,6 @@ REGIMES = (
     "auto",
     "direct",
     "log_regularized",
-    "near_one_scaling",
     "large_t_asymptotic",
     "small_t_series",
 )
@@ -107,11 +111,10 @@ _MODEL_K = 5
 _C_DIRECT = 1.0
 _C_DT = 1.5
 
-# dispatch thresholds
-_T_DIRECT = 0.55
 _T_LOGREG_MAX = 0.6
 
-# core half-width below which the boundary-layer law is used exactly
+#: half-width of the core |x-1| < _U_CORE that the integrals take from the
+#: near-one law A |x-1|^(2t-1) instead of from panels
 _U_CORE = math.exp(-40.0)
 
 
@@ -337,16 +340,8 @@ class _LineAssembly:
         return scale * val.real, scale * err
 
 
-_ASM_CACHE: OrderedDict = OrderedDict()
-_ASM_CAP = 48
-
-
+@functools.lru_cache(maxsize=48)
 def _line_assembly(ev, t, c, kind):
-    key = (id(ev), kind, round(c, 12), round(t, 15))
-    asm = _ASM_CACHE.get(key)
-    if asm is not None:
-        _ASM_CACHE.move_to_end(key)
-        return asm
     g = _symbol_line(ev, t, c, kind)
     idx = 10 * np.arange(_N_PANEL)[:, None] + np.arange(11)[None, :]
     coeffs = g[idx] @ _LEG_INV.T
@@ -365,13 +360,9 @@ def _line_assembly(ev, t, c, kind):
     resid = g[check] - basis(c + 1j * v[check]) @ model_a
     fit_resid = float(np.abs(resid).max())
 
-    asm = _LineAssembly(t=t, c=c, kind=kind, coeffs=coeffs, mids=mids,
-                        model_a=model_a, basis=basis, fit_resid=fit_resid,
-                        err_window=err_window)
-    _ASM_CACHE[key] = asm
-    while len(_ASM_CACHE) > _ASM_CAP:
-        _ASM_CACHE.popitem(last=False)
-    return asm
+    return _LineAssembly(t=t, c=c, kind=kind, coeffs=coeffs, mids=mids,
+                         model_a=model_a, basis=basis, fit_resid=fit_resid,
+                         err_window=err_window)
 
 
 # ---------------------------------------------------------------------------
@@ -411,27 +402,13 @@ class RadialProfile:
             raise ValueError("grid must be strictly increasing")
 
 
-def _pick_regime_q(t, q):
-    if q == 0.0:
-        return "direct" if t > 0.5 else "near_one_scaling"
-    if t > _T_DIRECT:
-        return "direct"
-    if abs(math.expm1(q)) >= math.exp(-1.0 / t):
-        return "log_regularized"
-    return "near_one_scaling"
-
-
-def _eval_logx(t, q, regime, ev):
-    """Dispatch in the log coordinate q = log x (x = 1 is q = 0)."""
-    if regime == "auto":
-        regime = _pick_regime_q(t, q)
-    if regime == "direct":
-        if not t > 0.5:
-            raise RegimeError(
-                f"direct line needs t > 1/2 for an integrable tail; t={t}")
-        asm = _line_assembly(ev, t, _C_DIRECT, "u")
-        val, err = asm.assemble_q(q)
-        return val, err, regime
+def _eval_q(t, q, regime, ev):
+    """(Lambda, error) at x = e^q by the named regime; x = 1 is q = 0."""
+    if regime in ("auto", "direct"):
+        if q == 0.0 and t <= 0.5:
+            # Lambda ~ A |x-1|^(2t-1) does not stay bounded at x = 1
+            return math.inf, math.inf
+        return _line_assembly(ev, t, _C_DIRECT, "u").assemble_q(q)
     if regime == "log_regularized":
         if q == 0.0:
             raise RegimeError("log regularization divides by log x; x=1")
@@ -439,40 +416,20 @@ def _eval_logx(t, q, regime, ev):
             raise RegimeError(
                 f"log-regularized line is kept to t <= {_T_LOGREG_MAX}; "
                 f"use direct for t={t}")
-        asm = _line_assembly(ev, t, _C_DIRECT, "du")
-        val, err = asm.assemble_q(q)
+        val, err = _line_assembly(ev, t, _C_DIRECT, "du").assemble_q(q)
         # integrating x^-s by parts along the line: the boundary term
         # vanishes and log x * Lambda = + the dU/ds line integral
-        return val / q, abs(err / q), regime
-    if regime == "near_one_scaling":
-        if t >= _T_LOGREG_MAX:
-            raise RegimeError(
-                f"boundary-layer law holds for small t; t={t}")
-        if q == 0.0:
-            if t <= 0.5:
-                return math.inf, math.inf, regime
-            raise RegimeError("x=1 with t > 1/2 is handled by direct")
-        u = abs(math.expm1(q))
-        val = t * u ** (2.0 * t - 1.0)
-        # the law's own correction scale inside its zone is ~ |u|^(2t)
-        return val, 0.15 * abs(val), regime
-    if regime in ("large_t_asymptotic", "small_t_series"):
-        return _eval_impl(t, math.exp(q), regime, ev)
-    raise ValueError(f"unknown regime {regime!r}")  # pragma: no cover
-
-
-def _eval_impl(t, x, regime, ev):
+        return val / q, abs(err / q)
     if regime == "large_t_asymptotic":
         if not t > 1.0:
             raise RegimeError(f"decomposition remainder needs t > 1; t={t}")
-        theta = x / t
+        theta = math.exp(q) / t
         q1, e1 = _q1_with_error(theta, ev)
         q2, e2 = _q2_with_error(t, theta, ev)
-        return t ** -3 * q1 + q2, t ** -3 * e1 + e2, regime
+        return t ** -3 * q1 + q2, t ** -3 * e1 + e2
     if regime == "small_t_series":
-        val, err = _series_with_error(t, x, 4, ev)
-        return val, err, regime
-    return _eval_logx(t, math.log(x), regime, ev)
+        return _series_with_error(t, math.exp(q), 4, ev)
+    raise ValueError(f"unknown regime {regime!r}")  # pragma: no cover
 
 
 def eval_lambda(query, evaluator=None):
@@ -483,8 +440,7 @@ def eval_lambda(query, evaluator=None):
 
 def eval_lambda_with_error(query, evaluator=None):
     ev = evaluator or default_evaluator()
-    val, err, _ = _eval_impl(query.t, query.x, query.regime, ev)
-    return val, err
+    return _eval_q(query.t, math.log(query.x), query.regime, ev)
 
 
 def eval_lambda_log(t, log_x, regime="auto", evaluator=None):
@@ -500,11 +456,10 @@ def eval_lambda_log(t, log_x, regime="auto", evaluator=None):
         raise ValueError(f"t must be positive and finite, got {t}")
     if not math.isfinite(log_x):
         raise ValueError(f"log_x must be finite, got {log_x}")
-    if regime not in ("auto", "direct", "log_regularized", "near_one_scaling"):
+    if regime not in ("auto", "direct", "log_regularized"):
         raise ValueError(f"regime {regime!r} needs the plain coordinate")
     ev = evaluator or default_evaluator()
-    val, _err, _ = _eval_logx(t, float(log_x), regime, ev)
-    return val
+    return _eval_q(t, float(log_x), regime, ev)[0]
 
 
 def radial_profile(t, x_min, x_max, n_points, regime="auto", evaluator=None):
@@ -516,7 +471,7 @@ def radial_profile(t, x_min, x_max, n_points, regime="auto", evaluator=None):
     ev = evaluator or default_evaluator()
     grid = np.geomspace(x_min, x_max, int(n_points))
     vals = np.array(
-        [_eval_impl(t, float(x), regime, ev)[0] for x in grid])
+        [_eval_q(t, math.log(x), regime, ev)[0] for x in grid])
     return RadialProfile(grid=grid, values=vals, t_stamp=float(t))
 
 
@@ -615,20 +570,12 @@ class _SeriesConstants:
         return val
 
 
-_SERIES_CONSTS = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _series_constants(ev):
-    sc = _SERIES_CONSTS.get(id(ev))
-    if sc is None:
-        sc = _SeriesConstants(ev)
-        _SERIES_CONSTS[id(ev)] = sc
-    return sc
+    return _SeriesConstants(ev)
 
 
-_NU_CACHE = OrderedDict()
-
-
+@functools.lru_cache(maxsize=256)
 def _nu_hat(m, t, ev):
     """(1/2 i pi) int_{Re w = m - 1/2} Gamma(w - m) t^(-w) / B(w) dw.
 
@@ -637,10 +584,6 @@ def _nu_hat(m, t, ev):
     points w = 3, 4 where Gamma poles meet zeros of B and the power form
     of the terms would break down.  Returns (value, error).
     """
-    key = (id(ev), m, t)
-    hit = _NU_CACHE.get(key)
-    if hit is not None:
-        return hit
     lt = math.log(t)
 
     def f(w):
@@ -650,12 +593,8 @@ def _nu_hat(m, t, ev):
                        rel_tol=1e-11, abs_tol=1e-18)
     res = integrate_vertical(f, spec, tail=TailModel("exp", 1.35),
                              osc_freq=abs(lt))
-    out = ((res.value / (2j * math.pi)).real,
-           (res.error_estimate + res.truncation_tail) / (2.0 * math.pi))
-    _NU_CACHE[key] = out
-    while len(_NU_CACHE) > 256:
-        _NU_CACHE.popitem(last=False)
-    return out
+    return ((res.value / (2j * math.pi)).real,
+            (res.error_estimate + res.truncation_tail) / (2.0 * math.pi))
 
 
 def _h_casc(z, theta, ev):
@@ -861,8 +800,8 @@ def eval_G(t, x, y, evaluator=None):
     """
     if not y > 0.0:
         raise ValueError("y must be positive")
-    val, _, _ = _eval_impl(t / y, x / y, "auto",
-                           evaluator or default_evaluator())
+    val, _ = _eval_q(t / y, math.log(x / y), "auto",
+                     evaluator or default_evaluator())
     return val / y
 
 
@@ -897,14 +836,14 @@ class TestFunction:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         xs = mid + half * u
         w = 1.0 - u ** 2
-        with np.errstate(divide="ignore", over="ignore"):
-            f = np.where(w > 0.0, np.exp(-1.0 / np.maximum(w, 1e-300)), 0.0)
-        f *= height * math.e  # peak 1 * height
-        ws = np.maximum(w, 1e-300)
+        inside = w > 0.0
+        ui, wi = u[inside], w[inside]
+        f, du, ddu = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+        f[inside] = height * math.e * np.exp(-1.0 / wi)  # peak 1 * height
         # log f = -1/w + const:  (log f)' = -2u/w^2,
         # (log f)'' = -2/w^2 - 8u^2/w^3
-        du = np.where(w > 0.0, -2.0 * u / ws ** 2, 0.0)
-        ddu = np.where(w > 0.0, -2.0 / ws ** 2 - 8.0 * u ** 2 / ws ** 3, 0.0)
+        du[inside] = -2.0 * ui / wi ** 2
+        ddu[inside] = -2.0 / wi ** 2 - 8.0 * ui ** 2 / wi ** 3
         f1 = f * du / half
         f2 = f * (du ** 2 + ddu) / half ** 2
         return cls(xs, f, f1, f2, support=(lo, hi))
@@ -971,39 +910,50 @@ def _adaptive_abs_panels(f, a, b, rel_tol=1e-7, max_depth=28,
     return total, sum(s[3] for s in segs)
 
 
-def _bulk_values(t, xs, ev):
-    """Lambda on an array of x away from the core, one shared tabulation."""
-    if t > _T_DIRECT:
-        asm = _line_assembly(ev, t, _C_DIRECT, "u")
-        return np.array([asm.assemble(float(x))[0] for x in xs])
-    asm = _line_assembly(ev, t, _C_DIRECT, "du")
-    out = np.empty(len(xs))
-    for i, x in enumerate(np.asarray(xs, dtype=float)):
-        val, _ = asm.assemble(x)
-        out[i] = val / math.log(x)
-    return out
+def _bulk_values(t, taus, ev):
+    """Lambda(t, e^tau) on an array of tau = log x, one shared tabulation.
+
+    Taking tau rather than x keeps the core edges |tau| ~ 4e-18 apart from
+    tau = 0, where exp(tau) already rounds to 1.
+    """
+    asm = _line_assembly(ev, t, _C_DIRECT, "u")
+    return np.array([asm.assemble_q(float(tau))[0] for tau in taus])
+
+
+def _core_mass(t, ev):
+    """int Lambda dx over the core |x-1| < u_core, from the near-one law.
+
+    Near x = 1, Lambda ~ A |x-1|^(2t-1), so the core carries the mass
+    A u_core^(2t) / t.  The amplitude comes from the same line at the core
+    edges, A = (Lambda(1+u_core) + Lambda(1-u_core)) u_core^(1-2t) / 2,
+    so the mass is (Lambda(1+u_core) + Lambda(1-u_core)) u_core / (2t).
+    For t > 1/2 the finite value Lambda(t, 1) dominates the core instead,
+    and the term, of order u_core Lambda(t, 1) ~ 4e-18 Lambda(t, 1), lies
+    far below any quadrature tolerance.
+    """
+    u_c = _U_CORE
+    edges = _bulk_values(t, (math.log1p(u_c), math.log1p(-u_c)), ev)
+    return 0.5 * edges.sum() * u_c / t
 
 
 def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
     """int_0^inf |Lambda(t, x)| dx.
 
-    The core |x-1| < exp(-40) is integrated by the boundary-layer law
-    (mass u_core^(2t), exact in the limit); outside, adaptive panels in
-    log x ride one shared line tabulation.  The x-range grows until the
+    The core |x-1| < exp(-40) takes its mass from the near-one law
+    A |x-1|^(2t-1), with the amplitude A read off the direct line at the
+    core edges (see ``_core_mass``); outside, adaptive panels in log x ride
+    the same line tabulation, for every t > 0.  The x-range grows until the
     outermost panels are negligible: Lambda tends to a constant at x = 0+
     and decays like x^-5 at infinity, so both ends close quickly.
     """
     ev = evaluator or default_evaluator()
 
     def f_abs(tau):
-        x = np.exp(tau)
-        return _bulk_values(t, x, ev) * x
+        return _bulk_values(t, tau, ev) * np.exp(tau)
 
-    total = 0.0
+    total = abs(_core_mass(t, ev))
     err = 0.0
-    # core around x = 1
     u_c = _U_CORE
-    total += u_c ** (2.0 * t)
     # panels in tau = log x, refined toward both sides of the core
     breaks = [math.log1p(-u_c)]
     u = u_c
@@ -1049,9 +999,9 @@ def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):
     """<Lambda(t, .), phi> = int Lambda(t, x) phi(x) dx; phi a TestFunction.
 
     At t = 0 the fundamental solution is the unit mass at x = 1, so the
-    pairing is exactly phi(1).  For t > 0 the core around x = 1 carries
-    phi(1) u_core^(2t) by the boundary-layer law and the rest is adaptive
-    panel quadrature over supp phi.
+    pairing is exactly phi(1).  For t > 0 the core |x-1| < exp(-40)
+    carries phi(1) times the near-one mass of ``_core_mass`` and the rest
+    is adaptive panel quadrature in log x over supp phi, on the direct line.
     """
     if t == 0.0:
         return float(phi(1.0))
@@ -1061,7 +1011,7 @@ def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):
     u_c = _U_CORE
     pieces = []
     if lo < 1.0 - u_c and hi > 1.0 + u_c:
-        total += float(phi(1.0)) * u_c ** (2.0 * t)
+        total += float(phi(1.0)) * _core_mass(t, ev)
         pieces = [(math.log(lo), math.log1p(-u_c)),
                   (math.log1p(u_c), math.log(hi))]
     else:
@@ -1069,7 +1019,7 @@ def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):
 
     def f(tau):
         x = np.exp(tau)
-        return _bulk_values(t, x, ev) * phi(x) * x
+        return _bulk_values(t, tau, ev) * phi(x) * x
 
     for a, b in pieces:
         if b <= a:
@@ -1163,7 +1113,7 @@ def weak_residual(a_t, b_x, rel_tol=1e-6, evaluator=None):
 
             def f(tau):
                 x = np.exp(tau)
-                lam = _bulk_values(tj, x, ev)
+                lam = _bulk_values(tj, tau, ev)
                 inner = ap * b_x(x) - av * np.array([tb(xx) for xx in x])
                 return lam * inner * x
 
