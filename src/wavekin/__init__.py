@@ -9,7 +9,7 @@ Layout:
 
 - ``contour``   generic vertical-line / circle quadrature engine
 - ``complexfn`` gamma-family special functions and the symbol W
-- ``kernels``   collision kernels K, H, M and their consistency checks
+- ``kernels``   collision kernels K, H and their consistency checks
 - ``bfunc``     the normalizer B(s) and the residue/constant ledger
 - ``ufunc``     U(t, s) (Mellin symbol) and V(z, s) (Laplace transform)
 - ``fundsol``   Lambda(t, x): regimes, profiles, Q1/Q2 asymptotics, pairings

@@ -15,7 +15,10 @@ is tabulated on a uniform grid by a matched-grid convolution (see
 ``_symbol_line``) and integrated panel-wise against exact oscillatory
 moments (Filon--Legendre); on [V, inf) a five-term power model of the
 symbol is fit on [0.55 V, 0.98 V] and integrated in closed form along a
-rotated ray, which keeps the quadrature non-oscillatory for any q.
+rotated ray, which keeps the quadrature non-oscillatory for any q.  One
+tabulation and fit (``_line_assembly``) serves every q: calling it with an
+array of q evaluates the moments, the phases and the ray panels of all of
+them at once, so profiles and integrals cost one call per batch of points.
 
 Regimes
 -------
@@ -65,7 +68,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.interpolate import BPoly
 from scipy.signal import fftconvolve
-from scipy.special import digamma, loggamma, spherical_jn
+from scipy.special import digamma, jv, loggamma
 
 from wavekin.bfunc import default_evaluator
 from wavekin.complexfn import eval_W, locate_W_roots
@@ -116,6 +119,9 @@ _T_LOGREG_MAX = 0.6
 #: half-width of the core |x-1| < _U_CORE that the integrals take from the
 #: near-one law A |x-1|^(2t-1) instead of from panels
 _U_CORE = math.exp(-40.0)
+#: end of the w = -log|r-1| range of ``transport_apply``: 1 -+ e^(-36)
+#: still differs from 1 in double precision
+_W_KINK = 36.0
 
 
 def _gamma_t_kernel(a, t, eta):
@@ -129,16 +135,13 @@ def _gamma_t_kernel(a, t, eta):
 _TAU = np.linspace(-1.0, 1.0, 11)
 _LEG_INV = np.linalg.inv(legvander(_TAU, 10))
 _GL16 = leggauss(16)
-
-
-def _filon_moments(lam):
-    """m_k = int_{-1}^{1} P_k(tau) e^(-i lam tau) dtau for k = 0..10."""
-    k = np.arange(11)
-    jk = spherical_jn(k, abs(lam))
-    m = 2.0 * (-1j) ** k * jk
-    if lam < 0.0:
-        m = np.conj(m)
-    return m
+_LEG_K = np.arange(11)
+#: the ray sweep of one q stops once three consecutive panels fall below
+#: _RAY_TOL of its running sum, or after _RAY_PANELS panels
+_RAY_TOL = 1e-10
+_RAY_PANELS = 480
+#: ray directions indexed by sign(q): 0 -> pi/2, 1 -> pi/4, -1 -> 3 pi/4
+_RAY_DIRS = np.exp(1j * np.pi * np.array([0.5, 0.25, 0.75]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,50 +252,55 @@ def _basis_factory(kind, t, c):
                     base * _V_BAR * p ** 2, base * _V_BAR * p ** 3]
         else:  # pragma: no cover
             raise ValueError(kind)
-        return np.column_stack(fams)
+        return np.stack(fams, axis=-1)
 
     return cols
 
 
-def _ray_tail(F, s0, q, c, rel_tol=1e-10, max_panels=480):
-    """int_{s0}^{s0 + i inf} F(s) e^(-(s-c) q) ds along a rotated ray.
+def _ray_tail(F, s0, q, c):
+    """int_{s0}^{s0 + i inf} F(s) e^(-(s-c) q) ds along a rotated ray, per q.
 
-    The contour is rotated to arg = pi/4 (q > 0), 3 pi/4 (q < 0) or kept
-    vertical (q = 0); F must be analytic and decaying in the swept sector,
-    which holds for the power-model basis.  Geometrically growing panels
-    with 16-point Gauss rules; stops once three consecutive panels fall
-    below rel_tol of the accumulated value.
+    For each q of the 1-D array the contour is rotated to arg = pi/4
+    (q > 0), 3 pi/4 (q < 0) or kept vertical (q = 0); F must be analytic
+    and decaying in the swept sector, which holds for the power-model
+    basis.  All q share the geometric 16-point Gauss panels, so F is
+    evaluated once per direction.  Blocks of panels, each twice as long as
+    the last, go to every q still sweeping; a sweep stops once three
+    consecutive panels fall below _RAY_TOL of its running sum.
     """
-    if q > 0.0:
-        phi = 0.25 * math.pi
-    elif q < 0.0:
-        phi = 0.75 * math.pi
-    else:
-        phi = 0.5 * math.pi
-    dirn = complex(math.cos(phi), math.sin(phi))
+    side = np.sign(q).astype(int)
     xg, wg = _GL16
-    total = 0.0 + 0.0j
-    err = 0.0
-    stall = 0
-    r_lo = 0.0
-    r_len = max(2.0, abs(s0) / 32.0)
-    for _ in range(max_panels):
-        r = r_lo + 0.5 * r_len * (xg + 1.0)
-        s = s0 + dirn * r
-        vals = F(s) * np.exp(-(s - c) * q) * dirn
-        piece = 0.5 * r_len * np.dot(wg, vals)
-        total += piece
-        scale = max(abs(total), 1e-300)
-        if abs(piece) < rel_tol * scale:
-            stall += 1
-            if stall >= 3:
-                return total, abs(piece) + rel_tol * scale
-        else:
-            stall = 0
-        err = abs(piece)
-        r_lo += r_len
-        r_len *= 2.0
-    return total, err + rel_tol * max(abs(total), 1e-300)
+    len0 = max(2.0, abs(s0) / 32.0)
+    total, err = np.zeros(q.shape, complex), np.zeros(q.shape)
+    stall = np.zeros(q.shape, int)
+    todo, j0, n_block = np.arange(q.size), 0, 8
+    while todo.size:
+        r_len = len0 * 2.0 ** np.arange(j0, min(j0 + n_block, _RAY_PANELS))
+        r = (r_len - len0)[:, None] + 0.5 * r_len[:, None] * (xg + 1.0)
+        f, z = np.empty((2, 3) + r.shape, complex)
+        for i in set(side[todo].tolist()):
+            s = s0 + _RAY_DIRS[i] * r
+            f[i], z[i] = F(s) * _RAY_DIRS[i], s - c
+        rays = side[todo]
+        vals = f[rays] * np.exp(-z[rays] * q[todo, None, None])
+        pieces = 0.5 * r_len * (vals * wg).sum(axis=-1)
+        sums = total[todo, None] + np.cumsum(pieces, axis=1)
+        scale = np.maximum(np.abs(sums), 1e-300)
+        # length of the run of small panels ending at each panel
+        k = np.arange(r_len.size)
+        small = np.abs(pieces) < _RAY_TOL * scale
+        streak = k - np.maximum.accumulate(
+            np.where(small, -1 - stall[todo, None], k), axis=1)
+        done = (streak >= 3).any(axis=1)
+        last = np.where(done, (streak >= 3).argmax(axis=1), k[-1])
+        rows = np.arange(todo.size)
+        total[todo] = sums[rows, last]
+        err[todo] = np.abs(pieces[rows, last]) + _RAY_TOL * scale[rows, last]
+        stall[todo] = streak[:, -1]
+        j0 += r_len.size
+        todo = todo[~done] if j0 < _RAY_PANELS else todo[:0]
+        n_block *= 2
+    return total, err
 
 
 # ---------------------------------------------------------------------------
@@ -312,32 +320,32 @@ class _LineAssembly:
     fit_resid: float          # max |g - model| on the check window
     err_window: float         # Filon truncation estimate (integral units)
 
-    def line_value(self, q):
-        """(window + tail, error) of int_0^inf g(v) e^(-i v q) dv, q = log x."""
-        lam = _PANEL_HALF * q
-        moms = _filon_moments(lam)
-        phases = np.exp(-1j * q * self.mids)
-        win = _PANEL_HALF * np.dot(phases, self.coeffs @ moms)
-        s0 = self.c + 1j * _V_CUT
+    def __call__(self, q):
+        """((x^-c / pi) Re int_0^inf g(v) e^(-i v q) dv, error) at q = log x.
 
-        def model(s):
-            return self.basis(s) @ self.model_a
-
-        ray, ray_err = _ray_tail(model, s0, q, self.c)
-        tail = -1j * ray
+        q is a scalar or an array; the values and errors take its shape.
+        """
+        q = np.asarray(q, dtype=float)
+        qs = q.ravel()
+        # moments int_{-1}^{1} P_k(tau) e^(-i lam tau) dtau = 2 (-i)^k j_k(lam)
+        # with j_k(x) = sqrt(pi/2x) J_(k+1/2)(x); the floor keeps j_0(0) = 1
+        lam = _PANEL_HALF * qs[:, None]
+        x = np.maximum(np.abs(lam), 1e-300)
+        moms = (-1j) ** _LEG_K * jv(_LEG_K + 0.5, x) * np.sqrt(2.0 * np.pi / x)
+        moms = np.where(lam < 0.0, np.conj(moms), moms)
+        phases = np.exp(-1j * qs[:, None] * self.mids)
+        # einsum, unlike a BLAS product, sums each q the same way whatever
+        # the batch, so an array call equals the scalar calls exactly
+        win = _PANEL_HALF * (np.einsum("nk,pk->np", moms, self.coeffs)
+                             * phases).sum(axis=-1)
+        ray, ray_err = _ray_tail(
+            lambda s: (self.basis(s) * self.model_a).sum(axis=-1),
+            self.c + 1j * _V_CUT, qs, self.c)
         err = (self.err_window + ray_err
                + self.fit_resid * _V_CUT / (2.0 * self.t + _MODEL_K - 1.0))
-        return win + tail, err
-
-    def assemble(self, x):
-        """((x^-c / pi) Re[...], error) -- the folded line integral."""
-        return self.assemble_q(math.log(x))
-
-    def assemble_q(self, q):
-        """Same as assemble, taking the log coordinate q = log x."""
-        val, err = self.line_value(q)
-        scale = math.exp(-self.c * q) / math.pi
-        return scale * val.real, scale * err
+        scale = np.exp(-self.c * qs) / math.pi
+        val = scale * (win - 1j * ray).real
+        return (val.reshape(q.shape)[()], (scale * err).reshape(q.shape)[()])
 
 
 @functools.lru_cache(maxsize=48)
@@ -402,13 +410,22 @@ class RadialProfile:
             raise ValueError("grid must be strictly increasing")
 
 
+def _direct(t, q, ev):
+    """(Lambda, error) on the direct line at x = e^q; q scalar or array."""
+    q = np.asarray(q, dtype=float)
+    val, err = np.full(q.shape, math.inf), np.full(q.shape, math.inf)
+    # Lambda ~ A |x-1|^(2t-1) does not stay bounded at x = 1 for t <= 1/2
+    bounded = (q != 0.0) | (t > 0.5)
+    if bounded.any():
+        val[bounded], err[bounded] = _line_assembly(ev, t, _C_DIRECT, "u")(
+            q[bounded])
+    return val[()], err[()]
+
+
 def _eval_q(t, q, regime, ev):
     """(Lambda, error) at x = e^q by the named regime; x = 1 is q = 0."""
     if regime in ("auto", "direct"):
-        if q == 0.0 and t <= 0.5:
-            # Lambda ~ A |x-1|^(2t-1) does not stay bounded at x = 1
-            return math.inf, math.inf
-        return _line_assembly(ev, t, _C_DIRECT, "u").assemble_q(q)
+        return _direct(t, q, ev)
     if regime == "log_regularized":
         if q == 0.0:
             raise RegimeError("log regularization divides by log x; x=1")
@@ -416,7 +433,7 @@ def _eval_q(t, q, regime, ev):
             raise RegimeError(
                 f"log-regularized line is kept to t <= {_T_LOGREG_MAX}; "
                 f"use direct for t={t}")
-        val, err = _line_assembly(ev, t, _C_DIRECT, "du").assemble_q(q)
+        val, err = _line_assembly(ev, t, _C_DIRECT, "du")(q)
         # integrating x^-s by parts along the line: the boundary term
         # vanishes and log x * Lambda = + the dU/ds line integral
         return val / q, abs(err / q)
@@ -462,16 +479,20 @@ def eval_lambda_log(t, log_x, regime="auto", evaluator=None):
     return _eval_q(t, float(log_x), regime, ev)[0]
 
 
-def radial_profile(t, x_min, x_max, n_points, regime="auto", evaluator=None):
-    """Lambda(t, .) on a geometric grid, sharing one line tabulation."""
+def radial_profile(t, x_min, x_max, n_points, evaluator=None):
+    """Lambda(t, .) on a geometric grid of n_points from x_min to x_max.
+
+    The whole grid goes through one call of the direct line, which shares
+    the tabulation and evaluates every point at once; x = 1 with t <= 1/2
+    gives inf, as in eval_lambda.
+    """
     if not (x_min > 0.0 and x_max > x_min):
         raise ValueError("need 0 < x_min < x_max")
     if n_points < 2:
         raise ValueError("need at least two points")
     ev = evaluator or default_evaluator()
     grid = np.geomspace(x_min, x_max, int(n_points))
-    vals = np.array(
-        [_eval_q(t, math.log(x), regime, ev)[0] for x in grid])
+    vals, _ = _direct(t, np.log(grid), ev)
     return RadialProfile(grid=grid, values=vals, t_stamp=float(t))
 
 
@@ -480,9 +501,14 @@ def radial_profile(t, x_min, x_max, n_points, regime="auto", evaluator=None):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _ledger(ev):
+    """The evaluator's residue ledger, computed once per evaluator."""
+    return ev.derived_constants()
+
+
 def _q1_with_error(theta, ev):
-    led = ev.derived_constants()
-    c1 = led.c1.real
+    c1 = _ledger(ev).c1.real
     lt = math.log(theta)
 
     def f(s):
@@ -509,8 +535,7 @@ def eval_Q1(theta, evaluator=None):
 
 
 def _q2_with_error(t, theta, ev):
-    asm = _line_assembly(ev, t, _C_DIRECT, "q2")
-    return asm.assemble(t * theta)
+    return _line_assembly(ev, t, _C_DIRECT, "q2")(math.log(t * theta))
 
 
 def eval_Q2(t, theta, evaluator=None):
@@ -560,6 +585,11 @@ class _SeriesConstants:
                     self.casc.append((z, rho_z))
                 z += 1.0
         self.casc.sort()
+        # rho(3), rho(4) without re-measuring: rho4 from the ledger, and
+        # rho3 = -c1 by definition of c1
+        led = _ledger(ev)
+        self.rho[3] = -led.c1.real
+        self.rho[4] = led.rho4.real
         self.b_cache = {}
 
     def B(self, k):
@@ -655,15 +685,9 @@ def _series_with_error(t, x, n_terms, ev):
             "double singularity (pole of B against a zero of B) and the "
             "power form of the terms breaks down")
     sc = _series_constants(ev)
-    # augment rho(3), rho(4) without re-measuring: rho4 from the ledger,
-    # rho3 = -c1 by definition of c1
-    led = ev.derived_constants()
-    sc.rho[3] = led.c1.real * -1.0
-    sc.rho[4] = led.rho4.real
 
     total = 0.0
     first = 0.0
-    prev = math.inf
     last = 0.0
     for k in range(1, n_terms + 1):
         gk = (_series_g_plus(k, x, sc) if x > 1.0
@@ -679,7 +703,6 @@ def _series_with_error(t, x, n_terms, ev):
                 f"series terms stopped decreasing at order {k} "
                 f"(t={t}, x={x}); the expansion is outside its zone")
         total += term
-        prev = max(abs(term), 1e-300)
         last = abs(term)
     if x > 1.0:
         quad_err = 0.0
@@ -712,8 +735,7 @@ def _series_with_error(t, x, n_terms, ev):
             k_err = abs(gk1) * theta ** -(n_terms + 1) / math.factorial(
                 n_terms + 1)
         else:
-            k_err = last * last / max(prev, 1e-300) if last else 0.0
-            k_err = max(k_err, last * theta ** -1)
+            k_err = last
         err = k_err + 2.0 * x ** 8 * t
     return total, err
 
@@ -774,8 +796,7 @@ def eval_dlambda_dt(t, x, evaluator=None):
     ev = evaluator or default_evaluator()
     if x == 1.0 and t <= 0.5:
         raise RegimeError("dLambda/dt at x = 1 needs t > 1/2")
-    asm = _line_assembly(ev, t, _C_DT, "ut")
-    return asm.assemble(x)[0]
+    return _line_assembly(ev, t, _C_DT, "ut")(math.log(x))[0]
 
 
 def eval_dlambda_dx(t, x, evaluator=None):
@@ -787,8 +808,7 @@ def eval_dlambda_dx(t, x, evaluator=None):
     if not t > 1.0:
         raise RegimeError(f"x-derivative line needs t > 1; t={t}")
     ev = evaluator or default_evaluator()
-    asm = _line_assembly(ev, t, _C_DIRECT, "su")
-    val, _ = asm.assemble(x)
+    val, _ = _line_assembly(ev, t, _C_DIRECT, "su")(math.log(x))
     return -val / x
 
 
@@ -881,11 +901,11 @@ def _adaptive_abs_panels(f, a, b, rel_tol=1e-7, max_depth=28,
     """
     x12, w12 = leggauss(12)
     x6, w6 = leggauss(6)
+    x18 = np.concatenate([x12, x6])
 
     def panel(lo, hi):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        f12 = f(mid + half * x12)
-        f6 = f(mid + half * x6)
+        f12, f6 = np.split(f(mid + half * x18), [12])
         if absolute:
             f12, f6 = np.abs(f12), np.abs(f6)
         v12 = half * np.dot(w12, f12)
@@ -910,16 +930,6 @@ def _adaptive_abs_panels(f, a, b, rel_tol=1e-7, max_depth=28,
     return total, sum(s[3] for s in segs)
 
 
-def _bulk_values(t, taus, ev):
-    """Lambda(t, e^tau) on an array of tau = log x, one shared tabulation.
-
-    Taking tau rather than x keeps the core edges |tau| ~ 4e-18 apart from
-    tau = 0, where exp(tau) already rounds to 1.
-    """
-    asm = _line_assembly(ev, t, _C_DIRECT, "u")
-    return np.array([asm.assemble_q(float(tau))[0] for tau in taus])
-
-
 def _core_mass(t, ev):
     """int Lambda dx over the core |x-1| < u_core, from the near-one law.
 
@@ -932,7 +942,8 @@ def _core_mass(t, ev):
     far below any quadrature tolerance.
     """
     u_c = _U_CORE
-    edges = _bulk_values(t, (math.log1p(u_c), math.log1p(-u_c)), ev)
+    edges, _ = _line_assembly(ev, t, _C_DIRECT, "u")(
+        [math.log1p(u_c), math.log1p(-u_c)])
     return 0.5 * edges.sum() * u_c / t
 
 
@@ -947,51 +958,33 @@ def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
     and decays like x^-5 at infinity, so both ends close quickly.
     """
     ev = evaluator or default_evaluator()
+    line = _line_assembly(ev, t, _C_DIRECT, "u")
 
     def f_abs(tau):
-        return _bulk_values(t, tau, ev) * np.exp(tau)
+        return line(tau)[0] * np.exp(tau)
 
     total = abs(_core_mass(t, ev))
-    err = 0.0
-    u_c = _U_CORE
-    # panels in tau = log x, refined toward both sides of the core
-    breaks = [math.log1p(-u_c)]
-    u = u_c
-    while u < 0.4:
-        u *= 4.0
-        breaks.append(math.log1p(-min(u, 0.4)))
-    left_inner = breaks[::-1]
-    breaks = [math.log1p(u_c)]
-    u = u_c
-    while u < 0.4:
-        u *= 4.0
-        breaks.append(math.log1p(min(u, 0.4)))
-    right_inner = breaks
-    for lo, hi in zip(left_inner[:-1], left_inner[1:]):
-        v, e = _adaptive_abs_panels(f_abs, lo, hi, rel_tol, absolute=True)
-        total += v
-        err += e
-    for lo, hi in zip(right_inner[:-1], right_inner[1:]):
-        v, e = _adaptive_abs_panels(f_abs, lo, hi, rel_tol, absolute=True)
-        total += v
-        err += e
+    # panels in tau = log x, on ladders refined toward both sides of the
+    # core; both are summed first, so each outward stop test sees their mass
+    us = [_U_CORE]
+    while us[-1] < 0.4:
+        us.append(min(4.0 * us[-1], 0.4))
+    ladders = {sign: [math.log1p(sign * u) for u in us] for sign in (-1, 1)}
+    for ladder in ladders.values():
+        for a, b in zip(ladder[:-1], ladder[1:]):
+            total += _adaptive_abs_panels(f_abs, min(a, b), max(a, b),
+                                          rel_tol, absolute=True)[0]
     # outward extension, one e-fold at a time until negligible
-    lo = left_inner[0]
-    for _ in range(60):
-        v, e = _adaptive_abs_panels(f_abs, lo - 1.0, lo, rel_tol, absolute=True)
-        total += v
-        err += e
-        lo -= 1.0
-        if v < rel_tol * total:
-            break
-    hi = right_inner[-1]
-    for _ in range(60):
-        v, e = _adaptive_abs_panels(f_abs, hi, hi + 1.0, rel_tol, absolute=True)
-        total += v
-        err += e
-        hi += 1.0
-        if v < rel_tol * total:
-            break
+    for sign, ladder in ladders.items():
+        edge = ladder[-1]
+        for _ in range(60):
+            v, _ = _adaptive_abs_panels(f_abs, min(edge, edge + sign),
+                                        max(edge, edge + sign), rel_tol,
+                                        absolute=True)
+            total += v
+            edge += sign
+            if v < rel_tol * total:
+                break
     return total
 
 
@@ -1017,9 +1010,11 @@ def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):
     else:
         pieces = [(math.log(lo), math.log(hi))]
 
+    line = _line_assembly(ev, t, _C_DIRECT, "u")
+
     def f(tau):
         x = np.exp(tau)
-        return _bulk_values(t, tau, ev) * phi(x) * x
+        return line(tau)[0] * phi(x) * x
 
     for a, b in pieces:
         if b <= a:
@@ -1063,16 +1058,19 @@ def transport_apply(phi, x, rel_tol=1e-9):
     def f(r):
         return eval_H(r) * r * phi.deriv(r * x)
 
-    marks = [r_lo, r_hi]
-    if r_lo < 1.0 < r_hi:
-        # H has an integrable kink at r = 1; pinch the panels toward it
-        for d in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
-            marks += [1.0 - d, 1.0 + d]
-    marks = sorted(m for m in set(marks) if r_lo <= m <= r_hi)
+    if not r_lo < 1.0 < r_hi:
+        return _adaptive_abs_panels(f, r_lo, r_hi, rel_tol)[0]
+    # H has a log kink at r = 1.  On each side r = 1 -+ e^(-w) turns it into
+    # the smooth w e^(-w), and the panels can no longer round onto r = 1;
+    # the sides stop at w = _W_KINK, where the rest is below 1e-14 |phi'|.
     total = 0.0
-    for a, b in zip(marks[:-1], marks[1:]):
-        v, _ = _adaptive_abs_panels(f, a, b, rel_tol)
-        total += v
+    for sign, r_end in ((-1.0, r_lo), (1.0, r_hi)):
+        def g(w, sign=sign):
+            e = np.exp(-w)
+            return f(1.0 + sign * e) * e
+
+        total += _adaptive_abs_panels(g, -math.log(abs(r_end - 1.0)),
+                                      _W_KINK, rel_tol)[0]
     return total
 
 
@@ -1110,12 +1108,12 @@ def weak_residual(a_t, b_x, rel_tol=1e-6, evaluator=None):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         for tj, wj in zip(mid + half * xg, half * wg):
             ap, av = a_t.deriv(tj), a_t(tj)
+            line = _line_assembly(ev, tj, _C_DIRECT, "u")
 
             def f(tau):
                 x = np.exp(tau)
-                lam = _bulk_values(tj, tau, ev)
                 inner = ap * b_x(x) - av * np.array([tb(xx) for xx in x])
-                return lam * inner * x
+                return line(tau)[0] * inner * x
 
             v, e = _adaptive_abs_panels(f, math.log(x_lo), math.log(x_hi),
                                         rel_tol)

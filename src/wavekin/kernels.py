@@ -1,14 +1,12 @@
 """Collision kernels and the identities tying them to the Mellin symbol W.
 
-Three kernels appear in the classical (low-temperature) approximation of the
+Two kernels appear in the classical (low-temperature) approximation of the
 linearized three-wave collision operator:
 
 - ``K(x,y)``: the interaction kernel, positive, singular like 1/|x-y| on the
   diagonal;
 - ``H(r)``: the transport kernel obtained by integrating K in its second
-  argument, log-singular at r=1, H ~ 2r at 0 and H ~ -r^-5 at infinity;
-- ``M(x,y)``: the full hyperbolic-kernel variant; provided for comparison
-  plots only, no solver consumes it.
+  argument, log-singular at r=1, H ~ 2r at 0 and H ~ -r^-5 at infinity.
 
 The two consistency checks are quadrature cross-validations, deliberately
 independent of the closed forms they test:
@@ -28,7 +26,6 @@ from wavekin.errors import PoleError, TruncationError
 __all__ = [
     "eval_K",
     "eval_H",
-    "eval_M",
     "check_H_from_K",
     "check_W_mellin",
 ]
@@ -80,31 +77,6 @@ def eval_H(r):
     if far.any():
         rf = r[far]
         out[far] = np.log1p(-(rf ** -4)) / rf
-    return out if out.ndim else float(out)
-
-
-def eval_M(x, y):
-    """Full kernel M(x,y) = (1/sinh|x^2-y^2| - 1/sinh(x^2+y^2)) * (y^3/x^3)
-    * sinh(x^2)/sinh(y^2), in overflow-free exponential form.
-
-    Every exponent in the rearranged expression is <= 0, so the evaluation
-    never overflows even for x^2 - y^2 ~ 900 (it may underflow to 0, which is
-    the honest value at double precision).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("M requires x, y > 0")
-    a = np.abs(x * x - y * y)
-    if np.any(a == 0):
-        raise PoleError("M is singular on the diagonal x = y")
-    b = x * x + y * y
-    # 1/sinh(z) = 2 e^{-z}/(1 - e^{-2z}); sinh(x^2)/sinh(y^2) carries
-    # e^{x^2-y^2}; combining exponents first keeps them all non-positive.
-    e1 = 2.0 * np.exp(-a + x * x - y * y) / -np.expm1(-2.0 * a)
-    e2 = 2.0 * np.exp(-b + x * x - y * y) / -np.expm1(-2.0 * b)
-    ratio = -np.expm1(-2.0 * x * x) / -np.expm1(-2.0 * y * y)
-    out = (e1 - e2) * (y ** 3 / x ** 3) * ratio
     return out if out.ndim else float(out)
 
 

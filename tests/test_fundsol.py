@@ -3,18 +3,22 @@
 The direct line is checked against independent routes: the log-regularized
 line (dU/ds), the long-time decomposition Q1/Q2, the near-one exponent
 2t - 1, the Mellin mass sqrt(2 pi) U(t, 1) = int Lambda dx, and finite
-differences of Lambda itself.
+differences of Lambda itself.  One array call of an assembled line must
+give exactly what scalar calls give.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from wavekin import fundsol
 from wavekin.bfunc import default_evaluator
 from wavekin.fundsol import (
     LambdaQuery,
+    _C_DT,
+    _ledger,
     _line_assembly,
     _nu_hat,
     _series_constants,
@@ -26,7 +30,10 @@ from wavekin.fundsol import (
     eval_lambda_log,
     eval_lambda_with_error,
     l1_norm_lambda,
+    radial_profile,
+    transport_apply,
 )
+from wavekin.kernels import eval_H
 from wavekin.ufunc import SQRT_2PI, eval_U
 
 
@@ -76,6 +83,49 @@ def test_direct_agrees_with_large_t_asymptotic(ev):
     assert abs(val - ref) < 5e-10
 
 
+# ---------------- array evaluation of the line ----------------
+
+_Q = np.array([-30.0, -2.0, -0.3, -1e-9, -4e-18, 4e-18, 1e-9, 0.3, 2.0,
+               30.0])
+
+
+@pytest.mark.parametrize("kind, t, c, with_zero", [
+    ("u", 3.0, 1.0, True),
+    ("u", 0.25, 1.0, False),
+    ("du", 0.4, 1.0, False),
+    ("ut", 1.5, _C_DT, True),
+    ("su", 2.0, 1.0, True),
+    ("q2", 3.0, 1.0, True),
+])
+def test_array_call_equals_scalar_calls(ev, kind, t, c, with_zero):
+    # q = 0 is left out where the route refuses it: u for t <= 1/2, and du
+    q = np.sort(np.append(_Q, 0.0)) if with_zero else _Q
+    line = _line_assembly(ev, t, c, kind)
+    vals, errs = line(q)
+    assert vals.shape == errs.shape == q.shape
+    scalar = [line(x) for x in q]
+    assert np.array_equal(vals, [v for v, _ in scalar])
+    assert np.array_equal(errs, [e for _, e in scalar])
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0])
+def test_radial_profile_is_pointwise_lambda(ev, t):
+    prof = radial_profile(t, 1e-2, 1e2, 64, evaluator=ev)
+    pointwise = [eval_lambda(LambdaQuery(t, float(x)), ev) for x in prof.grid]
+    assert np.array_equal(prof.values, pointwise)
+
+
+@pytest.mark.parametrize("t, ref, ref_err", [
+    (0.55, 3.8065152615146576, 4.5e-8),
+    (3.0, 0.09310705393108326, 1.6e-8),
+])
+def test_vertical_ray_at_x_one(ev, t, ref, ref_err):
+    # reference values from a panel-by-panel sweep of the same vertical ray
+    val, err = _lam(t, 1.0, "auto", ev)
+    assert abs(val - ref) <= ref_err
+    assert err == pytest.approx(ref_err, rel=0.05)
+
+
 # ---------------- integrals ----------------
 
 
@@ -92,6 +142,19 @@ def test_delta_pairing_across_the_core_returns(ev):
     val = delta_pairing(0.3, fundsol.TestFunction.bump(0.5, 3.0),
                         evaluator=ev)
     assert math.isfinite(val) and val > 0.0
+
+
+@pytest.mark.parametrize("x", [0.8, 1.2, 1.6])
+def test_transport_apply_matches_quad_across_the_kink(x):
+    phi = fundsol.TestFunction.bump(0.6, 1.8)
+
+    def f(r):
+        return eval_H(r) * r * phi.deriv(r * x)
+
+    ref = sum(scipy.integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12,
+                                   limit=400)[0]
+              for a, b in ((0.6 / x, 1.0), (1.0, 1.8 / x)))
+    assert abs(transport_apply(phi, x) - ref) < 1e-8
 
 
 def test_bump_is_flat_at_its_support_ends():
@@ -143,12 +206,21 @@ class _FlatB:
     def residue_inv_B(self, s, radius=None):
         return 1.0
 
+    def derived_constants(self):
+        return _FlatLedger()
+
+
+class _FlatLedger:
+    c1 = 1.0
+    rho4 = 1.0
+
 
 @pytest.mark.parametrize("cached, call", [
     (_line_assembly, lambda ev: _line_assembly(ev, 0.8, 1.0, "u")),
     (_nu_hat, lambda ev: _nu_hat(9, 0.5, ev)),
     (_series_constants, _series_constants),
-], ids=["line_assembly", "nu_hat", "series_constants"])
+    (_ledger, _ledger),
+], ids=["line_assembly", "nu_hat", "series_constants", "ledger"])
 def test_fresh_evaluator_recomputes(cached, call):
     first = call(_FlatB())
     misses = cached.cache_info().misses

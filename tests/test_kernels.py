@@ -13,7 +13,6 @@ from wavekin.kernels import (
     check_W_mellin,
     eval_H,
     eval_K,
-    eval_M,
 )
 
 
@@ -82,29 +81,6 @@ class TestH:
         assert abs(eval_H(0.0101) - 0.020200000070067336317) < 1e-16  # log1p
         assert abs(eval_H(1.49) - (-0.15218741090980271994)) < 1e-15  # factored
         assert abs(eval_H(1.51) - (-0.14147449913325707197)) < 1e-15  # far
-
-
-class TestM:
-    def test_hand_value(self):
-        ref = (1.0 / math.sinh(3.0) - 1.0 / math.sinh(5.0)) * (
-            8.0 * math.sinh(1.0) / math.sinh(4.0)
-        )
-        assert abs(eval_M(1.0, 2.0) - ref) < 1e-15 * ref
-
-    def test_positive(self):
-        assert eval_M(2.0, 1.0) > 0
-        assert abs(eval_M(2.0, 1.0) - 0.25063257841196356833) < 1e-15
-
-    def test_classical_limit(self):
-        """M -> K with ratio 1 at small momenta (sinh z ~ z)."""
-        x, y = 1e-3, 2e-3
-        assert abs(eval_M(x, y) / eval_K(x, y) - 1.0) < 1e-5
-
-    def test_large_arguments_no_overflow(self):
-        # mpmath: M(30,1) = 2/27000, M(6,5) = 1.1574074077302625
-        assert abs(eval_M(30.0, 1.0) - 7.4074074074074074e-5) < 1e-18
-        assert abs(eval_M(6.0, 5.0) - 1.1574074077302625108) < 1e-13
-        assert eval_M(1.0, 30.0) == 0.0  # honest underflow of e^{-777}
 
 
 class TestHFromK:
