@@ -11,6 +11,25 @@ vertical-line integral of log(-W) against a periodic kernel:
                 [ 1/(1 - e^{2 i pi (s - rho)}) - 1/(1 + e^{-2 i pi (rho - beta)}) ]
                 d rho ).
 
+The line integral is a trapezoid rule on the lattice rho = beta + i w_j,
+w_j = (j + 1/2) h, h = 0.025, shared by every caller.  The integrand is
+analytic in a strip of half-width >= 1/4 about the line (beta keeps the
+kernel poles >= 1/4 away; the nearest singularity of log(-W) to the
+reference line is the zero of W at 0), so the rule converges geometrically
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Rev. 56, 2014).  It is checked against the 2h rule on the even nodes,
+and h halves, at most three times, where the two differ by more than 1e-11
+relative.  Each kernel is split into a step and a remainder:
+k_plus = g_plus + [w <= Im s] and k_minus = g_minus + [w < 0].  Both g's
+decay like e^{-2 pi |w - centre|}, so each is summed over a +-6.5 window,
+and the steps leave a plateau: the sum of the samples between 0 and Im s,
+which must count the node at w = Im s because g_plus takes the step there.
+The plateau reaches ~400 at |Im s| ~ 200 and its last digits are the phase
+of B, so it is summed outward from w = 0 in long double.  Scattered points
+sum their g_plus windows directly.  The nodes of a line interpolant repeat
+every 16 lattice steps, so a line build forms all its windows with one
+batched FFT convolution.
+
 Two bookkeeping subtleties, both measured and pinned by tests:
 
 * The counterterm must be centered at the line (rho - beta in the second
@@ -46,9 +65,10 @@ import os
 import struct
 
 import numpy as np
+import scipy.signal
 
 from wavekin.complexfn import eval_W, eval_W_prime, locate_W_roots
-from wavekin.contour import ContourSpec, integrate_circle
+from wavekin.contour import integrate_circle
 from wavekin.errors import ConvergenceError, PoleError, WavekinError
 
 __all__ = [
@@ -67,8 +87,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 _WALK_LO = 0.55          # base window Re in [_WALK_LO, _WALK_LO + 1)
 _POLE_GUARD = 1e-6
 _COLLIDE_TOL = 1e-6
-_PANEL_W = 0.25          # analyticity half-width along the line is ~0.25
-_MARGIN = 6.0            # window extension beyond the kernel plateau
+_PANEL_W = 0.25          # eval_B_prime_strip's Gauss panel width
+_MARGIN = 6.5            # g+/g- windows: both decay below 2e-18 beyond
 _GAUGE_BETA = 0.3        # canonical line: all other lines splice onto it
 
 # Global scale of B (a free gauge: the construction determines B only up to a
@@ -148,11 +168,13 @@ def _k_minus(v):
     return out
 
 
-_gl24 = np.polynomial.legendre.leggauss(24)
-_gl12 = np.polynomial.legendre.leggauss(12)
+_gl24 = np.polynomial.legendre.leggauss(24)   # eval_B_prime_strip's panels
 
 _CHEB_DEG = 24
 _CHEB_SEG = 0.4
+_STEP = _CHEB_SEG / 16   # lattice step h: 16 steps per Chebyshev segment
+_REL_TOL = 1e-11         # h rule against 2h rule, relative to max(|F|, 1)
+_MAX_REFINEMENTS = 3     # halvings of h before ConvergenceError
 
 
 @functools.lru_cache(maxsize=4)
@@ -164,30 +186,39 @@ def _cheb_basis(deg):
     return mat, np.cos(theta)
 
 
+def _g_plus(x, q):
+    # k_plus less its step at x = 2 pi (w - Im s): the step is taken where
+    # x <= 0, so the plateau must count the nodes w <= Im s
+    u = np.exp(-np.abs(x))
+    return np.where(x > 0, -u / (q - u), q * u / (1.0 - q * u))
+
+
 class BLineInterpolator:
     """Chebyshev interpolant of B along one vertical line.
 
     B restricted to a line inside the strip is analytic with the nearest
     singularity at least ~0.5 away, so a degree-24 fit per 0.4-wide
     segment reproduces it to ~1e-12; quadrature routines that sample the
-    same line thousands of times query this instead of re-running the
-    strip integral per node.
+    same line thousands of times query this instead of evaluating B per
+    node.  A segment is 16 steps of the strip rule's lattice, so the 24
+    node offsets repeat along the lattice and the strip exponent at every
+    node comes from one batched FFT convolution (BEvaluator._strip_line).
     """
 
-    def __init__(self, evaluator, re_line, im_lo, im_hi,
-                 seg=_CHEB_SEG, deg=_CHEB_DEG):
+    def __init__(self, evaluator, re_line, im_lo, im_hi):
         if not im_hi > im_lo:
             raise ValueError("empty line window")
         self.re_line = float(re_line)
-        n_seg = int(math.ceil((im_hi - im_lo) / seg))
-        self.edges = np.linspace(im_lo, im_hi, n_seg + 1)
-        self.mids = 0.5 * (self.edges[:-1] + self.edges[1:])
-        self.half = 0.5 * (self.edges[1] - self.edges[0])
-        mat, xnodes = _cheb_basis(deg)
-        ims = (self.mids[:, None] + self.half * xnodes).ravel()
-        vals = evaluator.eval_B_many(self.re_line + 1j * ims)
-        self.coef = (mat @ vals.reshape(n_seg, deg).T).T
-        self.deg = deg
+        n_seg = int(math.ceil((im_hi - im_lo) / _CHEB_SEG))
+        self.edges = im_lo + _CHEB_SEG * np.arange(n_seg + 1.0)
+        self.edges[-1] = max(self.edges[-1], im_hi)
+        self.half = 0.5 * _CHEB_SEG
+        self.mids = self.edges[:-1] + self.half
+        mat, xnodes = _cheb_basis(_CHEB_DEG)
+        vals = evaluator._eval_B_line(
+            self.re_line, self.mids[0] + self.half * xnodes, n_seg)
+        self.coef = (mat @ vals.T).T
+        self.deg = _CHEB_DEG
 
     def __call__(self, s_arr):
         s_arr = np.asarray(s_arr, dtype=complex)
@@ -218,14 +249,10 @@ class BEvaluator:
     value independent of that choice.
     """
 
-    def __init__(self, beta=0.3, contour=None, cache=None, cache_path=None):
+    def __init__(self, beta=0.3, cache=None, cache_path=None):
         if not 0.2 <= beta <= 0.45:
             raise ValueError("reference beta must sit in [0.2, 0.45]")
         self.beta = beta
-        self.contour = contour or ContourSpec(
-            abscissa=beta, half_height=_MARGIN, rel_tol=1e-11, abs_tol=1e-13,
-            max_refinements=3,
-        )
         self.cache = {} if cache is None else cache
         self.cache_path = cache_path
         self._gauge = {}      # beta_used -> F-offset onto the canonical line
@@ -259,76 +286,114 @@ class BEvaluator:
         if max(abs(arg[0]), abs(arg[-1])) > 0.5:
             raise BranchError("arg(-W) does not decay at the window ends")
 
-    def _strip_batch(self, s_arr, beta):
-        """exp-argument F(s) for a batch of s sharing one beta line.
+    def _rule_samples(self, beta, lo, hi, h):
+        """Weighted samples of the h and 2h trapezoid rules over [lo, hi].
 
-        Fixed uniform Gauss-Legendre panels over the union window; the
-        expensive log(-W) values are computed once and shared by every s in
-        the batch.  Embedded 12-point estimate controls the error.
+        The nodes are w_j = (j + 1/2) h, so none sits on the step of
+        k_minus at 0.  Row 0 of ``a`` is h log(-W(beta + i w_j)); row 1 is
+        the 2h rule on the even j (2h log(-W) there, 0 at odd j).
+        ``plateau[:, n]`` is the signed sum of the samples between 0 and
+        the first n nodes: the sum over [0, w_n) when w_n > 0, minus the
+        sum over [w_n, 0) otherwise.  It is summed outward from w = 0 in
+        long double, since it reaches ~400 at |Im s| ~ 200 and its last
+        digits are the phase of B.  ``gm`` is the g_minus window sum.
         """
-        ims = s_arr.imag
-        lo = min(0.0, ims.min()) - _MARGIN
-        hi = max(0.0, ims.max()) + _MARGIN
-        self._branch_audit(beta, lo, hi)
+        j = np.arange(math.floor(lo / h - 0.5) - 2,
+                      math.ceil(hi / h - 0.5) + 3)
+        w = (j + 0.5) * h
+        lw = self._line_values(beta, w)
+        a = np.stack([h * lw, np.where(j % 2 == 0, 2.0 * h * lw, 0.0)])
+        n0 = np.searchsorted(w, 0.0)
+        up = np.cumsum(a[:, n0:], axis=1, dtype=np.clongdouble)
+        down = np.cumsum(a[:, :n0][:, ::-1], axis=1, dtype=np.clongdouble)
+        plateau = np.concatenate(
+            [-down[:, ::-1], np.zeros((2, 1), np.clongdouble), up], axis=1)
+        near0 = np.abs(w) <= _MARGIN
+        gm = a[:, near0] @ (_k_minus(w[near0]) - (w[near0] < 0.0))
+        return w, a, plateau, gm
 
-        width = _PANEL_W
-        for refinement in range(self.contour.max_refinements + 1):
-            n_panels = int(math.ceil((hi - lo) / width))
-            edges = np.linspace(lo, hi, n_panels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-            half = 0.5 * (edges[1] - edges[0])
-            x24, w24 = _gl24
-            x12, w12 = _gl12
-            v = np.concatenate(
-                [(mid + half * x24).ravel(), (mid + half * x12).ravel()]
-            )
-            logw = self._line_values(beta, v)
-            km = _k_minus(v)
-            n24 = n_panels * 24
-            wt24 = np.tile(w24, n_panels) * half
-            wt12 = np.tile(w12, n_panels) * half
-            # Exact node-sum reassembly that makes the cost per point O(1)
-            # instead of O(line).  Write k_plus = g_plus + step(v < Im s)
-            # and km = gm + step(v < 0); both g's decay like e^{-2 pi dv}
-            # around their transition, so each needs only a +-6.5 window,
-            # and the step difference is a cumulative sum over line nodes.
-            res = []
-            for v_r, lw in ((v[:n24], logw[:n24] * wt24),
-                            (v[n24:], logw[n24:] * wt12)):
-                km_r = _k_minus(v_r)
-                j0, j1 = np.searchsorted(v_r, [-6.5, 6.5])
-                gm = km_r[j0:j1] - (v_r[j0:j1] < 0.0)
-                gm_dot = np.dot(lw[j0:j1], gm)
-                csum = np.concatenate([[0.0], np.cumsum(lw)])
-                zero_idx = np.searchsorted(v_r, 0.0)
-                order = np.argsort(s_arr.imag, kind="stable")
-                ss = s_arr[order]
-                acc_s = np.empty(ss.shape, dtype=complex)
-                for a in range(0, ss.size, 128):
-                    chunk = ss[a:a + 128]
-                    y = chunk.imag[:, None]
-                    q = np.exp(2j * np.pi * (chunk.real - beta))[:, None]
-                    w_lo, w_hi = chunk.imag[0] - 6.5, chunk.imag[-1] + 6.5
-                    i0, i1 = np.searchsorted(v_r, [w_lo, w_hi])
-                    x = 2.0 * np.pi * (v_r[None, i0:i1] - y)
-                    u = np.exp(-np.abs(x))
-                    gp = np.where(x > 0, -u / (q - u), q * u / (1.0 - q * u))
-                    y_idx = np.searchsorted(v_r, chunk.imag)
-                    plateau = csum[y_idx] - csum[zero_idx]
-                    acc_s[a:a + 128] = gp @ lw[i0:i1] - gm_dot + plateau
-                acc = np.empty(ss.shape, dtype=complex)
-                acc[order] = acc_s
-                res.append(acc)
-            fine, coarse = res
-            F = 1j * fine
-            err = np.abs(fine - coarse)
-            scale = np.maximum(np.abs(F), 1.0)
-            if (err <= self.contour.rel_tol * scale).all():
-                return F
-            width /= 2.0
-        raise ConvergenceError(
-            f"B strip quadrature stalled at panel width {width}"
-        )
+    def _strip_rule(self, beta, y_lo, y_hi, g_plus):
+        """Strip exponent F at nodes with Im s in [y_lo, y_hi], one beta line.
+
+        The trapezoid rule of the module docstring, shared by scattered
+        points and line builds; they differ only in how they form the
+        g_plus window sums.  ``g_plus(w, a, h)`` returns those sums for
+        both rules, shape (2, n), and for each node the number of lattice
+        nodes w_j <= Im s, which index the plateau.  The h rule is accepted
+        where it is within _REL_TOL * max(|F|, 1) of the 2h rule at every
+        node; otherwise h halves, at most _MAX_REFINEMENTS times.
+        """
+        lo = min(0.0, y_lo) - _MARGIN
+        hi = max(0.0, y_hi) + _MARGIN
+        self._branch_audit(beta, lo, hi)
+        h = _STEP
+        for _ in range(_MAX_REFINEMENTS + 1):
+            w, a, plateau, gm = self._rule_samples(beta, lo, hi, h)
+            g, count = g_plus(w, a, h)
+            fine, coarse = (plateau[:, count] + (g - gm[:, None])).astype(
+                complex)
+            if (np.abs(fine - coarse)
+                    <= _REL_TOL * np.maximum(np.abs(fine), 1.0)).all():
+                return 1j * fine
+            h /= 2.0
+        raise ConvergenceError(f"B strip rule stalled at lattice step {h}")
+
+    def _strip_batch(self, s_arr, beta):
+        """Strip exponent F(s) at scattered points s sharing one beta line.
+
+        Each point sums its g_plus window directly against the lattice
+        samples, in chunks of 128 points sorted by Im s.
+        """
+        order = np.argsort(s_arr.imag, kind="stable")
+        ss = s_arr[order]
+        q = np.exp(2j * np.pi * (ss.real - beta))
+
+        def g_plus(w, a, h):
+            g = np.empty((2, ss.size), dtype=complex)
+            for c in range(0, ss.size, 128):
+                y = ss.imag[c:c + 128]
+                i0, i1 = np.searchsorted(w, [y[0] - _MARGIN, y[-1] + _MARGIN])
+                kern = _g_plus(2.0 * np.pi * (w[None, i0:i1] - y[:, None]),
+                               q[c:c + 128, None])
+                g[:, c:c + 128] = a[:, i0:i1] @ kern.T
+            return g, np.searchsorted(w, ss.imag, side="right")
+
+        F = np.empty(ss.shape, dtype=complex)
+        F[order] = self._strip_rule(beta, ss.imag[0], ss.imag[-1], g_plus)
+        return F
+
+    def _strip_line(self, re_base, beta, y0, n_rep):
+        """Strip exponent at re_base + i (y0 + 0.4 k), k < n_rep, by FFT.
+
+        With stride = 0.4 / h, the node of offset c in repeat k sits at
+        lattice index j_c + stride k plus the fraction f_c, so its g_plus
+        window sum is a correlation of the samples with the row
+        g_plus(2 pi h (m - f_c)), |m| <= 6.5 / h, read every stride
+        outputs: one batched fftconvolve of both rules against the len(y0)
+        rows.  Returns shape (n_rep, len(y0)).
+        """
+        q = np.exp(2j * np.pi * (re_base - beta))
+        reps = np.arange(n_rep)
+
+        def g_plus(w, a, h):
+            stride = round(_CHEB_SEG / h)
+            m_half = math.ceil(_MARGIN / h)
+            pos = (y0 - w[0]) / h
+            j = np.floor(pos).astype(int)
+            m = np.arange(-m_half, m_half + 1)
+            kern = _g_plus(2.0 * np.pi * h * (m - (pos - j)[:, None]), q)
+            lo = j.min() - m_half
+            hi = j.max() + stride * (n_rep - 1) + m_half + 1
+            conv = scipy.signal.fftconvolve(
+                a[:, None, lo:hi], kern[None, :, ::-1], mode="valid", axes=2)
+            pick = (j - j.min())[:, None] + stride * reps
+            g = np.take_along_axis(conv, pick[None], axis=2)
+            count = j + stride * reps[:, None] + 1
+            return g.transpose(0, 2, 1).reshape(2, -1), count.ravel()
+
+        last = y0 + _CHEB_SEG * (n_rep - 1)
+        F = self._strip_rule(beta, y0.min(), last.max(), g_plus)
+        return F.reshape(n_rep, len(y0))
 
     def _beta_for(self, re_base):
         # re_base in [_WALK_LO, _WALK_LO + 1); keep >= 0.25 margin to the
@@ -383,7 +448,7 @@ class BEvaluator:
         key_re = np.round(s_arr.real * 1e12).astype(np.int64)
         key_im = np.round(s_arr.imag * 1e12).astype(np.int64)
         key_b = round(self.beta * 1e12)
-        key_tol = self.contour.rel_tol
+        key_tol = _REL_TOL
         todo = []
         keys = []
         cache_get = self.cache.get
@@ -400,12 +465,15 @@ class BEvaluator:
             betas = np.array([self._beta_for(x) for x in sub.real])
             for beta in np.unique(betas):
                 grp = np.nonzero(betas == beta)[0]
-                F = self._strip_batch(sub[grp], beta)
-                vals = np.exp(F - self._gauge_offset(beta)) * _B_SCALE
+                vals = self._strip_values(self._strip_batch(sub[grp], beta),
+                                          beta)
                 for j, i in enumerate(grp):
                     out[todo[i]] = vals[j]
                     self.cache[keys[todo[i]]] = complex(vals[j])
         return out
+
+    def _strip_values(self, F, beta):
+        return np.exp(F - self._gauge_offset(beta)) * _B_SCALE
 
     # ---------------- continuation by functional equation ----------------
 
@@ -415,7 +483,34 @@ class BEvaluator:
 
     def eval_B_many(self, s_arr):
         s_arr = np.asarray(s_arr, dtype=complex)
-        flat = s_arr.ravel()
+        out = self._walk(s_arr.ravel(),
+                         lambda _idx, base: self._strip_many(base))
+        return out.reshape(s_arr.shape)
+
+    def _eval_B_line(self, re_line, y0, n_rep):
+        """B at re_line + i (y0 + 0.4 k), k < n_rep, shape (n_rep, len(y0)).
+
+        The line-build route: one FFT gives the strip exponent at every
+        node of the base line (_strip_line), then the same walk as
+        eval_B_many.  The values do not enter the point cache.
+        """
+        ys = y0 + _CHEB_SEG * np.arange(n_rep)[:, None]
+        k = math.floor(re_line - _WALK_LO)
+        beta = self._beta_for(re_line - k)
+        base = self._strip_values(
+            self._strip_line(re_line - k, beta, y0, n_rep), beta).ravel()
+        out = self._walk((re_line + 1j * ys).ravel(),
+                         lambda idx, _base: base[idx])
+        return out.reshape(ys.shape)
+
+    def _walk(self, flat, strip):
+        """B at the points flat, walked by the functional equation.
+
+        Each point is moved by an integer k into the base window
+        [_WALK_LO, _WALK_LO + 1); ``strip(idx, base)`` returns B at the
+        base points base = flat[idx] - k of one k.  Points whose walk
+        factor lands on a pole or zero of W take the circle fallback.
+        """
         near = _near_b_pole_mask(flat)
         if near.any():
             raise PoleError(
@@ -445,10 +540,11 @@ class BEvaluator:
                         factors[safe] /= w
             clean = ~collided
             if clean.any():
-                out[idx[clean]] = self._strip_many(base[clean]) * factors[clean]
+                out[idx[clean]] = (strip(idx[clean], base[clean])
+                                   * factors[clean])
             for i in np.nonzero(collided)[0]:
                 out[idx[i]] = self._cauchy_fallback(grp[i])
-        return out.reshape(s_arr.shape)
+        return out
 
     def line_interpolator(self, re_line, im_lo, im_hi):
         """Cached Chebyshev interpolant of B on the line Re s = re_line.

@@ -5,7 +5,8 @@ W(s) = -2 gamma_e - 2 psi(s/2) - pi cot(pi s/4)
 is the symbol of the linearized collision operator in Mellin variables.  This
 module evaluates W and its first three derivatives anywhere in the plane
 (including the removable double points s = -4m where the psi and cot poles
-cancel), measures its residues, and brackets its real zeros.
+cancel, which take the reflection form in psi(1 - s/2) and tan(pi s/4)),
+measures its residues, and brackets its real zeros.
 
 The polygamma engine is hand-rolled (recurrence shift to Re z >= 12 plus the
 Bernoulli asymptotic series): it must be uniformly accurate on vertical lines
@@ -74,9 +75,9 @@ _W_SERIES = [
     0.0019540902121174208,     # zeta(11)/512
 ]
 
-# Radius of the series zone at s=0 and the circle zones at -4m.  Inside this
-# zone the generic psi/cot difference loses up to s^{-4}*eps absolute accuracy
-# for the third derivative, so the zone cannot be made much smaller.
+# Radius of the series zone at s=0 and the reflection zones at -4m.  Inside
+# this zone the generic psi/cot difference loses up to s^{-4}*eps absolute
+# accuracy for the third derivative, so the zone cannot be made much smaller.
 _W_GUARD = 0.05
 _W_POLE_TOL = 1e-8
 
@@ -219,6 +220,29 @@ def _w_generic(s, order):
     )
 
 
+def _w_reflected(s, order):
+    """W and its derivatives by the reflection form, analytic at s = -4m.
+
+    psi(s/2) = psi(1 - s/2) - pi cot(pi s/2) and 2 cot(2a) - cot(a) =
+    -tan(a) give W = -2 gamma_e - 2 psi(z) - pi T with z = 1 - s/2 and
+    T = tan(pi s/4), in which the cancelling psi and cot poles at -4m no
+    longer appear.  dT/ds = (pi/4) S with S = 1 + T^2.
+    """
+    z = 1.0 - s / 2.0
+    tan = np.tan(np.pi * s / 4.0)
+    sec2 = 1.0 + tan * tan
+    pi = np.pi
+    if order == 0:
+        return -2.0 * EULER - 2.0 * _polygamma(0, z) - pi * tan
+    if order == 1:
+        return _polygamma(1, z) - (pi ** 2 / 4.0) * sec2
+    if order == 2:
+        return -0.5 * _polygamma(2, z) - (pi ** 3 / 8.0) * tan * sec2
+    return 0.25 * _polygamma(3, z) - (pi ** 4 / 32.0) * (
+        sec2 * sec2 + 2.0 * tan * tan * sec2
+    )
+
+
 def _w_eval(z, order):
     s, scalar = _as_array(z)
     bad = _w_pole_distance(s) < _W_POLE_TOL
@@ -237,18 +261,7 @@ def _w_eval(z, order):
     if near0.any():
         out[near0] = _w_series_eval(s[near0], order)
     if nearrem.any():
-        # Cauchy integral around the removable point; W is analytic there and
-        # the nearest genuine poles sit at distance 2.
-        for idx in np.argwhere(nearrem):
-            i = tuple(idx)
-            center = m4[i]
-            point = s[i]
-            fac = math.factorial(order)
-            r = integrate_circle(
-                lambda zz: _w_eval(zz, 0) / (zz - point) ** (order + 1),
-                center, 1.0, n_min=64,
-            )
-            out[i] = fac * r.value
+        out[nearrem] = _w_reflected(s[nearrem], order)
 
     if order == 0:
         exact = (s == 0.0) | (s == 2.0)

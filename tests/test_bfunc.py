@@ -15,7 +15,12 @@ import tempfile
 import numpy as np
 import pytest
 
-from wavekin.bfunc import BEvaluator, SQRT_2PI, default_evaluator
+from wavekin.bfunc import (
+    BEvaluator,
+    BLineInterpolator,
+    SQRT_2PI,
+    default_evaluator,
+)
 from wavekin.complexfn import eval_W, eval_W_prime, log_gamma
 from wavekin.contour import integrate_circle
 from wavekin.errors import PoleError
@@ -163,6 +168,50 @@ def test_log_growth_band_right_of_strip(ev):
               for T in (10.0, 100.0, 1000.0)]
     assert all(3.0 < r < 14.0 for r in ratios)
     assert max(ratios) / min(ratios) < 1.5
+
+
+# ---------------- line builds ----------------
+
+_CHEB_X = np.cos(np.pi * (np.arange(24) + 0.5) / 24)
+
+
+@pytest.mark.parametrize("re_line, lo, hi", [
+    (0.3, -6.0, 4.0),        # walks down one step, across Im s = 0
+    (1.0, -2.0, 20.0),       # reference line beta = 0.3
+    (1.35, -12.0, 2.0),      # line beta = 0.8
+    (1.35, 170.0, 196.0),
+    (3.5, -196.0, -170.0),   # walks up two steps
+])
+def test_line_build_matches_scattered_points(ev, re_line, lo, hi):
+    # the FFT line build and eval_B_many's direct sums evaluate one
+    # trapezoid rule; the interpolant returns its own node values
+    interp = BLineInterpolator(ev, re_line, lo, hi)
+    s = re_line + 1j * (interp.mids[:, None] + interp.half * _CHEB_X)
+    line = interp(s)
+    pts = ev.eval_B_many(s)
+    assert np.max(np.abs(line - pts) / np.abs(pts)) <= 1e-12
+
+
+@pytest.mark.parametrize("re_line", [1.0, 1.4])
+def test_query_on_a_lattice_node(monkeypatch, re_line):
+    # the strip rule's nodes are (j + 1/2) h with h = 0.025; a point on one
+    # takes the step of k_plus there, so the plateau must count that node,
+    # or the h and 2h rules part and the rule needlessly halves h
+    ev = BEvaluator()
+    steps = []
+    samples = ev._rule_samples
+
+    def spy(beta, lo, hi, h):
+        steps.append(h)
+        return samples(beta, lo, hi, h)
+
+    monkeypatch.setattr(ev, "_rule_samples", spy)
+    interp = ev.line_interpolator(re_line, -2.0, 20.0)
+    for j in (-41, 0, 1, 200, 401):
+        s = complex(re_line, (j + 0.5) * 0.025)
+        assert ev.eval_B(s) == pytest.approx(
+            complex(interp(np.array([s]))[0]), rel=1e-12)
+    assert set(steps) == {0.025}
 
 
 # ---------------- residues and constants ----------------

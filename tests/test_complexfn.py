@@ -21,7 +21,7 @@ from wavekin.complexfn import (
     trigamma,
     w_residue,
 )
-from wavekin.contour import find_root_real
+from wavekin.contour import find_root_real, integrate_circle
 from wavekin.errors import NoSignChangeError, PoleError
 
 PI = math.pi
@@ -236,8 +236,28 @@ class TestHigherDerivatives:
                    - (-1.2725272091169997 + 0.0553346102590413j)) < 5e-9
 
     def test_removable_zone_boundary(self):
-        """Circle branch near -4 agrees with mpmath at distance 0.04."""
+        """Reflection branch near -4 agrees with mpmath at distance 0.04."""
         assert abs(eval_W(-3.96) - (-3.0828691993354078)) < 1e-11
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_removable_zone_matches_circle(self, order):
+        """Reflection form at s = -4m against a Cauchy circle of radius 1.
+
+        The circle's nodes sit outside the removable zone, so they take the
+        generic psi/cot branch: an independent route to W^(k).
+        """
+        rng = np.random.default_rng(400 + order)
+        funcs = (eval_W, eval_W_prime, eval_W_d2, eval_W_d3)
+        for center in (-4.0, -8.0, -12.0, -20.0):
+            for _ in range(5):
+                p = center + 0.049 * rng.uniform() * np.exp(
+                    2j * np.pi * rng.uniform())
+                r = integrate_circle(
+                    lambda z: eval_W(z) / (z - p) ** (order + 1),
+                    center, 1.0, n_min=64)
+                ref = math.factorial(order) * complex(r.value)
+                got = complex(funcs[order](p))
+                assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0), p
 
 
 class TestAsymptote:

@@ -173,6 +173,14 @@ def test_representations_agree_random_overlap(ev):
         assert abs(a.value - b.value) <= 1e-8
 
 
+def test_representations_agree_within_their_errors(ev):
+    # both routes report errors near 1e-14 here, so their gap is set by
+    # the accuracy of B along the two lines
+    a = eval_U(0.8, 0.6 + 20j, evaluator=ev)
+    b = eval_U_small_t(0.8, 0.6 + 20j, evaluator=ev)
+    assert abs(a.value - b.value) <= 0.1 * (a.err + b.err)
+
+
 def test_series_oracle_agrees(ev):
     # entire-series evaluation, truncation-limited near 1e-8 at t = 0.2
     a = eval_U(0.2, 1.5, evaluator=ev)
