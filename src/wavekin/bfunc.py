@@ -263,20 +263,16 @@ class BEvaluator:
     # ---------------- strip representation ----------------
 
     def _line_values(self, beta, v):
-        """log(-W) on the line, with the branch audit.
+        """log(-W) at beta + i v, with the branch audit.
 
-        The principal branch is the continuous one here: the audit checks
-        arg(-W) never approaches +-pi nor jumps by >= pi between nodes, and
-        decays at the window ends, which pins the branch the representation
-        needs (arg -> 0 at +-i infinity).
+        The principal branch is the continuous one here: the audit checks,
+        on the sorted nodes v themselves, that arg(-W) = Im log(-W) never
+        approaches +-pi nor jumps by >= pi between nodes, and that it decays
+        at the window ends, which pins the branch the representation needs
+        (arg -> 0 at +-i infinity).
         """
-        w = eval_W(beta + 1j * v)
-        logw = np.log(-w)
-        return logw
-
-    def _branch_audit(self, beta, lo, hi):
-        v = np.arange(lo, hi + 0.05, 0.05)
-        arg = np.angle(-eval_W(beta + 1j * v))
+        logw = np.log(-eval_W(beta + 1j * v))
+        arg = logw.imag
         if np.abs(arg).max() > np.pi - 0.1:
             raise BranchError(
                 f"arg(-W) reaches {np.abs(arg).max():.3f} on Re rho = {beta}"
@@ -285,6 +281,7 @@ class BEvaluator:
             raise BranchError("arg(-W) jumped by >= pi between audit nodes")
         if max(abs(arg[0]), abs(arg[-1])) > 0.5:
             raise BranchError("arg(-W) does not decay at the window ends")
+        return logw
 
     def _rule_samples(self, beta, lo, hi, h):
         """Weighted samples of the h and 2h trapezoid rules over [lo, hi].
@@ -325,7 +322,6 @@ class BEvaluator:
         """
         lo = min(0.0, y_lo) - _MARGIN
         hi = max(0.0, y_hi) + _MARGIN
-        self._branch_audit(beta, lo, hi)
         h = _STEP
         for _ in range(_MAX_REFINEMENTS + 1):
             w, a, plateau, gm = self._rule_samples(beta, lo, hi, h)
@@ -666,8 +662,6 @@ class BEvaluator:
         if not _WALK_LO <= s.real < _WALK_LO + 1.0:
             raise ValueError("strip derivative needs Re s in the walk window")
         beta = self._beta_for(s.real)
-        self._branch_audit(beta, min(0.0, s.imag) - _MARGIN,
-                           max(0.0, s.imag) + _MARGIN)
         width = _PANEL_W
         lo = min(0.0, s.imag) - _MARGIN
         hi = max(0.0, s.imag) + _MARGIN

@@ -38,7 +38,7 @@ log_regularized     the same line applied to dU/ds; since
                     t <= 0.6 as an independent check on direct; auto never
                     picks it.
 large_t_asymptotic  t^(-3) Q1(x/t) + Q2(t, x/t), exact for t > 1 (Q2's
-                    remainder line converges absolutely there).
+                    remainder line converges absolutely there); see below.
 small_t_series      the short-time residue series of ``eval_lambda_series``.
 
 Splitting U at the first zero of B right of the strip gives the exact
@@ -52,10 +52,18 @@ long-time decomposition
                                                    / B(sigma) dsigma ds,
 
 with c1 = -Res(1/B, 3) = -1/(B(1) W(1) W'(2)) > 0.  Pushing contours across
-the residue ladders of B gives the closed small-theta and large-theta laws
-pinned by the tests:  Q1(0+) = 2 c1 Res(B, 0),  Q1 ~ (c1 B(5)/2) theta^-5,
-Q2(t, 0+) = -6 Res(1/B, 4) Res(B, 0) t^-4,  and
+the residue ladders of B gives the closed small-theta and large-theta laws:
+Q1(0+) = 2 c1 Res(B, 0) and Q1 ~ (c1 B(5)/2) theta^-5, both pinned by the
+tests, Q2(t, 0+) = -6 Res(1/B, 4) Res(B, 0) t^-4, and
 Q2 ~ Res(1/B, 4) B(5) t^-4 theta^-5 = 4 t^-4 theta^-5.
+
+Q2 is the "q2" kind of the assembled line.  Q1, and the line integrals of
+the short-time series (``_nu_hat`` and the cascade profiles ``_h_casc``),
+all have the form (1/2 i pi) int phi(s) e^(-sL) ds with L = log theta or
+log t and phi independent of L: a Gamma factor times B or 1/B, real on the
+real axis and decaying like e^(-pi |v|/2).  ``_mb_line`` tabulates each phi
+once per evaluator, reading B off the line interpolant, and a trapezoid sum
+against e^(-sL) then gives the value at every theta or t.
 """
 
 from __future__ import annotations
@@ -72,8 +80,9 @@ from scipy.special import digamma, jv, loggamma
 
 from wavekin.bfunc import default_evaluator
 from wavekin.complexfn import eval_W, locate_W_roots
-from wavekin.contour import ContourSpec, TailModel, integrate_vertical
-from wavekin.errors import RegimeError, TruncationError
+# unused here; perfbench's tracer wraps the name fundsol.integrate_vertical
+from wavekin.contour import integrate_vertical  # noqa: F401
+from wavekin.errors import ConvergenceError, RegimeError, TruncationError
 from wavekin.kernels import eval_H
 from wavekin.ufunc import ENV_B, SQRT_2PI
 
@@ -497,6 +506,100 @@ def radial_profile(t, x_min, x_max, n_points, evaluator=None):
 
 
 # ---------------------------------------------------------------------------
+# tabulated Mellin--Barnes lines of the asymptotic routes
+# ---------------------------------------------------------------------------
+
+#: top of the tabulated half-line and its starting trapezoid step
+_MB_V = 48.0
+_MB_H = 0.025
+#: the h rule must sit within _MB_REL_TOL of the 2h rule, relative to the
+#: value or the kind's absolute floor; h halves at most _MB_REFINEMENTS times
+_MB_REL_TOL = 1e-11
+_MB_REFINEMENTS = 3
+_MB_ABS_FLOOR = {"q1": 1e-16, "nu": 1e-18, "casc": 1e-18}
+#: decay rate below that of the Gamma factors, e^(-pi v/2), for the tail
+_MB_TAIL_RATE = 1.35
+
+
+class _MBLine:
+    """One line (1/2 i pi) int_{Re s = c} phi(s) e^(-sL) ds, for every L.
+
+    phi does not depend on L, is real on the real axis and decays like a
+    Gamma factor, so the integral is (1/pi) Re int_0^inf phi(c+iv)
+    e^(-(c+iv)L) dv and one tabulation of phi on v = 0, h, ..., V serves
+    every L.  The trapezoid rule on it converges geometrically in the strip
+    of analyticity about the line (Trefethen & Weideman, SIAM Rev. 56,
+    2014); it is checked against the 2h rule on the even nodes, and h
+    halves where they differ, each finer tabulation filling in the
+    midpoints of the last.
+    """
+
+    def __init__(self, phi, c, abs_floor):
+        self.phi, self.c, self.abs_floor = phi, c, abs_floor
+        n = int(round(_MB_V / _MB_H))
+        self.samples = [phi(c + 1j * _MB_H * np.arange(n + 1))]
+
+    def _level(self, k):
+        while len(self.samples) <= k:
+            coarse = self.samples[-1]
+            h = _MB_H / 2 ** len(self.samples)
+            fine = np.empty(2 * coarse.size - 1, complex)
+            fine[::2] = coarse
+            fine[1::2] = self.phi(
+                self.c + 1j * h * (2.0 * np.arange(coarse.size - 1) + 1.0))
+            self.samples.append(fine)
+        return self.samples[k]
+
+    def __call__(self, L):
+        """(value, error) at the parameter L; the error is the h-vs-2h
+        difference plus the end-point tail beyond V."""
+        for k in range(_MB_REFINEMENTS + 1):
+            phi = self._level(k)
+            h = _MB_H / 2 ** k
+            f = phi * np.exp(-(self.c + 1j * h * np.arange(phi.size)) * L)
+            fine = h * (f.sum() - 0.5 * (f[0] + f[-1])).real / math.pi
+            g = f[::2]
+            coarse = 2 * h * (g.sum() - 0.5 * (g[0] + g[-1])).real / math.pi
+            diff = abs(fine - coarse)
+            if diff <= max(_MB_REL_TOL * abs(fine), self.abs_floor):
+                tail = abs(f[-1]) / (_MB_TAIL_RATE * math.pi)
+                return fine, diff + tail
+        raise ConvergenceError(
+            f"Mellin-Barnes line at Re s = {self.c} stalled at step {h}")
+
+
+@functools.lru_cache(maxsize=32)
+def _mb_line(ev, kind, c, a):
+    """The tabulated line of one kind on Re s = c; B is read off the
+    evaluator's line interpolant, using B(conj s) = conj B(s).
+
+    kind "q1"    phi(s) = c1 B(s) Gamma(3 - s)       (c = 3/2, a unused)
+    kind "nu"    phi(s) = Gamma(s - a) / B(s)        (c = a - 1/2)
+    kind "casc"  phi(s) = Gamma(s) B(a - s)          (c = -1/2; B is read
+                 on Re = a - c and conjugated)
+    """
+    if kind == "q1":
+        c1 = _ledger(ev).c1.real
+        b = ev.line_interpolator(c, 0.0, _MB_V + 0.5)
+
+        def phi(s):
+            return c1 * b(s) * np.exp(loggamma(3.0 - s))
+    elif kind == "nu":
+        b = ev.line_interpolator(c, 0.0, _MB_V + 0.5)
+
+        def phi(s):
+            return np.exp(loggamma(s - a)) / b(s)
+    elif kind == "casc":
+        b = ev.line_interpolator(a - c, 0.0, _MB_V + 0.5)
+
+        def phi(s):
+            return np.exp(loggamma(s)) * np.conj(b(np.conj(a - s)))
+    else:
+        raise ValueError(f"unknown line kind {kind!r}")
+    return _MBLine(phi, c, _MB_ABS_FLOOR[kind])
+
+
+# ---------------------------------------------------------------------------
 # long-time decomposition
 # ---------------------------------------------------------------------------
 
@@ -508,18 +611,7 @@ def _ledger(ev):
 
 
 def _q1_with_error(theta, ev):
-    c1 = _ledger(ev).c1.real
-    lt = math.log(theta)
-
-    def f(s):
-        return c1 * ev.eval_B_many(s) * np.exp(loggamma(3.0 - s) - s * lt)
-
-    spec = ContourSpec(abscissa=1.5, half_height=48.0,
-                       rel_tol=1e-11, abs_tol=1e-16)
-    res = integrate_vertical(f, spec, tail=TailModel("exp", 1.35),
-                             osc_freq=abs(lt))
-    val = res.value / (2j * math.pi)
-    return val.real, res.error_estimate / (2 * math.pi) + res.truncation_tail
+    return _mb_line(ev, "q1", 1.5, 0)(math.log(theta))
 
 
 def eval_Q1(theta, evaluator=None):
@@ -568,7 +660,8 @@ class _SeriesConstants:
         for m in range(9, 13):
             self.res_b[m] = complex(ev.residue_B(float(m))).real
         self.rho = {}
-        for n in range(6, 15):
+        # G_k of order k <= 4 reads the zeros of B at -6 .. -9
+        for n in range(6, 10):
             # the resonance ladder puts a zero of 1/B at about -n - 0.0457,
             # so the residue circle must stay well inside that gap
             self.rho[-n] = complex(
@@ -605,26 +698,16 @@ def _series_constants(ev):
     return _SeriesConstants(ev)
 
 
-@functools.lru_cache(maxsize=256)
 def _nu_hat(m, t, ev):
     """(1/2 i pi) int_{Re w = m - 1/2} Gamma(w - m) t^(-w) / B(w) dw.
 
     The line sits just left of the pole of B at w = m, so the value
     resums the whole Gamma ladder below it -- including the collision
     points w = 3, 4 where Gamma poles meet zeros of B and the power form
-    of the terms would break down.  Returns (value, error).
+    of the terms would break down.  t enters only through t^(-w), so the
+    tabulated line of ``_mb_line`` serves every t.  Returns (value, error).
     """
-    lt = math.log(t)
-
-    def f(w):
-        return np.exp(loggamma(w - m) - w * lt) / ev.eval_B_many(w)
-
-    spec = ContourSpec(abscissa=m - 0.5, half_height=48.0,
-                       rel_tol=1e-11, abs_tol=1e-18)
-    res = integrate_vertical(f, spec, tail=TailModel("exp", 1.35),
-                             osc_freq=abs(lt))
-    return ((res.value / (2j * math.pi)).real,
-            (res.error_estimate + res.truncation_tail) / (2.0 * math.pi))
+    return _mb_line(ev, "nu", m - 0.5, m)(math.log(t))
 
 
 def _h_casc(z, theta, ev):
@@ -633,19 +716,10 @@ def _h_casc(z, theta, ev):
     Profile of the resonance-zero family at z: every term of its Gamma
     ladder vanishes (B(z + k) is again a zero), so the function decays
     faster than any power of 1/theta and only the line value captures
-    it.  Returns (value, error).
+    it.  theta enters only through theta^w, so the tabulated line of
+    ``_mb_line`` serves every theta.  Returns (value, error).
     """
-    lth = math.log(theta)
-
-    def f(w):
-        return np.exp(loggamma(w) + w * lth) * ev.eval_B_many(z - w)
-
-    spec = ContourSpec(abscissa=-0.5, half_height=48.0,
-                       rel_tol=1e-11, abs_tol=1e-18)
-    res = integrate_vertical(f, spec, tail=TailModel("exp", 1.35),
-                             osc_freq=abs(lth))
-    return ((res.value / (2j * math.pi)).real,
-            (res.error_estimate + res.truncation_tail) / (2.0 * math.pi))
+    return _mb_line(ev, "casc", -0.5, z)(-math.log(theta))
 
 
 def _series_g_plus(k, x, sc):
@@ -748,8 +822,10 @@ def eval_lambda_series(t, x, n_terms=4, evaluator=None):
     (a power ladder in theta^-1, truncated at ``n_terms``), the pole
     ladder of B at m = 9..12 (resummed exactly by the ``_nu_hat`` line
     integrals), and the resonance zeros of B between 8 and 12.3 (the
-    ``_h_casc`` profile terms, which decay faster than any power).  The
-    first family beyond the cut, near x^-13, sets the error floor.  For
+    ``_h_casc`` profile terms, which decay faster than any power).  Those
+    ten line integrals are trapezoid sums on lines tabulated once per
+    evaluator (``_mb_line``), so only the first call at x > 1 builds them.
+    The first family beyond the cut, near x^-13, sets the error floor.  For
     x < 1 the contour moves left across the poles of B at 0 and -1 and
     its negative zero ladder, giving the power form of
     ``_series_g_minus``; the resonance-pole families below -5 are not
@@ -758,27 +834,6 @@ def eval_lambda_series(t, x, n_terms=4, evaluator=None):
     """
     ev = evaluator or default_evaluator()
     return _series_with_error(t, x, n_terms, ev)[0]
-
-
-def eval_mu(t, evaluator=None):
-    """Optimally truncated ladder series mu(t) = sum_n Res(1/B, -n) t^n.
-
-    The residues grow super-geometrically (ratios ~ -W(n+3)), so the series
-    is asymptotic only; returns (value, bound) where bound is the first
-    omitted term, the best achievable accuracy at this t.
-    """
-    if not 0.0 < t < 1.0:
-        raise RegimeError(f"ladder series is asymptotic for 0 < t < 1; t={t}")
-    sc = _series_constants(evaluator or default_evaluator())
-    terms = [sc.rho[-n] * t ** n for n in range(6, 15)]
-    total = 0.0
-    for i, term in enumerate(terms):
-        if i > 0 and abs(term) >= abs(terms[i - 1]):
-            return total, abs(term)
-        total += term
-    raise TruncationError(
-        f"ladder series still decreasing at the last tabulated residue; "
-        f"extend the residue table for t={t}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ import tempfile
 import numpy as np
 import pytest
 
+from wavekin import bfunc
 from wavekin.bfunc import (
     BEvaluator,
     BLineInterpolator,
+    BranchError,
     SQRT_2PI,
     default_evaluator,
 )
@@ -212,6 +214,26 @@ def test_query_on_a_lattice_node(monkeypatch, re_line):
         assert ev.eval_B(s) == pytest.approx(
             complex(interp(np.array([s]))[0]), rel=1e-12)
     assert set(steps) == {0.025}
+
+
+@pytest.mark.parametrize("arg, match", [
+    (lambda v: np.full(v.shape, 3.1), "reaches"),
+    (lambda v: np.where(v < 0.0, 0.3, -2.9) * np.exp(-v ** 2), "jumped"),
+    (lambda v: np.full(v.shape, 0.8), "decay"),
+], ids=["near_pi", "jump", "no_decay"])
+def test_branch_audit_conditions(monkeypatch, arg, match):
+    # a fake -W = e^(i arg(v)) trips each condition of the audit in turn
+    monkeypatch.setattr(bfunc, "eval_W", lambda s: -np.exp(1j * arg(s.imag)))
+    with pytest.raises(BranchError, match=match):
+        BEvaluator()._line_values(0.3, np.linspace(-6.5, 6.5, 521))
+
+
+@pytest.mark.parametrize("s", [0.6 + 2j, 0.9 + 15j, 1.2 - 7j, 0.75 + 40j])
+def test_strip_derivative_matches_circle_derivative(ev, s):
+    # differentiating the strip kernel on Gauss panels, and a Cauchy circle
+    # on eval_B_many, are independent routes to B'
+    ref = ev.eval_B_prime(s)
+    assert abs(ev.eval_B_prime_strip(s) - ref) <= 1e-12 * abs(ref)
 
 
 # ---------------- residues and constants ----------------

@@ -4,7 +4,9 @@ The direct line is checked against independent routes: the log-regularized
 line (dU/ds), the long-time decomposition Q1/Q2, the near-one exponent
 2t - 1, the Mellin mass sqrt(2 pi) U(t, 1) = int Lambda dx, and finite
 differences of Lambda itself.  One array call of an assembled line must
-give exactly what scalar calls give.
+give exactly what scalar calls give.  The tabulated Mellin--Barnes lines of
+the asymptotic routes are checked against adaptive vertical quadrature and
+an independent trapezoid rule, both on B at scattered points.
 """
 
 import math
@@ -12,15 +14,21 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.special import loggamma
 
 from wavekin import fundsol
 from wavekin.bfunc import default_evaluator
+from wavekin.contour import ContourSpec, TailModel, integrate_vertical
+from wavekin.errors import ConvergenceError
 from wavekin.fundsol import (
     LambdaQuery,
     _C_DT,
+    _h_casc,
     _ledger,
     _line_assembly,
+    _mb_line,
     _nu_hat,
+    _q1_with_error,
     _series_constants,
     delta_pairing,
     eval_dlambda_dt,
@@ -28,7 +36,9 @@ from wavekin.fundsol import (
     eval_G,
     eval_lambda,
     eval_lambda_log,
+    eval_lambda_series,
     eval_lambda_with_error,
+    eval_Q1,
     l1_norm_lambda,
     radial_profile,
     transport_apply,
@@ -126,6 +136,90 @@ def test_vertical_ray_at_x_one(ev, t, ref, ref_err):
     assert err == pytest.approx(ref_err, rel=0.05)
 
 
+# ---------------- tabulated lines of the asymptotic routes ----------------
+
+
+def _vertical(f, c, abs_tol, lt):
+    """(1/2 i pi) int_{Re s = c} f ds by adaptive panels, real part."""
+    spec = ContourSpec(abscissa=c, half_height=48.0, rel_tol=1e-11,
+                       abs_tol=abs_tol)
+    res = integrate_vertical(f, spec, tail=TailModel("exp", 1.35),
+                             osc_freq=abs(lt))
+    return (res.value / (2j * math.pi)).real
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 1.0, 1.7, 3.0, 6.0])
+def test_q1_line_matches_vertical_quadrature(ev, theta):
+    c1, lt = _ledger(ev).c1.real, math.log(theta)
+
+    def f(s):
+        return c1 * ev.eval_B_many(s) * np.exp(loggamma(3.0 - s) - s * lt)
+
+    ref = _vertical(f, 1.5, 1e-16, lt)
+    assert _q1_with_error(theta, ev)[0] == pytest.approx(ref, rel=1e-11)
+
+
+@pytest.mark.parametrize("t", [0.52, 0.65])
+@pytest.mark.parametrize("m", [9, 10, 11, 12])
+def test_nu_hat_line_matches_vertical_quadrature(ev, m, t):
+    lt = math.log(t)
+
+    def f(w):
+        return np.exp(loggamma(w - m) - w * lt) / ev.eval_B_many(w)
+
+    ref = _vertical(f, m - 0.5, 1e-18, lt)
+    assert _nu_hat(m, t, ev)[0] == pytest.approx(ref, rel=1e-11)
+
+
+def test_cascade_profiles_match_a_finer_trapezoid(ev):
+    # B(z - w) straight from eval_B_many, on the full line, at half the step
+    theta = 1.7 / 0.65
+    h = fundsol._MB_H / 2.0
+    n = int(round(fundsol._MB_V / h))
+    w = -0.5 + 1j * h * np.arange(-n, n + 1)
+    weights = np.full(w.size, h)
+    weights[[0, -1]] *= 0.5
+    casc = _series_constants(ev).casc
+    assert len(casc) == 6
+    for z, _ in casc:
+        f = np.exp(loggamma(w) + w * math.log(theta)) * ev.eval_B_many(z - w)
+        ref = (weights @ f).real / (2.0 * math.pi)
+        assert _h_casc(z, theta, ev)[0] == pytest.approx(ref, rel=1e-11)
+
+
+def test_unresolved_line_raises():
+    # a pole 1e-3 from the line keeps the h and 2h rules apart down to h/8
+    line = fundsol._MBLine(lambda s: 1.0 / (s - (1e-3 + 5j)), 0.0, 1e-18)
+    with pytest.raises(ConvergenceError):
+        line(0.0)
+
+
+def test_asymptotic_routes_need_no_vertical_quadrature(ev, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate_vertical was called")
+
+    monkeypatch.setattr(fundsol, "integrate_vertical", refuse)
+    assert math.isfinite(eval_lambda_series(0.55, 2.5, evaluator=ev))
+    val, err = _lam(3.0, 2.0, "large_t_asymptotic", ev)
+    assert math.isfinite(val) and math.isfinite(err)
+
+
+def test_q1_small_theta_law(ev):
+    # Q1(0+) = 2 c1 Res(B, 0), approached linearly in theta (slope -1.567)
+    led = _ledger(ev)
+    q1_0 = 2.0 * led.c1.real * led.resB0.real
+    dev = [eval_Q1(theta, ev) / q1_0 - 1.0 for theta in (1e-3, 1e-4)]
+    assert abs(dev[0]) <= 2e-3 and abs(dev[1]) <= 2e-4
+    assert dev[0] / dev[1] == pytest.approx(10.0, rel=0.01)
+
+
+@pytest.mark.parametrize("theta", [100.0, 300.0])
+def test_q1_large_theta_law(ev, theta):
+    # Q1 ~ (c1 B(5)/2) theta^-5, the residue of Gamma(3 - s) at s = 5
+    limit = _ledger(ev).c1.real * ev.eval_B(5.0).real / 2.0
+    assert abs(theta ** 5 * eval_Q1(theta, ev) / limit - 1.0) <= 2.0 / theta
+
+
 # ---------------- integrals ----------------
 
 
@@ -217,7 +311,7 @@ class _FlatLedger:
 
 @pytest.mark.parametrize("cached, call", [
     (_line_assembly, lambda ev: _line_assembly(ev, 0.8, 1.0, "u")),
-    (_nu_hat, lambda ev: _nu_hat(9, 0.5, ev)),
+    (_mb_line, lambda ev: _mb_line(ev, "nu", 8.5, 9)),
     (_series_constants, _series_constants),
     (_ledger, _ledger),
 ], ids=["line_assembly", "nu_hat", "series_constants", "ledger"])
