@@ -58,6 +58,7 @@ pole.)  Zeros: 3 and 4, the integers <= -6, and the ladders sigma_n + j
 (j >= 1) above each positive zero of W.
 """
 
+import collections
 import dataclasses
 import functools
 import math
@@ -90,6 +91,7 @@ _COLLIDE_TOL = 1e-6
 _PANEL_W = 0.25          # eval_B_prime_strip's Gauss panel width
 _MARGIN = 6.5            # g+/g- windows: both decay below 2e-18 beyond
 _GAUGE_BETA = 0.3        # canonical line: all other lines splice onto it
+_LINE_CACHE = 16         # line interpolants one evaluator keeps (LRU)
 
 # Global scale of B (a free gauge: the construction determines B only up to a
 # positive constant, and all derived quantities are scale invariant).  Chosen
@@ -217,7 +219,7 @@ class BLineInterpolator:
         mat, xnodes = _cheb_basis(_CHEB_DEG)
         vals = evaluator._eval_B_line(
             self.re_line, self.mids[0] + self.half * xnodes, n_seg)
-        self.coef = (mat @ vals.T).T
+        self.coef = mat @ vals.T      # (degree, segment)
         self.deg = _CHEB_DEG
 
     def __call__(self, s_arr):
@@ -232,12 +234,11 @@ class BLineInterpolator:
         idx = np.clip(np.searchsorted(self.edges, x) - 1, 0,
                       len(self.mids) - 1)
         tloc = (x - self.mids[idx]) / self.half
-        c = self.coef[idx]
         b1 = np.zeros(x.shape, dtype=complex)
         b2 = np.zeros(x.shape, dtype=complex)
         for j in range(self.deg - 1, 0, -1):
-            b1, b2 = 2.0 * tloc * b1 - b2 + c[:, j], b1
-        return (tloc * b1 - b2 + c[:, 0]).reshape(s_arr.shape)
+            b1, b2 = 2.0 * tloc * b1 - b2 + self.coef[j][idx], b1
+        return (tloc * b1 - b2 + self.coef[0][idx]).reshape(s_arr.shape)
 
 
 class BEvaluator:
@@ -256,7 +257,8 @@ class BEvaluator:
         self.cache = {} if cache is None else cache
         self.cache_path = cache_path
         self._gauge = {}      # beta_used -> F-offset onto the canonical line
-        self._lines = {}      # (re, lo-lattice, hi-lattice) -> interpolator
+        # (re, lo-lattice, hi-lattice) -> interpolator, least recent first
+        self._lines = collections.OrderedDict()
         if cache_path and os.path.exists(cache_path):
             self.load_cache(cache_path)
 
@@ -546,7 +548,9 @@ class BEvaluator:
         """Cached Chebyshev interpolant of B on the line Re s = re_line.
 
         Windows snap outward to a 2.0 lattice so nearby requests share
-        one interpolant.
+        one interpolant.  The evaluator keeps the _LINE_CACHE most recently
+        used ones: queries at scattered s open a new window almost every
+        time, and an unbounded cache would grow with every query.
         """
         lo = math.floor(im_lo / 2.0) * 2.0
         hi = math.ceil(im_hi / 2.0) * 2.0
@@ -555,6 +559,10 @@ class BEvaluator:
         if interp is None:
             interp = BLineInterpolator(self, re_line, lo, hi)
             self._lines[key] = interp
+            if len(self._lines) > _LINE_CACHE:
+                self._lines.popitem(last=False)
+        else:
+            self._lines.move_to_end(key)
         return interp
 
     @staticmethod

@@ -75,7 +75,6 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.interpolate import BPoly
-from scipy.signal import fftconvolve
 from scipy.special import digamma, jv, loggamma
 
 from wavekin.bfunc import default_evaluator
@@ -84,7 +83,12 @@ from wavekin.complexfn import eval_W, locate_W_roots
 from wavekin.contour import integrate_vertical  # noqa: F401
 from wavekin.errors import ConvergenceError, RegimeError, TruncationError
 from wavekin.kernels import eval_H
-from wavekin.ufunc import ENV_B, SQRT_2PI
+from wavekin.ufunc import (
+    ENV_B,
+    _ROUND_FLOOR,
+    _gamma_t_kernel,
+    _lattice_correlate,
+)
 
 REGIMES = (
     "auto",
@@ -133,12 +137,6 @@ _U_CORE = math.exp(-40.0)
 _W_KINK = 36.0
 
 
-def _gamma_t_kernel(a, t, eta):
-    """Gamma(a + i eta) * t^(-(a + i eta)) evaluated stably."""
-    z = a + 1j * eta
-    return np.exp(loggamma(z) - z * math.log(t))
-
-
 # equispaced nodes tau_j = -1 + j/5 and the inverse of the degree-10
 # Legendre interpolation matrix on them (computed once)
 _TAU = np.linspace(-1.0, 1.0, 11)
@@ -164,23 +162,24 @@ def _line_B(ev, re_line, v):
     return interp(re_line + 1j * v)
 
 
-def _conv_core(ev, t, c, beta, kernel_fn):
-    """h/(2 pi) * sum_w K(w - v) / B(beta + i w) on the output grid.
+def _conv_core(ev, t, c, beta, kernels_fn):
+    """h/(2 pi) * sum_w K_r(w - v) / B(beta + i w) on the output grid.
 
-    K(eta) = kernel_fn(eta) must decay below ~1e-15 of its peak at
-    |eta| = reach; the sum is then a plain trapezoid of the sigma-line
-    integral of the U representation, exact to the analyticity width of
-    1/B around the beta-line (super-exponentially small error at _H_W).
+    kernels_fn(eta) returns the stack K_r(eta), which must decay below
+    ~1e-15 of its peak at |eta| = reach; each row is then a plain
+    trapezoid of the sigma-line integral of the U representation, exact
+    to the analyticity width of 1/B around the beta-line
+    (super-exponentially small error at _H_W).  The lattice step is _H_W
+    and every second lattice node is an output node; all rows share one
+    batched FFT correlation (``ufunc._lattice_correlate``).
     """
     reach = _K_HALF * _H_W
     n_w = 2 * _K_HALF + 2 * (_NV - 1) + 1
     w = -reach + _H_W * np.arange(n_w)
     inv_b = 1.0 / _line_B(ev, beta, w)
     eta = _H_W * np.arange(-_K_HALF, _K_HALF + 1)
-    ker = kernel_fn(eta)
-    full = fftconvolve(inv_b, ker[::-1])
-    sel = full[len(ker) - 1: len(ker) - 1 + 2 * (_NV - 1) + 1: 2]
-    return (_H_W / (2.0 * math.pi)) * sel
+    return (_H_W / (2.0 * math.pi)) * _lattice_correlate(
+        inv_b, kernels_fn(eta), 2, _NV)
 
 
 def _symbol_line(ev, t, c, kind):
@@ -206,16 +205,16 @@ def _symbol_line(ev, t, c, kind):
         beta, a = c + _B_OFF, _B_OFF
     b_line = _line_B(ev, c, v)
 
-    core = _conv_core(ev, t, c, beta, lambda eta: _gamma_t_kernel(a, t, eta))
     if kind in ("u", "q2"):
-        return b_line * core
+        return b_line * _conv_core(
+            ev, t, c, beta, lambda eta: _gamma_t_kernel(a, t, eta))[0]
 
     if kind == "du":
-        core2 = _conv_core(
-            ev, t, c, beta,
-            lambda eta: (math.log(t) - digamma(a + 1j * eta))
-            * _gamma_t_kernel(a, t, eta),
-        )
+        def kernels(eta):
+            k = _gamma_t_kernel(a, t, eta)
+            return np.stack([k, (math.log(t) - digamma(a + 1j * eta)) * k])
+
+        core, core2 = _conv_core(ev, t, c, beta, kernels)
         # B'/B on the line by a 4th-order stencil on the interpolant
         h = 1e-3
         interp = ev.line_interpolator(c, -0.2, _V_CUT + 0.2)
@@ -513,7 +512,8 @@ def radial_profile(t, x_min, x_max, n_points, evaluator=None):
 _MB_V = 48.0
 _MB_H = 0.025
 #: the h rule must sit within _MB_REL_TOL of the 2h rule, relative to the
-#: value or the kind's absolute floor; h halves at most _MB_REFINEMENTS times
+#: value, or within the kind's absolute floor or the rounding floor; h
+#: halves at most _MB_REFINEMENTS times
 _MB_REL_TOL = 1e-11
 _MB_REFINEMENTS = 3
 _MB_ABS_FLOOR = {"q1": 1e-16, "nu": 1e-18, "casc": 1e-18}
@@ -538,6 +538,8 @@ class _MBLine:
         self.phi, self.c, self.abs_floor = phi, c, abs_floor
         n = int(round(_MB_V / _MB_H))
         self.samples = [phi(c + 1j * _MB_H * np.arange(n + 1))]
+        # sum |phi| per level: |phi e^(-sL)| = |phi| e^(-cL) for real L
+        self.abs_sums = [np.abs(self.samples[0]).sum()]
 
     def _level(self, k):
         while len(self.samples) <= k:
@@ -548,11 +550,16 @@ class _MBLine:
             fine[1::2] = self.phi(
                 self.c + 1j * h * (2.0 * np.arange(coarse.size - 1) + 1.0))
             self.samples.append(fine)
+            self.abs_sums.append(np.abs(fine).sum())
         return self.samples[k]
 
     def __call__(self, L):
         """(value, error) at the parameter L; the error is the h-vs-2h
-        difference plus the end-point tail beyond V."""
+        difference plus the end-point tail beyond V plus the rounding
+        floor _ROUND_FLOOR * h sum |f| / pi, which the h-vs-2h test
+        also accepts: where the terms dwarf the value (Q1 at theta -> 0,
+        where they grow like theta^(-3/2)) the two sums differ by rounding
+        alone, and halving h cannot reduce that."""
         for k in range(_MB_REFINEMENTS + 1):
             phi = self._level(k)
             h = _MB_H / 2 ** k
@@ -561,9 +568,11 @@ class _MBLine:
             g = f[::2]
             coarse = 2 * h * (g.sum() - 0.5 * (g[0] + g[-1])).real / math.pi
             diff = abs(fine - coarse)
-            if diff <= max(_MB_REL_TOL * abs(fine), self.abs_floor):
+            floor = (_ROUND_FLOOR * h * math.exp(-self.c * L)
+                     * self.abs_sums[k] / math.pi)
+            if diff <= max(_MB_REL_TOL * abs(fine), self.abs_floor, floor):
                 tail = abs(f[-1]) / (_MB_TAIL_RATE * math.pi)
-                return fine, diff + tail
+                return fine, diff + tail + floor
         raise ConvergenceError(
             f"Mellin-Barnes line at Re s = {self.c} stalled at step {h}")
 

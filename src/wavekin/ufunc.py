@@ -31,6 +31,30 @@ cancels the 1/(2 i pi) of the inverse transform, so no such prefactor
 remains.  Any other branch or line placement breaks either the decay of
 the integrand or the numerical Laplace identity, both of which are pinned
 by tests.
+
+Sigma-lattice rule
+------------------
+Both integrals have the form (1/2 pi) int K(w - Im s) / B(beta + i w) dw
+with a kernel K that depends on sigma - s only.  ``eval_U_line`` and
+``eval_V`` evaluate them by one trapezoid rule on a uniform lattice in w
+(``_lattice_rule``): 1/B is sampled once from the evaluator's line
+interpolant, so one lattice serves every s of a line and every z.  When
+the Im s of a line are lattice nodes, the samples are correlated with the
+kernel by one FFT (``_lattice_correlate``, which ``fundsol`` also uses);
+otherwise (one s, many z, or a line denser than the lattice) each output
+is one row of a kernel matrix times the samples.  The rule converges
+geometrically in the strip of analyticity about the line, with error about
+e^(-2 pi d/h) for a pole at distance d (Trefethen & Weideman, SIAM Rev. 56,
+2014); here d is the distance from the line to the Gamma pole at
+sigma = s (for U) or to the nearer pole of the reflection kernel (for V).
+h starts below pi d / 40, where even the 2h rule on the even nodes is
+exact to rounding, and the two rules are compared at every output: h
+halves, at most three times, while they differ by more than the tolerance
+or the rounding floor 10 eps (h/2 pi) sum |terms|.  The reported error
+is the h-vs-2h difference plus the truncation tail plus that floor.
+``eval_U``, ``eval_U_small_t`` and ``eval_dU_ds`` keep the adaptive
+``integrate_vertical``: they are the independent oracles of the lattice
+rule.
 """
 
 from __future__ import annotations
@@ -39,6 +63,7 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy.signal import fftconvolve
 from scipy.special import digamma, loggamma
 
 from wavekin.bfunc import BranchError, _k_plus, default_evaluator
@@ -61,6 +86,18 @@ _HALF_HEIGHT = 26.0
 _TAIL_RATE = 0.9 * math.pi / 2.0
 # Minimum distance from a shifted line to a crossed Gamma pole.
 _POLE_MARGIN = 0.05
+# The lattice rules start from a step below pi d / _H_DIV, d the distance
+# from the line to the nearest pole of the integrand; the 2h rule's error,
+# about e^(-pi d / h) = e^(-40) of the pole's residue, is then below
+# rounding.  h halves at most _LINE_REFINEMENTS times.
+_H_DIV = 40.0
+_LINE_REFINEMENTS = 3
+# Rounding floor of a lattice sum, per unit of (h/2 pi) sum |terms|.
+_ROUND_FLOOR = 10.0 * np.finfo(float).eps
+# Lattice nodes one rule may use (a line too close to a pole needs more),
+# and the kernel-matrix entries one block of the row form holds.
+_MAX_NODES = 2 ** 20
+_ROW_ENTRIES = 2 ** 19
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,6 +138,134 @@ def _default_beta(s):
             f"no admissible line: (Re s, 2) is empty at Re s = {s.real}"
         )
     return min(s.real + 0.7, 0.5 * (s.real + 2.0))
+
+
+def _gamma_t_kernel(a, t, eta):
+    """Gamma(a + i eta) * t^(-(a + i eta)) evaluated stably."""
+    z = a + 1j * eta
+    return np.exp(loggamma(z) - z * math.log(t))
+
+
+def _lattice_correlate(g, kernels, stride, n_out):
+    """out[r, k] = sum_i kernels[r, i] * g[i + k * stride], k < n_out.
+
+    The step shared by every sigma-lattice rule that reads a line of
+    outputs: samples g of 1/B on a uniform lattice against a stack of
+    kernels tabulated on the same step, keeping every stride-th output,
+    all rows in one batched FFT correlation.  g needs len(kernel) +
+    (n_out - 1) * stride nodes.
+    """
+    kernels = np.atleast_2d(kernels)
+    n_k = kernels.shape[1]
+    full = fftconvolve(g[None, :], kernels[:, ::-1], axes=1)
+    return full[:, n_k - 1: n_k + (n_out - 1) * stride: stride]
+
+
+def _fft_length(n):
+    """The least of 2^k and 3 * 2^k that is >= n."""
+    p = 1 << (n - 1).bit_length()
+    return 3 * p // 4 if 3 * p // 4 >= n else p
+
+
+def _lattice_rule(ev, beta, y, kernel, n_rows, d, reach, rel_tol, abs_tol,
+                  tail_rate):
+    """(1/2 pi) int K_r(w - y_k) / B(beta + i w) dw for r < n_rows, every k.
+
+    The sigma-lattice trapezoid rule of the module docstring.  kernel(eta,
+    r) returns the rows K_{r_i}(eta[i]), shape (len(r), N), for n kernel
+    indices r and an (n, N) array eta, or a (1, N) one that every row
+    shares; each K_r is analytic within d of the real eta axis and
+    decays at tail_rate (a scalar or one rate per kernel) beyond
+    |eta| = reach.  The step starts at h0 = pi d / _H_DIV, and the rule
+    takes one of two forms:
+
+    - on nodes: y holds several Im s, equispaced with a step Delta of at
+      least 2 h0.  Then h = Delta/m with the least even m, every y_k is a
+      lattice node, the 2h rule uses the even nodes counted from y_k, and
+      one FFT correlation per kernel (``_lattice_correlate``) gives every
+      output;
+    - by rows: one y, or a line denser than that.  One lattice covers
+      [min y - reach, max y + reach], every output (r, k) is the row
+      K_r(w - y_k) of a kernel matrix times the samples of 1/B, the 2h
+      rule uses the even lattice nodes, and the rows are taken in blocks
+      of at most _ROW_ENTRIES matrix entries.
+
+    h halves, at most _LINE_REFINEMENTS times, until |T_h - T_2h| <=
+    max(rel_tol |T_h|, abs_tol, floor) at every output, where the rounding
+    floor is _ROUND_FLOOR * (h/2 pi) sum |terms|; then ConvergenceError.
+    Returns (T_h, error), shape (n_rows, len(y)); the error is
+    |T_h - T_2h| plus the truncation tail beyond the reach plus the
+    rounding floor.
+    """
+    n = y.size
+    h = math.pi * d / _H_DIV
+    delta = (y[-1] - y[0]) / (n - 1) if n > 1 else 0.0
+    on_nodes = abs(delta) >= 2.0 * h
+    m = 2 * math.ceil(abs(delta) / (2.0 * h))
+    if on_nodes:
+        h = delta / m
+    span = y.max() - y.min()
+    b_line = ev.line_interpolator(beta, y.min() - reach - 1.0,
+                                  y.max() + reach + 1.0)
+    rows = np.arange(n_rows)
+    rate = np.reshape(tail_rate, (-1, 1))
+    for _ in range(_LINE_REFINEMENTS + 1):
+        half = 2 * math.ceil(reach / (2.0 * abs(h)))
+        n_w = 2 * half + 1 + ((n - 1) * m if on_nodes
+                              else math.ceil(span / h))
+        if n_w > _MAX_NODES:
+            raise ConvergenceError(
+                f"sigma-lattice rule on Re sigma = {beta} would need more "
+                f"than {_MAX_NODES} nodes at step {abs(h):.3g}")
+        if on_nodes:
+            w = y[0] + h * np.arange(-half, n_w - half)
+            j = np.arange(-half, half + 1)
+            # zero-padded to an FFT length in {2^k, 3 * 2^k}: scipy.fft
+            # keeps the plan of every recent length, and lines of every
+            # length would each leave one of ~1 MB behind
+            g = np.zeros(_fft_length(n_w + j.size - 1) - j.size + 1,
+                         dtype=complex)
+            g[:n_w] = 1.0 / b_line(beta + 1j * w)
+            ker = kernel(np.broadcast_to(h * j, (n_rows, j.size)), rows)
+            both = _lattice_correlate(
+                g, np.concatenate([ker, np.where(j % 2 == 0, 2.0 * ker, 0.0)]),
+                m, n)
+            fine, coarse = both[:n_rows], both[n_rows:]
+            abs_sum = _lattice_correlate(np.abs(g), np.abs(ker), m, n)
+            k0 = m * np.arange(n)
+            ends = (np.abs(ker[:, :1]) * np.abs(g[k0])
+                    + np.abs(ker[:, -1:]) * np.abs(g[k0 + 2 * half]))
+        else:
+            w = y.min() - half * h + h * np.arange(n_w)
+            g = 1.0 / b_line(beta + 1j * w)
+            g2 = np.where(np.arange(n_w) % 2 == 0, 2.0 * g, 0.0)
+            r_idx, k_idx = np.divmod(np.arange(n_rows * n), n)
+            fine, coarse = (np.empty(n_rows * n, dtype=complex)
+                            for _ in range(2))
+            abs_sum, ends = (np.empty(n_rows * n) for _ in range(2))
+            block = max(1, _ROW_ENTRIES // n_w)
+            for i in range(0, n_rows * n, block):
+                sl = slice(i, i + block)
+                # with one y, every row shares one eta
+                dy = y[k_idx[sl], None] if n > 1 else y[:1, None]
+                ker = kernel(w - dy, r_idx[sl])
+                fine[sl], coarse[sl] = ker @ g, ker @ g2
+                abs_sum[sl] = np.abs(ker) @ np.abs(g)
+                ends[sl] = (np.abs(ker[:, 0]) * abs(g[0])
+                            + np.abs(ker[:, -1]) * abs(g[-1]))
+            fine, coarse, abs_sum, ends = (
+                a.reshape(n_rows, n) for a in (fine, coarse, abs_sum, ends))
+        wt = abs(h) / (2.0 * math.pi)
+        fine, coarse = wt * fine, wt * coarse
+        floor = _ROUND_FLOOR * wt * abs_sum
+        diff = np.abs(fine - coarse)
+        if (diff <= np.maximum(np.maximum(rel_tol * np.abs(fine), abs_tol),
+                               floor)).all():
+            return fine, diff + wt * ends / rate + floor
+        h /= 2.0
+        m *= 2
+    raise ConvergenceError(
+        f"sigma-lattice rule on Re sigma = {beta} stalled at step {h}")
 
 
 def _gamma_line_integral(t, s, beta, evaluator, rel_tol, half_height,
@@ -279,22 +444,28 @@ def eval_dU_ds(t, s, beta=None, evaluator=None, rel_tol=1e-10,
     return b_prime / SQRT_2PI * base + b_s / SQRT_2PI * inner
 
 
-def _log_minus_z(z):
-    """log(-z) on the branch with arg(-z) in (-2 pi, 0]."""
-    return math.log(abs(z)) + 1j * (np.angle(z) - np.pi)
-
-
 def eval_V(z, s, beta=None, evaluator=None, rel_tol=1e-10,
            half_height=34.0):
     """Laplace transform V(z, s) of U in t, for Re z > 0, Re s in (0, 2).
 
-    The line sits at beta in (Re s, Re s + 1), between two poles of the
-    reflection kernel; the branch of log(-z) is the one with arg(-z) in
-    (-2 pi, 0].  For Re z > 0 both line ends decay at rate >= pi/2.
+    z may be a scalar or an array; every z shares one sigma-lattice.  The
+    line sits at beta in (Re s, Re s + 1), between two poles of the
+    reflection kernel k_plus, d = min(beta - Re s, Re s + 1 - beta) from
+    the nearer; the branch of log(-z) is the one with arg(-z) in
+    (-2 pi, 0], and for Re z > 0 both line ends decay at rate >= pi/2.
+    The kernels e^((sigma - s) log(-z)) k_plus(sigma - s) of all z form an
+    (n_z, N) matrix on the trapezoid lattice of step h < pi d / 40, and
+    one product against the N samples of 1/B gives the integral at every
+    z.  h halves at most three times while the h and 2h rules differ by
+    more than rel_tol (relative to the integral, or to 1/|B(s)|) or the
+    rounding floor at some z; then ConvergenceError is raised.  The matrix
+    is built in blocks of rows, at most _ROW_ENTRIES entries each, so its
+    memory stays bounded for any beta and any number of z.  Returns a
+    complex for scalar z, else an array of z's shape.
     """
-    z = complex(z)
+    z_arr = np.asarray(z, dtype=complex)
     s = _validate_s(s)
-    if not z.real > 0.0:
+    if not (z_arr.real > 0.0).all():
         raise BranchError(
             f"V needs Re z > 0 (got z = {z}); the branch of log(-z) "
             f"degenerates toward the cut on (-inf, 0]"
@@ -306,33 +477,25 @@ def eval_V(z, s, beta=None, evaluator=None, rel_tol=1e-10,
             f"beta must lie in (Re s, Re s + 1), got {beta}"
         )
     ev = evaluator if evaluator is not None else default_evaluator()
-    logmz = _log_minus_z(z)
-    b_line = ev.line_interpolator(
-        beta, s.imag - half_height - 1.0, s.imag + half_height + 1.0
-    )
-
-    def f(sigma):
-        v = (sigma - beta).imag
-        return (
-            np.exp((sigma - s) * logmz)
-            * _k_plus(s, beta, v)
-            / b_line(sigma)
-        )
-
     b_s = ev.eval_B(s)
-    phi = abs(logmz.imag)
-    rate = 0.9 * min(phi, 2.0 * math.pi - phi)
-    spec = ContourSpec(
-        abscissa=beta,
-        half_height=half_height,
-        rel_tol=rel_tol,
-        abs_tol=rel_tol / max(abs(b_s), 1e-300),
-        center=s.imag,
-    )
-    r = integrate_vertical(
-        f, spec, tail=TailModel("exp", rate), osc_freq=abs(math.log(abs(z)))
-    )
-    return b_s / (SQRT_2PI * z) * r.value
+    a = beta - s.real
+
+    zf = z_arr.ravel()
+    # log(-z) on the branch with arg(-z) in (-2 pi, 0]
+    logmz = np.log(np.abs(zf)) + 1j * (np.angle(zf) - np.pi)
+
+    def kernel(eta, r):
+        return (np.exp(logmz[r, None] * (a + 1j * eta))
+                * _k_plus(s, beta, s.imag + eta))
+
+    phi = np.abs(logmz.imag)
+    raw, _ = _lattice_rule(
+        ev, beta, np.array([s.imag]), kernel, zf.size, d=min(a, 1.0 - a),
+        reach=half_height, rel_tol=rel_tol,
+        abs_tol=rel_tol / (2.0 * math.pi * max(abs(b_s), 1e-300)),
+        tail_rate=0.9 * np.minimum(phi, 2.0 * math.pi - phi))
+    vals = 2j * math.pi * b_s / (SQRT_2PI * zf) * raw[:, 0]
+    return complex(vals[0]) if z_arr.ndim == 0 else vals.reshape(z_arr.shape)
 
 
 def laplace_inverse_U(t, s, d=None, evaluator=None, rel_tol=1e-7,
@@ -355,10 +518,10 @@ def laplace_inverse_U(t, s, d=None, evaluator=None, rel_tol=1e-7,
         V(z, s) - sum_{m<M} u_m(s) z^(-m-1)
           = W(s-1) [V(z, s-1) - sum_{k<M-1} u_k(s-1) z^(-k-1)] / z,
 
-    so one eval_V call per node (at argument s - 1) gives an integrand
-    decaying like z^(-M-1), and the contour never has to leave Re z > 0,
-    where V's branch lives.  Needs Re s in (1, 2) so that s - 1 stays in
-    V's strip.
+    so eval_V at argument s - 1 gives an integrand decaying like z^(-M-1),
+    and the contour never has to leave Re z > 0, where V's branch lives.
+    Each batch of quadrature panels is one eval_V call on all its nodes.
+    Needs Re s in (1, 2) so that s - 1 stays in V's strip.
     """
     s = _validate_s(s)
     if not s.real > 1.0:
@@ -383,8 +546,7 @@ def laplace_inverse_U(t, s, d=None, evaluator=None, rel_tol=1e-7,
     u_shift = taylor_terms(s - 1.0, n_subtract - 1) * fact * INV_SQRT_2PI
 
     def f(z):
-        v = np.array([eval_V(zi, s - 1.0, evaluator=ev,
-                             rel_tol=rel_tol * 1e-2) for zi in z])
+        v = eval_V(z, s - 1.0, evaluator=ev, rel_tol=rel_tol * 1e-2)
         head = np.power.outer(z, -(m[:-1] + 1.0)) @ u_shift
         return np.exp(z * t) * w_shift * (v - head) / z
 
@@ -425,13 +587,23 @@ def check_U_ode(t, s, dt, evaluator=None, rel_tol=1e-10):
 
 
 def eval_U_line(t, s_values, beta=None, evaluator=None,
-                half_height=_HALF_HEIGHT, panel_width=None, rel_tol=1e-9):
+                half_height=_HALF_HEIGHT, rel_tol=1e-9):
     """Evaluate U(t, s) for many s sharing one real part, on one B-line.
 
-    The workhorse behind profile reconstruction: all s-values share the
-    line Re sigma = beta, so B(sigma) is evaluated once on a uniform
-    composite Gauss grid and each s takes a windowed dot product against
-    its own Gamma weights.  Returns (values, errs) aligned with s_values.
+    The workhorse behind profile reconstruction.  The s-values share the
+    line Re sigma = beta, and their Im s must be equispaced with step
+    Delta (a single s is allowed): Im s_k may miss Im s_0 + k Delta by at
+    most 1e-12 * max(1, |Im s range|).  The integral is the sigma-lattice
+    trapezoid rule of the module docstring.  h starts below pi d / 40,
+    d = beta - Re s being the distance to the Gamma pole at sigma = s.
+    When Delta >= 2 pi d / 40 the step is h = Delta/m, m even, so every
+    Im s is a lattice node and one FFT correlation of 1/B against the
+    Gamma kernel gives the whole line; a denser line (or a single s)
+    takes one kernel row per s on a lattice of step pi d / 40 over the
+    whole window.  h halves at most three times while the h and 2h rules
+    differ by more than rel_tol * max(|U|, 1e-4/sqrt(2 pi)) at some s.
+    Returns (values, errs) aligned with s_values; an error is the h-vs-2h
+    difference plus the truncation tail plus the rounding floor.
     """
     s_values = np.asarray(s_values, dtype=complex)
     if s_values.size == 0:
@@ -447,57 +619,26 @@ def eval_U_line(t, s_values, beta=None, evaluator=None,
         beta = _default_beta(s0)
     if not s0.real < beta < 2.0:
         raise ValueError(f"beta must lie in (Re s, 2), got {beta}")
-    ev = evaluator if evaluator is not None else default_evaluator()
-    log_t = math.log(t)
-    if panel_width is None:
-        panel_width = min(0.22, np.pi / (4.0 * (abs(log_t) + 1.0)))
-
     im = s_values.imag
-    lo = im.min() - half_height
-    hi = im.max() + half_height
-    n_panels = int(math.ceil((hi - lo) / panel_width))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    x24, w24 = np.polynomial.legendre.leggauss(24)
-    x12, w12 = np.polynomial.legendre.leggauss(12)
-    v24 = (mids[:, None] + half * x24).ravel()
-    v12 = (mids[:, None] + half * x12).ravel()
-    b_interp = ev.line_interpolator(beta, lo - 1.0, hi + 1.0)
-    inv_b24 = 1.0 / b_interp(beta + 1j * v24)
-    inv_b12 = 1.0 / b_interp(beta + 1j * v12)
-    w24_full = np.tile(w24 * half, n_panels)
-    w12_full = np.tile(w12 * half, n_panels)
+    if im.size > 1:
+        span = im[-1] - im[0]
+        grid = im[0] + span * np.arange(im.size) / (im.size - 1)
+        if span == 0.0 or (np.abs(im - grid).max()
+                           > 1e-12 * max(1.0, abs(span))):
+            raise ValueError("Im s must be equispaced and distinct")
+    ev = evaluator if evaluator is not None else default_evaluator()
+    a = beta - s0.real
 
-    b_line = ev.eval_B_many(s_values)
-    values = np.empty(s_values.size, dtype=complex)
-    errs = np.empty(s_values.size)
-    for i, s in enumerate(s_values):
-        j_lo, j_hi = np.searchsorted(edges, [s.imag - half_height,
-                                             s.imag + half_height])
-        j_lo = max(j_lo - 1, 0)
-        j_hi = min(j_hi + 1, n_panels)
-        sl24 = slice(j_lo * 24, j_hi * 24)
-        sl12 = slice(j_lo * 12, j_hi * 12)
-        a24 = beta + 1j * v24[sl24] - s
-        a12 = beta + 1j * v12[sl12] - s
-        g24 = np.exp(loggamma(a24) - a24 * log_t) * inv_b24[sl24]
-        g12 = np.exp(loggamma(a12) - a12 * log_t) * inv_b12[sl12]
-        fine = 1j * np.dot(w24_full[sl24], g24)
-        coarse = 1j * np.dot(w12_full[sl12], g12)
-        inner = fine / (2j * np.pi)
-        err = abs(fine - coarse) / (2.0 * np.pi)
-        scale = b_line[i] / SQRT_2PI
-        values[i] = scale * inner
-        errs[i] = abs(scale) * err
-    bad = errs > rel_tol * np.maximum(np.abs(values), INV_SQRT_2PI * 1e-4)
-    if np.any(bad):
-        k = int(np.argmax(errs))
-        raise ConvergenceError(
-            f"batched line quadrature did not converge at s = "
-            f"{s_values[k]}: err {errs[k]:.2e}"
-        )
-    return values, errs
+    def kernel(eta, r):
+        return _gamma_t_kernel(a, t, eta)
+
+    b_s = ev.eval_B_many(s_values)
+    scale = np.abs(b_s) / SQRT_2PI
+    raw, err = _lattice_rule(
+        ev, beta, im, kernel, 1, d=a, reach=half_height, rel_tol=rel_tol,
+        abs_tol=rel_tol * INV_SQRT_2PI * 1e-4 / np.maximum(scale, 1e-300),
+        tail_rate=_TAIL_RATE)
+    return b_s / SQRT_2PI * raw[0], scale * err[0]
 
 
 def envelope(t, s, constant):

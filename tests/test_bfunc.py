@@ -216,6 +216,18 @@ def test_query_on_a_lattice_node(monkeypatch, re_line):
     assert set(steps) == {0.025}
 
 
+def test_line_cache_keeps_the_most_recently_used(monkeypatch):
+    monkeypatch.setattr(bfunc, "_LINE_CACHE", 3)
+    ev = BEvaluator()
+    first, second, _ = [ev.line_interpolator(1.0, lo, lo + 2.0)
+                        for lo in (0.0, 2.0, 4.0)]
+    assert ev.line_interpolator(1.0, 0.0, 2.0) is first   # a hit renews it
+    ev.line_interpolator(1.0, 6.0, 8.0)                   # evicts [2, 4]
+    assert len(ev._lines) == 3
+    assert ev.line_interpolator(1.0, 0.0, 2.0) is first
+    assert ev.line_interpolator(1.0, 2.0, 4.0) is not second
+
+
 @pytest.mark.parametrize("arg, match", [
     (lambda v: np.full(v.shape, 3.1), "reaches"),
     (lambda v: np.where(v < 0.0, 0.3, -2.9) * np.exp(-v ** 2), "jumped"),

@@ -213,6 +213,19 @@ def test_q1_small_theta_law(ev):
     assert dev[0] / dev[1] == pytest.approx(10.0, rel=0.01)
 
 
+@pytest.mark.parametrize("theta", [1e-5, 1e-6])
+def test_q1_tiny_theta_meets_small_theta_law(ev, theta):
+    # the terms of the line sum grow like theta^(-3/2), so the h and 2h
+    # rules differ by rounding alone; the rounding floor accepts that and
+    # enters the error.  The slope 1.567 is known to about 5e-4.
+    led = _ledger(ev)
+    q1_0 = 2.0 * led.c1.real * led.resB0.real
+    value, err = _q1_with_error(theta, ev)
+    law = q1_0 * (1.0 - 1.567 * theta)
+    assert abs(value - law) <= err + 5e-4 * theta * q1_0
+    assert err <= 1e-6 * q1_0
+
+
 @pytest.mark.parametrize("theta", [100.0, 300.0])
 def test_q1_large_theta_law(ev, theta):
     # Q1 ~ (c1 B(5)/2) theta^-5, the residue of Gamma(3 - s) at s = 5

@@ -16,6 +16,8 @@ import pytest
 from wavekin.bfunc import BranchError, default_evaluator
 from wavekin.calibration import constant
 from wavekin.complexfn import eval_W
+from wavekin.errors import ConvergenceError
+from wavekin import ufunc
 from wavekin.ufunc import (
     INV_SQRT_2PI,
     SymbolSample,
@@ -319,3 +321,96 @@ def test_line_matches_scalar_high_window(ev):
 def test_line_rejects_mixed_real_parts(ev):
     with pytest.raises(ValueError):
         eval_U_line(0.5, np.array([1.2 + 1j, 1.3 + 2j]), evaluator=ev)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 2.9])
+@pytest.mark.parametrize("re", [1.8, 1.85, 1.9, 1.95])
+def test_line_matches_scalar_near_strip_edge(ev, re, t):
+    # the Gamma pole at sigma = s sits (2 - Re s)/2 from the default line,
+    # 0.025 at Re s = 1.95; the lattice step follows that distance
+    svals = re + 1j * np.linspace(-60.0, 60.0, 41)
+    vals, errs = eval_U_line(t, svals, evaluator=ev)
+    for i in (0, 17, 20, 40):
+        u = eval_U(t, svals[i], evaluator=ev)
+        diff = abs(vals[i] - u.value)
+        assert diff <= u.err + errs[i]
+        assert diff <= 1e-12
+
+
+@pytest.mark.parametrize("t, s", [(0.5, 1.0 + 5.0j), (0.8, 0.6 + 20.0j)])
+def test_line_single_point(ev, t, s):
+    # a one-point line has no step; its error stays below eval_U's
+    vals, errs = eval_U_line(t, np.array([s]), evaluator=ev)
+    u = eval_U(t, s, evaluator=ev)
+    assert abs(vals[0] - u.value) <= 0.1 * (u.err + errs[0])
+    assert errs[0] < u.err
+
+
+def test_line_descending_equals_ascending(ev):
+    svals = 0.9 + 1j * np.linspace(-4.0, 8.0, 25)
+    up, up_err = eval_U_line(1.3, svals, evaluator=ev)
+    down, _ = eval_U_line(1.3, svals[::-1], evaluator=ev)
+    assert np.abs(down[::-1] - up).max() <= 10.0 * up_err.max()
+
+
+def test_line_rejects_unequal_steps(ev):
+    with pytest.raises(ValueError):
+        eval_U_line(0.5, 1.2 + 1j * np.array([0.0, 1.0, 2.5]), evaluator=ev)
+    with pytest.raises(ValueError):
+        eval_U_line(0.5, np.array([1.2 + 1j, 1.2 + 1j]), evaluator=ev)
+    # a node 1e-9 off its place: the lattice would put U at the wrong s
+    im = np.linspace(-60.0, 60.0, 41)
+    im[7] += 1e-9
+    with pytest.raises(ValueError):
+        eval_U_line(0.5, 1.2 + 1j * im, evaluator=ev)
+
+
+@pytest.mark.parametrize("re, step", [(1.0, 1e-6), (1.95, 1e-3)])
+def test_dense_line_matches_scalar(ev, re, step):
+    # a step below 2 pi d / 40 cannot be a multiple of the lattice step:
+    # each s takes its own kernel row on one lattice of step pi d / 40
+    svals = re + 1j * (3.0 + step * np.arange(40))
+    vals, errs = eval_U_line(0.7, svals, evaluator=ev)
+    for i in (0, 39):
+        u = eval_U(0.7, svals[i], evaluator=ev)
+        diff = abs(vals[i] - u.value)
+        assert diff <= u.err + errs[i]
+        assert diff <= 1e-12
+
+
+def test_line_refuses_an_oversized_lattice(ev):
+    # a line 1e-7 from the Gamma pole would need ~1e10 lattice nodes
+    with pytest.raises(ConvergenceError):
+        eval_U_line(0.5, np.array([1.2 + 1j]), beta=1.2 + 1e-7, evaluator=ev)
+
+
+def test_v_array_matches_scalar_calls(ev):
+    z = np.array([[1.0, 2.0 + 3.0j, 0.3 - 2.5j],
+                  [0.01 + 0.5j, 5.0 - 0.1j, 50.0 + 200.0j]])
+    s = 1.2 + 0.5j
+    arr = eval_V(z, s, evaluator=ev)
+    assert arr.shape == z.shape
+    scal = np.array([[eval_V(zi, s, evaluator=ev) for zi in row] for row in z])
+    assert np.abs(arr - scal).max() <= 1e-15 * np.abs(scal).max()
+
+
+def test_v_near_a_pole_in_row_blocks(ev, monkeypatch):
+    # beta 0.01 from the pole of k_plus: ~86k lattice nodes, so the kernel
+    # matrix is built a few rows at a time; V does not depend on beta
+    z = np.array([1.0, 2.0 + 3.0j, 0.3 - 2.5j, 5.0 - 0.1j, 0.7 + 9.0j])
+    s = 1.2 + 0.5j
+    near = eval_V(z, s, beta=1.21, evaluator=ev)
+    assert np.abs(near - eval_V(z, s, evaluator=ev)).max() <= (
+        1e-9 * np.abs(near).max())
+    # one row per block changes only the summation order of the products,
+    # whose terms near the pole exceed V by a factor ~1/0.01
+    monkeypatch.setattr(ufunc, "_ROW_ENTRIES", 1)
+    rows = eval_V(z, s, beta=1.21, evaluator=ev)
+    assert np.abs(rows - near).max() <= 1e-13 * np.abs(near).max()
+
+
+def test_v_array_branch_guard(ev):
+    with pytest.raises(BranchError):
+        eval_V(np.array([1.0 + 0j, 2.0 + 1j, -0.1 + 3j]), 1.5, evaluator=ev)
+    with pytest.raises(BranchError):
+        eval_V(np.array([0.5 + 0j, 0.0 + 1j]), 1.5, evaluator=ev)
