@@ -28,7 +28,15 @@ The plateau reaches ~400 at |Im s| ~ 200 and its last digits are the phase
 of B, so it is summed outward from w = 0 in long double.  Scattered points
 sum their g_plus windows directly.  The nodes of a line interpolant repeat
 every 16 lattice steps, so a line build forms all its windows with one
-batched FFT convolution.
+batched FFT correlation (``_fft_correlate``, on scipy.fft).
+
+Each evaluator keeps one lattice per (beta, h) (``_StripLattice``): both
+rules' samples, arg(-W) and the long-double plateau sums, grown on demand
+to cover each request's window, so log(-W) is sampled once per node.
+Growing continues the sequential sums outward, and a request reads the
+slice a fresh lattice over its own window would hold, so every value is
+the same bit for bit.  The branch audit runs on every newly sampled range
+and the end-decay check on every request.
 
 Two bookkeeping subtleties, both measured and pinned by tests:
 
@@ -61,12 +69,13 @@ pole.)  Zeros: 3 and 4, the integers <= -6, and the ladders sigma_n + j
 import collections
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import struct
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 
 from wavekin.complexfn import eval_W, eval_W_prime, locate_W_roots
 from wavekin.contour import integrate_circle
@@ -92,6 +101,7 @@ _PANEL_W = 0.25          # eval_B_prime_strip's Gauss panel width
 _MARGIN = 6.5            # g+/g- windows: both decay below 2e-18 beyond
 _GAUGE_BETA = 0.3        # canonical line: all other lines splice onto it
 _LINE_CACHE = 16         # line interpolants one evaluator keeps (LRU)
+_POINT_CACHE = 2 ** 15   # strip points one evaluator keeps (oldest go first)
 
 # Global scale of B (a free gauge: the construction determines B only up to a
 # positive constant, and all derived quantities are scale invariant).  Chosen
@@ -195,6 +205,101 @@ def _g_plus(x, q):
     return np.where(x > 0, -u / (q - u), q * u / (1.0 - q * u))
 
 
+def _fft_correlate(a, kern):
+    """out[..., k] = sum_i kern[..., i] * a[..., i + k], 0 <= k <= N - K.
+
+    The correlation along the last axis (N = a.shape[-1] >= K =
+    kern.shape[-1]; the leading axes broadcast), as the convolution of a
+    with kern reversed in the arithmetic of scipy.signal.fftconvolve, so
+    its values are those of fftconvolve's "valid" mode bit for bit:
+    fftn/ifftn, or rfftn/irfftn when both inputs are real, at length
+    next_fast_len(N + K - 1).  scipy.signal is not imported because it
+    and the scipy.stats it loads take most of a cold start.
+    """
+    n_a, n_k = a.shape[-1], kern.shape[-1]
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(kern))
+    fft, ifft = ((scipy.fft.rfftn, scipy.fft.irfftn) if real
+                 else (scipy.fft.fftn, scipy.fft.ifftn))
+    size = (scipy.fft.next_fast_len(n_a + n_k - 1, real),)
+    spectrum = fft(a, size, axes=(-1,)) * fft(kern[..., ::-1], size,
+                                              axes=(-1,))
+    full = ifft(spectrum, size, axes=(-1,))
+    return full[..., n_k - 1:n_a]
+
+
+def _audit_samples(arg, beta):
+    # arg(-W) on sorted nodes must stay clear of +-pi and never jump by pi
+    if np.abs(arg).max() > np.pi - 0.1:
+        raise BranchError(
+            f"arg(-W) reaches {np.abs(arg).max():.3f} on Re rho = {beta}"
+        )
+    if np.abs(np.diff(arg)).max() >= np.pi:
+        raise BranchError("arg(-W) jumped by >= pi between audit nodes")
+
+
+def _audit_ends(arg_lo, arg_hi):
+    if max(abs(arg_lo), abs(arg_hi)) > 0.5:
+        raise BranchError("arg(-W) does not decay at the window ends")
+
+
+def _running_sums(start, a):
+    # start + a[:, 0], start + a[:, 0] + a[:, 1], ... summed in sequence in
+    # long double: the digits one cumsum over the earlier terms and a gives
+    # (from start = 0 too, as no sample of log(-W) off the real axis is -0)
+    both = np.concatenate([start[:, None], a], axis=1)
+    return np.cumsum(both, axis=1, dtype=np.clongdouble)[:, 1:]
+
+
+class _StripLattice:
+    """The strip rule's samples on one line beta, step h, grown on demand.
+
+    For the nodes w_j = (j + 1/2) h, j in [lo, hi): ``a`` holds both rules'
+    weighted samples and ``arg`` arg(-W) (see BEvaluator._rule_samples);
+    ``plateau[:, J - lo]``, J in [lo, hi], is the signed sum of the samples
+    between w = 0 and node J, and ``gm`` the g_minus window sum.  Growing
+    samples log(-W) at the new nodes only, audits them together with the
+    nodes they join, and continues the plateau sums outward, so every entry
+    equals the one a lattice sampled afresh over the whole range holds.
+    """
+
+    def __init__(self, beta, h):
+        self.beta, self.h = beta, h
+        self.lo = self.hi = 0
+        self.a = np.zeros((2, 0), dtype=complex)
+        self.arg = np.zeros(0)
+        self.plateau = np.zeros((2, 1), dtype=np.clongdouble)
+        self.gm = None
+
+    def cover(self, lo, hi):
+        """Grow to cover j in [lo, hi); every window spans |w| <= _MARGIN."""
+        if lo >= self.lo and hi <= self.hi:
+            return
+        h = self.h
+        j_dn = np.arange(min(lo, self.lo), self.lo)
+        j_up = np.arange(self.hi, max(hi, self.hi))
+        j = np.concatenate([j_dn, j_up])
+        lw = np.log(-eval_W(self.beta + 1j * ((j + 0.5) * h)))
+        n_dn = j_dn.size
+        arg = np.concatenate([lw.imag[:n_dn], self.arg, lw.imag[n_dn:]])
+        _audit_samples(arg, self.beta)
+        a = np.stack([h * lw, np.where(j % 2 == 0, 2.0 * h * lw, 0.0)])
+        a_dn, a_up = a[:, :n_dn], a[:, n_dn:]
+        # the sums run outward from w = 0: upward from node 0, downward
+        # from node -1, and the plateau holds the downward ones negated
+        up = _running_sums(self.plateau[:, -1], a_up)
+        dn = _running_sums(-self.plateau[:, 0], a_dn[:, ::-1])
+        self.plateau = np.concatenate([-dn[:, ::-1], self.plateau, up],
+                                      axis=1)
+        self.a = np.concatenate([a_dn, self.a, a_up], axis=1)
+        self.arg = arg
+        self.lo, self.hi = self.lo - n_dn, self.hi + j_up.size
+        if self.gm is None:
+            w = (np.arange(self.lo, self.hi) + 0.5) * h
+            near0 = np.abs(w) <= _MARGIN
+            self.gm = (self.a[:, near0]
+                       @ (_k_minus(w[near0]) - (w[near0] < 0.0)))
+
+
 class BLineInterpolator:
     """Chebyshev interpolant of B along one vertical line.
 
@@ -248,6 +353,11 @@ class BEvaluator:
     beta + 1/2 depending on where Re s falls in the strip, keeping a margin
     of at least 1/4 from the kernel poles; the centered counterterm makes the
     value independent of that choice.
+
+    The evaluator owns its caches: one strip lattice per (line, step), the
+    gauge offsets, the _LINE_CACHE most recently used line interpolants,
+    and the point cache, which keeps the _POINT_CACHE most recently added
+    strip values and drops the oldest first.
     """
 
     def __init__(self, beta=0.3, cache=None, cache_path=None):
@@ -257,6 +367,7 @@ class BEvaluator:
         self.cache = {} if cache is None else cache
         self.cache_path = cache_path
         self._gauge = {}      # beta_used -> F-offset onto the canonical line
+        self._lattices = {}   # (beta, h) -> _StripLattice
         # (re, lo-lattice, hi-lattice) -> interpolator, least recent first
         self._lines = collections.OrderedDict()
         if cache_path and os.path.exists(cache_path):
@@ -274,15 +385,8 @@ class BEvaluator:
         (arg -> 0 at +-i infinity).
         """
         logw = np.log(-eval_W(beta + 1j * v))
-        arg = logw.imag
-        if np.abs(arg).max() > np.pi - 0.1:
-            raise BranchError(
-                f"arg(-W) reaches {np.abs(arg).max():.3f} on Re rho = {beta}"
-            )
-        if np.abs(np.diff(arg)).max() >= np.pi:
-            raise BranchError("arg(-W) jumped by >= pi between audit nodes")
-        if max(abs(arg[0]), abs(arg[-1])) > 0.5:
-            raise BranchError("arg(-W) does not decay at the window ends")
+        _audit_samples(logw.imag, beta)
+        _audit_ends(logw.imag[0], logw.imag[-1])
         return logw
 
     def _rule_samples(self, beta, lo, hi, h):
@@ -296,20 +400,21 @@ class BEvaluator:
         sum over [w_n, 0) otherwise.  It is summed outward from w = 0 in
         long double, since it reaches ~400 at |Im s| ~ 200 and its last
         digits are the phase of B.  ``gm`` is the g_minus window sum.
+        All are read off the evaluator's lattice for (beta, h), grown to
+        cover [lo, hi] with the audit of _line_values; the end-decay check
+        runs on this window's own ends.
         """
-        j = np.arange(math.floor(lo / h - 0.5) - 2,
-                      math.ceil(hi / h - 0.5) + 3)
-        w = (j + 0.5) * h
-        lw = self._line_values(beta, w)
-        a = np.stack([h * lw, np.where(j % 2 == 0, 2.0 * h * lw, 0.0)])
-        n0 = np.searchsorted(w, 0.0)
-        up = np.cumsum(a[:, n0:], axis=1, dtype=np.clongdouble)
-        down = np.cumsum(a[:, :n0][:, ::-1], axis=1, dtype=np.clongdouble)
-        plateau = np.concatenate(
-            [-down[:, ::-1], np.zeros((2, 1), np.clongdouble), up], axis=1)
-        near0 = np.abs(w) <= _MARGIN
-        gm = a[:, near0] @ (_k_minus(w[near0]) - (w[near0] < 0.0))
-        return w, a, plateau, gm
+        j_lo = math.floor(lo / h - 0.5) - 2
+        j_hi = math.ceil(hi / h - 0.5) + 3
+        lattice = self._lattices.get((beta, h))
+        if lattice is None:
+            lattice = self._lattices[(beta, h)] = _StripLattice(beta, h)
+        lattice.cover(j_lo, j_hi)
+        i0, i1 = j_lo - lattice.lo, j_hi - lattice.lo
+        _audit_ends(lattice.arg[i0], lattice.arg[i1 - 1])
+        w = (np.arange(j_lo, j_hi) + 0.5) * h
+        return (w, lattice.a[:, i0:i1], lattice.plateau[:, i0:i1 + 1],
+                lattice.gm)
 
     def _strip_rule(self, beta, y_lo, y_hi, g_plus):
         """Strip exponent F at nodes with Im s in [y_lo, y_hi], one beta line.
@@ -367,8 +472,8 @@ class BEvaluator:
         lattice index j_c + stride k plus the fraction f_c, so its g_plus
         window sum is a correlation of the samples with the row
         g_plus(2 pi h (m - f_c)), |m| <= 6.5 / h, read every stride
-        outputs: one batched fftconvolve of both rules against the len(y0)
-        rows.  Returns shape (n_rep, len(y0)).
+        outputs: one batched FFT correlation (_fft_correlate) of both rules
+        against the len(y0) rows.  Returns shape (n_rep, len(y0)).
         """
         q = np.exp(2j * np.pi * (re_base - beta))
         reps = np.arange(n_rep)
@@ -382,8 +487,7 @@ class BEvaluator:
             kern = _g_plus(2.0 * np.pi * h * (m - (pos - j)[:, None]), q)
             lo = j.min() - m_half
             hi = j.max() + stride * (n_rep - 1) + m_half + 1
-            conv = scipy.signal.fftconvolve(
-                a[:, None, lo:hi], kern[None, :, ::-1], mode="valid", axes=2)
+            conv = _fft_correlate(a[:, None, lo:hi], kern[None])
             pick = (j - j.min())[:, None] + stride * reps
             g = np.take_along_axis(conv, pick[None], axis=2)
             count = j + stride * reps[:, None] + 1
@@ -468,6 +572,10 @@ class BEvaluator:
                 for j, i in enumerate(grp):
                     out[todo[i]] = vals[j]
                     self.cache[keys[todo[i]]] = complex(vals[j])
+            excess = len(self.cache) - _POINT_CACHE
+            if excess > 0:
+                for key in list(itertools.islice(self.cache, excess)):
+                    del self.cache[key]
         return out
 
     def _strip_values(self, F, beta):

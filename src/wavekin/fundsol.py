@@ -74,7 +74,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.interpolate import BPoly
 from scipy.special import digamma, jv, loggamma
 
 from wavekin.bfunc import default_evaluator
@@ -907,6 +906,10 @@ class TestFunction:
         if support is None:
             support = (float(xs[0]), float(xs[-1]))
         self.support = (float(support[0]), float(support[1]))
+        # imported here: scipy.interpolate serves test functions alone and
+        # would add to every import of the package
+        from scipy.interpolate import BPoly
+
         stack = np.column_stack([values, d1, d2])
         self._poly = BPoly.from_derivatives(xs, stack)
         self._dpoly = self._poly.derivative()

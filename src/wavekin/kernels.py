@@ -18,7 +18,6 @@ independent of the closed forms they test:
 """
 
 import numpy as np
-import scipy.integrate
 
 from wavekin.complexfn import eval_W
 from wavekin.errors import PoleError, TruncationError
@@ -88,6 +87,10 @@ def check_H_from_K(x, z, tol):
     """
     if x <= 0 or z <= 0 or x == z:
         raise ValueError("need x, z > 0 and x != z")
+    # imported here: scipy.integrate serves this oracle alone and would
+    # add to every import of the package
+    import scipy.integrate
+
     eps = min(0.01 * tol, 1e-10)
     if z > x:
         val, est = scipy.integrate.quad(

@@ -40,7 +40,9 @@ with a kernel K that depends on sigma - s only.  ``eval_U_line`` and
 (``_lattice_rule``): 1/B is sampled once from the evaluator's line
 interpolant, so one lattice serves every s of a line and every z.  When
 the Im s of a line are lattice nodes, the samples are correlated with the
-kernel by one FFT (``_lattice_correlate``, which ``fundsol`` also uses);
+kernel by one FFT (``_lattice_correlate``, which ``fundsol`` also uses;
+it calls ``bfunc._fft_correlate``, the scipy.fft correlation that B's
+line builds use too);
 otherwise (one s, many z, or a line denser than the lattice) each output
 is one row of a kernel matrix times the samples.  The rule converges
 geometrically in the strip of analyticity about the line, with error about
@@ -63,10 +65,10 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import digamma, loggamma
 
-from wavekin.bfunc import BranchError, _k_plus, default_evaluator
+from wavekin.bfunc import (BranchError, _fft_correlate, _k_plus,
+                           default_evaluator)
 from wavekin.complexfn import EULER, eval_W
 from wavekin.contour import ContourSpec, TailModel, integrate_vertical
 from wavekin.errors import ConvergenceError
@@ -152,13 +154,12 @@ def _lattice_correlate(g, kernels, stride, n_out):
     The step shared by every sigma-lattice rule that reads a line of
     outputs: samples g of 1/B on a uniform lattice against a stack of
     kernels tabulated on the same step, keeping every stride-th output,
-    all rows in one batched FFT correlation.  g needs len(kernel) +
-    (n_out - 1) * stride nodes.
+    all rows in one batched FFT correlation (``bfunc._fft_correlate``).
+    g needs len(kernel) + (n_out - 1) * stride nodes.
     """
     kernels = np.atleast_2d(kernels)
-    n_k = kernels.shape[1]
-    full = fftconvolve(g[None, :], kernels[:, ::-1], axes=1)
-    return full[:, n_k - 1: n_k + (n_out - 1) * stride: stride]
+    out = _fft_correlate(g[None, :], kernels)
+    return out[:, :(n_out - 1) * stride + 1:stride]
 
 
 def _fft_length(n):

@@ -14,8 +14,9 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.signal
 
-from wavekin import bfunc
+from wavekin import bfunc, ufunc
 from wavekin.bfunc import (
     BEvaluator,
     BLineInterpolator,
@@ -240,6 +241,120 @@ def test_branch_audit_conditions(monkeypatch, arg, match):
         BEvaluator()._line_values(0.3, np.linspace(-6.5, 6.5, 521))
 
 
+# ---------------- strip lattice ----------------
+
+
+def _fake_arg(monkeypatch, arg):
+    # a fake -W = e^(i arg(v)) on the strip lines
+    monkeypatch.setattr(bfunc, "eval_W", lambda s: -np.exp(1j * arg(s.imag)))
+
+
+def test_grown_lattice_equals_a_fresh_one():
+    # requests that read or grow the lattices of a wide request at
+    # Im s = 400 on both lines (beta 0.3 and 0.8) give a fresh evaluator's
+    # values bit for bit
+    grown = BEvaluator()
+    grown.eval_B_many(np.array([1.0 + 400j, 1.3 + 400j]))
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(0.3, 3.6, 60) + 1j * rng.uniform(-450.0, 450.0, 60)
+    line = 0.7 + 1j * np.linspace(-150.0, 250.0, 401)
+    u_line = 0.5 + 1j * np.linspace(-60.0, 40.0, 101)
+    results = []
+    for b in (grown, BEvaluator()):
+        results.append((
+            b.eval_B_many(pts),
+            b.line_interpolator(1.3, -40.0, 90.0)(
+                1.3 + 1j * np.linspace(-40.0, 90.0, 301)),
+            b.line_interpolator(0.7, -150.0, 250.0)(line),
+            ufunc.eval_U_line(1.0, u_line, evaluator=b),
+        ))
+    for a, b in zip(*results):
+        assert np.array_equal(np.asarray(a), np.asarray(b))
+
+
+@pytest.mark.parametrize("arg, match", [
+    (lambda v, edge: np.where(v > edge, 3.1, 0.0), "reaches"),
+    (lambda v, edge: np.where(v > edge, -2.9, 0.3) * np.exp(-(v - 6.5) ** 2),
+     "jumped"),
+    (lambda v, edge: np.where(v > edge, 0.8, 0.0), "decay"),
+], ids=["near_pi", "jump", "no_decay"])
+def test_branch_audit_on_a_grown_lattice(monkeypatch, arg, match):
+    # the bad samples start right after the node the lattice ends on, so the
+    # jump case also needs the step from the old top node to the first new
+    # one; a failed growth leaves the lattice as it was
+    at = {"edge": np.inf}
+    _fake_arg(monkeypatch, lambda v: arg(v, at["edge"]))
+    ev = BEvaluator()
+    ev._rule_samples(0.3, -6.5, 6.5, 0.025)
+    lattice = ev._lattices[(0.3, 0.025)]
+    at["edge"] = lattice.hi * 0.025       # half a step past the top node
+    lo, hi = lattice.lo, lattice.hi
+    with pytest.raises(BranchError, match=match):
+        ev._rule_samples(0.3, -6.5, 60.0, 0.025)
+    if match != "decay":
+        assert (lattice.lo, lattice.hi) == (lo, hi)
+    with pytest.raises(BranchError, match=match):
+        ev._rule_samples(0.3, -6.5, 60.0, 0.025)
+    ev._rule_samples(0.3, -6.5, 6.5, 0.025)
+
+
+def test_end_decay_checked_on_a_request_inside_the_lattice(monkeypatch):
+    # arg(-W) has decayed at the ends of the wide window, but not at the top
+    # end of a narrower one that needs no new samples
+    _fake_arg(monkeypatch, lambda v: 0.8 * np.exp(-((v - 100.0) / 5.0) ** 2))
+    ev = BEvaluator()
+    ev._rule_samples(0.3, -6.5, 406.5, 0.025)
+    lattice = ev._lattices[(0.3, 0.025)]
+    size = (lattice.lo, lattice.hi)
+    with pytest.raises(BranchError, match="decay"):
+        ev._rule_samples(0.3, -6.5, 100.0, 0.025)
+    assert (lattice.lo, lattice.hi) == size
+
+
+def test_request_inside_the_lattice_samples_no_w(monkeypatch):
+    calls = []
+    real_w = bfunc.eval_W
+
+    def spy(s):
+        calls.append(np.size(s))
+        return real_w(s)
+
+    monkeypatch.setattr(bfunc, "eval_W", spy)
+    ev = BEvaluator()
+    ev.line_interpolator(1.0, -4.0, 60.0)
+    assert calls
+    calls.clear()
+    # Re s in [0.55, 1.05): the beta = 0.3 line, and no walk factors
+    ev.eval_B_many(np.array([1.0 + 30j, 0.6 - 3j, 0.9 + 58j]))
+    ev.line_interpolator(1.0, 10.0, 30.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("a_shape, k_shape, real", [
+    ((2, 1, 700), (1, 24, 521), False),   # BEvaluator._strip_line
+    ((1, 3000), (3, 101), False),         # ufunc._lattice_correlate
+    ((1, 3000), (1, 101), True),          # its abs_sum row
+])
+def test_fft_correlate_matches_fftconvolve(a_shape, k_shape, real):
+    # the "valid" output of fftconvolve with the kernel reversed, and the
+    # same outputs read off its "full" mode, bit for bit
+    rng = np.random.default_rng(3)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x if real else x + 1j * rng.standard_normal(shape)
+
+    a, kern = draw(a_shape), draw(k_shape)
+    axis = len(a_shape) - 1
+    got = bfunc._fft_correlate(a, kern)
+    valid = scipy.signal.fftconvolve(a, kern[..., ::-1], mode="valid",
+                                     axes=axis)
+    full = scipy.signal.fftconvolve(a, kern[..., ::-1], axes=axis)
+    assert got.dtype == valid.dtype
+    assert np.array_equal(got, valid)
+    assert np.array_equal(got, full[..., k_shape[-1] - 1:a_shape[-1]])
+
+
 @pytest.mark.parametrize("s", [0.6 + 2j, 0.9 + 15j, 1.2 - 7j, 0.75 + 40j])
 def test_strip_derivative_matches_circle_derivative(ev, s):
     # differentiating the strip kernel on Gauss panels, and a Cauchy circle
@@ -322,6 +437,20 @@ def test_cache_quantization():
     b = ev.eval_B(1.2 + 3.0j + 1e-14j)   # quantizes onto the same record
     assert len(ev.cache) == n0
     assert a == b
+
+
+def test_point_cache_evicts_the_oldest(monkeypatch):
+    monkeypatch.setattr(bfunc, "_POINT_CACHE", 5)
+    ev = BEvaluator()
+    first = np.array([1.0 + 1j, 1.0 + 2j, 1.0 + 3j])
+    ev.eval_B_many(first)
+    old_keys = list(ev.cache)
+    ev.eval_B_many(np.array([1.0 + 4j, 1.0 + 5j, 1.0 + 6j, 1.0 + 7j]))
+    assert len(ev.cache) == 5
+    assert list(ev.cache)[:1] == old_keys[2:]     # the two oldest went
+    again = ev.eval_B_many(first[:1])             # recomputed and re-added
+    assert len(ev.cache) == 5 and list(ev.cache)[-1] == old_keys[0]
+    assert again[0] == BEvaluator().eval_B(first[0])
 
 
 def test_cache_file_round_trip():
