@@ -151,9 +151,10 @@ def _near_b_pole_mask(s, tol=_POLE_GUARD):
     m = (np.abs(s) < tol) | (np.abs(s + 1.0) < tol)
     n = np.round(s.real)
     m |= (n >= 9) & (np.abs(s - n) < tol)
-    for star in _w_zero_table().w_zeros_neg:
-        j = np.round(star - s.real)
-        m |= (j >= 0) & (np.abs(s - (star - j)) < tol)
+    # the ladders star - j, j >= 0, below each negative zero of W
+    stars = np.array(_w_zero_table().w_zeros_neg)
+    j = np.round(stars - s.real[..., None])
+    m |= ((j >= 0) & (np.abs(s[..., None] - (stars - j)) < tol)).any(axis=-1)
     return m
 
 
@@ -635,11 +636,11 @@ class BEvaluator:
                 else [base + j for j in range(k, 0)]
             )
             for arg in args_list:
-                bad = self._w_collision(arg)
+                bad, w_arg = self._w_collision(arg)
                 collided |= bad
                 safe = ~bad
                 if safe.any():
-                    w = -eval_W(arg[safe])
+                    w = -w_arg[safe]
                     if k >= 0:
                         factors[safe] *= w
                     else:
@@ -675,18 +676,20 @@ class BEvaluator:
 
     @staticmethod
     def _w_collision(arg):
-        # a walk factor lands on (or next to) a pole or zero of W
+        """Mask of walk factors on or next to a pole or zero of W, and W.
+
+        Returns (bad, w).  W is evaluated off the lattice of its poles and
+        zeros alone and reads 0 on it; the walk reuses w as its factors.
+        """
         lattice = np.minimum(
             np.abs(arg - np.round(arg.real / 4.0) * 4.0),
             np.abs(arg - (np.round((arg.real + 2.0) / 4.0) * 4.0 - 2.0)),
         )
         bad = lattice < _COLLIDE_TOL
-        safe = ~bad
-        if safe.any():
-            small = np.zeros(len(arg), dtype=bool)
-            small[safe] = np.abs(eval_W(arg[safe])) < _COLLIDE_TOL
-            bad |= small
-        return bad
+        w = np.zeros(len(arg), dtype=complex)
+        if not bad.all():
+            w[~bad] = eval_W(arg[~bad])
+        return bad | (np.abs(w) < _COLLIDE_TOL), w
 
     def _cauchy_fallback(self, s, radius=0.3):
         """Circle average of B around s when the direct walk collides.

@@ -14,11 +14,17 @@ q = log x.  The integral is split at a fixed height V: on [0, V] the symbol
 is tabulated on a uniform grid by a matched-grid convolution (see
 ``_symbol_line``) and integrated panel-wise against exact oscillatory
 moments (Filon--Legendre); on [V, inf) a five-term power model of the
-symbol is fit on [0.55 V, 0.98 V] and integrated in closed form along a
-rotated ray, which keeps the quadrature non-oscillatory for any q.  One
-tabulation and fit (``_line_assembly``) serves every q: calling it with an
-array of q evaluates the moments, the phases and the ray panels of all of
-them at once, so profiles and integrals cost one call per batch of points.
+symbol is fit on [0.55 V, 0.98 V] and integrated along a rotated ray in
+geometric 16-point Gauss panels (``_ray_tail``), which keeps the quadrature
+non-oscillatory for any q.  One tabulation and fit (``_line_assembly``)
+serves every q: calling it with an array of q evaluates the moments, the
+phases and the ray panels of all of them at once, so profiles and integrals
+cost one call per batch of points.
+
+The integrals against x (``l1_norm_lambda``, ``delta_pairing``) run
+adaptive Gauss panels in log x on that line.  One routine,
+``_adaptive_panels``, refines all intervals of an integral in lockstep, so
+each sweep of new panels is one call of the line.
 
 Regimes
 -------
@@ -148,6 +154,11 @@ _RAY_TOL = 1e-10
 _RAY_PANELS = 480
 #: ray directions indexed by sign(q): 0 -> pi/2, 1 -> pi/4, -1 -> 3 pi/4
 _RAY_DIRS = np.exp(1j * np.pi * np.array([0.5, 0.25, 0.75]))
+#: most q one pass of an assembled line takes: the ray sweep holds
+#: (q x panels x 16) complex temporaries, and near x = 1 it runs to
+#: blocks of 128 panels or more; a radial profile of 256 points still
+#: goes in one pass
+_Q_BATCH = 256
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +342,18 @@ class _LineAssembly:
         """((x^-c / pi) Re int_0^inf g(v) e^(-i v q) dv, error) at q = log x.
 
         q is a scalar or an array; the values and errors take its shape.
+        Each q's figures are its own, so the batches of at most _Q_BATCH
+        points that bound the temporaries change no value.
         """
         q = np.asarray(q, dtype=float)
         qs = q.ravel()
+        val, err = np.empty(qs.shape), np.empty(qs.shape)
+        for k in range(0, qs.size, _Q_BATCH):
+            val[k:k + _Q_BATCH], err[k:k + _Q_BATCH] = self._batch(
+                qs[k:k + _Q_BATCH])
+        return val.reshape(q.shape)[()], err.reshape(q.shape)[()]
+
+    def _batch(self, qs):
         # moments int_{-1}^{1} P_k(tau) e^(-i lam tau) dtau = 2 (-i)^k j_k(lam)
         # with j_k(x) = sqrt(pi/2x) J_(k+1/2)(x); the floor keeps j_0(0) = 1
         lam = _PANEL_HALF * qs[:, None]
@@ -351,8 +371,7 @@ class _LineAssembly:
         err = (self.err_window + ray_err
                + self.fit_resid * _V_CUT / (2.0 * self.t + _MODEL_K - 1.0))
         scale = np.exp(-self.c * qs) / math.pi
-        val = scale * (win - 1j * ray).real
-        return (val.reshape(q.shape)[()], (scale * err).reshape(q.shape)[()])
+        return scale * (win - 1j * ray).real, scale * err
 
 
 @functools.lru_cache(maxsize=48)
@@ -958,43 +977,76 @@ class TestFunction:
         return out
 
 
-def _adaptive_abs_panels(f, a, b, rel_tol=1e-7, max_depth=28,
-                         absolute=False):
-    """Adaptive Gauss panels of f on [a, b]; f maps arrays to arrays.
+#: the panel rules of ``_adaptive_panels``: 12-point Gauss and the 6-point
+#: rule it is checked against, evaluated together as 18 nodes per panel
+_X12, _W12 = leggauss(12)
+_X6, _W6 = leggauss(6)
+_X18 = np.concatenate([_X12, _X6])
 
-    Compares 12- and 6-point rules per panel and bisects the worst until
-    the summed discrepancy is below rel_tol of the accumulated integral.
-    With absolute=True integrates |f|.
+
+def _gauss_panels(f, bounds, absolute):
+    """(12-point value, |12-point - 6-point|) of f on each panel (lo, hi).
+
+    One call of f serves every panel, and each panel's sums are the dots
+    of its own row, so a panel gets the same figures in any batch.
     """
-    x12, w12 = leggauss(12)
-    x6, w6 = leggauss(6)
-    x18 = np.concatenate([x12, x6])
+    lo, hi = np.array(bounds, dtype=float).T
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    vals = f((mid[:, None] + half[:, None] * _X18).ravel()).reshape(-1, 18)
+    if absolute:
+        vals = np.abs(vals)
+    sums = []
+    for h, row in zip(half, vals):
+        v12 = h * np.dot(_W12, row[:12])
+        sums.append((v12, abs(v12 - h * np.dot(_W6, row[12:]))))
+    return sums
 
-    def panel(lo, hi):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        f12, f6 = np.split(f(mid + half * x18), [12])
-        if absolute:
-            f12, f6 = np.abs(f12), np.abs(f6)
-        v12 = half * np.dot(w12, f12)
-        v6 = half * np.dot(w6, f6)
-        return v12, abs(v12 - v6)
 
-    segs = [(a, b, *panel(a, b), 0)]
-    for _ in range(4000):
-        total = sum(s[2] for s in segs)
-        err = sum(s[3] for s in segs)
-        if err <= rel_tol * max(abs(total), 1e-300):
-            return total, err
-        worst = max(range(len(segs)), key=lambda i: segs[i][3])
-        lo, hi, _, _, depth = segs.pop(worst)
-        if depth >= max_depth:
-            segs.append((lo, hi, *panel(lo, hi), depth))
+def _adaptive_panels(f, intervals, rel_tol=1e-7, max_depth=28,
+                     absolute=False):
+    """Adaptive Gauss panels of f on each interval: [(total, err), ...].
+
+    f maps arrays to arrays.  Per interval, 12- and 6-point rules are
+    compared on each panel, and the worst panel is bisected until the
+    summed discrepancy is below rel_tol of the summed integral, the worst
+    panel has had max_depth bisections, or 4000 bisections are made.  With
+    absolute=True the integrand is |f|.
+
+    The intervals refine in lockstep: each sweep, every interval not yet
+    done bisects its worst panel, and the new panels of all of them go
+    through one call of f.  An interval keeps the panels, the summation
+    order and the decisions it has when passed alone, so its result does
+    not depend on the batch.
+    """
+    segs = [[(a, b, *vs, 0)] for (a, b), vs in
+            zip(intervals, _gauss_panels(f, intervals, absolute))]
+    out = [None] * len(intervals)
+    todo = range(len(intervals))
+    for sweep in range(4001):
+        new = []
+        for i in todo:
+            s = segs[i]
+            total = sum(p[2] for p in s)
+            err = sum(p[3] for p in s)
+            if sweep == 4000 or err <= rel_tol * max(abs(total), 1e-300):
+                out[i] = (total, err)
+                continue
+            worst = max(range(len(s)), key=lambda k: s[k][3])
+            lo, hi, v, e, depth = s.pop(worst)
+            if depth >= max_depth:
+                # the panel may not be split; it moves to the end of the sum
+                s.append((lo, hi, v, e, depth))
+                out[i] = (sum(p[2] for p in s), sum(p[3] for p in s))
+                continue
+            mid = 0.5 * (lo + hi)
+            new += [(i, lo, mid, depth + 1), (i, mid, hi, depth + 1)]
+        if not new:
             break
-        mid = 0.5 * (lo + hi)
-        segs.append((lo, mid, *panel(lo, mid), depth + 1))
-        segs.append((mid, hi, *panel(mid, hi), depth + 1))
-    total = sum(s[2] for s in segs)
-    return total, sum(s[3] for s in segs)
+        sums = _gauss_panels(f, [(lo, hi) for _, lo, hi, _ in new], absolute)
+        for (i, lo, hi, depth), vs in zip(new, sums):
+            segs[i].append((lo, hi, *vs, depth))
+        todo = [i for i, *_ in new[::2]]
+    return out
 
 
 def _core_mass(t, ev):
@@ -1020,9 +1072,14 @@ def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
     The core |x-1| < exp(-40) takes its mass from the near-one law
     A |x-1|^(2t-1), with the amplitude A read off the direct line at the
     core edges (see ``_core_mass``); outside, adaptive panels in log x ride
-    the same line tabulation, for every t > 0.  The x-range grows until the
-    outermost panels are negligible: Lambda tends to a constant at x = 0+
+    the same line tabulation, for every t > 0.  The intervals of the two
+    ladders log(1 -+ 4^k exp(-40)) that close in on the core refine
+    together in one ``_adaptive_panels`` call, one line call per sweep.
+    Then the x-range grows by one e-fold per call on each side until the
+    outermost e-fold is negligible: Lambda tends to a constant at x = 0+
     and decays like x^-5 at infinity, so both ends close quickly.
+    (Refining several e-folds ahead in one call was slower: the far ones,
+    not needed in the end, refine on the rounding noise of the line.)
     """
     ev = evaluator or default_evaluator()
     line = _line_assembly(ev, t, _C_DIRECT, "u")
@@ -1037,17 +1094,17 @@ def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
     while us[-1] < 0.4:
         us.append(min(4.0 * us[-1], 0.4))
     ladders = {sign: [math.log1p(sign * u) for u in us] for sign in (-1, 1)}
-    for ladder in ladders.values():
-        for a, b in zip(ladder[:-1], ladder[1:]):
-            total += _adaptive_abs_panels(f_abs, min(a, b), max(a, b),
-                                          rel_tol, absolute=True)[0]
+    core = [(min(a, b), max(a, b)) for ladder in ladders.values()
+            for a, b in zip(ladder[:-1], ladder[1:])]
+    for v, _ in _adaptive_panels(f_abs, core, rel_tol, absolute=True):
+        total += v
     # outward extension, one e-fold at a time until negligible
     for sign, ladder in ladders.items():
         edge = ladder[-1]
         for _ in range(60):
-            v, _ = _adaptive_abs_panels(f_abs, min(edge, edge + sign),
-                                        max(edge, edge + sign), rel_tol,
-                                        absolute=True)
+            [(v, _)] = _adaptive_panels(
+                f_abs, [(min(edge, edge + sign), max(edge, edge + sign))],
+                rel_tol, absolute=True)
             total += v
             edge += sign
             if v < rel_tol * total:
@@ -1062,6 +1119,9 @@ def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):
     pairing is exactly phi(1).  For t > 0 the core |x-1| < exp(-40)
     carries phi(1) times the near-one mass of ``_core_mass`` and the rest
     is adaptive panel quadrature in log x over supp phi, on the direct line.
+    supp phi is cut at the ladder log(1 -+ 4^k exp(-40)) of ``_tau_marks``,
+    and all of its intervals refine together in one ``_adaptive_panels``
+    call, one line call per sweep.
     """
     if t == 0.0:
         return float(phi(1.0))
@@ -1083,13 +1143,12 @@ def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):
         x = np.exp(tau)
         return line(tau)[0] * phi(x) * x
 
+    spans = []
     for a, b in pieces:
-        if b <= a:
-            continue
         marks = _tau_marks(a, b)
-        for p, r in zip(marks[:-1], marks[1:]):
-            v, _ = _adaptive_abs_panels(f, p, r, rel_tol)
-            total += v
+        spans += zip(marks[:-1], marks[1:])
+    for v, _ in _adaptive_panels(f, spans, rel_tol):
+        total += v
     return total
 
 
@@ -1126,7 +1185,7 @@ def transport_apply(phi, x, rel_tol=1e-9):
         return eval_H(r) * r * phi.deriv(r * x)
 
     if not r_lo < 1.0 < r_hi:
-        return _adaptive_abs_panels(f, r_lo, r_hi, rel_tol)[0]
+        return _adaptive_panels(f, [(r_lo, r_hi)], rel_tol)[0][0]
     # H has a log kink at r = 1.  On each side r = 1 -+ e^(-w) turns it into
     # the smooth w e^(-w), and the panels can no longer round onto r = 1;
     # the sides stop at w = _W_KINK, where the rest is below 1e-14 |phi'|.
@@ -1136,8 +1195,8 @@ def transport_apply(phi, x, rel_tol=1e-9):
             e = np.exp(-w)
             return f(1.0 + sign * e) * e
 
-        total += _adaptive_abs_panels(g, -math.log(abs(r_end - 1.0)),
-                                      _W_KINK, rel_tol)[0]
+        total += _adaptive_panels(
+            g, [(-math.log(abs(r_end - 1.0)), _W_KINK)], rel_tol)[0][0]
     return total
 
 
@@ -1156,7 +1215,6 @@ def weak_residual(a_t, b_x, rel_tol=1e-6, evaluator=None):
     if not t_lo > 0.0:
         raise ValueError("the t-window must stay positive")
     x_lo, x_hi = b_x.support
-    xg, wg = leggauss(6)
     n_tp = 4
     edges = np.linspace(t_lo, t_hi, n_tp + 1)
     total = 0.0
@@ -1173,7 +1231,7 @@ def weak_residual(a_t, b_x, rel_tol=1e-6, evaluator=None):
 
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        for tj, wj in zip(mid + half * xg, half * wg):
+        for tj, wj in zip(mid + half * _X6, half * _W6):
             ap, av = a_t.deriv(tj), a_t(tj)
             line = _line_assembly(ev, tj, _C_DIRECT, "u")
 
@@ -1182,8 +1240,8 @@ def weak_residual(a_t, b_x, rel_tol=1e-6, evaluator=None):
                 inner = ap * b_x(x) - av * np.array([tb(xx) for xx in x])
                 return line(tau)[0] * inner * x
 
-            v, e = _adaptive_abs_panels(f, math.log(x_lo), math.log(x_hi),
-                                        rel_tol)
+            [(v, e)] = _adaptive_panels(
+                f, [(math.log(x_lo), math.log(x_hi))], rel_tol)
             total += wj * v
             budget += abs(wj) * (e + rel_tol * abs(v))
     return total, budget

@@ -139,6 +139,37 @@ def test_pole_guard_tolerance(ev):
     assert abs(v) > 1e2
 
 
+def _pole_mask_by_loop(s, tol=bfunc._POLE_GUARD):
+    # the per-zero loop over the negative zeros of W
+    m = (np.abs(s) < tol) | (np.abs(s + 1.0) < tol)
+    n = np.round(s.real)
+    m |= (n >= 9) & (np.abs(s - n) < tol)
+    for star in bfunc._w_zero_table().w_zeros_neg:
+        j = np.round(star - s.real)
+        m |= (j >= 0) & (np.abs(s - (star - j)) < tol)
+    return m
+
+
+def test_pole_mask_matches_the_loop_over_zeros():
+    # points within 2 _POLE_GUARD of every lattice family, and of the
+    # non-poles next to them (n < 9, star + 1)
+    rng = np.random.default_rng(5)
+    stars = bfunc._w_zero_table().w_zeros_neg
+    centres = ([0.0, -1.0, 1.0, 8.0] + list(range(9, 16))
+               + [z - j for z in stars for j in range(-1, 5)])
+    tol = bfunc._POLE_GUARD
+    s = np.concatenate([
+        c + 2.0 * tol * rng.uniform(0.0, 1.0, 40)
+        * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 40))
+        for c in centres])
+    mask = bfunc._near_b_pole_mask(s)
+    assert np.array_equal(mask, _pole_mask_by_loop(s))
+    assert 0.1 < mask.mean() < 0.9
+    grid = s.reshape(len(centres), 40)
+    assert np.array_equal(bfunc._near_b_pole_mask(grid),
+                          _pole_mask_by_loop(grid))
+
+
 def test_strip_domain_error(ev):
     with pytest.raises(ValueError):
         ev.eval_B_strip(2.5)
@@ -328,6 +359,25 @@ def test_request_inside_the_lattice_samples_no_w(monkeypatch):
     ev.eval_B_many(np.array([1.0 + 30j, 0.6 - 3j, 0.9 + 58j]))
     ev.line_interpolator(1.0, 10.0, 30.0)
     assert calls == []
+
+
+def test_walk_evaluates_w_once_per_walk_argument(monkeypatch):
+    ev = BEvaluator()
+    # k = 2 (two walk arguments) and k = -3 (three); none collides
+    s = np.array([3.3 + 1j, 3.4 - 7j, 2.9 + 20j, -1.6 + 2j, -1.8 - 4j])
+    first = ev.eval_B_many(s)
+    calls = []
+    real_w = bfunc.eval_W
+
+    def spy(z):
+        calls.append(np.size(z))
+        return real_w(z)
+
+    monkeypatch.setattr(bfunc, "eval_W", spy)
+    # the strip values now come from the point cache
+    assert np.array_equal(ev.eval_B_many(s), first)
+    # k = -3 first: three arguments of two points, then two of three
+    assert calls == [2, 2, 2, 3, 3]
 
 
 @pytest.mark.parametrize("a_shape, k_shape, real", [

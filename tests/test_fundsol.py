@@ -23,6 +23,8 @@ from wavekin.errors import ConvergenceError
 from wavekin.fundsol import (
     LambdaQuery,
     _C_DT,
+    _adaptive_panels,
+    _core_mass,
     _h_casc,
     _ledger,
     _line_assembly,
@@ -116,6 +118,15 @@ def test_array_call_equals_scalar_calls(ev, kind, t, c, with_zero):
     scalar = [line(x) for x in q]
     assert np.array_equal(vals, [v for v, _ in scalar])
     assert np.array_equal(errs, [e for _, e in scalar])
+
+
+def test_batches_of_a_long_call_change_no_value(ev, monkeypatch):
+    line = _line_assembly(ev, 0.7, 1.0, "u")
+    q = np.linspace(-9.0, 9.0, 2 * fundsol._Q_BATCH + 37)
+    vals, errs = line(q)
+    monkeypatch.setattr(fundsol, "_Q_BATCH", q.size)
+    whole = line(q)
+    assert np.array_equal(vals, whole[0]) and np.array_equal(errs, whole[1])
 
 
 @pytest.mark.parametrize("t", [0.3, 2.0])
@@ -249,6 +260,111 @@ def test_delta_pairing_across_the_core_returns(ev):
     val = delta_pairing(0.3, fundsol.TestFunction.bump(0.5, 3.0),
                         evaluator=ev)
     assert math.isfinite(val) and val > 0.0
+
+
+@pytest.mark.parametrize("lo, hi", [(1.2, 2.5), (0.62, 1.9)])
+def test_delta_pairing_matches_quad(ev, lo, hi):
+    # scalar Lambda points under quad in tau = log x, split at x = 1; the
+    # core |x-1| < exp(-40) adds its near-one mass as in delta_pairing
+    t, rel_tol = 1.5, 1e-7
+    phi = fundsol.TestFunction.bump(lo, hi)
+
+    def g(tau):
+        x = math.exp(tau)
+        return eval_lambda(LambdaQuery(t, x), ev) * phi(x) * x
+
+    cuts = [math.log(lo), math.log(hi)]
+    ref = 0.0
+    if lo < 1.0 < hi:
+        cuts.insert(1, 0.0)
+        ref += float(phi(1.0)) * _core_mass(t, ev)
+    ref += sum(scipy.integrate.quad(g, a, b, epsabs=0.0, epsrel=1e-11,
+                                    limit=200)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+    val = delta_pairing(t, phi, rel_tol=rel_tol, evaluator=ev)
+    assert abs(val - ref) <= rel_tol * abs(ref)
+
+
+def _count_line_calls(monkeypatch):
+    calls = []
+    real_call = fundsol._LineAssembly.__call__
+
+    def spy(self, q):
+        calls.append(np.size(q))
+        return real_call(self, q)
+
+    monkeypatch.setattr(fundsol._LineAssembly, "__call__", spy)
+    return calls
+
+
+def test_delta_pairing_takes_one_line_call_per_sweep(ev, monkeypatch):
+    # 58 intervals across the core ladder, one panel sweep each call
+    phi = fundsol.TestFunction.bump(0.5, 3.0)
+    _line_assembly(ev, 1.5, 1.0, "u")
+    calls = _count_line_calls(monkeypatch)
+    delta_pairing(1.5, phi, evaluator=ev)
+    assert len(calls) <= 8
+
+
+def test_l1_norm_takes_one_line_call_per_sweep(ev, monkeypatch):
+    _line_assembly(ev, 1.0, 1.0, "u")
+    calls = _count_line_calls(monkeypatch)
+    l1_norm_lambda(1.0, evaluator=ev)
+    assert len(calls) <= 50
+
+
+def _jumpy(x):
+    # smooth, oscillating, and a jump at 1/3, which no bisection of [0, 1]
+    # puts on a panel edge
+    return np.exp(-x) * np.cos(7.0 * x) + (x > 1.0 / 3.0)
+
+
+_INTERVALS = [(0.0, 1.0), (1.0, 2.5), (-3.0, -0.5), (2.5, 2.6), (3.0, 9.0)]
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_lockstep_panels_equal_one_interval_calls(absolute):
+    points = []
+
+    def f(x):
+        points.append(x)
+        return _jumpy(x)
+
+    def per_interval():
+        xs = np.concatenate(points)
+        counts = [int(((xs > a) & (xs < b)).sum()) for a, b in _INTERVALS]
+        n_calls = len(points)
+        points.clear()
+        return counts, n_calls
+
+    batch = _adaptive_panels(f, _INTERVALS, 1e-12, max_depth=10,
+                             absolute=absolute)
+    batch_counts, batch_calls = per_interval()
+    singles, single_calls = [], []
+    for i, iv in enumerate(_INTERVALS):
+        singles += _adaptive_panels(f, [iv], 1e-12, max_depth=10,
+                                    absolute=absolute)
+        counts, n_calls = per_interval()
+        single_calls.append(n_calls)
+        # the same points as in the batch, all inside the interval
+        assert counts == [n if j == i else 0
+                          for j, n in enumerate(batch_counts)]
+    assert batch == singles
+    # every interval's sweeps share the calls of the longest one
+    assert batch_calls == max(single_calls)
+    # the jump stops at max_depth short of the tolerance, long before the
+    # 4000-bisection cap; the smooth intervals converge
+    total, err = batch[0]
+    assert err > 1e-12 * abs(total)
+    assert batch_counts[0] < 18 * 100
+    for total, err in (batch[1], batch[3], batch[4]):
+        assert err <= 1e-12 * abs(total)
+
+
+def test_lockstep_panels_integrate():
+    vals = _adaptive_panels(np.exp, [(0.0, 1.0), (-2.0, 3.0)], 1e-12)
+    assert [v for v, _ in vals] == pytest.approx(
+        [math.e - 1.0, math.exp(3.0) - math.exp(-2.0)], rel=1e-13)
 
 
 @pytest.mark.parametrize("x", [0.8, 1.2, 1.6])
