@@ -19,7 +19,11 @@ geometric 16-point Gauss panels (``_ray_tail``), which keeps the quadrature
 non-oscillatory for any q.  One tabulation and fit (``_line_assembly``)
 serves every q: calling it with an array of q evaluates the moments, the
 phases and the ray panels of all of them at once, so profiles and integrals
-cost one call per batch of points.
+cost one call per batch of points.  In U only the power t^(-sigma) depends
+on t, so the other factors of the tabulation (B on the line, 1/B on the
+auxiliary line, loggamma on the kernel nodes) are read once per evaluator
+and line (``_line_table``); a new t costs one kernel row, one FFT
+correlation and the fits.
 
 The integrals against x (``l1_norm_lambda``, ``delta_pairing``) run
 adaptive Gauss panels in log x on that line.  One routine,
@@ -60,8 +64,11 @@ long-time decomposition
 with c1 = -Res(1/B, 3) = -1/(B(1) W(1) W'(2)) > 0.  Pushing contours across
 the residue ladders of B gives the closed small-theta and large-theta laws:
 Q1(0+) = 2 c1 Res(B, 0) and Q1 ~ (c1 B(5)/2) theta^-5, both pinned by the
-tests, Q2(t, 0+) = -6 Res(1/B, 4) Res(B, 0) t^-4, and
-Q2 ~ Res(1/B, 4) B(5) t^-4 theta^-5 = 4 t^-4 theta^-5.
+tests, and Q2 ~ Res(1/B, 4) B(5) t^-4 theta^-5 = 4 t^-4 theta^-5.  For
+Q2(t, 0+) the residue of 1/B at 4 gives only the leading term for large t,
+-6 Res(1/B, 4) Res(B, 0) t^-4: the singularities of 1/B further right add
+terms of higher order in 1/t (at t = 1.5 the law misses the value at
+theta = 1e-4 by 21 %, at t = 5 by 0.41 %).
 
 Q2 is the "q2" kind of the assembled line.  Q1, and the line integrals of
 the short-time series (``_nu_hat`` and the cascade profiles ``_h_casc``),
@@ -91,7 +98,6 @@ from wavekin.kernels import eval_H
 from wavekin.ufunc import (
     ENV_B,
     _ROUND_FLOOR,
-    _gamma_t_kernel,
     _lattice_correlate,
 )
 
@@ -172,24 +178,80 @@ def _line_B(ev, re_line, v):
     return interp(re_line + 1j * v)
 
 
-def _conv_core(ev, t, c, beta, kernels_fn):
+@dataclasses.dataclass(frozen=True)
+class _LineTable:
+    """The factors of ``_symbol_line`` that do not depend on t, on one line.
+
+    factor   B(c + i v) on the output grid; W(c - 1 + i v) for kind "ut"
+    inv_b    1/B(beta + i w) on the convolution lattice of the auxiliary line
+    z, lg    the kernel nodes z = a + i eta and loggamma(z)
+    dg       digamma(z)                          (kind "du" only)
+    b_prime  B'(c + i v) on the output grid      (kind "du" only)
+    """
+
+    factor: np.ndarray
+    inv_b: np.ndarray | None = None
+    z: np.ndarray | None = None
+    lg: np.ndarray | None = None
+    dg: np.ndarray | None = None
+    b_prime: np.ndarray | None = None
+
+
+@functools.lru_cache(maxsize=16)
+def _line_table(ev, c, kind):
+    """The ``_LineTable`` of one evaluator, abscissa and symbol kind.
+
+    B is read off the line interpolants once per evaluator and line, so a
+    new t on a seen line evaluates no B.  The arrays are shared by every
+    caller and read-only.  Kind "su" reads the "u" table, and kind "ut"
+    holds W alone and reads the "u" table at c - 1.
+    """
+    v = _H_V * np.arange(_NV)
+    if kind == "ut":
+        arrays = {"factor": eval_W((c - 1.0) + 1j * v)}
+    elif kind in ("u", "du", "q2"):
+        if kind == "q2":
+            beta, a = _BETA2, _BETA2 - c
+        else:
+            beta, a = c + _B_OFF, _B_OFF
+        reach = _K_HALF * _H_W
+        w = -reach + _H_W * np.arange(2 * _K_HALF + 2 * (_NV - 1) + 1)
+        z = a + 1j * (_H_W * np.arange(-_K_HALF, _K_HALF + 1))
+        arrays = {"factor": _line_B(ev, c, v),
+                  "inv_b": 1.0 / _line_B(ev, beta, w),
+                  "z": z, "lg": loggamma(z)}
+        if kind == "du":
+            # B' on the line by a 4th-order stencil on the interpolant
+            h = 1e-3
+            interp = ev.line_interpolator(c, -0.2, _V_CUT + 0.2)
+
+            def bb(dv):
+                return interp(c + 1j * (v + dv))
+
+            db_dv = (8.0 * (bb(h) - bb(-h))
+                     - (bb(2 * h) - bb(-2 * h))) / (12 * h)
+            arrays.update(dg=digamma(z), b_prime=-1j * db_dv)
+    else:
+        raise ValueError(f"unknown symbol kind {kind!r}")
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return _LineTable(**arrays)
+
+
+def _conv_core(inv_b, kernels):
     """h/(2 pi) * sum_w K_r(w - v) / B(beta + i w) on the output grid.
 
-    kernels_fn(eta) returns the stack K_r(eta), which must decay below
-    ~1e-15 of its peak at |eta| = reach; each row is then a plain
+    inv_b holds 1/B on the lattice of the auxiliary line (``_line_table``)
+    and kernels the stack K_r(eta) on the kernel nodes; each K_r must decay
+    below ~1e-15 of its peak at |eta| = reach.  Each row is then a plain
     trapezoid of the sigma-line integral of the U representation, exact
     to the analyticity width of 1/B around the beta-line
     (super-exponentially small error at _H_W).  The lattice step is _H_W
     and every second lattice node is an output node; all rows share one
     batched FFT correlation (``ufunc._lattice_correlate``).
     """
-    reach = _K_HALF * _H_W
-    n_w = 2 * _K_HALF + 2 * (_NV - 1) + 1
-    w = -reach + _H_W * np.arange(n_w)
-    inv_b = 1.0 / _line_B(ev, beta, w)
-    eta = _H_W * np.arange(-_K_HALF, _K_HALF + 1)
     return (_H_W / (2.0 * math.pi)) * _lattice_correlate(
-        inv_b, kernels_fn(eta), 2, _NV)
+        inv_b, kernels, 2, _NV)
 
 
 def _symbol_line(ev, t, c, kind):
@@ -201,41 +263,24 @@ def _symbol_line(ev, t, c, kind):
     kind "ut"  Sym = W(s-1) U(t, s-1)     (the time derivative symbol)
     kind "q2"  Sym = U_rem(t, s), the remainder of U after removing the
                residue at the first zero of B (auxiliary line at _BETA2)
+
+    Only the power t^(-sigma) depends on t: B, 1/B, loggamma and the other
+    factors are read from ``_line_table``, once per evaluator and line, and
+    a new t costs one kernel row and one FFT correlation.
     """
-    v = _H_V * np.arange(_NV)
-    if kind == "ut":
-        g1 = _symbol_line(ev, t, c - 1.0, "u")
-        return eval_W((c - 1.0) + 1j * v) * g1
     if kind == "su":
+        v = _H_V * np.arange(_NV)
         return (c + 1j * v) * _symbol_line(ev, t, c, "u")
-
-    if kind == "q2":
-        beta, a = _BETA2, _BETA2 - c
-    else:
-        beta, a = c + _B_OFF, _B_OFF
-    b_line = _line_B(ev, c, v)
-
-    if kind in ("u", "q2"):
-        return b_line * _conv_core(
-            ev, t, c, beta, lambda eta: _gamma_t_kernel(a, t, eta))[0]
-
+    tab = _line_table(ev, c, kind)
+    if kind == "ut":
+        return tab.factor * _symbol_line(ev, t, c - 1.0, "u")
+    # Gamma(z) t^(-z), the expression of ufunc._gamma_t_kernel
+    k = np.exp(tab.lg - tab.z * math.log(t))
     if kind == "du":
-        def kernels(eta):
-            k = _gamma_t_kernel(a, t, eta)
-            return np.stack([k, (math.log(t) - digamma(a + 1j * eta)) * k])
-
-        core, core2 = _conv_core(ev, t, c, beta, kernels)
-        # B'/B on the line by a 4th-order stencil on the interpolant
-        h = 1e-3
-        interp = ev.line_interpolator(c, -0.2, _V_CUT + 0.2)
-
-        def bb(dv):
-            return interp(c + 1j * (v + dv))
-
-        db_dv = (8.0 * (bb(h) - bb(-h)) - (bb(2 * h) - bb(-2 * h))) / (12 * h)
-        b_prime = -1j * db_dv
-        return b_prime * core + b_line * core2
-    raise ValueError(f"unknown symbol kind {kind!r}")
+        core, core2 = _conv_core(
+            tab.inv_b, np.stack([k, (math.log(t) - tab.dg) * k]))
+        return tab.b_prime * core + tab.factor * core2
+    return tab.factor * _conv_core(tab.inv_b, k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +705,10 @@ def _q2_with_error(t, theta, ev):
 def eval_Q2(t, theta, evaluator=None):
     """Remainder of the long-time decomposition at theta = x/t.
 
-    Q2(t, 0+) -> c2_line t^-4 with c2_line = -6 Res(1/B, 4) Res(B, 0) < 0,
-    and Q2 ~ 4 t^-4 theta^-5 for large theta.  The remainder line sits at
-    Re sigma = 7/2, so absolute convergence needs t > 1.
+    Q2(t, 0+) ~ c2_line t^-4 with c2_line = -6 Res(1/B, 4) Res(B, 0) < 0,
+    the leading term for large t, and Q2 ~ 4 t^-4 theta^-5 for large
+    theta.  The remainder line sits at Re sigma = 7/2, so absolute
+    convergence needs t > 1.
     """
     if not t > 1.0:
         raise RegimeError(f"remainder line needs t > 1; t={t}")

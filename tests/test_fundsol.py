@@ -4,11 +4,14 @@ The direct line is checked against independent routes: the log-regularized
 line (dU/ds), the long-time decomposition Q1/Q2, the near-one exponent
 2t - 1, the Mellin mass sqrt(2 pi) U(t, 1) = int Lambda dx, and finite
 differences of Lambda itself.  One array call of an assembled line must
-give exactly what scalar calls give.  The tabulated Mellin--Barnes lines of
-the asymptotic routes are checked against adaptive vertical quadrature and
-an independent trapezoid rule, both on B at scattered points.
+give exactly what scalar calls give, and an assembly at a new t, which reads
+B from the line table of an earlier t, exactly what a cold build gives.
+The tabulated Mellin--Barnes lines of the asymptotic routes are checked
+against adaptive vertical quadrature and an independent trapezoid rule,
+both on B at scattered points.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,8 +19,8 @@ import pytest
 import scipy.integrate
 from scipy.special import loggamma
 
-from wavekin import fundsol
-from wavekin.bfunc import default_evaluator
+from wavekin import bfunc, fundsol
+from wavekin.bfunc import BEvaluator, default_evaluator
 from wavekin.contour import ContourSpec, TailModel, integrate_vertical
 from wavekin.errors import ConvergenceError
 from wavekin.fundsol import (
@@ -28,6 +31,7 @@ from wavekin.fundsol import (
     _h_casc,
     _ledger,
     _line_assembly,
+    _line_table,
     _mb_line,
     _nu_hat,
     _q1_with_error,
@@ -41,6 +45,7 @@ from wavekin.fundsol import (
     eval_lambda_series,
     eval_lambda_with_error,
     eval_Q1,
+    eval_Q2,
     l1_norm_lambda,
     radial_profile,
     transport_apply,
@@ -93,6 +98,15 @@ def test_direct_agrees_with_large_t_asymptotic(ev):
     val, _ = _lam(3.0, 2.0, "direct", ev)
     ref, _ = _lam(3.0, 2.0, "large_t_asymptotic", ev)
     assert abs(val - ref) < 5e-10
+
+
+@pytest.mark.parametrize("t, x", [(1.5, 0.5), (1.5, 4.0), (3.0, 0.3),
+                                  (3.0, 8.0), (5.0, 2.0), (5.0, 12.0),
+                                  (2.0, 1.0)])
+def test_direct_agrees_with_large_t_asymptotic_within_errors(ev, t, x):
+    val, err = _lam(t, x, "direct", ev)
+    ref, ref_err = _lam(t, x, "large_t_asymptotic", ev)
+    assert abs(val - ref) <= err + ref_err
 
 
 # ---------------- array evaluation of the line ----------------
@@ -242,6 +256,17 @@ def test_q1_large_theta_law(ev, theta):
     # Q1 ~ (c1 B(5)/2) theta^-5, the residue of Gamma(3 - s) at s = 5
     limit = _ledger(ev).c1.real * ev.eval_B(5.0).real / 2.0
     assert abs(theta ** 5 * eval_Q1(theta, ev) / limit - 1.0) <= 2.0 / theta
+
+
+def test_q2_small_theta_law_is_its_large_t_term(ev):
+    # Q2(t, 0+) t^4 -> -6 Res(1/B, 4) Res(B, 0) only as t grows: at
+    # theta = 1e-4 the miss is 21 % at t = 1.5 and 0.41 % at t = 5
+    led = _ledger(ev)
+    law = -6.0 * (led.rho4 * led.resB0).real
+    miss = [abs(t ** 4 * eval_Q2(t, 1e-4, ev) / law - 1.0)
+            for t in (1.5, 3.0, 5.0)]
+    assert miss[0] > miss[1] > miss[2]
+    assert miss[2] < 1e-2
 
 
 # ---------------- integrals ----------------
@@ -443,10 +468,61 @@ class _FlatLedger:
     (_mb_line, lambda ev: _mb_line(ev, "nu", 8.5, 9)),
     (_series_constants, _series_constants),
     (_ledger, _ledger),
-], ids=["line_assembly", "nu_hat", "series_constants", "ledger"])
+    (_line_table, lambda ev: _line_table(ev, 1.0, "u")),
+], ids=["line_assembly", "nu_hat", "series_constants", "ledger",
+        "line_table"])
 def test_fresh_evaluator_recomputes(cached, call):
     first = call(_FlatB())
     misses = cached.cache_info().misses
     second = call(_FlatB())
     assert second is not first
     assert cached.cache_info().misses == misses + 1
+
+
+_KINDS = [("u", 1.0), ("du", 1.0), ("q2", 1.0), ("su", 1.0), ("ut", _C_DT)]
+
+
+def test_new_t_reads_no_b(monkeypatch):
+    ev = BEvaluator()
+    for kind, c in _KINDS:
+        _line_assembly(ev, 0.9, c, kind)
+    lines = list(ev._lines)
+    calls = []
+    real_call = bfunc.BLineInterpolator.__call__
+
+    def spy(self, s):
+        calls.append(np.size(s))
+        return real_call(self, s)
+
+    monkeypatch.setattr(bfunc.BLineInterpolator, "__call__", spy)
+    for kind, c in _KINDS:
+        _line_assembly(ev, 1.7, c, kind)
+    assert calls == []
+    assert list(ev._lines) == lines
+
+
+@pytest.mark.parametrize("kind, c", _KINDS)
+def test_warm_line_equals_a_cold_one(ev, kind, c):
+    # __wrapped__ skips the assembly cache, so the warm side reads a table
+    # built at another t, and the cold side builds its own
+    fundsol._symbol_line(ev, 0.45, c, kind)
+    q = np.linspace(-6.0, 6.0, 31)
+    for t in (0.3, 1.0, 2.2):
+        warm = _line_assembly.__wrapped__(ev, t, c, kind)
+        misses = _line_table.cache_info().misses
+        cold = _line_assembly.__wrapped__(BEvaluator(), t, c, kind)
+        assert _line_table.cache_info().misses > misses
+        for f in ("coeffs", "mids", "model_a", "fit_resid", "err_window"):
+            assert np.array_equal(getattr(warm, f), getattr(cold, f))
+        assert all(np.array_equal(a, b) for a, b in zip(warm(q), cold(q)))
+
+
+def test_line_table_is_read_only_and_per_evaluator(ev):
+    tab = _line_table(ev, 1.0, "du")
+    for f in dataclasses.fields(tab):
+        with pytest.raises(ValueError):
+            getattr(tab, f.name)[0] = 0.0
+    other = _line_table(BEvaluator(), 1.0, "du")
+    assert other is not tab
+    assert not np.shares_memory(other.inv_b, tab.inv_b)
+    assert np.array_equal(other.inv_b, tab.inv_b)
