@@ -71,8 +71,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import os
-import struct
 
 import numpy as np
 import scipy.fft
@@ -111,6 +109,39 @@ _POINT_CACHE = 2 ** 15   # strip points one evaluator keeps (oldest go first)
 # |B(x+1+iT)| / |B(x+iT)| = |W(x+iT)| ~ 2 log T, so no single constant can
 # hold the bounds over the full open strip at large |Im s|.)
 _B_SCALE = 7.37
+
+
+def memo(maxsize, key=None):
+    """Memoize ``fn(ev, *args)`` in an LRU map that the evaluator ev owns.
+
+    The map lives in ``ev._memo`` under fn, so it is freed with the
+    evaluator and keeps no evaluator alive.  It is keyed on ``key(*args)``
+    (the arguments themselves by default) and keeps the maxsize most
+    recently used entries; a hit renews its entry.  fn never returns None.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def cached(ev, *args):
+            k = args if key is None else key(*args)
+            store = ev._memo.get(fn)
+            if store is None:
+                store = ev._memo[fn] = collections.OrderedDict()
+            val = store.get(k)
+            if val is None:
+                val = store[k] = fn(ev, *args)
+                if len(store) > maxsize:
+                    store.popitem(last=False)
+            else:
+                store.move_to_end(k)
+            return val
+        return cached
+    return decorate
+
+
+def _line_key(re_line, im_lo, im_hi):
+    # a line window snaps outward to the 2.0 lattice: 2 * key[1], 2 * key[2]
+    return (round(re_line * 1e12), math.floor(im_lo / 2.0),
+            math.ceil(im_hi / 2.0))
 
 
 class BranchError(WavekinError):
@@ -348,31 +379,29 @@ class BLineInterpolator:
 
 
 class BEvaluator:
-    """Evaluator for B with a quantized-point cache.
+    """Evaluator for B, ``BEvaluator(beta=0.3)``.
 
     ``beta`` is the reference abscissa.  Per-call lines use beta or
     beta + 1/2 depending on where Re s falls in the strip, keeping a margin
     of at least 1/4 from the kernel poles; the centered counterterm makes the
     value independent of that choice.
 
-    The evaluator owns its caches: one strip lattice per (line, step), the
-    gauge offsets, the _LINE_CACHE most recently used line interpolants,
-    and the point cache, which keeps the _POINT_CACHE most recently added
-    strip values and drops the oldest first.
+    The evaluator owns all of its caches, which are freed with it: one
+    strip lattice per (line, step), the gauge offsets, the point cache
+    ``cache``, keyed on (Re s, Im s) to 1e-12, which keeps the _POINT_CACHE
+    most recently added strip values, and the ``memo`` maps: the
+    _LINE_CACHE most recently used line interpolants, and fundsol's line
+    tables, assemblies, Mellin-Barnes lines, ledger and series constants.
     """
 
-    def __init__(self, beta=0.3, cache=None, cache_path=None):
+    def __init__(self, beta=0.3):
         if not 0.2 <= beta <= 0.45:
             raise ValueError("reference beta must sit in [0.2, 0.45]")
         self.beta = beta
-        self.cache = {} if cache is None else cache
-        self.cache_path = cache_path
+        self.cache = {}       # quantized (re, im) -> strip value, oldest first
         self._gauge = {}      # beta_used -> F-offset onto the canonical line
         self._lattices = {}   # (beta, h) -> _StripLattice
-        # (re, lo-lattice, hi-lattice) -> interpolator, least recent first
-        self._lines = collections.OrderedDict()
-        if cache_path and os.path.exists(cache_path):
-            self.load_cache(cache_path)
+        self._memo = {}       # memoized function -> its LRU map (see memo)
 
     # ---------------- strip representation ----------------
 
@@ -550,14 +579,10 @@ class BEvaluator:
         out = np.empty(s_arr.shape, dtype=complex)
         key_re = np.round(s_arr.real * 1e12).astype(np.int64)
         key_im = np.round(s_arr.imag * 1e12).astype(np.int64)
-        key_b = round(self.beta * 1e12)
-        key_tol = _REL_TOL
         todo = []
-        keys = []
+        keys = list(zip(key_re.tolist(), key_im.tolist()))
         cache_get = self.cache.get
-        for i in range(s_arr.size):
-            key = (int(key_re[i]), int(key_im[i]), key_b, key_tol)
-            keys.append(key)
+        for i, key in enumerate(keys):
             hit = cache_get(key)
             if hit is None:
                 todo.append(i)
@@ -653,6 +678,7 @@ class BEvaluator:
                 out[idx[i]] = self._cauchy_fallback(grp[i])
         return out
 
+    @memo(_LINE_CACHE, key=_line_key)
     def line_interpolator(self, re_line, im_lo, im_hi):
         """Cached Chebyshev interpolant of B on the line Re s = re_line.
 
@@ -661,18 +687,8 @@ class BEvaluator:
         used ones: queries at scattered s open a new window almost every
         time, and an unbounded cache would grow with every query.
         """
-        lo = math.floor(im_lo / 2.0) * 2.0
-        hi = math.ceil(im_hi / 2.0) * 2.0
-        key = (round(re_line * 1e12), round(lo), round(hi))
-        interp = self._lines.get(key)
-        if interp is None:
-            interp = BLineInterpolator(self, re_line, lo, hi)
-            self._lines[key] = interp
-            if len(self._lines) > _LINE_CACHE:
-                self._lines.popitem(last=False)
-        else:
-            self._lines.move_to_end(key)
-        return interp
+        _, lo, hi = _line_key(re_line, im_lo, im_hi)
+        return BLineInterpolator(self, re_line, 2.0 * lo, 2.0 * hi)
 
     @staticmethod
     def _w_collision(arg):
@@ -816,26 +832,6 @@ class BEvaluator:
         return ResidueLedger(
             rho4=rho4, resB0=resB0, c1=c1, c2=c2, c3=c3, P=tuple(P), Q=Q
         )
-
-    # ---------------- cache persistence ----------------
-
-    def save_cache(self, path):
-        """Flat little-endian records (re, im, beta, tol, val_re, val_im)."""
-        with open(path, "wb") as fh:
-            for (re_q, im_q, beta_q, tol), val in sorted(self.cache.items()):
-                fh.write(struct.pack(
-                    "<6d", re_q * 1e-12, im_q * 1e-12, beta_q * 1e-12, tol,
-                    val.real, val.imag,
-                ))
-
-    def load_cache(self, path):
-        rec = struct.calcsize("<6d")
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        for off in range(0, len(blob) - rec + 1, rec):
-            re, im, beta, tol, vr, vi = struct.unpack_from("<6d", blob, off)
-            key = (round(re * 1e12), round(im * 1e12), round(beta * 1e12), tol)
-            self.cache[key] = complex(vr, vi)
 
 
 _DEFAULT = None

@@ -21,9 +21,10 @@ serves every q: calling it with an array of q evaluates the moments, the
 phases and the ray panels of all of them at once, so profiles and integrals
 cost one call per batch of points.  In U only the power t^(-sigma) depends
 on t, so the other factors of the tabulation (B on the line, 1/B on the
-auxiliary line, loggamma on the kernel nodes) are read once per evaluator
-and line (``_line_table``); a new t costs one kernel row, one FFT
-correlation and the fits.
+auxiliary line, loggamma on the kernel nodes) are tabulated once per line
+(``_line_table``); a new t costs one kernel row, one FFT correlation and
+the fits.  Every cache here is a bounded ``bfunc.memo`` map kept inside
+the evaluator, so it is freed with the evaluator and keeps none alive.
 
 The integrals against x (``l1_norm_lambda``, ``delta_pairing``) run
 adaptive Gauss panels in log x on that line.  One routine,
@@ -82,14 +83,13 @@ against e^(-sL) then gives the value at every theta or t.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import digamma, jv, loggamma
 
-from wavekin.bfunc import default_evaluator
+from wavekin.bfunc import default_evaluator, memo
 from wavekin.complexfn import eval_W, locate_W_roots
 # unused here; perfbench's tracer wraps the name fundsol.integrate_vertical
 from wavekin.contour import integrate_vertical  # noqa: F401
@@ -197,7 +197,7 @@ class _LineTable:
     b_prime: np.ndarray | None = None
 
 
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def _line_table(ev, c, kind):
     """The ``_LineTable`` of one evaluator, abscissa and symbol kind.
 
@@ -419,7 +419,7 @@ class _LineAssembly:
         return scale * (win - 1j * ray).real, scale * err
 
 
-@functools.lru_cache(maxsize=48)
+@memo(48)
 def _line_assembly(ev, t, c, kind):
     g = _symbol_line(ev, t, c, kind)
     idx = 10 * np.arange(_N_PANEL)[:, None] + np.arange(11)[None, :]
@@ -640,7 +640,7 @@ class _MBLine:
             f"Mellin-Barnes line at Re s = {self.c} stalled at step {h}")
 
 
-@functools.lru_cache(maxsize=32)
+@memo(32)
 def _mb_line(ev, kind, c, a):
     """The tabulated line of one kind on Re s = c; B is read off the
     evaluator's line interpolant, using B(conj s) = conj B(s).
@@ -676,7 +676,7 @@ def _mb_line(ev, kind, c, a):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
+@memo(1)
 def _ledger(ev):
     """The evaluator's residue ledger, computed once per evaluator."""
     return ev.derived_constants()
@@ -724,10 +724,9 @@ def eval_Q2(t, theta, evaluator=None):
 
 
 class _SeriesConstants:
-    """Residues of B and 1/B feeding the short-time series (lazy, cached)."""
+    """Residues of B and 1/B feeding the short-time series."""
 
     def __init__(self, ev):
-        self.ev = ev
         self.res_b = {0: complex(ev.residue_B(0.0)).real,
                       -1: complex(ev.residue_B(-1.0)).real}
         for m in range(9, 13):
@@ -756,19 +755,17 @@ class _SeriesConstants:
         led = _ledger(ev)
         self.rho[3] = -led.c1.real
         self.rho[4] = led.rho4.real
-        self.b_cache = {}
-
-    def B(self, k):
-        val = self.b_cache.get(k)
-        if val is None:
-            val = complex(self.ev.eval_B(float(k))).real
-            self.b_cache[k] = val
-        return val
 
 
-@functools.lru_cache(maxsize=8)
+@memo(1)
 def _series_constants(ev):
     return _SeriesConstants(ev)
+
+
+@memo(32)
+def _b_at(ev, k):
+    """B at the integer k, real there; the series reads fewer than 32."""
+    return complex(ev.eval_B(float(k))).real
 
 
 def _nu_hat(m, t, ev):
@@ -795,23 +792,23 @@ def _h_casc(z, theta, ev):
     return _mb_line(ev, "casc", -0.5, z)(-math.log(theta))
 
 
-def _series_g_plus(k, x, sc):
+def _series_g_plus(k, x, sc, ev):
     """G_k for x > 1: the zero families of B at 3 and 4, pushed right.
 
     The pole ladder of B at m >= 9 is handled exactly by ``_nu_hat`` and
     must not reappear here.
     """
-    return -(sc.rho.get(3) * sc.B(3 + k) * x ** -3
-             + sc.rho.get(4) * sc.B(4 + k) * x ** -4)
+    return -(sc.rho.get(3) * _b_at(ev, 3 + k) * x ** -3
+             + sc.rho.get(4) * _b_at(ev, 4 + k) * x ** -4)
 
 
-def _series_g_minus(k, x, sc):
+def _series_g_minus(k, x, sc, ev):
     """G_k for x < 1 (contour pushed left)."""
-    out = sc.res_b[-1] * x ** (k + 1) / sc.B(-k - 1)
+    out = sc.res_b[-1] * x ** (k + 1) / _b_at(ev, -k - 1)
     if k >= 2:  # for k = 1 the factor 1/B(-1) vanishes at the pole of B
-        out += sc.res_b[0] * x ** k / sc.B(-k)
+        out += sc.res_b[0] * x ** k / _b_at(ev, -k)
     for n in range(6, k + 6):
-        out += sc.rho[-n] * sc.B(k - n) * x ** n
+        out += sc.rho[-n] * _b_at(ev, k - n) * x ** n
     return out
 
 
@@ -837,8 +834,8 @@ def _series_with_error(t, x, n_terms, ev):
     first = 0.0
     last = 0.0
     for k in range(1, n_terms + 1):
-        gk = (_series_g_plus(k, x, sc) if x > 1.0
-              else _series_g_minus(k, x, sc))
+        gk = (_series_g_plus(k, x, sc, ev) if x > 1.0
+              else _series_g_minus(k, x, sc, ev))
         term = (-1.0) ** k / math.factorial(k) * theta ** (-k) * gk
         if k == 1:
             first = abs(term)
@@ -862,13 +859,13 @@ def _series_with_error(t, x, n_terms, ev):
             total -= rho_z * x ** (-z) * h
             quad_err += abs(rho_z) * x ** (-z) * h_err
         if n_terms < 4:
-            gk1 = _series_g_plus(n_terms + 1, x, sc)
+            gk1 = _series_g_plus(n_terms + 1, x, sc, ev)
             k_err = abs(gk1) * theta ** -(n_terms + 1) / math.factorial(
                 n_terms + 1)
         else:
             # at order 5 the family at 4 meets the pole of B at 9, so only
             # the family at 3 contributes a clean next term
-            k_err = (abs(sc.rho[3] * sc.B(8)) * x ** -3 * theta ** -5
+            k_err = (abs(sc.rho[3] * _b_at(ev, 8)) * x ** -3 * theta ** -5
                      / 120.0)
         # families beyond the contour cut at Re s = 12.8: the first of
         # them measures ~ 0.4 x^-13 against line-integral references
@@ -878,7 +875,7 @@ def _series_with_error(t, x, n_terms, ev):
         # -5; those families are not resummed and bound the error (the
         # coefficient is calibrated against line-integral references)
         if n_terms < 4:
-            gk1 = _series_g_minus(n_terms + 1, x, sc)
+            gk1 = _series_g_minus(n_terms + 1, x, sc, ev)
             k_err = abs(gk1) * theta ** -(n_terms + 1) / math.factorial(
                 n_terms + 1)
         else:

@@ -9,8 +9,6 @@ identities are gauge-free.
 """
 
 import math
-import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -248,16 +246,16 @@ def test_query_on_a_lattice_node(monkeypatch, re_line):
     assert set(steps) == {0.025}
 
 
-def test_line_cache_keeps_the_most_recently_used(monkeypatch):
-    monkeypatch.setattr(bfunc, "_LINE_CACHE", 3)
+def test_line_cache_keeps_the_most_recently_used():
     ev = BEvaluator()
-    first, second, _ = [ev.line_interpolator(1.0, lo, lo + 2.0)
-                        for lo in (0.0, 2.0, 4.0)]
-    assert ev.line_interpolator(1.0, 0.0, 2.0) is first   # a hit renews it
-    ev.line_interpolator(1.0, 6.0, 8.0)                   # evicts [2, 4]
-    assert len(ev._lines) == 3
-    assert ev.line_interpolator(1.0, 0.0, 2.0) is first
-    assert ev.line_interpolator(1.0, 2.0, 4.0) is not second
+    lines = [ev.line_interpolator(1.0, lo, lo + 2.0)
+             for lo in 2.0 * np.arange(bfunc._LINE_CACHE)]
+    # a window snaps outward to the 2.0 lattice, and a hit renews it
+    assert ev.line_interpolator(1.0, 0.3, 1.7) is lines[0]
+    ev.line_interpolator(1.0, -2.0, 0.0)                  # evicts [2, 4]
+    assert ev.line_interpolator(1.0, 0.0, 2.0) is lines[0]
+    assert ev.line_interpolator(1.0, 4.0, 6.0) is lines[2]
+    assert ev.line_interpolator(1.0, 2.0, 4.0) is not lines[1]
 
 
 @pytest.mark.parametrize("arg, match", [
@@ -501,22 +499,6 @@ def test_point_cache_evicts_the_oldest(monkeypatch):
     again = ev.eval_B_many(first[:1])             # recomputed and re-added
     assert len(ev.cache) == 5 and list(ev.cache)[-1] == old_keys[0]
     assert again[0] == BEvaluator().eval_B(first[0])
-
-
-def test_cache_file_round_trip():
-    ev = BEvaluator()
-    pts = np.array([1.0 + 0.0j, 1.3 + 4.0j, 0.7 - 2.0j])
-    vals = ev.eval_B_many(pts)
-    fd, path = tempfile.mkstemp()
-    os.close(fd)
-    try:
-        ev.save_cache(path)
-        assert os.path.getsize(path) % 48 == 0   # 6 little-endian doubles
-        fresh = BEvaluator(cache_path=path)
-        again = fresh.eval_B_many(pts)
-        assert np.array_equal(vals, again)       # byte-identical reuse
-    finally:
-        os.remove(path)
 
 
 def test_default_evaluator_singleton():

@@ -12,7 +12,10 @@ both on B at scattered points.
 """
 
 import dataclasses
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -437,25 +440,36 @@ def test_green_kernel_scaling_covariance(ev):
 
 
 class _FlatB:
-    """Just enough of BEvaluator for the cached helpers, with B = 1."""
+    """Just enough of BEvaluator for the cached helpers, with B = 1.
+
+    ``calls`` counts the calls that reach it, that is the cache misses.
+    """
+
+    def __init__(self):
+        self._memo = {}
+        self.calls = 0
+
+    def _count(self, val):
+        self.calls += 1
+        return val
 
     def line_interpolator(self, re_line, im_lo, im_hi):
-        return np.ones_like
+        return self._count(np.ones_like)
 
     def eval_B_many(self, s):
-        return np.ones_like(s)
+        return self._count(np.ones_like(s))
 
     def eval_B(self, s):
-        return 1.0
+        return self._count(1.0)
 
     def residue_B(self, s):
-        return 1.0
+        return self._count(1.0)
 
     def residue_inv_B(self, s, radius=None):
-        return 1.0
+        return self._count(1.0)
 
     def derived_constants(self):
-        return _FlatLedger()
+        return self._count(_FlatLedger())
 
 
 class _FlatLedger:
@@ -463,30 +477,49 @@ class _FlatLedger:
     rho4 = 1.0
 
 
-@pytest.mark.parametrize("cached, call", [
-    (_line_assembly, lambda ev: _line_assembly(ev, 0.8, 1.0, "u")),
-    (_mb_line, lambda ev: _mb_line(ev, "nu", 8.5, 9)),
-    (_series_constants, _series_constants),
-    (_ledger, _ledger),
-    (_line_table, lambda ev: _line_table(ev, 1.0, "u")),
+@pytest.mark.parametrize("call", [
+    lambda ev: _line_assembly(ev, 0.8, 1.0, "u"),
+    lambda ev: _mb_line(ev, "nu", 8.5, 9),
+    _series_constants,
+    _ledger,
+    lambda ev: _line_table(ev, 1.0, "u"),
+    lambda ev: fundsol._b_at(ev, -3),
 ], ids=["line_assembly", "nu_hat", "series_constants", "ledger",
-        "line_table"])
-def test_fresh_evaluator_recomputes(cached, call):
-    first = call(_FlatB())
-    misses = cached.cache_info().misses
-    second = call(_FlatB())
-    assert second is not first
-    assert cached.cache_info().misses == misses + 1
+        "line_table", "b_at"])
+def test_fresh_evaluator_recomputes(call):
+    ev = _FlatB()
+    first = call(ev)
+    reads = ev.calls
+    assert reads > 0
+    assert call(ev) is first and ev.calls == reads   # a hit reads no B
+    fresh = _FlatB()
+    assert call(fresh) is not first
+    assert fresh.calls == reads
 
 
 _KINDS = [("u", 1.0), ("du", 1.0), ("q2", 1.0), ("su", 1.0), ("ut", _C_DT)]
 
 
-def test_new_t_reads_no_b(monkeypatch):
+@pytest.fixture
+def line_builds(monkeypatch):
+    """The windows of every B line interpolant built while the test runs."""
+    builds = []
+    real_init = bfunc.BLineInterpolator.__init__
+
+    def spy(self, evaluator, re_line, im_lo, im_hi):
+        builds.append((re_line, im_lo, im_hi))
+        real_init(self, evaluator, re_line, im_lo, im_hi)
+
+    monkeypatch.setattr(bfunc.BLineInterpolator, "__init__", spy)
+    return builds
+
+
+def test_new_t_reads_no_b(monkeypatch, line_builds):
     ev = BEvaluator()
     for kind, c in _KINDS:
         _line_assembly(ev, 0.9, c, kind)
-    lines = list(ev._lines)
+    assert line_builds
+    del line_builds[:]
     calls = []
     real_call = bfunc.BLineInterpolator.__call__
 
@@ -498,23 +531,62 @@ def test_new_t_reads_no_b(monkeypatch):
     for kind, c in _KINDS:
         _line_assembly(ev, 1.7, c, kind)
     assert calls == []
-    assert list(ev._lines) == lines
+    assert line_builds == []
 
 
 @pytest.mark.parametrize("kind, c", _KINDS)
-def test_warm_line_equals_a_cold_one(ev, kind, c):
-    # __wrapped__ skips the assembly cache, so the warm side reads a table
-    # built at another t, and the cold side builds its own
-    fundsol._symbol_line(ev, 0.45, c, kind)
+def test_warm_line_equals_a_cold_one(kind, c, line_builds):
+    # the warm evaluator assembles each t from the table built at t = 0.45;
+    # the cold side builds its own on a fresh evaluator
+    warm_ev = BEvaluator()
+    fundsol._symbol_line(warm_ev, 0.45, c, kind)
     q = np.linspace(-6.0, 6.0, 31)
     for t in (0.3, 1.0, 2.2):
-        warm = _line_assembly.__wrapped__(ev, t, c, kind)
-        misses = _line_table.cache_info().misses
-        cold = _line_assembly.__wrapped__(BEvaluator(), t, c, kind)
-        assert _line_table.cache_info().misses > misses
+        n = len(line_builds)
+        warm = _line_assembly(warm_ev, t, c, kind)
+        assert len(line_builds) == n
+        cold = _line_assembly(BEvaluator(), t, c, kind)
+        assert len(line_builds) > n
         for f in ("coeffs", "mids", "model_a", "fit_resid", "err_window"):
             assert np.array_equal(getattr(warm, f), getattr(cold, f))
         assert all(np.array_equal(a, b) for a, b in zip(warm(q), cold(q)))
+
+
+def _touch_every_cached_kind(ev):
+    for kind, c in _KINDS:                  # tables, assemblies, B lines
+        _line_assembly(ev, 0.9, c, kind)
+    eval_Q1(2.0, evaluator=ev)              # the ledger and the q1 line
+    eval_lambda_series(0.2, 3.0, evaluator=ev)   # series constants, B at
+    # integers, the nu and casc lines
+
+
+def test_a_dropped_evaluator_is_freed():
+    ev = BEvaluator()
+    _touch_every_cached_kind(ev)
+    # line interpolants, tables, assemblies, MB lines, ledger, series
+    # constants and B at integers each hold entries
+    assert len(ev._memo) == 7
+    ref = weakref.ref(ev)
+    del ev
+    gc.collect()
+    assert ref() is None
+
+
+def test_dropped_evaluators_hold_no_memory():
+    _line_assembly(BEvaluator(), 0.8, 1.0, "u")   # warm the module tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            ev = BEvaluator()
+            _line_assembly(ev, 0.8, 1.0, "u")
+            del ev
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 1e6
 
 
 def test_line_table_is_read_only_and_per_evaluator(ev):
