@@ -55,15 +55,22 @@ Two bookkeeping subtleties, both measured and pinned by tests:
 
 * Outside the strip, B is continued by walking the functional equation.  A
   walk factor may land on a pole or zero of W even when B itself is finite
-  there (the flagship case: B(5) = 4 B'(4), a W-pole times a B-zero); such
-  collisions fall back to a Cauchy-circle average of B, whose nodes walk
-  cleanly.
+  there (the flagship case: B(5) = 4 B'(4), a W-pole times a B-zero).  On
+  the real axis the ladder (``BEvaluator.laurent``) takes each such factor
+  by its leading term, W' at a zero of W and Res W at a pole, and so gives
+  the order and leading coefficient of B exactly: every residue and
+  integer value the Lambda routes read comes from it.  Elsewhere a
+  collision falls back to a Cauchy-circle average of B, whose nodes walk
+  cleanly; that circle, residue_B and residue_inv_B are the oracles the
+  tests hold the ladder to.
 
-Pole set of B (measured; the first few confirmed numerically): 0 and -1, the
-integers >= 9, and the descending ladders sigma*_n - j (j >= 0) below each
-negative zero of W.  (4n+1 for n >= 2 seeds the integer ladder; 5 is *not* a
-pole.)  Zeros: 3 and 4, the integers <= -6, and the ladders sigma_n + j
-(j >= 1) above each positive zero of W.
+The poles and zeros of B on the real axis follow from the ladder, as the
+W-poles and W-zeros its walk crosses.  Poles: 0 and -1, the integers m >= 9
+(of order floor((m - 1)/4) - 1: simple at 9..12, double at 13..16), and the
+descending ladders sigma*_n - j (j >= 0) below each negative zero of W; 5 is
+*not* a pole.  Zeros: 3 and 4, the integers m <= -6 (of order
+floor((-m - 2)/4): simple at -6..-9), and the ladders sigma_n + j (j >= 1)
+above each positive zero of W.
 """
 
 import collections
@@ -75,7 +82,7 @@ import math
 import numpy as np
 import scipy.fft
 
-from wavekin.complexfn import eval_W, eval_W_prime, locate_W_roots
+from wavekin.complexfn import eval_W, eval_W_prime, locate_W_roots, w_residue
 from wavekin.contour import integrate_circle
 from wavekin.errors import ConvergenceError, PoleError, WavekinError
 
@@ -95,6 +102,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 _WALK_LO = 0.55          # base window Re in [_WALK_LO, _WALK_LO + 1)
 _POLE_GUARD = 1e-6
 _COLLIDE_TOL = 1e-6
+_LADDER_TOL = 1e-9       # a ladder factor this close to a W zero/pole is on it
 _PANEL_W = 0.25          # eval_B_prime_strip's Gauss panel width
 _MARGIN = 6.5            # g+/g- windows: both decay below 2e-18 beyond
 _GAUGE_BETA = 0.3        # canonical line: all other lines splice onto it
@@ -173,6 +181,7 @@ class ResidueLedger:
 
 @functools.lru_cache(maxsize=1)
 def _w_zero_table():
+    """The real zeros and poles of W that B's pole guards and ladder read."""
     return locate_W_roots(5)
 
 
@@ -741,7 +750,11 @@ class BEvaluator:
     # ---------------- residues and constants ----------------
 
     def residue_inv_B(self, sigma, radius=0.3):
-        """Res(1/B, sigma) by circle quadrature (0 where 1/B is analytic)."""
+        """Res(1/B, sigma) by circle quadrature (0 where 1/B is analytic).
+
+        The independent oracle for the ladder (``laurent``), which the
+        Lambda routes read; it also serves points off the real axis.
+        """
         sigma = complex(sigma)
         # no zero or pole of B may sit on or inside the circle except sigma
         lattice = [complex(0.0), complex(-1.0), complex(3.0), complex(4.0)]
@@ -768,7 +781,8 @@ class BEvaluator:
         return complex(r.value)
 
     def residue_B(self, sigma, radius=0.3):
-        """Res(B, sigma) by circle quadrature (for the poles at 0, -1)."""
+        """Res(B, sigma) by circle quadrature: the independent oracle for
+        the ladder (``laurent``), which the Lambda routes read."""
         r = integrate_circle(self.eval_B_many, complex(sigma), radius, n_min=32)
         return complex(r.value)
 
@@ -813,21 +827,71 @@ class BEvaluator:
         dF = -2.0 * np.pi * np.sum(logw * (kp * kp - kp) * wt)
         return complex(dF * self.eval_B(s))
 
+    def laurent(self, s):
+        """(m, c) with B(s + e) = c e^m + O(e^(m+1)) at the real point s.
+
+        The functional-equation ladder: s walks to b = s - k in the walk
+        window, where B is analytic and nonzero, and B(s) is B(b) times the
+        factors -W(b + j), 0 <= j < k (divided by the factors k <= j < 0
+        when k < 0).  Each factor contributes its leading term: -W(x) where
+        W is regular, -W'(x) e at a zero of W (0, 2, sigma_n, sigma*_n;
+        order +1) and -Res(W, x) / e at a pole (4n, -2(2n+1); order -1,
+        the residue from ``w_residue``).  A factor within _LADDER_TOL of a
+        zero or pole sits on it.  So every real residue of B and of 1/B,
+        and B where the walk collides, come from one strip value and W
+        alone, with no circle of B; at a regular point c is eval_B(s).
+        The factors must stay within the poles that bound _w_zero_table.
+        """
+        s = float(s)
+        k = math.floor(s - _WALK_LO)
+        base = s - k
+        x = base + np.arange(min(k, 0), max(k, 0))
+        table = _w_zero_table()
+        if x.size and not (table.w_poles_neg[-1] <= x.min()
+                           and x.max() <= table.w_poles_pos[-1]):
+            raise ValueError(f"the ladder from s = {s} leaves the W table")
+        zeros = np.array(table.trivial_zeros + table.w_zeros_pos
+                         + table.w_zeros_neg)
+        poles = np.array(table.w_poles_pos + table.w_poles_neg)
+        zero = zeros[np.abs(x[:, None] - zeros).argmin(axis=1)]
+        pole = poles[np.abs(x[:, None] - poles).argmin(axis=1)]
+        on_zero = np.abs(x - zero) < _LADDER_TOL
+        on_pole = np.abs(x - pole) < _LADDER_TOL
+        regular = ~(on_zero | on_pole)
+        lead = np.empty(x.size, dtype=complex)
+        if on_zero.any():
+            lead[on_zero] = eval_W_prime(zero[on_zero])
+        if regular.any():
+            lead[regular] = eval_W(x[regular])
+        for i in np.nonzero(on_pole)[0]:
+            lead[i] = w_residue(float(pole[i]))
+        factors = 1.0 + 0j
+        for w in lead:
+            factors = factors * -w if k > 0 else factors / -w
+        order = int(on_zero.sum() - on_pole.sum())
+        return (order if k > 0 else -order), self.eval_B(base) * factors
+
     def derived_constants(self):
-        """The residue ledger feeding the long-time asymptotics of Lambda."""
+        """The residue ledger feeding the long-time asymptotics of Lambda.
+
+        Read off the ladder (``laurent``): B has a simple zero at 4, a
+        simple pole at 0, and is finite at 5 (a W-pole times a B-zero) and
+        at -2..-5 (W-zeros against W-poles).
+        """
         b1 = self.eval_B(1.0)
         w1 = complex(eval_W(1.0))
         wp2 = complex(eval_W_prime(2.0))
         wp0 = complex(eval_W_prime(0.0))
-        rho4 = self.residue_inv_B(4.0)
-        b5 = self.eval_B(5.0)          # finite: W-pole times B-zero collision
-        resB0 = self.residue_B(0.0)
+        rho4 = 1.0 / self.laurent(4.0)[1]
+        b5 = self.laurent(5.0)[1]
+        resB0 = self.laurent(0.0)[1]
         c1 = -1.0 / (b1 * w1 * wp2)
         c2 = -6.0 * rho4 * b1 / (SQRT_2PI * wp0)
         c3 = rho4 * b5 / SQRT_2PI
         P = [0.0 + 0j, 0.0 + 0j]
         for n in range(2, 6):
-            P.append((-1.0) ** n / (math.factorial(n) * self.eval_B(-float(n))))
+            P.append((-1.0) ** n
+                     / (math.factorial(n) * self.laurent(-float(n))[1]))
         Q = tuple(-n * p for n, p in enumerate(P))
         return ResidueLedger(
             rho4=rho4, resB0=resB0, c1=c1, c2=c2, c3=c3, P=tuple(P), Q=Q

@@ -6,7 +6,7 @@ is the symbol of the linearized collision operator in Mellin variables.  This
 module evaluates W and its first three derivatives anywhere in the plane
 (including the removable double points s = -4m where the psi and cot poles
 cancel, which take the reflection form in psi(1 - s/2) and tan(pi s/4)),
-measures its residues, and brackets its real zeros.
+measures its residues, and finds its real zeros.
 
 The polygamma engine is hand-rolled (recurrence shift to Re z >= 12 plus the
 Bernoulli asymptotic series): it must be uniformly accurate on vertical lines
@@ -22,8 +22,8 @@ import math
 import numpy as np
 import scipy.special
 
-from wavekin.contour import find_root_real, integrate_circle
-from wavekin.errors import PoleError
+from wavekin.contour import integrate_circle
+from wavekin.errors import NoSignChangeError, PoleError
 
 __all__ = [
     "PoleZeroTable",
@@ -328,31 +328,61 @@ class PoleZeroTable:
                 raise ValueError(f"negative zero {root} outside bracket for n={n}")
 
 
-def _w_real(x):
-    return float(eval_W(complex(x, 0.0)).real)
+_BISECT_WIDTH = 1e-6   # brackets bisected to this width, then Newton
+_NEWTON_STEPS = 6
+
+
+def _bracketed_zeros(lo, hi):
+    """The zero of W in each bracket (lo[i], hi[i]), all brackets together.
+
+    Every step halves all brackets with one array ``eval_W`` call, until
+    each is narrower than _BISECT_WIDTH; Newton steps on ``eval_W_prime``
+    then take the midpoints to rounding level (W is simple there, so each
+    step squares the error).  Raises NoSignChangeError if W has the same
+    sign at both ends of some bracket.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f_ends = eval_W(np.concatenate([lo, hi])).real
+    f_lo, f_hi = f_ends[:lo.size], f_ends[lo.size:]
+    same = (f_lo > 0) == (f_hi > 0)
+    if same.any():
+        i = np.argmax(same)
+        raise NoSignChangeError(
+            f"W({lo[i]}) = {f_lo[i]:.6g} and W({hi[i]}) = {f_hi[i]:.6g} "
+            f"have the same sign")
+    while (hi - lo).max() > _BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        f_mid = eval_W(mid).real
+        right = (f_mid > 0) == (f_lo > 0)     # the zero lies in (mid, hi)
+        lo, f_lo = np.where(right, mid, lo), np.where(right, f_mid, f_lo)
+        hi = np.where(right, hi, mid)
+    x = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        step = eval_W(x).real / eval_W_prime(x).real
+        x = x - step
+        if (np.abs(step) <= 4.0 * np.finfo(float).eps * np.abs(x)).all():
+            break
+    return x
 
 
 def locate_W_roots(n_max):
-    """Bracket and bisect the real zeros sigma_n and sigma*_n, n = 1..n_max.
+    """The real zeros sigma_n and sigma*_n of W, n = 1..n_max.
 
-    Brackets (4(n+1)-1, 4(n+1)) and (-2(2n+1), -2(2n+1)+1) come with the pole
-    endpoint pulled in by 1e-6 so W is evaluable; refinement to 1e-10.
+    Brackets (4(n+1)-1, 4(n+1)) and (-2(2n+1), -2(2n+1)+1), with the pole
+    endpoint pulled in by 1e-6 so W is evaluable, are bisected together
+    and Newton-polished to rounding level (``_bracketed_zeros``).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    zeros_pos = tuple(
-        find_root_real(_w_real, 4 * (n + 1) - 1, 4 * (n + 1) - 1e-6, 1e-10)
-        for n in range(1, n_max + 1)
-    )
-    zeros_neg = tuple(
-        find_root_real(_w_real, -2 * (2 * n + 1) + 1e-6, -2 * (2 * n + 1) + 1.0, 1e-10)
-        for n in range(1, n_max + 1)
-    )
+    n = np.arange(1, n_max + 1)
+    zeros = _bracketed_zeros(
+        np.concatenate([4.0 * (n + 1) - 1.0, -2.0 * (2 * n + 1) + 1e-6]),
+        np.concatenate([4.0 * (n + 1) - 1e-6, -2.0 * (2 * n + 1) + 1.0]))
     return PoleZeroTable(
         w_poles_pos=tuple(4.0 * n for n in range(1, n_max + 2)),
         w_poles_neg=tuple(-2.0 * (2 * n + 1) for n in range(0, n_max + 1)),
-        w_zeros_pos=zeros_pos,
-        w_zeros_neg=zeros_neg,
+        w_zeros_pos=tuple(zeros[:n_max].tolist()),
+        w_zeros_neg=tuple(zeros[n_max:].tolist()),
     )
 
 

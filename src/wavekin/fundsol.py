@@ -89,11 +89,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import digamma, jv, loggamma
 
-from wavekin.bfunc import default_evaluator, memo
-from wavekin.complexfn import eval_W, locate_W_roots
+from wavekin.bfunc import _w_zero_table, default_evaluator, memo
+from wavekin.complexfn import eval_W
 # unused here; perfbench's tracer wraps the name fundsol.integrate_vertical
 from wavekin.contour import integrate_vertical  # noqa: F401
-from wavekin.errors import ConvergenceError, RegimeError, TruncationError
+from wavekin.errors import (ConvergenceError, PoleError, RegimeError,
+                            TruncationError)
 from wavekin.kernels import eval_H
 from wavekin.ufunc import (
     ENV_B,
@@ -724,30 +725,28 @@ def eval_Q2(t, theta, evaluator=None):
 
 
 class _SeriesConstants:
-    """Residues of B and 1/B feeding the short-time series."""
+    """Residues of B and 1/B feeding the short-time series.
+
+    All are read off the functional-equation ladder (``ev.laurent``): B
+    has simple poles at 0, -1 and 9..12, so Res(B, m) is the leading
+    coefficient there, and simple zeros at -6..-9 and at the cascade
+    points, so Res(1/B, z) is its inverse.
+    """
 
     def __init__(self, ev):
-        self.res_b = {0: complex(ev.residue_B(0.0)).real,
-                      -1: complex(ev.residue_B(-1.0)).real}
-        for m in range(9, 13):
-            self.res_b[m] = complex(ev.residue_B(float(m))).real
-        self.rho = {}
+        self.res_b = {m: ev.laurent(float(m))[1].real
+                      for m in (0, -1, 9, 10, 11, 12)}
         # G_k of order k <= 4 reads the zeros of B at -6 .. -9
-        for n in range(6, 10):
-            # the resonance ladder puts a zero of 1/B at about -n - 0.0457,
-            # so the residue circle must stay well inside that gap
-            self.rho[-n] = complex(
-                ev.residue_inv_B(-float(n), radius=0.02)).real
+        self.rho = {-n: (1.0 / ev.laurent(-float(n))[1]).real
+                    for n in range(6, 10)}
         # zeros of B between the first pole at 9 and the contour cut at
         # 12.8: each root sigma of W seeds the ladder sigma + 1 + j
         self.casc = []
-        for sig in locate_W_roots(2).w_zeros_pos:
+        for sig in _w_zero_table().w_zeros_pos:
             z = sig + 1.0
             while z + 0.5 < 12.8:
                 if z > 8.0:
-                    rho_z = complex(
-                        ev.residue_inv_B(z, radius=0.02)).real
-                    self.casc.append((z, rho_z))
+                    self.casc.append((z, (1.0 / ev.laurent(z)[1]).real))
                 z += 1.0
         self.casc.sort()
         # rho(3), rho(4) without re-measuring: rho4 from the ledger, and
@@ -764,8 +763,12 @@ def _series_constants(ev):
 
 @memo(32)
 def _b_at(ev, k):
-    """B at the integer k, real there; the series reads fewer than 32."""
-    return complex(ev.eval_B(float(k))).real
+    """B at the integer k, real there, off the ladder: exactly 0 at a zero
+    of B, PoleError at a pole; the series reads fewer than 32."""
+    order, coef = ev.laurent(float(k))
+    if order < 0:
+        raise PoleError(f"B has a pole at s = {k}")
+    return coef.real if order == 0 else 0.0
 
 
 def _nu_hat(m, t, ev):

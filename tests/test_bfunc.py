@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from wavekin import bfunc, ufunc
+from wavekin import bfunc, fundsol, ufunc
 from wavekin.bfunc import (
     BEvaluator,
     BLineInterpolator,
@@ -466,6 +466,105 @@ def test_c3_ratio_identity(ev):
     led = ev.derived_constants()
     assert led.c3 / led.rho4 == pytest.approx(
         ev.eval_B(5.0) / SQRT_2PI, rel=1e-10)
+
+
+# ---------------- the functional-equation ladder ----------------
+
+
+# Both routes multiply up to 11 values of W, which carries up to 1.8e-14
+# relative rounding next to its poles and zeros (W(8.0457...) against 40
+# digits); the circles do not count that in their reported error.
+_W_ROUNDING = 1e-13
+
+
+def _oracle(monkeypatch, call):
+    """An oracle's value and the error its outermost circle reported."""
+    circles = []
+    real = bfunc.integrate_circle
+
+    def spy(*args, **kwargs):
+        circles.append(real(*args, **kwargs))
+        return circles[-1]
+
+    monkeypatch.setattr(bfunc, "integrate_circle", spy)
+    return call(), circles[-1].error_estimate
+
+
+def _cascade_points():
+    # the zeros sigma + 1 + j of B that the short-time series crosses
+    return [sig + 1.0 + j for sig in bfunc._w_zero_table().w_zeros_pos
+            for j in range(6) if 8.0 < sig + 1.0 + j < 12.3]
+
+
+def test_series_reads_the_six_cascade_points(ev):
+    casc = fundsol._series_constants(ev).casc
+    assert [z for z, _ in casc] == sorted(_cascade_points())
+    assert len(casc) == 6
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, 9.0, 10.0, 11.0, 12.0])
+def test_ladder_residue_of_b_matches_its_circle(ev, monkeypatch, s):
+    circle, err = _oracle(monkeypatch, lambda: ev.residue_B(s))
+    order, coef = ev.laurent(s)
+    assert order == -1
+    assert abs(coef - circle) <= err + _W_ROUNDING * abs(circle)
+
+
+@pytest.mark.parametrize("s, radius", [
+    (3.0, 0.3), (4.0, 0.3), (-6.0, 0.02), (-7.0, 0.02), (-8.0, 0.02),
+    (-9.0, 0.02)] + [(z, 0.02) for z in _cascade_points()])
+def test_ladder_residue_of_inv_b_matches_its_circle(ev, monkeypatch, s,
+                                                     radius):
+    circle, err = _oracle(monkeypatch,
+                          lambda: ev.residue_inv_B(s, radius=radius))
+    order, coef = ev.laurent(s)
+    assert order == 1
+    assert abs(1.0 / coef - circle) <= err + _W_ROUNDING * abs(circle)
+
+
+@pytest.mark.parametrize("k", [-5, -4, -3, -2, 5, 6, 7, 8])
+def test_ladder_value_matches_the_walk_fallback(monkeypatch, k):
+    # every walk to these integers collides with a zero or pole of W, so
+    # eval_B takes its Cauchy-circle fallback
+    ev = BEvaluator()
+    walked, err = _oracle(monkeypatch, lambda: ev.eval_B(float(k)))
+    order, coef = ev.laurent(float(k))
+    assert order == 0
+    assert abs(coef - walked) <= err + _W_ROUNDING * abs(walked)
+
+
+def test_ladder_zero_at_4_is_exact(ev):
+    assert ev.laurent(4.0)[0] == 1
+    assert fundsol._b_at(ev, 4) == 0.0
+    assert fundsol._b_at(ev, 3) == 0.0
+    with pytest.raises(PoleError):
+        fundsol._b_at(ev, 9)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 2.5, -0.5, 3.3, 6.7, -3.5, -4.2])
+def test_ladder_at_a_regular_point_is_eval_b(ev, s):
+    assert ev.laurent(s) == (0, ev.eval_B(s))
+
+
+def test_ladder_orders_follow_the_pole_and_zero_set(ev):
+    star = bfunc._w_zero_table().w_zeros_neg[0]
+    for s in (0.0, -1.0, 9.0, 12.0, star, star - 2.0):
+        assert ev.laurent(s)[0] == -1, s
+    # the walk to 13 crosses the W-poles at 4, 8 and 12 and one W-zero
+    assert ev.laurent(13.0)[0] == -2
+    for s in (3.0, 4.0, -6.0, -9.0):
+        assert ev.laurent(s)[0] == 1, s
+    # and the walk down to -10 divides by the W-poles at -10, -6 and -2
+    assert ev.laurent(-10.0)[0] == 2
+    for s in (1.0, 2.0, 5.0, 8.0, -2.0, -5.0):
+        assert ev.laurent(s)[0] == 0, s
+
+
+def test_ladder_stays_inside_the_w_table(ev):
+    with pytest.raises(ValueError):
+        ev.laurent(30.0)
+    with pytest.raises(ValueError):
+        ev.laurent(-30.0)
 
 
 # ---------------- batching and cache ----------------

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from wavekin import complexfn
 from wavekin.complexfn import (
     EULER,
     asymptote_check,
@@ -21,7 +22,7 @@ from wavekin.complexfn import (
     trigamma,
     w_residue,
 )
-from wavekin.contour import find_root_real, integrate_circle
+from wavekin.contour import integrate_circle
 from wavekin.errors import NoSignChangeError, PoleError
 
 PI = math.pi
@@ -284,15 +285,30 @@ class TestRootsAndResidues:
         assert table.w_poles_pos == (4.0, 8.0, 12.0)
         assert table.w_poles_neg == (-2.0, -6.0, -10.0)
         # mpmath: 7.0457345795777610482, 11.213060715517199944
-        assert abs(table.w_zeros_pos[0] - 7.0457345795777610) < 1e-9
-        assert abs(table.w_zeros_pos[1] - 11.2130607155172) < 1e-9
-        assert abs(table.w_zeros_neg[0] - (-5.0457345795777610)) < 1e-9
-        assert abs(table.w_zeros_neg[1] - (-9.2130607155172)) < 1e-9
+        assert abs(table.w_zeros_pos[0] - 7.0457345795777610482) < 1e-13
+        assert abs(table.w_zeros_pos[1] - 11.213060715517199944) < 1e-13
+        assert abs(table.w_zeros_neg[0] - (-5.0457345795777610482)) < 1e-13
+        assert abs(table.w_zeros_neg[1] - (-9.213060715517199944)) < 1e-13
 
     def test_roots_are_roots(self):
-        table = locate_W_roots(2)
+        # Newton-polished: one more Newton step moves none by 2 ulps
+        table = locate_W_roots(5)
         for root in table.w_zeros_pos + table.w_zeros_neg:
-            assert abs(eval_W(root)) <= 1e-9, f"root={root}"
+            step = complex(eval_W(root) / eval_W_prime(root))
+            assert abs(step) <= 2.0 * abs(np.spacing(root)), f"root={root}"
+
+    def test_roots_take_one_w_call_per_step(self, monkeypatch):
+        calls = []
+        real = complexfn.eval_W
+
+        def spy(s):
+            calls.append(np.size(s))
+            return real(s)
+
+        monkeypatch.setattr(complexfn, "eval_W", spy)
+        locate_W_roots(5)
+        assert len(calls) <= 60
+        assert set(calls) == {10, 20}     # all ten brackets in every call
 
     def test_reflection_pairs_zeros(self):
         table = locate_W_roots(2)
@@ -300,9 +316,10 @@ class TestRootsAndResidues:
             assert abs(sn - (2.0 - sp)) < 1e-9
 
     def test_no_zero_in_minus2_minus1(self):
-        """W > 0 on the whole of (-2,0): the bracket (-2,-1) has no root."""
+        """W > 0 on the whole of (-2,0): the bracket (-2,-1) has no root,
+        and the batch refuses it next to the good bracket about sigma_1."""
         with pytest.raises(NoSignChangeError):
-            find_root_real(lambda x: float(eval_W(x).real), -1.999, -1.0, 1e-10)
+            complexfn._bracketed_zeros([7.0, -1.999], [7.5, -1.0])
 
     def test_residues_measured(self):
         """Moduli 4 at s=4 and s=-2; the measured signs are -4 and +4."""

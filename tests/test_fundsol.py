@@ -456,17 +456,8 @@ class _FlatB:
     def line_interpolator(self, re_line, im_lo, im_hi):
         return self._count(np.ones_like)
 
-    def eval_B_many(self, s):
-        return self._count(np.ones_like(s))
-
-    def eval_B(self, s):
-        return self._count(1.0)
-
-    def residue_B(self, s):
-        return self._count(1.0)
-
-    def residue_inv_B(self, s, radius=None):
-        return self._count(1.0)
+    def laurent(self, s):
+        return self._count((0, 1.0 + 0j))     # B = 1: order 0 everywhere
 
     def derived_constants(self):
         return self._count(_FlatLedger())
@@ -495,6 +486,23 @@ def test_fresh_evaluator_recomputes(call):
     fresh = _FlatB()
     assert call(fresh) is not first
     assert fresh.calls == reads
+
+
+def test_residues_and_integer_values_draw_no_circle(monkeypatch):
+    # the ladder reads them off strip values and W alone; bfunc's circles
+    # (residue_B, residue_inv_B, the walk's collision fallback) are oracles
+    circles = []
+    monkeypatch.setattr(bfunc, "integrate_circle",
+                        lambda *args, **kwargs: circles.append(args))
+    ev = BEvaluator()
+    fundsol._ledger(ev)
+    fundsol._series_constants(ev)
+    for k in (-5, -4, -3, -2, 4, 5, 6, 7, 8):   # all the series reads
+        fundsol._b_at(ev, k)
+    for n_terms in (1, 2, 3, 4):
+        fundsol._series_with_error(0.3, 0.6, n_terms, ev)
+        fundsol._series_with_error(0.2, 3.0, n_terms, ev)
+    assert circles == []
 
 
 _KINDS = [("u", 1.0), ("du", 1.0), ("q2", 1.0), ("su", 1.0), ("ut", _C_DT)]
