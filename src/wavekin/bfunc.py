@@ -62,7 +62,8 @@ Two bookkeeping subtleties, both measured and pinned by tests:
   integer value the Lambda routes read comes from it.  Elsewhere a
   collision falls back to a Cauchy-circle average of B, whose nodes walk
   cleanly; that circle, residue_B and residue_inv_B are the oracles the
-  tests hold the ladder to.
+  tests hold the ladder to.  Left of the W table's last pole (-22) the
+  guards know none of B's poles, and a collision raises PoleError.
 
 The poles and zeros of B on the real axis follow from the ladder, as the
 W-poles and W-zeros its walk crosses.  Poles: 0 and -1, the integers m >= 9
@@ -185,16 +186,17 @@ def _w_zero_table():
     return locate_W_roots(5)
 
 
-def _near_b_pole_mask(s, tol=_POLE_GUARD):
-    """Mask of points within tol of the known pole lattice of B."""
+def _near_b_pole_mask(s):
+    """Mask of points within _POLE_GUARD of the known pole lattice of B."""
     s = np.asarray(s, dtype=complex)
-    m = (np.abs(s) < tol) | (np.abs(s + 1.0) < tol)
+    m = (np.abs(s) < _POLE_GUARD) | (np.abs(s + 1.0) < _POLE_GUARD)
     n = np.round(s.real)
-    m |= (n >= 9) & (np.abs(s - n) < tol)
+    m |= (n >= 9) & (np.abs(s - n) < _POLE_GUARD)
     # the ladders star - j, j >= 0, below each negative zero of W
     stars = np.array(_w_zero_table().w_zeros_neg)
     j = np.round(stars - s.real[..., None])
-    m |= ((j >= 0) & (np.abs(s[..., None] - (stars - j)) < tol)).any(axis=-1)
+    m |= ((j >= 0) & (np.abs(s[..., None] - (stars - j))
+                      < _POLE_GUARD)).any(axis=-1)
     return m
 
 
@@ -650,7 +652,8 @@ class BEvaluator:
         Each point is moved by an integer k into the base window
         [_WALK_LO, _WALK_LO + 1); ``strip(idx, base)`` returns B at the
         base points base = flat[idx] - k of one k.  Points whose walk
-        factor lands on a pole or zero of W take the circle fallback.
+        factor lands on a pole or zero of W take the circle fallback; left
+        of the W table's last pole they raise PoleError.
         """
         near = _near_b_pole_mask(flat)
         if near.any():
@@ -684,6 +687,10 @@ class BEvaluator:
                 out[idx[clean]] = (strip(idx[clean], base[clean])
                                    * factors[clean])
             for i in np.nonzero(collided)[0]:
+                if grp[i].real < _w_zero_table().w_poles_neg[-1]:
+                    raise PoleError(
+                        f"the walk from s = {grp[i]} meets a zero or pole "
+                        f"of W beyond the tabulated ones")
                 out[idx[i]] = self._cauchy_fallback(grp[i])
         return out
 
@@ -716,17 +723,18 @@ class BEvaluator:
             w[~bad] = eval_W(arg[~bad])
         return bad | (np.abs(w) < _COLLIDE_TOL), w
 
-    def _cauchy_fallback(self, s, radius=0.3):
+    def _cauchy_fallback(self, s):
         """Circle average of B around s when the direct walk collides.
 
-        The radius shrinks to stay clear of the nearest true singularity of
-        B (e.g. B(-5) sits 0.0457 from the pole ladder head sigma*_1 - 0).
+        The radius, 0.3, shrinks to stay clear of the nearest true
+        singularity of B (e.g. B(-5) sits 0.0457 from the pole ladder head
+        sigma*_1 - 0).
         """
         d_min = min(
-            (abs(z0 - s) for z0 in self._singular_points_near(s, radius + 1.0)),
+            (abs(z0 - s) for z0 in self._singular_points_near(s, 1.3)),
             default=np.inf,
         )
-        radius = min(radius, 0.6 * d_min)
+        radius = min(0.3, 0.6 * d_min)
         if not radius >= 0.01:
             raise PoleError(
                 f"cannot average B around {s}: singularity within {d_min:.4f}"
@@ -780,20 +788,20 @@ class BEvaluator:
         )
         return complex(r.value)
 
-    def residue_B(self, sigma, radius=0.3):
-        """Res(B, sigma) by circle quadrature: the independent oracle for
-        the ladder (``laurent``), which the Lambda routes read."""
-        r = integrate_circle(self.eval_B_many, complex(sigma), radius, n_min=32)
+    def residue_B(self, sigma):
+        """Res(B, sigma) by circle quadrature of radius 0.3: the independent
+        oracle for the ladder (``laurent``), which the Lambda routes read."""
+        r = integrate_circle(self.eval_B_many, complex(sigma), 0.3, n_min=32)
         return complex(r.value)
 
-    def eval_B_prime(self, s, radius=0.05):
-        """B'(s) by a Cauchy derivative circle."""
+    def eval_B_prime(self, s):
+        """B'(s) by a Cauchy derivative circle of radius 0.05 or less."""
         s = complex(s)
         d_min = min(
-            (abs(z0 - s) for z0 in self._singular_points_near(s, radius + 1.0)),
+            (abs(z0 - s) for z0 in self._singular_points_near(s, 1.05)),
             default=np.inf,
         )
-        radius = min(radius, 0.5 * d_min)
+        radius = min(0.05, 0.5 * d_min)
         if not radius >= 1e-3:
             raise PoleError(f"B'({s}): singularity within {d_min:.4f}")
         r = integrate_circle(

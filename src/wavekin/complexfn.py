@@ -6,7 +6,7 @@ is the symbol of the linearized collision operator in Mellin variables.  This
 module evaluates W and its first three derivatives anywhere in the plane
 (including the removable double points s = -4m where the psi and cot poles
 cancel, which take the reflection form in psi(1 - s/2) and tan(pi s/4)),
-measures its residues, and finds its real zeros.
+gives its residues, and finds its real zeros.
 
 The polygamma engine is hand-rolled (recurrence shift to Re z >= 12 plus the
 Bernoulli asymptotic series): it must be uniformly accurate on vertical lines
@@ -16,13 +16,13 @@ handle complex arguments.
 """
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
 import scipy.special
 
-from wavekin.contour import integrate_circle
+# unused here; perfbench's tracer wraps the name complexfn.integrate_circle
+from wavekin.contour import integrate_circle  # noqa: F401
 from wavekin.errors import NoSignChangeError, PoleError
 
 __all__ = [
@@ -304,8 +304,8 @@ def asymptote_check(s):
 class PoleZeroTable:
     """Real poles and zeros of W.
 
-    Poles: 4n (n >= 1) with measured residue -4, and -2(2n+1) (n >= 0) with
-    measured residue +4.  Points -4m are removable (the two poles cancel).
+    Poles: 4n (n >= 1) with residue -4, and -2(2n+1) (n >= 0) with residue
+    +4.  Points -4m are removable (the two poles cancel).
 
     ``w_zeros_neg`` starts at the zero in (-6,-5): the reflection symmetry
     W(2-s) = W(s) pairs each positive zero sigma_n with 2 - sigma_n, and W has
@@ -386,8 +386,15 @@ def locate_W_roots(n_max):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def w_residue(pole, radius=0.1):
-    """Residue of W at a pole, measured by circle quadrature (never assumed)."""
-    r = integrate_circle(eval_W, complex(pole), radius, n_min=64)
-    return complex(r.value)
+def w_residue(pole):
+    """Residue of W at a real pole: -4 at 4n (n >= 1), +4 at -2(2n+1).
+
+    -pi cot(pi s/4) has residue -4 at every 4n and -2 psi(s/2) residue +4
+    at every -2(2n+1); at -4m the two cancel.  PoleError off that lattice.
+    """
+    pole = float(pole)
+    if pole > 0.0 and pole % 4.0 == 0.0:
+        return complex(-4.0)
+    if pole < 0.0 and (pole + 2.0) % 4.0 == 0.0:
+        return complex(4.0)
+    raise PoleError(f"W has no pole at {pole}")

@@ -1,8 +1,8 @@
 """Adaptive quadrature on vertical lines and circles in the complex plane.
 
 This is the workhorse behind every Mellin-Barnes evaluation in the package:
-integrals along truncated vertical contours Re = c, circle integrals for
-residues and Cauchy derivatives, and bracketed bisection for real roots.
+integrals along truncated vertical contours Re = c, and circle integrals for
+residues and Cauchy derivatives.
 
 Tail behaviour beyond the truncation height is never guessed.  Callers declare
 a decay model (exponential or power law, optionally improved by a known
@@ -16,12 +16,7 @@ import math
 
 import numpy as np
 
-from wavekin.errors import (
-    BracketError,
-    ConvergenceError,
-    NoSignChangeError,
-    TailModelError,
-)
+from wavekin.errors import ConvergenceError, TailModelError
 
 __all__ = [
     "ContourSpec",
@@ -29,7 +24,6 @@ __all__ = [
     "TailModel",
     "integrate_vertical",
     "integrate_circle",
-    "find_root_real",
 ]
 
 
@@ -278,30 +272,3 @@ def integrate_circle(f, center, radius, n_min=32):
         f"{evaluations} evaluations)"
     )
 
-
-def find_root_real(f, lo, hi, tol):
-    """Bisection root of a real function on a bracket with a sign change."""
-    if not (lo < hi):
-        raise BracketError(f"invalid bracket ({lo}, {hi})")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise NoSignChangeError(
-            f"f({lo}) = {f_lo:.6g} and f({hi}) = {f_hi:.6g} have the same sign"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

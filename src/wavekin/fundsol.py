@@ -140,6 +140,10 @@ _C_DIRECT = 1.0
 _C_DT = 1.5
 
 _T_LOGREG_MAX = 0.6
+#: order of the short-time series' power ladder: at order 5 the pushed
+#: contour meets a double singularity (pole of B against a zero of B) and
+#: the power form of the terms breaks down
+_SERIES_ORDER = 4
 
 #: half-width of the core |x-1| < _U_CORE that the integrals take from the
 #: near-one law A |x-1|^(2t-1) instead of from panels
@@ -147,6 +151,7 @@ _U_CORE = math.exp(-40.0)
 #: end of the w = -log|r-1| range of ``transport_apply``: 1 -+ e^(-36)
 #: still differs from 1 in double precision
 _W_KINK = 36.0
+_TRANSPORT_TOL = 1e-9
 
 
 # equispaced nodes tau_j = -1 + j/5 and the inverse of the degree-10
@@ -517,7 +522,7 @@ def _eval_q(t, q, regime, ev):
         q2, e2 = _q2_with_error(t, theta, ev)
         return t ** -3 * q1 + q2, t ** -3 * e1 + e2
     if regime == "small_t_series":
-        return _series_with_error(t, math.exp(q), 4, ev)
+        return _series_with_error(t, math.exp(q), ev)
     raise ValueError(f"unknown regime {regime!r}")  # pragma: no cover
 
 
@@ -815,7 +820,7 @@ def _series_g_minus(k, x, sc, ev):
     return out
 
 
-def _series_with_error(t, x, n_terms, ev):
+def _series_with_error(t, x, ev):
     if not 0.0 < t < 1.0:
         raise RegimeError(f"short-time series needs 0 < t < 1; t={t}")
     theta = x / t
@@ -825,18 +830,12 @@ def _series_with_error(t, x, n_terms, ev):
         raise RegimeError(
             "the pushed-contour remainders do not vanish near x = 1; "
             f"|x-1|={abs(x - 1.0):.3g} < 0.1")
-    n_terms = int(n_terms)
-    if not 1 <= n_terms <= 4:
-        raise ValueError(
-            "n_terms must be 1..4: at order 5 the pushed contour meets a "
-            "double singularity (pole of B against a zero of B) and the "
-            "power form of the terms breaks down")
     sc = _series_constants(ev)
 
     total = 0.0
     first = 0.0
     last = 0.0
-    for k in range(1, n_terms + 1):
+    for k in range(1, _SERIES_ORDER + 1):
         gk = (_series_g_plus(k, x, sc, ev) if x > 1.0
               else _series_g_minus(k, x, sc, ev))
         term = (-1.0) ** k / math.factorial(k) * theta ** (-k) * gk
@@ -861,38 +860,28 @@ def _series_with_error(t, x, n_terms, ev):
             h, h_err = _h_casc(z, theta, ev)
             total -= rho_z * x ** (-z) * h
             quad_err += abs(rho_z) * x ** (-z) * h_err
-        if n_terms < 4:
-            gk1 = _series_g_plus(n_terms + 1, x, sc, ev)
-            k_err = abs(gk1) * theta ** -(n_terms + 1) / math.factorial(
-                n_terms + 1)
-        else:
-            # at order 5 the family at 4 meets the pole of B at 9, so only
-            # the family at 3 contributes a clean next term
-            k_err = (abs(sc.rho[3] * _b_at(ev, 8)) * x ** -3 * theta ** -5
-                     / 120.0)
+        # at order 5 the family at 4 meets the pole of B at 9, so only
+        # the family at 3 contributes a clean next term
+        k_err = (abs(sc.rho[3] * _b_at(ev, 8)) * x ** -3 * theta ** -5
+                 / 120.0)
         # families beyond the contour cut at Re s = 12.8: the first of
         # them measures ~ 0.4 x^-13 against line-integral references
         err = k_err + quad_err + 0.45 * x ** -12.8
     else:
         # the left push stops before the resonance-pole ladder of B below
         # -5; those families are not resummed and bound the error (the
-        # coefficient is calibrated against line-integral references)
-        if n_terms < 4:
-            gk1 = _series_g_minus(n_terms + 1, x, sc, ev)
-            k_err = abs(gk1) * theta ** -(n_terms + 1) / math.factorial(
-                n_terms + 1)
-        else:
-            k_err = last
-        err = k_err + 2.0 * x ** 8 * t
+        # coefficient is calibrated against line-integral references); the
+        # last term kept stands for the truncation
+        err = last + 2.0 * x ** 8 * t
     return total, err
 
 
-def eval_lambda_series(t, x, n_terms=4, evaluator=None):
+def eval_lambda_series(t, x, *, evaluator=None):
     """Short-time residue expansion of Lambda at theta = x/t > 1.
 
     For x > 1 the inverse-Mellin contour is pushed right to Re s = 12.8,
     crossing three kinds of structure: the zero families of B at 3 and 4
-    (a power ladder in theta^-1, truncated at ``n_terms``), the pole
+    (a power ladder in theta^-1, truncated at order 4), the pole
     ladder of B at m = 9..12 (resummed exactly by the ``_nu_hat`` line
     integrals), and the resonance zeros of B between 8 and 12.3 (the
     ``_h_casc`` profile terms, which decay faster than any power).  Those
@@ -906,7 +895,7 @@ def eval_lambda_series(t, x, n_terms=4, evaluator=None):
     x/t > 1 and x away from 1; see the errors raised otherwise.
     """
     ev = evaluator or default_evaluator()
-    return _series_with_error(t, x, n_terms, ev)[0]
+    return _series_with_error(t, x, ev)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -980,18 +969,18 @@ class TestFunction:
         self._dpoly = self._poly.derivative()
 
     @classmethod
-    def bump(cls, lo, hi, n=25, height=1.0):
+    def bump(cls, lo, hi):
         """The standard C^infinity bump exp(-1/(1-u^2)) scaled to [lo, hi]."""
         if not hi > lo:
             raise ValueError("need hi > lo")
-        u = np.linspace(-1.0, 1.0, int(n))
+        u = np.linspace(-1.0, 1.0, 25)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         xs = mid + half * u
         w = 1.0 - u ** 2
         inside = w > 0.0
         ui, wi = u[inside], w[inside]
         f, du, ddu = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
-        f[inside] = height * math.e * np.exp(-1.0 / wi)  # peak 1 * height
+        f[inside] = math.e * np.exp(-1.0 / wi)  # peak 1
         # log f = -1/w + const:  (log f)' = -2u/w^2,
         # (log f)'' = -2/w^2 - 8u^2/w^3
         du[inside] = -2.0 * ui / wi ** 2
@@ -1118,9 +1107,10 @@ def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
     The core |x-1| < exp(-40) takes its mass from the near-one law
     A |x-1|^(2t-1), with the amplitude A read off the direct line at the
     core edges (see ``_core_mass``); outside, adaptive panels in log x ride
-    the same line tabulation, for every t > 0.  The intervals of the two
-    ladders log(1 -+ 4^k exp(-40)) that close in on the core refine
-    together in one ``_adaptive_panels`` call, one line call per sweep.
+    the same line tabulation, for every t > 0.  The intervals of the
+    ladder log(1 -+ 4^k exp(-40)) of ``_tau_marks`` that close in on the
+    core from |x-1| = 0.4 refine together in one ``_adaptive_panels``
+    call, one line call per sweep.
     Then the x-range grows by one e-fold per call on each side until the
     outermost e-fold is negligible: Lambda tends to a constant at x = 0+
     and decays like x^-5 at infinity, so both ends close quickly.
@@ -1134,19 +1124,16 @@ def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
         return line(tau)[0] * np.exp(tau)
 
     total = abs(_core_mass(t, ev))
-    # panels in tau = log x, on ladders refined toward both sides of the
-    # core; both are summed first, so each outward stop test sees their mass
-    us = [_U_CORE]
-    while us[-1] < 0.4:
-        us.append(min(4.0 * us[-1], 0.4))
-    ladders = {sign: [math.log1p(sign * u) for u in us] for sign in (-1, 1)}
-    core = [(min(a, b), max(a, b)) for ladder in ladders.values()
-            for a, b in zip(ladder[:-1], ladder[1:])]
-    for v, _ in _adaptive_panels(f_abs, core, rel_tol, absolute=True):
+    # panels in tau = log x, on the ladder refined toward both sides of the
+    # core; it is summed first, so each outward stop test sees its mass
+    lo, hi = math.log1p(-0.4), math.log1p(0.4)
+    marks = _tau_marks(lo, hi)
+    near = [(a, b) for a, b in zip(marks[:-1], marks[1:])
+            if a != math.log1p(-_U_CORE)]
+    for v, _ in _adaptive_panels(f_abs, near, rel_tol, absolute=True):
         total += v
     # outward extension, one e-fold at a time until negligible
-    for sign, ladder in ladders.items():
-        edge = ladder[-1]
+    for sign, edge in ((-1, lo), (1, hi)):
         for _ in range(60):
             [(v, _)] = _adaptive_panels(
                 f_abs, [(min(edge, edge + sign), max(edge, edge + sign))],
@@ -1214,7 +1201,7 @@ def _tau_marks(a, b):
     return sorted(marks)
 
 
-def transport_apply(phi, x, rel_tol=1e-9):
+def transport_apply(phi, x):
     """(T phi)(x) = int_0^inf H(r) r phi'(r x) dr for a TestFunction phi.
 
     This is the adjoint of the transport side of the evolution: testing
@@ -1231,7 +1218,7 @@ def transport_apply(phi, x, rel_tol=1e-9):
         return eval_H(r) * r * phi.deriv(r * x)
 
     if not r_lo < 1.0 < r_hi:
-        return _adaptive_panels(f, [(r_lo, r_hi)], rel_tol)[0][0]
+        return _adaptive_panels(f, [(r_lo, r_hi)], _TRANSPORT_TOL)[0][0]
     # H has a log kink at r = 1.  On each side r = 1 -+ e^(-w) turns it into
     # the smooth w e^(-w), and the panels can no longer round onto r = 1;
     # the sides stop at w = _W_KINK, where the rest is below 1e-14 |phi'|.
@@ -1242,7 +1229,7 @@ def transport_apply(phi, x, rel_tol=1e-9):
             return f(1.0 + sign * e) * e
 
         total += _adaptive_panels(
-            g, [(-math.log(abs(r_end - 1.0)), _W_KINK)], rel_tol)[0][0]
+            g, [(-math.log(abs(r_end - 1.0)), _W_KINK)], _TRANSPORT_TOL)[0][0]
     return total
 
 

@@ -55,8 +55,9 @@ halves, at most three times, while they differ by more than the tolerance
 or the rounding floor 10 eps (h/2 pi) sum |terms|.  The reported error
 is the h-vs-2h difference plus the truncation tail plus that floor.
 ``eval_U``, ``eval_U_small_t`` and ``eval_dU_ds`` keep the adaptive
-``integrate_vertical``: they are the independent oracles of the lattice
-rule.
+``integrate_vertical``, through one line integral
+(``_gamma_line_integral``): they are the independent oracles of the
+lattice rule.
 """
 
 from __future__ import annotations
@@ -79,10 +80,18 @@ INV_SQRT_2PI = 1.0 / SQRT_2PI
 #: Decay scale of |U(t, s)| in s: |U| <= C * exp(-2 t log|ENV_B * s|).
 ENV_B = math.exp(EULER / 2.0) / 2.0
 
-# Default half-height of the sigma-window around Im s.  The integrand
-# carries Gamma(sigma - s) ~ e^(-pi |v - Im s| / 2), so the truncated
-# tail at 26 is ~1e-17 relative to the peak.
+# Half-height of the sigma-window around Im s.  The integrand carries
+# Gamma(sigma - s) ~ e^(-pi |v - Im s| / 2), so the truncated tail at 26
+# is ~1e-17 relative to the peak.
 _HALF_HEIGHT = 26.0
+# Relative tolerance of the adaptive oracle line integrals, and of the
+# h-vs-2h check of ``eval_U_line``.
+_ORACLE_TOL = 1e-10
+_LINE_TOL = 1e-9
+# Half-height of ``eval_V``'s window around Im s.
+_V_HALF_HEIGHT = 34.0
+# Taylor terms of U that ``laplace_inverse_U`` inverts in closed form.
+_N_SUBTRACT = 5
 # Reported-tail rate: slightly under pi/2 to stay conservative against
 # the polynomial prefactor of |Gamma| and the slow growth of 1/|B|.
 _TAIL_RATE = 0.9 * math.pi / 2.0
@@ -269,31 +278,35 @@ def _lattice_rule(ev, beta, y, kernel, n_rows, d, reach, rel_tol, abs_tol,
         f"sigma-lattice rule on Re sigma = {beta} stalled at step {h}")
 
 
-def _gamma_line_integral(t, s, beta, evaluator, rel_tol, half_height,
-                         b_abs):
+def _gamma_line_integral(t, s, beta, evaluator, b_abs, d_ds=False):
     """(1/2 i pi) * int_{Re sigma = beta} t^(-(sigma-s)) Gamma(sigma-s)/B(sigma).
 
+    With d_ds the integrand also carries the kernel [log t - psi(sigma - s)],
+    the s-derivative of log(t^(-(sigma-s)) Gamma(sigma-s)).
     Returns (value, err).  The power and the Gamma factor are combined in
     a single exponent so neither overflows on its own.  b_abs (=|B(s)|)
     sets the honest absolute tolerance: the final symbol value carries a
     B(s)/sqrt(2 pi) prefactor and lives on the scale 1/sqrt(2 pi), so an
-    integral below rel_tol * 2 pi / |B(s)| is already negligible even
+    integral below _ORACLE_TOL * 2 pi / |B(s)| is already negligible even
     when cancellation drives its own relative error up.
     """
     log_t = math.log(t)
     b_line = evaluator.line_interpolator(
-        beta, s.imag - half_height - 1.0, s.imag + half_height + 1.0
+        beta, s.imag - _HALF_HEIGHT - 1.0, s.imag + _HALF_HEIGHT + 1.0
     )
 
     def f(sigma):
         a = sigma - s
-        return np.exp(loggamma(a) - a * log_t) / b_line(sigma)
+        g = np.exp(loggamma(a) - a * log_t)
+        if d_ds:
+            g = g * (log_t - digamma(a))
+        return g / b_line(sigma)
 
     spec = ContourSpec(
         abscissa=beta,
-        half_height=half_height,
-        rel_tol=rel_tol,
-        abs_tol=rel_tol * 2.0 * np.pi / max(b_abs, 1e-300),
+        half_height=_HALF_HEIGHT,
+        rel_tol=_ORACLE_TOL,
+        abs_tol=_ORACLE_TOL * 2.0 * np.pi / max(b_abs, 1e-300),
         center=s.imag,
     )
     r = integrate_vertical(
@@ -304,8 +317,7 @@ def _gamma_line_integral(t, s, beta, evaluator, rel_tol, half_height,
     return value, err
 
 
-def eval_U(t, s, beta=None, evaluator=None, rel_tol=1e-10,
-           half_height=_HALF_HEIGHT):
+def eval_U(t, s, beta=None, evaluator=None):
     """Evaluate U(t, s) for Re s in (0, 2) via the direct line integral.
 
     t = 0 returns the exact initial value without quadrature.  beta
@@ -323,8 +335,7 @@ def eval_U(t, s, beta=None, evaluator=None, rel_tol=1e-10,
         raise ValueError(f"beta must lie in (Re s, 2), got {beta}")
     ev = evaluator if evaluator is not None else default_evaluator()
     b_s = ev.eval_B(s)
-    val, err = _gamma_line_integral(t, s, beta, ev, rel_tol, half_height,
-                                    abs(b_s))
+    val, err = _gamma_line_integral(t, s, beta, ev, abs(b_s))
     scale = abs(b_s) / SQRT_2PI
     return SymbolSample(t=float(t), s=s, value=b_s / SQRT_2PI * val,
                         err=scale * err)
@@ -353,8 +364,7 @@ def eval_U_taylor(t, s, n_terms=24):
     return complex(np.dot(c, powers)) * INV_SQRT_2PI
 
 
-def eval_U_small_t(t, s, beta_prime=None, evaluator=None, rel_tol=1e-10,
-                   half_height=_HALF_HEIGHT):
+def eval_U_small_t(t, s, beta_prime=None, evaluator=None):
     """Evaluate U(t, s) via the left-shifted line, efficient as t -> 0.
 
     The line sits at beta' in (0, Re s); the Gamma poles crossed on the
@@ -386,8 +396,7 @@ def eval_U_small_t(t, s, beta_prime=None, evaluator=None, rel_tol=1e-10,
         taylor_terms(s, n_crossed),
         np.power(complex(t), np.arange(n_crossed)),
     ))
-    val, err = _gamma_line_integral(t, s, beta_prime, ev, rel_tol,
-                                    half_height, abs(b_s))
+    val, err = _gamma_line_integral(t, s, beta_prime, ev, abs(b_s))
     scale = abs(b_s) / SQRT_2PI
     return SymbolSample(
         t=float(t), s=s,
@@ -396,57 +405,31 @@ def eval_U_small_t(t, s, beta_prime=None, evaluator=None, rel_tol=1e-10,
     )
 
 
-def eval_dU_ds(t, s, beta=None, evaluator=None, rel_tol=1e-10,
-               half_height=_HALF_HEIGHT):
+def eval_dU_ds(t, s, *, evaluator=None):
     """d/ds U(t, s), differentiating under the integral sign.
 
     The s-dependence sits in three factors: the prefactor B(s) (handled
     with a Cauchy derivative circle), the power t^(s) and Gamma(sigma-s),
     whose derivatives are closed forms and combine into the kernel
-    [log t - psi(sigma - s)].  Returns the derivative value; at t = 0 the
-    symbol is constant in s, so the derivative is exactly 0.
+    [log t - psi(sigma - s)].  Both integrals sit on eval_U's default
+    line.  Returns the derivative value; at t = 0 the symbol is constant
+    in s, so the derivative is exactly 0.
     """
     s = _validate_s(s)
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 0.0 + 0.0j
-    if beta is None:
-        beta = _default_beta(s)
-    if not s.real < beta < 2.0:
-        raise ValueError(f"beta must lie in (Re s, 2), got {beta}")
+    beta = _default_beta(s)
     ev = evaluator if evaluator is not None else default_evaluator()
     b_s = ev.eval_B(s)
     b_prime = ev.eval_B_prime(s)
-    base, _ = _gamma_line_integral(t, s, beta, ev, rel_tol, half_height,
-                                   abs(b_s))
-
-    log_t = math.log(t)
-    b_line = ev.line_interpolator(
-        beta, s.imag - half_height - 1.0, s.imag + half_height + 1.0
-    )
-
-    def f(sigma):
-        a = sigma - s
-        kern = log_t - digamma(a)
-        return np.exp(loggamma(a) - a * log_t) * kern / b_line(sigma)
-
-    spec = ContourSpec(
-        abscissa=beta,
-        half_height=half_height,
-        rel_tol=rel_tol,
-        abs_tol=rel_tol * 2.0 * np.pi / max(abs(b_s), 1e-300),
-        center=s.imag,
-    )
-    r = integrate_vertical(
-        f, spec, tail=TailModel("exp", _TAIL_RATE), osc_freq=abs(log_t)
-    )
-    inner = r.value / (2j * np.pi)
+    base, _ = _gamma_line_integral(t, s, beta, ev, abs(b_s))
+    inner, _ = _gamma_line_integral(t, s, beta, ev, abs(b_s), d_ds=True)
     return b_prime / SQRT_2PI * base + b_s / SQRT_2PI * inner
 
 
-def eval_V(z, s, beta=None, evaluator=None, rel_tol=1e-10,
-           half_height=34.0):
+def eval_V(z, s, beta=None, evaluator=None, rel_tol=1e-10):
     """Laplace transform V(z, s) of U in t, for Re z > 0, Re s in (0, 2).
 
     z may be a scalar or an array; every z shares one sigma-lattice.  The
@@ -492,15 +475,14 @@ def eval_V(z, s, beta=None, evaluator=None, rel_tol=1e-10,
     phi = np.abs(logmz.imag)
     raw, _ = _lattice_rule(
         ev, beta, np.array([s.imag]), kernel, zf.size, d=min(a, 1.0 - a),
-        reach=half_height, rel_tol=rel_tol,
+        reach=_V_HALF_HEIGHT, rel_tol=rel_tol,
         abs_tol=rel_tol / (2.0 * math.pi * max(abs(b_s), 1e-300)),
         tail_rate=0.9 * np.minimum(phi, 2.0 * math.pi - phi))
     vals = 2j * math.pi * b_s / (SQRT_2PI * zf) * raw[:, 0]
     return complex(vals[0]) if z_arr.ndim == 0 else vals.reshape(z_arr.shape)
 
 
-def laplace_inverse_U(t, s, d=None, evaluator=None, rel_tol=1e-7,
-                      n_subtract=5):
+def laplace_inverse_U(t, s, d=None, evaluator=None, rel_tol=1e-7):
     """Recover U(t, s) from V by Bromwich-line quadrature.
 
     An independent consistency oracle for eval_U: U(t, s) is the integral
@@ -510,7 +492,7 @@ def laplace_inverse_U(t, s, d=None, evaluator=None, rel_tol=1e-7,
     asserted in the tests rather than assumed here.
 
     Direct quadrature of V converges like 1/height (V ~ 1/(sqrt(2 pi) z)),
-    so the first n_subtract Taylor terms of U(., s) at t = 0 are inverted
+    so the first M = _N_SUBTRACT Taylor terms of U(., s) at t = 0 are inverted
     in closed form (z^(-m-1) <-> t^m/m!) and only the remainder is
     integrated.  With u_m(s) = prod_{j<=m} W(s-j)/sqrt(2 pi) the Taylor
     coefficients forced by the delay equation, the functional equation
@@ -535,16 +517,14 @@ def laplace_inverse_U(t, s, d=None, evaluator=None, rel_tol=1e-7,
         d = 0.8
     if not d > 0.0:
         raise ValueError(f"the line must sit in Re z > 0, got d = {d}")
-    if n_subtract < 2:
-        raise ValueError("need n_subtract >= 2 for an integrable remainder")
     ev = evaluator if evaluator is not None else default_evaluator()
     w_shift = complex(eval_W(np.array([s - 1.0]))[0])
 
-    m = np.arange(n_subtract)
-    poly = complex(np.dot(taylor_terms(s, n_subtract), t ** m)) * INV_SQRT_2PI
+    m = np.arange(_N_SUBTRACT)
+    poly = complex(np.dot(taylor_terms(s, _N_SUBTRACT), t ** m)) * INV_SQRT_2PI
     # u_k(s - 1) = k! * c_k(s - 1) / sqrt(2 pi), c_k the taylor_terms.
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, n_subtract - 1))))
-    u_shift = taylor_terms(s - 1.0, n_subtract - 1) * fact * INV_SQRT_2PI
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, _N_SUBTRACT - 1))))
+    u_shift = taylor_terms(s - 1.0, _N_SUBTRACT - 1) * fact * INV_SQRT_2PI
 
     def f(z):
         v = eval_V(z, s - 1.0, evaluator=ev, rel_tol=rel_tol * 1e-2)
@@ -555,19 +535,19 @@ def laplace_inverse_U(t, s, d=None, evaluator=None, rel_tol=1e-7,
     # leading coefficient is W(s-1) u_{M-1}(s-1); a 10x safety margin and
     # a 0.3 share of the absolute budget fix the height.
     tol_abs = rel_tol * INV_SQRT_2PI
-    u_lead = abs(w_shift) * max(abs(u_shift[-1]) * (n_subtract - 1),
+    u_lead = abs(w_shift) * max(abs(u_shift[-1]) * (_N_SUBTRACT - 1),
                                 INV_SQRT_2PI)
-    height = (10.0 * u_lead / (n_subtract * 0.3 * tol_abs)) ** (1.0 / n_subtract)
+    height = (10.0 * u_lead / (_N_SUBTRACT * 0.3 * tol_abs)) ** (1.0 / _N_SUBTRACT)
     height = min(max(height, 10.0), 220.0)
     spec = ContourSpec(abscissa=d, half_height=height, rel_tol=rel_tol,
                        abs_tol=tol_abs, center=0.0)
     r = integrate_vertical(f, spec,
-                           tail=TailModel("power", rate=n_subtract + 1.0),
+                           tail=TailModel("power", rate=_N_SUBTRACT + 1.0),
                            osc_freq=t)
     return poly + complex(r.value) / (2j * np.pi)
 
 
-def check_U_ode(t, s, dt, evaluator=None, rel_tol=1e-10):
+def check_U_ode(t, s, dt, evaluator=None):
     """Residual of the delay equation at (t, s) by central differences.
 
     Returns |(U(t+dt) - U(t-dt))/(2 dt) - W(s-1) U(t, s-1)|; needs
@@ -579,16 +559,15 @@ def check_U_ode(t, s, dt, evaluator=None, rel_tol=1e-10):
     if not t > dt > 0.0:
         raise ValueError(f"need t > dt > 0, got t = {t}, dt = {dt}")
     ev = evaluator if evaluator is not None else default_evaluator()
-    u_plus = eval_U(t + dt, s, evaluator=ev, rel_tol=rel_tol)
-    u_minus = eval_U(t - dt, s, evaluator=ev, rel_tol=rel_tol)
+    u_plus = eval_U(t + dt, s, evaluator=ev)
+    u_minus = eval_U(t - dt, s, evaluator=ev)
     lhs = (u_plus.value - u_minus.value) / (2.0 * dt)
     w = complex(eval_W(np.array([s - 1.0]))[0])
-    rhs = w * eval_U(t, s - 1.0, evaluator=ev, rel_tol=rel_tol).value
+    rhs = w * eval_U(t, s - 1.0, evaluator=ev).value
     return float(abs(lhs - rhs))
 
 
-def eval_U_line(t, s_values, beta=None, evaluator=None,
-                half_height=_HALF_HEIGHT, rel_tol=1e-9):
+def eval_U_line(t, s_values, beta=None, evaluator=None):
     """Evaluate U(t, s) for many s sharing one real part, on one B-line.
 
     The workhorse behind profile reconstruction.  The s-values share the
@@ -602,7 +581,7 @@ def eval_U_line(t, s_values, beta=None, evaluator=None,
     Gamma kernel gives the whole line; a denser line (or a single s)
     takes one kernel row per s on a lattice of step pi d / 40 over the
     whole window.  h halves at most three times while the h and 2h rules
-    differ by more than rel_tol * max(|U|, 1e-4/sqrt(2 pi)) at some s.
+    differ by more than _LINE_TOL * max(|U|, 1e-4/sqrt(2 pi)) at some s.
     Returns (values, errs) aligned with s_values; an error is the h-vs-2h
     difference plus the truncation tail plus the rounding floor.
     """
@@ -636,8 +615,8 @@ def eval_U_line(t, s_values, beta=None, evaluator=None,
     b_s = ev.eval_B_many(s_values)
     scale = np.abs(b_s) / SQRT_2PI
     raw, err = _lattice_rule(
-        ev, beta, im, kernel, 1, d=a, reach=half_height, rel_tol=rel_tol,
-        abs_tol=rel_tol * INV_SQRT_2PI * 1e-4 / np.maximum(scale, 1e-300),
+        ev, beta, im, kernel, 1, d=a, reach=_HALF_HEIGHT, rel_tol=_LINE_TOL,
+        abs_tol=_LINE_TOL * INV_SQRT_2PI * 1e-4 / np.maximum(scale, 1e-300),
         tail_rate=_TAIL_RATE)
     return b_s / SQRT_2PI * raw[0], scale * err[0]
 

@@ -22,7 +22,7 @@ from wavekin.bfunc import (
     SQRT_2PI,
     default_evaluator,
 )
-from wavekin.complexfn import eval_W, eval_W_prime, log_gamma
+from wavekin.complexfn import eval_W, eval_W_prime, locate_W_roots, log_gamma
 from wavekin.contour import integrate_circle
 from wavekin.errors import PoleError
 
@@ -135,6 +135,18 @@ def test_pole_guard_tolerance(ev):
     # 1e-3 away is evaluable (B is large there, as befits a nearby pole)
     v = ev.eval_B(1e-3)
     assert abs(v) > 1e2
+
+
+def test_pole_guard_beyond_the_w_table(ev):
+    # sigma*_6, the zero of W in (-26, -25), is a pole of B that the
+    # tabulated zeros (n <= 5) do not list; the walk collides with it
+    star6 = locate_W_roots(6).w_zeros_neg[-1]
+    assert star6 == pytest.approx(-25.41233655892093, abs=1e-12)
+    with pytest.raises(PoleError):
+        ev.eval_B(star6)
+    # off the real axis, and right of the table's last pole, B evaluates
+    assert math.isfinite(abs(ev.eval_B(-30.0 + 1j)))
+    assert ev.eval_B(-5.0) == pytest.approx(0.24340394387573233, rel=1e-7)
 
 
 def _pole_mask_by_loop(s, tol=bfunc._POLE_GUARD):

@@ -322,16 +322,25 @@ class TestRootsAndResidues:
             complexfn._bracketed_zeros([7.0, -1.999], [7.5, -1.0])
 
     def test_residues_measured(self):
-        """Moduli 4 at s=4 and s=-2; the measured signs are -4 and +4."""
-        r4 = w_residue(4.0)
-        rm2 = w_residue(-2.0)
-        assert abs(abs(r4) - 4.0) < 1e-6
-        assert abs(abs(rm2) - 4.0) < 1e-6
-        assert abs(r4 - (-4.0)) < 1e-9
-        assert abs(rm2 - 4.0) < 1e-9
+        """Exactly -4 at every 4n and +4 at every -2(2n+1)."""
+        assert w_residue(4.0) == w_residue(8.0) == -4.0
+        assert w_residue(-2.0) == w_residue(-6.0) == 4.0
 
-    def test_residue_radius_independence(self):
-        assert abs(w_residue(4.0, 0.1) - w_residue(4.0, 0.05)) < 1e-9
+    def test_residues_within_circle_error(self):
+        """Each residue lies within the reported error of a circle of W,
+        plus 1e-14 relative: eval_W rounds to about that next to its
+        poles (1.8e-14 relative at worst against 40-digit mpmath)."""
+        for pole in (4.0, 8.0, 12.0, 16.0, 20.0, 24.0,
+                     -2.0, -6.0, -10.0, -14.0, -18.0, -22.0):
+            r = integrate_circle(eval_W, complex(pole), 0.1, n_min=64)
+            assert abs(w_residue(pole) - r.value) <= (
+                r.error_estimate + 1e-14 * 4.0), pole
+
+    def test_no_residue_off_the_pole_lattice(self):
+        # 0 and 2 are zeros of W; at -4m the two poles cancel
+        for s in (0.0, 2.0, -4.0, -8.0, 4.5, 5.0, -3.0):
+            with pytest.raises(PoleError):
+                w_residue(s)
 
 
 if __name__ == "__main__":

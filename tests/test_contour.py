@@ -1,4 +1,4 @@
-"""Quadrature engine oracles: Gaussian, arctangent, residues, bisection."""
+"""Quadrature engine oracles: Gaussian, arctangent, residues."""
 
 import math
 
@@ -8,16 +8,10 @@ import pytest
 from wavekin.contour import (
     ContourSpec,
     TailModel,
-    find_root_real,
     integrate_circle,
     integrate_vertical,
 )
-from wavekin.errors import (
-    BracketError,
-    ConvergenceError,
-    NoSignChangeError,
-    TailModelError,
-)
+from wavekin.errors import ConvergenceError, TailModelError
 
 
 class TestIntegrateVertical:
@@ -147,23 +141,6 @@ class TestIntegrateCircle:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             integrate_circle(lambda z: z, 0.0, 0.0)
-
-
-class TestFindRootReal:
-    def test_sqrt2(self):
-        root = find_root_real(lambda x: x * x - 2.0, 1.0, 2.0, 1e-12)
-        assert abs(root - math.sqrt(2.0)) < 1e-11
-
-    def test_no_sign_change(self):
-        with pytest.raises(NoSignChangeError):
-            find_root_real(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
-
-    def test_bad_bracket(self):
-        with pytest.raises(BracketError):
-            find_root_real(lambda x: x, 2.0, 1.0, 1e-8)
-
-    def test_endpoint_root(self):
-        assert find_root_real(lambda x: x, 0.0, 1.0, 1e-8) == 0.0
 
 
 if __name__ == "__main__":

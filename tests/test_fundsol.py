@@ -499,9 +499,8 @@ def test_residues_and_integer_values_draw_no_circle(monkeypatch):
     fundsol._series_constants(ev)
     for k in (-5, -4, -3, -2, 4, 5, 6, 7, 8):   # all the series reads
         fundsol._b_at(ev, k)
-    for n_terms in (1, 2, 3, 4):
-        fundsol._series_with_error(0.3, 0.6, n_terms, ev)
-        fundsol._series_with_error(0.2, 3.0, n_terms, ev)
+    fundsol._series_with_error(0.3, 0.6, ev)
+    fundsol._series_with_error(0.2, 3.0, ev)
     assert circles == []
 
 
