@@ -28,15 +28,19 @@ The plateau reaches ~400 at |Im s| ~ 200 and its last digits are the phase
 of B, so it is summed outward from w = 0 in long double.  Scattered points
 sum their g_plus windows directly.  The nodes of a line interpolant repeat
 every 16 lattice steps, so a line build forms all its windows with one
-batched FFT correlation (``_fft_correlate``, on scipy.fft).
+batched FFT correlation (``_fft_correlate``, on scipy.fft) that computes
+only every 16th shift, by folding the spectrum before one short inverse
+FFT.
 
 Each evaluator keeps one lattice per (beta, h) (``_StripLattice``): both
 rules' samples, arg(-W) and the long-double plateau sums, grown on demand
 to cover each request's window, so log(-W) is sampled once per node.
 Growing continues the sequential sums outward, and a request reads the
 slice a fresh lattice over its own window would hold, so every value is
-the same bit for bit.  The branch audit runs on every newly sampled range
-and the end-decay check on every request.
+the same bit for bit.  A lattice of more than _LATTICE_BYTES shrinks to
+the next request's window (and node 0) first, so one far request leaves
+no lasting tens of MB behind.  The branch audit runs on every newly
+sampled range and the end-decay check on every request.
 
 Two bookkeeping subtleties, both measured and pinned by tests:
 
@@ -109,6 +113,7 @@ _MARGIN = 6.5            # g+/g- windows: both decay below 2e-18 beyond
 _GAUGE_BETA = 0.3        # canonical line: all other lines splice onto it
 _LINE_CACHE = 16         # line interpolants one evaluator keeps (LRU)
 _POINT_CACHE = 2 ** 15   # strip points one evaluator keeps (oldest go first)
+_LATTICE_BYTES = 2 ** 23  # a strip lattice over 8 MB shrinks (104 B/node)
 
 # Global scale of B (a free gauge: the construction determines B only up to a
 # positive constant, and all derived quantities are scale invariant).  Chosen
@@ -248,26 +253,48 @@ def _g_plus(x, q):
     return np.where(x > 0, -u / (q - u), q * u / (1.0 - q * u))
 
 
-def _fft_correlate(a, kern):
-    """out[..., k] = sum_i kern[..., i] * a[..., i + k], 0 <= k <= N - K.
+def _fft_length(n):
+    """The least of 2^k and 3 * 2^k that is >= n."""
+    p = 1 << (n - 1).bit_length()
+    return 3 * p // 4 if 3 * p // 4 >= n else p
 
-    The correlation along the last axis (N = a.shape[-1] >= K =
-    kern.shape[-1]; the leading axes broadcast), as the convolution of a
-    with kern reversed in the arithmetic of scipy.signal.fftconvolve, so
-    its values are those of fftconvolve's "valid" mode bit for bit:
-    fftn/ifftn, or rfftn/irfftn when both inputs are real, at length
-    next_fast_len(N + K - 1).  scipy.signal is not imported because it
-    and the scipy.stats it loads take most of a cold start.
+
+def _fft_correlate(a, kern, stride=1):
+    """The correlation of a with kern at every stride-th shift alone:
+
+        out[..., r] = sum_i kern[..., i] * a[..., i + stride r],
+
+    0 <= stride r <= N - K, along the last axis (N = a.shape[-1] >= K =
+    kern.shape[-1]; the leading axes broadcast).  No valid shift wraps
+    around a circular correlation of length L >= N.  With a moved
+    circularly left by K - 1, the correlation is the circular convolution
+    with kern reversed.  Its spectrum is folded into L / fold bins,
+    summing the bins f, f + L / fold, ..., so that one inverse FFT of that
+    length gives every fold-th shift: decimation in the frequency domain
+    (Crochiere & Rabiner, Multirate Digital Signal Processing, 1983).
+    fold is the largest divisor of stride among 2^k and 3 * 2^k, and
+    L / fold the least of those that is >= N / fold, so that every FFT
+    length is 3-smooth: scipy.fft keeps a plan per recent length, and a
+    factor like the 47 of stride 94 would make slow, large plans.  The
+    rest of the stride is a slice.  Real inputs give the real part.
+    scipy.signal is not imported because it and the scipy.stats it loads
+    take most of a cold start.
     """
     n_a, n_k = a.shape[-1], kern.shape[-1]
-    real = not (np.iscomplexobj(a) or np.iscomplexobj(kern))
-    fft, ifft = ((scipy.fft.rfftn, scipy.fft.irfftn) if real
-                 else (scipy.fft.fftn, scipy.fft.ifftn))
-    size = (scipy.fft.next_fast_len(n_a + n_k - 1, real),)
-    spectrum = fft(a, size, axes=(-1,)) * fft(kern[..., ::-1], size,
-                                              axes=(-1,))
-    full = ifft(spectrum, size, axes=(-1,))
-    return full[..., n_k - 1:n_a]
+    n_out = (n_a - n_k) // stride + 1
+    fold = stride & -stride
+    if stride % (3 * fold) == 0:
+        fold *= 3
+    bins = _fft_length(-(-n_a // fold))
+    size = fold * bins
+    rolled = np.zeros(a.shape[:-1] + (size,), dtype=a.dtype)
+    rolled[..., :n_a - n_k + 1] = a[..., n_k - 1:]
+    rolled[..., size - n_k + 1:] = a[..., :n_k - 1]
+    spectrum = scipy.fft.fft(rolled) * scipy.fft.fft(kern[..., ::-1], size)
+    folded = spectrum.reshape(spectrum.shape[:-1] + (fold, bins)).sum(-2)
+    step = stride // fold
+    out = scipy.fft.ifft(folded)[..., :(n_out - 1) * step + 1:step] / fold
+    return out if np.iscomplexobj(a) or np.iscomplexobj(kern) else out.real
 
 
 def _audit_samples(arg, beta):
@@ -303,6 +330,9 @@ class _StripLattice:
     samples log(-W) at the new nodes only, audits them together with the
     nodes they join, and continues the plateau sums outward, so every entry
     equals the one a lattice sampled afresh over the whole range holds.
+    A lattice of more than _LATTICE_BYTES first drops the nodes that a
+    request and node 0, where the sums start, do not span; regrowth then
+    continues the sums from the kept edges, so the values stay the same.
     """
 
     def __init__(self, beta, h):
@@ -315,6 +345,16 @@ class _StripLattice:
 
     def cover(self, lo, hi):
         """Grow to cover j in [lo, hi); every window spans |w| <= _MARGIN."""
+        if (self.a.nbytes + self.arg.nbytes
+                + self.plateau.nbytes > _LATTICE_BYTES):
+            keep_lo = max(self.lo, min(0, lo))
+            keep_hi = min(self.hi, max(0, hi))
+            i0, i1 = keep_lo - self.lo, keep_hi - self.lo
+            # copies, so that the dropped nodes are freed
+            self.a = self.a[:, i0:i1].copy()
+            self.arg = self.arg[i0:i1].copy()
+            self.plateau = self.plateau[:, i0:i1 + 1].copy()
+            self.lo, self.hi = keep_lo, keep_hi
         if lo >= self.lo and hi <= self.hi:
             return
         h = self.h
@@ -352,7 +392,7 @@ class BLineInterpolator:
     same line thousands of times query this instead of evaluating B per
     node.  A segment is 16 steps of the strip rule's lattice, so the 24
     node offsets repeat along the lattice and the strip exponent at every
-    node comes from one batched FFT convolution (BEvaluator._strip_line).
+    node comes from one batched FFT correlation (BEvaluator._strip_line).
     """
 
     def __init__(self, evaluator, re_line, im_lo, im_hi):
@@ -512,9 +552,12 @@ class BEvaluator:
         With stride = 0.4 / h, the node of offset c in repeat k sits at
         lattice index j_c + stride k plus the fraction f_c, so its g_plus
         window sum is a correlation of the samples with the row
-        g_plus(2 pi h (m - f_c)), |m| <= 6.5 / h, read every stride
-        outputs: one batched FFT correlation (_fft_correlate) of both rules
-        against the len(y0) rows.  Returns shape (n_rep, len(y0)).
+        g_plus(2 pi h (m - f_c)), |m| <= 6.5 / h.  Each row is shifted
+        right by j_c - min j (at most stride zero columns), so that every
+        row reads the shifts 0, stride, 2 stride, ...: one batched FFT
+        correlation (_fft_correlate) of both rules against the len(y0)
+        rows, computing those shifts alone.  Returns shape
+        (n_rep, len(y0)).
         """
         q = np.exp(2j * np.pi * (re_base - beta))
         reps = np.arange(n_rep)
@@ -524,13 +567,15 @@ class BEvaluator:
             m_half = math.ceil(_MARGIN / h)
             pos = (y0 - w[0]) / h
             j = np.floor(pos).astype(int)
+            shift = j - j.min()
             m = np.arange(-m_half, m_half + 1)
-            kern = _g_plus(2.0 * np.pi * h * (m - (pos - j)[:, None]), q)
+            kern = np.zeros((len(y0), m.size + shift.max()), dtype=complex)
+            rows = np.arange(len(y0))[:, None]
+            kern[rows, shift[:, None] + np.arange(m.size)] = _g_plus(
+                2.0 * np.pi * h * (m - (pos - j)[:, None]), q)
             lo = j.min() - m_half
             hi = j.max() + stride * (n_rep - 1) + m_half + 1
-            conv = _fft_correlate(a[:, None, lo:hi], kern[None])
-            pick = (j - j.min())[:, None] + stride * reps
-            g = np.take_along_axis(conv, pick[None], axis=2)
+            g = _fft_correlate(a[:, None, lo:hi], kern[None], stride)
             count = j + stride * reps[:, None] + 1
             return g.transpose(0, 2, 1).reshape(2, -1), count.ravel()
 

@@ -89,18 +89,15 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import digamma, jv, loggamma
 
-from wavekin.bfunc import _w_zero_table, default_evaluator, memo
+from wavekin.bfunc import (_fft_correlate, _w_zero_table,
+                           default_evaluator, memo)
 from wavekin.complexfn import eval_W
 # unused here; perfbench's tracer wraps the name fundsol.integrate_vertical
 from wavekin.contour import integrate_vertical  # noqa: F401
 from wavekin.errors import (ConvergenceError, PoleError, RegimeError,
                             TruncationError)
 from wavekin.kernels import eval_H
-from wavekin.ufunc import (
-    ENV_B,
-    _ROUND_FLOOR,
-    _lattice_correlate,
-)
+from wavekin.ufunc import ENV_B, _ROUND_FLOOR
 
 REGIMES = (
     "auto",
@@ -253,11 +250,12 @@ def _conv_core(inv_b, kernels):
     trapezoid of the sigma-line integral of the U representation, exact
     to the analyticity width of 1/B around the beta-line
     (super-exponentially small error at _H_W).  The lattice step is _H_W
-    and every second lattice node is an output node; all rows share one
-    batched FFT correlation (``ufunc._lattice_correlate``).
+    and every second lattice node is an output node, so all rows share one
+    batched FFT correlation at stride 2 (``bfunc._fft_correlate``), which
+    computes the _NV output shifts alone.  Returns one row per kernel row,
+    or one line for a 1-D kernel.
     """
-    return (_H_W / (2.0 * math.pi)) * _lattice_correlate(
-        inv_b, kernels, 2, _NV)
+    return (_H_W / (2.0 * math.pi)) * _fft_correlate(inv_b, kernels, 2)
 
 
 def _symbol_line(ev, t, c, kind):
@@ -286,7 +284,7 @@ def _symbol_line(ev, t, c, kind):
         core, core2 = _conv_core(
             tab.inv_b, np.stack([k, (math.log(t) - tab.dg) * k]))
         return tab.b_prime * core + tab.factor * core2
-    return tab.factor * _conv_core(tab.inv_b, k)[0]
+    return tab.factor * _conv_core(tab.inv_b, k)
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,10 @@ with a kernel K that depends on sigma - s only.  ``eval_U_line`` and
 ``eval_V`` evaluate them by one trapezoid rule on a uniform lattice in w
 (``_lattice_rule``): 1/B is sampled once from the evaluator's line
 interpolant, so one lattice serves every s of a line and every z.  When
-the Im s of a line are lattice nodes, the samples are correlated with the
-kernel by one FFT (``_lattice_correlate``, which ``fundsol`` also uses;
-it calls ``bfunc._fft_correlate``, the scipy.fft correlation that B's
-line builds use too);
+the Im s of a line are lattice nodes m steps apart, the samples are
+correlated with the kernel by one FFT (``bfunc._fft_correlate``, the
+scipy.fft correlation that B's line builds and ``fundsol`` use too),
+which computes every m-th shift alone: the outputs at the Im s;
 otherwise (one s, many z, or a line denser than the lattice) each output
 is one row of a kernel matrix times the samples.  The rule converges
 geometrically in the strip of analyticity about the line, with error about
@@ -157,26 +157,6 @@ def _gamma_t_kernel(a, t, eta):
     return np.exp(loggamma(z) - z * math.log(t))
 
 
-def _lattice_correlate(g, kernels, stride, n_out):
-    """out[r, k] = sum_i kernels[r, i] * g[i + k * stride], k < n_out.
-
-    The step shared by every sigma-lattice rule that reads a line of
-    outputs: samples g of 1/B on a uniform lattice against a stack of
-    kernels tabulated on the same step, keeping every stride-th output,
-    all rows in one batched FFT correlation (``bfunc._fft_correlate``).
-    g needs len(kernel) + (n_out - 1) * stride nodes.
-    """
-    kernels = np.atleast_2d(kernels)
-    out = _fft_correlate(g[None, :], kernels)
-    return out[:, :(n_out - 1) * stride + 1:stride]
-
-
-def _fft_length(n):
-    """The least of 2^k and 3 * 2^k that is >= n."""
-    p = 1 << (n - 1).bit_length()
-    return 3 * p // 4 if 3 * p // 4 >= n else p
-
-
 def _lattice_rule(ev, beta, y, kernel, n_rows, d, reach, rel_tol, abs_tol,
                   tail_rate):
     """(1/2 pi) int K_r(w - y_k) / B(beta + i w) dw for r < n_rows, every k.
@@ -192,8 +172,9 @@ def _lattice_rule(ev, beta, y, kernel, n_rows, d, reach, rel_tol, abs_tol,
     - on nodes: y holds several Im s, equispaced with a step Delta of at
       least 2 h0.  Then h = Delta/m with the least even m, every y_k is a
       lattice node, the 2h rule uses the even nodes counted from y_k, and
-      one FFT correlation per kernel (``_lattice_correlate``) gives every
-      output;
+      one batched FFT correlation of both rules' kernel rows
+      (``bfunc._fft_correlate`` at stride m) gives every output, and a
+      second one of their absolute values the rounding floor;
     - by rows: one y, or a line denser than that.  One lattice covers
       [min y - reach, max y + reach], every output (r, k) is the row
       K_r(w - y_k) of a kernel matrix times the samples of 1/B, the 2h
@@ -230,18 +211,13 @@ def _lattice_rule(ev, beta, y, kernel, n_rows, d, reach, rel_tol, abs_tol,
         if on_nodes:
             w = y[0] + h * np.arange(-half, n_w - half)
             j = np.arange(-half, half + 1)
-            # zero-padded to an FFT length in {2^k, 3 * 2^k}: scipy.fft
-            # keeps the plan of every recent length, and lines of every
-            # length would each leave one of ~1 MB behind
-            g = np.zeros(_fft_length(n_w + j.size - 1) - j.size + 1,
-                         dtype=complex)
-            g[:n_w] = 1.0 / b_line(beta + 1j * w)
+            g = 1.0 / b_line(beta + 1j * w)
             ker = kernel(np.broadcast_to(h * j, (n_rows, j.size)), rows)
-            both = _lattice_correlate(
+            both = _fft_correlate(
                 g, np.concatenate([ker, np.where(j % 2 == 0, 2.0 * ker, 0.0)]),
-                m, n)
+                m)
             fine, coarse = both[:n_rows], both[n_rows:]
-            abs_sum = _lattice_correlate(np.abs(g), np.abs(ker), m, n)
+            abs_sum = _fft_correlate(np.abs(g), np.abs(ker), m)
             k0 = m * np.arange(n)
             ends = (np.abs(ker[:, :1]) * np.abs(g[k0])
                     + np.abs(ker[:, -1:]) * np.abs(g[k0 + 2 * half]))

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-import scipy.signal
+import scipy.fft
 
 from wavekin import bfunc, fundsol, ufunc
 from wavekin.bfunc import (
@@ -290,27 +290,53 @@ def _fake_arg(monkeypatch, arg):
     monkeypatch.setattr(bfunc, "eval_W", lambda s: -np.exp(1j * arg(s.imag)))
 
 
-def test_grown_lattice_equals_a_fresh_one():
-    # requests that read or grow the lattices of a wide request at
-    # Im s = 400 on both lines (beta 0.3 and 0.8) give a fresh evaluator's
-    # values bit for bit
-    grown = BEvaluator()
-    grown.eval_B_many(np.array([1.0 + 400j, 1.3 + 400j]))
+_WIDE = np.array([1.0 + 400j, 1.3 + 400j])
+
+
+def _lattice_reads(b):
+    # requests that read or grow the lattices of _WIDE on both lines
+    # (beta 0.3 and 0.8)
     rng = np.random.default_rng(8)
     pts = rng.uniform(0.3, 3.6, 60) + 1j * rng.uniform(-450.0, 450.0, 60)
     line = 0.7 + 1j * np.linspace(-150.0, 250.0, 401)
     u_line = 0.5 + 1j * np.linspace(-60.0, 40.0, 101)
-    results = []
-    for b in (grown, BEvaluator()):
-        results.append((
-            b.eval_B_many(pts),
-            b.line_interpolator(1.3, -40.0, 90.0)(
-                1.3 + 1j * np.linspace(-40.0, 90.0, 301)),
-            b.line_interpolator(0.7, -150.0, 250.0)(line),
-            ufunc.eval_U_line(1.0, u_line, evaluator=b),
-        ))
-    for a, b in zip(*results):
+    return [
+        b.eval_B_many(pts),
+        b.line_interpolator(1.3, -40.0, 90.0)(
+            1.3 + 1j * np.linspace(-40.0, 90.0, 301)),
+        b.line_interpolator(0.7, -150.0, 250.0)(line),
+        ufunc.eval_U_line(1.0, u_line, evaluator=b),
+    ]
+
+
+def test_grown_lattice_equals_a_fresh_one():
+    # after a wide request at Im s = 400, the requests give a fresh
+    # evaluator's values bit for bit
+    grown = BEvaluator()
+    grown.eval_B_many(_WIDE)
+    for a, b in zip(_lattice_reads(grown), _lattice_reads(BEvaluator())):
         assert np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def test_lattice_over_budget_shrinks_and_regrows(monkeypatch):
+    # with a 1 MB budget (the lattices of the scattered points hold 3.7 MB
+    # each) a lattice drops the nodes the next request does not span; the
+    # values, and those of _WIDE regrown, stay a fresh evaluator's
+    ref = BEvaluator()
+    fresh = _lattice_reads(ref)
+    wide = BEvaluator().eval_B_many(_WIDE)
+    monkeypatch.setattr(bfunc, "_LATTICE_BYTES", 2 ** 20)
+    b = BEvaluator()
+    b.eval_B_many(_WIDE)
+    for x, y in zip(_lattice_reads(b), fresh):
+        assert np.array_equal(np.asarray(x), np.asarray(y))
+    for key in ((0.3, 0.025), (0.8, 0.025)):
+        lat, full = b._lattices[key], ref._lattices[key]
+        assert lat.lo <= 0 <= lat.hi
+        assert lat.hi - lat.lo < full.hi - full.lo
+    b.cache.clear()
+    assert np.array_equal(b.eval_B_many(_WIDE), wide)
+    assert b._lattices[(0.8, 0.025)].hi > 400.0 / 0.025
 
 
 @pytest.mark.parametrize("arg, match", [
@@ -390,14 +416,17 @@ def test_walk_evaluates_w_once_per_walk_argument(monkeypatch):
     assert calls == [2, 2, 2, 3, 3]
 
 
+@pytest.mark.parametrize("stride", [1, 2, 4, 16, 20, 94])
 @pytest.mark.parametrize("a_shape, k_shape, real", [
-    ((2, 1, 700), (1, 24, 521), False),   # BEvaluator._strip_line
-    ((1, 3000), (3, 101), False),         # ufunc._lattice_correlate
-    ((1, 3000), (1, 101), True),          # its abs_sum row
+    ((2, 1, 700), (1, 24, 537), False),   # BEvaluator._strip_line
+    ((3000,), (6, 101), False),           # ufunc._lattice_rule, both rules
+    ((3000,), (3, 101), True),            # its abs_sum rows
+    ((1700,), (2, 301), False),           # fundsol._conv_core, "du"
+    ((1700,), (301,), False),             # fundsol._conv_core, one kernel
 ])
-def test_fft_correlate_matches_fftconvolve(a_shape, k_shape, real):
-    # the "valid" output of fftconvolve with the kernel reversed, and the
-    # same outputs read off its "full" mode, bit for bit
+def test_fft_correlate_matches_direct_sums(a_shape, k_shape, real, stride):
+    # every kept shift against the exact sum in long double, within
+    # 4 eps of the sum of the terms' magnitudes
     rng = np.random.default_rng(3)
 
     def draw(shape):
@@ -405,14 +434,45 @@ def test_fft_correlate_matches_fftconvolve(a_shape, k_shape, real):
         return x if real else x + 1j * rng.standard_normal(shape)
 
     a, kern = draw(a_shape), draw(k_shape)
-    axis = len(a_shape) - 1
-    got = bfunc._fft_correlate(a, kern)
-    valid = scipy.signal.fftconvolve(a, kern[..., ::-1], mode="valid",
-                                     axes=axis)
-    full = scipy.signal.fftconvolve(a, kern[..., ::-1], axes=axis)
-    assert got.dtype == valid.dtype
-    assert np.array_equal(got, valid)
-    assert np.array_equal(got, full[..., k_shape[-1] - 1:a_shape[-1]])
+    got = bfunc._fft_correlate(a, kern, stride)
+    n_out = (a_shape[-1] - k_shape[-1]) // stride + 1
+    ld = np.longdouble if real else np.clongdouble
+    windows = np.lib.stride_tricks.sliding_window_view(
+        a.astype(ld), k_shape[-1], axis=-1)[..., ::stride, :]
+    terms = windows * kern.astype(ld)[..., None, :]
+    exact, magnitude = terms.sum(-1), np.abs(terms).sum(-1)
+    assert got.shape == exact.shape and got.shape[-1] == n_out
+    assert got.dtype == (float if real else complex)
+    assert (np.abs(got - exact)
+            <= 4.0 * np.finfo(float).eps * magnitude).all()
+
+
+def test_correlations_invert_at_the_folded_length(monkeypatch):
+    # each correlation makes two forward FFTs of length L and one inverse
+    # of length L / fold, never a full-length inverse; fold is the largest
+    # divisor of the stride among 2^k and 3 * 2^k: 16 in a B line build
+    # (stride 16), and 4 in a U line at Re s = 0.5 with Im s one apart
+    # (d = 0.7, h0 = pi d / 40, stride m = 20), besides the 16 of its B line
+    calls = []
+    for name in ("fft", "ifft"):
+        def spy(x, n=None, *args, _fn=getattr(scipy.fft, name), **kw):
+            calls.append((_fn.__name__, x.shape[-1] if n is None else n))
+            return _fn(x, n, *args, **kw)
+        monkeypatch.setattr(scipy.fft, name, spy)
+
+    def strides():
+        out = []
+        for (f1, n1), (f2, n2), (inv, n) in zip(*[iter(calls)] * 3):
+            assert (f1, f2, inv) == ("fft", "fft", "ifft") and n1 == n2
+            out.append(n1 / n)
+        calls.clear()
+        return out
+
+    BLineInterpolator(BEvaluator(), 0.7, -60.0, 60.0)
+    assert strides() == [16]
+    u_line = 0.5 + 1j * np.arange(-60.0, 40.0)
+    ufunc.eval_U_line(1.0, u_line, evaluator=BEvaluator())
+    assert sorted(strides()) == [4, 4, 16]
 
 
 @pytest.mark.parametrize("s", [0.6 + 2j, 0.9 + 15j, 1.2 - 7j, 0.75 + 40j])

@@ -336,6 +336,15 @@ class TestRootsAndResidues:
             assert abs(w_residue(pole) - r.value) <= (
                 r.error_estimate + 1e-14 * 4.0), pole
 
+    @pytest.mark.parametrize("radius", [0.1, 0.5])
+    @pytest.mark.parametrize("pole", [8.0, 16.0, 24.0, -2.0, -6.0, -10.0])
+    def test_circle_error_bounds_the_exact_residue(self, pole, radius):
+        """The circle's reported error, rounding floor included, alone
+        bounds its miss of the exact residue (at 16, radius 0.1, the last
+        doubling changes the value by 3.8e-18 and the miss is 1.8e-15)."""
+        r = integrate_circle(eval_W, complex(pole), radius, n_min=64)
+        assert abs(w_residue(pole) - r.value) <= r.error_estimate
+
     def test_no_residue_off_the_pole_lattice(self):
         # 0 and 2 are zeros of W; at -4m the two poles cancel
         for s in (0.0, 2.0, -4.0, -8.0, 4.5, 5.0, -3.0):
