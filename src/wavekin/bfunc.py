@@ -75,7 +75,7 @@ W-poles and W-zeros its walk crosses.  Poles: 0 and -1, the integers m >= 9
 descending ladders sigma*_n - j (j >= 0) below each negative zero of W; 5 is
 *not* a pole.  Zeros: 3 and 4, the integers m <= -6 (of order
 floor((-m - 2)/4): simple at -6..-9), and the ladders sigma_n + j (j >= 1)
-above each positive zero of W.
+above each positive zero of W.  ``_b_singularities`` is their one list.
 """
 
 import collections
@@ -87,7 +87,8 @@ import math
 import numpy as np
 import scipy.fft
 
-from wavekin.complexfn import eval_W, eval_W_prime, locate_W_roots, w_residue
+from wavekin.complexfn import (_w_pole_distance, eval_W, eval_W_prime,
+                               locate_W_roots, w_residue)
 from wavekin.contour import integrate_circle
 from wavekin.errors import ConvergenceError, PoleError, WavekinError
 
@@ -191,18 +192,41 @@ def _w_zero_table():
     return locate_W_roots(5)
 
 
+def _b_singularities(lo, hi):
+    """(poles, zeros): the real poles and zeros of B in [lo, hi], sorted.
+
+    The families of the module docstring, over the zeros of W that
+    ``_w_zero_table`` holds; the cost grows with hi - lo.  The pole
+    guards, circle radii, residue checks and short-time series read it.
+    """
+    table = _w_zero_table()
+    m = np.arange(math.ceil(lo), math.floor(hi) + 1.0)
+    poles = [m[(m == 0) | (m == -1) | (m >= 9)]] + [
+        r - np.arange(max(0, math.floor(r - hi)), math.ceil(r - lo) + 1)
+        for r in table.w_zeros_neg]
+    zeros = [m[(m == 3) | (m == 4) | (m <= -6)]] + [
+        r + np.arange(max(1, math.floor(lo - r)), math.ceil(hi - r) + 1)
+        for r in table.w_zeros_pos]
+    return tuple(np.sort(x[(x >= lo) & (x <= hi)])
+                 for x in map(np.concatenate, (poles, zeros)))
+
+
 def _near_b_pole_mask(s):
-    """Mask of points within _POLE_GUARD of the known pole lattice of B."""
+    """Mask of points within _POLE_GUARD of a real pole of B."""
     s = np.asarray(s, dtype=complex)
-    m = (np.abs(s) < _POLE_GUARD) | (np.abs(s + 1.0) < _POLE_GUARD)
-    n = np.round(s.real)
-    m |= (n >= 9) & (np.abs(s - n) < _POLE_GUARD)
-    # the ladders star - j, j >= 0, below each negative zero of W
-    stars = np.array(_w_zero_table().w_zeros_neg)
-    j = np.round(stars - s.real[..., None])
-    m |= ((j >= 0) & (np.abs(s[..., None] - (stars - j))
-                      < _POLE_GUARD)).any(axis=-1)
-    return m
+    if not s.size:
+        return np.zeros(s.shape, dtype=bool)
+    poles = np.concatenate([[-np.inf], _b_singularities(
+        s.real.min() - 1.0, s.real.max() + 1.0)[0], [np.inf]])
+    i = np.searchsorted(poles, s.real)
+    return np.minimum(np.abs(s - poles[i - 1]),
+                      np.abs(s - poles[i])) < _POLE_GUARD
+
+
+def _pole_distance(s):
+    """Distance from s to B's nearest real pole within 1 of Re s, or inf."""
+    poles = _b_singularities(s.real - 1.0, s.real + 1.0)[0]
+    return min((abs(p - s) for p in poles.tolist()), default=np.inf)
 
 
 def _k_plus(s, beta, v):
@@ -713,12 +737,8 @@ class BEvaluator:
             base = grp - k
             collided = np.zeros(len(grp), dtype=bool)
             factors = np.ones(len(grp), dtype=complex)
-            args_list = (
-                [base + j for j in range(k)] if k >= 0
-                else [base + j for j in range(k, 0)]
-            )
-            for arg in args_list:
-                bad, w_arg = self._w_collision(arg)
+            for j in range(min(k, 0), max(k, 0)):
+                bad, w_arg = self._w_collision(base + j)
                 collided |= bad
                 safe = ~bad
                 if safe.any():
@@ -755,14 +775,10 @@ class BEvaluator:
     def _w_collision(arg):
         """Mask of walk factors on or next to a pole or zero of W, and W.
 
-        Returns (bad, w).  W is evaluated off the lattice of its poles and
-        zeros alone and reads 0 on it; the walk reuses w as its factors.
+        Returns (bad, w).  W is evaluated off its poles alone and reads 0
+        on them; the walk reuses w as its factors.
         """
-        lattice = np.minimum(
-            np.abs(arg - np.round(arg.real / 4.0) * 4.0),
-            np.abs(arg - (np.round((arg.real + 2.0) / 4.0) * 4.0 - 2.0)),
-        )
-        bad = lattice < _COLLIDE_TOL
+        bad = _w_pole_distance(arg) < _COLLIDE_TOL
         w = np.zeros(len(arg), dtype=complex)
         if not bad.all():
             w[~bad] = eval_W(arg[~bad])
@@ -775,10 +791,7 @@ class BEvaluator:
         singularity of B (e.g. B(-5) sits 0.0457 from the pole ladder head
         sigma*_1 - 0).
         """
-        d_min = min(
-            (abs(z0 - s) for z0 in self._singular_points_near(s, 1.3)),
-            default=np.inf,
-        )
+        d_min = _pole_distance(s)
         radius = min(0.3, 0.6 * d_min)
         if not radius >= 0.01:
             raise PoleError(
@@ -788,17 +801,6 @@ class BEvaluator:
             lambda z: self.eval_B_many(z) / (z - s), s, radius, n_min=32
         )
         return complex(r.value)
-
-    def _singular_points_near(self, s, reach):
-        pts = [0.0 + 0j, -1.0 + 0j]
-        n0 = int(round(s.real))
-        pts += [complex(n) for n in range(max(9, n0 - 2), n0 + 3)]
-        for star in _w_zero_table().w_zeros_neg:
-            j = round(star - s.real)
-            for jj in (j - 1, j, j + 1):
-                if jj >= 0:
-                    pts.append(complex(star - jj))
-        return [p for p in pts if abs(p - s) <= reach + 1.0]
 
     # ---------------- residues and constants ----------------
 
@@ -810,20 +812,10 @@ class BEvaluator:
         """
         sigma = complex(sigma)
         # no zero or pole of B may sit on or inside the circle except sigma
-        lattice = [complex(0.0), complex(-1.0), complex(3.0), complex(4.0)]
-        n0 = int(round(sigma.real))
-        lattice += [complex(n) for n in range(n0 - 2, n0 + 3)
-                    if n >= 9 or n <= -6]
-        table = _w_zero_table()
-        for root in table.w_zeros_pos + table.w_zeros_neg:
-            j = round(abs(sigma.real - root))
-            for jj in (j - 1, j, j + 1):
-                if root > 0 and jj >= 1:
-                    lattice.append(complex(root + jj))
-                if root < 0 and jj >= 0:
-                    lattice.append(complex(root - jj))
-        for z0 in lattice:
-            if abs(z0 - sigma) > 1e-9 and abs(z0 - sigma) < radius + 0.02:
+        reach = radius + 0.02
+        for z0 in np.concatenate(_b_singularities(sigma.real - reach,
+                                                  sigma.real + reach)):
+            if abs(z0 - sigma) > 1e-9 and abs(z0 - sigma) < reach:
                 raise PoleError(
                     f"circle of radius {radius} at {sigma} encloses or "
                     f"touches a singularity of 1/B at {z0}"
@@ -842,10 +834,7 @@ class BEvaluator:
     def eval_B_prime(self, s):
         """B'(s) by a Cauchy derivative circle of radius 0.05 or less."""
         s = complex(s)
-        d_min = min(
-            (abs(z0 - s) for z0 in self._singular_points_near(s, 1.05)),
-            default=np.inf,
-        )
+        d_min = _pole_distance(s)
         radius = min(0.05, 0.5 * d_min)
         if not radius >= 1e-3:
             raise PoleError(f"B'({s}): singularity within {d_min:.4f}")

@@ -1,8 +1,8 @@
 """Adaptive quadrature on vertical lines and circles in the complex plane.
 
-This is the workhorse behind every Mellin-Barnes evaluation in the package:
-integrals along truncated vertical contours Re = c, and circle integrals for
-residues and Cauchy derivatives.
+This is the package's oracle engine: integrals along truncated vertical
+contours Re = c, which check the U routes' lattice rules and invert V, and
+circle integrals for B's residue oracles, derivative and walk fallback.
 
 Tail behaviour beyond the truncation height is never guessed.  Callers declare
 a decay model (exponential or power law, optionally improved by a known

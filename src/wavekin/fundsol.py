@@ -89,7 +89,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import digamma, jv, loggamma
 
-from wavekin.bfunc import (_fft_correlate, _w_zero_table,
+from wavekin.bfunc import (_b_singularities, _fft_correlate,
                            default_evaluator, memo)
 from wavekin.complexfn import eval_W
 # unused here; perfbench's tracer wraps the name fundsol.integrate_vertical
@@ -206,13 +206,13 @@ def _line_table(ev, c, kind):
 
     B is read off the line interpolants once per evaluator and line, so a
     new t on a seen line evaluates no B.  The arrays are shared by every
-    caller and read-only.  Kind "su" reads the "u" table, and kind "ut"
-    holds W alone and reads the "u" table at c - 1.
+    caller and read-only.  Kind "su" reads the "u" table, kind "du" extends
+    it, and kind "ut" holds W alone and reads the "u" table at c - 1.
     """
     v = _H_V * np.arange(_NV)
     if kind == "ut":
         arrays = {"factor": eval_W((c - 1.0) + 1j * v)}
-    elif kind in ("u", "du", "q2"):
+    elif kind in ("u", "q2"):
         if kind == "q2":
             beta, a = _BETA2, _BETA2 - c
         else:
@@ -223,21 +223,24 @@ def _line_table(ev, c, kind):
         arrays = {"factor": _line_B(ev, c, v),
                   "inv_b": 1.0 / _line_B(ev, beta, w),
                   "z": z, "lg": loggamma(z)}
-        if kind == "du":
-            # B' on the line by a 4th-order stencil on the interpolant
-            h = 1e-3
-            interp = ev.line_interpolator(c, -0.2, _V_CUT + 0.2)
+    elif kind == "du":
+        u = _line_table(ev, c, "u")
+        # B' on the line by a 4th-order stencil on the interpolant
+        h = 1e-3
+        interp = ev.line_interpolator(c, -0.2, _V_CUT + 0.2)
 
-            def bb(dv):
-                return interp(c + 1j * (v + dv))
+        def bb(dv):
+            return interp(c + 1j * (v + dv))
 
-            db_dv = (8.0 * (bb(h) - bb(-h))
-                     - (bb(2 * h) - bb(-2 * h))) / (12 * h)
-            arrays.update(dg=digamma(z), b_prime=-1j * db_dv)
+        db_dv = (8.0 * (bb(h) - bb(-h))
+                 - (bb(2 * h) - bb(-2 * h))) / (12 * h)
+        arrays = {"dg": digamma(u.z), "b_prime": -1j * db_dv}
     else:
         raise ValueError(f"unknown symbol kind {kind!r}")
     for arr in arrays.values():
         arr.flags.writeable = False
+    if kind == "du":
+        return dataclasses.replace(u, **arrays)
     return _LineTable(**arrays)
 
 
@@ -737,21 +740,14 @@ class _SeriesConstants:
     """
 
     def __init__(self, ev):
-        self.res_b = {m: ev.laurent(float(m))[1].real
-                      for m in (0, -1, 9, 10, 11, 12)}
+        self.res_b = {round(m): ev.laurent(m)[1].real
+                      for m in _b_singularities(-1.0, 12.0)[0].tolist()}
         # G_k of order k <= 4 reads the zeros of B at -6 .. -9
-        self.rho = {-n: (1.0 / ev.laurent(-float(n))[1]).real
-                    for n in range(6, 10)}
-        # zeros of B between the first pole at 9 and the contour cut at
-        # 12.8: each root sigma of W seeds the ladder sigma + 1 + j
-        self.casc = []
-        for sig in _w_zero_table().w_zeros_pos:
-            z = sig + 1.0
-            while z + 0.5 < 12.8:
-                if z > 8.0:
-                    self.casc.append((z, (1.0 / ev.laurent(z)[1]).real))
-                z += 1.0
-        self.casc.sort()
+        self.rho = {round(z): (1.0 / ev.laurent(z)[1]).real
+                    for z in _b_singularities(-9.0, -6.0)[1].tolist()}
+        # the zeros of B in (8, 12.3), 0.5 or more left of the cut at 12.8
+        self.casc = [(z, (1.0 / ev.laurent(z)[1]).real)
+                     for z in _b_singularities(8.0, 12.3)[1].tolist()]
         # rho(3), rho(4) without re-measuring: rho4 from the ledger, and
         # rho3 = -c1 by definition of c1
         led = _ledger(ev)
@@ -946,68 +942,43 @@ def eval_G(t, x, y, evaluator=None):
 
 
 class TestFunction:
-    """A compactly supported C^2 profile given by samples and derivatives.
+    """The C^infinity bump e exp(-1/(1 - u^2)), peak 1, on [lo, hi].
 
-    Built with quintic Hermite pieces (BPoly.from_derivatives), so the
-    profile, its slope and its curvature match the supplied data exactly at
-    the nodes; outside [support[0], support[1]] it is identically zero.
+    u = (x - mid) / half maps the support onto (-1, 1); the profile and
+    its slope are evaluated in closed form, and both are identically zero
+    outside the support.
     """
 
-    def __init__(self, xs, values, d1, d2, support=None):
-        xs = np.asarray(xs, dtype=float)
-        if support is None:
-            support = (float(xs[0]), float(xs[-1]))
-        self.support = (float(support[0]), float(support[1]))
-        # imported here: scipy.interpolate serves test functions alone and
-        # would add to every import of the package
-        from scipy.interpolate import BPoly
-
-        stack = np.column_stack([values, d1, d2])
-        self._poly = BPoly.from_derivatives(xs, stack)
-        self._dpoly = self._poly.derivative()
+    def __init__(self, lo, hi):
+        if not hi > lo:
+            raise ValueError("need hi > lo")
+        self.support = (float(lo), float(hi))
 
     @classmethod
     def bump(cls, lo, hi):
-        """The standard C^infinity bump exp(-1/(1-u^2)) scaled to [lo, hi]."""
-        if not hi > lo:
-            raise ValueError("need hi > lo")
-        u = np.linspace(-1.0, 1.0, 25)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs = mid + half * u
-        w = 1.0 - u ** 2
+        """The bump on [lo, hi]."""
+        return cls(lo, hi)
+
+    def _eval(self, x, slope):
+        lo, hi = self.support
+        half = 0.5 * (hi - lo)
+        u = (np.asarray(x, dtype=float) - 0.5 * (lo + hi)) / half
+        w = 1.0 - u * u
         inside = w > 0.0
-        ui, wi = u[inside], w[inside]
-        f, du, ddu = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
-        f[inside] = math.e * np.exp(-1.0 / wi)  # peak 1
-        # log f = -1/w + const:  (log f)' = -2u/w^2,
-        # (log f)'' = -2/w^2 - 8u^2/w^3
-        du[inside] = -2.0 * ui / wi ** 2
-        ddu[inside] = -2.0 / wi ** 2 - 8.0 * ui ** 2 / wi ** 3
-        f1 = f * du / half
-        f2 = f * (du ** 2 + ddu) / half ** 2
-        return cls(xs, f, f1, f2, support=(lo, hi))
+        out = np.zeros_like(u)
+        out[inside] = math.e * np.exp(-1.0 / w[inside])
+        if slope:
+            # (log phi)' = -2u / (w^2 half)
+            out[inside] *= -2.0 * u[inside] / (w[inside] ** 2 * half)
+        if out.ndim == 0:
+            return float(out)
+        return out
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        inside = (x > lo) & (x < hi)
-        out = np.zeros_like(x)
-        if inside.any():
-            out[inside] = self._poly(x[inside])
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return self._eval(x, False)
 
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        inside = (x > lo) & (x < hi)
-        out = np.zeros_like(x)
-        if inside.any():
-            out[inside] = self._dpoly(x[inside])
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return self._eval(x, True)
 
 
 #: the panel rules of ``_adaptive_panels``: 12-point Gauss and the 6-point

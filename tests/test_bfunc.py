@@ -632,6 +632,21 @@ def test_ladder_orders_follow_the_pole_and_zero_set(ev):
         assert ev.laurent(s)[0] == 0, s
 
 
+def test_enumeration_matches_the_ladder(ev):
+    # _b_singularities against the orders the ladder reads off W alone
+    poles, zeros = bfunc._b_singularities(-22.0, 24.0)
+    for x in poles.tolist():
+        assert ev.laurent(x)[0] < 0, x
+    for x in zeros.tolist():
+        assert ev.laurent(x)[0] > 0, x
+    listed = set(poles.tolist()) | set(zeros.tolist())
+    for m in range(-22, 25):
+        if float(m) not in listed:
+            assert ev.laurent(float(m))[0] == 0, m
+    assert bfunc._b_singularities(8.0, 12.3)[1].tolist() == sorted(
+        _cascade_points())
+
+
 def test_ladder_stays_inside_the_w_table(ev):
     with pytest.raises(ValueError):
         ev.laurent(30.0)

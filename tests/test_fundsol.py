@@ -408,6 +408,21 @@ def test_transport_apply_matches_quad_across_the_kink(x):
     assert abs(transport_apply(phi, x) - ref) < 1e-8
 
 
+def test_bump_and_its_slope_are_the_closed_forms():
+    phi = fundsol.TestFunction.bump(0.5, 3.0)
+    x = np.linspace(0.52, 2.98, 83)
+
+    def bump(z):
+        u = (z - 1.75) / 1.25
+        return np.exp(1.0 - 1.0 / (1.0 - u * u))
+
+    assert np.abs(phi(x) - bump(x)).max() <= 1e-14
+    # the slope by a complex step, which takes no difference
+    slope = bump(x + 1e-30j).imag / 1e-30
+    assert (np.abs(phi.deriv(x) - slope).max()
+            <= 1e-14 * np.abs(slope).max())
+
+
 def test_bump_is_flat_at_its_support_ends():
     phi = fundsol.TestFunction.bump(0.5, 3.0)
     ends = np.array([0.5, 3.0])

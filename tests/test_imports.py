@@ -2,9 +2,10 @@
 
 The package imports none of the heavy scipy subpackages: scipy.signal
 (with the scipy.stats it loads), scipy.integrate and scipy.interpolate
-took most of a cold start; the modules that use the last two import them
-inside the one function that needs each.  And every name that the
-benchmark's tracer patches exists on the module it patches.
+took most of a cold start.  Only the kernels' quadrature oracle uses
+scipy.integrate, imported inside that function, and a test function
+loads none of them.  And every name that the benchmark's tracer patches
+exists on the module it patches.
 """
 
 import os
@@ -24,6 +25,8 @@ def test_import_loads_no_heavy_scipy_subpackage():
     code = ("import sys\n"
             "import wavekin.bfunc, wavekin.ufunc, wavekin.fundsol, "
             "wavekin.kernels\n"
+            "phi = wavekin.fundsol.TestFunction.bump(0.5, 3.0)\n"
+            "phi(1.2), phi.deriv(1.2)\n"
             f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
