@@ -272,9 +272,16 @@ def _cheb_basis(deg):
 
 def _g_plus(x, q):
     # k_plus less its step at x = 2 pi (w - Im s): the step is taken where
-    # x <= 0, so the plateau must count the nodes w <= Im s
+    # x <= 0, so the plateau must count the nodes w <= Im s; each entry
+    # computes its own branch alone
     u = np.exp(-np.abs(x))
-    return np.where(x > 0, -u / (q - u), q * u / (1.0 - q * u))
+    q = np.broadcast_to(q, x.shape)
+    out = np.empty(x.shape, dtype=complex)
+    grow = x > 0
+    out[grow] = -u[grow] / (q[grow] - u[grow])
+    qu = q[~grow] * u[~grow]
+    out[~grow] = qu / (1.0 - qu)
+    return out
 
 
 def _fft_length(n):

@@ -19,12 +19,13 @@ geometric 16-point Gauss panels (``_ray_tail``), which keeps the quadrature
 non-oscillatory for any q.  One tabulation and fit (``_line_assembly``)
 serves every q: calling it with an array of q evaluates the moments, the
 phases and the ray panels of all of them at once, so profiles and integrals
-cost one call per batch of points.  In U only the power t^(-sigma) depends
-on t, so the other factors of the tabulation (B on the line, 1/B on the
-auxiliary line, loggamma on the kernel nodes) are tabulated once per line
-(``_line_table``); a new t costs one kernel row, one FFT correlation and
-the fits.  Every cache here is a bounded ``bfunc.memo`` map kept inside
-the evaluator, so it is freed with the evaluator and keeps none alive.
+cost one call per batch of points.  In U only the kernel Gamma(z) t^(-z)
+depends on t, so B on the line and the spectrum of 1/B on the auxiliary
+line are tabulated once per line (``_line_table``), and the kernel's
+spectrum is known in closed form: a new t costs one real exponential, one
+inverse FFT and the fits.  Every cache here is a bounded ``bfunc.memo``
+map kept inside the evaluator, so it is freed with the evaluator and keeps
+none alive.
 
 The integrals against x (``l1_norm_lambda``, ``delta_pairing``) run
 adaptive Gauss panels in log x on that line.  One routine,
@@ -86,11 +87,12 @@ import dataclasses
 import math
 
 import numpy as np
+import scipy.fft
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.special import digamma, jv, loggamma
+from scipy.special import jv, loggamma
 
-from wavekin.bfunc import (_b_singularities, _fft_correlate,
-                           default_evaluator, memo)
+from wavekin.bfunc import (_b_singularities, _fft_length, default_evaluator,
+                           memo)
 from wavekin.complexfn import eval_W
 # unused here; perfbench's tracer wraps the name fundsol.integrate_vertical
 from wavekin.contour import integrate_vertical  # noqa: F401
@@ -129,6 +131,17 @@ _B_OFF = 0.35
 #: remainder line of the long-time decomposition (between the zero of B at
 #: 4 and the first pole of its right ladder at 9; kept at 7/2)
 _BETA2 = 3.5
+#: lattice nodes of 1/B on the auxiliary line: the output window widened
+#: by the kernel's reach on both sides
+_N_LAT = 2 * (_K_HALF + _NV - 1) + 1        # 6343
+#: bins of the circular correlation along it (>= _N_LAT, so no output
+#: wraps); folded in pairs onto the _N_FFT/2 bins of one inverse FFT
+_N_FFT = _fft_length(_N_LAT)                # 8192
+#: u = -theta/_H_W at the frequency theta = 2 pi f/_N_FFT of bin f, wrapped
+#: to [-pi, pi), and e^u: ``_conv_core`` reads the kernel's spectrum
+#: e^(a u - t e^u) on them
+_U = (-2.0 * np.pi / _H_W) * np.fft.fftfreq(_N_FFT)
+_EXP_U = np.exp(_U)
 #: scale entering the tail-model basis (b s)^(-2t) (V_bar/s)^k
 _V_BAR = 120.0
 _MODEL_K = 5
@@ -185,19 +198,27 @@ def _line_B(ev, re_line, v):
 class _LineTable:
     """The factors of ``_symbol_line`` that do not depend on t, on one line.
 
-    factor   B(c + i v) on the output grid; W(c - 1 + i v) for kind "ut"
-    inv_b    1/B(beta + i w) on the convolution lattice of the auxiliary line
-    z, lg    the kernel nodes z = a + i eta and loggamma(z)
-    dg       digamma(z)                          (kind "du" only)
-    b_prime  B'(c + i v) on the output grid      (kind "du" only)
+    factor    B(c + i v) on the output grid; W(c - 1 + i v) for kind "ut"
+    spectrum  the DFT over _N_FFT bins of 1/B(beta + i w) on the lattice
+              w = m _H_W of the auxiliary line, zero-padded and rolled so
+              that w = 0 sits at bin 0 (the centring of the kernel row),
+              and halved for the fold of ``_conv_core``
+                                                  (kinds "u", "q2", "du")
+    b_prime   B'(c + i v) on the output grid      (kind "du" only)
     """
 
     factor: np.ndarray
-    inv_b: np.ndarray | None = None
-    z: np.ndarray | None = None
-    lg: np.ndarray | None = None
-    dg: np.ndarray | None = None
+    spectrum: np.ndarray | None = None
     b_prime: np.ndarray | None = None
+
+
+def _aux_line(c, kind):
+    """(beta, a): the auxiliary line Re sigma = beta of the convolution of a
+    line of kind "u", "du" or "q2" at abscissa c, and the kernel offset
+    a = beta - c."""
+    if kind == "q2":
+        return _BETA2, _BETA2 - c
+    return c + _B_OFF, _B_OFF
 
 
 @memo(16)
@@ -213,16 +234,12 @@ def _line_table(ev, c, kind):
     if kind == "ut":
         arrays = {"factor": eval_W((c - 1.0) + 1j * v)}
     elif kind in ("u", "q2"):
-        if kind == "q2":
-            beta, a = _BETA2, _BETA2 - c
-        else:
-            beta, a = c + _B_OFF, _B_OFF
-        reach = _K_HALF * _H_W
-        w = -reach + _H_W * np.arange(2 * _K_HALF + 2 * (_NV - 1) + 1)
-        z = a + 1j * (_H_W * np.arange(-_K_HALF, _K_HALF + 1))
+        beta, _ = _aux_line(c, kind)
+        w = -_K_HALF * _H_W + _H_W * np.arange(_N_LAT)
+        inv_b = np.zeros(_N_FFT, complex)
+        inv_b[:_N_LAT] = 1.0 / _line_B(ev, beta, w)
         arrays = {"factor": _line_B(ev, c, v),
-                  "inv_b": 1.0 / _line_B(ev, beta, w),
-                  "z": z, "lg": loggamma(z)}
+                  "spectrum": scipy.fft.fft(np.roll(inv_b, -_K_HALF)) / 2.0}
     elif kind == "du":
         u = _line_table(ev, c, "u")
         # B' on the line by a 4th-order stencil on the interpolant
@@ -234,7 +251,7 @@ def _line_table(ev, c, kind):
 
         db_dv = (8.0 * (bb(h) - bb(-h))
                  - (bb(2 * h) - bb(-2 * h))) / (12 * h)
-        arrays = {"dg": digamma(u.z), "b_prime": -1j * db_dv}
+        arrays = {"b_prime": -1j * db_dv}
     else:
         raise ValueError(f"unknown symbol kind {kind!r}")
     for arr in arrays.values():
@@ -244,21 +261,45 @@ def _line_table(ev, c, kind):
     return _LineTable(**arrays)
 
 
-def _conv_core(inv_b, kernels):
-    """h/(2 pi) * sum_w K_r(w - v) / B(beta + i w) on the output grid.
+def _conv_core(spectrum, a, t, du=False):
+    """h/(2 pi) * sum_w K(w - v) / B(beta + i w) on the output grid
+    v = 2 j h, for the kernel K(eta) = Gamma(a + i eta) t^(-(a + i eta)),
+    w on the lattice of step h = _H_W.
 
-    inv_b holds 1/B on the lattice of the auxiliary line (``_line_table``)
-    and kernels the stack K_r(eta) on the kernel nodes; each K_r must decay
-    below ~1e-15 of its peak at |eta| = reach.  Each row is then a plain
-    trapezoid of the sigma-line integral of the U representation, exact
-    to the analyticity width of 1/B around the beta-line
-    (super-exponentially small error at _H_W).  The lattice step is _H_W
-    and every second lattice node is an output node, so all rows share one
-    batched FFT correlation at stride 2 (``bfunc._fft_correlate``), which
-    computes the _NV output shifts alone.  Returns one row per kernel row,
-    or one line for a 1-D kernel.
+    spectrum is the DFT of that lattice of 1/B (``_line_table``).  Each
+    output is a plain trapezoid of the sigma-line integral of the U
+    representation, exact to the analyticity width of 1/B around the
+    beta-line (super-exponentially small error at _H_W).
+
+    Only K depends on t, and the DFT of its lattice row is known in closed
+    form.  Substituting x = e^u in the Mellin pair Gamma(z) t^(-z) =
+    int_0^inf x^(z-1) e^(-t x) dx gives
+
+        K(eta) = int G(u) e^(i eta u) du,    G(u) = e^(a u - t e^u),
+
+    and Poisson summation gives the DFT of the row K(-m h), m in Z:
+
+        sum_m K(-m h) e^(-i theta m) = (2 pi/h) sum_n G((2 pi n - theta)/h).
+
+    For theta in [-pi, pi) the terms n < 0 stay below e^(-a pi / h)
+    (2e-14 at a = _B_OFF) and the terms n > 0 underflow, and h/(2 pi)
+    cancels 2 pi / h: the kernel's spectrum is G(-theta / h), real, read on
+    the bins' -theta / h, the module grid _U.  The sum over w is the
+    circular correlation of the 1/B lattice with that row, whose DFT is the
+    product of the two spectra.  Summing the bins f and f + _N_FFT/2 (the
+    1/2 of that fold is in spectrum) keeps its even shifts, the output
+    nodes, so one inverse FFT of _N_FFT/2 bins gives the line.  A new t
+    costs one real exponential, one product and that FFT.
+
+    With du, the line of the kernel (log t - psi(a + i eta)) K(eta) of
+    dU/ds comes too, as the second row: d/dz Gamma(z) t^(-z) =
+    int u e^(z u - t e^u) du, so its transform is -u G(u).
     """
-    return (_H_W / (2.0 * math.pi)) * _fft_correlate(inv_b, kernels, 2)
+    g = np.exp(a * _U - t * _EXP_U)
+    if du:
+        g = np.stack([g, -_U * g])
+    folded = (spectrum * g).reshape(g.shape[:-1] + (2, _N_FFT // 2)).sum(-2)
+    return scipy.fft.ifft(folded)[..., :_NV]
 
 
 def _symbol_line(ev, t, c, kind):
@@ -271,9 +312,11 @@ def _symbol_line(ev, t, c, kind):
     kind "q2"  Sym = U_rem(t, s), the remainder of U after removing the
                residue at the first zero of B (auxiliary line at _BETA2)
 
-    Only the power t^(-sigma) depends on t: B, 1/B, loggamma and the other
-    factors are read from ``_line_table``, once per evaluator and line, and
-    a new t costs one kernel row and one FFT correlation.
+    Only the kernel Gamma(z) t^(-z) depends on t: B and the spectrum of
+    1/B are read from ``_line_table``, once per evaluator and line, and
+    the kernel's spectrum e^(a u - t e^u) is known in closed form
+    (``_conv_core``), so a new t costs one real exponential and one
+    inverse FFT.
     """
     if kind == "su":
         v = _H_V * np.arange(_NV)
@@ -281,13 +324,11 @@ def _symbol_line(ev, t, c, kind):
     tab = _line_table(ev, c, kind)
     if kind == "ut":
         return tab.factor * _symbol_line(ev, t, c - 1.0, "u")
-    # Gamma(z) t^(-z), the expression of ufunc._gamma_t_kernel
-    k = np.exp(tab.lg - tab.z * math.log(t))
+    _, a = _aux_line(c, kind)
     if kind == "du":
-        core, core2 = _conv_core(
-            tab.inv_b, np.stack([k, (math.log(t) - tab.dg) * k]))
+        core, core2 = _conv_core(tab.spectrum, a, t, du=True)
         return tab.b_prime * core + tab.factor * core2
-    return tab.factor * _conv_core(tab.inv_b, k)
+    return tab.factor * _conv_core(tab.spectrum, a, t)
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,10 @@ with a kernel K that depends on sigma - s only.  ``eval_U_line`` and
 interpolant, so one lattice serves every s of a line and every z.  When
 the Im s of a line are lattice nodes m steps apart, the samples are
 correlated with the kernel by one FFT (``bfunc._fft_correlate``, the
-scipy.fft correlation that B's line builds and ``fundsol`` use too),
-which computes every m-th shift alone: the outputs at the Im s;
-otherwise (one s, many z, or a line denser than the lattice) each output
-is one row of a kernel matrix times the samples.  The rule converges
+scipy.fft correlation that B's line builds use too), which computes
+every m-th shift alone: the outputs at the Im s; otherwise (one s, many
+z, or a line denser than the lattice) each output is one row of a kernel
+matrix times the samples.  The rule converges
 geometrically in the strip of analyticity about the line, with error about
 e^(-2 pi d/h) for a pole at distance d (Trefethen & Weideman, SIAM Rev. 56,
 2014); here d is the distance from the line to the Gamma pole at

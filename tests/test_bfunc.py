@@ -421,8 +421,8 @@ def test_walk_evaluates_w_once_per_walk_argument(monkeypatch):
     ((2, 1, 700), (1, 24, 537), False),   # BEvaluator._strip_line
     ((3000,), (6, 101), False),           # ufunc._lattice_rule, both rules
     ((3000,), (3, 101), True),            # its abs_sum rows
-    ((1700,), (2, 301), False),           # fundsol._conv_core, "du"
-    ((1700,), (301,), False),             # fundsol._conv_core, one kernel
+    ((1700,), (2, 301), False),           # two kernel rows on one lattice
+    ((1700,), (301,), False),             # one kernel row
 ])
 def test_fft_correlate_matches_direct_sums(a_shape, k_shape, real, stride):
     # every kept shift against the exact sum in long double, within
@@ -473,6 +473,24 @@ def test_correlations_invert_at_the_folded_length(monkeypatch):
     u_line = 0.5 + 1j * np.arange(-60.0, 40.0)
     ufunc.eval_U_line(1.0, u_line, evaluator=BEvaluator())
     assert sorted(strides()) == [4, 4, 16]
+
+
+@pytest.mark.parametrize("q_shape, x_shape", [
+    ((128, 1), (128, 521)),               # _strip_batch: q per row
+    ((), (24, 541)),                      # _strip_line: one q
+])
+def test_g_plus_takes_each_branch_bit_for_bit(q_shape, x_shape):
+    # each entry computes its own branch; the values must be those of
+    # evaluating both branches everywhere and selecting, bit for bit
+    rng = np.random.default_rng(11)
+    x = 2.0 * np.pi * rng.uniform(-6.5, 6.5, x_shape)
+    x[:, ::7] = 0.0                       # the step itself takes x <= 0
+    q = np.exp(2j * np.pi * rng.uniform(-0.45, 0.45, q_shape))
+    u = np.exp(-np.abs(x))
+    both = np.where(x > 0, -u / (q - u), q * u / (1.0 - q * u))
+    got = bfunc._g_plus(x, q)
+    assert got.shape == x_shape and got.dtype == complex
+    assert np.array_equal(got.view(np.int64), both.view(np.int64))
 
 
 @pytest.mark.parametrize("s", [0.6 + 2j, 0.9 + 15j, 1.2 - 7j, 0.75 + 40j])

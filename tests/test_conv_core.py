@@ -1,0 +1,89 @@
+"""The convolution of the Lambda line reads the Gamma kernel's spectrum in
+closed form.
+
+``fundsol._conv_core`` never builds the kernel row Gamma(z) t^(-z): it
+reads the row's DFT off the Mellin pair of Gamma as e^(a u - t e^u)
+(Poisson summation).  These tests hold its lines to the explicit trapezoid
+sum with the kernel rows of ``ufunc._gamma_t_kernel``, and pin what a new t
+on a seen line costs: no forward FFT, no loggamma or digamma, and one
+inverse FFT per line.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.fft
+import scipy.special
+
+from wavekin import bfunc, complexfn, fundsol, ufunc
+from wavekin.bfunc import BEvaluator
+from wavekin.fundsol import _H_W, _K_HALF, _N_LAT, _NV
+
+
+@pytest.fixture(scope="module")
+def ev():
+    return BEvaluator()
+
+
+def _trapezoid_rows(ev, t, c, kind):
+    # h/(2 pi) sum_w K_r(w - v) / B(beta + i w) at every output node v,
+    # summed in long double over the kernel nodes |eta| <= _K_HALF h
+    beta, a = fundsol._aux_line(c, kind)
+    # the lattice of _line_table, node for node
+    w = -_K_HALF * _H_W + _H_W * np.arange(_N_LAT)
+    inv_b = 1.0 / fundsol._line_B(ev, beta, w)
+    eta = _H_W * np.arange(-_K_HALF, _K_HALF + 1)
+    k = ufunc._gamma_t_kernel(a, t, eta)
+    rows = [k]
+    if kind == "du":
+        rows.append((math.log(t) - scipy.special.digamma(a + 1j * eta)) * k)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        inv_b.astype(np.clongdouble), eta.size)[::2]
+    assert windows.shape[0] == _NV
+    return [(_H_W / (2.0 * np.pi))
+            * (windows @ r.astype(np.clongdouble)).astype(complex)
+            for r in rows]
+
+
+@pytest.mark.parametrize("t", [0.2, 1.0, 6.0])
+@pytest.mark.parametrize("kind", ["u", "q2", "du"])
+def test_closed_form_spectrum_matches_the_trapezoid_sum(ev, kind, t):
+    c = fundsol._C_DIRECT
+    tab = fundsol._line_table(ev, c, kind)
+    got = fundsol._conv_core(tab.spectrum, fundsol._aux_line(c, kind)[1],
+                             t, du=kind == "du")
+    exact = _trapezoid_rows(ev, t, c, kind)
+    got = got if kind == "du" else [got]
+    assert len(got) == len(exact)
+    for row, ref in zip(got, exact):
+        assert row.shape == (_NV,)
+        assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_a_new_t_costs_one_inverse_fft(ev, monkeypatch):
+    kinds = [("u", 1.0), ("du", 1.0), ("q2", 1.0), ("su", 1.0),
+             ("ut", fundsol._C_DT)]
+    for kind, c in kinds:
+        fundsol._symbol_line(ev, 0.9, c, kind)
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod in (scipy.fft, np.fft):
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    for mod in (scipy.special, fundsol, ufunc, bfunc, complexfn):
+        for name in ("loggamma", "digamma", "log_gamma"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name,
+                                    spy(name, getattr(mod, name)))
+    for kind, c in kinds:
+        line = fundsol._symbol_line(ev, 1.7, c, kind)
+        assert line.shape == (_NV,) and np.isfinite(line).all()
+        assert calls == ["ifft"], kind
+        calls.clear()

@@ -618,5 +618,5 @@ def test_line_table_is_read_only_and_per_evaluator(ev):
             getattr(tab, f.name)[0] = 0.0
     other = _line_table(BEvaluator(), 1.0, "du")
     assert other is not tab
-    assert not np.shares_memory(other.inv_b, tab.inv_b)
-    assert np.array_equal(other.inv_b, tab.inv_b)
+    assert not np.shares_memory(other.spectrum, tab.spectrum)
+    assert np.array_equal(other.spectrum, tab.spectrum)
