@@ -19,9 +19,13 @@ geometric 16-point Gauss panels (``_ray_tail``), which keeps the quadrature
 non-oscillatory for any q.  One tabulation and fit (``_line_assembly``)
 serves every q: calling it with an array of q evaluates the moments, the
 phases and the ray panels of all of them at once, so profiles and integrals
-cost one call per batch of points.  In U only the kernel Gamma(z) t^(-z)
-depends on t, so B on the line and the spectrum of 1/B on the auxiliary
-line are tabulated once per line (``_line_table``), and the kernel's
+cost one call per batch of points.  Per q, the 240 panel phases are the
+outer product of 15 and 16 exponentials, the panel sum is one BLAS product
+with the Legendre coefficients, and the tail model is one Horner expression
+(``_tail_model``) whose samples already carry the ray's Gauss weights.  In
+U only the kernel Gamma(z) t^(-z) depends on t, so B on the line and the
+spectrum of 1/B on the auxiliary line are tabulated once per line
+(``_line_table``), and the kernel's
 spectrum is known in closed form: a new t costs one real exponential, one
 inverse FFT and the fits.  Every cache here is a bounded ``bfunc.memo``
 map kept inside the evaluator, so it is freed with the evaluator and keeps
@@ -170,6 +174,11 @@ _TAU = np.linspace(-1.0, 1.0, 11)
 _LEG_INV = np.linalg.inv(legvander(_TAU, 10))
 _GL16 = leggauss(16)
 _LEG_K = np.arange(11)
+#: the midpoint _PANEL_HALF (2 p + 1) of Filon panel p = 16 a + b
+#: (a < 15, b < 16) is _MID_HI[a] + _MID_LO[b], so the 240 panel phases
+#: e^(-i q mid) of one q are the outer product of 15 and 16 exponentials
+_MID_HI = (32.0 * _PANEL_HALF) * np.arange(_N_PANEL // 16)
+_MID_LO = _PANEL_HALF * (2.0 * np.arange(16) + 1.0)
 #: the ray sweep of one q stops once three consecutive panels fall below
 #: _RAY_TOL of its running sum, or after _RAY_PANELS panels
 _RAY_TOL = 1e-10
@@ -179,7 +188,8 @@ _RAY_DIRS = np.exp(1j * np.pi * np.array([0.5, 0.25, 0.75]))
 #: most q one pass of an assembled line takes: the ray sweep holds
 #: (q x panels x 16) complex temporaries, and near x = 1 it runs to
 #: blocks of 128 panels or more; a radial profile of 256 points still
-#: goes in one pass
+#: goes in one pass.  Every q is summed by its own products, so the
+#: batch size changes no value
 _Q_BATCH = 256
 
 
@@ -368,16 +378,43 @@ def _basis_factory(kind, t, c):
     return cols
 
 
+def _tail_model(kind, t, a, s):
+    """sum_k a[k] col_k(s) over the columns of ``_basis_factory``.
+
+    The columns share the factor (ENV_B z)^(-2t) and are powers of
+    p = V_BAR / z otherwise (with a log z or a z in one column of the
+    kinds "du", "ut" and "su"), so the sum is that factor times a
+    polynomial in p in Horner form: one complex power per node, and no
+    column is formed.
+    """
+    z = s - 1.0 if kind == "ut" else s
+    base = (ENV_B * z) ** (-2.0 * t)
+    p = _V_BAR / z
+    if kind in ("u", "q2"):
+        return base * (a[0] + p * (a[1] + p * (a[2] + p * (a[3] + p * a[4]))))
+    # the last three columns of the other kinds: a[2] p + a[3] p^2 + a[4] p^3
+    powers = p * (a[2] + p * (a[3] + p * a[4]))
+    if kind == "du":
+        return base / z * (a[0] + a[1] * np.log(z) + powers)
+    if kind == "ut":
+        return base * (a[0] * np.log(z) + a[1] + powers)
+    if kind == "su":
+        return base * (a[0] * z + _V_BAR * (a[1] + powers))
+    raise ValueError(kind)  # pragma: no cover
+
+
 def _ray_tail(F, s0, q, c):
     """int_{s0}^{s0 + i inf} F(s) e^(-(s-c) q) ds along a rotated ray, per q.
 
     For each q of the 1-D array the contour is rotated to arg = pi/4
     (q > 0), 3 pi/4 (q < 0) or kept vertical (q = 0); F must be analytic
-    and decaying in the swept sector, which holds for the power-model
-    basis.  All q share the geometric 16-point Gauss panels, so F is
-    evaluated once per direction.  Blocks of panels, each twice as long as
-    the last, go to every q still sweeping; a sweep stops once three
-    consecutive panels fall below _RAY_TOL of its running sum.
+    and decaying in the swept sector, which holds for the tail model.
+    All q share the geometric 16-point Gauss panels, so F is evaluated once
+    per direction and block, and its samples take the Gauss weights, the
+    half-lengths of the panels and the ray direction there; a q then costs
+    one exponential and one product per node.  Blocks of panels, each
+    twice as long as the last, go to every q still sweeping; a sweep stops
+    once three consecutive panels fall below _RAY_TOL of its running sum.
     """
     side = np.sign(q).astype(int)
     xg, wg = _GL16
@@ -387,14 +424,19 @@ def _ray_tail(F, s0, q, c):
     todo, j0, n_block = np.arange(q.size), 0, 8
     while todo.size:
         r_len = len0 * 2.0 ** np.arange(j0, min(j0 + n_block, _RAY_PANELS))
-        r = (r_len - len0)[:, None] + 0.5 * r_len[:, None] * (xg + 1.0)
+        half = 0.5 * r_len[:, None]
+        r = (r_len - len0)[:, None] + half * (xg + 1.0)
         f, z = np.empty((2, 3) + r.shape, complex)
         for i in set(side[todo].tolist()):
             s = s0 + _RAY_DIRS[i] * r
-            f[i], z[i] = F(s) * _RAY_DIRS[i], s - c
+            f[i], z[i] = F(s) * (_RAY_DIRS[i] * half * wg), s - c
         rays = side[todo]
-        vals = f[rays] * np.exp(-z[rays] * q[todo, None, None])
-        pieces = 0.5 * r_len * (vals * wg).sum(axis=-1)
+        # f e^(-z q) at every node, in one (q x panels x 16) buffer
+        vals = z[rays]
+        vals *= -q[todo, None, None]
+        np.exp(vals, out=vals)
+        vals *= f[rays]
+        pieces = vals.sum(axis=-1)
         sums = total[todo, None] + np.cumsum(pieces, axis=1)
         scale = np.maximum(np.abs(sums), 1e-300)
         # length of the run of small panels ending at each panel
@@ -419,17 +461,24 @@ def _ray_tail(F, s0, q, c):
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class _LineAssembly:
+    """One tabulated and fitted line; shared through ``memo``, so it is
+    frozen and its arrays are read-only.
+
+    coeffs      (_N_PANEL, 11) Legendre coefficients of the Filon panels
+    model_a     (5,) complex amplitudes of the tail model (``_tail_model``)
+    fit_resid   max |g - model| on the check window
+    err_window  Filon truncation estimate (integral units)
+    """
+
     t: float
     c: float
     kind: str
-    coeffs: np.ndarray        # (n_panels, 11) Legendre coefficients
-    mids: np.ndarray          # panel midpoints in v
-    model_a: np.ndarray       # (5,) complex model amplitudes
-    basis: object             # callable s -> (n, 5) columns
-    fit_resid: float          # max |g - model| on the check window
-    err_window: float         # Filon truncation estimate (integral units)
+    coeffs: np.ndarray
+    model_a: np.ndarray
+    fit_resid: float
+    err_window: float
 
     def __call__(self, q):
         """((x^-c / pi) Re int_0^inf g(v) e^(-i v q) dv, error) at q = log x.
@@ -453,13 +502,20 @@ class _LineAssembly:
         x = np.maximum(np.abs(lam), 1e-300)
         moms = (-1j) ** _LEG_K * jv(_LEG_K + 0.5, x) * np.sqrt(2.0 * np.pi / x)
         moms = np.where(lam < 0.0, np.conj(moms), moms)
-        phases = np.exp(-1j * qs[:, None] * self.mids)
-        # einsum, unlike a BLAS product, sums each q the same way whatever
-        # the batch, so an array call equals the scalar calls exactly
-        win = _PANEL_HALF * (np.einsum("nk,pk->np", moms, self.coeffs)
-                             * phases).sum(axis=-1)
+        # the panel phases e^(-i q mid) from 31 exponentials, as one
+        # (1 x _N_PANEL) row per q
+        e_hi = np.exp(-1j * qs[:, None, None] * _MID_HI[:, None])
+        e_lo = np.exp(-1j * qs[:, None, None] * _MID_LO)
+        phases = (e_hi * e_lo).reshape(qs.size, 1, _N_PANEL)
+        # sum_p phase_p coeffs_pk: the stacked product makes one
+        # (1 x _N_PANEL) @ (_N_PANEL x 11) call per q, so each q is summed
+        # the same way whatever the batch and an array call equals the
+        # scalar calls exactly; a plain 2-D product may block its rows
+        # differently for each batch size
+        d = np.matmul(phases, self.coeffs)[:, 0, :]
+        win = _PANEL_HALF * (d * moms).sum(axis=-1)
         ray, ray_err = _ray_tail(
-            lambda s: (self.basis(s) * self.model_a).sum(axis=-1),
+            lambda s: _tail_model(self.kind, self.t, self.model_a, s),
             self.c + 1j * _V_CUT, qs, self.c)
         err = (self.err_window + ray_err
                + self.fit_resid * _V_CUT / (2.0 * self.t + _MODEL_K - 1.0))
@@ -472,7 +528,6 @@ def _line_assembly(ev, t, c, kind):
     g = _symbol_line(ev, t, c, kind)
     idx = 10 * np.arange(_N_PANEL)[:, None] + np.arange(11)[None, :]
     coeffs = g[idx] @ _LEG_INV.T
-    mids = _H_V * (10.0 * np.arange(_N_PANEL) + 5.0)
     err_window = float(
         (np.abs(coeffs[:, 9]) + np.abs(coeffs[:, 10])).sum() * 2 * _PANEL_HALF
     )
@@ -487,9 +542,9 @@ def _line_assembly(ev, t, c, kind):
     resid = g[check] - basis(c + 1j * v[check]) @ model_a
     fit_resid = float(np.abs(resid).max())
 
-    return _LineAssembly(t=t, c=c, kind=kind, coeffs=coeffs, mids=mids,
-                         model_a=model_a, basis=basis, fit_resid=fit_resid,
-                         err_window=err_window)
+    coeffs.flags.writeable = model_a.flags.writeable = False
+    return _LineAssembly(t=t, c=c, kind=kind, coeffs=coeffs, model_a=model_a,
+                         fit_resid=fit_resid, err_window=err_window)
 
 
 # ---------------------------------------------------------------------------
