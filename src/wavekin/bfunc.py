@@ -211,34 +211,23 @@ def _b_singularities(lo, hi):
                  for x in map(np.concatenate, (poles, zeros)))
 
 
-def _near_b_pole_mask(s):
-    """Mask of points within _POLE_GUARD of a real pole of B."""
+def _pole_distance(s):
+    """Distance from each s (scalar or array) to B's nearest real pole
+    among those within 1 of the real parts of s, or inf if none is."""
     s = np.asarray(s, dtype=complex)
     if not s.size:
-        return np.zeros(s.shape, dtype=bool)
+        return np.full(s.shape, np.inf)
     poles = np.concatenate([[-np.inf], _b_singularities(
         s.real.min() - 1.0, s.real.max() + 1.0)[0], [np.inf]])
     i = np.searchsorted(poles, s.real)
-    return np.minimum(np.abs(s - poles[i - 1]),
-                      np.abs(s - poles[i])) < _POLE_GUARD
-
-
-def _pole_distance(s):
-    """Distance from s to B's nearest real pole within 1 of Re s, or inf."""
-    poles = _b_singularities(s.real - 1.0, s.real + 1.0)[0]
-    return min((abs(p - s) for p in poles.tolist()), default=np.inf)
+    return np.minimum(np.abs(s - poles[i - 1]), np.abs(s - poles[i]))[()]
 
 
 def _k_plus(s, beta, v):
-    # 1/(1 - e^{2 i pi (s - rho)}) on rho = beta + iv, overflow-free
-    q = np.exp(2j * np.pi * (s.real - beta))
+    """1/(1 - e^{2 i pi (s - rho)}) on rho = beta + iv, overflow-free:
+    ``_g_plus`` plus the step it leaves out at x = 2 pi (v - Im s) <= 0."""
     x = 2.0 * np.pi * (v - s.imag)
-    out = np.empty(v.shape, dtype=complex)
-    grow = x > 0
-    u = np.exp(-x[grow])
-    out[grow] = -u / (q - u)
-    out[~grow] = 1.0 / (1.0 - q * np.exp(x[~grow]))
-    return out
+    return _g_plus(x, np.exp(2j * np.pi * (s.real - beta))) + (x <= 0)
 
 
 def _k_minus(v):
@@ -731,7 +720,7 @@ class BEvaluator:
         factor lands on a pole or zero of W take the circle fallback; left
         of the W table's last pole they raise PoleError.
         """
-        near = _near_b_pole_mask(flat)
+        near = _pole_distance(flat) < _POLE_GUARD
         if near.any():
             raise PoleError(
                 f"B has a pole at or near s = {flat[np.argmax(near)]}"

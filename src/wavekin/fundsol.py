@@ -13,23 +13,23 @@ onto v = Im s >= 0:
 q = log x.  The integral is split at a fixed height V: on [0, V] the symbol
 is tabulated on a uniform grid by a matched-grid convolution (see
 ``_symbol_line``) and integrated panel-wise against exact oscillatory
-moments (Filon--Legendre); on [V, inf) a five-term power model of the
-symbol is fit on [0.55 V, 0.98 V] and integrated along a rotated ray in
-geometric 16-point Gauss panels (``_ray_tail``), which keeps the quadrature
-non-oscillatory for any q.  One tabulation and fit (``_line_assembly``)
-serves every q: calling it with an array of q evaluates the moments, the
-phases and the ray panels of all of them at once, so profiles and integrals
-cost one call per batch of points.  Per q, the 240 panel phases are the
-outer product of 15 and 16 exponentials, the panel sum is one BLAS product
-with the Legendre coefficients, and the tail model is one Horner expression
-(``_tail_model``) whose samples already carry the ray's Gauss weights.  In
-U only the kernel Gamma(z) t^(-z) depends on t, so B on the line and the
-spectrum of 1/B on the auxiliary line are tabulated once per line
-(``_line_table``), and the kernel's
-spectrum is known in closed form: a new t costs one real exponential, one
-inverse FFT and the fits.  Every cache here is a bounded ``bfunc.memo``
-map kept inside the evaluator, so it is freed with the evaluator and keeps
-none alive.
+moments (Filon--Legendre); on [V, inf) a five-term model of the symbol's
+(ENV_B s)^(-2t) decay, ``_tail_model``, is fit on [0.55 V, 0.98 V] and
+integrated along a rotated ray in geometric 16-point Gauss panels
+(``_ray_tail``), which keeps the quadrature non-oscillatory for any q.  The
+fit reads the model's columns and the ray its sum.  One tabulation and fit
+(``_line_assembly``) serves every q: calling it with an array of q
+evaluates the moments, the phases and the ray panels of all of them at
+once, so profiles and integrals cost one call per batch of points.  Per q,
+the 240 panel phases are the outer product of 15 and 16 exponentials, the
+panel sum is one BLAS product with the Legendre coefficients, and the tail
+model is one Horner expression whose samples already carry the ray's Gauss
+weights.  In U only the kernel Gamma(z) t^(-z) depends on t, so B on the
+line and the spectrum of 1/B on the auxiliary line are tabulated once per
+line (``_line_table``), and the kernel's spectrum is known in closed form:
+a new t costs one real exponential, one inverse FFT and the fits.  Every
+cache here is a bounded ``bfunc.memo`` map kept inside the evaluator, so it
+is freed with the evaluator and keeps none alive.
 
 The integrals against x (``l1_norm_lambda``, ``delta_pairing``) run
 adaptive Gauss panels in log x on that line.  One routine,
@@ -346,61 +346,34 @@ def _symbol_line(ev, t, c, kind):
 # ---------------------------------------------------------------------------
 
 
-def _basis_factory(kind, t, c):
-    """Five analytic functions modelling the symbol beyond V.
-
-    All are analytic in the closed upper-right region swept by the rotated
-    rays (principal branches; the tabulated line and both ray directions
-    stay in Im s >= V > 0).
-    """
-    shift = 1.0 if kind == "ut" else 0.0
-
-    def cols(s):
-        z = s - shift
-        base = (ENV_B * z) ** (-2.0 * t)
-        p = _V_BAR / z
-        if kind in ("u", "q2"):
-            fams = [base, base * p, base * p ** 2, base * p ** 3,
-                    base * p ** 4]
-        elif kind == "du":
-            fams = [base / z, base * np.log(z) / z, base * p / z,
-                    base * p ** 2 / z, base * p ** 3 / z]
-        elif kind == "ut":
-            fams = [base * np.log(z), base, base * p, base * p ** 2,
-                    base * p ** 3]
-        elif kind == "su":
-            fams = [base * z, base * _V_BAR, base * _V_BAR * p,
-                    base * _V_BAR * p ** 2, base * _V_BAR * p ** 3]
-        else:  # pragma: no cover
-            raise ValueError(kind)
-        return np.stack(fams, axis=-1)
-
-    return cols
-
-
 def _tail_model(kind, t, a, s):
-    """sum_k a[k] col_k(s) over the columns of ``_basis_factory``.
+    """sum_k a[k] col_k(s), the model of the symbol beyond V.
 
-    The columns share the factor (ENV_B z)^(-2t) and are powers of
-    p = V_BAR / z otherwise (with a log z or a z in one column of the
-    kinds "du", "ut" and "su"), so the sum is that factor times a
-    polynomial in p in Horner form: one complex power per node, and no
-    column is formed.
+    With base = (ENV_B z)^(-2t), z = s (s - 1 for "ut") and p = V_BAR / z,
+    the columns are one of two ladders, summed in Horner form:
+
+      power  base [1, p, p^2, p^3, p^4]     "u", "q2"; "su" is z times it
+      log    base [log z, 1, p, p^2, p^3]   "ut"; "du" is it over z, with
+                                            the first two swapped
+
+    a is a line's (5,) amplitudes, or np.eye(5) with s[..., None] for the
+    fit's column matrix.  The columns are analytic in the closed upper-right
+    region swept by the rotated rays (principal branches; the tabulated
+    line and both ray directions stay in Im s >= V > 0).
     """
     z = s - 1.0 if kind == "ut" else s
     base = (ENV_B * z) ** (-2.0 * t)
     p = _V_BAR / z
-    if kind in ("u", "q2"):
-        return base * (a[0] + p * (a[1] + p * (a[2] + p * (a[3] + p * a[4]))))
-    # the last three columns of the other kinds: a[2] p + a[3] p^2 + a[4] p^3
-    powers = p * (a[2] + p * (a[3] + p * a[4]))
+    if kind in ("u", "q2", "su"):
+        model = base * (a[0] + p * (a[1] + p * (a[2] + p * (a[3] + p * a[4]))))
+        return model * z if kind == "su" else model
     if kind == "du":
-        return base / z * (a[0] + a[1] * np.log(z) + powers)
-    if kind == "ut":
-        return base * (a[0] * np.log(z) + a[1] + powers)
-    if kind == "su":
-        return base * (a[0] * z + _V_BAR * (a[1] + powers))
-    raise ValueError(kind)  # pragma: no cover
+        a = a[[1, 0, 2, 3, 4]]
+    elif kind != "ut":  # pragma: no cover
+        raise ValueError(kind)
+    model = base * (a[0] * np.log(z) + a[1]
+                    + p * (a[2] + p * (a[3] + p * a[4])))
+    return model / z if kind == "du" else model
 
 
 def _ray_tail(F, s0, q, c):
@@ -467,7 +440,8 @@ class _LineAssembly:
     frozen and its arrays are read-only.
 
     coeffs      (_N_PANEL, 11) Legendre coefficients of the Filon panels
-    model_a     (5,) complex amplitudes of the tail model (``_tail_model``)
+    model_a     (5,) complex amplitudes of the tail model: ``_tail_model``
+                defines its columns, the power or the log ladder of the kind
     fit_resid   max |g - model| on the check window
     err_window  Filon truncation estimate (integral units)
     """
@@ -532,14 +506,15 @@ def _line_assembly(ev, t, c, kind):
         (np.abs(coeffs[:, 9]) + np.abs(coeffs[:, 10])).sum() * 2 * _PANEL_HALF
     )
 
-    basis = _basis_factory(kind, t, c)
-    v = _H_V * np.arange(_NV)
+    # the fit's column matrices: the model with the identity as amplitudes
+    s = c + 1j * _H_V * np.arange(_NV)[:, None]
+    eye = np.eye(_MODEL_K)
     lo, hi = int(0.55 * (_NV - 1)), int(0.98 * (_NV - 1))
     probe = np.linspace(lo, hi, 8).astype(int)
-    s_probe = c + 1j * v[probe]
-    model_a, *_ = np.linalg.lstsq(basis(s_probe), g[probe], rcond=None)
+    model_a, *_ = np.linalg.lstsq(_tail_model(kind, t, eye, s[probe]),
+                                  g[probe], rcond=None)
     check = np.arange(lo, hi, (hi - lo) // 40)
-    resid = g[check] - basis(c + 1j * v[check]) @ model_a
+    resid = g[check] - _tail_model(kind, t, eye, s[check]) @ model_a
     fit_resid = float(np.abs(resid).max())
 
     coeffs.flags.writeable = model_a.flags.writeable = False

@@ -172,12 +172,39 @@ def test_pole_mask_matches_the_loop_over_zeros():
         c + 2.0 * tol * rng.uniform(0.0, 1.0, 40)
         * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 40))
         for c in centres])
-    mask = bfunc._near_b_pole_mask(s)
+    mask = bfunc._pole_distance(s) < tol
     assert np.array_equal(mask, _pole_mask_by_loop(s))
     assert 0.1 < mask.mean() < 0.9
     grid = s.reshape(len(centres), 40)
-    assert np.array_equal(bfunc._near_b_pole_mask(grid),
+    assert np.array_equal(bfunc._pole_distance(grid) < tol,
                           _pole_mask_by_loop(grid))
+
+
+@pytest.mark.parametrize("s", [-5.0, -6.0, 0.5, 8.7 + 0.2j, 3.2])
+def test_pole_distance_is_the_nearest_listed_pole(s):
+    # the searchsorted neighbours against the minimum over every pole
+    # within 1 of Re s; none lies within 1 of 3.2
+    s = complex(s)
+    poles = bfunc._b_singularities(s.real - 1.0, s.real + 1.0)[0]
+    ref = min((abs(s - p) for p in poles.tolist()), default=math.inf)
+    assert bfunc._pole_distance(s) == ref
+    assert (ref == math.inf) == (s == 3.2)
+    if s.real in (-5.0, -6.0):
+        # B(-5) and B(-6) sit 0.0457 from a pole: the circles shrink
+        assert ref == pytest.approx(0.0457, abs=1e-4)
+
+
+def test_k_plus_is_the_reflection_kernel():
+    # 1/(1 - e^(2 i pi (s - rho))) on rho = beta + iv, on both sides of
+    # the step at v = Im s, where the direct form stays finite
+    rng = np.random.default_rng(17)
+    s = complex(0.9, 3.0)
+    v = s.imag + np.concatenate([rng.uniform(-5.0, 5.0, 400),
+                                 [-5.0, 0.0, 5.0]])
+    for beta in s.real + rng.uniform(-0.45, 0.45, 6):
+        ref = 1.0 / (1.0 - np.exp(2j * np.pi * (s - (beta + 1j * v))))
+        got = bfunc._k_plus(s, beta, v)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
 
 
 def test_strip_domain_error(ev):

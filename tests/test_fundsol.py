@@ -197,35 +197,39 @@ def _ray_nodes(s0, n_panels=24):
 
 @pytest.mark.parametrize("kind, c, t", _TAIL_CASES)
 def test_tail_model_is_the_fit_columns_summed(ev, kind, c, t):
+    # the fit's column matrix (a = eye) times the amplitudes is the model
+    # that the ray sums in Horner form
     line = _line_assembly(ev, t, c, kind)
     s = _ray_nodes(c + 1j * fundsol._V_CUT)
-    ref = fundsol._basis_factory(kind, t, c)(s) @ line.model_a
+    cols = fundsol._tail_model(kind, t, np.eye(fundsol._MODEL_K),
+                               s[..., None])
+    assert cols.shape == s.shape + (fundsol._MODEL_K,)
+    ref = cols @ line.model_a
     got = fundsol._tail_model(kind, t, line.model_a, s)
     assert got.shape == ref.shape
     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_a_query_evaluates_no_fit_column(ev, monkeypatch):
-    evaluated = []
-    real_factory = fundsol._basis_factory
+    # the fit passes the 2-D identity to read the columns; a query passes
+    # only the line's 1-D amplitudes
+    amplitudes = []
+    real_model = fundsol._tail_model
 
-    def factory(kind, t, c):
-        cols = real_factory(kind, t, c)
+    def spy(kind, t, a, s):
+        amplitudes.append(np.ndim(a))
+        return real_model(kind, t, a, s)
 
-        def spy(s):
-            evaluated.append(np.size(s))
-            return cols(s)
-        return spy
-
-    monkeypatch.setattr(fundsol, "_basis_factory", factory)
+    monkeypatch.setattr(fundsol, "_tail_model", spy)
     q = np.linspace(-6.0, 6.0, 30)
     for kind, c in _KINDS:
         line = _line_assembly(ev, 1.37, c, kind)    # a t no other test uses
-        assert evaluated                            # the fit reads them
-        evaluated.clear()
+        assert set(amplitudes) == {2}               # the fit's columns
+        amplitudes.clear()
         line(q)
         line(0.4)
-        assert evaluated == []
+        assert set(amplitudes) == {1}
+        amplitudes.clear()
 
 
 def _quad_ray(F, s0, q, c):
@@ -543,15 +547,19 @@ def test_bump_is_flat_at_its_support_ends():
 # ---------------- derivatives and the rescaled kernel ----------------
 
 
-def test_dlambda_dt_matches_central_difference(ev):
-    t, x, h = 1.5, 2.0, 1e-4
+@pytest.mark.parametrize("t, x", [
+    (1.5, 2.0), (0.7, 0.5), (0.7, 3.0), (1.5, 0.2), (2.5, 1.0), (0.4, 1.5)])
+def test_dlambda_dt_matches_central_difference(ev, t, x):
+    h = 1e-4
     fd = (eval_lambda(LambdaQuery(t + h, x), ev)
           - eval_lambda(LambdaQuery(t - h, x), ev)) / (2 * h)
     assert eval_dlambda_dt(t, x, ev) == pytest.approx(fd, rel=1e-6)
 
 
-def test_dlambda_dx_matches_central_difference(ev):
-    t, x, h = 2.0, 1.5, 1e-4
+@pytest.mark.parametrize("t, x", [
+    (2.0, 1.5), (2.0, 0.5), (3.0, 4.0), (1.5, 0.3), (1.2, 2.0)])
+def test_dlambda_dx_matches_central_difference(ev, t, x):
+    h = 1e-4
     fd = (eval_lambda(LambdaQuery(t, x + h), ev)
           - eval_lambda(LambdaQuery(t, x - h), ev)) / (2 * h)
     assert eval_dlambda_dx(t, x, ev) == pytest.approx(fd, rel=1e-7)
