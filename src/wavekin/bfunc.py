@@ -461,8 +461,9 @@ class BEvaluator:
     strip lattice per (line, step), the gauge offsets, the point cache
     ``cache``, keyed on (Re s, Im s) to 1e-12, which keeps the _POINT_CACHE
     most recently added strip values, and the ``memo`` maps: the
-    _LINE_CACHE most recently used line interpolants, and fundsol's line
-    tables, assemblies, Mellin-Barnes lines, ledger and series constants.
+    _LINE_CACHE most recently used line interpolants, and fundsol's grid
+    lines of B, B' and W and spectra of 1/B, its assemblies, Mellin-Barnes
+    lines, residue table and B at integers.
     """
 
     def __init__(self, beta=0.3):
@@ -910,21 +911,19 @@ class BEvaluator:
         return (order if k > 0 else -order), self.eval_B(base) * factors
 
     def derived_constants(self):
-        """The residue ledger feeding the long-time asymptotics of Lambda.
+        """The residue ledger of the long-time asymptotics of Lambda.
 
-        Read off the ladder (``laurent``): B has a simple zero at 4, a
-        simple pole at 0, and is finite at 5 (a W-pole times a B-zero) and
-        at -2..-5 (W-zeros against W-poles).
+        Every entry is read off the ladder (``laurent``): B has simple
+        zeros at 3 and 4 and a simple pole at 0, and is finite at 5 (a
+        W-pole times a B-zero) and at -2..-5 (W-zeros against W-poles).
+        So c1 = -Res(1/B, 3) = -1/(B(1) W(1) W'(2)), and
+        c2 = 6 rho4 Res(B, 0)/sqrt(2 pi) = -6 rho4 B(1)/(sqrt(2 pi) W'(0)).
         """
-        b1 = self.eval_B(1.0)
-        w1 = complex(eval_W(1.0))
-        wp2 = complex(eval_W_prime(2.0))
-        wp0 = complex(eval_W_prime(0.0))
         rho4 = 1.0 / self.laurent(4.0)[1]
         b5 = self.laurent(5.0)[1]
         resB0 = self.laurent(0.0)[1]
-        c1 = -1.0 / (b1 * w1 * wp2)
-        c2 = -6.0 * rho4 * b1 / (SQRT_2PI * wp0)
+        c1 = -1.0 / self.laurent(3.0)[1]
+        c2 = 6.0 * rho4 * resB0 / SQRT_2PI
         c3 = rho4 * b5 / SQRT_2PI
         P = [0.0 + 0j, 0.0 + 0j]
         for n in range(2, 6):

@@ -92,24 +92,15 @@ class TailModel:
 _N_FINE = 24
 _N_COARSE = 12
 _PANEL_CAP = 500_000
-
-_gl_cache = {}
-
-
-def _leggauss(n):
-    try:
-        return _gl_cache[n]
-    except KeyError:
-        xw = np.polynomial.legendre.leggauss(n)
-        _gl_cache[n] = xw
-        return xw
+_GL_FINE = np.polynomial.legendre.leggauss(_N_FINE)
+_GL_COARSE = np.polynomial.legendre.leggauss(_N_COARSE)
 
 
 def _eval_panels(f, c, lo, hi, counter):
     # Gauss-Legendre 24 value with an embedded 12-point estimate; one batched
     # call to f covers every node of every panel in the batch.
-    xf, wf = _leggauss(_N_FINE)
-    xc, wc = _leggauss(_N_COARSE)
+    xf, wf = _GL_FINE
+    xc, wc = _GL_COARSE
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
     v = np.concatenate([mid + half * xf, mid + half * xc], axis=1)

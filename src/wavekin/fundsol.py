@@ -25,11 +25,14 @@ the 240 panel phases are the outer product of 15 and 16 exponentials, the
 panel sum is one BLAS product with the Legendre coefficients, and the tail
 model is one Horner expression whose samples already carry the ray's Gauss
 weights.  In U only the kernel Gamma(z) t^(-z) depends on t, so B on the
-line and the spectrum of 1/B on the auxiliary line are tabulated once per
-line (``_line_table``), and the kernel's spectrum is known in closed form:
-a new t costs one real exponential, one inverse FFT and the fits.  Every
-cache here is a bounded ``bfunc.memo`` map kept inside the evaluator, so it
-is freed with the evaluator and keeps none alive.
+grid (``_b_grid``) and the spectrum of 1/B on the auxiliary line
+(``_inv_b_spectrum``) are tabulated once per abscissa, and the kernel's
+spectrum is known in closed form: a new t costs one real exponential, one
+inverse FFT and the fits.  Every cache here is a bounded ``bfunc.memo`` map
+kept inside the evaluator, holds one quantity keyed by what it depends on,
+and is freed with the evaluator and keeps none alive.  The residues that
+the asymptotic routes read come from one table off B's ladder
+(``_residues``).
 
 The integrals against x (``l1_norm_lambda``, ``delta_pairing``) run
 adaptive Gauss panels in log x on that line.  One routine,
@@ -128,6 +131,9 @@ _H_W = 0.035
 #: eta = 26.985 is below 1e-15 of its peak for the offsets used here
 _K_HALF = 771  # nodes; reach = 771 * _H_W = 26.985
 _NV = int(round(_V_CUT / _H_V)) + 1          # 2401 output nodes
+#: the output grid v = 0, _H_V, ..., _V_CUT
+_V_GRID = _H_V * np.arange(_NV)
+_V_GRID.flags.writeable = False
 _N_PANEL = (_NV - 1) // 10                   # 240 Filon panels
 _PANEL_HALF = 5.0 * _H_V                     # 0.35
 #: offset of the auxiliary line of the convolution: sigma = c + _B_OFF + i w
@@ -204,71 +210,48 @@ def _line_B(ev, re_line, v):
     return interp(re_line + 1j * v)
 
 
-@dataclasses.dataclass(frozen=True)
-class _LineTable:
-    """The factors of ``_symbol_line`` that do not depend on t, on one line.
-
-    factor    B(c + i v) on the output grid; W(c - 1 + i v) for kind "ut"
-    spectrum  the DFT over _N_FFT bins of 1/B(beta + i w) on the lattice
-              w = m _H_W of the auxiliary line, zero-padded and rolled so
-              that w = 0 sits at bin 0 (the centring of the kernel row),
-              and halved for the fold of ``_conv_core``
-                                                  (kinds "u", "q2", "du")
-    b_prime   B'(c + i v) on the output grid      (kind "du" only)
-    """
-
-    factor: np.ndarray
-    spectrum: np.ndarray | None = None
-    b_prime: np.ndarray | None = None
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
 
 
-def _aux_line(c, kind):
-    """(beta, a): the auxiliary line Re sigma = beta of the convolution of a
-    line of kind "u", "du" or "q2" at abscissa c, and the kernel offset
-    a = beta - c."""
-    if kind == "q2":
-        return _BETA2, _BETA2 - c
-    return c + _B_OFF, _B_OFF
+@memo(8)
+def _b_grid(ev, c):
+    """B(c + i v) on the output grid, off the line interpolant."""
+    return _frozen(_line_B(ev, c, _V_GRID))
 
 
-@memo(16)
-def _line_table(ev, c, kind):
-    """The ``_LineTable`` of one evaluator, abscissa and symbol kind.
+@memo(8)
+def _b_prime_grid(ev, c):
+    """B'(c + i v) on the output grid, by a 4th-order stencil in v on the
+    line interpolant."""
+    h = 1e-3
+    interp = ev.line_interpolator(c, -0.2, _V_CUT + 0.2)
 
-    B is read off the line interpolants once per evaluator and line, so a
-    new t on a seen line evaluates no B.  The arrays are shared by every
-    caller and read-only.  Kind "su" reads the "u" table, kind "du" extends
-    it, and kind "ut" holds W alone and reads the "u" table at c - 1.
-    """
-    v = _H_V * np.arange(_NV)
-    if kind == "ut":
-        arrays = {"factor": eval_W((c - 1.0) + 1j * v)}
-    elif kind in ("u", "q2"):
-        beta, _ = _aux_line(c, kind)
-        w = -_K_HALF * _H_W + _H_W * np.arange(_N_LAT)
-        inv_b = np.zeros(_N_FFT, complex)
-        inv_b[:_N_LAT] = 1.0 / _line_B(ev, beta, w)
-        arrays = {"factor": _line_B(ev, c, v),
-                  "spectrum": scipy.fft.fft(np.roll(inv_b, -_K_HALF)) / 2.0}
-    elif kind == "du":
-        u = _line_table(ev, c, "u")
-        # B' on the line by a 4th-order stencil on the interpolant
-        h = 1e-3
-        interp = ev.line_interpolator(c, -0.2, _V_CUT + 0.2)
+    def bb(dv):
+        return interp(c + 1j * (_V_GRID + dv))
 
-        def bb(dv):
-            return interp(c + 1j * (v + dv))
+    db_dv = (8.0 * (bb(h) - bb(-h))
+             - (bb(2 * h) - bb(-2 * h))) / (12 * h)
+    return _frozen(-1j * db_dv)
 
-        db_dv = (8.0 * (bb(h) - bb(-h))
-                 - (bb(2 * h) - bb(-2 * h))) / (12 * h)
-        arrays = {"b_prime": -1j * db_dv}
-    else:
-        raise ValueError(f"unknown symbol kind {kind!r}")
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    if kind == "du":
-        return dataclasses.replace(u, **arrays)
-    return _LineTable(**arrays)
+
+@memo(8)
+def _w_grid(ev, c):
+    """W(c - 1 + i v) on the output grid, the delay factor of kind "ut"."""
+    return _frozen(eval_W((c - 1.0) + 1j * _V_GRID))
+
+
+@memo(8)
+def _inv_b_spectrum(ev, beta):
+    """The DFT over _N_FFT bins of 1/B(beta + i w) on the lattice w = m _H_W
+    of the auxiliary line, |m| <= _K_HALF + _NV - 1, zero-padded and rolled
+    so that w = 0 sits at bin 0 (the centring of the kernel row), and
+    halved for the fold of ``_conv_core``."""
+    w = -_K_HALF * _H_W + _H_W * np.arange(_N_LAT)
+    inv_b = np.zeros(_N_FFT, complex)
+    inv_b[:_N_LAT] = 1.0 / _line_B(ev, beta, w)
+    return _frozen(scipy.fft.fft(np.roll(inv_b, -_K_HALF)) / 2.0)
 
 
 def _conv_core(spectrum, a, t, du=False):
@@ -276,7 +259,7 @@ def _conv_core(spectrum, a, t, du=False):
     v = 2 j h, for the kernel K(eta) = Gamma(a + i eta) t^(-(a + i eta)),
     w on the lattice of step h = _H_W.
 
-    spectrum is the DFT of that lattice of 1/B (``_line_table``).  Each
+    spectrum is the DFT of that lattice of 1/B (``_inv_b_spectrum``).  Each
     output is a plain trapezoid of the sigma-line integral of the U
     representation, exact to the analyticity width of 1/B around the
     beta-line (super-exponentially small error at _H_W).
@@ -322,23 +305,29 @@ def _symbol_line(ev, t, c, kind):
     kind "q2"  Sym = U_rem(t, s), the remainder of U after removing the
                residue at the first zero of B (auxiliary line at _BETA2)
 
-    Only the kernel Gamma(z) t^(-z) depends on t: B and the spectrum of
-    1/B are read from ``_line_table``, once per evaluator and line, and
-    the kernel's spectrum e^(a u - t e^u) is known in closed form
-    (``_conv_core``), so a new t costs one real exponential and one
-    inverse FFT.
+    The one map from a kind to its lines: "u" and "du" convolve on the
+    auxiliary line c + _B_OFF, "q2" on _BETA2, "su" and "ut" read the "u"
+    line at c and c - 1.  Only the kernel Gamma(z) t^(-z) depends on t: B,
+    B' and W on the grid and the spectrum of 1/B are memoized per
+    evaluator and abscissa, and the kernel's spectrum e^(a u - t e^u) is
+    known in closed form (``_conv_core``), so a new t costs one real
+    exponential and one inverse FFT.
     """
     if kind == "su":
-        v = _H_V * np.arange(_NV)
-        return (c + 1j * v) * _symbol_line(ev, t, c, "u")
-    tab = _line_table(ev, c, kind)
+        return (c + 1j * _V_GRID) * _symbol_line(ev, t, c, "u")
     if kind == "ut":
-        return tab.factor * _symbol_line(ev, t, c - 1.0, "u")
-    _, a = _aux_line(c, kind)
+        return _w_grid(ev, c) * _symbol_line(ev, t, c - 1.0, "u")
+    if kind == "q2":
+        spectrum = _inv_b_spectrum(ev, _BETA2)
+        return _b_grid(ev, c) * _conv_core(spectrum, _BETA2 - c, t)
+    # the offset is _B_OFF itself: (c + _B_OFF) - c differs by rounding
+    spectrum = _inv_b_spectrum(ev, c + _B_OFF)
+    if kind == "u":
+        return _b_grid(ev, c) * _conv_core(spectrum, _B_OFF, t)
     if kind == "du":
-        core, core2 = _conv_core(tab.spectrum, a, t, du=True)
-        return tab.b_prime * core + tab.factor * core2
-    return tab.factor * _conv_core(tab.spectrum, a, t)
+        core, core2 = _conv_core(spectrum, _B_OFF, t, du=True)
+        return _b_prime_grid(ev, c) * core + _b_grid(ev, c) * core2
+    raise ValueError(f"unknown symbol kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +718,7 @@ def _mb_line(ev, kind, c, a):
                  on Re = a - c and conjugated)
     """
     if kind == "q1":
-        c1 = _ledger(ev).c1.real
+        c1 = -_residues(ev)[1][3]
         b = ev.line_interpolator(c, 0.0, _MB_V + 0.5)
 
         def phi(s):
@@ -752,12 +741,6 @@ def _mb_line(ev, kind, c, a):
 # ---------------------------------------------------------------------------
 # long-time decomposition
 # ---------------------------------------------------------------------------
-
-
-@memo(1)
-def _ledger(ev):
-    """The evaluator's residue ledger, computed once per evaluator."""
-    return ev.derived_constants()
 
 
 def _q1_with_error(theta, ev):
@@ -801,34 +784,22 @@ def eval_Q2(t, theta, evaluator=None):
 # ---------------------------------------------------------------------------
 
 
-class _SeriesConstants:
-    """Residues of B and 1/B feeding the short-time series.
+@memo(1)
+def _residues(ev):
+    """(Res(B, p) by p, Res(1/B, z) by z): B's real poles in [-1, 12.3] and
+    zeros in [-9, 12.3], the ones the asymptotic routes cross (12.3 keeps
+    0.5 left of the series' cut at 12.8).
 
     All are read off the functional-equation ladder (``ev.laurent``): B
-    has simple poles at 0, -1 and 9..12, so Res(B, m) is the leading
-    coefficient there, and simple zeros at -6..-9 and at the cascade
-    points, so Res(1/B, z) is its inverse.
+    has simple poles at 0, -1 and 9..12, so Res(B, p) is the leading
+    coefficient there, and simple zeros at -9..-6, 3, 4 and the six
+    cascade points in (8, 12.3), so Res(1/B, z) is its inverse.  The Q1
+    line reads c1 = -Res(1/B, 3).
     """
-
-    def __init__(self, ev):
-        self.res_b = {round(m): ev.laurent(m)[1].real
-                      for m in _b_singularities(-1.0, 12.0)[0].tolist()}
-        # G_k of order k <= 4 reads the zeros of B at -6 .. -9
-        self.rho = {round(z): (1.0 / ev.laurent(z)[1]).real
-                    for z in _b_singularities(-9.0, -6.0)[1].tolist()}
-        # the zeros of B in (8, 12.3), 0.5 or more left of the cut at 12.8
-        self.casc = [(z, (1.0 / ev.laurent(z)[1]).real)
-                     for z in _b_singularities(8.0, 12.3)[1].tolist()]
-        # rho(3), rho(4) without re-measuring: rho4 from the ledger, and
-        # rho3 = -c1 by definition of c1
-        led = _ledger(ev)
-        self.rho[3] = -led.c1.real
-        self.rho[4] = led.rho4.real
-
-
-@memo(1)
-def _series_constants(ev):
-    return _SeriesConstants(ev)
+    poles = _b_singularities(-1.0, 12.3)[0].tolist()
+    zeros = _b_singularities(-9.0, 12.3)[1].tolist()
+    return ({p: ev.laurent(p)[1].real for p in poles},
+            {z: (1.0 / ev.laurent(z)[1]).real for z in zeros})
 
 
 @memo(32)
@@ -865,23 +836,23 @@ def _h_casc(z, theta, ev):
     return _mb_line(ev, "casc", -0.5, z)(-math.log(theta))
 
 
-def _series_g_plus(k, x, sc, ev):
+def _series_g_plus(k, x, rho, ev):
     """G_k for x > 1: the zero families of B at 3 and 4, pushed right.
 
     The pole ladder of B at m >= 9 is handled exactly by ``_nu_hat`` and
     must not reappear here.
     """
-    return -(sc.rho.get(3) * _b_at(ev, 3 + k) * x ** -3
-             + sc.rho.get(4) * _b_at(ev, 4 + k) * x ** -4)
+    return -(rho[3] * _b_at(ev, 3 + k) * x ** -3
+             + rho[4] * _b_at(ev, 4 + k) * x ** -4)
 
 
-def _series_g_minus(k, x, sc, ev):
+def _series_g_minus(k, x, res_b, rho, ev):
     """G_k for x < 1 (contour pushed left)."""
-    out = sc.res_b[-1] * x ** (k + 1) / _b_at(ev, -k - 1)
+    out = res_b[-1] * x ** (k + 1) / _b_at(ev, -k - 1)
     if k >= 2:  # for k = 1 the factor 1/B(-1) vanishes at the pole of B
-        out += sc.res_b[0] * x ** k / _b_at(ev, -k)
+        out += res_b[0] * x ** k / _b_at(ev, -k)
     for n in range(6, k + 6):
-        out += sc.rho[-n] * _b_at(ev, k - n) * x ** n
+        out += rho[-n] * _b_at(ev, k - n) * x ** n
     return out
 
 
@@ -895,14 +866,14 @@ def _series_with_error(t, x, ev):
         raise RegimeError(
             "the pushed-contour remainders do not vanish near x = 1; "
             f"|x-1|={abs(x - 1.0):.3g} < 0.1")
-    sc = _series_constants(ev)
+    res_b, rho = _residues(ev)
 
     total = 0.0
     first = 0.0
     last = 0.0
     for k in range(1, _SERIES_ORDER + 1):
-        gk = (_series_g_plus(k, x, sc, ev) if x > 1.0
-              else _series_g_minus(k, x, sc, ev))
+        gk = (_series_g_plus(k, x, rho, ev) if x > 1.0
+              else _series_g_minus(k, x, res_b, rho, ev))
         term = (-1.0) ** k / math.factorial(k) * theta ** (-k) * gk
         if k == 1:
             first = abs(term)
@@ -919,15 +890,17 @@ def _series_with_error(t, x, ev):
         quad_err = 0.0
         for m in range(9, 13):
             nu, nu_err = _nu_hat(m, t, ev)
-            total -= theta ** (-m) * sc.res_b[m] * nu
-            quad_err += theta ** (-m) * abs(sc.res_b[m]) * nu_err
-        for z, rho_z in sc.casc:
+            total -= theta ** (-m) * res_b[m] * nu
+            quad_err += theta ** (-m) * abs(res_b[m]) * nu_err
+        for z, rho_z in rho.items():
+            if z < 8.0:   # not a cascade point
+                continue
             h, h_err = _h_casc(z, theta, ev)
             total -= rho_z * x ** (-z) * h
             quad_err += abs(rho_z) * x ** (-z) * h_err
         # at order 5 the family at 4 meets the pole of B at 9, so only
         # the family at 3 contributes a clean next term
-        k_err = (abs(sc.rho[3] * _b_at(ev, 8)) * x ** -3 * theta ** -5
+        k_err = (abs(rho[3] * _b_at(ev, 8)) * x ** -3 * theta ** -5
                  / 120.0)
         # families beyond the contour cut at Re s = 12.8: the first of
         # them measures ~ 0.4 x^-13 against line-integral references
@@ -1057,6 +1030,8 @@ class TestFunction:
 _X12, _W12 = leggauss(12)
 _X6, _W6 = leggauss(6)
 _X18 = np.concatenate([_X12, _X6])
+#: bisections of one panel after which ``_adaptive_panels`` stops splitting it
+_PANEL_DEPTH = 28
 
 
 def _gauss_panels(f, bounds, absolute):
@@ -1077,14 +1052,13 @@ def _gauss_panels(f, bounds, absolute):
     return sums
 
 
-def _adaptive_panels(f, intervals, rel_tol=1e-7, max_depth=28,
-                     absolute=False):
+def _adaptive_panels(f, intervals, rel_tol=1e-7, absolute=False):
     """Adaptive Gauss panels of f on each interval: [(total, err), ...].
 
     f maps arrays to arrays.  Per interval, 12- and 6-point rules are
     compared on each panel, and the worst panel is bisected until the
     summed discrepancy is below rel_tol of the summed integral, the worst
-    panel has had max_depth bisections, or 4000 bisections are made.  With
+    panel has had _PANEL_DEPTH bisections, or 4000 bisections are made.  With
     absolute=True the integrand is |f|.
 
     The intervals refine in lockstep: each sweep, every interval not yet
@@ -1108,7 +1082,7 @@ def _adaptive_panels(f, intervals, rel_tol=1e-7, max_depth=28,
                 continue
             worst = max(range(len(s)), key=lambda k: s[k][3])
             lo, hi, v, e, depth = s.pop(worst)
-            if depth >= max_depth:
+            if depth >= _PANEL_DEPTH:
                 # the panel may not be split; it moves to the end of the sum
                 s.append((lo, hi, v, e, depth))
                 out[i] = (sum(p[2] for p in s), sum(p[3] for p in s))

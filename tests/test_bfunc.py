@@ -561,6 +561,23 @@ def test_derived_constants_ledger(ev):
         -ev.eval_B(1.0), rel=1e-9)
 
 
+def test_derived_constants_match_the_closed_forms(ev):
+    # the ladder groups B(1) W(1) W'(2) and B(1)/W'(0) its own way; the
+    # closed forms of the functional equation must agree to rounding
+    led = ev.derived_constants()
+    b1 = ev.eval_B(1.0)
+    w1 = complex(eval_W(1.0))
+    wp2 = complex(eval_W_prime(2.0))
+    wp0 = complex(eval_W_prime(0.0))
+    c1 = -1.0 / (b1 * w1 * wp2)
+    c2 = -6.0 * led.rho4 * b1 / (SQRT_2PI * wp0)
+    assert abs(led.c1 - c1) <= 1e-15 * abs(c1)
+    assert abs(led.c2 - c2) <= 1e-15 * abs(c2)
+    _, rho = fundsol._residues(ev)
+    assert rho[3] == -led.c1.real
+    assert rho[4] == led.rho4.real
+
+
 def test_P_and_Q_lists(ev):
     led = ev.derived_constants()
     assert led.P[0] == 0 and led.P[1] == 0
@@ -614,8 +631,8 @@ def _cascade_points():
 
 
 def test_series_reads_the_six_cascade_points(ev):
-    casc = fundsol._series_constants(ev).casc
-    assert [z for z, _ in casc] == sorted(_cascade_points())
+    casc = [z for z in fundsol._residues(ev)[1] if z > 8.0]
+    assert casc == sorted(_cascade_points())
     assert len(casc) == 6
 
 

@@ -26,11 +26,18 @@ def ev():
     return BEvaluator()
 
 
+def _aux_line(c, kind):
+    # (beta, a): the auxiliary line of the convolution and the kernel offset
+    if kind == "q2":
+        return fundsol._BETA2, fundsol._BETA2 - c
+    return c + fundsol._B_OFF, fundsol._B_OFF
+
+
 def _trapezoid_rows(ev, t, c, kind):
     # h/(2 pi) sum_w K_r(w - v) / B(beta + i w) at every output node v,
     # summed in long double over the kernel nodes |eta| <= _K_HALF h
-    beta, a = fundsol._aux_line(c, kind)
-    # the lattice of _line_table, node for node
+    beta, a = _aux_line(c, kind)
+    # the lattice of _inv_b_spectrum, node for node
     w = -_K_HALF * _H_W + _H_W * np.arange(_N_LAT)
     inv_b = 1.0 / fundsol._line_B(ev, beta, w)
     eta = _H_W * np.arange(-_K_HALF, _K_HALF + 1)
@@ -50,9 +57,9 @@ def _trapezoid_rows(ev, t, c, kind):
 @pytest.mark.parametrize("kind", ["u", "q2", "du"])
 def test_closed_form_spectrum_matches_the_trapezoid_sum(ev, kind, t):
     c = fundsol._C_DIRECT
-    tab = fundsol._line_table(ev, c, kind)
-    got = fundsol._conv_core(tab.spectrum, fundsol._aux_line(c, kind)[1],
-                             t, du=kind == "du")
+    beta, a = _aux_line(c, kind)
+    got = fundsol._conv_core(fundsol._inv_b_spectrum(ev, beta), a, t,
+                             du=kind == "du")
     exact = _trapezoid_rows(ev, t, c, kind)
     got = got if kind == "du" else [got]
     assert len(got) == len(exact)

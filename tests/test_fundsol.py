@@ -5,7 +5,8 @@ line (dU/ds), the long-time decomposition Q1/Q2, the near-one exponent
 2t - 1, the Mellin mass sqrt(2 pi) U(t, 1) = int Lambda dx, and finite
 differences of Lambda itself.  One array call of an assembled line must
 give exactly what scalar calls give, and an assembly at a new t, which reads
-B from the line table of an earlier t, exactly what a cold build gives.
+B and the 1/B spectrum memoized at an earlier t, exactly what a cold build
+gives.
 The query's one-expression tail model must be the sum of the fit's columns,
 and its rotated ray must match scipy's quad on the same ray.
 The tabulated Mellin--Barnes lines of the asymptotic routes are checked
@@ -34,13 +35,11 @@ from wavekin.fundsol import (
     _adaptive_panels,
     _core_mass,
     _h_casc,
-    _ledger,
     _line_assembly,
-    _line_table,
     _mb_line,
     _nu_hat,
     _q1_with_error,
-    _series_constants,
+    _residues,
     delta_pairing,
     eval_dlambda_dt,
     eval_dlambda_dx,
@@ -292,7 +291,7 @@ def _vertical(f, c, abs_tol, lt):
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0, 1.7, 3.0, 6.0])
 def test_q1_line_matches_vertical_quadrature(ev, theta):
-    c1, lt = _ledger(ev).c1.real, math.log(theta)
+    c1, lt = ev.derived_constants().c1.real, math.log(theta)
 
     def f(s):
         return c1 * ev.eval_B_many(s) * np.exp(loggamma(3.0 - s) - s * lt)
@@ -321,9 +320,9 @@ def test_cascade_profiles_match_a_finer_trapezoid(ev):
     w = -0.5 + 1j * h * np.arange(-n, n + 1)
     weights = np.full(w.size, h)
     weights[[0, -1]] *= 0.5
-    casc = _series_constants(ev).casc
+    casc = [z for z in _residues(ev)[1] if z > 8.0]
     assert len(casc) == 6
-    for z, _ in casc:
+    for z in casc:
         f = np.exp(loggamma(w) + w * math.log(theta)) * ev.eval_B_many(z - w)
         ref = (weights @ f).real / (2.0 * math.pi)
         assert _h_casc(z, theta, ev)[0] == pytest.approx(ref, rel=1e-11)
@@ -348,7 +347,7 @@ def test_asymptotic_routes_need_no_vertical_quadrature(ev, monkeypatch):
 
 def test_q1_small_theta_law(ev):
     # Q1(0+) = 2 c1 Res(B, 0), approached linearly in theta (slope -1.567)
-    led = _ledger(ev)
+    led = ev.derived_constants()
     q1_0 = 2.0 * led.c1.real * led.resB0.real
     dev = [eval_Q1(theta, ev) / q1_0 - 1.0 for theta in (1e-3, 1e-4)]
     assert abs(dev[0]) <= 2e-3 and abs(dev[1]) <= 2e-4
@@ -360,7 +359,7 @@ def test_q1_tiny_theta_meets_small_theta_law(ev, theta):
     # the terms of the line sum grow like theta^(-3/2), so the h and 2h
     # rules differ by rounding alone; the rounding floor accepts that and
     # enters the error.  The slope 1.567 is known to about 5e-4.
-    led = _ledger(ev)
+    led = ev.derived_constants()
     q1_0 = 2.0 * led.c1.real * led.resB0.real
     value, err = _q1_with_error(theta, ev)
     law = q1_0 * (1.0 - 1.567 * theta)
@@ -371,14 +370,14 @@ def test_q1_tiny_theta_meets_small_theta_law(ev, theta):
 @pytest.mark.parametrize("theta", [100.0, 300.0])
 def test_q1_large_theta_law(ev, theta):
     # Q1 ~ (c1 B(5)/2) theta^-5, the residue of Gamma(3 - s) at s = 5
-    limit = _ledger(ev).c1.real * ev.eval_B(5.0).real / 2.0
+    limit = ev.derived_constants().c1.real * ev.eval_B(5.0).real / 2.0
     assert abs(theta ** 5 * eval_Q1(theta, ev) / limit - 1.0) <= 2.0 / theta
 
 
 def test_q2_small_theta_law_is_its_large_t_term(ev):
     # Q2(t, 0+) t^4 -> -6 Res(1/B, 4) Res(B, 0) only as t grows: at
     # theta = 1e-4 the miss is 21 % at t = 1.5 and 0.41 % at t = 5
-    led = _ledger(ev)
+    led = ev.derived_constants()
     law = -6.0 * (led.rho4 * led.resB0).real
     miss = [abs(t ** 4 * eval_Q2(t, 1e-4, ev) / law - 1.0)
             for t in (1.5, 3.0, 5.0)]
@@ -465,7 +464,8 @@ _INTERVALS = [(0.0, 1.0), (1.0, 2.5), (-3.0, -0.5), (2.5, 2.6), (3.0, 9.0)]
 
 
 @pytest.mark.parametrize("absolute", [False, True])
-def test_lockstep_panels_equal_one_interval_calls(absolute):
+def test_lockstep_panels_equal_one_interval_calls(absolute, monkeypatch):
+    monkeypatch.setattr(fundsol, "_PANEL_DEPTH", 10)
     points = []
 
     def f(x):
@@ -479,13 +479,11 @@ def test_lockstep_panels_equal_one_interval_calls(absolute):
         points.clear()
         return counts, n_calls
 
-    batch = _adaptive_panels(f, _INTERVALS, 1e-12, max_depth=10,
-                             absolute=absolute)
+    batch = _adaptive_panels(f, _INTERVALS, 1e-12, absolute=absolute)
     batch_counts, batch_calls = per_interval()
     singles, single_calls = [], []
     for i, iv in enumerate(_INTERVALS):
-        singles += _adaptive_panels(f, [iv], 1e-12, max_depth=10,
-                                    absolute=absolute)
+        singles += _adaptive_panels(f, [iv], 1e-12, absolute=absolute)
         counts, n_calls = per_interval()
         single_calls.append(n_calls)
         # the same points as in the batch, all inside the interval
@@ -494,7 +492,7 @@ def test_lockstep_panels_equal_one_interval_calls(absolute):
     assert batch == singles
     # every interval's sweeps share the calls of the longest one
     assert batch_calls == max(single_calls)
-    # the jump stops at max_depth short of the tolerance, long before the
+    # the jump stops at _PANEL_DEPTH short of the tolerance, long before the
     # 4000-bisection cap; the smooth intervals converge
     total, err = batch[0]
     assert err > 1e-12 * abs(total)
@@ -592,24 +590,17 @@ class _FlatB:
     def laurent(self, s):
         return self._count((0, 1.0 + 0j))     # B = 1: order 0 everywhere
 
-    def derived_constants(self):
-        return self._count(_FlatLedger())
-
-
-class _FlatLedger:
-    c1 = 1.0
-    rho4 = 1.0
-
 
 @pytest.mark.parametrize("call", [
     lambda ev: _line_assembly(ev, 0.8, 1.0, "u"),
     lambda ev: _mb_line(ev, "nu", 8.5, 9),
-    _series_constants,
-    _ledger,
-    lambda ev: _line_table(ev, 1.0, "u"),
+    _residues,
+    lambda ev: fundsol._b_grid(ev, 1.0),
+    lambda ev: fundsol._b_prime_grid(ev, 1.0),
+    lambda ev: fundsol._inv_b_spectrum(ev, 1.0 + fundsol._B_OFF),
     lambda ev: fundsol._b_at(ev, -3),
-], ids=["line_assembly", "nu_hat", "series_constants", "ledger",
-        "line_table", "b_at"])
+], ids=["line_assembly", "nu_hat", "residues", "b_grid", "b_prime_grid",
+        "inv_b_spectrum", "b_at"])
 def test_fresh_evaluator_recomputes(call):
     ev = _FlatB()
     first = call(ev)
@@ -628,8 +619,7 @@ def test_residues_and_integer_values_draw_no_circle(monkeypatch):
     monkeypatch.setattr(bfunc, "integrate_circle",
                         lambda *args, **kwargs: circles.append(args))
     ev = BEvaluator()
-    fundsol._ledger(ev)
-    fundsol._series_constants(ev)
+    fundsol._residues(ev)
     for k in (-5, -4, -3, -2, 4, 5, 6, 7, 8):   # all the series reads
         fundsol._b_at(ev, k)
     fundsol._series_with_error(0.3, 0.6, ev)
@@ -673,7 +663,7 @@ def test_new_t_reads_no_b(monkeypatch, line_builds):
 
 @pytest.mark.parametrize("kind, c", _KINDS)
 def test_warm_line_equals_a_cold_one(kind, c, line_builds):
-    # the warm evaluator assembles each t from the table built at t = 0.45;
+    # the warm evaluator assembles each t from the memos built at t = 0.45;
     # the cold side builds its own on a fresh evaluator
     warm_ev = BEvaluator()
     fundsol._symbol_line(warm_ev, 0.45, c, kind)
@@ -690,19 +680,19 @@ def test_warm_line_equals_a_cold_one(kind, c, line_builds):
 
 
 def _touch_every_cached_kind(ev):
-    for kind, c in _KINDS:                  # tables, assemblies, B lines
+    for kind, c in _KINDS:       # grid lines, spectra, assemblies, B lines
         _line_assembly(ev, 0.9, c, kind)
-    eval_Q1(2.0, evaluator=ev)              # the ledger and the q1 line
-    eval_lambda_series(0.2, 3.0, evaluator=ev)   # series constants, B at
-    # integers, the nu and casc lines
+    eval_Q1(2.0, evaluator=ev)              # the residues and the q1 line
+    eval_lambda_series(0.2, 3.0, evaluator=ev)   # B at integers, the nu
+    # and casc lines
 
 
 def test_a_dropped_evaluator_is_freed():
     ev = BEvaluator()
     _touch_every_cached_kind(ev)
-    # line interpolants, tables, assemblies, MB lines, ledger, series
-    # constants and B at integers each hold entries
-    assert len(ev._memo) == 7
+    # line interpolants, B, B' and W on the grid, spectra of 1/B,
+    # assemblies, MB lines, residues and B at integers each hold entries
+    assert len(ev._memo) == 9
     ref = weakref.ref(ev)
     del ev
     gc.collect()
@@ -726,15 +716,19 @@ def test_dropped_evaluators_hold_no_memory():
     assert held < 1e6
 
 
-def test_line_table_is_read_only_and_per_evaluator(ev):
-    tab = _line_table(ev, 1.0, "du")
-    for f in dataclasses.fields(tab):
+def test_memoized_arrays_are_read_only_and_per_evaluator():
+    ev = BEvaluator()
+    _touch_every_cached_kind(ev)
+    arrays = [val for store in ev._memo.values() for val in store.values()
+              if isinstance(val, np.ndarray)]
+    assert len(arrays) >= 4
+    for arr in arrays:
         with pytest.raises(ValueError):
-            getattr(tab, f.name)[0] = 0.0
-    other = _line_table(BEvaluator(), 1.0, "du")
-    assert other is not tab
-    assert not np.shares_memory(other.spectrum, tab.spectrum)
-    assert np.array_equal(other.spectrum, tab.spectrum)
+            arr.flat[0] = 0.0
+    spectrum = fundsol._inv_b_spectrum(ev, 1.0 + fundsol._B_OFF)
+    other = fundsol._inv_b_spectrum(BEvaluator(), 1.0 + fundsol._B_OFF)
+    assert not np.shares_memory(other, spectrum)
+    assert np.array_equal(other, spectrum)
 
 
 def test_line_assembly_is_frozen_and_read_only(ev):
