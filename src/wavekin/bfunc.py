@@ -97,10 +97,6 @@ __all__ = [
     "ResidueLedger",
     "BranchError",
     "default_evaluator",
-    "eval_B",
-    "eval_B_strip",
-    "residue_inv_B",
-    "derived_constants",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -250,13 +246,13 @@ _REL_TOL = 1e-11         # h rule against 2h rule, relative to max(|F|, 1)
 _MAX_REFINEMENTS = 3     # halvings of h before ConvergenceError
 
 
-@functools.lru_cache(maxsize=4)
-def _cheb_basis(deg):
-    k = np.arange(deg)
-    theta = np.pi * (k + 0.5) / deg
-    mat = (2.0 / deg) * np.cos(np.outer(np.arange(deg), theta))
-    mat[0] *= 0.5
-    return mat, np.cos(theta)
+# the Chebyshev nodes of one segment and the matrix from values there to
+# coefficients (computed once)
+_CHEB_THETA = np.pi * (np.arange(_CHEB_DEG) + 0.5) / _CHEB_DEG
+_CHEB_MAT = (2.0 / _CHEB_DEG) * np.cos(
+    np.outer(np.arange(_CHEB_DEG), _CHEB_THETA))
+_CHEB_MAT[0] *= 0.5
+_CHEB_X = np.cos(_CHEB_THETA)
 
 
 def _g_plus(x, q):
@@ -424,10 +420,9 @@ class BLineInterpolator:
         self.edges[-1] = max(self.edges[-1], im_hi)
         self.half = 0.5 * _CHEB_SEG
         self.mids = self.edges[:-1] + self.half
-        mat, xnodes = _cheb_basis(_CHEB_DEG)
         vals = evaluator._eval_B_line(
-            self.re_line, self.mids[0] + self.half * xnodes, n_seg)
-        self.coef = mat @ vals.T      # (degree, segment)
+            self.re_line, self.mids[0] + self.half * _CHEB_X, n_seg)
+        self.coef = _CHEB_MAT @ vals.T      # (degree, segment)
         self.deg = _CHEB_DEG
 
     def __call__(self, s_arr):
@@ -944,18 +939,3 @@ def default_evaluator():
         _DEFAULT = BEvaluator()
     return _DEFAULT
 
-
-def eval_B_strip(s):
-    return default_evaluator().eval_B_strip(s)
-
-
-def eval_B(s):
-    return default_evaluator().eval_B(s)
-
-
-def residue_inv_B(sigma):
-    return default_evaluator().residue_inv_B(sigma)
-
-
-def derived_constants():
-    return default_evaluator().derived_constants()

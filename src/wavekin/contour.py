@@ -43,7 +43,6 @@ class ContourSpec:
     half_height: float
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    max_refinements: int = 14
     center: float = 0.0
 
     def __post_init__(self):
@@ -53,8 +52,6 @@ class ContourSpec:
             raise ValueError("half_height must be positive")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be non-negative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,6 +89,8 @@ class TailModel:
 _N_FINE = 24
 _N_COARSE = 12
 _PANEL_CAP = 500_000
+# refinement sweeps of integrate_vertical before ConvergenceError
+_MAX_REFINEMENTS = 14
 _GL_FINE = np.polynomial.legendre.leggauss(_N_FINE)
 _GL_COARSE = np.polynomial.legendre.leggauss(_N_COARSE)
 
@@ -196,7 +195,7 @@ def integrate_vertical(f, spec, *, tail=None, osc_freq=0.0):
     lo, hi = edges[:-1].copy(), edges[1:].copy()
     val, err = _eval_panels(f, spec.abscissa, lo, hi, counter)
 
-    for iteration in range(spec.max_refinements + 1):
+    for iteration in range(_MAX_REFINEMENTS + 1):
         order = np.argsort(lo, kind="stable")
         lo, hi, val, err = lo[order], hi[order], val[order], err[order]
         total = val.sum()
@@ -204,10 +203,10 @@ def integrate_vertical(f, spec, *, tail=None, osc_freq=0.0):
         tol_total = max(spec.rel_tol * abs(total), spec.abs_tol)
         if total_err <= tol_total:
             break
-        if iteration == spec.max_refinements:
+        if iteration == _MAX_REFINEMENTS:
             raise ConvergenceError(
                 f"error {total_err:.3e} > tolerance {tol_total:.3e} after "
-                f"{spec.max_refinements} refinements ({len(lo)} panels)"
+                f"{_MAX_REFINEMENTS} refinements ({len(lo)} panels)"
             )
         sel = err > tol_total / len(lo)
         mid_s = 0.5 * (lo[sel] + hi[sel])

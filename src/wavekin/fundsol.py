@@ -34,10 +34,12 @@ and is freed with the evaluator and keeps none alive.  The residues that
 the asymptotic routes read come from one table off B's ladder
 (``_residues``).
 
-The integrals against x (``l1_norm_lambda``, ``delta_pairing``) run
-adaptive Gauss panels in log x on that line.  One routine,
-``_adaptive_panels``, refines all intervals of an integral in lockstep, so
-each sweep of new panels is one call of the line.
+The integrals against x (``l1_norm_lambda``, ``delta_pairing``) are calls
+of one driver, ``_integral``, which integrates Lambda against a weight over
+a range of log x: the core |x-1| < e^(-40) from the near-one law, the rest
+in adaptive Gauss panels in log x on that line.  ``_adaptive_panels``
+refines all intervals of one call in lockstep, so each sweep of new panels
+is one call of the line.
 
 Regimes
 -------
@@ -84,8 +86,9 @@ the short-time series (``_nu_hat`` and the cascade profiles ``_h_casc``),
 all have the form (1/2 i pi) int phi(s) e^(-sL) ds with L = log theta or
 log t and phi independent of L: a Gamma factor times B or 1/B, real on the
 real axis and decaying like e^(-pi |v|/2).  ``_mb_line`` tabulates each phi
-once per evaluator, reading B off the line interpolant, and a trapezoid sum
-against e^(-sL) then gives the value at every theta or t.
+once per evaluator at one step, reading B off the line interpolant, and a
+trapezoid sum against e^(-sL), checked against the rule of twice the step,
+then gives the value at every theta or t.
 """
 
 from __future__ import annotations
@@ -638,14 +641,12 @@ def radial_profile(t, x_min, x_max, n_points, evaluator=None):
 # tabulated Mellin--Barnes lines of the asymptotic routes
 # ---------------------------------------------------------------------------
 
-#: top of the tabulated half-line and its starting trapezoid step
+#: top of the tabulated half-line and its trapezoid step
 _MB_V = 48.0
 _MB_H = 0.025
 #: the h rule must sit within _MB_REL_TOL of the 2h rule, relative to the
-#: value, or within the kind's absolute floor or the rounding floor; h
-#: halves at most _MB_REFINEMENTS times
+#: value, or within the kind's absolute floor or the rounding floor
 _MB_REL_TOL = 1e-11
-_MB_REFINEMENTS = 3
 _MB_ABS_FLOOR = {"q1": 1e-16, "nu": 1e-18, "casc": 1e-18}
 #: decay rate below that of the Gamma factors, e^(-pi v/2), for the tail
 _MB_TAIL_RATE = 1.35
@@ -659,29 +660,18 @@ class _MBLine:
     e^(-(c+iv)L) dv and one tabulation of phi on v = 0, h, ..., V serves
     every L.  The trapezoid rule on it converges geometrically in the strip
     of analyticity about the line (Trefethen & Weideman, SIAM Rev. 56,
-    2014); it is checked against the 2h rule on the even nodes, and h
-    halves where they differ, each finer tabulation filling in the
-    midpoints of the last.
+    2014).  Every phi of ``_mb_line`` is analytic at least 1/2 away from
+    its line, so at h = _MB_H the 2h rule on the even nodes is already at
+    rounding; a line whose two rules still differ raises.  The samples are
+    shared through ``memo``, so they are read-only.
     """
 
     def __init__(self, phi, c, abs_floor):
-        self.phi, self.c, self.abs_floor = phi, c, abs_floor
+        self.c, self.abs_floor = c, abs_floor
         n = int(round(_MB_V / _MB_H))
-        self.samples = [phi(c + 1j * _MB_H * np.arange(n + 1))]
-        # sum |phi| per level: |phi e^(-sL)| = |phi| e^(-cL) for real L
-        self.abs_sums = [np.abs(self.samples[0]).sum()]
-
-    def _level(self, k):
-        while len(self.samples) <= k:
-            coarse = self.samples[-1]
-            h = _MB_H / 2 ** len(self.samples)
-            fine = np.empty(2 * coarse.size - 1, complex)
-            fine[::2] = coarse
-            fine[1::2] = self.phi(
-                self.c + 1j * h * (2.0 * np.arange(coarse.size - 1) + 1.0))
-            self.samples.append(fine)
-            self.abs_sums.append(np.abs(fine).sum())
-        return self.samples[k]
+        self.samples = _frozen(phi(c + 1j * _MB_H * np.arange(n + 1)))
+        # |phi e^(-sL)| = |phi| e^(-cL) for real L
+        self.abs_sum = np.abs(self.samples).sum()
 
     def __call__(self, L):
         """(value, error) at the parameter L; the error is the h-vs-2h
@@ -689,22 +679,22 @@ class _MBLine:
         floor _ROUND_FLOOR * h sum |f| / pi, which the h-vs-2h test
         also accepts: where the terms dwarf the value (Q1 at theta -> 0,
         where they grow like theta^(-3/2)) the two sums differ by rounding
-        alone, and halving h cannot reduce that."""
-        for k in range(_MB_REFINEMENTS + 1):
-            phi = self._level(k)
-            h = _MB_H / 2 ** k
-            f = phi * np.exp(-(self.c + 1j * h * np.arange(phi.size)) * L)
-            fine = h * (f.sum() - 0.5 * (f[0] + f[-1])).real / math.pi
-            g = f[::2]
-            coarse = 2 * h * (g.sum() - 0.5 * (g[0] + g[-1])).real / math.pi
-            diff = abs(fine - coarse)
-            floor = (_ROUND_FLOOR * h * math.exp(-self.c * L)
-                     * self.abs_sums[k] / math.pi)
-            if diff <= max(_MB_REL_TOL * abs(fine), self.abs_floor, floor):
-                tail = abs(f[-1]) / (_MB_TAIL_RATE * math.pi)
-                return fine, diff + tail + floor
-        raise ConvergenceError(
-            f"Mellin-Barnes line at Re s = {self.c} stalled at step {h}")
+        alone."""
+        h = _MB_H
+        f = self.samples * np.exp(
+            -(self.c + 1j * h * np.arange(self.samples.size)) * L)
+        fine = h * (f.sum() - 0.5 * (f[0] + f[-1])).real / math.pi
+        g = f[::2]
+        coarse = 2 * h * (g.sum() - 0.5 * (g[0] + g[-1])).real / math.pi
+        diff = abs(fine - coarse)
+        floor = (_ROUND_FLOOR * h * math.exp(-self.c * L) * self.abs_sum
+                 / math.pi)
+        if diff > max(_MB_REL_TOL * abs(fine), self.abs_floor, floor):
+            raise ConvergenceError(
+                f"Mellin-Barnes line at Re s = {self.c} unresolved at step "
+                f"{h}")
+        tail = abs(f[-1]) / (_MB_TAIL_RATE * math.pi)
+        return fine, diff + tail + floor
 
 
 @memo(32)
@@ -1052,7 +1042,7 @@ def _gauss_panels(f, bounds, absolute):
     return sums
 
 
-def _adaptive_panels(f, intervals, rel_tol=1e-7, absolute=False):
+def _adaptive_panels(f, intervals, rel_tol, absolute=False):
     """Adaptive Gauss panels of f on each interval: [(total, err), ...].
 
     f maps arrays to arrays.  Per interval, 12- and 6-point rules are
@@ -1115,16 +1105,40 @@ def _core_mass(t, ev):
     return 0.5 * edges.sum() * u_c / t
 
 
-def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
-    """int_0^inf |Lambda(t, x)| dx.
+def _integral(t, weight, a, b, rel_tol, ev, absolute=False):
+    """int Lambda(t, x) weight(x) dx over a < log x < b, on the direct line.
 
-    The core |x-1| < exp(-40) takes its mass from the near-one law
-    A |x-1|^(2t-1), with the amplitude A read off the direct line at the
-    core edges (see ``_core_mass``); outside, adaptive panels in log x ride
-    the same line tabulation, for every t > 0.  The intervals of the
-    ladder log(1 -+ 4^k exp(-40)) of ``_tau_marks`` that close in on the
-    core from |x-1| = 0.4 refine together in one ``_adaptive_panels``
-    call, one line call per sweep.
+    weight maps arrays of x to arrays.  If the core |x-1| < _U_CORE lies
+    in the range, its mass weight(1) times ``_core_mass`` is summed first
+    and the core is left out of the panels.  The rest is adaptive Gauss
+    panels in tau = log x, cut at the ladder log(1 -+ 4^k exp(-40)) of
+    ``_tau_marks``; all of its intervals refine together in one
+    ``_adaptive_panels`` call, one line call per sweep.  With absolute the
+    integrand is |Lambda weight|.
+    """
+    line = _line_assembly(ev, t, _C_DIRECT, "u")
+
+    def f(tau):
+        x = np.exp(tau)
+        return line(tau)[0] * weight(x) * x
+
+    total = 0.0
+    core = (math.log1p(-_U_CORE), math.log1p(_U_CORE))
+    if a <= core[0] and core[1] <= b:
+        total = float(weight(1.0)) * _core_mass(t, ev)
+        if absolute:
+            total = abs(total)
+    marks = _tau_marks(a, b)
+    spans = [span for span in zip(marks[:-1], marks[1:]) if span != core]
+    for v, _ in _adaptive_panels(f, spans, rel_tol, absolute):
+        total += v
+    return total
+
+
+def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
+    """int_0^inf |Lambda(t, x)| dx, for every t > 0.
+
+    The range |x-1| < 0.4, near-one core included, is one ``_integral``.
     Then the x-range grows by one e-fold per call on each side until the
     outermost e-fold is negligible: Lambda tends to a constant at x = 0+
     and decays like x^-5 at infinity, so both ends close quickly.
@@ -1132,26 +1146,12 @@ def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
     not needed in the end, refine on the rounding noise of the line.)
     """
     ev = evaluator or default_evaluator()
-    line = _line_assembly(ev, t, _C_DIRECT, "u")
-
-    def f_abs(tau):
-        return line(tau)[0] * np.exp(tau)
-
-    total = abs(_core_mass(t, ev))
-    # panels in tau = log x, on the ladder refined toward both sides of the
-    # core; it is summed first, so each outward stop test sees its mass
     lo, hi = math.log1p(-0.4), math.log1p(0.4)
-    marks = _tau_marks(lo, hi)
-    near = [(a, b) for a, b in zip(marks[:-1], marks[1:])
-            if a != math.log1p(-_U_CORE)]
-    for v, _ in _adaptive_panels(f_abs, near, rel_tol, absolute=True):
-        total += v
-    # outward extension, one e-fold at a time until negligible
+    total = _integral(t, np.ones_like, lo, hi, rel_tol, ev, absolute=True)
     for sign, edge in ((-1, lo), (1, hi)):
         for _ in range(60):
-            [(v, _)] = _adaptive_panels(
-                f_abs, [(min(edge, edge + sign), max(edge, edge + sign))],
-                rel_tol, absolute=True)
+            v = _integral(t, np.ones_like, min(edge, edge + sign),
+                          max(edge, edge + sign), rel_tol, ev, absolute=True)
             total += v
             edge += sign
             if v < rel_tol * total:
@@ -1163,40 +1163,15 @@ def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):
     """<Lambda(t, .), phi> = int Lambda(t, x) phi(x) dx; phi a TestFunction.
 
     At t = 0 the fundamental solution is the unit mass at x = 1, so the
-    pairing is exactly phi(1).  For t > 0 the core |x-1| < exp(-40)
-    carries phi(1) times the near-one mass of ``_core_mass`` and the rest
-    is adaptive panel quadrature in log x over supp phi, on the direct line.
-    supp phi is cut at the ladder log(1 -+ 4^k exp(-40)) of ``_tau_marks``,
-    and all of its intervals refine together in one ``_adaptive_panels``
-    call, one line call per sweep.
+    pairing is exactly phi(1).  For t > 0 it is one ``_integral`` over
+    log supp phi, which takes the core |x-1| < exp(-40) from the near-one
+    law when supp phi holds x = 1.
     """
     if t == 0.0:
         return float(phi(1.0))
-    ev = evaluator or default_evaluator()
     lo, hi = phi.support
-    total = 0.0
-    u_c = _U_CORE
-    pieces = []
-    if lo < 1.0 - u_c and hi > 1.0 + u_c:
-        total += float(phi(1.0)) * _core_mass(t, ev)
-        pieces = [(math.log(lo), math.log1p(-u_c)),
-                  (math.log1p(u_c), math.log(hi))]
-    else:
-        pieces = [(math.log(lo), math.log(hi))]
-
-    line = _line_assembly(ev, t, _C_DIRECT, "u")
-
-    def f(tau):
-        x = np.exp(tau)
-        return line(tau)[0] * phi(x) * x
-
-    spans = []
-    for a, b in pieces:
-        marks = _tau_marks(a, b)
-        spans += zip(marks[:-1], marks[1:])
-    for v, _ in _adaptive_panels(f, spans, rel_tol):
-        total += v
-    return total
+    return _integral(t, phi, math.log(lo), math.log(hi), rel_tol,
+                     evaluator or default_evaluator())
 
 
 def _tau_marks(a, b):
@@ -1245,50 +1220,3 @@ def transport_apply(phi, x):
         total += _adaptive_panels(
             g, [(-math.log(abs(r_end - 1.0)), _W_KINK)], _TRANSPORT_TOL)[0][0]
     return total
-
-
-def weak_residual(a_t, b_x, rel_tol=1e-6, evaluator=None):
-    """Residual of the weak equation against phi(t, x) = a(t) b(x).
-
-    Returns (residual, budget) for
-
-        R = int int Lambda(t, x) [a'(t) b(x) - a(t) (T b)(x)] dx dt,
-
-    which vanishes for weak solutions of dLambda/dt = dLambda/dx * H.
-    The budget combines the panel discrepancies of both directions.
-    """
-    ev = evaluator or default_evaluator()
-    t_lo, t_hi = a_t.support
-    if not t_lo > 0.0:
-        raise ValueError("the t-window must stay positive")
-    x_lo, x_hi = b_x.support
-    n_tp = 4
-    edges = np.linspace(t_lo, t_hi, n_tp + 1)
-    total = 0.0
-    budget = 0.0
-    tb_cache = {}
-
-    def tb(x):
-        key = round(float(x), 14)
-        val = tb_cache.get(key)
-        if val is None:
-            val = transport_apply(b_x, float(x))
-            tb_cache[key] = val
-        return val
-
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        for tj, wj in zip(mid + half * _X6, half * _W6):
-            ap, av = a_t.deriv(tj), a_t(tj)
-            line = _line_assembly(ev, tj, _C_DIRECT, "u")
-
-            def f(tau):
-                x = np.exp(tau)
-                inner = ap * b_x(x) - av * np.array([tb(xx) for xx in x])
-                return line(tau)[0] * inner * x
-
-            [(v, e)] = _adaptive_panels(
-                f, [(math.log(x_lo), math.log(x_hi))], rel_tol)
-            total += wj * v
-            budget += abs(wj) * (e + rel_tol * abs(v))
-    return total, budget

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wavekin import contour
 from wavekin.contour import (
     ContourSpec,
     TailModel,
@@ -97,12 +98,11 @@ class TestIntegrateVertical:
                 tail=TailModel("power", 0.5),
             )
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         """A kink the panel refinement cannot resolve within 1 refinement."""
+        monkeypatch.setattr(contour, "_MAX_REFINEMENTS", 1)
         spec = ContourSpec(
-            abscissa=0.0, half_height=3.0, rel_tol=1e-14, abs_tol=1e-15,
-            max_refinements=1,
-        )
+            abscissa=0.0, half_height=3.0, rel_tol=1e-14, abs_tol=1e-15)
         with pytest.raises(ConvergenceError):
             integrate_vertical(lambda s: np.abs(s.imag - 0.1) ** 0.3, spec)
 

@@ -28,7 +28,7 @@ from scipy.special import loggamma
 from wavekin import bfunc, fundsol
 from wavekin.bfunc import BEvaluator, default_evaluator
 from wavekin.contour import ContourSpec, TailModel, integrate_vertical
-from wavekin.errors import ConvergenceError
+from wavekin.errors import ConvergenceError, RegimeError
 from wavekin.fundsol import (
     LambdaQuery,
     _C_DT,
@@ -96,6 +96,19 @@ def test_near_one_exponent(ev):
     amp = [eval_lambda_log(t, math.log1p(u), "auto", ev) * u ** (1 - 2 * t)
            for u in (1e-14, 1e-30)]
     assert amp[0] == pytest.approx(amp[1], rel=1e-6)
+
+
+@pytest.mark.parametrize("t, x", [(0.55, 2.5), (0.3, 0.6)])
+def test_small_t_series_regime_is_the_series(ev, t, x):
+    val, err = _lam(t, x, "small_t_series", ev)
+    assert val == eval_lambda_series(t, x, evaluator=ev)
+    assert err > 0.0
+
+
+@pytest.mark.parametrize("t, x", [(0.5, 0.5), (0.6, 0.3)])
+def test_small_t_series_regime_refuses_x_over_t_up_to_one(ev, t, x):
+    with pytest.raises(RegimeError):
+        _lam(t, x, "small_t_series", ev)
 
 
 def test_direct_agrees_with_large_t_asymptotic(ev):
@@ -329,7 +342,7 @@ def test_cascade_profiles_match_a_finer_trapezoid(ev):
 
 
 def test_unresolved_line_raises():
-    # a pole 1e-3 from the line keeps the h and 2h rules apart down to h/8
+    # a pole 1e-3 from the line keeps the h and 2h rules apart at _MB_H
     line = fundsol._MBLine(lambda s: 1.0 / (s - (1e-3 + 5j)), 0.0, 1e-18)
     with pytest.raises(ConvergenceError):
         line(0.0)
@@ -741,3 +754,14 @@ def test_line_assembly_is_frozen_and_read_only(ev):
             getattr(line, name)[0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         line.fit_resid = 0.0
+
+
+def test_mb_lines_are_read_only(ev):
+    eval_Q1(2.0, evaluator=ev)
+    eval_lambda_series(0.2, 3.0, evaluator=ev)
+    lines = [val for store in ev._memo.values() for val in store.values()
+             if isinstance(val, fundsol._MBLine)]
+    assert len(lines) == 11      # the q1 line, four nu and six casc lines
+    for line in lines:
+        with pytest.raises(ValueError):
+            line.samples[0] = 0.0

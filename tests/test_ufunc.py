@@ -248,6 +248,29 @@ def test_v_functional_equation_residuals(ev):
         assert abs(lhs - rhs) <= 1e-7
 
 
+_FAR_Z = [1e6, 877582.56 + 479425.54j]
+
+
+@pytest.mark.parametrize("z", _FAR_Z)
+def test_v_far_z_needs_a_halved_lattice(z, monkeypatch):
+    # at |z| = 1e6 the kernel's factor |z|^(i eta) turns 13.8 radians per
+    # unit of eta: the 2h rule at the starting step misses the tolerance,
+    # and only a halved lattice resolves the line
+    monkeypatch.setattr(ufunc, "_LINE_REFINEMENTS", 0)
+    with pytest.raises(ConvergenceError):
+        eval_V(z, 1.99, evaluator=default_evaluator())
+
+
+@pytest.mark.parametrize("z", _FAR_Z)
+def test_v_far_z_after_halving(ev, z):
+    s = 1.99
+    v = eval_V(z, s, evaluator=ev)
+    w = complex(eval_W(np.array([s - 1.0]))[0])
+    rhs = w * eval_V(z, s - 1.0, evaluator=ev) + INV_SQRT_2PI
+    assert abs(z * v - rhs) <= 1e-11 * abs(z * v)
+    assert abs(eval_V(z, s, beta=2.3, evaluator=ev) - v) <= 1e-11 * abs(v)
+
+
 def test_v_branch_guard(ev):
     for z in (-1.0 + 0j, -0.3 + 2j, 0.0 + 1j):
         with pytest.raises(BranchError):
