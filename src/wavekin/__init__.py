@@ -10,7 +10,7 @@ Layout:
 - ``contour``   generic vertical-line / circle quadrature engine
 - ``complexfn`` gamma-family special functions and the symbol W
 - ``kernels``   collision kernels K, H and their consistency checks
-- ``bfunc``     the normalizer B(s) and the residue/constant ledger
+- ``bfunc``     the normalizer B(s) and its residue ladder (``laurent``)
 - ``ufunc``     U(t, s) (Mellin symbol) and V(z, s) (Laplace transform)
 - ``fundsol``   Lambda(t, x): regimes, profiles, Q1/Q2 asymptotics, pairings
 - ``calibration`` frozen constants from ``data/calibration.json``

@@ -15,7 +15,7 @@ The line integral is a trapezoid rule on the lattice rho = beta + i w_j,
 w_j = (j + 1/2) h, h = 0.025, shared by every caller.  The integrand is
 analytic in a strip of half-width >= 1/4 about the line (beta keeps the
 kernel poles >= 1/4 away; the nearest singularity of log(-W) to the
-reference line is the zero of W at 0), so the rule converges geometrically
+line 0.3 is the zero of W at 0), so the rule converges geometrically
 (Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
 SIAM Rev. 56, 2014).  It is checked against the 2h rule on the even nodes,
 and h halves, at most three times, where the two differ by more than 1e-11
@@ -52,10 +52,10 @@ Two bookkeeping subtleties, both measured and pinned by tests:
   the exponent retains a *constant* (s-independent, real, measured constant
   to 15 digits) additive dependence on beta; since the functional equation
   and every downstream quantity (which use only B-ratios) are gauge
-  invariant, we fix the gauge by splicing every line back to the canonical
-  beta = 0.3 line through probe points, and fix the one remaining global
-  scale by the documented _B_SCALE constant so that |B| meets its strip
-  bounds on the contract box.
+  invariant, we fix the gauge by splicing the strip's second line,
+  beta = 0.8, back to the canonical beta = 0.3 line through one probe
+  point, and fix the one remaining global scale by the documented _B_SCALE
+  constant so that |B| meets its strip bounds on the contract box.
 
 * Outside the strip, B is continued by walking the functional equation.  A
   walk factor may land on a pole or zero of W even when B itself is finite
@@ -107,7 +107,8 @@ _COLLIDE_TOL = 1e-6
 _LADDER_TOL = 1e-9       # a ladder factor this close to a W zero/pole is on it
 _PANEL_W = 0.25          # eval_B_prime_strip's Gauss panel width
 _MARGIN = 6.5            # g+/g- windows: both decay below 2e-18 beyond
-_GAUGE_BETA = 0.3        # canonical line: all other lines splice onto it
+_GAUGE_BETA = 0.3        # canonical line: the other line splices onto it
+_UPPER_BETA = _GAUGE_BETA + 0.5   # the strip's line for Re s >= 1.05
 _LINE_CACHE = 16         # line interpolants one evaluator keeps (LRU)
 _POINT_CACHE = 2 ** 15   # strip points one evaluator keeps (oldest go first)
 _LATTICE_BYTES = 2 ** 23  # a strip lattice over 8 MB shrinks (104 B/node)
@@ -164,8 +165,8 @@ class ResidueLedger:
     """Residues of 1/B and the derived constants of the long-time expansion.
 
     P[n] = Res(Gamma(w)/B(w), w=-n) and Q[n] = -n P[n] for n = 0..5.
-    c2 and c3 carry the 1/sqrt(2pi) of the mass-1 normalization used by the
-    fundamental-solution module.
+    c2 and c3 carry the 1/sqrt(2pi) of Lambda's mass-1 normalization; no
+    route reads the ledger, the tests hold the long-time laws to it.
     """
 
     rho4: complex
@@ -235,6 +236,12 @@ def _k_minus(v):
     out[grow] = u / (u + 1.0)
     out[~grow] = 1.0 / (1.0 + np.exp(y[~grow]))
     return out
+
+
+def _beta_for(re_base):
+    # re_base in [_WALK_LO, _WALK_LO + 1); keep >= 0.25 margin to the
+    # kernel poles of 1/(1 - e^{2 i pi (s - rho)}) at Re rho = Re s - n
+    return _GAUGE_BETA if re_base < _WALK_LO + 0.5 else _UPPER_BETA
 
 
 _gl24 = np.polynomial.legendre.leggauss(24)   # eval_B_prime_strip's panels
@@ -445,28 +452,25 @@ class BLineInterpolator:
 
 
 class BEvaluator:
-    """Evaluator for B, ``BEvaluator(beta=0.3)``.
+    """Evaluator for B, ``BEvaluator()``.
 
-    ``beta`` is the reference abscissa.  Per-call lines use beta or
-    beta + 1/2 depending on where Re s falls in the strip, keeping a margin
-    of at least 1/4 from the kernel poles; the centered counterterm makes the
-    value independent of that choice.
+    The strip rule runs on two fixed lines, _GAUGE_BETA = 0.3 for
+    Re s < 1.05 and _UPPER_BETA = 0.8 above, so every point keeps a margin
+    of at least 1/4 from the kernel poles; the centered counterterm makes
+    the value independent of that choice once the upper line is spliced
+    onto the lower one (``_gauge_offset``).
 
     The evaluator owns all of its caches, which are freed with it: one
-    strip lattice per (line, step), the gauge offsets, the point cache
-    ``cache``, keyed on (Re s, Im s) to 1e-12, which keeps the _POINT_CACHE
-    most recently added strip values, and the ``memo`` maps: the
-    _LINE_CACHE most recently used line interpolants, and fundsol's grid
-    lines of B, B' and W and spectra of 1/B, its assemblies, Mellin-Barnes
-    lines, residue table and B at integers.
+    strip lattice per (line, step), the point cache ``cache``, keyed on
+    (Re s, Im s) to 1e-12, which keeps the _POINT_CACHE most recently added
+    strip values, and the ``memo`` maps: the gauge offset, the ladder
+    (``laurent``), the _LINE_CACHE most recently used line interpolants,
+    and fundsol's grid lines of B, B' and W and spectra of 1/B, its
+    assemblies and Mellin-Barnes lines.
     """
 
-    def __init__(self, beta=0.3):
-        if not 0.2 <= beta <= 0.45:
-            raise ValueError("reference beta must sit in [0.2, 0.45]")
-        self.beta = beta
+    def __init__(self):
         self.cache = {}       # quantized (re, im) -> strip value, oldest first
-        self._gauge = {}      # beta_used -> F-offset onto the canonical line
         self._lattices = {}   # (beta, h) -> _StripLattice
         self._memo = {}       # memoized function -> its LRU map (see memo)
 
@@ -599,52 +603,28 @@ class BEvaluator:
         F = self._strip_rule(beta, y0.min(), last.max(), g_plus)
         return F.reshape(n_rep, len(y0))
 
-    def _beta_for(self, re_base):
-        # re_base in [_WALK_LO, _WALK_LO + 1); keep >= 0.25 margin to the
-        # kernel poles of 1/(1 - e^{2 i pi (s - rho)}) at Re rho = Re s - n
-        if re_base < _WALK_LO + 0.5:
-            return self.beta
-        return self.beta + 0.5
-
-    def _gauge_offset(self, beta_used):
-        """F-offset of the beta_used line relative to the canonical line.
+    @memo(1)
+    def _gauge_offset(self):
+        """F-offset of the _UPPER_BETA line relative to the canonical line.
 
         The strip exponent F(s; beta) depends on beta through an s-independent
-        real constant.  Probe points with >= 1/4 margin on both lines splice
-        any admissible line back onto _GAUGE_BETA (possibly via the reference
-        line when beta_used > 0.8 leaves no common probe).
+        real constant, read at the one probe 1.05 that sits 1/4 inside the
+        strips of both lines.
         """
-        off = self._gauge.get(beta_used)
-        if off is not None:
-            return off
-        if abs(beta_used - _GAUGE_BETA) < 1e-12:
-            off = 0.0
-        elif beta_used <= 0.8:
-            lo = max(_GAUGE_BETA, beta_used) + 0.25
-            hi = min(_GAUGE_BETA, beta_used) + 0.75
-            probe = np.array([0.5 * (lo + hi) + 0j])
-            off = (self._strip_batch(probe, beta_used)[0]
-                   - self._strip_batch(probe, _GAUGE_BETA)[0]).real
-        else:
-            probe = np.array([beta_used + 0.25 + 0j])
-            step = (self._strip_batch(probe, beta_used)[0]
-                    - self._strip_batch(probe, beta_used - 0.5)[0]).real
-            off = step + self._gauge_offset(beta_used - 0.5)
-        self._gauge[beta_used] = off
-        return off
+        probe = np.array([_GAUGE_BETA + 0.75 + 0j])
+        return (self._strip_batch(probe, _UPPER_BETA)[0]
+                - self._strip_batch(probe, _GAUGE_BETA)[0]).real
 
     def eval_B_strip(self, s):
         """B(s) by the line integral alone (no walking).
 
-        Valid where some admissible line fits: beta < Re s < beta + 1 with
-        >= 0.02 margin, for beta in {reference, reference + 1/2}.
+        Valid for 0.32 < Re s < 1.78: the line 0.3 serves Re s < 1.05 and
+        the line 0.8 the rest, each at least 0.02 left of Re s.
         """
         s = complex(s)
-        if not self.beta + 0.02 < s.real < self.beta + 1.48:
+        if not _GAUGE_BETA + 0.02 < s.real < _GAUGE_BETA + 1.48:
             raise ValueError(
-                f"Re s = {s.real} outside the strip reachable from "
-                f"beta = {self.beta}"
-            )
+                f"Re s = {s.real} outside the strip (0.32, 1.78)")
         return complex(self._strip_many(np.atleast_1d(np.asarray(s, complex)))[0])
 
     def _strip_many(self, s_arr):
@@ -662,7 +642,7 @@ class BEvaluator:
                 out[i] = hit
         if todo:
             sub = s_arr[todo]
-            betas = np.array([self._beta_for(x) for x in sub.real])
+            betas = np.array([_beta_for(x) for x in sub.real])
             for beta in np.unique(betas):
                 grp = np.nonzero(betas == beta)[0]
                 vals = self._strip_values(self._strip_batch(sub[grp], beta),
@@ -677,7 +657,8 @@ class BEvaluator:
         return out
 
     def _strip_values(self, F, beta):
-        return np.exp(F - self._gauge_offset(beta)) * _B_SCALE
+        off = 0.0 if beta == _GAUGE_BETA else self._gauge_offset()
+        return np.exp(F - off) * _B_SCALE
 
     # ---------------- continuation by functional equation ----------------
 
@@ -700,7 +681,7 @@ class BEvaluator:
         """
         ys = y0 + _CHEB_SEG * np.arange(n_rep)[:, None]
         k = math.floor(re_line - _WALK_LO)
-        beta = self._beta_for(re_line - k)
+        beta = _beta_for(re_line - k)
         base = self._strip_values(
             self._strip_line(re_line - k, beta, y0, n_rep), beta).ravel()
         out = self._walk((re_line + 1j * ys).ravel(),
@@ -844,7 +825,7 @@ class BEvaluator:
         s = complex(s)
         if not _WALK_LO <= s.real < _WALK_LO + 1.0:
             raise ValueError("strip derivative needs Re s in the walk window")
-        beta = self._beta_for(s.real)
+        beta = _beta_for(s.real)
         width = _PANEL_W
         lo = min(0.0, s.imag) - _MARGIN
         hi = max(0.0, s.imag) + _MARGIN
@@ -861,6 +842,7 @@ class BEvaluator:
         dF = -2.0 * np.pi * np.sum(logw * (kp * kp - kp) * wt)
         return complex(dF * self.eval_B(s))
 
+    @memo(64)
     def laurent(self, s):
         """(m, c) with B(s + e) = c e^m + O(e^(m+1)) at the real point s.
 
@@ -875,9 +857,14 @@ class BEvaluator:
         and B where the walk collides, come from one strip value and W
         alone, with no circle of B; at a regular point c is eval_B(s).
         The factors must stay within the poles that bound _w_zero_table.
+        The evaluator keeps the 64 most recently read points, the bases
+        among them, so B is read once at each distinct base b: 1 for the
+        integers, and two more for the cascade zeros of the series.
         """
         s = float(s)
         k = math.floor(s - _WALK_LO)
+        if k == 0:
+            return 0, self.eval_B(s)
         base = s - k
         x = base + np.arange(min(k, 0), max(k, 0))
         table = _w_zero_table()
@@ -903,7 +890,7 @@ class BEvaluator:
         for w in lead:
             factors = factors * -w if k > 0 else factors / -w
         order = int(on_zero.sum() - on_pole.sum())
-        return (order if k > 0 else -order), self.eval_B(base) * factors
+        return (order if k > 0 else -order), self.laurent(base)[1] * factors
 
     def derived_constants(self):
         """The residue ledger of the long-time asymptotics of Lambda.

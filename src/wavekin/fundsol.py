@@ -30,9 +30,9 @@ grid (``_b_grid``) and the spectrum of 1/B on the auxiliary line
 spectrum is known in closed form: a new t costs one real exponential, one
 inverse FFT and the fits.  Every cache here is a bounded ``bfunc.memo`` map
 kept inside the evaluator, holds one quantity keyed by what it depends on,
-and is freed with the evaluator and keeps none alive.  The residues that
-the asymptotic routes read come from one table off B's ladder
-(``_residues``).
+and is freed with the evaluator and keeps none alive.  The residues and
+integer values of B that the asymptotic routes read come off B's memoized
+ladder (``BEvaluator.laurent``).
 
 The integrals against x (``l1_norm_lambda``, ``delta_pairing``) are calls
 of one driver, ``_integral``, which integrates Lambda against a weight over
@@ -94,16 +94,17 @@ then gives the value at every theta or t.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import scipy.fft
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.special import jv, loggamma
+from scipy.special import jv
 
 from wavekin.bfunc import (_b_singularities, _fft_length, default_evaluator,
                            memo)
-from wavekin.complexfn import eval_W
+from wavekin.complexfn import eval_W, log_gamma
 # unused here; perfbench's tracer wraps the name fundsol.integrate_vertical
 from wavekin.contour import integrate_vertical  # noqa: F401
 from wavekin.errors import (ConvergenceError, PoleError, RegimeError,
@@ -662,14 +663,15 @@ class _MBLine:
     of analyticity about the line (Trefethen & Weideman, SIAM Rev. 56,
     2014).  Every phi of ``_mb_line`` is analytic at least 1/2 away from
     its line, so at h = _MB_H the 2h rule on the even nodes is already at
-    rounding; a line whose two rules still differ raises.  The samples are
-    shared through ``memo``, so they are read-only.
+    rounding; a line whose two rules still differ raises.  The nodes and
+    samples are shared through ``memo``, so they are read-only.
     """
 
     def __init__(self, phi, c, abs_floor):
         self.c, self.abs_floor = c, abs_floor
         n = int(round(_MB_V / _MB_H))
-        self.samples = _frozen(phi(c + 1j * _MB_H * np.arange(n + 1)))
+        self.nodes = _frozen(c + 1j * _MB_H * np.arange(n + 1))
+        self.samples = _frozen(phi(self.nodes))
         # |phi e^(-sL)| = |phi| e^(-cL) for real L
         self.abs_sum = np.abs(self.samples).sum()
 
@@ -681,8 +683,7 @@ class _MBLine:
         where they grow like theta^(-3/2)) the two sums differ by rounding
         alone."""
         h = _MB_H
-        f = self.samples * np.exp(
-            -(self.c + 1j * h * np.arange(self.samples.size)) * L)
+        f = self.samples * np.exp(-self.nodes * L)
         fine = h * (f.sum() - 0.5 * (f[0] + f[-1])).real / math.pi
         g = f[::2]
         coarse = 2 * h * (g.sum() - 0.5 * (g[0] + g[-1])).real / math.pi
@@ -708,21 +709,21 @@ def _mb_line(ev, kind, c, a):
                  on Re = a - c and conjugated)
     """
     if kind == "q1":
-        c1 = -_residues(ev)[1][3]
+        c1 = -_res_inv_b(ev, 3.0)
         b = ev.line_interpolator(c, 0.0, _MB_V + 0.5)
 
         def phi(s):
-            return c1 * b(s) * np.exp(loggamma(3.0 - s))
+            return c1 * b(s) * np.exp(log_gamma(3.0 - s))
     elif kind == "nu":
         b = ev.line_interpolator(c, 0.0, _MB_V + 0.5)
 
         def phi(s):
-            return np.exp(loggamma(s - a)) / b(s)
+            return np.exp(log_gamma(s - a)) / b(s)
     elif kind == "casc":
         b = ev.line_interpolator(a - c, 0.0, _MB_V + 0.5)
 
         def phi(s):
-            return np.exp(loggamma(s)) * np.conj(b(np.conj(a - s)))
+            return np.exp(log_gamma(s)) * np.conj(b(np.conj(a - s)))
     else:
         raise ValueError(f"unknown line kind {kind!r}")
     return _MBLine(phi, c, _MB_ABS_FLOOR[kind])
@@ -774,32 +775,25 @@ def eval_Q2(t, theta, evaluator=None):
 # ---------------------------------------------------------------------------
 
 
-@memo(1)
-def _residues(ev):
-    """(Res(B, p) by p, Res(1/B, z) by z): B's real poles in [-1, 12.3] and
-    zeros in [-9, 12.3], the ones the asymptotic routes cross (12.3 keeps
-    0.5 left of the series' cut at 12.8).
-
-    All are read off the functional-equation ladder (``ev.laurent``): B
-    has simple poles at 0, -1 and 9..12, so Res(B, p) is the leading
-    coefficient there, and simple zeros at -9..-6, 3, 4 and the six
-    cascade points in (8, 12.3), so Res(1/B, z) is its inverse.  The Q1
-    line reads c1 = -Res(1/B, 3).
-    """
-    poles = _b_singularities(-1.0, 12.3)[0].tolist()
-    zeros = _b_singularities(-9.0, 12.3)[1].tolist()
-    return ({p: ev.laurent(p)[1].real for p in poles},
-            {z: (1.0 / ev.laurent(z)[1]).real for z in zeros})
+def _res_inv_b(ev, z):
+    """Res(1/B, z) at a simple zero z of B, off the ladder."""
+    return (1.0 / ev.laurent(z)[1]).real
 
 
-@memo(32)
 def _b_at(ev, k):
     """B at the integer k, real there, off the ladder: exactly 0 at a zero
-    of B, PoleError at a pole; the series reads fewer than 32."""
+    of B, PoleError at a pole."""
     order, coef = ev.laurent(float(k))
     if order < 0:
         raise PoleError(f"B has a pole at s = {k}")
     return coef.real if order == 0 else 0.0
+
+
+@functools.lru_cache(maxsize=1)
+def _cascade_zeros():
+    """The zeros of B in (8, 12.3) that the right push crosses, each a
+    ``_h_casc`` term (12.3 keeps 0.5 left of the series' cut at 12.8)."""
+    return tuple(_b_singularities(8.0, 12.3)[1].tolist())
 
 
 def _nu_hat(m, t, ev):
@@ -826,23 +820,25 @@ def _h_casc(z, theta, ev):
     return _mb_line(ev, "casc", -0.5, z)(-math.log(theta))
 
 
-def _series_g_plus(k, x, rho, ev):
-    """G_k for x > 1: the zero families of B at 3 and 4, pushed right.
+def _series_g_plus(k, x, rho3, rho4, b):
+    """G_k for x > 1: the zero families of B at 3 and 4, pushed right, with
+    rho3 = Res(1/B, 3), rho4 = Res(1/B, 4) and b[m] = B(m) at 4..8.
 
     The pole ladder of B at m >= 9 is handled exactly by ``_nu_hat`` and
     must not reappear here.
     """
-    return -(rho[3] * _b_at(ev, 3 + k) * x ** -3
-             + rho[4] * _b_at(ev, 4 + k) * x ** -4)
+    return -(rho3 * b[3 + k] * x ** -3 + rho4 * b[4 + k] * x ** -4)
 
 
-def _series_g_minus(k, x, res_b, rho, ev):
-    """G_k for x < 1 (contour pushed left)."""
-    out = res_b[-1] * x ** (k + 1) / _b_at(ev, -k - 1)
+def _series_g_minus(k, x, lad):
+    """G_k for x < 1 (contour pushed left), from lad[m] at the integers
+    -9..0: Res(B, m) at the poles -1 and 0, B(m), finite and nonzero, at
+    -5..-2, and Res(1/B, m) at the zeros -9..-6."""
+    out = lad[-1] * x ** (k + 1) / lad[-k - 1]
     if k >= 2:  # for k = 1 the factor 1/B(-1) vanishes at the pole of B
-        out += res_b[0] * x ** k / _b_at(ev, -k)
+        out += lad[0] * x ** k / lad[-k]
     for n in range(6, k + 6):
-        out += rho[-n] * _b_at(ev, k - n) * x ** n
+        out += lad[-n] * lad[k - n] * x ** n
     return out
 
 
@@ -856,14 +852,20 @@ def _series_with_error(t, x, ev):
         raise RegimeError(
             "the pushed-contour remainders do not vanish near x = 1; "
             f"|x-1|={abs(x - 1.0):.3g} < 0.1")
-    res_b, rho = _residues(ev)
+    # the ladder values the terms read, each read once per call
+    if x > 1.0:
+        rho3, rho4 = _res_inv_b(ev, 3.0), _res_inv_b(ev, 4.0)
+        b = {m: _b_at(ev, m) for m in range(4, 9)}
+    else:
+        lad = {m: ev.laurent(m)[1].real for m in range(-5, 1)}
+        lad.update({m: _res_inv_b(ev, m) for m in range(-9, -5)})
 
     total = 0.0
     first = 0.0
     last = 0.0
     for k in range(1, _SERIES_ORDER + 1):
-        gk = (_series_g_plus(k, x, rho, ev) if x > 1.0
-              else _series_g_minus(k, x, res_b, rho, ev))
+        gk = (_series_g_plus(k, x, rho3, rho4, b) if x > 1.0
+              else _series_g_minus(k, x, lad))
         term = (-1.0) ** k / math.factorial(k) * theta ** (-k) * gk
         if k == 1:
             first = abs(term)
@@ -880,18 +882,17 @@ def _series_with_error(t, x, ev):
         quad_err = 0.0
         for m in range(9, 13):
             nu, nu_err = _nu_hat(m, t, ev)
-            total -= theta ** (-m) * res_b[m] * nu
-            quad_err += theta ** (-m) * abs(res_b[m]) * nu_err
-        for z, rho_z in rho.items():
-            if z < 8.0:   # not a cascade point
-                continue
+            res_b = ev.laurent(m)[1].real
+            total -= theta ** (-m) * res_b * nu
+            quad_err += theta ** (-m) * abs(res_b) * nu_err
+        for z in _cascade_zeros():
             h, h_err = _h_casc(z, theta, ev)
+            rho_z = _res_inv_b(ev, z)
             total -= rho_z * x ** (-z) * h
             quad_err += abs(rho_z) * x ** (-z) * h_err
         # at order 5 the family at 4 meets the pole of B at 9, so only
         # the family at 3 contributes a clean next term
-        k_err = (abs(rho[3] * _b_at(ev, 8)) * x ** -3 * theta ** -5
-                 / 120.0)
+        k_err = abs(rho3 * b[8]) * x ** -3 * theta ** -5 / 120.0
         # families beyond the contour cut at Re s = 12.8: the first of
         # them measures ~ 0.4 x^-13 against line-integral references
         err = k_err + quad_err + 0.45 * x ** -12.8

@@ -66,11 +66,10 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import digamma, loggamma
 
 from wavekin.bfunc import (BranchError, _fft_correlate, _k_plus,
                            default_evaluator)
-from wavekin.complexfn import EULER, eval_W
+from wavekin.complexfn import EULER, digamma, eval_W, log_gamma
 from wavekin.contour import ContourSpec, TailModel, integrate_vertical
 from wavekin.errors import ConvergenceError
 
@@ -154,7 +153,7 @@ def _default_beta(s):
 def _gamma_t_kernel(a, t, eta):
     """Gamma(a + i eta) * t^(-(a + i eta)) evaluated stably."""
     z = a + 1j * eta
-    return np.exp(loggamma(z) - z * math.log(t))
+    return np.exp(log_gamma(z) - z * math.log(t))
 
 
 def _lattice_rule(ev, beta, y, kernel, n_rows, d, reach, rel_tol, abs_tol,
@@ -273,7 +272,7 @@ def _gamma_line_integral(t, s, beta, evaluator, b_abs, d_ds=False):
 
     def f(sigma):
         a = sigma - s
-        g = np.exp(loggamma(a) - a * log_t)
+        g = np.exp(log_gamma(a) - a * log_t)
         if d_ds:
             g = g * (log_t - digamma(a))
         return g / b_line(sigma)

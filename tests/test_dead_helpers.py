@@ -45,11 +45,12 @@ def _dead_helpers(sources):
     module-level statement of the files {filename: source} reads."""
     stmts = [(filename, stmt) for filename, source in sorted(sources.items())
              for stmt in ast.parse(source, filename).body]
+    reads = [_read(stmt) for _, stmt in stmts]   # each statement walked once
     found = []
     for i, (filename, stmt) in enumerate(stmts):
         for name in _defined(stmt):
-            if not any(name in _read(other)
-                       for j, (_, other) in enumerate(stmts) if j != i):
+            if not any(name in other
+                       for j, other in enumerate(reads) if j != i):
                 found.append(f"{filename}:{stmt.lineno} {name}")
     return found
 

@@ -28,7 +28,7 @@ from scipy.special import loggamma
 from wavekin import bfunc, fundsol
 from wavekin.bfunc import BEvaluator, default_evaluator
 from wavekin.contour import ContourSpec, TailModel, integrate_vertical
-from wavekin.errors import ConvergenceError, RegimeError
+from wavekin.errors import ConvergenceError, RegimeError, WavekinError
 from wavekin.fundsol import (
     LambdaQuery,
     _C_DT,
@@ -39,7 +39,6 @@ from wavekin.fundsol import (
     _mb_line,
     _nu_hat,
     _q1_with_error,
-    _residues,
     delta_pairing,
     eval_dlambda_dt,
     eval_dlambda_dx,
@@ -188,6 +187,68 @@ def test_lambda_is_not_negative(ev, t):
     assert (val + err).min() >= 0.0
 
 
+# the ray tail's first panel under-resolves e^(-(1 +- i) |q| r / sqrt 2) at
+# large |q| (see test_ray_tail_matches_quad), and x^(-c) = e^(-q) multiplies
+# that absolute miss far from x = 1 at small t (ROADMAP.md, item 1)
+_FAR_X = "the ray tail's first panel is under-resolved far from x = 1: "
+
+
+@pytest.mark.parametrize("t", [
+    pytest.param(0.3, marks=pytest.mark.xfail(strict=True, reason=(
+        _FAR_X + "value + error < 0 at 109 points, x <= 8.3e-7 and "
+        "x >= 1.4e5"))),
+    pytest.param(0.5, marks=pytest.mark.xfail(strict=True, reason=(
+        _FAR_X + "value + error < 0 at 55 points, x <= 1.4e-7 and "
+        "x >= 2.6e6"))),
+    0.7, 1.0, 3.0])
+def test_lambda_is_not_negative_far_from_x_one(ev, t):
+    # x = 1 is on the grid and reads +inf at t <= 1/2
+    x = np.geomspace(1e-8, 1e8, 801)
+    val, err = fundsol._direct(t, np.log(x), ev)
+    assert (val + err).min() >= 0.0
+
+
+@pytest.mark.parametrize("t, x", [
+    pytest.param(0.3, 1e-7, marks=pytest.mark.xfail(strict=True, reason=(
+        _FAR_X + "direct reads -6.96 +- 0.34, 15.7x the summed errors"))),
+    pytest.param(0.3, 1e-6, marks=pytest.mark.xfail(strict=True, reason=(
+        _FAR_X + "direct reads 0.045 +- 0.034, 3.05x the summed errors"))),
+    pytest.param(0.5, 1e-7, marks=pytest.mark.xfail(strict=True, reason=(
+        _FAR_X + "direct reads -0.62 +- 0.43, 1.52x the summed errors"))),
+    (0.5, 1e-6)])
+def test_direct_agrees_with_log_regularized_far_left(ev, t, x):
+    val, err = _lam(t, x, "direct", ev)
+    ref, ref_err = _lam(t, x, "log_regularized", ev)
+    assert abs(val - ref) <= err + ref_err
+
+
+# ---------------- the short-time series against the direct line -----------
+
+
+_SERIES_MISS = ("the series' reported error is not truthful (ROADMAP.md, "
+                "item 5): it misses direct by {}x the summed errors")
+_SERIES_MISSES = {(0.1, 0.8): 1.59, (0.3, 3.0): 3.38, (0.52, 2.0): 7.54,
+                  (0.52, 3.0): 12.7, (0.8, 2.0): 15.8, (0.8, 3.0): 14.9}
+
+
+@pytest.mark.parametrize("t, x", [
+    pytest.param(t, x, marks=[pytest.mark.xfail(
+        strict=True, reason=_SERIES_MISS.format(_SERIES_MISSES[t, x]))]
+        if (t, x) in _SERIES_MISSES else [])
+    for t in (0.1, 0.3, 0.52, 0.8)
+    for x in (0.3, 0.5, 0.8, 1.2, 2.0, 3.0, 10.0)
+    if x / t > 1.0 and abs(x - 1.0) >= 0.1])
+def test_series_agrees_with_direct_inside_its_zone(ev, t, x):
+    # inside the zone the series answers within the summed errors or
+    # raises a typed error where its terms stop decreasing
+    try:
+        val, err = _lam(t, x, "small_t_series", ev)
+    except WavekinError:
+        return
+    ref, ref_err = _lam(t, x, "direct", ev)
+    assert abs(val - ref) <= err + ref_err
+
+
 # ---------------- the tail model and the rotated ray ----------------
 
 
@@ -333,7 +394,7 @@ def test_cascade_profiles_match_a_finer_trapezoid(ev):
     w = -0.5 + 1j * h * np.arange(-n, n + 1)
     weights = np.full(w.size, h)
     weights[[0, -1]] *= 0.5
-    casc = [z for z in _residues(ev)[1] if z > 8.0]
+    casc = fundsol._cascade_zeros()
     assert len(casc) == 6
     for z in casc:
         f = np.exp(loggamma(w) + w * math.log(theta)) * ev.eval_B_many(z - w)
@@ -601,19 +662,18 @@ class _FlatB:
         return self._count(np.ones_like)
 
     def laurent(self, s):
-        return self._count((0, 1.0 + 0j))     # B = 1: order 0 everywhere
+        return self._count((0, 1.0 + 0j))     # B = 1 at the walk's base
 
 
 @pytest.mark.parametrize("call", [
     lambda ev: _line_assembly(ev, 0.8, 1.0, "u"),
     lambda ev: _mb_line(ev, "nu", 8.5, 9),
-    _residues,
+    lambda ev: BEvaluator.laurent(ev, 3.0),
     lambda ev: fundsol._b_grid(ev, 1.0),
     lambda ev: fundsol._b_prime_grid(ev, 1.0),
     lambda ev: fundsol._inv_b_spectrum(ev, 1.0 + fundsol._B_OFF),
-    lambda ev: fundsol._b_at(ev, -3),
-], ids=["line_assembly", "nu_hat", "residues", "b_grid", "b_prime_grid",
-        "inv_b_spectrum", "b_at"])
+], ids=["line_assembly", "nu_hat", "laurent", "b_grid", "b_prime_grid",
+        "inv_b_spectrum"])
 def test_fresh_evaluator_recomputes(call):
     ev = _FlatB()
     first = call(ev)
@@ -632,12 +692,41 @@ def test_residues_and_integer_values_draw_no_circle(monkeypatch):
     monkeypatch.setattr(bfunc, "integrate_circle",
                         lambda *args, **kwargs: circles.append(args))
     ev = BEvaluator()
-    fundsol._residues(ev)
+    # the residues at B's poles in [-1, 12.3] and zeros in [-9, 12.3]
+    poles = bfunc._b_singularities(-1.0, 12.3)[0]
+    zeros = bfunc._b_singularities(-9.0, 12.3)[1]
+    for s in np.concatenate([poles, zeros]).tolist():
+        ev.laurent(s)
     for k in (-5, -4, -3, -2, 4, 5, 6, 7, 8):   # all the series reads
         fundsol._b_at(ev, k)
     fundsol._series_with_error(0.3, 0.6, ev)
     fundsol._series_with_error(0.2, 3.0, ev)
     assert circles == []
+
+
+def test_the_ladder_reads_b_once_per_base(monkeypatch):
+    # every residue and integer value the routes read walks to one of three
+    # bases, and B is read off the strip once at each
+    bases = []
+    real = bfunc.BEvaluator._strip_many
+
+    def spy(self, s_arr):
+        bases.extend(s_arr.tolist())
+        return real(self, s_arr)
+
+    monkeypatch.setattr(bfunc.BEvaluator, "_strip_many", spy)
+    ev = BEvaluator()
+    eval_Q1(2.0, evaluator=ev)
+    read = ev._memo[BEvaluator.laurent.__wrapped__]
+    assert set(read) == {(3.0,), (1.0,)}     # c1 = -Res(1/B, 3), its base
+    assert bases == [1.0]
+    eval_lambda_series(0.3, 0.6, evaluator=ev)
+    eval_lambda_series(0.55, 2.5, evaluator=ev)
+    ev.derived_constants()
+    assert len(bases) == len(set(bases)) == 3
+    other = BEvaluator()
+    assert other.laurent(3.0) == ev.laurent(3.0)
+    assert len(bases) == 4 and bases[-1] == 1.0
 
 
 @pytest.fixture
@@ -703,8 +792,8 @@ def _touch_every_cached_kind(ev):
 def test_a_dropped_evaluator_is_freed():
     ev = BEvaluator()
     _touch_every_cached_kind(ev)
-    # line interpolants, B, B' and W on the grid, spectra of 1/B,
-    # assemblies, MB lines, residues and B at integers each hold entries
+    # line interpolants, the gauge offset, B, B' and W on the grid, spectra
+    # of 1/B, assemblies, MB lines and the ladder each hold entries
     assert len(ev._memo) == 9
     ref = weakref.ref(ev)
     del ev
@@ -765,3 +854,5 @@ def test_mb_lines_are_read_only(ev):
     for line in lines:
         with pytest.raises(ValueError):
             line.samples[0] = 0.0
+        with pytest.raises(ValueError):
+            line.nodes[0] = 0.0
