@@ -208,14 +208,26 @@ def _b_singularities(lo, hi):
                  for x in map(np.concatenate, (poles, zeros)))
 
 
+@functools.lru_cache(maxsize=64)
+def _b_poles(lo, hi):
+    """B's real poles in [lo, hi] for integers lo and hi, sorted: the
+    table ``_pole_distance`` reads, so a walk does not list them again."""
+    poles = _b_singularities(lo, hi)[0]
+    poles.flags.writeable = False
+    return poles
+
+
 def _pole_distance(s):
     """Distance from each s (scalar or array) to B's nearest real pole
     among those within 1 of the real parts of s, or inf if none is."""
     s = np.asarray(s, dtype=complex)
     if not s.size:
         return np.full(s.shape, np.inf)
-    poles = np.concatenate([[-np.inf], _b_singularities(
-        s.real.min() - 1.0, s.real.max() + 1.0)[0], [np.inf]])
+    lo, hi = s.real.min() - 1.0, s.real.max() + 1.0
+    table = _b_poles(math.floor(lo), math.ceil(hi))
+    poles = np.concatenate([[-np.inf], table[table.searchsorted(lo):
+                                             table.searchsorted(hi, "right")],
+                            [np.inf]])
     i = np.searchsorted(poles, s.real)
     return np.minimum(np.abs(s - poles[i - 1]), np.abs(s - poles[i]))[()]
 

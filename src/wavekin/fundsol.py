@@ -16,15 +16,18 @@ is tabulated on a uniform grid by a matched-grid convolution (see
 moments (Filon--Legendre); on [V, inf) a five-term model of the symbol's
 (ENV_B s)^(-2t) decay, ``_tail_model``, is fit on [0.55 V, 0.98 V] and
 integrated along a rotated ray in geometric 16-point Gauss panels
-(``_ray_tail``), which keeps the quadrature non-oscillatory for any q.  The
-fit reads the model's columns and the ray its sum.  One tabulation and fit
-(``_line_assembly``) serves every q: calling it with an array of q
-evaluates the moments, the phases and the ray panels of all of them at
-once, so profiles and integrals cost one call per batch of points.  Per q,
-the 240 panel phases are the outer product of 15 and 16 exponentials, the
-panel sum is one BLAS product with the Legendre coefficients, and the tail
-model is one Horner expression whose samples already carry the ray's Gauss
-weights.  In U only the kernel Gamma(z) t^(-z) depends on t, so B on the
+(``_ray_tail``), which keeps the quadrature non-oscillatory for any q.
+Each q starts its panels at its own depth, short enough for the rule to
+resolve the ray's decay e^(-|q| r/sqrt 2), and sweeps them only until its
+own sum has settled.  The fit reads the model's columns and the ray its
+sum.  One tabulation and fit (``_line_assembly``) serves every q: calling
+it with an array of q evaluates the moments, the phases and the ray panels
+of all of them at once, so profiles and integrals cost one call per batch
+of points.  Per q, the 240 panel phases are the outer product of 15 and 16
+exponentials, the panel sum is one BLAS product with the Legendre
+coefficients, and the tail model is one Horner expression whose samples,
+shared by the q of one ray direction and depth, already carry the ray's
+Gauss weights.  In U only the kernel Gamma(z) t^(-z) depends on t, so B on the
 grid (``_b_grid``) and the spectrum of 1/B on the auxiliary line
 (``_inv_b_spectrum``) are tabulated once per abscissa, and the kernel's
 spectrum is known in closed form: a new t costs one real exponential, one
@@ -183,6 +186,8 @@ _TRANSPORT_TOL = 1e-9
 _TAU = np.linspace(-1.0, 1.0, 11)
 _LEG_INV = np.linalg.inv(legvander(_TAU, 10))
 _GL16 = leggauss(16)
+#: the 16 Gauss nodes mapped to [0, 2], where a ray panel scales them
+_GL16_UNIT = _GL16[0] + 1.0
 _LEG_K = np.arange(11)
 #: the midpoint _PANEL_HALF (2 p + 1) of Filon panel p = 16 a + b
 #: (a < 15, b < 16) is _MID_HI[a] + _MID_LO[b], so the 240 panel phases
@@ -195,11 +200,44 @@ _RAY_TOL = 1e-10
 _RAY_PANELS = 480
 #: ray directions indexed by sign(q): 0 -> pi/2, 1 -> pi/4, -1 -> 3 pi/4
 _RAY_DIRS = np.exp(1j * np.pi * np.array([0.5, 0.25, 0.75]))
-#: most q one pass of an assembled line takes: the ray sweep holds
-#: (q x panels x 16) complex temporaries, and near x = 1 it runs to
-#: blocks of 128 panels or more; a radial profile of 256 points still
-#: goes in one pass.  Every q is summed by its own products, so the
-#: batch size changes no value
+#: the sweep takes its exponentials in waves of _RAY_WAVE panels or
+#: _RAY_PIECES (q, panel) pieces, whichever is more, cut at the end of the
+#: block, and only for the q still sweeping: a q computes less than one
+#: wave past its stop, and a wave's fixed bookkeeping stays small against
+#: its exponentials.  So a radial profile's 256 q take 8 panels a wave,
+#: and one q whole blocks
+_RAY_WAVE = 8
+_RAY_PIECES = 256
+_RAY_K = np.arange(_RAY_PANELS)
+
+
+def _ray_reach():
+    """The longest first ray panel, in units of 1/|q|, whose 16 Gauss
+    nodes integrate e^(-(s-c) q) within _RAY_TOL/50 of the ray's integral.
+
+    On the ray at pi/4 (q > 0) the integrand is a phase times
+    e^(-mu |q| r), mu = e^(i pi/4), and the ray's integral is 1/(mu |q|);
+    at 3 pi/4 (q < 0) it is the conjugate and errs alike.  So the rule's
+    miss on a first panel of length L/|q|, over that integral, depends on
+    L alone.  It grows with L: 8e-16 at L = 5, 2.1e-12 at 26.25, 1e-6 at
+    50.  The reach is the last L of a grid of step 1/8 below the first
+    miss over the tolerance (26.125).
+    """
+    wg = _GL16[1]
+    mu = _RAY_DIRS[1]
+    reach = np.arange(8, 513) / 8.0
+    half = 0.5 * reach[:, None]
+    rule = (half * wg * np.exp(-mu * half * _GL16_UNIT)).sum(axis=1)
+    miss = np.abs(mu * rule - (1.0 - np.exp(-mu * reach)))
+    return float(reach[np.argmax(miss > _RAY_TOL / 50.0) - 1])
+
+
+_RAY_REACH = _ray_reach()
+#: most q one pass of an assembled line takes: it holds the (q x 240)
+#: Filon phases and a ray wave's (q x panels x 16) complex temporaries, 8
+#: panels a q at this size; a radial profile of 256 points still goes in
+#: one pass.  Every q is summed by its own products, so the batch size
+#: changes no value
 _Q_BATCH = 256
 
 
@@ -369,56 +407,124 @@ def _tail_model(kind, t, a, s):
     return model / z if kind == "du" else model
 
 
+def _ray_len0(s0):
+    """The first ray panel's length at depth 0: short against |s0|, the
+    scale on which the tail model varies along the ray."""
+    return max(2.0, abs(s0) / 32.0)
+
+
+def _ray_panels(len0, depth, j0, j1):
+    """(r, half) of the ray panels j0 <= j < j1 at one depth: the distances
+    r from s0 of their 16 Gauss nodes, (j1 - j0, 16), and their
+    half-lengths, (j1 - j0, 1).
+
+    At depth K the panels are the doubling ladder of len0 scaled by 2^-K:
+    panel j is len0 2^(j-K) long and starts at len0 (2^j - 1) 2^-K.
+    """
+    first = math.ldexp(len0, -depth)
+    r_len = np.ldexp(first, np.arange(j0, j1))
+    half = 0.5 * r_len[:, None]
+    return (r_len - first)[:, None] + half * _GL16_UNIT, half
+
+
 def _ray_tail(F, s0, q, c):
     """int_{s0}^{s0 + i inf} F(s) e^(-(s-c) q) ds along a rotated ray, per q.
 
     For each q of the 1-D array the contour is rotated to arg = pi/4
     (q > 0), 3 pi/4 (q < 0) or kept vertical (q = 0); F must be analytic
     and decaying in the swept sector, which holds for the tail model.
-    All q share the geometric 16-point Gauss panels, so F is evaluated once
-    per direction and block, and its samples take the Gauss weights, the
-    half-lengths of the panels and the ray direction there; a q then costs
-    one exponential and one product per node.  Blocks of panels, each
-    twice as long as the last, go to every q still sweeping; a sweep stops
-    once three consecutive panels fall below _RAY_TOL of its running sum.
+
+    Each q sums 16-point Gauss panels (``_ray_panels``) at its own depth
+    K, the least K >= 0 at which its first panel, len0 2^-K, is shorter
+    than _RAY_REACH/|q|: there the rule resolves e^(-(1 +- i)|q| r/sqrt 2)
+    within _RAY_TOL/50 of the ray's integral.  For |q| len0 < _RAY_REACH
+    (|q| < 4.976 on the lines of ``_line_assembly``) K = 0.  The q of one
+    direction and depth form a lane and share its samples of F, which take
+    the Gauss weights, the half-lengths of the panels and the ray direction
+    there; a q then costs one exponential and one product per node.
+
+    The panels come in blocks, each twice as long as the last.  F is
+    sampled once per block and lane, and a block's sums are its start sum
+    plus the running sum over the block, so the figures of one q do not
+    depend on the others.  The exponentials are taken in waves of panels
+    (``_RAY_PIECES``), only for the q still sweeping: a sweep stops once
+    three consecutive panels fall below _RAY_TOL of its running sum.
     """
-    side = np.sign(q).astype(int)
-    xg, wg = _GL16
-    len0 = max(2.0, abs(s0) / 32.0)
-    total, err = np.zeros(q.shape, complex), np.zeros(q.shape)
-    stall = np.zeros(q.shape, int)
-    todo, j0, n_block = np.arange(q.size), 0, 8
+    len0 = _ray_len0(s0)
+    # each q's lane 3 K + sign(q), K the least depth >= 0 at which
+    # |q| len0 2^-K < _RAY_REACH, and the q in lane order, which the sweep
+    # keeps, so that a lane's q are one run; one q takes a scalar path
+    if q.size == 1:
+        q0 = float(q[0])
+        lane = np.array([3 * max(math.frexp(q0 * (len0 / _RAY_REACH))[1], 0)
+                         + (q0 > 0) - (q0 < 0)])
+        todo = np.zeros(1, int)
+    else:
+        lane = (3 * np.maximum(np.frexp(q * (len0 / _RAY_REACH))[1], 0)
+                + np.sign(q))
+        todo = np.argsort(lane, kind="stable")
+    wg = _GL16[1]
+    # total holds each q's sum at the start of its block, run the running
+    # sum over the block up to the last wave
+    total, run = np.zeros((2,) + q.shape, complex)
+    err, stall = np.zeros(q.shape), np.zeros(q.shape, int)
+    j0, n_block = 0, 8
+    block_start, block_end = 0, n_block
     while todo.size:
-        r_len = len0 * 2.0 ** np.arange(j0, min(j0 + n_block, _RAY_PANELS))
-        half = 0.5 * r_len[:, None]
-        r = (r_len - len0)[:, None] + half * (xg + 1.0)
-        f, z = np.empty((2, 3) + r.shape, complex)
-        for i in set(side[todo].tolist()):
-            s = s0 + _RAY_DIRS[i] * r
-            f[i], z[i] = F(s) * (_RAY_DIRS[i] * half * wg), s - c
-        rays = side[todo]
-        # f e^(-z q) at every node, in one (q x panels x 16) buffer
-        vals = z[rays]
-        vals *= -q[todo, None, None]
-        np.exp(vals, out=vals)
-        vals *= f[rays]
+        at = lane[todo]
+        if todo.size == 1 or at[0] == at[-1]:
+            cuts = [0, todo.size]
+        else:
+            cuts = [0, *(np.flatnonzero(at[1:] != at[:-1]) + 1).tolist(),
+                    todo.size]
+        if j0 == block_start:
+            # F on the block's panels of each lane still sweeping
+            samples = {}
+            for a in cuts[:-1]:
+                lane_depth, side = divmod(int(at[a]) + 1, 3)
+                r, half = _ray_panels(len0, lane_depth, j0, block_end)
+                d = _RAY_DIRS[side - 1]
+                s = s0 + d * r
+                samples[int(at[a])] = F(s) * (d * half * wg), s - c
+        j1 = min(block_end, j0 + max(_RAY_WAVE, _RAY_PIECES // todo.size))
+        wave = slice(j0 - block_start, j1 - block_start)
+        # f e^(-z q) at every node, in one (q x panels x 16) buffer filled
+        # a lane at a time
+        vals = np.empty((todo.size, j1 - j0, 16), complex)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            f, z = samples[int(at[a])]
+            run_vals = vals[a:b]
+            np.multiply(z[wave], -q[todo[a:b], None, None], out=run_vals)
+            np.exp(run_vals, out=run_vals)
+            run_vals *= f[wave]
         pieces = vals.sum(axis=-1)
-        sums = total[todo, None] + np.cumsum(pieces, axis=1)
+        if j0 == block_start:
+            run_sums = np.cumsum(pieces, axis=1)
+        else:
+            run_sums = np.cumsum(np.concatenate((run[todo, None], pieces),
+                                                axis=1), axis=1)[:, 1:]
+        sums = total[todo, None] + run_sums
         scale = np.maximum(np.abs(sums), 1e-300)
         # length of the run of small panels ending at each panel
-        k = np.arange(r_len.size)
+        k = _RAY_K[:j1 - j0]
         small = np.abs(pieces) < _RAY_TOL * scale
         streak = k - np.maximum.accumulate(
             np.where(small, -1 - stall[todo, None], k), axis=1)
-        done = (streak >= 3).any(axis=1)
-        last = np.where(done, (streak >= 3).argmax(axis=1), k[-1])
+        stop = streak >= 3
+        done = stop.any(axis=1)
+        last = np.where(done, stop.argmax(axis=1), j1 - j0 - 1)
         rows = np.arange(todo.size)
-        total[todo] = sums[rows, last]
         err[todo] = np.abs(pieces[rows, last]) + _RAY_TOL * scale[rows, last]
         stall[todo] = streak[:, -1]
-        j0 += r_len.size
+        if j1 == block_end:
+            total[todo] = sums[rows, last]
+            n_block *= 2
+            block_start, block_end = j1, min(j1 + n_block, _RAY_PANELS)
+        else:
+            total[todo[done]] = sums[rows, last][done]
+            run[todo] = run_sums[:, -1]
+        j0 = j1
         todo = todo[~done] if j0 < _RAY_PANELS else todo[:0]
-        n_block *= 2
     return total, err
 
 

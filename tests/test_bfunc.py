@@ -187,6 +187,20 @@ def test_pole_mask_matches_the_loop_over_zeros():
                           _pole_mask_by_loop(grid))
 
 
+@pytest.mark.parametrize("lo", [-24.3, -3.7, 2.3, 7.9])
+def test_pole_distance_of_an_array_reads_the_poles_of_its_span(lo):
+    # the memoized table of an integer window, cut to [min Re - 1,
+    # max Re + 1], against the poles listed for that span itself; no pole
+    # lies within 1 of [2.3, 5.3]
+    rng = np.random.default_rng(7)
+    s = lo + rng.uniform(0.0, 3.0, 30) + 1j * rng.uniform(-1.0, 1.0, 30)
+    poles = bfunc._b_singularities(s.real.min() - 1.0,
+                                   s.real.max() + 1.0)[0]
+    ref = np.min(np.abs(s[:, None] - poles), axis=1, initial=np.inf)
+    assert np.array_equal(bfunc._pole_distance(s), ref)
+    assert np.isinf(ref).all() == (lo == 2.3)
+
+
 @pytest.mark.parametrize("s", [-5.0, -6.0, 0.5, 8.7 + 0.2j, 3.2])
 def test_pole_distance_is_the_nearest_listed_pole(s):
     # the searchsorted neighbours against the minimum over every pole
