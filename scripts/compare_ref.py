@@ -1,0 +1,190 @@
+"""Compare the working tree's Lambda lines, values and timings with a git ref.
+
+Run from anywhere inside the repository:
+
+    python3 scripts/compare_ref.py [REF] [--time] [--rounds N]
+
+REF (default HEAD) is extracted with ``git archive`` into a temporary
+directory, and each tree, REF's and the working tree's ``src``, runs in
+one subprocess of its own, so the two imports never meet.  The script
+prints:
+
+- per line kind ("u", "du", "q2", "su", "ut") at t = 0.7 and 2, on a fixed
+  q grid: the largest |value difference| over the working tree's reported
+  error, the largest |error difference| over that error, and whether an
+  array call equals the scalar calls exactly in each tree;
+- ``l1_norm_lambda`` at t = 0.7, 1 and 1.5 in both trees.
+
+With ``--time`` it then times, interleaved between the two trees round by
+round, a one-q query at a new t (line assembly included), a warm 256-point
+``radial_profile`` and a warm ``l1_norm_lambda``, and prints per case the
+median and quartiles of the per-round ratio working tree / REF (below 1 is
+faster).  BLAS runs one thread.  Only the standard library and numpy are
+used; no test runs this script.
+"""
+
+import argparse
+import io
+import json
+import os
+import pathlib
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: (kind, abscissa, t) of the compared lines
+LINES = [(kind, c, t) for kind, c in (("u", 1.0), ("du", 1.0), ("q2", 1.0),
+                                      ("su", 1.0), ("ut", 1.5))
+         for t in (0.7, 2.0) if kind != "su" or t > 1.0]
+L1_TS = (0.7, 1.0, 1.5)
+TIME_CASES = ("one_q_new_t", "radial_256", "l1_norm")
+
+# The worker reads one JSON request per line on stdin and answers one JSON
+# line on stdout.  argv[1] is the src directory to import from.
+WORKER = r'''
+import json, sys, time
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from wavekin import fundsol
+from wavekin.bfunc import BEvaluator
+
+ev = BEvaluator()
+Q = np.concatenate(([0.0], -np.logspace(-16, 1.6, 48),
+                    np.logspace(-16, 1.6, 48)))
+new_t = [0.7]
+
+
+def values(req):
+    out = {}
+    for kind, c, t in req["lines"]:
+        line = fundsol._line_assembly(ev, t, c, kind)
+        q = Q[1:] if kind == "du" else Q
+        vals, errs = line(q)
+        scalar = [line(float(x)) for x in q]
+        same = (np.array_equal(vals, [v for v, _ in scalar])
+                and np.array_equal(errs, [e for _, e in scalar]))
+        out[f"{kind} {c} {t}"] = {"val": vals.tolist(), "err": errs.tolist(),
+                                  "array_is_scalar": bool(same)}
+    out["l1"] = [fundsol.l1_norm_lambda(t, evaluator=ev) for t in req["l1"]]
+    return out
+
+
+def run(case):
+    if case == "one_q_new_t":
+        new_t[0] += 1e-6
+        fundsol.eval_lambda_with_error(fundsol.LambdaQuery(new_t[0], 1.35),
+                                       ev)
+    elif case == "radial_256":
+        fundsol.radial_profile(1.0, 1e-3, 1e3, 256, evaluator=ev)
+    else:
+        fundsol.l1_norm_lambda(1.0, evaluator=ev)
+
+
+def timing(req):
+    run(req["case"])        # warm: B grids, spectra, assemblies
+    times = []
+    for _ in range(req["reps"]):
+        t0 = time.perf_counter()
+        run(req["case"])
+        times.append(time.perf_counter() - t0)
+    return {"s": sorted(times)[len(times) // 2]}
+
+
+for line in sys.stdin:
+    req = json.loads(line)
+    ans = values(req) if req["op"] == "values" else timing(req)
+    print(json.dumps(ans), flush=True)
+'''
+
+
+class Tree:
+    """One subprocess importing wavekin from one src directory."""
+
+    def __init__(self, src):
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", WORKER, str(src)], stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, text=True, env=env)
+
+    def ask(self, **req):
+        self.proc.stdin.write(json.dumps(req) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError("the worker exited; see its traceback above")
+        return json.loads(line)
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def extract(ref, dest):
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest)
+    return pathlib.Path(dest) / "src"
+
+
+def compare_values(ref, work):
+    req = {"op": "values", "lines": LINES, "l1": L1_TS}
+    a, b = ref.ask(**req), work.ask(**req)
+    print(f"{'line':<14}{'max|dval|/err':>15}{'max|derr|/err':>15}"
+          f"{'array==scalar ref/work':>24}")
+    for kind, c, t in LINES:
+        key = f"{kind} {c} {t}"
+        ra, rb = a[key], b[key]
+        dval = max(abs(x - y) / e for x, y, e in
+                   zip(ra["val"], rb["val"], rb["err"]))
+        derr = max(abs(x - y) / e for x, y, e in
+                   zip(ra["err"], rb["err"], rb["err"]))
+        flags = f"{ra['array_is_scalar']}/{rb['array_is_scalar']}"
+        print(f"{kind:<4}c={c:<4}t={t:<4}{dval:>15.3g}{derr:>15.3g}"
+              f"{flags:>24}")
+    for t, x, y in zip(L1_TS, a["l1"], b["l1"]):
+        print(f"l1_norm_lambda(t={t}): ref {x!r}  work {y!r}  "
+              f"rel diff {abs(x - y) / abs(x):.3g}")
+
+
+def compare_times(ref, work, rounds):
+    print(f"\n{'case':<14}{'median':>9}{'q1':>9}{'q3':>9}   "
+          f"(work / ref, {rounds} interleaved rounds)")
+    reps = {"one_q_new_t": 20, "radial_256": 5, "l1_norm": 1}
+    for case in TIME_CASES:
+        ratios = []
+        for k in range(rounds):
+            order = (ref, work) if k % 2 == 0 else (work, ref)
+            got = {id(tree): tree.ask(op="time", case=case, reps=reps[case])
+                   for tree in order}
+            ratios.append(got[id(work)]["s"] / got[id(ref)]["s"])
+        q1, med, q3 = statistics.quantiles(ratios, n=4)
+        print(f"{case:<14}{med:>9.3f}{q1:>9.3f}{q3:>9.3f}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("ref", nargs="?", default="HEAD")
+    ap.add_argument("--time", action="store_true")
+    ap.add_argument("--rounds", type=int, default=15)
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = []
+        try:
+            trees.append(Tree(extract(args.ref, tmp)))
+            trees.append(Tree(ROOT / "src"))
+            compare_values(*trees)
+            if args.time:
+                compare_times(*trees, args.rounds)
+        finally:
+            for tree in trees:
+                tree.close()
+
+
+if __name__ == "__main__":
+    main()

@@ -722,16 +722,22 @@ class BEvaluator:
             base = grp - k
             collided = np.zeros(len(grp), dtype=bool)
             factors = np.ones(len(grp), dtype=complex)
-            for j in range(min(k, 0), max(k, 0)):
-                bad, w_arg = self._w_collision(base + j)
-                collided |= bad
-                safe = ~bad
-                if safe.any():
-                    w = -w_arg[safe]
-                    if k >= 0:
-                        factors[safe] *= w
-                    else:
-                        factors[safe] /= w
+            if k:
+                # W at every step's arguments base + j in one call, the
+                # factors still multiplied step by step
+                steps = np.arange(min(k, 0), max(k, 0))
+                bad_all, w_all = self._w_collision(
+                    (base + steps[:, None]).ravel())
+                for bad, w_arg in zip(bad_all.reshape(steps.size, -1),
+                                      w_all.reshape(steps.size, -1)):
+                    collided |= bad
+                    safe = ~bad
+                    if safe.any():
+                        w = -w_arg[safe]
+                        if k > 0:
+                            factors[safe] *= w
+                        else:
+                            factors[safe] /= w
             clean = ~collided
             if clean.any():
                 out[idx[clean]] = (strip(idx[clean], base[clean])

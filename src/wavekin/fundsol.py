@@ -27,15 +27,19 @@ of points.  Per q, the 240 panel phases are the outer product of 15 and 16
 exponentials, the panel sum is one BLAS product with the Legendre
 coefficients, and the tail model is one Horner expression whose samples,
 shared by the q of one ray direction and depth, already carry the ray's
-Gauss weights.  In U only the kernel Gamma(z) t^(-z) depends on t, so B on the
-grid (``_b_grid``) and the spectrum of 1/B on the auxiliary line
-(``_inv_b_spectrum``) are tabulated once per abscissa, and the kernel's
-spectrum is known in closed form: a new t costs one real exponential, one
-inverse FFT and the fits.  Every cache here is a bounded ``bfunc.memo`` map
-kept inside the evaluator, holds one quantity keyed by what it depends on,
-and is freed with the evaluator and keeps none alive.  The residues and
-integer values of B that the asymptotic routes read come off B's memoized
-ladder (``BEvaluator.laurent``).
+Gauss weights.  The ray's nodes double their distance from a fixed point
+from one panel to the next, so e^(-(s-c) q) is one prefactor per q times
+factors that are, on each panel, the squares of the last panel's: a q
+takes one exponential per node only on every eighth panel.  In U only the
+kernel Gamma(z) t^(-z) depends on t, so B on the grid (``_b_grid``) and
+the spectrum of 1/B on the auxiliary line (``_inv_b_spectrum``) are
+tabulated once per abscissa, and the kernel's spectrum is known in closed
+form: a new t costs one real exponential, one inverse FFT and the fits.
+Every cache here is a bounded ``bfunc.memo`` map kept inside the
+evaluator, holds one quantity keyed by what it depends on, and is freed
+with the evaluator and keeps none alive.  The residues and integer values
+of B that the asymptotic routes read come off B's memoized ladder
+(``BEvaluator.laurent``).
 
 The integrals against x (``l1_norm_lambda``, ``delta_pairing``) are calls
 of one driver, ``_integral``, which integrates Lambda against a weight over
@@ -188,7 +192,25 @@ _LEG_INV = np.linalg.inv(legvander(_TAU, 10))
 _GL16 = leggauss(16)
 #: the 16 Gauss nodes mapped to [0, 2], where a ray panel scales them
 _GL16_UNIT = _GL16[0] + 1.0
+#: the 16 Gauss nodes mapped to [1, 2]: panel j of a ray whose first
+#: panel is L long has its nodes at L 2^j _GL16_RHO from the point L
+#: before the ray's start
+_GL16_RHO = 0.5 * (_GL16[0] + 3.0)
 _LEG_K = np.arange(11)
+#: (-i)^k and the Bessel orders k + 1/2 of the Filon moments
+_LEG_PHASE = (-1j) ** _LEG_K
+_LEG_ORDER = _LEG_K + 0.5
+#: the 11 grid nodes of each Filon panel, (_N_PANEL, 11)
+_LEG_IDX = 10 * np.arange(_N_PANEL)[:, None] + _LEG_K
+#: the tail model's fit on the window [0.55, 0.98] V: 8 probe nodes, 40
+#: check nodes, and i v there as (n, 1) columns; c + _FIT_IV_* is the
+#: line's s at those nodes, and the identity amplitudes read the columns
+_FIT_LO, _FIT_HI = int(0.55 * (_NV - 1)), int(0.98 * (_NV - 1))
+_FIT_PROBE = np.linspace(_FIT_LO, _FIT_HI, 8).astype(int)
+_FIT_CHECK = np.arange(_FIT_LO, _FIT_HI, (_FIT_HI - _FIT_LO) // 40)
+_FIT_IV_PROBE = 1j * _H_V * _FIT_PROBE[:, None]
+_FIT_IV_CHECK = 1j * _H_V * _FIT_CHECK[:, None]
+_FIT_EYE = np.eye(_MODEL_K)
 #: the midpoint _PANEL_HALF (2 p + 1) of Filon panel p = 16 a + b
 #: (a < 15, b < 16) is _MID_HI[a] + _MID_LO[b], so the 240 panel phases
 #: e^(-i q mid) of one q are the outer product of 15 and 16 exponentials
@@ -200,12 +222,14 @@ _RAY_TOL = 1e-10
 _RAY_PANELS = 480
 #: ray directions indexed by sign(q): 0 -> pi/2, 1 -> pi/4, -1 -> 3 pi/4
 _RAY_DIRS = np.exp(1j * np.pi * np.array([0.5, 0.25, 0.75]))
-#: the sweep takes its exponentials in waves of _RAY_WAVE panels or
-#: _RAY_PIECES (q, panel) pieces, whichever is more, cut at the end of the
-#: block, and only for the q still sweeping: a q computes less than one
-#: wave past its stop, and a wave's fixed bookkeeping stays small against
-#: its exponentials.  So a radial profile's 256 q take 8 panels a wave,
-#: and one q whole blocks
+#: the ray's node factors come in spans of _RAY_WAVE panels, an
+#: exponential on the first and squares on the rest; the block starts
+#: _RAY_WAVE (2^k - 1) and _RAY_PANELS are whole spans.  The sweep takes
+#: them in waves of whole spans, as many as _RAY_PIECES (q, panel) pieces
+#: allow but at least one, cut at the end of the block, and only for the
+#: q still sweeping: a q computes less than one wave past its stop, and a
+#: wave's fixed bookkeeping stays small against its factors.  So a radial
+#: profile's 256 q take 8 panels a wave, and one q whole blocks
 _RAY_WAVE = 8
 _RAY_PIECES = 256
 _RAY_K = np.arange(_RAY_PANELS)
@@ -414,17 +438,22 @@ def _ray_len0(s0):
 
 
 def _ray_panels(len0, depth, j0, j1):
-    """(r, half) of the ray panels j0 <= j < j1 at one depth: the distances
-    r from s0 of their 16 Gauss nodes, (j1 - j0, 16), and their
-    half-lengths, (j1 - j0, 1).
+    """(r, half, rho) of the ray panels j0 <= j < j1 at one depth: the
+    distances r from s0 of their 16 Gauss nodes, (j1 - j0, 16), their
+    half-lengths, (j1 - j0, 1), and rho = r + first, (j1 - j0, 16).
 
     At depth K the panels are the doubling ladder of len0 scaled by 2^-K:
-    panel j is len0 2^(j-K) long and starts at len0 (2^j - 1) 2^-K.
+    panel j is len0 2^(j-K) long and starts at len0 (2^j - 1) 2^-K.  With
+    first = len0 2^-K its nodes lie at rho = first 2^(j-1) (3 + g), g the
+    Gauss abscissae on [-1, 1]; rho is scaled by ldexp, so it doubles
+    exactly from one panel to the next.
     """
     first = math.ldexp(len0, -depth)
-    r_len = np.ldexp(first, np.arange(j0, j1))
+    j = np.arange(j0, j1)
+    r_len = np.ldexp(first, j)
     half = 0.5 * r_len[:, None]
-    return (r_len - first)[:, None] + half * _GL16_UNIT, half
+    rho = np.ldexp(first * _GL16_RHO, j[:, None])
+    return (r_len - first)[:, None] + half * _GL16_UNIT, half, rho
 
 
 def _ray_tail(F, s0, q, c):
@@ -439,16 +468,25 @@ def _ray_tail(F, s0, q, c):
     than _RAY_REACH/|q|: there the rule resolves e^(-(1 +- i)|q| r/sqrt 2)
     within _RAY_TOL/50 of the ray's integral.  For |q| len0 < _RAY_REACH
     (|q| < 4.976 on the lines of ``_line_assembly``) K = 0.  The q of one
-    direction and depth form a lane and share its samples of F, which take
-    the Gauss weights, the half-lengths of the panels and the ray direction
-    there; a q then costs one exponential and one product per node.
+    direction d and depth form a lane and share its samples of F, which
+    take the Gauss weights, the half-lengths of the panels and d there.
+
+    The nodes lie at s = s0 + d (rho - first), and rho doubles exactly
+    from one panel to the next, so e^(-(s-c) q) is the prefactor
+    e^(-(s0 - c - d first) q), one exponential per q, times e^(-d q rho),
+    whose values on a panel are the squares of the last panel's.  These
+    are exponentials only on the anchor panels j = 0 mod _RAY_WAVE,
+    counted from the ray's start so that no q's figures depend on its
+    batch, and squares on the _RAY_WAVE - 1 panels after each: at most
+    about 2^7 eps of relative error beyond the exponential's own, and
+    q = 0 stays exactly 1.
 
     The panels come in blocks, each twice as long as the last.  F is
     sampled once per block and lane, and a block's sums are its start sum
     plus the running sum over the block, so the figures of one q do not
-    depend on the others.  The exponentials are taken in waves of panels
-    (``_RAY_PIECES``), only for the q still sweeping: a sweep stops once
-    three consecutive panels fall below _RAY_TOL of its running sum.
+    depend on the others.  The factors are taken in waves of whole anchor
+    spans (``_RAY_PIECES``), only for the q still sweeping: a sweep stops
+    once three consecutive panels fall below _RAY_TOL of its running sum.
     """
     len0 = _ray_len0(s0)
     # each q's lane 3 K + sign(q), K the least depth >= 0 at which
@@ -465,8 +503,10 @@ def _ray_tail(F, s0, q, c):
         todo = np.argsort(lane, kind="stable")
     wg = _GL16[1]
     # total holds each q's sum at the start of its block, run the running
-    # sum over the block up to the last wave
-    total, run = np.zeros((2,) + q.shape, complex)
+    # sum over the block up to the last wave, both without the prefactor
+    # pre: the stop test compares a q's panels with its own sum, so the
+    # factor is taken once at the end
+    total, run, pre = np.zeros((3,) + q.shape, complex)
     err, stall = np.zeros(q.shape), np.zeros(q.shape, int)
     j0, n_block = 0, 8
     block_start, block_end = 0, n_block
@@ -478,26 +518,41 @@ def _ray_tail(F, s0, q, c):
             cuts = [0, *(np.flatnonzero(at[1:] != at[:-1]) + 1).tolist(),
                     todo.size]
         if j0 == block_start:
-            # F on the block's panels of each lane still sweeping
+            # F on the block's panels of each lane still sweeping, in
+            # spans (_RAY_WAVE x spans x 16), and -d rho on their anchors
             samples = {}
-            for a in cuts[:-1]:
+            for a, b in zip(cuts[:-1], cuts[1:]):
                 lane_depth, side = divmod(int(at[a]) + 1, 3)
-                r, half = _ray_panels(len0, lane_depth, j0, block_end)
+                r, half, rho = _ray_panels(len0, lane_depth, j0, block_end)
                 d = _RAY_DIRS[side - 1]
-                s = s0 + d * r
-                samples[int(at[a])] = F(s) * (d * half * wg), s - c
-        j1 = min(block_end, j0 + max(_RAY_WAVE, _RAY_PIECES // todo.size))
-        wave = slice(j0 - block_start, j1 - block_start)
-        # f e^(-z q) at every node, in one (q x panels x 16) buffer filled
-        # a lane at a time
-        vals = np.empty((todo.size, j1 - j0, 16), complex)
+                f = F(s0 + d * r) * (d * half * wg)
+                samples[int(at[a])] = (
+                    f.reshape(-1, _RAY_WAVE, 16).transpose(1, 0, 2),
+                    -d * rho[::_RAY_WAVE])
+                if j0 == 0:
+                    first = math.ldexp(len0, -lane_depth)
+                    pre[todo[a:b]] = np.exp((d * first - (s0 - c))
+                                            * q[todo[a:b]])
+        j1 = min(block_end, j0 + _RAY_WAVE * max(
+            1, _RAY_PIECES // (_RAY_WAVE * todo.size)))
+        spans = slice((j0 - block_start) // _RAY_WAVE,
+                      (j1 - block_start) // _RAY_WAVE)
+        # e^(-d q rho) at every node, in one (_RAY_WAVE x q x spans x 16)
+        # buffer: exponentials on the anchors a lane at a time, then
+        # squares along the spans for all q at once
+        vals = np.empty((_RAY_WAVE, todo.size, spans.stop - spans.start, 16),
+                        complex)
         for a, b in zip(cuts[:-1], cuts[1:]):
-            f, z = samples[int(at[a])]
-            run_vals = vals[a:b]
-            np.multiply(z[wave], -q[todo[a:b], None, None], out=run_vals)
-            np.exp(run_vals, out=run_vals)
-            run_vals *= f[wave]
-        pieces = vals.sum(axis=-1)
+            drho = samples[int(at[a])][1]
+            np.multiply(q[todo[a:b], None, None], drho[spans],
+                        out=vals[0, a:b])
+        np.exp(vals[0], out=vals[0])
+        for prev, cur in zip(vals[:-1], vals[1:]):
+            np.square(prev, out=cur)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            f = samples[int(at[a])][0]
+            vals[:, a:b] *= f[:, None, spans]
+        pieces = vals.sum(axis=-1).transpose(1, 2, 0).reshape(todo.size, -1)
         if j0 == block_start:
             run_sums = np.cumsum(pieces, axis=1)
         else:
@@ -525,7 +580,7 @@ def _ray_tail(F, s0, q, c):
             run[todo] = run_sums[:, -1]
         j0 = j1
         todo = todo[~done] if j0 < _RAY_PANELS else todo[:0]
-    return total, err
+    return total * pre, err * np.abs(pre)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +628,7 @@ class _LineAssembly:
         # with j_k(x) = sqrt(pi/2x) J_(k+1/2)(x); the floor keeps j_0(0) = 1
         lam = _PANEL_HALF * qs[:, None]
         x = np.maximum(np.abs(lam), 1e-300)
-        moms = (-1j) ** _LEG_K * jv(_LEG_K + 0.5, x) * np.sqrt(2.0 * np.pi / x)
+        moms = _LEG_PHASE * jv(_LEG_ORDER, x) * np.sqrt(2.0 * np.pi / x)
         moms = np.where(lam < 0.0, np.conj(moms), moms)
         # the panel phases e^(-i q mid) from 31 exponentials, as one
         # (1 x _N_PANEL) row per q
@@ -599,21 +654,17 @@ class _LineAssembly:
 @memo(48)
 def _line_assembly(ev, t, c, kind):
     g = _symbol_line(ev, t, c, kind)
-    idx = 10 * np.arange(_N_PANEL)[:, None] + np.arange(11)[None, :]
-    coeffs = g[idx] @ _LEG_INV.T
+    coeffs = g[_LEG_IDX] @ _LEG_INV.T
     err_window = float(
         (np.abs(coeffs[:, 9]) + np.abs(coeffs[:, 10])).sum() * 2 * _PANEL_HALF
     )
 
     # the fit's column matrices: the model with the identity as amplitudes
-    s = c + 1j * _H_V * np.arange(_NV)[:, None]
-    eye = np.eye(_MODEL_K)
-    lo, hi = int(0.55 * (_NV - 1)), int(0.98 * (_NV - 1))
-    probe = np.linspace(lo, hi, 8).astype(int)
-    model_a, *_ = np.linalg.lstsq(_tail_model(kind, t, eye, s[probe]),
-                                  g[probe], rcond=None)
-    check = np.arange(lo, hi, (hi - lo) // 40)
-    resid = g[check] - _tail_model(kind, t, eye, s[check]) @ model_a
+    model_a, *_ = np.linalg.lstsq(
+        _tail_model(kind, t, _FIT_EYE, c + _FIT_IV_PROBE), g[_FIT_PROBE],
+        rcond=None)
+    resid = (g[_FIT_CHECK]
+             - _tail_model(kind, t, _FIT_EYE, c + _FIT_IV_CHECK) @ model_a)
     fit_resid = float(np.abs(resid).max())
 
     coeffs.flags.writeable = model_a.flags.writeable = False

@@ -460,8 +460,21 @@ def test_walk_evaluates_w_once_per_walk_argument(monkeypatch):
     monkeypatch.setattr(bfunc, "eval_W", spy)
     # the strip values now come from the point cache
     assert np.array_equal(ev.eval_B_many(s), first)
-    # k = -3 first: three arguments of two points, then two of three
-    assert calls == [2, 2, 2, 3, 3]
+    # k = -3 first: its three arguments of two points in one call, then
+    # k = 2's two arguments of three points in one call
+    assert calls == [6, 6]
+
+
+@pytest.mark.parametrize("im", [0.7, -13.0, 41.5])
+def test_walked_points_equal_one_point_calls(im):
+    # one point per walk k in [-5, 8], so each k takes all its steps' W in
+    # one call, against the same points one at a time on a second
+    # evaluator, whose point cache the first call did not fill: the
+    # stacked W and the step-by-step factors give the same bits
+    s = 0.95 + np.arange(-5, 9) + 1j * im
+    many = BEvaluator().eval_B_many(s)
+    ev = BEvaluator()
+    assert np.array_equal(many, [ev.eval_B(x) for x in s])
 
 
 @pytest.mark.parametrize("stride", [1, 2, 4, 16, 20, 94])

@@ -150,6 +150,24 @@ def test_array_call_equals_scalar_calls(ev, kind, t, c, with_zero):
     assert np.array_equal(errs, [e for _, e in scalar])
 
 
+@pytest.mark.parametrize("n", [2, 3, 11, 37])
+def test_deep_ray_sweeps_equal_scalar_calls(ev, n):
+    # q next to 0 sweep tens of panels, where their node factors are
+    # neither 0 nor 1; with many of them in one batch the waves are cut
+    # inside the deep blocks, and one q sweeps whole blocks
+    rng = np.random.default_rng(n)
+    near0 = np.concatenate((
+        [0.0, 1e-16, -1e-16, 1e-15, -1e-15, 1e-13],
+        rng.choice([-1.0, 1.0], 31) * 10.0 ** rng.uniform(-16.0, -12.0, 31)))
+    q = rng.permutation(np.concatenate((near0[:n - n // 4],
+                                        rng.uniform(-3.0, 7.0, n // 4))))
+    line = _line_assembly(ev, 0.55, 1.0, "u")
+    vals, errs = line(q)
+    scalar = [line(x) for x in q]
+    assert np.array_equal(vals, [v for v, _ in scalar])
+    assert np.array_equal(errs, [e for _, e in scalar])
+
+
 def test_batches_of_a_long_call_change_no_value(ev, monkeypatch):
     line = _line_assembly(ev, 0.7, 1.0, "u")
     q = np.linspace(-9.0, 9.0, 2 * fundsol._Q_BATCH + 37)
@@ -309,8 +327,9 @@ def _quad_ray(F, s0, q, c):
     return total * d * np.exp(-(s0 - c) * q)
 
 
-@pytest.mark.parametrize("q", [0.3, -0.3, 2.0, -2.0, 5.0, -5.0, 8.0, -8.0,
-                               20.0, -20.0, 40.0, -40.0])
+@pytest.mark.parametrize("q", [1e-3, -1e-3, 0.01, -0.01, 0.05, -0.05, 0.3,
+                               -0.3, 2.0, -2.0, 5.0, -5.0, 8.0, -8.0, 20.0,
+                               -20.0, 40.0, -40.0])
 @pytest.mark.parametrize("t", [0.7, 2.0])
 def test_ray_tail_matches_quad(ev, t, q):
     c = 1.0
