@@ -13,14 +13,17 @@ prints:
   q grid: the largest |value difference| over the working tree's reported
   error, the largest |error difference| over that error, and whether an
   array call equals the scalar calls exactly in each tree;
-- ``l1_norm_lambda`` at t = 0.7, 1 and 1.5 in both trees.
+- ``l1_norm_lambda`` at t = 0.7, 1 and 1.5, and ``delta_pairing`` of the
+  bump on [0.5, 2], which holds x = 1, at t = 0.7 and 1.5, in both trees,
+  each with the number of line points it took.
 
 With ``--time`` it then times, interleaved between the two trees round by
 round, a one-q query at a new t (line assembly included), a warm 256-point
-``radial_profile`` and a warm ``l1_norm_lambda``, and prints per case the
-median and quartiles of the per-round ratio working tree / REF (below 1 is
-faster).  BLAS runs one thread.  Only the standard library and numpy are
-used; no test runs this script.
+``radial_profile``, a warm ``l1_norm_lambda`` and a warm ``delta_pairing``
+of that bump at t = 1.5, and prints per case the median and quartiles of
+the per-round ratio working tree / REF (below 1 is faster).  BLAS runs
+one thread.  Only the standard library and numpy are used; no test runs
+this script.
 """
 
 import argparse
@@ -41,7 +44,9 @@ LINES = [(kind, c, t) for kind, c in (("u", 1.0), ("du", 1.0), ("q2", 1.0),
                                       ("su", 1.0), ("ut", 1.5))
          for t in (0.7, 2.0) if kind != "su" or t > 1.0]
 L1_TS = (0.7, 1.0, 1.5)
-TIME_CASES = ("one_q_new_t", "radial_256", "l1_norm")
+#: (t, lo, hi) of the compared pairings: bumps whose support holds x = 1
+PAIRINGS = ((0.7, 0.5, 2.0), (1.5, 0.5, 2.0))
+TIME_CASES = ("one_q_new_t", "radial_256", "l1_norm", "pairing")
 
 # The worker reads one JSON request per line on stdin and answers one JSON
 # line on stdout.  argv[1] is the src directory to import from.
@@ -58,6 +63,22 @@ Q = np.concatenate(([0.0], -np.logspace(-16, 1.6, 48),
 new_t = [0.7]
 
 
+def with_points(fn, *args):
+    """(fn(*args, evaluator=ev), the line points it took)."""
+    points = [0]
+    real = fundsol._LineAssembly.__call__
+
+    def counted(self, q):
+        points[0] += np.size(q)
+        return real(self, q)
+
+    fundsol._LineAssembly.__call__ = counted
+    try:
+        return fn(*args, evaluator=ev), points[0]
+    finally:
+        fundsol._LineAssembly.__call__ = real
+
+
 def values(req):
     out = {}
     for kind, c, t in req["lines"]:
@@ -69,7 +90,10 @@ def values(req):
                 and np.array_equal(errs, [e for _, e in scalar]))
         out[f"{kind} {c} {t}"] = {"val": vals.tolist(), "err": errs.tolist(),
                                   "array_is_scalar": bool(same)}
-    out["l1"] = [fundsol.l1_norm_lambda(t, evaluator=ev) for t in req["l1"]]
+    out["l1"] = [with_points(fundsol.l1_norm_lambda, t) for t in req["l1"]]
+    bump = fundsol.TestFunction.bump
+    out["pairing"] = [with_points(fundsol.delta_pairing, t, bump(lo, hi))
+                      for t, lo, hi in req["pairing"]]
     return out
 
 
@@ -80,6 +104,9 @@ def run(case):
                                        ev)
     elif case == "radial_256":
         fundsol.radial_profile(1.0, 1e-3, 1e3, 256, evaluator=ev)
+    elif case == "pairing":
+        fundsol.delta_pairing(1.5, fundsol.TestFunction.bump(0.5, 2.0),
+                              evaluator=ev)
     else:
         fundsol.l1_norm_lambda(1.0, evaluator=ev)
 
@@ -133,7 +160,7 @@ def extract(ref, dest):
 
 
 def compare_values(ref, work):
-    req = {"op": "values", "lines": LINES, "l1": L1_TS}
+    req = {"op": "values", "lines": LINES, "l1": L1_TS, "pairing": PAIRINGS}
     a, b = ref.ask(**req), work.ask(**req)
     print(f"{'line':<14}{'max|dval|/err':>15}{'max|derr|/err':>15}"
           f"{'array==scalar ref/work':>24}")
@@ -147,15 +174,20 @@ def compare_values(ref, work):
         flags = f"{ra['array_is_scalar']}/{rb['array_is_scalar']}"
         print(f"{kind:<4}c={c:<4}t={t:<4}{dval:>15.3g}{derr:>15.3g}"
               f"{flags:>24}")
-    for t, x, y in zip(L1_TS, a["l1"], b["l1"]):
-        print(f"l1_norm_lambda(t={t}): ref {x!r}  work {y!r}  "
-              f"rel diff {abs(x - y) / abs(x):.3g}")
+    names = ([f"l1_norm_lambda(t={t})" for t in L1_TS]
+             + [f"delta_pairing(t={t}, bump({lo}, {hi}))"
+                for t, lo, hi in PAIRINGS])
+    for name, (x, nx), (y, ny) in zip(names, a["l1"] + a["pairing"],
+                                      b["l1"] + b["pairing"]):
+        print(f"{name}: ref {x!r}  work {y!r}  "
+              f"rel diff {abs(x - y) / abs(x):.3g}  "
+              f"line points ref {nx}  work {ny}")
 
 
 def compare_times(ref, work, rounds):
     print(f"\n{'case':<14}{'median':>9}{'q1':>9}{'q3':>9}   "
           f"(work / ref, {rounds} interleaved rounds)")
-    reps = {"one_q_new_t": 20, "radial_256": 5, "l1_norm": 1}
+    reps = {"one_q_new_t": 20, "radial_256": 5, "l1_norm": 1, "pairing": 3}
     for case in TIME_CASES:
         ratios = []
         for k in range(rounds):

@@ -43,10 +43,20 @@ of B that the asymptotic routes read come off B's memoized ladder
 
 The integrals against x (``l1_norm_lambda``, ``delta_pairing``) are calls
 of one driver, ``_integral``, which integrates Lambda against a weight over
-a range of log x: the core |x-1| < e^(-40) from the near-one law, the rest
-in adaptive Gauss panels in log x on that line.  ``_adaptive_panels``
-refines all intervals of one call in lockstep, so each sweep of new panels
-is one call of the line.
+a range of log x and returns the value with its panels' summed error: the
+core |x-1| < e^(-40) from the near-one law, the rest in adaptive Gauss
+panels in log x on that line.  Toward x = 1 the panels are cut at a
+geometric ladder (``_tau_marks``) only as deep as the cusp |x-1|^(2t-1)
+needs for the panel rule pair: every rung for t up to 0.58, down to
+1.3e-3 at t = 1; below its deepest rung one span a side is bisected.
+``_adaptive_panels`` refines all intervals of one call in lockstep, so
+each sweep of new panels is one call of the line.  An interval stops at
+rel_tol of its own integral or at an absolute floor; the outward e-folds
+of ``l1_norm_lambda`` set that floor to a small share of rel_tol times the
+running total, so a far e-fold of small mass takes one line call.  The
+mass past l1's two truncated ends comes from its last e-folds' masses:
+Lambda tends to Lambda(t, 0+) at the left end and decays like x^-5 at the
+right.
 
 Regimes
 -------
@@ -1180,6 +1190,30 @@ _X6, _W6 = leggauss(6)
 _X18 = np.concatenate([_X12, _X6])
 #: bisections of one panel after which ``_adaptive_panels`` stops splitting it
 _PANEL_DEPTH = 28
+#: 12/6-point discrepancy, over its own integral, that ``_tau_marks``
+#: allows the span below its deepest rung on that span's first panel
+_CUSP_TOL = 1e-6
+
+
+def _cusp_miss():
+    """The largest |12-point - 6-point| of the panel rule pair on a power
+    x^a over [0, 1], on the grid a = k/64, 0 < a <= 12.
+
+    The pair misses 7.6e-4 at a = 0.2, 4.8e-4 at 0.4, 1.2e-5 at 1.2 and
+    3.7e-7 at 2.5; both rules are exact at whole a up to 11.  The largest
+    miss, 7.6e-4 at a = 0.21, bounds the pair on every power, so it also
+    covers the terms of Lambda past the cusp, whose exponents are not
+    2t - 1 (at t = 1.5, Lambda(t, 1 + u) - Lambda(t, 1) is mostly linear
+    in u for |u| > 1e-4).
+    """
+    a = np.arange(1, 12 * 64 + 1)[:, None] / 64.0
+    x12, x6 = 0.5 * (_X12 + 1.0), 0.5 * (_X6 + 1.0)
+    miss = 0.5 * np.abs((_W12 * x12 ** a).sum(axis=1)
+                        - (_W6 * x6 ** a).sum(axis=1))
+    return float(miss.max())
+
+
+_CUSP_MISS = _cusp_miss()
 
 
 def _gauss_panels(f, bounds, absolute):
@@ -1200,14 +1234,14 @@ def _gauss_panels(f, bounds, absolute):
     return sums
 
 
-def _adaptive_panels(f, intervals, rel_tol, absolute=False):
+def _adaptive_panels(f, intervals, rel_tol, absolute=False, floor=0.0):
     """Adaptive Gauss panels of f on each interval: [(total, err), ...].
 
     f maps arrays to arrays.  Per interval, 12- and 6-point rules are
     compared on each panel, and the worst panel is bisected until the
-    summed discrepancy is below rel_tol of the summed integral, the worst
-    panel has had _PANEL_DEPTH bisections, or 4000 bisections are made.  With
-    absolute=True the integrand is |f|.
+    summed discrepancy is below max(rel_tol |summed integral|, floor), the
+    worst panel has had _PANEL_DEPTH bisections, or 4000 bisections are
+    made.  With absolute=True the integrand is |f|.
 
     The intervals refine in lockstep: each sweep, every interval not yet
     done bisects its worst panel, and the new panels of all of them go
@@ -1225,7 +1259,8 @@ def _adaptive_panels(f, intervals, rel_tol, absolute=False):
             s = segs[i]
             total = sum(p[2] for p in s)
             err = sum(p[3] for p in s)
-            if sweep == 4000 or err <= rel_tol * max(abs(total), 1e-300):
+            if sweep == 4000 or err <= max(rel_tol * max(abs(total), 1e-300),
+                                           floor):
                 out[i] = (total, err)
                 continue
             worst = max(range(len(s)), key=lambda k: s[k][3])
@@ -1263,16 +1298,18 @@ def _core_mass(t, ev):
     return 0.5 * edges.sum() * u_c / t
 
 
-def _integral(t, weight, a, b, rel_tol, ev, absolute=False):
-    """int Lambda(t, x) weight(x) dx over a < log x < b, on the direct line.
+def _integral(t, weight, a, b, rel_tol, ev, absolute=False, floor=0.0):
+    """(int Lambda(t, x) weight(x) dx over a < log x < b, its error), on
+    the direct line.
 
     weight maps arrays of x to arrays.  If the core |x-1| < _U_CORE lies
     in the range, its mass weight(1) times ``_core_mass`` is summed first
     and the core is left out of the panels.  The rest is adaptive Gauss
-    panels in tau = log x, cut at the ladder log(1 -+ 4^k exp(-40)) of
-    ``_tau_marks``; all of its intervals refine together in one
-    ``_adaptive_panels`` call, one line call per sweep.  With absolute the
-    integrand is |Lambda weight|.
+    panels in tau = log x, cut at the marks of ``_tau_marks``; all of its
+    intervals refine together in one ``_adaptive_panels`` call, one line
+    call per sweep, each to max(rel_tol |its integral|, floor).  The error
+    is the panels' summed 12/6-point discrepancy; the core's term is left
+    out of it.  With absolute the integrand is |Lambda weight|.
     """
     line = _line_assembly(ev, t, _C_DIRECT, "u")
 
@@ -1280,17 +1317,24 @@ def _integral(t, weight, a, b, rel_tol, ev, absolute=False):
         x = np.exp(tau)
         return line(tau)[0] * weight(x) * x
 
-    total = 0.0
+    total = err = 0.0
     core = (math.log1p(-_U_CORE), math.log1p(_U_CORE))
     if a <= core[0] and core[1] <= b:
         total = float(weight(1.0)) * _core_mass(t, ev)
         if absolute:
             total = abs(total)
-    marks = _tau_marks(a, b)
+    marks = _tau_marks(a, b, t)
     spans = [span for span in zip(marks[:-1], marks[1:]) if span != core]
-    for v, _ in _adaptive_panels(f, spans, rel_tol, absolute):
+    for v, e in _adaptive_panels(f, spans, rel_tol, absolute, floor):
         total += v
-    return total
+        err += e
+    return total, err
+
+
+#: share of rel_tol times the running total that ``l1_norm_lambda`` lets
+#: each outward e-fold miss; with at most 60 e-folds a side the floors sum
+#: to below 0.6 rel_tol of the total
+_EFOLD_SHARE = 0.005
 
 
 def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
@@ -1298,22 +1342,30 @@ def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
 
     The range |x-1| < 0.4, near-one core included, is one ``_integral``.
     Then the x-range grows by one e-fold per call on each side until the
-    outermost e-fold is negligible: Lambda tends to a constant at x = 0+
-    and decays like x^-5 at infinity, so both ends close quickly.
-    (Refining several e-folds ahead in one call was slower: the far ones,
-    not needed in the end, refine on the rounding noise of the line.)
+    outermost e-fold falls below rel_tol of the running total.  Each
+    outward e-fold refines to rel_tol of its own mass or to a floor of
+    _EFOLD_SHARE rel_tol of the running total, whichever is looser, so
+    the far e-folds, whose masses are small, take one line call each.
+    The mass past the last e-fold, x < x_f or x > x_f, comes from that
+    e-fold's mass v: Lambda tends to the constant Lambda(t, 0+) at x = 0+,
+    so the rest is x_f Lambda(0+) = v/(e - 1), and decays like C x^-5 at
+    infinity, so the rest is C x_f^-4/4 = v/(e^4 - 1).
     """
     ev = evaluator or default_evaluator()
     lo, hi = math.log1p(-0.4), math.log1p(0.4)
-    total = _integral(t, np.ones_like, lo, hi, rel_tol, ev, absolute=True)
-    for sign, edge in ((-1, lo), (1, hi)):
+    total, _ = _integral(t, np.ones_like, lo, hi, rel_tol, ev, absolute=True)
+    for sign, edge, rest in ((-1, lo, 1.0 / math.expm1(1.0)),
+                             (1, hi, 1.0 / math.expm1(4.0))):
         for _ in range(60):
-            v = _integral(t, np.ones_like, min(edge, edge + sign),
-                          max(edge, edge + sign), rel_tol, ev, absolute=True)
+            v, _ = _integral(t, np.ones_like, min(edge, edge + sign),
+                             max(edge, edge + sign), rel_tol, ev,
+                             absolute=True,
+                             floor=_EFOLD_SHARE * rel_tol * total)
             total += v
             edge += sign
             if v < rel_tol * total:
                 break
+        total += rest * v
     return total
 
 
@@ -1329,21 +1381,46 @@ def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):
         return float(phi(1.0))
     lo, hi = phi.support
     return _integral(t, phi, math.log(lo), math.log(hi), rel_tol,
-                     evaluator or default_evaluator())
+                     evaluator or default_evaluator())[0]
 
 
-def _tau_marks(a, b):
+def _cusp_depth(t):
+    """|x-1| down to which the near-one cusp of Lambda(t, .) needs rungs.
+
+    For t > 1/2, Lambda(t, 1 + u) = Lambda(t, 1) + A |u|^a + ...,
+    a = 2t - 1, with |A| within a factor 2 of Lambda(t, 1) (measured on
+    the line for t in [0.55, 1]).  On a span 0 < |u| < d the panel rule
+    pair then misses at most about Lambda(t, 1) d^(a+1) _CUSP_MISS,
+    against the span's integral Lambda(t, 1) d.  The depth is the d at
+    which d^a _CUSP_MISS = _CUSP_TOL, (1.3e-3)^(1/a): below 4 u_core, so
+    every rung, for t up to 0.58, 6e-8 at t = 0.7, 1.3e-3 at t = 1 and
+    0.39 at t = 4.  For t <= 1/2 the cusp is infinite or logarithmic and
+    the depth 0.
+    """
+    a = 2.0 * t - 1.0
+    if a <= 0.0:
+        return 0.0
+    return (_CUSP_TOL / _CUSP_MISS) ** (1.0 / a)
+
+
+def _tau_marks(a, b, t):
     """Split [a, b] (in tau = log x) geometrically toward tau = 0.
 
-    Inserts the ladder log(1 +- 4^k u_core) so panels shrink toward the
-    boundary layer at x = 1 where the integrand steepens.
+    Inserts the core edges log(1 -+ u_core) and the ladder
+    log(1 -+ 4^k u_core), u_core < 4^k u_core < 0.45, so panels shrink
+    toward the boundary layer at x = 1 where the integrand steepens.  The
+    ladder starts at its last rung at or below ``_cusp_depth(t)``, and one
+    span a side, from the core to that rung, goes to ``_adaptive_panels``
+    whole.  For t <= 1/2 (depth 0) every rung stays.
     """
     marks = {a, b}
+    depth = _cusp_depth(t)
     u = _U_CORE
     while u < 0.45:
-        for s in (math.log1p(u), math.log1p(-u)):
-            if a < s < b:
-                marks.add(s)
+        if u == _U_CORE or 4.0 * u > depth:
+            for s in (math.log1p(u), math.log1p(-u)):
+                if a < s < b:
+                    marks.add(s)
         u *= 4.0
     return sorted(marks)
 

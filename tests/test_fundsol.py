@@ -35,6 +35,7 @@ from wavekin.fundsol import (
     _adaptive_panels,
     _core_mass,
     _h_casc,
+    _integral,
     _line_assembly,
     _mb_line,
     _nu_hat,
@@ -455,12 +456,13 @@ def test_q2_small_theta_law_is_its_large_t_term(ev):
 # ---------------- integrals ----------------
 
 
-@pytest.mark.parametrize("t", [0.1, 0.3, 1.0])
+@pytest.mark.parametrize("t", [0.1, 0.3, 0.7, 1.0, 1.5, 3.0])
 def test_l1_norm_is_the_mellin_mass(ev, t):
-    rel_tol = 1e-6
-    l1 = l1_norm_lambda(t, rel_tol=rel_tol, evaluator=ev)
+    # the rest past both truncated ends is added, so the panels' own
+    # accuracy, far inside rel_tol, is what is left
+    l1 = l1_norm_lambda(t, rel_tol=1e-6, evaluator=ev)
     mass = SQRT_2PI * eval_U(t, 1.0, evaluator=ev).value.real
-    assert abs(l1 - mass) <= 2 * rel_tol * mass
+    assert abs(l1 - mass) <= 1e-8 * mass
 
 
 def test_delta_pairing_across_the_core_returns(ev):
@@ -506,7 +508,8 @@ def _count_line_calls(monkeypatch):
 
 
 def test_delta_pairing_takes_one_line_call_per_sweep(ev, monkeypatch):
-    # 58 intervals across the core ladder, one panel sweep each call
+    # the intervals of the ladder around the core refine in lockstep, one
+    # panel sweep of all of them each call
     phi = fundsol.TestFunction.bump(0.5, 3.0)
     _line_assembly(ev, 1.5, 1.0, "u")
     calls = _count_line_calls(monkeypatch)
@@ -537,6 +540,107 @@ def test_l1_norm_does_not_refine_on_ray_noise(ev, monkeypatch):
     mass = SQRT_2PI * eval_U(0.3, 1.0, evaluator=ev).value.real
     assert sum(points) <= 3000
     assert abs(l1 - mass) <= 1e-6 * mass
+
+
+def _near_one(t, ev):
+    a, b = math.log1p(-0.4), math.log1p(0.4)
+    return _integral(t, np.ones_like, a, b, 1e-6, ev, absolute=True)[0]
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5])
+def test_ladder_up_to_t_half_has_every_rung(t):
+    a, b = math.log(0.3), math.log(2.0)
+    rungs = [math.exp(-40.0) * 4.0 ** k for k in range(29)]
+    assert fundsol._tau_marks(a, b, t) == sorted(
+        {a, b} | {math.log1p(s * u) for u in rungs for s in (-1.0, 1.0)})
+
+
+@pytest.mark.parametrize("t", [0.55, 0.6, 0.7, 1.0, 2.0, 4.0])
+def test_graded_ladder_keeps_the_near_one_integral(ev, t, monkeypatch):
+    graded = _near_one(t, ev)
+    # every rung: the ladder at t = 1/2
+    marks = fundsol._tau_marks
+    monkeypatch.setattr(fundsol, "_tau_marks",
+                        lambda a, b, t: marks(a, b, 0.5))
+    full = _near_one(t, ev)
+    assert abs(graded - full) <= 1e-10 * full
+
+
+@pytest.mark.parametrize("t", [1.0, 4.0])
+def test_graded_ladder_first_sweep_is_short(ev, t, monkeypatch):
+    # the full ladder's first sweep takes 1,044 points at every t
+    _line_assembly(ev, t, 1.0, "u")
+    calls = _count_line_calls(monkeypatch)
+    _near_one(t, ev)
+    # calls[0] is the core's two edge points
+    assert calls[0] == 2 and calls[1] <= 400
+
+
+def _spy_integrals(monkeypatch):
+    """Record (a, b, value, error, rel_tol, floor, line calls) of every
+    ``_integral`` call."""
+    calls = _count_line_calls(monkeypatch)
+    got = []
+    real = fundsol._integral
+
+    def spy(t, weight, a, b, rel_tol, ev, absolute=False, floor=0.0):
+        n = len(calls)
+        v, err = real(t, weight, a, b, rel_tol, ev, absolute, floor)
+        got.append((a, b, v, err, rel_tol, floor, len(calls) - n))
+        return v, err
+
+    monkeypatch.setattr(fundsol, "_integral", spy)
+    return got
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0])
+def test_integral_errors_are_within_their_tolerance(ev, t, monkeypatch):
+    _line_assembly(ev, t, 1.0, "u")
+    got = _spy_integrals(monkeypatch)
+    l1_norm_lambda(t, evaluator=ev)
+    assert len(got) > 8
+    for _, _, v, err, rel_tol, floor, _ in got:
+        assert 0.0 <= err <= max(rel_tol * abs(v), floor)
+
+
+def test_far_e_folds_take_one_line_call_each(ev, monkeypatch):
+    # at t = 0.25 the outermost e-folds carry about 1e-6 of the mass;
+    # refined to rel_tol of their own mass, they took 4, 13 and 14 line
+    # calls.  The first e-fold a side may refine once: at the right its
+    # 12/6-point discrepancy, 3.5e-6 of its mass, is 0.2 rel_tol of the
+    # total
+    t = 0.25
+    _line_assembly(ev, t, 1.0, "u")
+    got = _spy_integrals(monkeypatch)
+    l1 = l1_norm_lambda(t, evaluator=ev)
+    mass = SQRT_2PI * eval_U(t, 1.0, evaluator=ev).value.real
+    assert abs(l1 - mass) <= 1e-6 * mass
+    lo, hi = math.log1p(-0.4), math.log1p(0.4)
+    assert (got[0][0], got[0][1]) == (lo, hi)
+    sides = [(lo in (a, b) or hi in (a, b), n) for a, b, *_, n in got[1:]]
+    first = [n for near, n in sides if near]
+    far = [n for near, n in sides if not near]
+    assert len(first) == 2 and max(first) <= 2
+    assert len(far) >= 12 and set(far) == {1}
+
+
+def test_a_floor_stops_an_interval_at_once():
+    (v, e), = fundsol._gauss_panels(_jumpy, [(0.0, 1.0)], False)
+    rel_tol = 0.1 * e / abs(v)
+    n_calls = []
+
+    def f(x):
+        n_calls.append(1)
+        return _jumpy(x)
+
+    # rel_tol |total| < e < floor: the first panel stands
+    assert _adaptive_panels(f, [(0.0, 1.0)], rel_tol, floor=2.0 * e) == [
+        (v, e)]
+    assert len(n_calls) == 1
+    n_calls.clear()
+    (total, err), = _adaptive_panels(f, [(0.0, 1.0)], rel_tol, floor=0.5 * e)
+    assert len(n_calls) > 1
+    assert err <= max(rel_tol * abs(total), 0.5 * e)
 
 
 def _jumpy(x):
