@@ -15,7 +15,14 @@ prints:
   array call equals the scalar calls exactly in each tree;
 - ``l1_norm_lambda`` at t = 0.7, 1 and 1.5, and ``delta_pairing`` of the
   bump on [0.5, 2], which holds x = 1, at t = 0.7 and 1.5, in both trees,
-  each with the number of line points it took.
+  each with the number of line points it took;
+- the four cross pairs of the benchmark's ``symbol`` workload, eval_U
+  against eval_U_small_t and against a one-point eval_U_line at
+  (t, s) = (0.5, 1 + 5i) and (0.8, 0.6 + 20i), as |a - b| over the summed
+  errors, on a fresh evaluator in each tree;
+- per B line of ``B_LINES``, the largest relative disagreement between the
+  line interpolant at its own Chebyshev nodes and eval_B_many there: the
+  rounding that B's two routes leave, which the cross pairs read.
 
 With ``--time`` it then times, interleaved between the two trees round by
 round, a one-q query at a new t (line assembly included), a warm 256-point
@@ -47,6 +54,11 @@ L1_TS = (0.7, 1.0, 1.5)
 #: (t, lo, hi) of the compared pairings: bumps whose support holds x = 1
 PAIRINGS = ((0.7, 0.5, 2.0), (1.5, 0.5, 2.0))
 TIME_CASES = ("one_q_new_t", "radial_256", "l1_norm", "pairing")
+#: (t, s) of the symbol workload's cross pairs
+SYMBOL_PAIRS = ((0.5, 1.0 + 5.0j), (0.8, 0.6 + 20.0j))
+#: (abscissa, Im s from, to) of the compared B lines
+B_LINES = ((0.3, -6.0, 4.0), (1.0, -2.0, 20.0), (1.3, -7.0, 47.0),
+           (1.5, -22.0, 32.0), (1.35, 170.0, 196.0), (3.5, -196.0, -170.0))
 
 # The worker reads one JSON request per line on stdin and answers one JSON
 # line on stdout.  argv[1] is the src directory to import from.
@@ -54,7 +66,7 @@ WORKER = r'''
 import json, sys, time
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-from wavekin import fundsol
+from wavekin import fundsol, ufunc
 from wavekin.bfunc import BEvaluator
 
 ev = BEvaluator()
@@ -97,6 +109,27 @@ def values(req):
     return out
 
 
+def symbol(req):
+    fresh = BEvaluator()
+    ratios = []
+    for t, s in req["pairs"]:
+        s = complex(*s)
+        a = ufunc.eval_U(t, s, evaluator=fresh)
+        b = ufunc.eval_U_small_t(t, s, evaluator=fresh)
+        v, e = ufunc.eval_U_line(t, np.array([s]), evaluator=fresh)
+        ratios.append([abs(a.value - b.value) / (a.err + b.err),
+                       abs(a.value - v[0]) / (a.err + e[0])])
+    x = np.cos(np.pi * (np.arange(24) + 0.5) / 24)
+    lines = []
+    for re, lo, hi in req["lines"]:
+        line = fresh.line_interpolator(re, lo, hi)
+        half = np.broadcast_to(line.half, line.mids.shape)
+        nodes = re + 1j * (line.mids[:, None] + half[:, None] * x)
+        pts = fresh.eval_B_many(nodes)
+        lines.append(float(np.max(np.abs(line(nodes) - pts) / np.abs(pts))))
+    return {"ratios": ratios, "lines": lines}
+
+
 def run(case):
     if case == "one_q_new_t":
         new_t[0] += 1e-6
@@ -123,7 +156,7 @@ def timing(req):
 
 for line in sys.stdin:
     req = json.loads(line)
-    ans = values(req) if req["op"] == "values" else timing(req)
+    ans = {"values": values, "symbol": symbol, "time": timing}[req["op"]](req)
     print(json.dumps(ans), flush=True)
 '''
 
@@ -184,6 +217,22 @@ def compare_values(ref, work):
               f"line points ref {nx}  work {ny}")
 
 
+def compare_symbol(ref, work):
+    req = {"op": "symbol", "lines": B_LINES,
+           "pairs": [(t, (s.real, s.imag)) for t, s in SYMBOL_PAIRS]}
+    a, b = ref.ask(**req), work.ask(**req)
+    print(f"\n{'symbol cross pair, |a - b| / (err_a + err_b)':<52}"
+          f"{'ref':>10}{'work':>10}")
+    for (t, s), ra, rb in zip(SYMBOL_PAIRS, a["ratios"], b["ratios"]):
+        for name, x, y in zip(("eval_U_small_t", "eval_U_line"), ra, rb):
+            print(f"{f'eval_U~{name}@({t},{s})':<52}{x:>10.4g}{y:>10.4g}")
+    print(f"{'B line vs points, max relative difference':<52}"
+          f"{'ref':>10}{'work':>10}")
+    for (re, lo, hi), x, y in zip(B_LINES, a["lines"], b["lines"]):
+        print(f"{f'Re s = {re}, Im s in [{lo}, {hi}]':<52}"
+              f"{x:>10.3g}{y:>10.3g}")
+
+
 def compare_times(ref, work, rounds):
     print(f"\n{'case':<14}{'median':>9}{'q1':>9}{'q3':>9}   "
           f"(work / ref, {rounds} interleaved rounds)")
@@ -211,6 +260,7 @@ def main():
             trees.append(Tree(extract(args.ref, tmp)))
             trees.append(Tree(ROOT / "src"))
             compare_values(*trees)
+            compare_symbol(*trees)
             if args.time:
                 compare_times(*trees, args.rounds)
         finally:

@@ -25,12 +25,23 @@ decay like e^{-2 pi |w - centre|}, so each is summed over a +-6.5 window,
 and the steps leave a plateau: the sum of the samples between 0 and Im s,
 which must count the node at w = Im s because g_plus takes the step there.
 The plateau reaches ~400 at |Im s| ~ 200 and its last digits are the phase
-of B, so it is summed outward from w = 0 in long double.  Scattered points
-sum their g_plus windows directly.  The nodes of a line interpolant repeat
-every 16 lattice steps, so a line build forms all its windows with one
-batched FFT correlation (``_fft_correlate``, on scipy.fft) that computes
-only every 16th shift, by folding the spectrum before one short inverse
-FFT.
+of B, so it is summed outward from w = 0 in long double, and the exponent
+stays in long double until its exponential.  Every node sums its g_plus
+window directly, the taps within 6.5 of Im s at their lattice places, in
+its own reduction: a scattered point with its own kernel row, the nodes of
+a line with the rows of their offset in the segment, shared along the line
+(``_strip_segments``).  So B's value at a point does not depend on the
+other points of the call, and a line's nodes agree with scattered points to
+~1e-15 relative (an FFT correlation of the windows left ~1e-13).
+
+B lines are kept in blocks.  A line Re s = c is cut into 0.8-wide segments
+on a fixed grid, 8 to a block, Im s in [6.4 n, 6.4 (n + 1)); the evaluator
+builds each block once per (c, n), from the values at the 24 Chebyshev
+nodes of its segments, and keeps it in a store bounded by _LINE_BYTES.  A
+line interpolant (``BLineInterpolator``) is a view of the blocks that
+cover its window, so its values do not depend on the window either.
+Segments whose Bernstein ellipse reaches a real pole of B are halved until
+it does not.
 
 Each evaluator keeps one lattice per (beta, h) (``_StripLattice``): both
 rules' samples, arg(-W) and the long-double plateau sums, grown on demand
@@ -109,7 +120,7 @@ _PANEL_W = 0.25          # eval_B_prime_strip's Gauss panel width
 _MARGIN = 6.5            # g+/g- windows: both decay below 2e-18 beyond
 _GAUGE_BETA = 0.3        # canonical line: the other line splices onto it
 _UPPER_BETA = _GAUGE_BETA + 0.5   # the strip's line for Re s >= 1.05
-_LINE_CACHE = 16         # line interpolants one evaluator keeps (LRU)
+_LINE_BYTES = 2 ** 24    # line blocks one evaluator keeps (oldest go first)
 _POINT_CACHE = 2 ** 15   # strip points one evaluator keeps (oldest go first)
 _LATTICE_BYTES = 2 ** 23  # a strip lattice over 8 MB shrinks (104 B/node)
 
@@ -123,37 +134,30 @@ _LATTICE_BYTES = 2 ** 23  # a strip lattice over 8 MB shrinks (104 B/node)
 _B_SCALE = 7.37
 
 
-def memo(maxsize, key=None):
+def memo(maxsize):
     """Memoize ``fn(ev, *args)`` in an LRU map that the evaluator ev owns.
 
     The map lives in ``ev._memo`` under fn, so it is freed with the
-    evaluator and keeps no evaluator alive.  It is keyed on ``key(*args)``
-    (the arguments themselves by default) and keeps the maxsize most
-    recently used entries; a hit renews its entry.  fn never returns None.
+    evaluator and keeps no evaluator alive.  It is keyed on the arguments
+    and keeps the maxsize most recently used entries; a hit renews its
+    entry.  fn never returns None.
     """
     def decorate(fn):
         @functools.wraps(fn)
         def cached(ev, *args):
-            k = args if key is None else key(*args)
             store = ev._memo.get(fn)
             if store is None:
                 store = ev._memo[fn] = collections.OrderedDict()
-            val = store.get(k)
+            val = store.get(args)
             if val is None:
-                val = store[k] = fn(ev, *args)
+                val = store[args] = fn(ev, *args)
                 if len(store) > maxsize:
                     store.popitem(last=False)
             else:
-                store.move_to_end(k)
+                store.move_to_end(args)
             return val
         return cached
     return decorate
-
-
-def _line_key(re_line, im_lo, im_hi):
-    # a line window snaps outward to the 2.0 lattice: 2 * key[1], 2 * key[2]
-    return (round(re_line * 1e12), math.floor(im_lo / 2.0),
-            math.ceil(im_hi / 2.0))
 
 
 class BranchError(WavekinError):
@@ -259,19 +263,23 @@ def _beta_for(re_base):
 _gl24 = np.polynomial.legendre.leggauss(24)   # eval_B_prime_strip's panels
 
 _CHEB_DEG = 24
-_CHEB_SEG = 0.4
-_STEP = _CHEB_SEG / 16   # lattice step h: 16 steps per Chebyshev segment
+_CHEB_SEG = 0.8
+_SEG_STEPS = 32          # lattice steps per Chebyshev segment
+_STEP = _CHEB_SEG / _SEG_STEPS   # lattice step h
 _REL_TOL = 1e-11         # h rule against 2h rule, relative to max(|F|, 1)
 _MAX_REFINEMENTS = 3     # halvings of h before ConvergenceError
+_BLOCK_SEGS = 8          # segments per line block: Im s in [6.4 n, 6.4 (n+1))
+_RHO_MIN = 5.0           # Bernstein ellipse a segment keeps clear of B's poles
+_MAX_SPLITS = 6          # halvings of a segment toward a pole
+_QUERY_CHUNK = 4096      # line queries evaluated together (temporaries ~2 MB)
 
 
-# the Chebyshev nodes of one segment and the matrix from values there to
-# coefficients (computed once)
+# the Chebyshev nodes (first kind) of one segment and their barycentric
+# weights (computed once)
 _CHEB_THETA = np.pi * (np.arange(_CHEB_DEG) + 0.5) / _CHEB_DEG
-_CHEB_MAT = (2.0 / _CHEB_DEG) * np.cos(
-    np.outer(np.arange(_CHEB_DEG), _CHEB_THETA))
-_CHEB_MAT[0] *= 0.5
 _CHEB_X = np.cos(_CHEB_THETA)
+_BARY_W = np.where(np.arange(_CHEB_DEG) % 2 == 0, 1.0, -1.0) * np.sin(
+    _CHEB_THETA)
 
 
 def _g_plus(x, q):
@@ -286,6 +294,96 @@ def _g_plus(x, q):
     qu = q[~grow] * u[~grow]
     out[~grow] = qu / (1.0 - qu)
     return out
+
+
+def _lattice_kernel(f, q, h):
+    """g_plus(2 pi h (m - f), q) at the taps |m| <= ceil(_MARGIN / h).
+
+    One row per fractional lattice position f in [0, 1) of a node (and
+    one q per row, or one for all): the taps are the lattice nodes about
+    it, m <= 0 on the step side.  There e^(-|x|) is a power of e^(-2 pi h)
+    times e^(-+2 pi h f), and with |q| = 1 both branches of ``_g_plus``
+    share the denominator |q - u|^2 = |1 - q u|^2 = (1 - u)^2 + 2u(1 - Re q),
+    so every entry is real arithmetic: (+-u (u - Re q) + i u Im q) / D.
+    """
+    m_half = math.ceil(_MARGIN / h)
+    powers = np.exp(-2.0 * np.pi * h * np.arange(m_half + 1.0))
+    f = np.asarray(f, dtype=float)[..., None]
+    q = np.asarray(q, dtype=complex)[..., None]
+    u = np.concatenate([np.exp(-2.0 * np.pi * h * f) * powers[::-1],
+                        np.exp(2.0 * np.pi * h * f) * powers[1:]], axis=-1)
+    c = q.real
+    t = u / ((1.0 - u) ** 2 + 2.0 * u * (1.0 - c))
+    out = np.empty(u.shape, dtype=complex)
+    out.imag = t * q.imag
+    u -= c
+    out.real = t * u
+    out.real[..., :m_half + 1] *= -1.0
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _segment_rows(q):
+    """Kernel rows of the 24 node offsets of a segment, for line blocks.
+
+    A node of segment i of the _CHEB_SEG grid sits at lattice position
+    _SEG_STEPS i + j_c + f_c (j_c integer, f_c in [0, 1), the same for
+    every segment); its g_plus window sum is the row g_plus(2 pi h (m -
+    f_c)) against the samples j_c + _SEG_STEPS i + m.  The rows are
+    shifted right by j_c - min j (fewer than _SEG_STEPS zero columns) so
+    that every segment reads one window of the samples.  Returns (j_c,
+    f_c, rows, their derivatives in x, the row sums), rows shape (24,
+    2 ceil(_MARGIN / h) + 1 + max shift): a node off f_c by df in lattice
+    units takes rows - 2 pi h df derivatives, exact to second order in df.
+    """
+    p = 0.5 * _CHEB_SEG * (1.0 + _CHEB_X) / _STEP - 0.5
+    j = np.floor(p).astype(int)
+    f = p - j
+    g = _lattice_kernel(f, q, _STEP)
+    m_half = g.shape[1] // 2
+    x = 2.0 * np.pi * _STEP * (np.arange(-m_half, m_half + 1) - f[:, None])
+    u = np.exp(-np.abs(x))
+    # d/dx of -u/(q - u) (x > 0) and of q u/(1 - q u) (x <= 0)
+    dg = g * g * np.where(x > 0, q / u, 1.0 / (q * u))
+    shift = j - j.min()
+    rows = np.zeros((2, _CHEB_DEG, g.shape[1] + shift.max()), dtype=complex)
+    cols = shift[:, None] + np.arange(g.shape[1])
+    rows[0, np.arange(_CHEB_DEG)[:, None], cols] = g
+    rows[1, np.arange(_CHEB_DEG)[:, None], cols] = dg
+    row_sums = g.astype(np.clongdouble).sum(axis=1).astype(complex)
+    for arr in (rows, row_sums):
+        arr.flags.writeable = False
+    return j, f, rows[0], rows[1], row_sums
+
+
+def _segment_nodes(edges):
+    """(mids, half-widths) of the segments between sorted edges (along
+    the last axis)."""
+    half = 0.5 * np.diff(edges)
+    return edges[..., :-1] + half, half
+
+
+def _ellipse_rho(mid, half, re_line, poles):
+    """Least Bernstein ellipse parameter of each segment (mid, half) of the
+    line re_line about the real poles: the 24-point interpolant on it is
+    good to about rho^-24."""
+    z = (-mid[:, None] + 1j * np.abs(re_line - poles)) / half[:, None]
+    root = np.sqrt(z * z - 1.0)
+    rho = np.maximum(np.abs(z + root), np.abs(z - root))
+    return rho.min(axis=1, initial=np.inf)
+
+
+def _split_near_poles(edges, re_line):
+    """edges with each segment halved until its Bernstein ellipse keeps
+    rho >= _RHO_MIN from B's real poles, at most _MAX_SPLITS times."""
+    poles = _b_poles(math.floor(re_line) - 1, math.ceil(re_line) + 1)
+    for _ in range(_MAX_SPLITS):
+        mid, half = _segment_nodes(edges)
+        bad = _ellipse_rho(mid, half, re_line, poles) < _RHO_MIN
+        if not bad.any():
+            break
+        edges = np.sort(np.concatenate([edges, mid[bad]]))
+    return edges
 
 
 def _fft_length(n):
@@ -419,30 +517,35 @@ class _StripLattice:
 
 
 class BLineInterpolator:
-    """Chebyshev interpolant of B along one vertical line.
+    """Chebyshev interpolant of B along one vertical line, over a window.
 
-    B restricted to a line inside the strip is analytic with the nearest
-    singularity at least ~0.5 away, so a degree-24 fit per 0.4-wide
-    segment reproduces it to ~1e-12; quadrature routines that sample the
-    same line thousands of times query this instead of evaluating B per
-    node.  A segment is 16 steps of the strip rule's lattice, so the 24
-    node offsets repeat along the lattice and the strip exponent at every
-    node comes from one batched FFT correlation (BEvaluator._strip_line).
+    The line is cut into 0.8-wide segments on a fixed grid (edges 0.8 k),
+    and B is interpolated by degree 23 on each, from its values at the 24
+    Chebyshev points, in barycentric form (Higham, IMA J. Numer. Anal. 24,
+    2004): that is forward stable to a few eps, where Chebyshev
+    coefficients and Clenshaw's recurrence lost ~6e-15.  B restricted to
+    the line is analytic, and a segment whose Bernstein ellipse would
+    reach a real pole of B is halved until it keeps rho >= _RHO_MIN clear
+    (``_split_near_poles``).  The segments come in blocks of _BLOCK_SEGS,
+    Im s in [6.4 n, 6.4 (n + 1)), which the evaluator builds once per
+    (line, n) and keeps (``BEvaluator._line_blocks``); an interpolant is a
+    view of the blocks that cover [im_lo, im_hi], so its values do not
+    depend on the window that asked for them.  Quadrature routines that
+    sample the same line thousands of times query this instead of
+    evaluating B per node.
     """
 
     def __init__(self, evaluator, re_line, im_lo, im_hi):
         if not im_hi > im_lo:
             raise ValueError("empty line window")
         self.re_line = float(re_line)
-        n_seg = int(math.ceil((im_hi - im_lo) / _CHEB_SEG))
-        self.edges = im_lo + _CHEB_SEG * np.arange(n_seg + 1.0)
-        self.edges[-1] = max(self.edges[-1], im_hi)
-        self.half = 0.5 * _CHEB_SEG
-        self.mids = self.edges[:-1] + self.half
-        vals = evaluator._eval_B_line(
-            self.re_line, self.mids[0] + self.half * _CHEB_X, n_seg)
-        self.coef = _CHEB_MAT @ vals.T      # (degree, segment)
-        self.deg = _CHEB_DEG
+        width = _BLOCK_SEGS * _CHEB_SEG
+        blocks = evaluator._line_blocks(
+            self.re_line, math.floor(im_lo / width), math.ceil(im_hi / width))
+        self.edges = np.concatenate([blocks[0][0][:1]]
+                                    + [edges[1:] for edges, _ in blocks])
+        self.mids, self.half = _segment_nodes(self.edges)
+        self.vals = np.concatenate([vals for _, vals in blocks])
 
     def __call__(self, s_arr):
         s_arr = np.asarray(s_arr, dtype=complex)
@@ -453,14 +556,24 @@ class BLineInterpolator:
                 f"the interpolated window "
                 f"[{self.edges[0]:.2f}, {self.edges[-1]:.2f}]"
             )
-        idx = np.clip(np.searchsorted(self.edges, x) - 1, 0,
-                      len(self.mids) - 1)
-        tloc = (x - self.mids[idx]) / self.half
-        b1 = np.zeros(x.shape, dtype=complex)
-        b2 = np.zeros(x.shape, dtype=complex)
-        for j in range(self.deg - 1, 0, -1):
-            b1, b2 = 2.0 * tloc * b1 - b2 + self.coef[j][idx], b1
-        return (tloc * b1 - b2 + self.coef[0][idx]).reshape(s_arr.shape)
+        out = np.empty(x.shape, dtype=complex)
+        for c in range(0, x.size, _QUERY_CHUNK):
+            sl = slice(c, c + _QUERY_CHUNK)
+            idx = np.clip(np.searchsorted(self.edges, x[sl]) - 1, 0,
+                          len(self.mids) - 1)
+            t = (x[sl] - self.mids[idx]) / self.half[idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = _BARY_W / (t[:, None] - _CHEB_X)
+                den = r.sum(axis=1)
+                out[sl].real = np.vecdot(r, np.take(self.vals.real, idx, 0))
+                out[sl].imag = np.vecdot(r, np.take(self.vals.imag, idx, 0))
+                out[sl] /= den
+            # a query on a node (r infinite there) takes the node's value
+            on_node = ~np.isfinite(den)
+            if on_node.any():
+                out[sl][on_node] = self.vals[
+                    idx[on_node], np.abs(t[on_node, None] - _CHEB_X).argmin(1)]
+        return out.reshape(s_arr.shape)
 
 
 class BEvaluator:
@@ -475,15 +588,17 @@ class BEvaluator:
     The evaluator owns all of its caches, which are freed with it: one
     strip lattice per (line, step), the point cache ``cache``, keyed on
     (Re s, Im s) to 1e-12, which keeps the _POINT_CACHE most recently added
-    strip values, and the ``memo`` maps: the gauge offset, the ladder
-    (``laurent``), the _LINE_CACHE most recently used line interpolants,
-    and fundsol's grid lines of B, B' and W and spectra of 1/B, its
-    assemblies and Mellin-Barnes lines.
+    strip values, the store of line blocks, which keeps the most recently
+    used up to _LINE_BYTES, and the ``memo`` maps: the gauge offset, the
+    ladder (``laurent``), and fundsol's grid lines of B, B' and W and
+    spectra of 1/B, its assemblies and Mellin-Barnes lines.
     """
 
     def __init__(self):
         self.cache = {}       # quantized (re, im) -> strip value, oldest first
         self._lattices = {}   # (beta, h) -> _StripLattice
+        self._blocks = collections.OrderedDict()   # line blocks, LRU first
+        self._block_bytes = 0
         self._memo = {}       # memoized function -> its LRU map (see memo)
 
     # ---------------- strip representation ----------------
@@ -515,7 +630,8 @@ class BEvaluator:
         digits are the phase of B.  ``gm`` is the g_minus window sum.
         All are read off the evaluator's lattice for (beta, h), grown to
         cover [lo, hi] with the audit of _line_values; the end-decay check
-        runs on this window's own ends.
+        runs on this window's own ends.  Returns (j_lo, a, plateau, gm),
+        j_lo the index of the window's first node.
         """
         j_lo = math.floor(lo / h - 0.5) - 2
         j_hi = math.ceil(hi / h - 0.5) + 3
@@ -525,95 +641,127 @@ class BEvaluator:
         lattice.cover(j_lo, j_hi)
         i0, i1 = j_lo - lattice.lo, j_hi - lattice.lo
         _audit_ends(lattice.arg[i0], lattice.arg[i1 - 1])
-        w = (np.arange(j_lo, j_hi) + 0.5) * h
-        return (w, lattice.a[:, i0:i1], lattice.plateau[:, i0:i1 + 1],
+        return (j_lo, lattice.a[:, i0:i1], lattice.plateau[:, i0:i1 + 1],
                 lattice.gm)
 
-    def _strip_rule(self, beta, y_lo, y_hi, g_plus):
-        """Strip exponent F at nodes with Im s in [y_lo, y_hi], one beta line.
+    def _strip_rule(self, beta, y, h, window_sums):
+        """Strip exponent F at nodes Im s = y on one beta line, step h.
 
         The trapezoid rule of the module docstring, shared by scattered
-        points and line builds; they differ only in how they form the
-        g_plus window sums.  ``g_plus(w, a, h)`` returns those sums for
-        both rules, shape (2, n), and for each node the number of lattice
-        nodes w_j <= Im s, which index the plateau.  The h rule is accepted
-        where it is within _REL_TOL * max(|F|, 1) of the 2h rule at every
-        node; otherwise h halves, at most _MAX_REFINEMENTS times.
+        points and line blocks; they differ only in how they form the
+        g_plus window sums.  ``window_sums(j_lo, a)`` returns those sums
+        for both rules, shape (2, n), and each node's lattice index j0,
+        the last node w_j <= Im s, which indexes the plateau.  Returns
+        (1j F, accepted): the h rule is accepted at a node where it is
+        within _REL_TOL * max(|F|, 1) of the 2h rule.  F stays in long
+        double, as the plateau is, until ``_strip_values`` takes its
+        exponential: a double F of ~400 would round the phase of B by
+        ~3e-14.
         """
-        lo = min(0.0, y_lo) - _MARGIN
-        hi = max(0.0, y_hi) + _MARGIN
-        h = _STEP
-        for _ in range(_MAX_REFINEMENTS + 1):
-            w, a, plateau, gm = self._rule_samples(beta, lo, hi, h)
-            g, count = g_plus(w, a, h)
-            fine, coarse = (plateau[:, count] + (g - gm[:, None])).astype(
-                complex)
-            if (np.abs(fine - coarse)
-                    <= _REL_TOL * np.maximum(np.abs(fine), 1.0)).all():
-                return 1j * fine
-            h /= 2.0
-        raise ConvergenceError(f"B strip rule stalled at lattice step {h}")
+        j_lo, a, plateau, gm = self._rule_samples(
+            beta, min(0.0, y.min()) - _MARGIN, max(0.0, y.max()) + _MARGIN, h)
+        g, j0 = window_sums(j_lo, a)
+        fine, coarse = plateau[:, j0 + 1 - j_lo] + (g - gm[:, None])
+        ok = np.abs(fine - coarse) <= _REL_TOL * np.maximum(np.abs(fine), 1.0)
+        return 1j * fine, ok
 
     def _strip_batch(self, s_arr, beta):
         """Strip exponent F(s) at scattered points s sharing one beta line.
 
-        Each point sums its g_plus window directly against the lattice
-        samples, in chunks of 128 points sorted by Im s.
+        Each point sums its own g_plus window, the taps within _MARGIN of
+        Im s, directly against the lattice samples, with its own kernel
+        row (``_lattice_kernel``) and its own reduction, so its value does
+        not depend on the other points of the call.  The h rule's sum is
+        taken about the sample a at the point, a (sum of the row) plus the
+        row against the samples less a: log(-W) is smooth, so those terms
+        are small, and the sum's rounding is ~1e-17, not ~1e-15.  The
+        point's lattice place y/h - 1/2 is taken in long double, so the
+        kernel sits where the point is to about 1e-19 of |Im s|.  A point
+        keeps the first step h at which its two rules agree; h halves, at
+        most _MAX_REFINEMENTS times, for the points that do not.
         """
-        order = np.argsort(s_arr.imag, kind="stable")
-        ss = s_arr[order]
-        q = np.exp(2j * np.pi * (ss.real - beta))
+        F = np.empty(s_arr.shape, dtype=np.clongdouble)
+        todo = np.arange(s_arr.size)
+        h = _STEP
+        for _ in range(_MAX_REFINEMENTS + 1):
+            ss = s_arr[todo]
+            p = ss.imag.astype(np.longdouble) / h - 0.5
+            j0 = np.floor(p)
+            f = (p - j0).astype(float)
+            j0 = j0.astype(np.int64)
+            q = np.exp(2j * np.pi * (ss.real - beta))
+            m_half = math.ceil(_MARGIN / h)
 
-        def g_plus(w, a, h):
-            g = np.empty((2, ss.size), dtype=complex)
-            for c in range(0, ss.size, 128):
-                y = ss.imag[c:c + 128]
-                i0, i1 = np.searchsorted(w, [y[0] - _MARGIN, y[-1] + _MARGIN])
-                kern = _g_plus(2.0 * np.pi * (w[None, i0:i1] - y[:, None]),
-                               q[c:c + 128, None])
-                g[:, c:c + 128] = a[:, i0:i1] @ kern.T
-            return g, np.searchsorted(w, ss.imag, side="right")
+            def window_sums(j_lo, a):
+                windows = np.lib.stride_tricks.sliding_window_view(
+                    a, 2 * m_half + 1, axis=1)
+                g = np.empty((2, ss.size), dtype=complex)
+                for c in range(0, ss.size, 128):
+                    sl = slice(c, c + 128)
+                    # vecdot conjugates its first argument
+                    kern = _lattice_kernel(f[sl], q[sl], h).conj()
+                    win = windows[:, j0[sl] - m_half - j_lo]
+                    ref = win[0, :, m_half, None]
+                    g[0, sl] = (ref[:, 0] * kern.sum(-1).conj()
+                                + np.vecdot(kern, win[0] - ref))
+                    g[1, sl] = np.vecdot(kern, win[1])
+                return g, j0
 
-        F = np.empty(ss.shape, dtype=complex)
-        F[order] = self._strip_rule(beta, ss.imag[0], ss.imag[-1], g_plus)
-        return F
+            val, ok = self._strip_rule(beta, ss.imag, h, window_sums)
+            F[todo[ok]] = val[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                return F
+            h /= 2.0
+        raise ConvergenceError(f"B strip rule stalled at lattice step {h}")
 
-    def _strip_line(self, re_base, beta, y0, n_rep):
-        """Strip exponent at re_base + i (y0 + 0.4 k), k < n_rep, by FFT.
+    def _strip_segments(self, re_base, beta, mids, half):
+        """Strip exponent at the Chebyshev nodes mids + half X_c, shape
+        (n, 24), of whole segments of the 0.8 grid on the line re_base.
 
-        With stride = 0.4 / h, the node of offset c in repeat k sits at
-        lattice index j_c + stride k plus the fraction f_c, so its g_plus
-        window sum is a correlation of the samples with the row
-        g_plus(2 pi h (m - f_c)), |m| <= 6.5 / h.  Each row is shifted
-        right by j_c - min j (at most stride zero columns), so that every
-        row reads the shifts 0, stride, 2 stride, ...: one batched FFT
-        correlation (_fft_correlate) of both rules against the len(y0)
-        rows, computing those shifts alone.  Returns shape
-        (n_rep, len(y0)).
+        A node of offset c in segment i has the kernel row of c
+        (``_segment_rows``), so every segment's window sums are one matrix
+        product against a window of the samples that starts _SEG_STEPS
+        nodes further per segment; each node's distance df from the lattice
+        place of its row, taken in long double at the exact node, enters
+        through the derivative rows.  The h rule's sums are taken about
+        the sample at the segment's centre, as ``_strip_batch`` takes its
+        own, so a node agrees with that route at its point to ~1e-16.
+        Nodes whose h rule misses the 2h rule take the scattered route,
+        which refines h.
         """
         q = np.exp(2j * np.pi * (re_base - beta))
-        reps = np.arange(n_rep)
+        j_c, f_c, rows, drows, row_sums = _segment_rows(q)
+        seg = np.rint((mids - _CHEB_SEG / 2) / _CHEB_SEG).astype(np.int64)
+        j0 = _SEG_STEPS * seg[:, None] + j_c
+        ld = np.longdouble
+        p = (mids.astype(ld)[:, None] + half.astype(ld)[:, None] * _CHEB_X
+             ) / _STEP - 0.5
+        df = (p - j0).astype(float) - f_c
+        ys = mids[:, None] + half[:, None] * _CHEB_X
 
-        def g_plus(w, a, h):
-            stride = round(_CHEB_SEG / h)
-            m_half = math.ceil(_MARGIN / h)
-            pos = (y0 - w[0]) / h
-            j = np.floor(pos).astype(int)
-            shift = j - j.min()
-            m = np.arange(-m_half, m_half + 1)
-            kern = np.zeros((len(y0), m.size + shift.max()), dtype=complex)
-            rows = np.arange(len(y0))[:, None]
-            kern[rows, shift[:, None] + np.arange(m.size)] = _g_plus(
-                2.0 * np.pi * h * (m - (pos - j)[:, None]), q)
-            lo = j.min() - m_half
-            hi = j.max() + stride * (n_rep - 1) + m_half + 1
-            g = _fft_correlate(a[:, None, lo:hi], kern[None], stride)
-            count = j + stride * reps[:, None] + 1
-            return g.transpose(0, 2, 1).reshape(2, -1), count.ravel()
+        def window_sums(j_lo, a):
+            start = j0.min(axis=1) - math.ceil(_MARGIN / _STEP) - j_lo
+            win = np.lib.stride_tricks.sliding_window_view(
+                a, rows.shape[1], axis=1)[:, start]
+            ref = a[0, _SEG_STEPS * seg + _SEG_STEPS // 2 - j_lo, None]
+            g = np.empty((2,) + df.shape, dtype=complex)
+            # one product per block, so a block's sums are the same bits
+            # whichever blocks are built with it
+            for b in range(0, len(seg), _BLOCK_SEGS):
+                w, sl = win[:, b:b + _BLOCK_SEGS], slice(b, b + _BLOCK_SEGS)
+                g[0, sl] = ((w[0] - ref[sl]) @ rows.T + ref[sl] * row_sums
+                            - (2.0 * np.pi * _STEP) * df[sl]
+                            * (w[0] @ drows.T))
+                g[1, sl] = w[1] @ rows.T
+            return g.reshape(2, -1), j0.ravel()
 
-        last = y0 + _CHEB_SEG * (n_rep - 1)
-        F = self._strip_rule(beta, y0.min(), last.max(), g_plus)
-        return F.reshape(n_rep, len(y0))
+        val, ok = self._strip_rule(beta, ys.ravel(), _STEP, window_sums)
+        if not ok.all():
+            bad = np.nonzero(~ok)[0]
+            val[bad] = self._strip_batch(
+                re_base + 1j * ys.ravel()[bad], beta)
+        return val.reshape(ys.shape)
 
     @memo(1)
     def _gauge_offset(self):
@@ -653,24 +801,34 @@ class BEvaluator:
             else:
                 out[i] = hit
         if todo:
-            sub = s_arr[todo]
-            betas = np.array([_beta_for(x) for x in sub.real])
-            for beta in np.unique(betas):
-                grp = np.nonzero(betas == beta)[0]
-                vals = self._strip_values(self._strip_batch(sub[grp], beta),
-                                          beta)
-                for j, i in enumerate(grp):
-                    out[todo[i]] = vals[j]
-                    self.cache[keys[todo[i]]] = complex(vals[j])
+            vals = self._strip_fresh(s_arr[todo])
+            out[todo] = vals
+            for i, val in zip(todo, vals.tolist()):
+                self.cache[keys[i]] = val
             excess = len(self.cache) - _POINT_CACHE
             if excess > 0:
                 for key in list(itertools.islice(self.cache, excess)):
                     del self.cache[key]
         return out
 
+    def _strip_fresh(self, s_arr):
+        """B at points s_arr of the walk window by the strip rule, each on
+        its line (``_beta_for``), without the point cache."""
+        out = np.empty(s_arr.shape, dtype=complex)
+        betas = np.array([_beta_for(x) for x in s_arr.real])
+        for beta in np.unique(betas):
+            grp = betas == beta
+            out[grp] = self._strip_values(
+                self._strip_batch(s_arr[grp], beta), beta)
+        return out
+
     def _strip_values(self, F, beta):
+        # exp of the long-double F in two parts: e^hi (1 + lo) with lo, the
+        # part of F below double precision, of order 1e-14
         off = 0.0 if beta == _GAUGE_BETA else self._gauge_offset()
-        return np.exp(F - off) * _B_SCALE
+        hi = F.astype(complex)
+        lo = (F - hi).astype(complex)
+        return np.exp(hi - off) * _B_SCALE * (1.0 + lo)
 
     # ---------------- continuation by functional equation ----------------
 
@@ -684,21 +842,73 @@ class BEvaluator:
                          lambda _idx, base: self._strip_many(base))
         return out.reshape(s_arr.shape)
 
-    def _eval_B_line(self, re_line, y0, n_rep):
-        """B at re_line + i (y0 + 0.4 k), k < n_rep, shape (n_rep, len(y0)).
+    def _line_blocks(self, re_line, n_lo, n_hi):
+        """Blocks n_lo <= n < n_hi of the line re_line, each (edges, values
+        at the Chebyshev nodes).
 
-        The line-build route: one FFT gives the strip exponent at every
-        node of the base line (_strip_line), then the same walk as
-        eval_B_many.  The values do not enter the point cache.
+        Block n is Im s in [6.4 n, 6.4 (n + 1)): _BLOCK_SEGS segments of
+        the 0.8 grid, those near a real pole of B halved as
+        ``_split_near_poles`` says.  The nodes of whole segments take the
+        strip exponent of ``_strip_segments`` and the walk of eval_B_many;
+        the nodes of halved segments are eval_B_many's scattered points,
+        taken past the point cache.  The blocks a request lacks are built
+        together, each of them to the same bits as alone, and kept in the
+        evaluator's store, which drops the least recently used blocks past
+        _LINE_BYTES.
         """
-        ys = y0 + _CHEB_SEG * np.arange(n_rep)[:, None]
-        k = math.floor(re_line - _WALK_LO)
-        beta = _beta_for(re_line - k)
-        base = self._strip_values(
-            self._strip_line(re_line - k, beta, y0, n_rep), beta).ravel()
-        out = self._walk((re_line + 1j * ys).ravel(),
-                         lambda idx, _base: base[idx])
-        return out.reshape(ys.shape)
+        line = round(re_line * 1e12)
+        blocks = {}
+        for n in range(n_lo, n_hi):
+            block = self._blocks.get((line, n))
+            if block is not None:
+                self._blocks.move_to_end((line, n))
+                blocks[n] = block
+        missing = [n for n in range(n_lo, n_hi) if n not in blocks]
+        if missing:
+            uniform = _CHEB_SEG * (_BLOCK_SEGS * np.array(missing)[:, None]
+                                   + np.arange(_BLOCK_SEGS + 1.0))
+            mids, half = (a.ravel() for a in _segment_nodes(uniform))
+            ys = mids[:, None] + half[:, None] * _CHEB_X
+            k = math.floor(re_line - _WALK_LO)
+            beta = _beta_for(re_line - k)
+            base = self._strip_values(
+                self._strip_segments(re_line - k, beta, mids, half),
+                beta).ravel()
+            vals = self._walk((re_line + 1j * ys).ravel(),
+                              lambda idx, _base: base[idx])
+            for n, edges, v in zip(missing, uniform, vals.reshape(
+                    len(missing), _BLOCK_SEGS, _CHEB_DEG)):
+                blocks[n] = self._keep_block(
+                    (line, n), self._split_block(re_line, edges, v))
+        return [blocks[n] for n in range(n_lo, n_hi)]
+
+    def _split_block(self, re_line, uniform, vals):
+        """(edges, node values) of a block whose whole segments' values
+        are vals: segments near a real pole of B halved, their nodes
+        B at scattered points."""
+        edges = _split_near_poles(uniform, re_line)
+        if edges.size == uniform.size:
+            return edges, vals
+        mids, half = _segment_nodes(edges)
+        whole = np.isin(edges[:-1], uniform) & np.isin(edges[1:], uniform)
+        split = np.empty((edges.size - 1, _CHEB_DEG), dtype=complex)
+        split[whole] = vals[np.searchsorted(uniform, edges[:-1][whole])]
+        pts = re_line + 1j * (mids[~whole, None]
+                              + half[~whole, None] * _CHEB_X)
+        split[~whole] = self._walk(
+            pts.ravel(), lambda _idx, base: self._strip_fresh(base)
+        ).reshape(pts.shape)
+        return edges, split
+
+    def _keep_block(self, key, block):
+        for arr in block:
+            arr.flags.writeable = False
+        self._blocks[key] = block
+        self._block_bytes += sum(arr.nbytes for arr in block)
+        while self._block_bytes > _LINE_BYTES and len(self._blocks) > 1:
+            _, old = self._blocks.popitem(last=False)
+            self._block_bytes -= sum(arr.nbytes for arr in old)
+        return block
 
     def _walk(self, flat, strip):
         """B at the points flat, walked by the functional equation.
@@ -733,11 +943,13 @@ class BEvaluator:
                     collided |= bad
                     safe = ~bad
                     if safe.any():
+                        # out of place: numpy rounds an in-place complex
+                        # product on one element otherwise than on many
                         w = -w_arg[safe]
                         if k > 0:
-                            factors[safe] *= w
+                            factors[safe] = factors[safe] * w
                         else:
-                            factors[safe] /= w
+                            factors[safe] = factors[safe] / w
             clean = ~collided
             if clean.any():
                 out[idx[clean]] = (strip(idx[clean], base[clean])
@@ -750,17 +962,10 @@ class BEvaluator:
                 out[idx[i]] = self._cauchy_fallback(grp[i])
         return out
 
-    @memo(_LINE_CACHE, key=_line_key)
     def line_interpolator(self, re_line, im_lo, im_hi):
-        """Cached Chebyshev interpolant of B on the line Re s = re_line.
-
-        Windows snap outward to a 2.0 lattice so nearby requests share
-        one interpolant.  The evaluator keeps the _LINE_CACHE most recently
-        used ones: queries at scattered s open a new window almost every
-        time, and an unbounded cache would grow with every query.
-        """
-        _, lo, hi = _line_key(re_line, im_lo, im_hi)
-        return BLineInterpolator(self, re_line, 2.0 * lo, 2.0 * hi)
+        """Chebyshev interpolant of B on the line Re s = re_line over the
+        blocks that cover [im_lo, im_hi] (``BLineInterpolator``)."""
+        return BLineInterpolator(self, re_line, im_lo, im_hi)
 
     @staticmethod
     def _w_collision(arg):

@@ -58,10 +58,13 @@ _SHIFT_TARGET = 12.0
 
 # Taylor coefficients of W at s = 0 (simple zero; the 4/s poles of the psi and
 # cot parts cancel).  a_k is the coefficient of s^k:
-#   a_{2k} = zeta(2k+1) / 2^{2k-1},  a_{2k+1} from zeta(2k+2) minus the cot
-# series term.  Verified against 40-digit numerical differentiation:
-# a_k = W^(k)(eps)/k! at eps = 1e-36 with mpmath at 50 digits, using
-# W(s) = -2 gamma - 2 psi(s/2) - pi cot(pi s/4).
+#   a_{2k} = zeta(2k+1) / 2^{2k-1},
+#   a_{2k-1} = 2 zeta(2k) (4^{1-2k} - 2^{1-2k})
+# (the psi series less the cot series).  Verified against 40-digit numerical
+# differentiation: a_k = W^(k)(eps)/k! at eps = 1e-36 with mpmath at 50
+# digits, using W(s) = -2 gamma - 2 psi(s/2) - pi cot(pi s/4); the terms past
+# the tenth are the formula at 40 digits.  The series converges for |s| < 2
+# (the poles at -2 and 4); its 40 terms hold W to 1e-17 at |s| = 0.75.
 _W_SERIES = [
     -0.8224670334241132182,    # -pi^2/12
     0.6010284515797971427,     # zeta(3)/2
@@ -73,12 +76,46 @@ _W_SERIES = [
     0.0078281905689537673,     # zeta(9)/128
     -0.0039024980765557483,
     0.0019540902121174208,     # zeta(11)/512
+    -0.000976325864398299,
+    0.0004883411686267473,
+    -0.00024412577401024894,
+    0.00012207404641556482,
+    -6.1034226331476204e-05,
+    3.051781119377557e-05,
+    -1.5258730894006502e-05,
+    7.629409089757664e-06,
+    -3.814693628736807e-06,
+    1.9073495424899805e-06,
+    -9.536740890629108e-07,
+    4.768372150516157e-07,
+    -2.384185648915511e-07,
+    1.1920929310363572e-07,
+    -5.9604643887235644e-08,
+    2.980232260974383e-08,
+    -1.4901161138337157e-08,
+    7.450580610801725e-09,
+    -3.7252902949924853e-09,
+    1.8626451500983217e-09,
+    -9.313225743986386e-10,
+    4.656612873619495e-10,
+    -2.3283064364031713e-10,
+    1.1641532183032295e-10,
+    -5.8207660912620374e-11,
+    2.910383045694546e-11,
+    -1.4551915228313912e-11,
+    7.27595761419666e-12,
+    -3.6379788070884042e-12,
+    1.8189894035466837e-12,
 ]
 
 # Radius of the series zone at s=0 and the reflection zones at -4m.  Inside
 # this zone the generic psi/cot difference loses up to s^{-4}*eps absolute
 # accuracy for the third derivative, so the zone cannot be made much smaller.
 _W_GUARD = 0.05
+# W itself takes the series out to |s| < _W_SERIES_R: there the generic
+# difference of the two 4/s poles loses about 5e-16/|s|^2 relative (9e-14 at
+# |s| = 0.1), which every B next to its pole at 0 inherits.
+_W_SERIES_R = 0.75
 _W_POLE_TOL = 1e-8
 
 
@@ -250,7 +287,7 @@ def _w_eval(z, order):
         raise PoleError(f"W pole at s = {s[bad][0]}")
 
     out = np.empty(s.shape, dtype=complex)
-    near0 = np.abs(s) < _W_GUARD
+    near0 = np.abs(s) < (_W_SERIES_R if order == 0 else _W_GUARD)
     # removable double points s = -4m (psi pole cancels cot pole)
     m4 = np.round(s.real / 4.0) * 4.0
     nearrem = (m4 <= -4.0) & (np.abs(s - m4) < _W_GUARD) & ~near0

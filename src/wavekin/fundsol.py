@@ -818,6 +818,12 @@ _MB_REL_TOL = 1e-11
 _MB_ABS_FLOOR = {"q1": 1e-16, "nu": 1e-18, "casc": 1e-18}
 #: decay rate below that of the Gamma factors, e^(-pi v/2), for the tail
 _MB_TAIL_RATE = 1.35
+#: node k = 44 a + b (a, b < 44) of a line sits at v = _MB_HI[a] + _MB_LO[b],
+#: so its phases e^(-i v L) are the outer product of 44 and 44 exponentials
+_MB_N = int(round(_MB_V / _MB_H)) + 1
+_MB_SPLIT = math.isqrt(_MB_N - 1) + 1
+_MB_HI = (_MB_SPLIT * _MB_H) * np.arange(_MB_SPLIT)
+_MB_LO = _MB_H * np.arange(_MB_SPLIT)
 
 
 class _MBLine:
@@ -836,8 +842,7 @@ class _MBLine:
 
     def __init__(self, phi, c, abs_floor):
         self.c, self.abs_floor = c, abs_floor
-        n = int(round(_MB_V / _MB_H))
-        self.nodes = _frozen(c + 1j * _MB_H * np.arange(n + 1))
+        self.nodes = _frozen(c + 1j * _MB_H * np.arange(_MB_N))
         self.samples = _frozen(phi(self.nodes))
         # |phi e^(-sL)| = |phi| e^(-cL) for real L
         self.abs_sum = np.abs(self.samples).sum()
@@ -850,7 +855,8 @@ class _MBLine:
         where they grow like theta^(-3/2)) the two sums differ by rounding
         alone."""
         h = _MB_H
-        f = self.samples * np.exp(-self.nodes * L)
+        phase = np.outer(np.exp(-1j * L * _MB_HI), np.exp(-1j * L * _MB_LO))
+        f = self.samples * (math.exp(-self.c * L) * phase.ravel()[:_MB_N])
         fine = h * (f.sum() - 0.5 * (f[0] + f[-1])).real / math.pi
         g = f[::2]
         coarse = 2 * h * (g.sum() - 0.5 * (g[0] + g[-1])).real / math.pi

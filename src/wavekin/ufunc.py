@@ -32,6 +32,16 @@ remains.  Any other branch or line placement breaks either the decay of
 the integrand or the numerical Laplace identity, both of which are pinned
 by tests.
 
+Line abscissae
+--------------
+The default lines of ``eval_U``, ``eval_dU_ds``, ``eval_U_line``,
+``eval_U_small_t`` and ``eval_V`` sit on a grid of 0.1 (``_on_grid``):
+U does not depend on the line, and B lines are kept per abscissa, so ops
+at nearby Re s read the same blocks of B.  A grid point must keep at least
+_GRID_KEEP of the default's distance to the poles that bound its
+interval; where none does (``eval_U_line`` at Re s > 1.85, for one) the
+default stays.
+
 Sigma-lattice rule
 ------------------
 Both integrals have the form (1/2 pi) int K(w - Im s) / B(beta + i w) dw
@@ -40,11 +50,11 @@ with a kernel K that depends on sigma - s only.  ``eval_U_line`` and
 (``_lattice_rule``): 1/B is sampled once from the evaluator's line
 interpolant, so one lattice serves every s of a line and every z.  When
 the Im s of a line are lattice nodes m steps apart, the samples are
-correlated with the kernel by one FFT (``bfunc._fft_correlate``, the
-scipy.fft correlation that B's line builds use too), which computes
-every m-th shift alone: the outputs at the Im s; otherwise (one s, many
-z, or a line denser than the lattice) each output is one row of a kernel
-matrix times the samples.  The rule converges
+correlated with the kernel by one FFT (``bfunc._fft_correlate``, a
+scipy.fft correlation), which computes every m-th shift alone: the
+outputs at the Im s; otherwise (one s, many z, or a line denser than the
+lattice) each output is one row of a kernel matrix times the samples.
+The rule converges
 geometrically in the strip of analyticity about the line, with error about
 e^(-2 pi d/h) for a pole at distance d (Trefethen & Weideman, SIAM Rev. 56,
 2014); here d is the distance from the line to the Gamma pole at
@@ -104,6 +114,11 @@ _H_DIV = 40.0
 _LINE_REFINEMENTS = 3
 # Rounding floor of a lattice sum, per unit of (h/2 pi) sum |terms|.
 _ROUND_FLOOR = 10.0 * np.finfo(float).eps
+# Default line abscissae sit on a grid of 1/_GRID, so that ops at nearby
+# Re s read one B line; a grid point keeps at least _GRID_KEEP of the
+# default's distance to the poles, or the default stays.
+_GRID = 10
+_GRID_KEEP = 0.75
 # Lattice nodes one rule may use (a line too close to a pole needs more),
 # and the kernel-matrix entries one block of the row form holds.
 _MAX_NODES = 2 ** 20
@@ -141,13 +156,32 @@ def _validate_s(s):
     return s
 
 
+def _on_grid(default, lo, hi, poles):
+    """default moved to the nearer point of the 1/_GRID grid in (lo, hi)
+    that keeps at least _GRID_KEEP of default's distance to the poles (the
+    farther grid neighbour if the nearer does not); default itself where
+    neither does."""
+    def dist(x):
+        return min(abs(x - p) for p in poles)
+
+    need = _GRID_KEEP * dist(default)
+    k = default * _GRID
+    for n in sorted((math.floor(k), math.ceil(k)), key=lambda n: abs(n - k)):
+        x = n / _GRID
+        if lo < x < hi and dist(x) >= need:
+            return x
+    return default
+
+
 def _default_beta(s):
-    """Line abscissa for the direct representation, inside (Re s, 2)."""
+    """Line abscissa for the direct representation, inside (Re s, 2): the
+    grid point near min(Re s + 0.7, (Re s + 2)/2) (``_on_grid``)."""
     if s.real >= 2.0 - 1e-6:
         raise ValueError(
             f"no admissible line: (Re s, 2) is empty at Re s = {s.real}"
         )
-    return min(s.real + 0.7, 0.5 * (s.real + 2.0))
+    return _on_grid(min(s.real + 0.7, 0.5 * (s.real + 2.0)), s.real, 2.0,
+                    (s.real, 2.0))
 
 
 def _gamma_t_kernel(a, t, eta):
@@ -296,8 +330,9 @@ def eval_U(t, s, beta=None, evaluator=None):
     """Evaluate U(t, s) for Re s in (0, 2) via the direct line integral.
 
     t = 0 returns the exact initial value without quadrature.  beta
-    defaults to a point of (Re s, 2) well clear of both ends; any
-    admissible beta gives the same value (pinned by tests at 1e-8).
+    defaults to a point of (Re s, 2) well clear of both ends, on the 0.1
+    grid where one is (``_default_beta``); any admissible beta gives the
+    same value (pinned by tests at 1e-8).
     """
     s = _validate_s(s)
     if t < 0.0:
@@ -342,9 +377,10 @@ def eval_U_taylor(t, s, n_terms=24):
 def eval_U_small_t(t, s, beta_prime=None, evaluator=None):
     """Evaluate U(t, s) via the left-shifted line, efficient as t -> 0.
 
-    The line sits at beta' in (0, Re s); the Gamma poles crossed on the
-    way contribute the Taylor polynomial of U, and the remaining integral
-    is O(t^(Re s - beta')).  Preferred below t ~ 0.05 where the direct
+    The line sits at beta' in (0, Re s), by default Re s / 2 moved onto
+    the 0.1 grid (``_on_grid``); the Gamma poles crossed on the way
+    contribute the Taylor polynomial of U, and the remaining integral is
+    O(t^(Re s - beta')).  Preferred below t ~ 0.05 where the direct
     route's oscillation grows.
     """
     s = _validate_s(s)
@@ -353,7 +389,8 @@ def eval_U_small_t(t, s, beta_prime=None, evaluator=None):
     if t == 0.0:
         return SymbolSample(t=0.0, s=s, value=INV_SQRT_2PI, err=0.0)
     if beta_prime is None:
-        beta_prime = 0.5 * s.real
+        beta_prime = _on_grid(0.5 * s.real, 0.0, s.real,
+                              (0.0, s.real, s.real - 1.0))
     if not 0.0 < beta_prime < s.real:
         raise ValueError(
             f"beta_prime must lie in (0, Re s), got {beta_prime}"
@@ -408,10 +445,11 @@ def eval_V(z, s, beta=None, evaluator=None, rel_tol=1e-10):
     """Laplace transform V(z, s) of U in t, for Re z > 0, Re s in (0, 2).
 
     z may be a scalar or an array; every z shares one sigma-lattice.  The
-    line sits at beta in (Re s, Re s + 1), between two poles of the
-    reflection kernel k_plus, d = min(beta - Re s, Re s + 1 - beta) from
-    the nearer; the branch of log(-z) is the one with arg(-z) in
-    (-2 pi, 0], and for Re z > 0 both line ends decay at rate >= pi/2.
+    line sits at beta in (Re s, Re s + 1), by default Re s + 1/2 moved onto
+    the 0.1 grid (``_on_grid``), between two poles of the reflection
+    kernel k_plus, d = min(beta - Re s, Re s + 1 - beta) from the nearer;
+    the branch of log(-z) is the one with arg(-z) in (-2 pi, 0], and for
+    Re z > 0 both line ends decay at rate >= pi/2.
     The kernels e^((sigma - s) log(-z)) k_plus(sigma - s) of all z form an
     (n_z, N) matrix on the trapezoid lattice of step h < pi d / 40, and
     one product against the N samples of 1/B gives the integral at every
@@ -430,7 +468,8 @@ def eval_V(z, s, beta=None, evaluator=None, rel_tol=1e-10):
             f"degenerates toward the cut on (-inf, 0]"
         )
     if beta is None:
-        beta = s.real + 0.5
+        beta = _on_grid(s.real + 0.5, s.real, s.real + 1.0,
+                        (s.real, s.real + 1.0))
     if not s.real < beta < s.real + 1.0:
         raise ValueError(
             f"beta must lie in (Re s, Re s + 1), got {beta}"

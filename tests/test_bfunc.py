@@ -275,13 +275,39 @@ _CHEB_X = np.cos(np.pi * (np.arange(24) + 0.5) / 24)
     (3.5, -196.0, -170.0),   # walks up two steps
 ])
 def test_line_build_matches_scattered_points(ev, re_line, lo, hi):
-    # the FFT line build and eval_B_many's direct sums evaluate one
-    # trapezoid rule; the interpolant returns its own node values
+    # the line blocks and eval_B_many's scattered points sum one trapezoid
+    # rule directly, and the interpolant returns its own node values
     interp = BLineInterpolator(ev, re_line, lo, hi)
-    s = re_line + 1j * (interp.mids[:, None] + interp.half * _CHEB_X)
+    s = re_line + 1j * (interp.mids[:, None] + interp.half[:, None] * _CHEB_X)
     line = interp(s)
     pts = ev.eval_B_many(s)
-    assert np.max(np.abs(line - pts) / np.abs(pts)) <= 1e-12
+    assert np.max(np.abs(line - pts) / np.abs(pts)) <= 2e-15
+
+
+def test_overlapping_windows_share_bits():
+    # a window's values do not depend on the window: two overlapping
+    # requests, in either order on two evaluators, give the same bits
+    y = np.linspace(-3.0, 31.0, 681)
+    a, b = BEvaluator(), BEvaluator()
+    first = a.line_interpolator(1.3, -10.0, 20.0)(1.3 + 1j * y[y <= 20.0])
+    wide = a.line_interpolator(1.3, -3.0, 32.0)(1.3 + 1j * y)
+    wide_b = b.line_interpolator(1.3, -3.0, 32.0)(1.3 + 1j * y)
+    first_b = b.line_interpolator(1.3, -10.0, 20.0)(1.3 + 1j * y[y <= 20.0])
+    assert np.array_equal(wide, wide_b)
+    assert np.array_equal(first, first_b)
+    assert np.array_equal(first, wide[y <= 20.0])
+
+
+@pytest.mark.parametrize("re_line", [0.1, 0.15])
+def test_line_resolves_the_pole_at_zero(re_line):
+    # the pole of B at 0 sits 0.1 from the line: the segments whose
+    # Bernstein ellipse would reach it are halved, so the interpolant
+    # keeps to eval_B near Im s = 0 (it missed by 5e-8 at 0.1 unhalved)
+    interp = BEvaluator().line_interpolator(re_line, -3.0, 3.0)
+    s = re_line + 1j * np.linspace(-3.0, 3.0, 241)
+    pts = BEvaluator().eval_B_many(s)
+    assert np.max(np.abs(interp(s) - pts) / np.abs(pts)) <= 1e-13
+    assert np.diff(interp.edges).min() < 0.2
 
 
 @pytest.mark.parametrize("re_line", [1.0, 1.4])
@@ -306,16 +332,22 @@ def test_query_on_a_lattice_node(monkeypatch, re_line):
     assert set(steps) == {0.025}
 
 
-def test_line_cache_keeps_the_most_recently_used():
+def test_line_store_keeps_its_byte_bound(monkeypatch):
+    # the store drops the least recently used blocks past _LINE_BYTES; a
+    # dropped block is built again, to the same bits
     ev = BEvaluator()
-    lines = [ev.line_interpolator(1.0, lo, lo + 2.0)
-             for lo in 2.0 * np.arange(bfunc._LINE_CACHE)]
-    # a window snaps outward to the 2.0 lattice, and a hit renews it
-    assert ev.line_interpolator(1.0, 0.3, 1.7) is lines[0]
-    ev.line_interpolator(1.0, -2.0, 0.0)                  # evicts [2, 4]
-    assert ev.line_interpolator(1.0, 0.0, 2.0) is lines[0]
-    assert ev.line_interpolator(1.0, 4.0, 6.0) is lines[2]
-    assert ev.line_interpolator(1.0, 2.0, 4.0) is not lines[1]
+    block = ev._line_blocks(1.0, 0, 1)[0]
+    size = sum(arr.nbytes for arr in block)
+    monkeypatch.setattr(bfunc, "_LINE_BYTES", 3 * size)
+    y = 1.0 + 1j * np.linspace(0.5, 25.0, 50)
+    before = ev.line_interpolator(1.0, 0.0, 25.6)(y)      # blocks 0..3
+    assert list(ev._blocks) == [(10 ** 12, n) for n in (1, 2, 3)]
+    assert ev._block_bytes == 3 * size
+    ev.line_interpolator(1.0, 7.0, 12.0)                  # renews block 1
+    ev.line_interpolator(1.0, -6.0, -1.0)                 # drops block 2
+    assert list(ev._blocks) == [(10 ** 12, n) for n in (3, 1, -1)]
+    assert np.array_equal(ev.line_interpolator(1.0, 0.0, 25.6)(y), before)
+    assert ev._block_bytes <= 3 * size
 
 
 @pytest.mark.parametrize("arg, match", [
@@ -467,11 +499,13 @@ def test_walk_evaluates_w_once_per_walk_argument(monkeypatch):
 
 @pytest.mark.parametrize("im", [0.7, -13.0, 41.5])
 def test_walked_points_equal_one_point_calls(im):
-    # one point per walk k in [-5, 8], so each k takes all its steps' W in
-    # one call, against the same points one at a time on a second
-    # evaluator, whose point cache the first call did not fill: the
-    # stacked W and the step-by-step factors give the same bits
-    s = 0.95 + np.arange(-5, 9) + 1j * im
+    # three points per walk k in [-5, 8] and both strip lines, so each k
+    # takes all its steps' W in one call and each strip call sums many
+    # points, against the same points one at a time on a second
+    # evaluator, whose point cache the first call did not fill: each point
+    # has its own window and its own factors, so the bits are the same
+    s = (np.arange(-5, 9)[:, None] + np.array([0.6, 0.95, 1.3])
+         + 1j * (im + np.array([0.0, 0.37, -2.1]))).ravel()
     many = BEvaluator().eval_B_many(s)
     ev = BEvaluator()
     assert np.array_equal(many, [ev.eval_B(x) for x in s])
@@ -479,7 +513,7 @@ def test_walked_points_equal_one_point_calls(im):
 
 @pytest.mark.parametrize("stride", [1, 2, 4, 16, 20, 94])
 @pytest.mark.parametrize("a_shape, k_shape, real", [
-    ((2, 1, 700), (1, 24, 537), False),   # BEvaluator._strip_line
+    ((2, 1, 700), (1, 24, 537), False),   # two rows against 24 kernels
     ((3000,), (6, 101), False),           # ufunc._lattice_rule, both rules
     ((3000,), (3, 101), True),            # its abs_sum rows
     ((1700,), (2, 301), False),           # two kernel rows on one lattice
@@ -511,9 +545,9 @@ def test_fft_correlate_matches_direct_sums(a_shape, k_shape, real, stride):
 def test_correlations_invert_at_the_folded_length(monkeypatch):
     # each correlation makes two forward FFTs of length L and one inverse
     # of length L / fold, never a full-length inverse; fold is the largest
-    # divisor of the stride among 2^k and 3 * 2^k: 16 in a B line build
-    # (stride 16), and 4 in a U line at Re s = 0.5 with Im s one apart
-    # (d = 0.7, h0 = pi d / 40, stride m = 20), besides the 16 of its B line
+    # divisor of the stride among 2^k and 3 * 2^k: 4 in a U line at
+    # Re s = 0.5 with Im s one apart (d = 0.7, h0 = pi d / 40, stride
+    # m = 20).  A B line build sums its windows directly: no FFT
     calls = []
     for name in ("fft", "ifft"):
         def spy(x, n=None, *args, _fn=getattr(scipy.fft, name), **kw):
@@ -530,15 +564,15 @@ def test_correlations_invert_at_the_folded_length(monkeypatch):
         return out
 
     BLineInterpolator(BEvaluator(), 0.7, -60.0, 60.0)
-    assert strides() == [16]
+    assert strides() == []
     u_line = 0.5 + 1j * np.arange(-60.0, 40.0)
     ufunc.eval_U_line(1.0, u_line, evaluator=BEvaluator())
-    assert sorted(strides()) == [4, 4, 16]
+    assert sorted(strides()) == [4, 4]
 
 
 @pytest.mark.parametrize("q_shape, x_shape", [
-    ((128, 1), (128, 521)),               # _strip_batch: q per row
-    ((), (24, 541)),                      # _strip_line: one q
+    ((128, 1), (128, 521)),               # q per row
+    ((), (24, 541)),                      # one q
 ])
 def test_g_plus_takes_each_branch_bit_for_bit(q_shape, x_shape):
     # each entry computes its own branch; the values must be those of

@@ -907,9 +907,10 @@ def _touch_every_cached_kind(ev):
 def test_a_dropped_evaluator_is_freed():
     ev = BEvaluator()
     _touch_every_cached_kind(ev)
-    # line interpolants, the gauge offset, B, B' and W on the grid, spectra
-    # of 1/B, assemblies, MB lines and the ladder each hold entries
-    assert len(ev._memo) == 9
+    # the gauge offset, B, B' and W on the grid, spectra of 1/B,
+    # assemblies, MB lines and the ladder each hold entries, and the line
+    # store holds blocks
+    assert len(ev._memo) == 8 and ev._blocks
     ref = weakref.ref(ev)
     del ev
     gc.collect()

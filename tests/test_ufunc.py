@@ -183,6 +183,42 @@ def test_representations_agree_within_their_errors(ev):
     assert abs(a.value - b.value) <= 0.1 * (a.err + b.err)
 
 
+@pytest.mark.parametrize("t, s", [(0.5, 0.2), (0.1, 0.2 + 0.5j),
+                                  (0.5, 0.25), (0.1, 0.25 + 0.5j)])
+def test_representations_agree_next_to_the_pole_at_zero(ev, t, s):
+    # the small-t line sits at 0.1, that far from the pole of B at 0; the
+    # pole's segments of the B line are halved, so the routes agree within
+    # their errors (they missed by 1.56x and 2.39x at Re s = 0.2 before)
+    a = eval_U(t, s, evaluator=ev)
+    b = eval_U_small_t(t, s, evaluator=ev)
+    assert abs(a.value - b.value) <= a.err + b.err
+
+
+def test_default_abscissae_sit_on_the_grid():
+    # each default moves to a point of the 0.1 grid that keeps at least
+    # 0.75 of the default's distance to the ends of its interval, or stays
+    for re in np.linspace(0.15, 1.95, 37):
+        for default, lo, hi, poles, got in (
+                (min(re + 0.7, 0.5 * (re + 2.0)), re, 2.0, (re, 2.0),
+                 ufunc._default_beta(complex(re, 3.0))),
+                (0.5 * re, 0.0, re, (0.0, re, re - 1.0),
+                 ufunc._on_grid(0.5 * re, 0.0, re, (0.0, re, re - 1.0))),
+                (re + 0.5, re, re + 1.0, (re, re + 1.0),
+                 ufunc._on_grid(re + 0.5, re, re + 1.0, (re, re + 1.0)))):
+            def dist(x):
+                return min(abs(x - p) for p in poles)
+            assert lo < got < hi
+            assert got == default or (round(10 * got) == 10 * got
+                                      and dist(got) >= 0.75 * dist(default))
+    # the cross pairs' lines stay where they were
+    assert [ufunc._default_beta(complex(re)) for re in (1.0, 0.6)] == [1.5,
+                                                                       1.3]
+    assert ufunc._on_grid(0.5, 0.0, 1.0, (0.0, 1.0, 0.0)) == 0.5
+    assert ufunc._on_grid(0.3, 0.0, 0.6, (0.0, 0.6, -0.4)) == 0.3
+    # no grid point keeps the distance: the exact default stays
+    assert ufunc._default_beta(1.9 + 0j) == 1.95
+
+
 def test_series_oracle_agrees(ev):
     # entire-series evaluation, truncation-limited near 1e-8 at t = 0.2
     a = eval_U(0.2, 1.5, evaluator=ev)
