@@ -4,7 +4,7 @@ Run from the repository root:
 
     python3 scripts/calibrate.py
 
-Writes ``src/wavekin/data/calibration.json``.  Every envelope or bound in
+Writes ``tests/data/calibration.json``.  Every envelope or bound in
 the library of the form "there exists C such that ..." gets its C from
 this script: the constant is measured at the stated reference points,
 rounded up to four significant digits, and recorded with enough context
@@ -26,7 +26,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from wavekin import ufunc  # noqa: E402
 from wavekin.bfunc import _B_SCALE, default_evaluator  # noqa: E402
 
-OUT = ROOT / "src" / "wavekin" / "data" / "calibration.json"
+OUT = ROOT / "tests" / "data" / "calibration.json"
 
 
 def round_up(x, sig=4):

@@ -9,11 +9,10 @@ Layout:
 
 - ``contour``   generic vertical-line / circle quadrature engine
 - ``complexfn`` gamma-family special functions and the symbol W
-- ``kernels``   collision kernels K, H and their consistency checks
+- ``kernels``   the transport kernel H
 - ``bfunc``     the normalizer B(s) and its residue ladder (``laurent``)
 - ``ufunc``     U(t, s) (Mellin symbol) and V(z, s) (Laplace transform)
 - ``fundsol``   Lambda(t, x): regimes, profiles, Q1/Q2 asymptotics, pairings
-- ``calibration`` frozen constants from ``data/calibration.json``
 - ``errors``    the ``WavekinError`` hierarchy
 """
 

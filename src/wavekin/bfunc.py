@@ -727,8 +727,9 @@ class BEvaluator:
         through the derivative rows.  The h rule's sums are taken about
         the sample at the segment's centre, as ``_strip_batch`` takes its
         own, so a node agrees with that route at its point to ~1e-16.
-        Nodes whose h rule misses the 2h rule take the scattered route,
-        which refines h.
+        A block's base line lies in the walk window, at least 1/4 from the
+        kernel's poles, where the h rule meets the 2h rule far inside
+        _REL_TOL; a node that misses it raises ConvergenceError.
         """
         q = np.exp(2j * np.pi * (re_base - beta))
         j_c, f_c, rows, drows, row_sums = _segment_rows(q)
@@ -758,9 +759,9 @@ class BEvaluator:
 
         val, ok = self._strip_rule(beta, ys.ravel(), _STEP, window_sums)
         if not ok.all():
-            bad = np.nonzero(~ok)[0]
-            val[bad] = self._strip_batch(
-                re_base + 1j * ys.ravel()[bad], beta)
+            raise ConvergenceError(
+                f"B line rule missed its 2h rule at {np.count_nonzero(~ok)} "
+                f"of {ok.size} nodes on Re s = {re_base}")
         return val.reshape(ys.shape)
 
     @memo(1)

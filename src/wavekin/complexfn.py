@@ -34,7 +34,6 @@ __all__ = [
     "eval_W_prime",
     "eval_W_d2",
     "eval_W_d3",
-    "asymptote_check",
     "locate_W_roots",
     "w_residue",
     "EULER",
@@ -322,19 +321,6 @@ def eval_W_d2(s):
 
 def eval_W_d3(s):
     return _w_eval(s, 3)
-
-
-def asymptote_check(s):
-    """|W(s) - (-2 log|s/2| - 2 gamma_e)|: the large-|Im s| residual.
-
-    Stirling applied to psi(s/2) gives the constant -2 gamma_e (one gamma_e
-    from the definition, one from psi itself); the residual decays like 1/|s|
-    and is below 5/|s| throughout |Im s| >= 50, 0 < Re s < 2.
-    """
-    arr, scalar = _as_array(s)
-    resid = np.abs(_w_eval(arr, 0) - (-2.0 * np.log(np.abs(arr / 2.0)) - 2.0 * EULER))
-    resid = resid.real.astype(float)
-    return float(resid.item()) if scalar else resid
 
 
 @dataclasses.dataclass(frozen=True)

@@ -129,6 +129,26 @@ from wavekin.errors import (ConvergenceError, PoleError, RegimeError,
 from wavekin.kernels import eval_H
 from wavekin.ufunc import ENV_B, _ROUND_FLOOR
 
+__all__ = [
+    "REGIMES",
+    "LambdaQuery",
+    "RadialProfile",
+    "eval_lambda",
+    "eval_lambda_with_error",
+    "eval_lambda_log",
+    "radial_profile",
+    "eval_lambda_series",
+    "eval_Q1",
+    "eval_Q2",
+    "eval_dlambda_dt",
+    "eval_dlambda_dx",
+    "eval_G",
+    "TestFunction",
+    "l1_norm_lambda",
+    "delta_pairing",
+    "transport_apply",
+]
+
 REGIMES = (
     "auto",
     "direct",

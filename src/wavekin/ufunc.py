@@ -83,6 +83,21 @@ from wavekin.complexfn import EULER, digamma, eval_W, log_gamma
 from wavekin.contour import ContourSpec, TailModel, integrate_vertical
 from wavekin.errors import ConvergenceError
 
+__all__ = [
+    "SymbolSample",
+    "eval_U",
+    "eval_U_small_t",
+    "eval_U_line",
+    "eval_dU_ds",
+    "eval_V",
+    "laplace_inverse_U",
+    "taylor_terms",
+    "envelope",
+    "ENV_B",
+    "SQRT_2PI",
+    "INV_SQRT_2PI",
+]
+
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 INV_SQRT_2PI = 1.0 / SQRT_2PI
 
@@ -367,13 +382,6 @@ def taylor_terms(s, n_terms):
     return np.array(coeffs)
 
 
-def eval_U_taylor(t, s, n_terms=24):
-    """Sum the entire t-series of U (independent small-time route)."""
-    c = taylor_terms(s, n_terms)
-    powers = np.power(complex(t), np.arange(n_terms))
-    return complex(np.dot(c, powers)) * INV_SQRT_2PI
-
-
 def eval_U_small_t(t, s, beta_prime=None, evaluator=None):
     """Evaluate U(t, s) via the left-shifted line, efficient as t -> 0.
 
@@ -559,26 +567,6 @@ def laplace_inverse_U(t, s, d=None, evaluator=None, rel_tol=1e-7):
                            tail=TailModel("power", rate=_N_SUBTRACT + 1.0),
                            osc_freq=t)
     return poly + complex(r.value) / (2j * np.pi)
-
-
-def check_U_ode(t, s, dt, evaluator=None):
-    """Residual of the delay equation at (t, s) by central differences.
-
-    Returns |(U(t+dt) - U(t-dt))/(2 dt) - W(s-1) U(t, s-1)|; needs
-    Re s in (1, 2) so the shifted point stays in the strip, and t > dt.
-    """
-    s = complex(s)
-    if not 1.0 < s.real < 2.0:
-        raise ValueError(f"the shifted point needs Re s in (1, 2), got {s}")
-    if not t > dt > 0.0:
-        raise ValueError(f"need t > dt > 0, got t = {t}, dt = {dt}")
-    ev = evaluator if evaluator is not None else default_evaluator()
-    u_plus = eval_U(t + dt, s, evaluator=ev)
-    u_minus = eval_U(t - dt, s, evaluator=ev)
-    lhs = (u_plus.value - u_minus.value) / (2.0 * dt)
-    w = complex(eval_W(np.array([s - 1.0]))[0])
-    rhs = w * eval_U(t, s - 1.0, evaluator=ev).value
-    return float(abs(lhs - rhs))
 
 
 def eval_U_line(t, s_values, beta=None, evaluator=None):

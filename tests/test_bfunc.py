@@ -24,7 +24,7 @@ from wavekin.bfunc import (
 )
 from wavekin.complexfn import eval_W, eval_W_prime, locate_W_roots, log_gamma
 from wavekin.contour import integrate_circle
-from wavekin.errors import PoleError
+from wavekin.errors import ConvergenceError, PoleError
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +348,28 @@ def test_line_store_keeps_its_byte_bound(monkeypatch):
     assert list(ev._blocks) == [(10 ** 12, n) for n in (3, 1, -1)]
     assert np.array_equal(ev.line_interpolator(1.0, 0.0, 25.6)(y), before)
     assert ev._block_bytes <= 3 * size
+
+
+@pytest.mark.parametrize("call", [
+    lambda ev: BLineInterpolator(ev, 1.0, 5.0, 5.0),
+    lambda ev: BLineInterpolator(ev, 1.0, 5.0, 4.0),
+    lambda ev: BLineInterpolator(ev, 1.0, 0.0, 6.0)(np.array([1.0 - 0.1j])),
+    lambda ev: BLineInterpolator(ev, 1.0, 0.0, 6.0)(np.array([1.0 + 7.0j])),
+], ids=["empty_window", "reversed_window", "query_below", "query_above"])
+def test_line_interpolator_refuses_what_it_does_not_cover(ev, call):
+    # the blocks cover [0, 6.4] here, so the queries fall outside them
+    with pytest.raises(ValueError):
+        call(ev)
+
+
+def test_a_rule_that_never_meets_its_2h_rule_raises(monkeypatch):
+    # with no tolerance no node's h rule meets its 2h rule: a line block
+    # raises at once, and a scattered point after its last halving of h
+    monkeypatch.setattr(bfunc, "_REL_TOL", 0.0)
+    with pytest.raises(ConvergenceError, match="line rule"):
+        BEvaluator().line_interpolator(1.0, 0.0, 6.0)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        BEvaluator().eval_B(1.0 + 3.0j)
 
 
 @pytest.mark.parametrize("arg, match", [

@@ -11,7 +11,6 @@ import pytest
 from wavekin import complexfn
 from wavekin.complexfn import (
     EULER,
-    asymptote_check,
     digamma,
     eval_W,
     eval_W_d2,
@@ -259,6 +258,18 @@ class TestHigherDerivatives:
                 ref = math.factorial(order) * complex(r.value)
                 got = complex(funcs[order](p))
                 assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0), p
+
+
+def asymptote_check(s):
+    """|W(s) - (-2 log|s/2| - 2 gamma_e)|: the large-|Im s| residual.
+
+    Stirling applied to psi(s/2) gives the constant -2 gamma_e (one gamma_e
+    from the definition, one from psi itself); the residual decays like 1/|s|
+    and is below 5/|s| throughout |Im s| >= 50, 0 < Re s < 2.
+    """
+    arr = np.atleast_1d(np.asarray(s, dtype=complex))
+    resid = np.abs(eval_W(arr) - (-2.0 * np.log(np.abs(arr / 2.0)) - 2.0 * EULER))
+    return float(resid[0])
 
 
 class TestAsymptote:

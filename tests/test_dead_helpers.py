@@ -1,10 +1,15 @@
-"""Every private module-level name of the package is used by the package.
+"""Every module-level name of the package is used, or exported.
 
 A private function, class or constant (a module-level name that starts
 with one underscore) is internal by convention, so code outside the
 package has no business keeping it alive.  One that no other statement of
 ``wavekin`` reads is dead: it was superseded or lost its last caller, and
 it goes.  Tests may read private names, but do not count as a use.
+
+A public function or class that no other statement of ``wavekin`` reads
+is there for callers outside the package, so its module lists it in
+``__all__``, which declares the package's API.  A check or oracle that
+only tests read is not API: it belongs in the tests, not in the library.
 """
 
 import ast
@@ -55,6 +60,39 @@ def _dead_helpers(sources):
     return found
 
 
+def _unexported(sources):
+    """'file:line name' of each public module-level function or class
+    that no other module-level statement of the files {filename: source}
+    reads and that its module's ``__all__`` does not list."""
+    stmts = [(filename, stmt) for filename, source in sorted(sources.items())
+             for stmt in ast.parse(source, filename).body]
+    reads = [_read(stmt) for _, stmt in stmts]
+    exported = {filename: set(ast.literal_eval(stmt.value))
+                for filename, stmt in stmts
+                if isinstance(stmt, ast.Assign)
+                and any(isinstance(tgt, ast.Name) and tgt.id == "__all__"
+                        for tgt in stmt.targets)}
+    found = []
+    for i, (filename, stmt) in enumerate(stmts):
+        if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+                and not stmt.name.startswith("_")
+                and stmt.name not in exported.get(filename, ())
+                and not any(stmt.name in other
+                            for j, other in enumerate(reads) if j != i)):
+            found.append(f"{filename}:{stmt.lineno} {stmt.name}")
+    return found
+
+
+def _package_sources():
+    package = os.path.dirname(os.path.abspath(wavekin.__file__))
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path) as fh:
+            sources[os.path.basename(path)] = fh.read()
+    return sources
+
+
 def test_the_scan_finds_a_dead_helper():
     sources = {
         "a.py": ("_USED = 2\n"
@@ -75,9 +113,28 @@ def test_the_scan_finds_a_dead_helper():
 
 
 def test_no_private_helper_is_dead():
-    package = os.path.dirname(os.path.abspath(wavekin.__file__))
-    sources = {}
-    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
-        with open(path) as fh:
-            sources[os.path.basename(path)] = fh.read()
-    assert _dead_helpers(sources) == []
+    assert _dead_helpers(_package_sources()) == []
+
+
+def test_the_scan_finds_an_unexported_public_name():
+    sources = {
+        "a.py": ("__all__ = ['route']\n"
+                 "def route():\n"
+                 "    return helper()\n"
+                 "def helper():\n"
+                 "    return 1\n"
+                 "def check_route():\n"
+                 "    return route() - 1\n"
+                 "class Spec:\n"
+                 "    pass\n"
+                 "def _private():\n"
+                 "    return 2\n"),
+        "b.py": ("import a\n"
+                 "def caller(spec: a.Spec):\n"
+                 "    return a.route()\n"),
+    }
+    assert _unexported(sources) == ["a.py:6 check_route", "b.py:2 caller"]
+
+
+def test_every_unread_public_name_is_exported():
+    assert _unexported(_package_sources()) == []

@@ -696,17 +696,66 @@ def test_lockstep_panels_integrate():
         [math.e - 1.0, math.exp(3.0) - math.exp(-2.0)], rel=1e-13)
 
 
-@pytest.mark.parametrize("x", [0.8, 1.2, 1.6])
+# at x = 0.5 and 2.5 the support in r, (0.6/x, 1.8/x), misses the kink
+# at r = 1 and transport_apply integrates it as one interval
+@pytest.mark.parametrize("x", [0.8, 1.2, 1.6, 0.5, 2.5])
 def test_transport_apply_matches_quad_across_the_kink(x):
     phi = fundsol.TestFunction.bump(0.6, 1.8)
 
     def f(r):
         return eval_H(r) * r * phi.deriv(r * x)
 
+    cuts = [0.6 / x] + [1.0] * (0.6 / x < 1.0 < 1.8 / x) + [1.8 / x]
     ref = sum(scipy.integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12,
                                    limit=400)[0]
-              for a, b in ((0.6 / x, 1.0), (1.0, 1.8 / x)))
+              for a, b in zip(cuts, cuts[1:]))
     assert abs(transport_apply(phi, x) - ref) < 1e-8
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: eval_lambda(LambdaQuery(0.5, 1.0, "log_regularized")),
+     RegimeError),
+    (lambda: eval_lambda(LambdaQuery(0.7, 2.0, "log_regularized")),
+     RegimeError),
+    (lambda: eval_lambda(LambdaQuery(1.0, 2.0, "large_t_asymptotic")),
+     RegimeError),
+    (lambda: eval_lambda_series(1.0, 3.0), RegimeError),
+    (lambda: eval_lambda_series(0.5, 1.05), RegimeError),
+    (lambda: eval_lambda_log(0.0, 0.1), ValueError),
+    (lambda: eval_lambda_log(math.inf, 0.1), ValueError),
+    (lambda: eval_lambda_log(1.0, math.nan), ValueError),
+    (lambda: eval_lambda_log(1.0, 0.1, "large_t_asymptotic"), ValueError),
+    (lambda: LambdaQuery(-1.0, 2.0), ValueError),
+    (lambda: LambdaQuery(1.0, math.inf), ValueError),
+    (lambda: LambdaQuery(1.0, 2.0, "fastest"), ValueError),
+    (lambda: fundsol.RadialProfile(np.array([1.0, 2.0]), np.array([1.0]),
+                                   1.0), ValueError),
+    (lambda: fundsol.RadialProfile(np.array([2.0, 1.0]),
+                                   np.array([1.0, 1.0]), 1.0), ValueError),
+    (lambda: radial_profile(1.0, 0.0, 2.0, 8), ValueError),
+    (lambda: radial_profile(1.0, 2.0, 2.0, 8), ValueError),
+    (lambda: radial_profile(1.0, 0.5, 2.0, 1), ValueError),
+    (lambda: eval_Q1(0.0), ValueError),
+    (lambda: eval_Q2(2.0, -1.0), ValueError),
+    (lambda: eval_Q2(1.0, 1.0), RegimeError),
+    (lambda: eval_dlambda_dt(0.5, 1.0), RegimeError),
+    (lambda: eval_dlambda_dx(1.0, 2.0), RegimeError),
+    (lambda: eval_G(1.0, 1.0, 0.0), ValueError),
+    (lambda: fundsol.TestFunction(2.0, 2.0), ValueError),
+], ids=["logreg_at_one", "logreg_past_its_t", "large_t_at_one",
+        "series_at_t_one", "series_next_to_one", "log_t_zero", "log_t_inf",
+        "log_x_nan", "log_asymptotic_regime", "query_t", "query_x",
+        "query_regime", "profile_lengths", "profile_order", "profile_x_min",
+        "profile_empty_range", "profile_one_point", "q1_theta", "q2_theta",
+        "q2_t_one", "dt_at_one", "dx_t_one", "g_y_zero", "bump_empty"])
+def test_routes_refuse_arguments_outside_their_zone(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_delta_pairing_at_t_zero_is_phi_at_one():
+    phi = fundsol.TestFunction.bump(0.5, 3.0)
+    assert delta_pairing(0.0, phi) == phi(1.0)
 
 
 def test_bump_and_its_slope_are_the_closed_forms():

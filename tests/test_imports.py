@@ -2,12 +2,14 @@
 
 The package imports none of the heavy scipy subpackages: scipy.signal
 (with the scipy.stats it loads), scipy.integrate and scipy.interpolate
-took most of a cold start.  Only the kernels' quadrature oracle uses
-scipy.integrate, imported inside that function, and a test function
-loads none of them.  And every name that the benchmark's tracer patches
-exists on the module it patches.
+took most of a cold start.  No file of the package imports
+scipy.integrate at all, not even inside a function: the quadratures that
+use it are test oracles, and they live in the tests.  And every name that
+the benchmark's tracer patches exists on the module it patches.
 """
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -31,6 +33,33 @@ def test_import_loads_no_heavy_scipy_subpackage():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+def _imported_modules(source):
+    """Every module an import statement anywhere in source names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names |= {f"{node.module}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_no_module_imports_scipy_integrate():
+    package = os.path.dirname(os.path.abspath(wavekin.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path) as fh:
+            names = _imported_modules(fh.read())
+        found += [f"{os.path.basename(path)}: {name}" for name in sorted(names)
+                  if name.split(".")[:2] == ["scipy", "integrate"]]
+    assert found == []
+    assert {"scipy.integrate", "scipy.integrate.quad"} <= _imported_modules(
+        "def f():\n    from scipy.integrate import quad\n"
+        "    import scipy.integrate\n")
+    assert "scipy.integrate" in _imported_modules("from scipy import integrate")
 
 
 def test_tracer_patches_every_name_it_names(monkeypatch):

@@ -3,34 +3,76 @@
 Two independent representations of U (right-contour and small-t residue
 series), an entire-series oracle, the delay ODE in t, a Bromwich-line
 inverse of V, and frozen decay-envelope constants from the calibration
-record cross-check one another.  Frozen point values were measured with
-this package's own contour engine after the dual-representation and
-functional-equation suites first passed.
+record ``data/calibration.json`` cross-check one another.  Frozen point
+values were measured with this package's own contour engine after the
+dual-representation and functional-equation suites first passed.
 """
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from wavekin.bfunc import BranchError, default_evaluator
-from wavekin.calibration import constant
 from wavekin.complexfn import eval_W
 from wavekin.errors import ConvergenceError
 from wavekin import ufunc
 from wavekin.ufunc import (
     INV_SQRT_2PI,
     SymbolSample,
-    check_U_ode,
     envelope,
     eval_dU_ds,
     eval_U,
     eval_U_line,
     eval_U_small_t,
-    eval_U_taylor,
     eval_V,
     laplace_inverse_U,
+    taylor_terms,
 )
+
+
+# Each "there exists C such that ..." constant of an envelope or bound is
+# measured once by scripts/calibrate.py, rounded up to four significant
+# digits and frozen in data/calibration.json with where and how it was
+# measured.  The tests assert the inequalities with the frozen values, so a
+# regression that weakens a decay rate fails instead of being papered over
+# by a silent recalibration.
+CALIBRATION = json.loads((pathlib.Path(__file__).parent / "data"
+                          / "calibration.json").read_text(encoding="utf-8"))
+
+
+def constant(name):
+    """The frozen value of one calibrated constant, by key."""
+    return float(CALIBRATION[name]["value"])
+
+
+def eval_U_taylor(t, s, n_terms=24):
+    """Sum the entire t-series of U (independent small-time route)."""
+    c = taylor_terms(s, n_terms)
+    powers = np.power(complex(t), np.arange(n_terms))
+    return complex(np.dot(c, powers)) * INV_SQRT_2PI
+
+
+def check_U_ode(t, s, dt, evaluator=None):
+    """Residual of the delay equation at (t, s) by central differences.
+
+    Returns |(U(t+dt) - U(t-dt))/(2 dt) - W(s-1) U(t, s-1)|; needs
+    Re s in (1, 2) so the shifted point stays in the strip, and t > dt.
+    """
+    s = complex(s)
+    if not 1.0 < s.real < 2.0:
+        raise ValueError(f"the shifted point needs Re s in (1, 2), got {s}")
+    if not t > dt > 0.0:
+        raise ValueError(f"need t > dt > 0, got t = {t}, dt = {dt}")
+    ev = evaluator if evaluator is not None else default_evaluator()
+    u_plus = eval_U(t + dt, s, evaluator=ev)
+    u_minus = eval_U(t - dt, s, evaluator=ev)
+    lhs = (u_plus.value - u_minus.value) / (2.0 * dt)
+    w = complex(eval_W(np.array([s - 1.0]))[0])
+    rhs = w * eval_U(t, s - 1.0, evaluator=ev).value
+    return float(abs(lhs - rhs))
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +205,29 @@ def test_small_t_rejects_bad_arguments(ev):
         eval_U_small_t(0.1, 1.2, beta_prime=1.4, evaluator=ev)
     with pytest.raises(ValueError):
         eval_U_small_t(0.1, 1.2, beta_prime=0.0, evaluator=ev)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ev: eval_U_line(0.0, [1.2 + 1j], evaluator=ev),
+    lambda ev: eval_U_line(-0.5, [1.2 + 1j], evaluator=ev),
+    lambda ev: eval_U_line(0.5, [1.2 + 1j], beta=1.1, evaluator=ev),
+    lambda ev: eval_U_line(0.5, [1.2 + 1j], beta=2.0, evaluator=ev),
+    # beta' = 0.23 sits 0.03 from the crossed pole line Re s - 1 = 0.2
+    lambda ev: eval_U_small_t(0.1, 1.2, beta_prime=0.23, evaluator=ev),
+    lambda ev: eval_V(1.0, 0.5, beta=0.5, evaluator=ev),
+    lambda ev: eval_V(1.0, 0.5, beta=1.5, evaluator=ev),
+    lambda ev: eval_dU_ds(-0.1, 1.2, evaluator=ev),
+], ids=["line_t_zero", "line_t_negative", "line_beta_left",
+        "line_beta_at_two", "small_t_beta_next_to_a_pole", "v_beta_left",
+        "v_beta_right", "du_t_negative"])
+def test_routes_refuse_arguments_outside_their_zone(ev, call):
+    with pytest.raises(ValueError):
+        call(ev)
+
+
+def test_line_of_no_points_is_empty(ev):
+    values, errs = eval_U_line(0.5, np.zeros(0, dtype=complex), evaluator=ev)
+    assert values.shape == errs.shape == (0,)
 
 
 def test_representations_agree_random_overlap(ev):
