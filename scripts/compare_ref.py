@@ -22,7 +22,11 @@ prints:
   errors, on a fresh evaluator in each tree;
 - per B line of ``B_LINES``, the largest relative disagreement between the
   line interpolant at its own Chebyshev nodes and eval_B_many there: the
-  rounding that B's two routes leave, which the cross pairs read.
+  rounding that B's two routes leave, which the cross pairs read;
+- per ``eval_U_line`` line of ``U_LINES`` (Re s, t), 121 points on
+  Im s in [-60, 60]: the largest |value difference| between the trees
+  over their summed errors, the share of points where it exceeds 1, and
+  whether the two trees' values are bit-identical.
 
 With ``--time`` it then times, interleaved between the two trees round by
 round, a one-q query at a new t (line assembly included), a warm 256-point
@@ -59,6 +63,9 @@ SYMBOL_PAIRS = ((0.5, 1.0 + 5.0j), (0.8, 0.6 + 20.0j))
 #: (abscissa, Im s from, to) of the compared B lines
 B_LINES = ((0.3, -6.0, 4.0), (1.0, -2.0, 20.0), (1.3, -7.0, 47.0),
            (1.5, -22.0, 32.0), (1.35, 170.0, 196.0), (3.5, -196.0, -170.0))
+#: (Re s, t) of the compared eval_U_line lines
+U_LINES = [(re, t) for re in (0.6, 1.0, 1.3, 1.81, 1.9)
+           for t in (0.3, 1.0, 3.0)]
 
 # The worker reads one JSON request per line on stdin and answers one JSON
 # line on stdout.  argv[1] is the src directory to import from.
@@ -127,7 +134,12 @@ def symbol(req):
         nodes = re + 1j * (line.mids[:, None] + half[:, None] * x)
         pts = fresh.eval_B_many(nodes)
         lines.append(float(np.max(np.abs(line(nodes) - pts) / np.abs(pts))))
-    return {"ratios": ratios, "lines": lines}
+    u_lines = []
+    for re, t in req["u_lines"]:
+        v, e = ufunc.eval_U_line(t, re + 1j * np.linspace(-60.0, 60.0, 121),
+                                 evaluator=fresh)
+        u_lines.append([v.real.tolist(), v.imag.tolist(), e.tolist()])
+    return {"ratios": ratios, "lines": lines, "u_lines": u_lines}
 
 
 def run(case):
@@ -218,7 +230,7 @@ def compare_values(ref, work):
 
 
 def compare_symbol(ref, work):
-    req = {"op": "symbol", "lines": B_LINES,
+    req = {"op": "symbol", "lines": B_LINES, "u_lines": U_LINES,
            "pairs": [(t, (s.real, s.imag)) for t, s in SYMBOL_PAIRS]}
     a, b = ref.ask(**req), work.ask(**req)
     print(f"\n{'symbol cross pair, |a - b| / (err_a + err_b)':<52}"
@@ -231,6 +243,16 @@ def compare_symbol(ref, work):
     for (re, lo, hi), x, y in zip(B_LINES, a["lines"], b["lines"]):
         print(f"{f'Re s = {re}, Im s in [{lo}, {hi}]':<52}"
               f"{x:>10.3g}{y:>10.3g}")
+    print(f"{'eval_U_line, |dvalue| / (err_a + err_b)':<40}{'max':>10}"
+          f"{'share > 1':>11}{'identical':>11}")
+    for (re, t), (ra, ia, ea), (rb, ib, eb) in zip(U_LINES, a["u_lines"],
+                                                   b["u_lines"]):
+        ratio = [abs(complex(x, y) - complex(u, v)) / (e + f)
+                 for x, y, e, u, v, f in zip(ra, ia, ea, rb, ib, eb)]
+        share = sum(r > 1.0 for r in ratio) / len(ratio)
+        same = (ra, ia, ea) == (rb, ib, eb)
+        print(f"{f'Re s = {re}, t = {t}':<40}{max(ratio):>10.3g}"
+              f"{share:>11.3f}{str(same):>11}")
 
 
 def compare_times(ref, work, rounds):

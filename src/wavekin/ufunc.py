@@ -39,8 +39,13 @@ The default lines of ``eval_U``, ``eval_dU_ds``, ``eval_U_line``,
 U does not depend on the line, and B lines are kept per abscissa, so ops
 at nearby Re s read the same blocks of B.  A grid point must keep at least
 _GRID_KEEP of the default's distance to the poles that bound its
-interval; where none does (``eval_U_line`` at Re s > 1.85, for one) the
-default stays.
+interval; where none does the default stays.  At Re s > 1 ``eval_U_line``
+moves its line across the Gamma pole at sigma = s instead, to the grid
+point near Re s - 1/2 in (Re s - 1, Re s), wherever that line is farther
+from its nearer pole (sigma = s or s - 1) than ``_default_beta``'s line
+is from sigma = s; crossing the pole adds its residue 1/B(s) to the
+integral, so U = (1 + B(s) I)/sqrt(2 pi).  Every default abscissa of
+``eval_U_line`` is on the grid.
 
 Sigma-lattice rule
 ------------------
@@ -58,11 +63,15 @@ The rule converges
 geometrically in the strip of analyticity about the line, with error about
 e^(-2 pi d/h) for a pole at distance d (Trefethen & Weideman, SIAM Rev. 56,
 2014); here d is the distance from the line to the Gamma pole at
-sigma = s (for U) or to the nearer pole of the reflection kernel (for V).
+sigma = s (for U right of that pole), to the nearer of the poles at
+sigma = s and s - 1 (for U's left line, d about 1/2) or to the nearer
+pole of the reflection kernel (for V).
 h starts below pi d / 40, where even the 2h rule on the even nodes is
 exact to rounding, and the two rules are compared at every output: h
 halves, at most three times, while they differ by more than the tolerance
-or the rounding floor 10 eps (h/2 pi) sum |terms|.  The reported error
+or the rounding floor 10 eps (h/2 pi) sum |terms|.  The tolerance is
+relative to the integral plus the residue of a crossed pole, so it
+applies to U itself, not to the shifted integral.  The reported error
 is the h-vs-2h difference plus the truncation tail plus that floor.
 ``eval_U``, ``eval_U_small_t`` and ``eval_dU_ds`` keep the adaptive
 ``integrate_vertical``, through one line integral
@@ -206,7 +215,7 @@ def _gamma_t_kernel(a, t, eta):
 
 
 def _lattice_rule(ev, beta, y, kernel, n_rows, d, reach, rel_tol, abs_tol,
-                  tail_rate):
+                  tail_rate, residue=0.0):
     """(1/2 pi) int K_r(w - y_k) / B(beta + i w) dw for r < n_rows, every k.
 
     The sigma-lattice trapezoid rule of the module docstring.  kernel(eta,
@@ -230,8 +239,10 @@ def _lattice_rule(ev, beta, y, kernel, n_rows, d, reach, rel_tol, abs_tol,
       of at most _ROW_ENTRIES matrix entries.
 
     h halves, at most _LINE_REFINEMENTS times, until |T_h - T_2h| <=
-    max(rel_tol |T_h|, abs_tol, floor) at every output, where the rounding
-    floor is _ROUND_FLOOR * (h/2 pi) sum |terms|; then ConvergenceError.
+    max(rel_tol |T_h + residue|, abs_tol, floor) at every output, where
+    residue (per y_k) is what a crossed pole adds to the integral and the
+    rounding floor is _ROUND_FLOOR * (h/2 pi) sum |terms|; then
+    ConvergenceError.
     Returns (T_h, error), shape (n_rows, len(y)); the error is
     |T_h - T_2h| plus the truncation tail beyond the reach plus the
     rounding floor.
@@ -293,8 +304,9 @@ def _lattice_rule(ev, beta, y, kernel, n_rows, d, reach, rel_tol, abs_tol,
         fine, coarse = wt * fine, wt * coarse
         floor = _ROUND_FLOOR * wt * abs_sum
         diff = np.abs(fine - coarse)
-        if (diff <= np.maximum(np.maximum(rel_tol * np.abs(fine), abs_tol),
-                               floor)).all():
+        if (diff <= np.maximum(
+                np.maximum(rel_tol * np.abs(fine + residue), abs_tol),
+                floor)).all():
             return fine, diff + wt * ends / rate + floor
         h /= 2.0
         m *= 2
@@ -575,17 +587,23 @@ def eval_U_line(t, s_values, beta=None, evaluator=None):
     The workhorse behind profile reconstruction.  The s-values share the
     line Re sigma = beta, and their Im s must be equispaced with step
     Delta (a single s is allowed): Im s_k may miss Im s_0 + k Delta by at
-    most 1e-12 * max(1, |Im s range|).  The integral is the sigma-lattice
-    trapezoid rule of the module docstring.  h starts below pi d / 40,
-    d = beta - Re s being the distance to the Gamma pole at sigma = s.
-    When Delta >= 2 pi d / 40 the step is h = Delta/m, m even, so every
-    Im s is a lattice node and one FFT correlation of 1/B against the
-    Gamma kernel gives the whole line; a denser line (or a single s)
-    takes one kernel row per s on a lattice of step pi d / 40 over the
-    whole window.  h halves at most three times while the h and 2h rules
-    differ by more than _LINE_TOL * max(|U|, 1e-4/sqrt(2 pi)) at some s.
-    Returns (values, errs) aligned with s_values; an error is the h-vs-2h
-    difference plus the truncation tail plus the rounding floor.
+    most 1e-12 * max(1, |Im s range|).  A caller's beta lies in (Re s, 2),
+    d = beta - Re s from the Gamma pole at sigma = s.  Without one, the
+    line is ``_default_beta``'s, or at Re s > 1 the left line beta' of the
+    module docstring, on the 0.1 grid in (Re s - 1, Re s) with
+    d = min(Re s - beta', beta' - Re s + 1), about 1/2, wherever that d is
+    the larger; the crossed pole adds 1/B(s) to the integral I, and
+    U = (1 + B(s) I)/sqrt(2 pi).  The integral is the sigma-lattice
+    trapezoid rule of the module docstring, with h starting below
+    pi d / 40.  When Delta >= 2 pi d / 40 the step is h = Delta/m, m
+    even, so every Im s is a lattice node and one FFT correlation of 1/B
+    against the Gamma kernel gives the whole line; a denser line (or a
+    single s) takes one kernel row per s on a lattice of step pi d / 40
+    over the whole window.  h halves at most three times while the h and
+    2h rules differ by more than _LINE_TOL * max(|U|, 1e-4/sqrt(2 pi)) at
+    some s: the tolerance holds on U, residue included.  Returns (values,
+    errs) aligned with s_values; an error is the h-vs-2h difference plus
+    the truncation tail plus the rounding floor.
     """
     s_values = np.asarray(s_values, dtype=complex)
     if s_values.size == 0:
@@ -597,9 +615,17 @@ def eval_U_line(t, s_values, beta=None, evaluator=None):
     _validate_s(s0)
     if not t > 0.0:
         raise ValueError(f"the batched route needs t > 0, got {t}")
+    crossed = False
     if beta is None:
         beta = _default_beta(s0)
-    if not s0.real < beta < 2.0:
+        if s0.real > 1.0:
+            left = _on_grid(s0.real - 0.5, s0.real - 1.0, s0.real,
+                            (s0.real - 1.0, s0.real))
+            crossed = (min(s0.real - left, left - s0.real + 1.0)
+                       > beta - s0.real)
+            if crossed:
+                beta = left
+    elif not s0.real < beta < 2.0:
         raise ValueError(f"beta must lie in (Re s, 2), got {beta}")
     im = s_values.imag
     if im.size > 1:
@@ -617,10 +643,12 @@ def eval_U_line(t, s_values, beta=None, evaluator=None):
     b_s = ev.eval_B_many(s_values)
     scale = np.abs(b_s) / SQRT_2PI
     raw, err = _lattice_rule(
-        ev, beta, im, kernel, 1, d=a, reach=_HALF_HEIGHT, rel_tol=_LINE_TOL,
+        ev, beta, im, kernel, 1, d=min(abs(a), a + 1.0), reach=_HALF_HEIGHT,
+        rel_tol=_LINE_TOL,
         abs_tol=_LINE_TOL * INV_SQRT_2PI * 1e-4 / np.maximum(scale, 1e-300),
-        tail_rate=_TAIL_RATE)
-    return b_s / SQRT_2PI * raw[0], scale * err[0]
+        tail_rate=_TAIL_RATE, residue=1.0 / b_s if crossed else 0.0)
+    values = b_s / SQRT_2PI * raw[0]
+    return (values + INV_SQRT_2PI if crossed else values), scale * err[0]
 
 
 def envelope(t, s, constant):

@@ -259,7 +259,7 @@ def test_representations_agree_next_to_the_pole_at_zero(ev, t, s):
     assert abs(a.value - b.value) <= a.err + b.err
 
 
-def test_default_abscissae_sit_on_the_grid():
+def test_default_abscissae_sit_on_the_grid(ev, monkeypatch):
     # each default moves to a point of the 0.1 grid that keeps at least
     # 0.75 of the default's distance to the ends of its interval, or stays
     for re in np.linspace(0.15, 1.95, 37):
@@ -282,6 +282,24 @@ def test_default_abscissae_sit_on_the_grid():
     assert ufunc._on_grid(0.3, 0.0, 0.6, (0.0, 0.6, -0.4)) == 0.3
     # no grid point keeps the distance: the exact default stays
     assert ufunc._default_beta(1.9 + 0j) == 1.95
+    # eval_U_line crosses the pole at sigma = s instead, onto a grid line
+    # in (Re s - 1, Re s); at Re s <= 1 it keeps its right line
+    read = []
+    real = ev.line_interpolator
+
+    def spy(re_line, im_lo, im_hi):
+        read.append(re_line)
+        return real(re_line, im_lo, im_hi)
+
+    monkeypatch.setattr(ev, "line_interpolator", spy)
+    for re in (1.81, 1.86, 1.9, 1.95, 0.6, 1.0):
+        read.clear()
+        eval_U_line(1.0, np.array([re + 3j]), evaluator=ev)
+        [got] = read
+        if re > 1.0:
+            assert re - 1.0 < got < re and round(10 * got) == 10 * got
+        else:
+            assert got == ufunc._default_beta(complex(re))
 
 
 def test_series_oracle_agrees(ev):
@@ -448,10 +466,11 @@ def test_line_rejects_mixed_real_parts(ev):
 
 
 @pytest.mark.parametrize("t", [0.3, 1.0, 2.9])
-@pytest.mark.parametrize("re", [1.8, 1.85, 1.9, 1.95])
+@pytest.mark.parametrize("re", [1.2, 1.5, 1.8, 1.85, 1.9, 1.95])
 def test_line_matches_scalar_near_strip_edge(ev, re, t):
-    # the Gamma pole at sigma = s sits (2 - Re s)/2 from the default line,
-    # 0.025 at Re s = 1.95; the lattice step follows that distance
+    # eval_U's line sits (2 - Re s)/2 from the Gamma pole at sigma = s,
+    # 0.025 at Re s = 1.95; eval_U_line's sits left of that pole, about
+    # 1/2 from it and from the next one, and adds its residue
     svals = re + 1j * np.linspace(-60.0, 60.0, 41)
     vals, errs = eval_U_line(t, svals, evaluator=ev)
     for i in (0, 17, 20, 40):
@@ -459,6 +478,23 @@ def test_line_matches_scalar_near_strip_edge(ev, re, t):
         diff = abs(vals[i] - u.value)
         assert diff <= u.err + errs[i]
         assert diff <= 1e-12
+        if t < 1.0:
+            u = eval_U_small_t(t, svals[i], evaluator=ev)
+            assert abs(vals[i] - u.value) <= u.err + errs[i]
+
+
+def test_line_where_the_residue_cancels(ev):
+    # at t = 3 and |Im s| = 60 the residue 1/sqrt(2 pi) cancels B(s) times
+    # the left line's integral down to |U| ~ 1.6e-11; the error still
+    # meets the line's contract on U itself
+    svals = 1.9 + 1j * np.array([-60.0, 60.0])
+    vals, errs = eval_U_line(3.0, svals, evaluator=ev)
+    assert np.abs(vals).max() < 1e-10
+    assert (errs <= ufunc._LINE_TOL
+            * np.maximum(np.abs(vals), 1e-4 * INV_SQRT_2PI)).all()
+    for s, v, e in zip(svals, vals, errs):
+        u = eval_U(3.0, s, evaluator=ev)
+        assert abs(v - u.value) <= u.err + e
 
 
 @pytest.mark.parametrize("t, s", [(0.5, 1.0 + 5.0j), (0.8, 0.6 + 20.0j)])
