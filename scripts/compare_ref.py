@@ -11,8 +11,9 @@ prints:
 
 - per line kind ("u", "du", "q2", "su", "ut") at t = 0.7 and 2, on a fixed
   q grid: the largest |value difference| over the working tree's reported
-  error, the largest |error difference| over that error, and whether an
-  array call equals the scalar calls exactly in each tree;
+  error, the largest |error difference| over that error, whether the two
+  trees' values and errors are bit-identical, and whether an array call
+  equals the scalar calls exactly in each tree;
 - ``l1_norm_lambda`` at t = 0.7, 1 and 1.5, and ``delta_pairing`` of the
   bump on [0.5, 2], which holds x = 1, at t = 0.7 and 1.5, in both trees,
   each with the number of line points it took;
@@ -29,12 +30,13 @@ prints:
   whether the two trees' values are bit-identical.
 
 With ``--time`` it then times, interleaved between the two trees round by
-round, a one-q query at a new t (line assembly included), a warm 256-point
-``radial_profile``, a warm ``l1_norm_lambda`` and a warm ``delta_pairing``
-of that bump at t = 1.5, and prints per case the median and quartiles of
-the per-round ratio working tree / REF (below 1 is faster).  BLAS runs
-one thread.  Only the standard library and numpy are used; no test runs
-this script.
+round, a one-q query at a new t (line assembly included), one
+``large_t_asymptotic`` point at a new t (a "q2" assembly, Q1 and one
+query), a warm 256-point ``radial_profile``, a warm ``l1_norm_lambda`` and
+a warm ``delta_pairing`` of that bump at t = 1.5, and prints per case the
+median and quartiles of the per-round ratio working tree / REF (below 1
+is faster).  BLAS runs one thread.  Only the standard library and numpy
+are used; no test runs this script.
 """
 
 import argparse
@@ -57,7 +59,8 @@ LINES = [(kind, c, t) for kind, c in (("u", 1.0), ("du", 1.0), ("q2", 1.0),
 L1_TS = (0.7, 1.0, 1.5)
 #: (t, lo, hi) of the compared pairings: bumps whose support holds x = 1
 PAIRINGS = ((0.7, 0.5, 2.0), (1.5, 0.5, 2.0))
-TIME_CASES = ("one_q_new_t", "radial_256", "l1_norm", "pairing")
+TIME_CASES = ("one_q_new_t", "large_t_new_t", "radial_256", "l1_norm",
+              "pairing")
 #: (t, s) of the symbol workload's cross pairs
 SYMBOL_PAIRS = ((0.5, 1.0 + 5.0j), (0.8, 0.6 + 20.0j))
 #: (abscissa, Im s from, to) of the compared B lines
@@ -80,6 +83,7 @@ ev = BEvaluator()
 Q = np.concatenate(([0.0], -np.logspace(-16, 1.6, 48),
                     np.logspace(-16, 1.6, 48)))
 new_t = [0.7]
+large_t = [3.0]
 
 
 def with_points(fn, *args):
@@ -147,6 +151,10 @@ def run(case):
         new_t[0] += 1e-6
         fundsol.eval_lambda_with_error(fundsol.LambdaQuery(new_t[0], 1.35),
                                        ev)
+    elif case == "large_t_new_t":
+        large_t[0] += 1e-6
+        fundsol.eval_lambda_with_error(
+            fundsol.LambdaQuery(large_t[0], 2.0, "large_t_asymptotic"), ev)
     elif case == "radial_256":
         fundsol.radial_profile(1.0, 1e-3, 1e3, 256, evaluator=ev)
     elif case == "pairing":
@@ -208,7 +216,7 @@ def compare_values(ref, work):
     req = {"op": "values", "lines": LINES, "l1": L1_TS, "pairing": PAIRINGS}
     a, b = ref.ask(**req), work.ask(**req)
     print(f"{'line':<14}{'max|dval|/err':>15}{'max|derr|/err':>15}"
-          f"{'array==scalar ref/work':>24}")
+          f"{'identical':>11}{'array==scalar ref/work':>24}")
     for kind, c, t in LINES:
         key = f"{kind} {c} {t}"
         ra, rb = a[key], b[key]
@@ -216,9 +224,10 @@ def compare_values(ref, work):
                    zip(ra["val"], rb["val"], rb["err"]))
         derr = max(abs(x - y) / e for x, y, e in
                    zip(ra["err"], rb["err"], rb["err"]))
+        same = ra["val"] == rb["val"] and ra["err"] == rb["err"]
         flags = f"{ra['array_is_scalar']}/{rb['array_is_scalar']}"
         print(f"{kind:<4}c={c:<4}t={t:<4}{dval:>15.3g}{derr:>15.3g}"
-              f"{flags:>24}")
+              f"{str(same):>11}{flags:>24}")
     names = ([f"l1_norm_lambda(t={t})" for t in L1_TS]
              + [f"delta_pairing(t={t}, bump({lo}, {hi}))"
                 for t, lo, hi in PAIRINGS])
@@ -258,7 +267,8 @@ def compare_symbol(ref, work):
 def compare_times(ref, work, rounds):
     print(f"\n{'case':<14}{'median':>9}{'q1':>9}{'q3':>9}   "
           f"(work / ref, {rounds} interleaved rounds)")
-    reps = {"one_q_new_t": 20, "radial_256": 5, "l1_norm": 1, "pairing": 3}
+    reps = {"one_q_new_t": 20, "large_t_new_t": 20, "radial_256": 5,
+            "l1_norm": 1, "pairing": 3}
     for case in TIME_CASES:
         ratios = []
         for k in range(rounds):

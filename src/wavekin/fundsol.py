@@ -30,14 +30,21 @@ shared by the q of one ray direction and depth, already carry the ray's
 Gauss weights.  The ray's nodes double their distance from a fixed point
 from one panel to the next, so e^(-(s-c) q) is one prefactor per q times
 factors that are, on each panel, the squares of the last panel's: a q
-takes one exponential per node only on every eighth panel.  In U only the
+takes one exponential per node only on every eighth panel.  The lanes
+(one direction and depth) are swept in turn, on panel nodes, weights and
+anchors kept per lane and block (``_ray_geometry``).  In U only the
 kernel Gamma(z) t^(-z) depends on t, so B on the grid (``_b_grid``) and
 the spectrum of 1/B on the auxiliary line (``_inv_b_spectrum``) are
 tabulated once per abscissa, and the kernel's spectrum is known in closed
-form: a new t costs one real exponential, one inverse FFT and the fits.
-Every cache here is a bounded ``bfunc.memo`` map kept inside the
-evaluator, holds one quantity keyed by what it depends on, and is freed
-with the evaluator and keeps none alive.  The residues and integer values
+form.  In the fit's columns only (ENV_B z)^(-2t) depends on t, so their
+Horner ladder is kept per kind and abscissa (``_fit_ladders``).  A new t
+costs the real exponential of the bins that do not underflow (about half
+of them), one inverse FFT, the Legendre coefficients and the fit.
+Every cache of a quantity that reads B is a bounded ``bfunc.memo`` map
+kept inside the evaluator, holds one quantity keyed by what it depends
+on, and is freed with the evaluator and keeps none alive; the fit's
+ladders and the ray's geometry read no B and sit in bounded module-level
+``functools.lru_cache`` maps.  The residues and integer values
 of B that the asymptotic routes read come off B's memoized ladder
 (``BEvaluator.laurent``).
 
@@ -190,9 +197,15 @@ _N_LAT = 2 * (_K_HALF + _NV - 1) + 1        # 6343
 _N_FFT = _fft_length(_N_LAT)                # 8192
 #: u = -theta/_H_W at the frequency theta = 2 pi f/_N_FFT of bin f, wrapped
 #: to [-pi, pi), and e^u: ``_conv_core`` reads the kernel's spectrum
-#: e^(a u - t e^u) on them
-_U = (-2.0 * np.pi / _H_W) * np.fft.fftfreq(_N_FFT)
+#: e^(a u - t e^u) on them.  The bins run in fftshift order, f = _N_FFT/2
+#: first, so u falls from pi/_H_W to just above -pi/_H_W and the i-th bin
+#: folds onto output bin i mod _N_FFT/2; _NEG_U = -_U rises, for the cut
+_U = (-2.0 * np.pi / _H_W) * np.fft.fftshift(np.fft.fftfreq(_N_FFT))
 _EXP_U = np.exp(_U)
+_NEG_U = -_U
+#: a bin whose exponent a u - t e^u lies below -_UNDERFLOW has the
+#: exponential 0 exactly (exp underflows below -745.13)
+_UNDERFLOW = 746.0
 #: scale entering the tail-model basis (b s)^(-2t) (V_bar/s)^k
 _V_BAR = 120.0
 _MODEL_K = 5
@@ -253,16 +266,21 @@ _RAY_PANELS = 480
 #: ray directions indexed by sign(q): 0 -> pi/2, 1 -> pi/4, -1 -> 3 pi/4
 _RAY_DIRS = np.exp(1j * np.pi * np.array([0.5, 0.25, 0.75]))
 #: the ray's node factors come in spans of _RAY_WAVE panels, an
-#: exponential on the first and squares on the rest; the block starts
-#: _RAY_WAVE (2^k - 1) and _RAY_PANELS are whole spans.  The sweep takes
-#: them in waves of whole spans, as many as _RAY_PIECES (q, panel) pieces
-#: allow but at least one, cut at the end of the block, and only for the
-#: q still sweeping: a q computes less than one wave past its stop, and a
-#: wave's fixed bookkeeping stays small against its factors.  So a radial
-#: profile's 256 q take 8 panels a wave, and one q whole blocks
+#: exponential on the first and squares on the rest.  The panels come in
+#: blocks, each twice as long as the last, whose starts _RAY_WAVE (2^k - 1)
+#: and end _RAY_PANELS are whole spans.  The lanes (``_ray_tail``) are
+#: swept in turn, and a lane's q in waves of whole spans, as many as
+#: _RAY_PIECES (q, panel) pieces allow but at least one, cut at the end of
+#: the block, and only for the q still sweeping: a q computes less than one
+#: wave past its stop, and a wave's fixed bookkeeping stays small against
+#: its factors.  So a lane of 64 or more q takes 8 panels a wave, and one q
+#: whole blocks
 _RAY_WAVE = 8
 _RAY_PIECES = 256
 _RAY_K = np.arange(_RAY_PANELS)
+_RAY_BLOCKS = tuple((_RAY_WAVE * (2 ** k - 1),
+                     min(_RAY_WAVE * (2 ** (k + 1) - 1), _RAY_PANELS))
+                    for k in range(6))
 
 
 def _ray_reach():
@@ -342,12 +360,21 @@ def _w_grid(ev, c):
 def _inv_b_spectrum(ev, beta):
     """The DFT over _N_FFT bins of 1/B(beta + i w) on the lattice w = m _H_W
     of the auxiliary line, |m| <= _K_HALF + _NV - 1, zero-padded and rolled
-    so that w = 0 sits at bin 0 (the centring of the kernel row), and
-    halved for the fold of ``_conv_core``."""
+    so that w = 0 sits at bin 0 (the centring of the kernel row), halved
+    for the fold of ``_conv_core`` and in the bin order of _U."""
     w = -_K_HALF * _H_W + _H_W * np.arange(_N_LAT)
     inv_b = np.zeros(_N_FFT, complex)
     inv_b[:_N_LAT] = 1.0 / _line_B(ev, beta, w)
-    return _frozen(scipy.fft.fft(np.roll(inv_b, -_K_HALF)) / 2.0)
+    return _frozen(np.fft.fftshift(
+        scipy.fft.fft(np.roll(inv_b, -_K_HALF)) / 2.0))
+
+
+def _underflow_bins(a, t):
+    """The number of leading bins of _U at which e^(a u - t e^u) is exactly
+    0 for a > 0: those with u >= log((_UNDERFLOW + a pi/_H_W)/t), where
+    t e^u - a u >= _UNDERFLOW."""
+    return int(np.searchsorted(
+        _NEG_U, -math.log((_UNDERFLOW + a * _U[0]) / t), side="right"))
 
 
 def _conv_core(spectrum, a, t, du=False):
@@ -377,17 +404,29 @@ def _conv_core(spectrum, a, t, du=False):
     circular correlation of the 1/B lattice with that row, whose DFT is the
     product of the two spectra.  Summing the bins f and f + _N_FFT/2 (the
     1/2 of that fold is in spectrum) keeps its even shifts, the output
-    nodes, so one inverse FFT of _N_FFT/2 bins gives the line.  A new t
-    costs one real exponential, one product and that FFT.
+    nodes, so one inverse FFT of _N_FFT/2 bins gives the line.
+
+    For u > 0 the spectrum falls like e^(-t e^u): with a > 0, every bin
+    past u = log((_UNDERFLOW + a pi/_H_W)/t) has an exponent below
+    -_UNDERFLOW, and G there is exactly 0.  Those bins lead in the order of
+    _U (3,646-3,875 of the 8,192 for t in [0.05, 6]); they are skipped, and
+    the rest of the upper half is added onto the last bins of the lower
+    half, which adds only what the whole fold adds.  A new t costs one real
+    exponential of the other bins, one product and that FFT.
 
     With du, the line of the kernel (log t - psi(a + i eta)) K(eta) of
     dU/ds comes too, as the second row: d/dz Gamma(z) t^(-z) =
     int u e^(z u - t e^u) du, so its transform is -u G(u).
     """
-    g = np.exp(a * _U - t * _EXP_U)
+    half = _N_FFT // 2
+    skip = _underflow_bins(a, t)
+    u = _U[skip:]
+    g = np.exp(a * u - t * _EXP_U[skip:])
     if du:
-        g = np.stack([g, -_U * g])
-    folded = (spectrum * g).reshape(g.shape[:-1] + (2, _N_FFT // 2)).sum(-2)
+        g = np.stack([g, -u * g])
+    prod = spectrum[skip:] * g
+    folded = prod[..., half - skip:]
+    folded[..., skip:] += prod[..., :half - skip]
     return scipy.fft.ifft(folded)[..., :_NV]
 
 
@@ -406,8 +445,8 @@ def _symbol_line(ev, t, c, kind):
     line at c and c - 1.  Only the kernel Gamma(z) t^(-z) depends on t: B,
     B' and W on the grid and the spectrum of 1/B are memoized per
     evaluator and abscissa, and the kernel's spectrum e^(a u - t e^u) is
-    known in closed form (``_conv_core``), so a new t costs one real
-    exponential and one inverse FFT.
+    known in closed form (``_conv_core``), so a new t costs the real
+    exponential of the bins that do not underflow and one inverse FFT.
     """
     if kind == "su":
         return (c + 1j * _V_GRID) * _symbol_line(ev, t, c, "u")
@@ -444,21 +483,56 @@ def _tail_model(kind, t, a, s):
     a is a line's (5,) amplitudes, or np.eye(5) with s[..., None] for the
     fit's column matrix.  The columns are analytic in the closed upper-right
     region swept by the rotated rays (principal branches; the tabulated
-    line and both ray directions stay in Im s >= V > 0).
+    line and both ray directions stay in Im s >= V > 0).  Only base
+    depends on t: ``_tail_ladder`` is the Horner sum, ``_tail_scale`` the
+    rest, and the fit keeps the ladder of its nodes (``_fit_columns``).
     """
     z = s - 1.0 if kind == "ut" else s
-    base = (ENV_B * z) ** (-2.0 * t)
+    return _tail_scale(kind, t, z, _tail_ladder(kind, a, z))
+
+
+def _tail_ladder(kind, a, z):
+    """The Horner sum of ``_tail_model`` at z, without base and the z of
+    "su" and "du"."""
     p = _V_BAR / z
     if kind in ("u", "q2", "su"):
-        model = base * (a[0] + p * (a[1] + p * (a[2] + p * (a[3] + p * a[4]))))
-        return model * z if kind == "su" else model
+        return a[0] + p * (a[1] + p * (a[2] + p * (a[3] + p * a[4])))
     if kind == "du":
         a = a[[1, 0, 2, 3, 4]]
     elif kind != "ut":  # pragma: no cover
         raise ValueError(kind)
-    model = base * (a[0] * np.log(z) + a[1]
-                    + p * (a[2] + p * (a[3] + p * a[4])))
+    return a[0] * np.log(z) + a[1] + p * (a[2] + p * (a[3] + p * a[4]))
+
+
+def _tail_scale(kind, t, z, ladder):
+    """``_tail_model`` from its ladder at z: base times it, times z for
+    "su" and over z for "du"."""
+    model = (ENV_B * z) ** (-2.0 * t) * ladder
+    if kind == "su":
+        return model * z
     return model / z if kind == "du" else model
+
+
+@functools.lru_cache(maxsize=16)
+def _fit_ladders(kind, c):
+    """(z, ladder) at the fit's probe nodes, then at its check nodes, of
+    the line (kind, c), with the identity as amplitudes: the t-free part of
+    the fit's column matrices, read-only.  A line at a new t reads them
+    (``_fit_columns``); every entry is under 6 kB."""
+    out = []
+    for iv in (_FIT_IV_PROBE, _FIT_IV_CHECK):
+        s = c + iv
+        z = s - 1.0 if kind == "ut" else s
+        out += [_frozen(z), _frozen(_tail_ladder(kind, _FIT_EYE, z))]
+    return tuple(out)
+
+
+def _fit_columns(kind, t, c):
+    """The fit's column matrices at the probe and the check nodes:
+    ``_tail_model`` with the identity as amplitudes, bit for bit."""
+    z_probe, probe, z_check, check = _fit_ladders(kind, c)
+    return (_tail_scale(kind, t, z_probe, probe),
+            _tail_scale(kind, t, z_check, check))
 
 
 def _ray_len0(s0):
@@ -486,6 +560,22 @@ def _ray_panels(len0, depth, j0, j1):
     return (r_len - first)[:, None] + half * _GL16_UNIT, half, rho
 
 
+@functools.lru_cache(maxsize=64)
+def _ray_geometry(s0, depth, side, block):
+    """(nodes, weights, anchors) of block ``_RAY_BLOCKS[block]`` of the ray
+    panels (``_ray_panels``) from s0 at one depth, in the direction
+    d = _RAY_DIRS[side]: the nodes s0 + d r, (panels, 16), the weights
+    d half w of the Gauss rule, (panels, 16), and -d rho on the anchor
+    panels, (panels / _RAY_WAVE, 16).  They depend on the lane alone, not
+    on the line, so every line's sweep reads them here.  Read-only; an
+    entry holds at most 232 panels, 126 kB, and 64 entries at most 8 MB."""
+    j0, j1 = _RAY_BLOCKS[block]
+    r, half, rho = _ray_panels(_ray_len0(s0), depth, j0, j1)
+    d = _RAY_DIRS[side]
+    return (_frozen(s0 + d * r), _frozen(d * half * _GL16[1]),
+            _frozen(-d * rho[::_RAY_WAVE]))
+
+
 def _ray_tail(F, s0, q, c):
     """int_{s0}^{s0 + i inf} F(s) e^(-(s-c) q) ds along a rotated ray, per q.
 
@@ -498,8 +588,11 @@ def _ray_tail(F, s0, q, c):
     than _RAY_REACH/|q|: there the rule resolves e^(-(1 +- i)|q| r/sqrt 2)
     within _RAY_TOL/50 of the ray's integral.  For |q| len0 < _RAY_REACH
     (|q| < 4.976 on the lines of ``_line_assembly``) K = 0.  The q of one
-    direction d and depth form a lane and share its samples of F, which
-    take the Gauss weights, the half-lengths of the panels and d there.
+    direction d and depth form a lane.  The lanes are swept in turn
+    (``_ray_lane``) and the q of one lane together: they share its samples
+    of F, which take the Gauss weights, the half-lengths of the panels and
+    d there.  The nodes, weights and anchors of a lane's panels depend on
+    s0 and the lane alone, and are kept per block (``_ray_geometry``).
 
     The nodes lie at s = s0 + d (rho - first), and rho doubles exactly
     from one panel to the next, so e^(-(s-c) q) is the prefactor
@@ -511,105 +604,91 @@ def _ray_tail(F, s0, q, c):
     about 2^7 eps of relative error beyond the exponential's own, and
     q = 0 stays exactly 1.
 
-    The panels come in blocks, each twice as long as the last.  F is
-    sampled once per block and lane, and a block's sums are its start sum
-    plus the running sum over the block, so the figures of one q do not
-    depend on the others.  The factors are taken in waves of whole anchor
-    spans (``_RAY_PIECES``), only for the q still sweeping: a sweep stops
-    once three consecutive panels fall below _RAY_TOL of its running sum.
+    The panels come in blocks (``_RAY_BLOCKS``), each twice as long as the
+    last.  F is sampled once per block and lane, and a block's sums are its
+    start sum plus the running sum over the block, so the figures of one q
+    do not depend on the others.  The factors are taken in waves of whole
+    anchor spans (``_RAY_PIECES``), only for the q still sweeping: a sweep
+    stops once three consecutive panels fall below _RAY_TOL of its running
+    sum.
     """
     len0 = _ray_len0(s0)
-    # each q's lane 3 K + sign(q), K the least depth >= 0 at which
-    # |q| len0 2^-K < _RAY_REACH, and the q in lane order, which the sweep
-    # keeps, so that a lane's q are one run; one q takes a scalar path
+    # each q's depth K, the least K >= 0 at which |q| len0 2^-K < _RAY_REACH,
+    # and side sign(q); one q takes a scalar path to its lane
     if q.size == 1:
         q0 = float(q[0])
-        lane = np.array([3 * max(math.frexp(q0 * (len0 / _RAY_REACH))[1], 0)
-                         + (q0 > 0) - (q0 < 0)])
-        todo = np.zeros(1, int)
-    else:
-        lane = (3 * np.maximum(np.frexp(q * (len0 / _RAY_REACH))[1], 0)
-                + np.sign(q))
-        todo = np.argsort(lane, kind="stable")
-    wg = _GL16[1]
+        return _ray_lane(F, s0, q, c,
+                         max(math.frexp(q0 * (len0 / _RAY_REACH))[1], 0),
+                         (q0 > 0) - (q0 < 0))
+    lane = 3 * np.maximum(np.frexp(q * (len0 / _RAY_REACH))[1], 0) + np.sign(q)
+    val, err = np.empty(q.shape, complex), np.empty(q.shape)
+    for key in np.unique(lane):
+        at = lane == key
+        depth, side = divmod(int(key) + 1, 3)
+        val[at], err[at] = _ray_lane(F, s0, q[at], c, depth, side - 1)
+    return val, err
+
+
+def _ray_lane(F, s0, q, c, depth, side):
+    """``_ray_tail`` for q of one lane: one depth, all of side sign(q)."""
+    d = _RAY_DIRS[side]
+    pre = np.exp((d * math.ldexp(_ray_len0(s0), -depth) - (s0 - c)) * q)
     # total holds each q's sum at the start of its block, run the running
     # sum over the block up to the last wave, both without the prefactor
     # pre: the stop test compares a q's panels with its own sum, so the
     # factor is taken once at the end
-    total, run, pre = np.zeros((3,) + q.shape, complex)
+    total, run = np.zeros((2,) + q.shape, complex)
     err, stall = np.zeros(q.shape), np.zeros(q.shape, int)
-    j0, n_block = 0, 8
-    block_start, block_end = 0, n_block
-    while todo.size:
-        at = lane[todo]
-        if todo.size == 1 or at[0] == at[-1]:
-            cuts = [0, todo.size]
-        else:
-            cuts = [0, *(np.flatnonzero(at[1:] != at[:-1]) + 1).tolist(),
-                    todo.size]
-        if j0 == block_start:
-            # F on the block's panels of each lane still sweeping, in
-            # spans (_RAY_WAVE x spans x 16), and -d rho on their anchors
-            samples = {}
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                lane_depth, side = divmod(int(at[a]) + 1, 3)
-                r, half, rho = _ray_panels(len0, lane_depth, j0, block_end)
-                d = _RAY_DIRS[side - 1]
-                f = F(s0 + d * r) * (d * half * wg)
-                samples[int(at[a])] = (
-                    f.reshape(-1, _RAY_WAVE, 16).transpose(1, 0, 2),
-                    -d * rho[::_RAY_WAVE])
-                if j0 == 0:
-                    first = math.ldexp(len0, -lane_depth)
-                    pre[todo[a:b]] = np.exp((d * first - (s0 - c))
-                                            * q[todo[a:b]])
-        j1 = min(block_end, j0 + _RAY_WAVE * max(
-            1, _RAY_PIECES // (_RAY_WAVE * todo.size)))
-        spans = slice((j0 - block_start) // _RAY_WAVE,
-                      (j1 - block_start) // _RAY_WAVE)
-        # e^(-d q rho) at every node, in one (_RAY_WAVE x q x spans x 16)
-        # buffer: exponentials on the anchors a lane at a time, then
-        # squares along the spans for all q at once
-        vals = np.empty((_RAY_WAVE, todo.size, spans.stop - spans.start, 16),
-                        complex)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            drho = samples[int(at[a])][1]
-            np.multiply(q[todo[a:b], None, None], drho[spans],
-                        out=vals[0, a:b])
-        np.exp(vals[0], out=vals[0])
-        for prev, cur in zip(vals[:-1], vals[1:]):
-            np.square(prev, out=cur)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            f = samples[int(at[a])][0]
-            vals[:, a:b] *= f[:, None, spans]
-        pieces = vals.sum(axis=-1).transpose(1, 2, 0).reshape(todo.size, -1)
-        if j0 == block_start:
-            run_sums = np.cumsum(pieces, axis=1)
-        else:
-            run_sums = np.cumsum(np.concatenate((run[todo, None], pieces),
-                                                axis=1), axis=1)[:, 1:]
-        sums = total[todo, None] + run_sums
-        scale = np.maximum(np.abs(sums), 1e-300)
-        # length of the run of small panels ending at each panel
-        k = _RAY_K[:j1 - j0]
-        small = np.abs(pieces) < _RAY_TOL * scale
-        streak = k - np.maximum.accumulate(
-            np.where(small, -1 - stall[todo, None], k), axis=1)
-        stop = streak >= 3
-        done = stop.any(axis=1)
-        last = np.where(done, stop.argmax(axis=1), j1 - j0 - 1)
-        rows = np.arange(todo.size)
-        err[todo] = np.abs(pieces[rows, last]) + _RAY_TOL * scale[rows, last]
-        stall[todo] = streak[:, -1]
-        if j1 == block_end:
-            total[todo] = sums[rows, last]
-            n_block *= 2
-            block_start, block_end = j1, min(j1 + n_block, _RAY_PANELS)
-        else:
-            total[todo[done]] = sums[rows, last][done]
-            run[todo] = run_sums[:, -1]
-        j0 = j1
-        todo = todo[~done] if j0 < _RAY_PANELS else todo[:0]
+    todo = np.arange(q.size)
+    for block, (b0, b1) in enumerate(_RAY_BLOCKS):
+        nodes, weights, anchors = _ray_geometry(s0, depth, side, block)
+        # F on the block's panels, in spans (_RAY_WAVE x spans x 16)
+        f = (F(nodes) * weights).reshape(-1, _RAY_WAVE, 16).transpose(1, 0, 2)
+        j0 = b0
+        while j0 < b1 and todo.size:
+            j1 = min(b1, j0 + _RAY_WAVE * max(
+                1, _RAY_PIECES // (_RAY_WAVE * todo.size)))
+            spans = slice((j0 - b0) // _RAY_WAVE, (j1 - b0) // _RAY_WAVE)
+            # e^(-d q rho) at every node, in one (_RAY_WAVE x q x spans x
+            # 16) buffer: exponentials on the anchors, then squares along
+            # the spans
+            vals = np.empty((_RAY_WAVE, todo.size, spans.stop - spans.start,
+                             16), complex)
+            np.multiply(q[todo, None, None], anchors[spans], out=vals[0])
+            np.exp(vals[0], out=vals[0])
+            for prev, cur in zip(vals[:-1], vals[1:]):
+                np.square(prev, out=cur)
+            vals *= f[:, None, spans]
+            pieces = vals.sum(axis=-1).transpose(1, 2, 0).reshape(todo.size,
+                                                                   -1)
+            if j0 == b0:
+                run_sums = np.cumsum(pieces, axis=1)
+            else:
+                run_sums = np.cumsum(np.concatenate((run[todo, None], pieces),
+                                                    axis=1), axis=1)[:, 1:]
+            sums = total[todo, None] + run_sums
+            scale = np.maximum(np.abs(sums), 1e-300)
+            # length of the run of small panels ending at each panel
+            k = _RAY_K[:j1 - j0]
+            small = np.abs(pieces) < _RAY_TOL * scale
+            streak = k - np.maximum.accumulate(
+                np.where(small, -1 - stall[todo, None], k), axis=1)
+            stop = streak >= 3
+            done = stop.any(axis=1)
+            last = np.where(done, stop.argmax(axis=1), j1 - j0 - 1)
+            rows = np.arange(todo.size)
+            err[todo] = (np.abs(pieces[rows, last])
+                         + _RAY_TOL * scale[rows, last])
+            stall[todo] = streak[:, -1]
+            if j1 == b1:
+                total[todo] = sums[rows, last]
+            else:
+                total[todo[done]] = sums[rows, last][done]
+                run[todo] = run_sums[:, -1]
+            j0 = j1
+            todo = todo[~done]
+        if not todo.size:
+            break
     return total * pre, err * np.abs(pre)
 
 
@@ -689,12 +768,9 @@ def _line_assembly(ev, t, c, kind):
         (np.abs(coeffs[:, 9]) + np.abs(coeffs[:, 10])).sum() * 2 * _PANEL_HALF
     )
 
-    # the fit's column matrices: the model with the identity as amplitudes
-    model_a, *_ = np.linalg.lstsq(
-        _tail_model(kind, t, _FIT_EYE, c + _FIT_IV_PROBE), g[_FIT_PROBE],
-        rcond=None)
-    resid = (g[_FIT_CHECK]
-             - _tail_model(kind, t, _FIT_EYE, c + _FIT_IV_CHECK) @ model_a)
+    probe, check = _fit_columns(kind, t, c)
+    model_a, *_ = np.linalg.lstsq(probe, g[_FIT_PROBE], rcond=None)
+    resid = g[_FIT_CHECK] - check @ model_a
     fit_resid = float(np.abs(resid).max())
 
     coeffs.flags.writeable = model_a.flags.writeable = False

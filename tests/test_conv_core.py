@@ -4,9 +4,10 @@ closed form.
 ``fundsol._conv_core`` never builds the kernel row Gamma(z) t^(-z): it
 reads the row's DFT off the Mellin pair of Gamma as e^(a u - t e^u)
 (Poisson summation).  These tests hold its lines to the explicit trapezoid
-sum with the kernel rows of ``ufunc._gamma_t_kernel``, and pin what a new t
-on a seen line costs: no forward FFT, no loggamma or digamma, and one
-inverse FFT per line.
+sum with the kernel rows of ``ufunc._gamma_t_kernel``, hold the bins it
+skips where the kernel's spectrum underflows to the fold of every bin, bit
+for bit, and pin what a new t on a seen line costs: no forward FFT, no
+loggamma or digamma, and one inverse FFT per line.
 """
 
 import math
@@ -18,7 +19,7 @@ import scipy.special
 
 from wavekin import bfunc, complexfn, fundsol, ufunc
 from wavekin.bfunc import BEvaluator
-from wavekin.fundsol import _H_W, _K_HALF, _N_LAT, _NV
+from wavekin.fundsol import _H_W, _K_HALF, _N_FFT, _N_LAT, _NV
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +54,7 @@ def _trapezoid_rows(ev, t, c, kind):
             for r in rows]
 
 
-@pytest.mark.parametrize("t", [0.2, 1.0, 6.0])
+@pytest.mark.parametrize("t", [0.05, 0.2, 1.0, 6.0])
 @pytest.mark.parametrize("kind", ["u", "q2", "du"])
 def test_closed_form_spectrum_matches_the_trapezoid_sum(ev, kind, t):
     c = fundsol._C_DIRECT
@@ -66,6 +67,34 @@ def test_closed_form_spectrum_matches_the_trapezoid_sum(ev, kind, t):
     for row, ref in zip(got, exact):
         assert row.shape == (_NV,)
         assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _all_bins(spectrum, a, t, du):
+    # the kernel's spectrum on every bin, and the fold that adds bins i
+    # and i + _N_FFT/2 of _U's order
+    g = np.exp(a * fundsol._U - t * fundsol._EXP_U)
+    if du:
+        g = np.stack([g, -fundsol._U * g])
+    prod = spectrum * g
+    folded = prod[..., _N_FFT // 2:] + prod[..., :_N_FFT // 2]
+    return scipy.fft.ifft(folded)[..., :_NV]
+
+
+@pytest.mark.parametrize("t", [0.05, 0.2, 1.0, 6.0, 40.0])
+@pytest.mark.parametrize("kind", ["u", "q2", "du"])
+def test_skipped_bins_change_no_bit(ev, kind, t):
+    # the bins that _conv_core skips underflow, so its line is the fold of
+    # every bin bit for bit, both rows of du included
+    beta, a = _aux_line(fundsol._C_DIRECT, kind)
+    spectrum = fundsol._inv_b_spectrum(ev, beta)
+    skip = fundsol._underflow_bins(a, t)
+    assert 3600 <= skip <= _N_FFT // 2
+    u = fundsol._U[:skip]
+    assert (a * u - t * fundsol._EXP_U[:skip]).max() <= -745.2
+    got = fundsol._conv_core(spectrum, a, t, du=kind == "du")
+    ref = _all_bins(spectrum, a, t, kind == "du")
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_a_new_t_costs_one_inverse_fft(ev, monkeypatch):

@@ -141,14 +141,30 @@ _Q = np.array([-30.0, -2.0, -0.3, -1e-9, -4e-18, 4e-18, 1e-9, 0.3, 2.0,
     ("q2", 3.0, 1.0, True),
 ])
 def test_array_call_equals_scalar_calls(ev, kind, t, c, with_zero):
-    # q = 0 is left out where the route refuses it: u for t <= 1/2, and du
-    q = np.sort(np.append(_Q, 0.0)) if with_zero else _Q
+    # q = 0 is left out where the route refuses it: u for t <= 1/2, and du.
+    # Next to the depth edge |q| len0 = _RAY_REACH and at |q| = 15 and 25
+    # the q reach depths 1, 2 and 3, so the batch holds every lane
+    s0 = c + 1j * fundsol._V_CUT
+    edge = fundsol._RAY_REACH / fundsol._ray_len0(s0)
+    more = np.array([edge * (1.0 - 1e-9), edge * (1.0 + 1e-9), 15.0, 25.0])
+    q = np.concatenate((_Q, more, -more))
+    q = np.sort(np.append(q, 0.0)) if with_zero else np.sort(q)
+    depth = np.maximum(np.frexp(q * (fundsol._ray_len0(s0)
+                                     / fundsol._RAY_REACH))[1], 0)
+    assert {(k, np.sign(x)) for k, x in zip(depth, q) if x} == {
+        (k, side) for k in range(4) for side in (-1.0, 1.0)}
     line = _line_assembly(ev, t, c, kind)
     vals, errs = line(q)
     assert vals.shape == errs.shape == q.shape
     scalar = [line(x) for x in q]
     assert np.array_equal(vals, [v for v, _ in scalar])
     assert np.array_equal(errs, [e for _, e in scalar])
+    # the lanes' panel geometry is kept read-only
+    for side in (-1, 0, 1):
+        for arr in fundsol._ray_geometry(s0, 0, side, 0):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 11, 37])
@@ -286,25 +302,46 @@ def test_tail_model_is_the_fit_columns_summed(ev, kind, c, t):
 
 
 def test_a_query_evaluates_no_fit_column(ev, monkeypatch):
-    # the fit passes the 2-D identity to read the columns; a query passes
-    # only the line's 1-D amplitudes
-    amplitudes = []
-    real_model = fundsol._tail_model
+    # an assembly reads the fit's column matrices once, off the kept
+    # ladders; a query reads none and passes the tail model only the
+    # line's 1-D amplitudes
+    columns, amplitudes = [], []
+    real_columns, real_model = fundsol._fit_columns, fundsol._tail_model
 
-    def spy(kind, t, a, s):
+    def spy_columns(kind, t, c):
+        columns.append((kind, t, c))
+        return real_columns(kind, t, c)
+
+    def spy_model(kind, t, a, s):
         amplitudes.append(np.ndim(a))
         return real_model(kind, t, a, s)
 
-    monkeypatch.setattr(fundsol, "_tail_model", spy)
+    monkeypatch.setattr(fundsol, "_fit_columns", spy_columns)
+    monkeypatch.setattr(fundsol, "_tail_model", spy_model)
     q = np.linspace(-6.0, 6.0, 30)
     for kind, c in _KINDS:
         line = _line_assembly(ev, 1.37, c, kind)    # a t no other test uses
-        assert set(amplitudes) == {2}               # the fit's columns
-        amplitudes.clear()
+        assert columns == [(kind, 1.37, c)] and amplitudes == []
+        columns.clear()
         line(q)
         line(0.4)
-        assert set(amplitudes) == {1}
+        assert columns == [] and set(amplitudes) == {1}
         amplitudes.clear()
+
+
+@pytest.mark.parametrize("t", [0.3, 1.37, 4.0])
+@pytest.mark.parametrize("kind, c", _KINDS)
+def test_kept_ladder_columns_are_the_tail_model(kind, c, t):
+    # the fit's columns at t from the ladders kept per (kind, c) are the
+    # tail model with the identity as amplitudes, bit for bit
+    eye = np.eye(fundsol._MODEL_K)
+    got = fundsol._fit_columns(kind, t, c)
+    for cols, iv in zip(got, (fundsol._FIT_IV_PROBE, fundsol._FIT_IV_CHECK)):
+        ref = fundsol._tail_model(kind, t, eye, c + iv)
+        assert cols.shape == ref.shape == (iv.size, fundsol._MODEL_K)
+        assert cols.tobytes() == ref.tobytes()
+    for kept in fundsol._fit_ladders(kind, c):
+        assert not kept.flags.writeable
 
 
 def _quad_ray(F, s0, q, c):
