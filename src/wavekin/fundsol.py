@@ -372,9 +372,12 @@ def _inv_b_spectrum(ev, beta):
 def _underflow_bins(a, t):
     """The number of leading bins of _U at which e^(a u - t e^u) is exactly
     0 for a > 0: those with u >= log((_UNDERFLOW + a pi/_H_W)/t), where
-    t e^u - a u >= _UNDERFLOW."""
-    return int(np.searchsorted(
-        _NEG_U, -math.log((_UNDERFLOW + a * _U[0]) / t), side="right"))
+    t e^u - a u >= _UNDERFLOW, but at most _N_FFT/2.  Past t = _UNDERFLOW +
+    a pi/_H_W that cut lies below u = 0 and would reach into the lower half
+    of the fold; the bins of the lower half past it underflow too and are
+    computed."""
+    return min(_N_FFT // 2, int(np.searchsorted(
+        _NEG_U, -math.log((_UNDERFLOW + a * _U[0]) / t), side="right")))
 
 
 def _conv_core(spectrum, a, t, du=False):
@@ -409,9 +412,10 @@ def _conv_core(spectrum, a, t, du=False):
     For u > 0 the spectrum falls like e^(-t e^u): with a > 0, every bin
     past u = log((_UNDERFLOW + a pi/_H_W)/t) has an exponent below
     -_UNDERFLOW, and G there is exactly 0.  Those bins lead in the order of
-    _U (3,646-3,875 of the 8,192 for t in [0.05, 6]); they are skipped, and
-    the rest of the upper half is added onto the last bins of the lower
-    half, which adds only what the whole fold adds.  A new t costs one real
+    _U (3,646-3,875 of the 8,192 for t in [0.05, 6]); they are skipped, at
+    most the upper half of the fold (``_underflow_bins``), and the rest of
+    the upper half is added onto the last bins of the lower half, which
+    adds only what the whole fold adds.  A new t costs one real
     exponential of the other bins, one product and that FFT.
 
     With du, the line of the kernel (log t - psi(a + i eta)) K(eta) of

@@ -80,11 +80,13 @@ def _all_bins(spectrum, a, t, du):
     return scipy.fft.ifft(folded)[..., :_NV]
 
 
-@pytest.mark.parametrize("t", [0.05, 0.2, 1.0, 6.0, 40.0])
+@pytest.mark.parametrize("t", [0.05, 0.2, 1.0, 6.0, 40.0, 1000.0])
 @pytest.mark.parametrize("kind", ["u", "q2", "du"])
 def test_skipped_bins_change_no_bit(ev, kind, t):
     # the bins that _conv_core skips underflow, so its line is the fold of
-    # every bin bit for bit, both rows of du included
+    # every bin bit for bit, both rows of du included; at t = 1000 the
+    # underflow reaches below u = 0 for both offsets, and the cut stops at
+    # the upper half of the fold
     beta, a = _aux_line(fundsol._C_DIRECT, kind)
     spectrum = fundsol._inv_b_spectrum(ev, beta)
     skip = fundsol._underflow_bins(a, t)

@@ -119,7 +119,7 @@ def test_direct_agrees_with_large_t_asymptotic(ev):
 
 @pytest.mark.parametrize("t, x", [(1.5, 0.5), (1.5, 4.0), (3.0, 0.3),
                                   (3.0, 8.0), (5.0, 2.0), (5.0, 12.0),
-                                  (2.0, 1.0)])
+                                  (2.0, 1.0), (1000.0, 3.0)])
 def test_direct_agrees_with_large_t_asymptotic_within_errors(ev, t, x):
     val, err = _lam(t, x, "direct", ev)
     ref, ref_err = _lam(t, x, "large_t_asymptotic", ev)
