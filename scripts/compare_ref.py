@@ -27,16 +27,23 @@ prints:
 - per ``eval_U_line`` line of ``U_LINES`` (Re s, t), 121 points on
   Im s in [-60, 60]: the largest |value difference| between the trees
   over their summed errors, the share of points where it exceeds 1, and
-  whether the two trees' values are bit-identical.
+  whether the two trees' values are bit-identical;
+- ``eval_dU_ds`` on the (t, s) grid ``DU_POINTS``, t down to 1e-6: the
+  relative gap between the trees, and each tree's relative distance to a
+  fourth-order central difference (step 0.01 in Re s) of eval_U_small_t,
+  or of eval_U at t >= 1;
+- ``eval_B_prime`` at the points ``B_PRIME_POINTS``: each tree's relative
+  distance to a Cauchy derivative circle of radius 0.05 on eval_B_many.
 
-With ``--time`` it then times, interleaved between the two trees round by
-round, a one-q query at a new t (line assembly included), one
+With ``--time`` it then times, interleaved between the two trees round
+by round, a one-q query at a new t (line assembly included), one
 ``large_t_asymptotic`` point at a new t (a "q2" assembly, Q1 and one
-query), a warm 256-point ``radial_profile``, a warm ``l1_norm_lambda`` and
-a warm ``delta_pairing`` of that bump at t = 1.5, and prints per case the
-median and quartiles of the per-round ratio working tree / REF (below 1
-is faster).  BLAS runs one thread.  Only the standard library and numpy
-are used; no test runs this script.
+query), one ``eval_dU_ds`` at a new Im s (B's point cache cold, its line
+blocks warm), a warm 256-point ``radial_profile``, a warm
+``l1_norm_lambda`` and a warm ``delta_pairing`` of that bump at t = 1.5,
+and prints per case the median and quartiles of the per-round ratio
+working tree / REF (below 1 is faster).  BLAS runs one thread.  Only the
+standard library and numpy are used; no test runs this script.
 """
 
 import argparse
@@ -59,8 +66,8 @@ LINES = [(kind, c, t) for kind, c in (("u", 1.0), ("du", 1.0), ("q2", 1.0),
 L1_TS = (0.7, 1.0, 1.5)
 #: (t, lo, hi) of the compared pairings: bumps whose support holds x = 1
 PAIRINGS = ((0.7, 0.5, 2.0), (1.5, 0.5, 2.0))
-TIME_CASES = ("one_q_new_t", "large_t_new_t", "radial_256", "l1_norm",
-              "pairing")
+TIME_CASES = ("one_q_new_t", "large_t_new_t", "dU_new_s", "radial_256",
+              "l1_norm", "pairing")
 #: (t, s) of the symbol workload's cross pairs
 SYMBOL_PAIRS = ((0.5, 1.0 + 5.0j), (0.8, 0.6 + 20.0j))
 #: (abscissa, Im s from, to) of the compared B lines
@@ -69,6 +76,12 @@ B_LINES = ((0.3, -6.0, 4.0), (1.0, -2.0, 20.0), (1.3, -7.0, 47.0),
 #: (Re s, t) of the compared eval_U_line lines
 U_LINES = [(re, t) for re in (0.6, 1.0, 1.3, 1.81, 1.9)
            for t in (0.3, 1.0, 3.0)]
+#: (t, s) of the compared eval_dU_ds values
+DU_POINTS = [(t, s) for t in (1e-6, 1e-4, 0.01, 0.2, 0.9, 2.5)
+             for s in (0.5 + 10.0j, 1.2 + 3.0j, 1.7 + 50.0j)]
+#: points of the compared eval_B_prime values: walks of -4 to 6 steps
+B_PRIME_POINTS = [complex(re, im) for re in (-2.6, -0.7, 0.6, 1.2, 2.3, 7.3)
+                  for im in (0.5, -40.0)]
 
 # The worker reads one JSON request per line on stdin and answers one JSON
 # line on stdout.  argv[1] is the src directory to import from.
@@ -78,12 +91,14 @@ import numpy as np
 sys.path.insert(0, sys.argv[1])
 from wavekin import fundsol, ufunc
 from wavekin.bfunc import BEvaluator
+from wavekin.contour import integrate_circle
 
 ev = BEvaluator()
 Q = np.concatenate(([0.0], -np.logspace(-16, 1.6, 48),
                     np.logspace(-16, 1.6, 48)))
 new_t = [0.7]
 large_t = [3.0]
+du_im = [12.0]
 
 
 def with_points(fn, *args):
@@ -146,6 +161,27 @@ def symbol(req):
     return {"ratios": ratios, "lines": lines, "u_lines": u_lines}
 
 
+def derivative(req):
+    fresh = BEvaluator()
+    du = []
+    for t, (re, im) in req["du"]:
+        s = complex(re, im)
+        d = ufunc.eval_dU_ds(t, s, evaluator=fresh)
+        route = ufunc.eval_U_small_t if t < 1.0 else ufunc.eval_U
+        u = {k: route(t, s + 0.01 * k, evaluator=fresh).value
+             for k in (-2, -1, 1, 2)}
+        fd = (8.0 * (u[1] - u[-1]) - (u[2] - u[-2])) / 0.12
+        du.append([d.real, d.imag, abs(d - fd) / abs(fd)])
+    b_prime = []
+    for re, im in req["b_prime"]:
+        s = complex(re, im)
+        circle = integrate_circle(
+            lambda z: fresh.eval_B_many(z) / (z - s) ** 2, s, 0.05,
+            n_min=32).value
+        b_prime.append(abs(fresh.eval_B_prime(s) - circle) / abs(circle))
+    return {"du": du, "b_prime": b_prime}
+
+
 def run(case):
     if case == "one_q_new_t":
         new_t[0] += 1e-6
@@ -155,6 +191,9 @@ def run(case):
         large_t[0] += 1e-6
         fundsol.eval_lambda_with_error(
             fundsol.LambdaQuery(large_t[0], 2.0, "large_t_asymptotic"), ev)
+    elif case == "dU_new_s":
+        du_im[0] += 1e-3
+        ufunc.eval_dU_ds(0.7, complex(1.0, du_im[0]), evaluator=ev)
     elif case == "radial_256":
         fundsol.radial_profile(1.0, 1e-3, 1e3, 256, evaluator=ev)
     elif case == "pairing":
@@ -176,7 +215,8 @@ def timing(req):
 
 for line in sys.stdin:
     req = json.loads(line)
-    ans = {"values": values, "symbol": symbol, "time": timing}[req["op"]](req)
+    ans = {"values": values, "symbol": symbol, "derivative": derivative,
+           "time": timing}[req["op"]](req)
     print(json.dumps(ans), flush=True)
 '''
 
@@ -264,10 +304,28 @@ def compare_symbol(ref, work):
               f"{share:>11.3f}{str(same):>11}")
 
 
+def compare_derivative(ref, work):
+    req = {"op": "derivative",
+           "du": [(t, (s.real, s.imag)) for t, s in DU_POINTS],
+           "b_prime": [(s.real, s.imag) for s in B_PRIME_POINTS]}
+    a, b = ref.ask(**req), work.ask(**req)
+    print(f"\n{'eval_dU_ds':<28}{'|dU|':>10}{'tree gap':>10}"
+          f"{'ref ~ diff':>12}{'work ~ diff':>12}   (relative)")
+    for (t, s), (ra, ia, da), (rb, ib, db) in zip(DU_POINTS, a["du"],
+                                                  b["du"]):
+        x, y = complex(ra, ia), complex(rb, ib)
+        print(f"{f't = {t:g}, s = {s}':<28}{abs(x):>10.3g}"
+              f"{abs(x - y) / abs(x):>10.2g}{da:>12.2g}{db:>12.2g}")
+    print(f"{'eval_B_prime ~ circle, relative':<40}{'ref':>10}{'work':>10}")
+    for s, x, y in zip(B_PRIME_POINTS, a["b_prime"], b["b_prime"]):
+        print(f"{f's = {s}':<40}{x:>10.2g}{y:>10.2g}")
+
+
 def compare_times(ref, work, rounds):
     print(f"\n{'case':<14}{'median':>9}{'q1':>9}{'q3':>9}   "
           f"(work / ref, {rounds} interleaved rounds)")
-    reps = {"one_q_new_t": 20, "large_t_new_t": 20, "radial_256": 5,
+    reps = {"one_q_new_t": 20, "large_t_new_t": 20, "dU_new_s": 20,
+            "radial_256": 5,
             "l1_norm": 1, "pairing": 3}
     for case in TIME_CASES:
         ratios = []
@@ -293,6 +351,7 @@ def main():
             trees.append(Tree(ROOT / "src"))
             compare_values(*trees)
             compare_symbol(*trees)
+            compare_derivative(*trees)
             if args.time:
                 compare_times(*trees, args.rounds)
         finally:

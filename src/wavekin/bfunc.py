@@ -80,6 +80,14 @@ Two bookkeeping subtleties, both measured and pinned by tests:
   tests hold the ladder to.  Left of the W table's last pole (-22) the
   guards know none of B's poles, and a collision raises PoleError.
 
+B' is B times the log-derivative L = B'/B (``BEvaluator._log_derivative``).
+The walk adds W'/W for each of its factors.  At the base, the strip
+exponent's s-derivative is one more window sum on the same lattice, against
+d/ds k_plus = 2 i pi k_plus (k_plus - 1), which has no step and so no
+plateau.  A Cauchy derivative circle serves only where the walk collides,
+as the circle average serves B there; the strip kernel differentiated on
+Gauss panels (``eval_B_prime_strip``) and a circle are the tests' oracles.
+
 The poles and zeros of B on the real axis follow from the ladder, as the
 W-poles and W-zeros its walk crosses.  Poles: 0 and -1, the integers m >= 9
 (of order floor((m - 1)/4) - 1: simple at 9..12, double at 13..16), and the
@@ -583,7 +591,10 @@ class BEvaluator:
     Re s < 1.05 and _UPPER_BETA = 0.8 above, so every point keeps a margin
     of at least 1/4 from the kernel poles; the centered counterterm makes
     the value independent of that choice once the upper line is spliced
-    onto the lower one (``_gauge_offset``).
+    onto the lower one (``_gauge_offset``).  B and B' are the strip rule
+    walked by the functional equation; a Cauchy circle serves only where
+    a walk collides with a zero or pole of W (``_cauchy_fallback``,
+    ``eval_B_prime``).
 
     The evaluator owns all of its caches, which are freed with it: one
     strip lattice per (line, step), the point cache ``cache``, keyed on
@@ -1028,9 +1039,65 @@ class BEvaluator:
         r = integrate_circle(self.eval_B_many, complex(sigma), 0.3, n_min=32)
         return complex(r.value)
 
-    def eval_B_prime(self, s):
-        """B'(s) by a Cauchy derivative circle of radius 0.05 or less."""
+    def _log_derivative(self, s):
+        """B'(s)/B(s) by the strip rule's derivative kernel and the walk,
+        or None where the walk collides with a zero or pole of W.
+
+        s walks to b = s - k in the walk window, as in eval_B, so
+        log B(s) = log B(b) + sum_j log(-W(b + j)) over 0 <= j < k (less
+        the factors k <= j < 0 when k < 0), and the walk adds
+        +-sum_j W'(b + j)/W(b + j).  d/ds k_plus = 2 i pi k_plus (k_plus
+        - 1), so the strip exponent's derivative at b is
+        -2 pi int log(-W(beta + i w)) k_plus (k_plus - 1) dw: it has no
+        plateau, and k_plus (k_plus - 1) = g_plus (g_plus -+ 1), +1 on the
+        step side x <= 0 and -1 beyond, decays like g_plus.  So it is one
+        window of taps within _MARGIN of Im b on the strip lattice
+        (``_rule_samples``), against ``_lattice_kernel``'s row, checked
+        against the 2h rule as ``_strip_batch`` checks B, with h halving
+        at most _MAX_REFINEMENTS times while they differ by more than
+        _REL_TOL * max(|L|, 1).
+        """
         s = complex(s)
+        k = math.floor(s.real - _WALK_LO)
+        b = s - k
+        walk = 0.0
+        if k:
+            x = b + np.arange(min(k, 0), max(k, 0))
+            bad, w = self._w_collision(x)
+            if bad.any():
+                return None
+            walk = np.sum(eval_W_prime(x) / w) * (1 if k > 0 else -1)
+        beta = _beta_for(b.real)
+        q = np.exp(2j * np.pi * (b.real - beta))
+        h = _STEP
+        for _ in range(_MAX_REFINEMENTS + 1):
+            m_half = math.ceil(_MARGIN / h)
+            p = np.longdouble(b.imag) / h - 0.5
+            j0 = math.floor(p)
+            g = _lattice_kernel(float(p - j0), q, h)
+            kern = g * (g + np.where(np.arange(g.size) <= m_half, 1.0, -1.0))
+            j_lo, a, _, _ = self._rule_samples(
+                beta, min(0.0, b.imag) - _MARGIN, max(0.0, b.imag) + _MARGIN,
+                h)
+            fine, coarse = -2.0 * np.pi * (
+                a[:, j0 - m_half - j_lo:j0 + m_half + 1 - j_lo] @ kern)
+            if abs(fine - coarse) <= _REL_TOL * max(abs(fine), 1.0):
+                return complex(fine + walk)
+            h /= 2.0
+        raise ConvergenceError(f"B' strip rule stalled at lattice step {h}")
+
+    def eval_B_prime(self, s):
+        """B'(s) = B(s) * ``_log_derivative``(s).
+
+        Where the walk collides with a zero or pole of W (as at the zeros
+        3 and 4 of B, where B'/B is infinite), B' is a Cauchy derivative
+        circle of radius 0.05 or less instead, as B there is the circle
+        average of ``_cauchy_fallback``.
+        """
+        s = complex(s)
+        log_d = self._log_derivative(s)
+        if log_d is not None:
+            return log_d * self.eval_B(s)
         d_min = _pole_distance(s)
         radius = min(0.05, 0.5 * d_min)
         if not radius >= 1e-3:
@@ -1041,10 +1108,10 @@ class BEvaluator:
         return complex(r.value)
 
     def eval_B_prime_strip(self, s):
-        """B'(s) by differentiating the strip kernel (independent route).
+        """B'(s) by differentiating the strip kernel on Gauss panels.
 
-        Valid only in the walk window Re s in [0.55, 1.55); used to
-        cross-check the circle derivative.
+        Valid only in the walk window Re s in [0.55, 1.55); an independent
+        route that the tests hold eval_B_prime to.
         """
         s = complex(s)
         if not _WALK_LO <= s.real < _WALK_LO + 1.0:

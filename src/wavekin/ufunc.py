@@ -40,25 +40,31 @@ U does not depend on the line, and B lines are kept per abscissa, so ops
 at nearby Re s read the same blocks of B.  A grid point must keep at least
 _GRID_KEEP of the default's distance to the poles that bound its
 interval; where none does the default stays.  At Re s > 1 ``eval_U_line``
-moves its line across the Gamma pole at sigma = s instead, to the grid
-point near Re s - 1/2 in (Re s - 1, Re s), wherever that line is farther
-from its nearer pole (sigma = s or s - 1) than ``_default_beta``'s line
-is from sigma = s; crossing the pole adds its residue 1/B(s) to the
-integral, so U = (1 + B(s) I)/sqrt(2 pi).  Every default abscissa of
-``eval_U_line`` is on the grid.
+and ``eval_dU_ds`` move their line across the Gamma pole at sigma = s
+instead (``_lattice_line``), to the grid point near Re s - 1/2 in
+(Re s - 1, Re s), wherever that line is farther from its nearer pole
+(sigma = s or s - 1) than ``_default_beta``'s line is from sigma = s;
+crossing the pole adds its residue 1/B(s) to the integral, so
+U = (1 + B(s) I)/sqrt(2 pi).  To the integral with the kernel
+[log t - psi(sigma - s)] of dU/ds it adds -B'(s)/B(s)^2 (a double pole
+times 1/B), and in dU/ds = (B'(s) I + B(s) I')/sqrt(2 pi) the two
+residues cancel.  Every default abscissa of ``eval_U_line`` and
+``eval_dU_ds`` is on the grid.
 
 Sigma-lattice rule
 ------------------
 Both integrals have the form (1/2 pi) int K(w - Im s) / B(beta + i w) dw
-with a kernel K that depends on sigma - s only.  ``eval_U_line`` and
-``eval_V`` evaluate them by one trapezoid rule on a uniform lattice in w
-(``_lattice_rule``): 1/B is sampled once from the evaluator's line
-interpolant, so one lattice serves every s of a line and every z.  When
+with a kernel K that depends on sigma - s only.  ``eval_U_line``,
+``eval_dU_ds`` and ``eval_V`` evaluate them by one trapezoid rule on a
+uniform lattice in w (``_lattice_rule``): 1/B is sampled once from the
+evaluator's line interpolant, so one lattice serves every s of a line,
+every z, and both of dU/ds's integrals, one kernel row each.  When
 the Im s of a line are lattice nodes m steps apart, the samples are
 correlated with the kernel by one FFT (``bfunc._fft_correlate``, a
 scipy.fft correlation), which computes every m-th shift alone: the
-outputs at the Im s; otherwise (one s, many z, or a line denser than the
-lattice) each output is one row of a kernel matrix times the samples.
+outputs at the Im s; otherwise (one s, many z or kernels, or a line denser
+than the lattice) each output is one row of a kernel matrix times the
+samples.
 The rule converges
 geometrically in the strip of analyticity about the line, with error about
 e^(-2 pi d/h) for a pole at distance d (Trefethen & Weideman, SIAM Rev. 56,
@@ -73,7 +79,7 @@ or the rounding floor 10 eps (h/2 pi) sum |terms|.  The tolerance is
 relative to the integral plus the residue of a crossed pole, so it
 applies to U itself, not to the shifted integral.  The reported error
 is the h-vs-2h difference plus the truncation tail plus that floor.
-``eval_U``, ``eval_U_small_t`` and ``eval_dU_ds`` keep the adaptive
+Only ``eval_U`` and ``eval_U_small_t`` keep the adaptive
 ``integrate_vertical``, through one line integral
 (``_gamma_line_integral``): they are the independent oracles of the
 lattice rule.
@@ -208,6 +214,24 @@ def _default_beta(s):
                     (s.real, 2.0))
 
 
+def _lattice_line(s):
+    """(beta, crossed): the default line of ``eval_U_line`` and
+    ``eval_dU_ds``.
+
+    ``_default_beta``'s line, d = beta - Re s from the Gamma pole at
+    sigma = s; or at Re s > 1 the left line of the module docstring, on
+    the 0.1 grid in (Re s - 1, Re s) with d = min(Re s - beta',
+    beta' - Re s + 1), wherever that d is the larger (crossed).
+    """
+    beta = _default_beta(s)
+    if s.real > 1.0:
+        left = _on_grid(s.real - 0.5, s.real - 1.0, s.real,
+                        (s.real - 1.0, s.real))
+        if min(s.real - left, left - s.real + 1.0) > beta - s.real:
+            return left, True
+    return beta, False
+
+
 def _gamma_t_kernel(a, t, eta):
     """Gamma(a + i eta) * t^(-(a + i eta)) evaluated stably."""
     z = a + 1j * eta
@@ -314,11 +338,9 @@ def _lattice_rule(ev, beta, y, kernel, n_rows, d, reach, rel_tol, abs_tol,
         f"sigma-lattice rule on Re sigma = {beta} stalled at step {h}")
 
 
-def _gamma_line_integral(t, s, beta, evaluator, b_abs, d_ds=False):
+def _gamma_line_integral(t, s, beta, evaluator, b_abs):
     """(1/2 i pi) * int_{Re sigma = beta} t^(-(sigma-s)) Gamma(sigma-s)/B(sigma).
 
-    With d_ds the integrand also carries the kernel [log t - psi(sigma - s)],
-    the s-derivative of log(t^(-(sigma-s)) Gamma(sigma-s)).
     Returns (value, err).  The power and the Gamma factor are combined in
     a single exponent so neither overflows on its own.  b_abs (=|B(s)|)
     sets the honest absolute tolerance: the final symbol value carries a
@@ -333,10 +355,7 @@ def _gamma_line_integral(t, s, beta, evaluator, b_abs, d_ds=False):
 
     def f(sigma):
         a = sigma - s
-        g = np.exp(log_gamma(a) - a * log_t)
-        if d_ds:
-            g = g * (log_t - digamma(a))
-        return g / b_line(sigma)
+        return np.exp(log_gamma(a) - a * log_t) / b_line(sigma)
 
     spec = ContourSpec(
         abscissa=beta,
@@ -440,25 +459,55 @@ def eval_U_small_t(t, s, beta_prime=None, evaluator=None):
 def eval_dU_ds(t, s, *, evaluator=None):
     """d/ds U(t, s), differentiating under the integral sign.
 
-    The s-dependence sits in three factors: the prefactor B(s) (handled
-    with a Cauchy derivative circle), the power t^(s) and Gamma(sigma-s),
-    whose derivatives are closed forms and combine into the kernel
-    [log t - psi(sigma - s)].  Both integrals sit on eval_U's default
-    line.  Returns the derivative value; at t = 0 the symbol is constant
-    in s, so the derivative is exactly 0.
+    The s-dependence sits in three factors: the prefactor B(s), the power
+    t^(s) and Gamma(sigma-s).  The last two combine into the kernel
+    [log t - psi(sigma - s)], so with I the line integral of ``eval_U``
+    and I' the same integral with that kernel,
+
+        dU/ds = B(s)/sqrt(2 pi) * (L(s) I + I'),   L = B'/B.
+
+    I and I' are the two kernel rows of one sigma-lattice rule
+    (``_lattice_rule``) on the line of ``eval_U_line`` (``_lattice_line``):
+    ``_default_beta``'s, or at Re s > 1 the left line past the Gamma pole
+    at sigma = s, whose residues 1/B(s) and -B'(s)/B(s)^2 the tolerance
+    counts and dU/ds cancels (module docstring).  One lattice and one
+    read of 1/B serve both rows, to the oracle tolerances _ORACLE_TOL
+    relative and _ORACLE_TOL/|B(s)| absolute.  L comes from the strip
+    rule's derivative kernel and the walk (``BEvaluator._log_derivative``);
+    where the walk collides with a zero or pole of W, B' is the Cauchy
+    circle of ``BEvaluator.eval_B_prime``.  As t -> 0, dU/ds is O(t) while
+    B' I and B I' are not, so they cancel: at t = 1e-6 and below the
+    result keeps only a few digits.  Returns the derivative value; at
+    t = 0 the symbol is constant in s, so the derivative is exactly 0.
     """
     s = _validate_s(s)
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 0.0 + 0.0j
-    beta = _default_beta(s)
+    beta, crossed = _lattice_line(s)
     ev = evaluator if evaluator is not None else default_evaluator()
     b_s = ev.eval_B(s)
-    b_prime = ev.eval_B_prime(s)
-    base, _ = _gamma_line_integral(t, s, beta, ev, abs(b_s))
-    inner, _ = _gamma_line_integral(t, s, beta, ev, abs(b_s), d_ds=True)
-    return b_prime / SQRT_2PI * base + b_s / SQRT_2PI * inner
+    log_d = ev._log_derivative(s)
+    b_prime = ev.eval_B_prime(s) if log_d is None else log_d * b_s
+    a = beta - s.real
+    log_t = math.log(t)
+
+    def kernel(eta, r):
+        g = _gamma_t_kernel(a, t, eta)
+        return np.where(r[:, None] == 1,
+                        g * (log_t - digamma(a + 1j * eta)), g)
+
+    # the residues of the crossed pole, per kernel row
+    residue = (np.array([[1.0 / b_s], [-b_prime / b_s ** 2]]) if crossed
+               else 0.0)
+    raw, _ = _lattice_rule(
+        ev, beta, np.array([s.imag]), kernel, 2, d=min(abs(a), a + 1.0),
+        reach=_HALF_HEIGHT, rel_tol=_ORACLE_TOL,
+        abs_tol=_ORACLE_TOL / max(abs(b_s), 1e-300), tail_rate=_TAIL_RATE,
+        residue=residue)
+    base, inner = raw[:, 0]
+    return complex(b_prime * base + b_s * inner) / SQRT_2PI
 
 
 def eval_V(z, s, beta=None, evaluator=None, rel_tol=1e-10):
@@ -590,12 +639,12 @@ def eval_U_line(t, s_values, beta=None, evaluator=None):
     most 1e-12 * max(1, |Im s range|).  A caller's beta lies in (Re s, 2),
     d = beta - Re s from the Gamma pole at sigma = s.  Without one, the
     line is ``_default_beta``'s, or at Re s > 1 the left line beta' of the
-    module docstring, on the 0.1 grid in (Re s - 1, Re s) with
-    d = min(Re s - beta', beta' - Re s + 1), about 1/2, wherever that d is
-    the larger; the crossed pole adds 1/B(s) to the integral I, and
-    U = (1 + B(s) I)/sqrt(2 pi).  The integral is the sigma-lattice
-    trapezoid rule of the module docstring, with h starting below
-    pi d / 40.  When Delta >= 2 pi d / 40 the step is h = Delta/m, m
+    module docstring (``_lattice_line``), on the 0.1 grid in
+    (Re s - 1, Re s) with d = min(Re s - beta', beta' - Re s + 1), about
+    1/2, wherever that d is the larger; the crossed pole adds 1/B(s) to
+    the integral I, and U = (1 + B(s) I)/sqrt(2 pi).  The integral is the
+    sigma-lattice trapezoid rule of the module docstring, with h starting
+    below pi d / 40.  When Delta >= 2 pi d / 40 the step is h = Delta/m, m
     even, so every Im s is a lattice node and one FFT correlation of 1/B
     against the Gamma kernel gives the whole line; a denser line (or a
     single s) takes one kernel row per s on a lattice of step pi d / 40
@@ -617,14 +666,7 @@ def eval_U_line(t, s_values, beta=None, evaluator=None):
         raise ValueError(f"the batched route needs t > 0, got {t}")
     crossed = False
     if beta is None:
-        beta = _default_beta(s0)
-        if s0.real > 1.0:
-            left = _on_grid(s0.real - 0.5, s0.real - 1.0, s0.real,
-                            (s0.real - 1.0, s0.real))
-            crossed = (min(s0.real - left, left - s0.real + 1.0)
-                       > beta - s0.real)
-            if crossed:
-                beta = left
+        beta, crossed = _lattice_line(s0)
     elif not s0.real < beta < 2.0:
         raise ValueError(f"beta must lie in (Re s, 2), got {beta}")
     im = s_values.imag

@@ -364,12 +364,15 @@ def test_line_interpolator_refuses_what_it_does_not_cover(ev, call):
 
 def test_a_rule_that_never_meets_its_2h_rule_raises(monkeypatch):
     # with no tolerance no node's h rule meets its 2h rule: a line block
-    # raises at once, and a scattered point after its last halving of h
+    # raises at once, and a scattered point, or B' there, after its last
+    # halving of h
     monkeypatch.setattr(bfunc, "_REL_TOL", 0.0)
     with pytest.raises(ConvergenceError, match="line rule"):
         BEvaluator().line_interpolator(1.0, 0.0, 6.0)
     with pytest.raises(ConvergenceError, match="stalled"):
         BEvaluator().eval_B(1.0 + 3.0j)
+    with pytest.raises(ConvergenceError, match="B' strip rule stalled"):
+        BEvaluator()._log_derivative(1.0 + 3.0j)
 
 
 @pytest.mark.parametrize("arg, match", [
@@ -610,12 +613,54 @@ def test_g_plus_takes_each_branch_bit_for_bit(q_shape, x_shape):
     assert np.array_equal(got.view(np.int64), both.view(np.int64))
 
 
+def circle_B_prime(ev, s, radius=0.05):
+    """B'(s) by a Cauchy derivative circle on eval_B_many: an oracle that
+    shares neither the strip derivative nor the walk's W'/W with the
+    library's B'."""
+    return complex(integrate_circle(
+        lambda z: ev.eval_B_many(z) / (z - s) ** 2, s, radius, n_min=32).value)
+
+
 @pytest.mark.parametrize("s", [0.6 + 2j, 0.9 + 15j, 1.2 - 7j, 0.75 + 40j])
 def test_strip_derivative_matches_circle_derivative(ev, s):
     # differentiating the strip kernel on Gauss panels, and a Cauchy circle
     # on eval_B_many, are independent routes to B'
-    ref = ev.eval_B_prime(s)
+    ref = circle_B_prime(ev, s)
     assert abs(ev.eval_B_prime_strip(s) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("im", [0.5, 15.0, -40.0])
+@pytest.mark.parametrize("re", [-2.6, -1.7, -0.7, 0.6, 1.2, 2.3, 4.4, 7.3])
+def test_b_prime_matches_circle_across_walks(ev, re, im):
+    # walks of k = -4 .. 6 steps: the strip's derivative kernel at the
+    # base plus the walk's W'/W, against a circle of B values
+    s = complex(re, im)
+    got = ev.eval_B_prime(s)
+    ref = circle_B_prime(ev, s)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+    if bfunc._WALK_LO <= re < bfunc._WALK_LO + 1.0:
+        strip = ev.eval_B_prime_strip(s)
+        assert abs(got - strip) <= 1e-12 * abs(strip)
+
+
+def test_b_prime_reads_no_circle_off_collisions(ev, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("B' took a circle")
+
+    monkeypatch.setattr(bfunc, "integrate_circle", refuse)
+    for s in (0.3 + 1j, 1.7 - 20j, 5.2 + 3j, -3.3 + 0.2j):
+        assert ev.eval_B_prime(s) == (ev._log_derivative(s)
+                                      * ev.eval_B(s))
+
+
+@pytest.mark.parametrize("zero", [3.0, 4.0])
+def test_b_prime_at_a_collided_zero_is_the_ladder_coefficient(ev, zero):
+    # the walk from 3 or 4 meets the zero of W at 2, so B' takes the
+    # circle; B(zero + e) = c e + O(e^2) gives B'(zero) = c
+    assert ev._log_derivative(zero) is None
+    order, c = ev.laurent(zero)
+    assert order == 1
+    assert abs(ev.eval_B_prime(zero) - c) <= 1e-12 * abs(c)
 
 
 # ---------------- residues and constants ----------------

@@ -18,7 +18,7 @@ import pytest
 from wavekin.bfunc import BranchError, default_evaluator
 from wavekin.complexfn import eval_W
 from wavekin.errors import ConvergenceError
-from wavekin import ufunc
+from wavekin import bfunc, ufunc
 from wavekin.ufunc import (
     INV_SQRT_2PI,
     SymbolSample,
@@ -282,8 +282,8 @@ def test_default_abscissae_sit_on_the_grid(ev, monkeypatch):
     assert ufunc._on_grid(0.3, 0.0, 0.6, (0.0, 0.6, -0.4)) == 0.3
     # no grid point keeps the distance: the exact default stays
     assert ufunc._default_beta(1.9 + 0j) == 1.95
-    # eval_U_line crosses the pole at sigma = s instead, onto a grid line
-    # in (Re s - 1, Re s); at Re s <= 1 it keeps its right line
+    # eval_U_line and eval_dU_ds cross the pole at sigma = s instead, onto
+    # a grid line in (Re s - 1, Re s); at Re s <= 1 they keep the right line
     read = []
     real = ev.line_interpolator
 
@@ -293,13 +293,15 @@ def test_default_abscissae_sit_on_the_grid(ev, monkeypatch):
 
     monkeypatch.setattr(ev, "line_interpolator", spy)
     for re in (1.81, 1.86, 1.9, 1.95, 0.6, 1.0):
-        read.clear()
-        eval_U_line(1.0, np.array([re + 3j]), evaluator=ev)
-        [got] = read
-        if re > 1.0:
-            assert re - 1.0 < got < re and round(10 * got) == 10 * got
-        else:
-            assert got == ufunc._default_beta(complex(re))
+        for route in (lambda s: eval_U_line(1.0, np.array([s]), evaluator=ev),
+                      lambda s: eval_dU_ds(1.0, s, evaluator=ev)):
+            read.clear()
+            route(re + 3j)
+            [got] = read
+            if re > 1.0:
+                assert re - 1.0 < got < re and round(10 * got) == 10 * got
+            else:
+                assert got == ufunc._default_beta(complex(re))
 
 
 def test_series_oracle_agrees(ev):
@@ -336,6 +338,64 @@ def test_du_matches_central_differences(ev):
     fd = (eval_U(0.3, s + h, evaluator=ev).value
           - eval_U(0.3, s - h, evaluator=ev).value) / (2.0 * h)
     assert abs(d - fd) <= 1e-6 * abs(fd)
+
+
+def central_difference(f, s, h=0.01):
+    """The fourth-order central difference of f at s along Re s."""
+    return (8.0 * (f(s + h) - f(s - h)) - (f(s + 2 * h) - f(s - 2 * h))) / (
+        12.0 * h)
+
+
+# U's rounding, up to about 1e-15 absolute at these points (eval_U on two
+# lines), reaches the difference amplified by the stencil's 1.5/h; where
+# |dU/ds| ~ 1e-10 that alone exceeds 1e-6 of it
+_DU_FLOOR = 1e-13
+
+
+@pytest.mark.parametrize("s", [0.3 + 2j, 1.0 - 30j, 1.7 + 50j])
+@pytest.mark.parametrize("t", [0.2, 1.0, 2.5])
+def test_du_matches_differences_of_the_oracle(ev, t, s):
+    # the lattice rows and the strip's B'/B against differences of the
+    # adaptive integrate_vertical route
+    d = eval_dU_ds(t, s, evaluator=ev)
+    fd = central_difference(lambda z: eval_U(t, z, evaluator=ev).value, s)
+    assert abs(d - fd) <= 1e-6 * abs(fd) + _DU_FLOOR
+
+
+@pytest.mark.parametrize("s", [0.5 + 10j, 1.2 + 3j])
+@pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2, 0.1, 0.9, 3.0])
+def test_du_holds_down_to_small_t(ev, t, s):
+    # dU/ds is O(t), so B'(s) I and B(s) I' cancel as t -> 0; down to
+    # t = 1e-4 the digits left still meet differences of the left-line
+    # route (of eval_U at t >= 1)
+    route = eval_U_small_t if t < 1.0 else eval_U
+    d = eval_dU_ds(t, s, evaluator=ev)
+    fd = central_difference(lambda z: route(t, z, evaluator=ev).value, s)
+    assert abs(d - fd) <= 1e-6 * abs(fd) + _DU_FLOOR
+
+
+@pytest.mark.parametrize("re", [1.99, 1.999])
+def test_du_next_to_the_strip_edge(ev, re):
+    # past the Gamma pole the line keeps d about 1/2 as Re s -> 2, where
+    # _default_beta's line sits (2 - Re s)/2 from the pole; the oracle is
+    # the left-line route on a line clear of both poles it crosses
+    t, s, h = 0.7, complex(re, 7.0), (2.0 - re) / 3.0
+    d = eval_dU_ds(t, s, evaluator=ev)
+    fd = central_difference(
+        lambda z: eval_U_small_t(t, z, beta_prime=0.7, evaluator=ev).value,
+        s, h)
+    assert abs(d - fd) <= 1e-6 * abs(fd) + _DU_FLOOR
+
+
+def test_du_reads_no_adaptive_line_and_no_circle(ev, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("eval_dU_ds left the lattice rule")
+
+    monkeypatch.setattr(ufunc, "integrate_vertical", refuse)
+    monkeypatch.setattr(bfunc, "integrate_circle", refuse)
+    for s in (0.8 + 12j, 1.5 - 20j):    # right line, line past the pole
+        d = eval_dU_ds(0.7, s, evaluator=ev)
+        assert np.isfinite(d) and d != 0.0
 
 
 def test_du_envelope_high_frequency(ev):
