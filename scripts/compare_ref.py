@@ -40,10 +40,15 @@ by round, a one-q query at a new t (line assembly included), one
 ``large_t_asymptotic`` point at a new t (a "q2" assembly, Q1 and one
 query), one ``eval_dU_ds`` at a new Im s (B's point cache cold, its line
 blocks warm), a warm 256-point ``radial_profile``, a warm
-``l1_norm_lambda`` and a warm ``delta_pairing`` of that bump at t = 1.5,
-and prints per case the median and quartiles of the per-round ratio
-working tree / REF (below 1 is faster).  BLAS runs one thread.  Only the
-standard library and numpy are used; no test runs this script.
+``l1_norm_lambda``, a warm ``delta_pairing`` of that bump at t = 1.5, and
+a 256-point ``radial_profile`` on the fixed grid of the benchmark's
+``lambda_integrals`` workload and an ``l1_norm_lambda``, each at a new t
+(line assembly included), and prints per case the median and quartiles of
+the per-round ratio working tree / REF (below 1 is faster).  It then
+prints the entry count and bytes of each tree's store of q-only query rows
+(``fundsol._Q_ROWS``), or n/a where the tree has none.  BLAS runs one
+thread.  Only the standard library and numpy are used; no test runs this
+script.
 """
 
 import argparse
@@ -67,7 +72,7 @@ L1_TS = (0.7, 1.0, 1.5)
 #: (t, lo, hi) of the compared pairings: bumps whose support holds x = 1
 PAIRINGS = ((0.7, 0.5, 2.0), (1.5, 0.5, 2.0))
 TIME_CASES = ("one_q_new_t", "large_t_new_t", "dU_new_s", "radial_256",
-              "l1_norm", "pairing")
+              "l1_norm", "pairing", "radial_new_t", "l1_new_t")
 #: (t, s) of the symbol workload's cross pairs
 SYMBOL_PAIRS = ((0.5, 1.0 + 5.0j), (0.8, 0.6 + 20.0j))
 #: (abscissa, Im s from, to) of the compared B lines
@@ -99,6 +104,8 @@ Q = np.concatenate(([0.0], -np.logspace(-16, 1.6, 48),
 new_t = [0.7]
 large_t = [3.0]
 du_im = [12.0]
+radial_t = [1.3]
+l1_t = [1.2]
 
 
 def with_points(fn, *args):
@@ -199,6 +206,12 @@ def run(case):
     elif case == "pairing":
         fundsol.delta_pairing(1.5, fundsol.TestFunction.bump(0.5, 2.0),
                               evaluator=ev)
+    elif case == "radial_new_t":
+        radial_t[0] += 1e-6
+        fundsol.radial_profile(radial_t[0], 1e-2, 1e2, 256, evaluator=ev)
+    elif case == "l1_new_t":
+        l1_t[0] += 1e-6
+        fundsol.l1_norm_lambda(l1_t[0], evaluator=ev)
     else:
         fundsol.l1_norm_lambda(1.0, evaluator=ev)
 
@@ -213,10 +226,18 @@ def timing(req):
     return {"s": sorted(times)[len(times) // 2]}
 
 
+def store(req):
+    rows = getattr(fundsol, "_Q_ROWS", None)
+    if rows is None:
+        return {"entries": None, "bytes": None}
+    return {"entries": len(rows),
+            "bytes": sum(map(fundsol._q_rows_bytes, rows.items()))}
+
+
 for line in sys.stdin:
     req = json.loads(line)
     ans = {"values": values, "symbol": symbol, "derivative": derivative,
-           "time": timing}[req["op"]](req)
+           "time": timing, "store": store}[req["op"]](req)
     print(json.dumps(ans), flush=True)
 '''
 
@@ -325,8 +346,8 @@ def compare_times(ref, work, rounds):
     print(f"\n{'case':<14}{'median':>9}{'q1':>9}{'q3':>9}   "
           f"(work / ref, {rounds} interleaved rounds)")
     reps = {"one_q_new_t": 20, "large_t_new_t": 20, "dU_new_s": 20,
-            "radial_256": 5,
-            "l1_norm": 1, "pairing": 3}
+            "radial_256": 5, "l1_norm": 1, "pairing": 3, "radial_new_t": 5,
+            "l1_new_t": 3}
     for case in TIME_CASES:
         ratios = []
         for k in range(rounds):
@@ -336,6 +357,13 @@ def compare_times(ref, work, rounds):
             ratios.append(got[id(work)]["s"] / got[id(ref)]["s"])
         q1, med, q3 = statistics.quantiles(ratios, n=4)
         print(f"{case:<14}{med:>9.3f}{q1:>9.3f}{q3:>9.3f}")
+    for name, tree in (("ref", ref), ("work", work)):
+        got = tree.ask(op="store")
+        if got["entries"] is None:
+            print(f"q-row store, {name}: n/a")
+        else:
+            print(f"q-row store, {name}: {got['entries']} entries, "
+                  f"{got['bytes']:,} bytes")
 
 
 def main():

@@ -32,7 +32,11 @@ from one panel to the next, so e^(-(s-c) q) is one prefactor per q times
 factors that are, on each panel, the squares of the last panel's: a q
 takes one exponential per node only on every eighth panel.  The lanes
 (one direction and depth) are swept in turn, on panel nodes, weights and
-anchors kept per lane and block (``_ray_geometry``).  In U only the
+anchors kept per lane and block (``_ray_geometry``).  A batch's Filon
+moments and its 15 and 16 phase factors depend on q alone; for a batch of
+two or more q they are kept in a store bounded at 1 MB and keyed on the q
+array's bytes (``_q_rows``), so a profile on a fixed grid, or a panel
+sweep, repeated at a new t takes them from there.  In U only the
 kernel Gamma(z) t^(-z) depends on t, so B on the grid (``_b_grid``) and
 the spectrum of 1/B on the auxiliary line (``_inv_b_spectrum``) are
 tabulated once per abscissa, and the kernel's spectrum is known in closed
@@ -43,8 +47,8 @@ of them), one inverse FFT, the Legendre coefficients and the fit.
 Every cache of a quantity that reads B is a bounded ``bfunc.memo`` map
 kept inside the evaluator, holds one quantity keyed by what it depends
 on, and is freed with the evaluator and keeps none alive; the fit's
-ladders and the ray's geometry read no B and sit in bounded module-level
-``functools.lru_cache`` maps.  The residues and integer values
+ladders, the ray's geometry and the q-only rows read no B and sit in
+bounded module-level maps.  The residues and integer values
 of B that the asymptotic routes read come off B's memoized ladder
 (``BEvaluator.laurent``).
 
@@ -60,10 +64,11 @@ needs for the panel rule pair: every rung for t up to 0.58, down to
 each sweep of new panels is one call of the line.  An interval stops at
 rel_tol of its own integral or at an absolute floor; the outward e-folds
 of ``l1_norm_lambda`` set that floor to a small share of rel_tol times the
-running total, so a far e-fold of small mass takes one line call.  The
-mass past l1's two truncated ends comes from its last e-folds' masses:
-Lambda tends to Lambda(t, 0+) at the left end and decays like x^-5 at the
-right.
+running total, so a far e-fold of small mass is not refined.  The first
+panels of all the e-folds the decay laws predict come in one line call,
+so a far e-fold takes no line call of its own.  The mass past l1's two
+truncated ends comes from its last e-folds' masses: Lambda tends to
+Lambda(t, 0+) at the left end and decays like x^-5 at the right.
 
 Regimes
 -------
@@ -117,6 +122,7 @@ then gives the value at every theta or t.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import math
@@ -226,6 +232,10 @@ _U_CORE = math.exp(-40.0)
 #: still differs from 1 in double precision
 _W_KINK = 36.0
 _TRANSPORT_TOL = 1e-9
+#: largest log of the scale a line's integral is multiplied by, x^-c or a
+#: Mellin--Barnes line's e^(-cL): e^700 ~ 1e304 leaves four decades below
+#: the overflow for the integral; past it the routes raise RegimeError
+_LOG_SCALE_MAX = 700.0
 
 
 # equispaced nodes tau_j = -1 + j/5 and the inverse of the degree-10
@@ -308,9 +318,14 @@ _RAY_REACH = _ray_reach()
 #: most q one pass of an assembled line takes: it holds the (q x 240)
 #: Filon phases and a ray wave's (q x panels x 16) complex temporaries, 8
 #: panels a q at this size; a radial profile of 256 points still goes in
-#: one pass.  Every q is summed by its own products, so the batch size
-#: changes no value
+#: one pass, and so is one entry of ``_Q_ROWS``.  Every q is summed by its
+#: own products, so the batch size changes no value
 _Q_BATCH = 256
+#: the q-only rows of recent passes (``_q_rows``), keyed on the bytes of
+#: their q array, least recently used first; their keys and rows hold at
+#: most _Q_ROWS_BYTES, 672 bytes of rows a q, so some 1,500 q
+_Q_ROWS = collections.OrderedDict()
+_Q_ROWS_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +342,16 @@ def _line_B(ev, re_line, v):
 def _frozen(arr):
     arr.flags.writeable = False
     return arr
+
+
+def _check_scale(log_scale, line):
+    """RegimeError where the scale e^log_scale of a line's integral passes
+    e^_LOG_SCALE_MAX: at such x (or theta, or t) the scale, or its product
+    with the integral, overflows."""
+    if log_scale > _LOG_SCALE_MAX:
+        raise RegimeError(
+            f"{line} scales its integral by e^{log_scale:.6g}, past "
+            f"e^{_LOG_SCALE_MAX:g}, where it overflows")
 
 
 @memo(8)
@@ -701,6 +726,50 @@ def _ray_lane(F, s0, q, c, depth, side):
 # ---------------------------------------------------------------------------
 
 
+def _filon_rows(qs):
+    """(moms, e_hi, e_lo), the rows of a line query that depend on q alone,
+    for the 1-D q array qs: the Filon moments int_{-1}^{1} P_k(tau)
+    e^(-i lam tau) dtau = 2 (-i)^k j_k(lam) at lam = _PANEL_HALF q,
+    (q, 11), with j_k(x) = sqrt(pi/2x) J_(k+1/2)(x), and the factors
+    e^(-i q _MID_HI), (q, 15, 1), and e^(-i q _MID_LO), (q, 1, 16), whose
+    product is the 240 panel phases."""
+    lam = _PANEL_HALF * qs[:, None]
+    # the floor keeps j_0(0) = 1
+    x = np.maximum(np.abs(lam), 1e-300)
+    moms = _LEG_PHASE * jv(_LEG_ORDER, x) * np.sqrt(2.0 * np.pi / x)
+    moms = np.where(lam < 0.0, np.conj(moms), moms)
+    e_hi = np.exp(-1j * qs[:, None, None] * _MID_HI[:, None])
+    e_lo = np.exp(-1j * qs[:, None, None] * _MID_LO)
+    return moms, e_hi, e_lo
+
+
+def _q_rows(qs):
+    """``_filon_rows`` of qs, kept in the store _Q_ROWS for arrays of two
+    or more q.  The rows depend on q alone, so the store is module-level,
+    like ``_ray_geometry``.  A hit returns the rows computed for the same
+    bytes, read-only, so no value moves.  One-point arrays skip it: the
+    point route's q seldom repeats, and storing its rows slowed one-q
+    queries."""
+    if qs.size < 2:
+        return _filon_rows(qs)
+    key = qs.tobytes()
+    rows = _Q_ROWS.get(key)
+    if rows is not None:
+        _Q_ROWS.move_to_end(key)
+        return rows
+    rows = _Q_ROWS[key] = tuple(map(_frozen, _filon_rows(qs)))
+    used = sum(map(_q_rows_bytes, _Q_ROWS.items()))
+    while used > _Q_ROWS_BYTES:
+        used -= _q_rows_bytes(_Q_ROWS.popitem(last=False))
+    return rows
+
+
+def _q_rows_bytes(entry):
+    """The bytes of one (key, rows) entry of _Q_ROWS."""
+    key, rows = entry
+    return len(key) + sum(row.nbytes for row in rows)
+
+
 @dataclasses.dataclass(frozen=True)
 class _LineAssembly:
     """One tabulated and fitted line; shared through ``memo``, so it is
@@ -726,10 +795,20 @@ class _LineAssembly:
 
         q is a scalar or an array; the values and errors take its shape.
         Each q's figures are its own, so the batches of at most _Q_BATCH
-        points that bound the temporaries change no value.
+        points that bound the temporaries change no value.  A batch's
+        q-only rows, its Filon moments and phase factors, come from the
+        store of ``_q_rows`` when the same q array was met before, so a
+        profile or a panel sweep repeated at a new t pays only the work of
+        its line.  Where x^-c passes e^_LOG_SCALE_MAX it raises
+        RegimeError.
         """
         q = np.asarray(q, dtype=float)
         qs = q.ravel()
+        if qs.size:
+            # x^-c is largest at the least q; one q is read directly, since
+            # a reduction costs about 2 us, over 1 % of a one-q query
+            _check_scale(-self.c * (qs.min() if qs.size > 1 else qs[0]),
+                         f"the {self.kind!r} line")
         val, err = np.empty(qs.shape), np.empty(qs.shape)
         for k in range(0, qs.size, _Q_BATCH):
             val[k:k + _Q_BATCH], err[k:k + _Q_BATCH] = self._batch(
@@ -737,16 +816,8 @@ class _LineAssembly:
         return val.reshape(q.shape)[()], err.reshape(q.shape)[()]
 
     def _batch(self, qs):
-        # moments int_{-1}^{1} P_k(tau) e^(-i lam tau) dtau = 2 (-i)^k j_k(lam)
-        # with j_k(x) = sqrt(pi/2x) J_(k+1/2)(x); the floor keeps j_0(0) = 1
-        lam = _PANEL_HALF * qs[:, None]
-        x = np.maximum(np.abs(lam), 1e-300)
-        moms = _LEG_PHASE * jv(_LEG_ORDER, x) * np.sqrt(2.0 * np.pi / x)
-        moms = np.where(lam < 0.0, np.conj(moms), moms)
-        # the panel phases e^(-i q mid) from 31 exponentials, as one
-        # (1 x _N_PANEL) row per q
-        e_hi = np.exp(-1j * qs[:, None, None] * _MID_HI[:, None])
-        e_lo = np.exp(-1j * qs[:, None, None] * _MID_LO)
+        moms, e_hi, e_lo = _q_rows(qs)
+        # the 240 panel phases e^(-i q mid), as one (1 x _N_PANEL) row per q
         phases = (e_hi * e_lo).reshape(qs.size, 1, _N_PANEL)
         # sum_p phase_p coeffs_pk: the stacked product makes one
         # (1 x _N_PANEL) @ (_N_PANEL x 11) call per q, so each q is summed
@@ -953,7 +1024,9 @@ class _MBLine:
         floor _ROUND_FLOOR * h sum |f| / pi, which the h-vs-2h test
         also accepts: where the terms dwarf the value (Q1 at theta -> 0,
         where they grow like theta^(-3/2)) the two sums differ by rounding
-        alone."""
+        alone.  Where e^(-cL) passes e^_LOG_SCALE_MAX it raises
+        RegimeError."""
+        _check_scale(-self.c * L, f"the Mellin-Barnes line at {self.c}")
         h = _MB_H
         phase = np.outer(np.exp(-1j * L * _MB_HI), np.exp(-1j * L * _MB_LO))
         f = self.samples * (math.exp(-self.c * L) * phase.ravel()[:_MB_N])
@@ -1210,7 +1283,8 @@ def eval_dlambda_dt(t, x, evaluator=None):
 
     The shifted line sits at Re s = 3/2 so the inner symbol is evaluated on
     Re = 1/2, inside the strip.  For t <= 1/2 the tail is only conditionally
-    integrable, so x = 1 is refused there.
+    integrable, so x = 1 is refused there.  Where x^-3/2 passes
+    e^_LOG_SCALE_MAX (x below about 1e-203) the line raises RegimeError.
     """
     ev = evaluator or default_evaluator()
     if x == 1.0 and t <= 0.5:
@@ -1222,12 +1296,15 @@ def eval_dlambda_dx(t, x, evaluator=None):
     """d Lambda / d x = -(1/x) (1/2 i pi) int sqrt(2 pi) s U(t,s) x^-s ds.
 
     The extra factor s slows the tail to v^(1-2t), absolutely integrable
-    only for t > 1; smaller t raises RegimeError.
+    only for t > 1; smaller t raises RegimeError, and so does an x at
+    which the scale x^(-c-1) passes e^_LOG_SCALE_MAX.
     """
     if not t > 1.0:
         raise RegimeError(f"x-derivative line needs t > 1; t={t}")
+    q = math.log(x)
+    _check_scale(-(_C_DIRECT + 1.0) * q, "the x-derivative line")
     ev = evaluator or default_evaluator()
-    val, _ = _line_assembly(ev, t, _C_DIRECT, "su")(math.log(x))
+    val, _ = _line_assembly(ev, t, _C_DIRECT, "su")(q)
     return -val / x
 
 
@@ -1340,14 +1417,17 @@ def _gauss_panels(f, bounds, absolute):
     return sums
 
 
-def _adaptive_panels(f, intervals, rel_tol, absolute=False, floor=0.0):
+def _adaptive_panels(f, intervals, rel_tol, absolute=False, floor=0.0,
+                     first=None):
     """Adaptive Gauss panels of f on each interval: [(total, err), ...].
 
     f maps arrays to arrays.  Per interval, 12- and 6-point rules are
     compared on each panel, and the worst panel is bisected until the
     summed discrepancy is below max(rel_tol |summed integral|, floor), the
     worst panel has had _PANEL_DEPTH bisections, or 4000 bisections are
-    made.  With absolute=True the integrand is |f|.
+    made.  With absolute=True the integrand is |f|.  first, if given, is
+    ``_gauss_panels`` of the intervals, fetched by the caller: no call of f
+    is made for it, and an interval it already settles takes none.
 
     The intervals refine in lockstep: each sweep, every interval not yet
     done bisects its worst panel, and the new panels of all of them go
@@ -1355,8 +1435,9 @@ def _adaptive_panels(f, intervals, rel_tol, absolute=False, floor=0.0):
     order and the decisions it has when passed alone, so its result does
     not depend on the batch.
     """
-    segs = [[(a, b, *vs, 0)] for (a, b), vs in
-            zip(intervals, _gauss_panels(f, intervals, absolute))]
+    if first is None:
+        first = _gauss_panels(f, intervals, absolute)
+    segs = [[(a, b, *vs, 0)] for (a, b), vs in zip(intervals, first)]
     out = [None] * len(intervals)
     todo = range(len(intervals))
     for sweep in range(4001):
@@ -1404,25 +1485,33 @@ def _core_mass(t, ev):
     return 0.5 * edges.sum() * u_c / t
 
 
-def _integral(t, weight, a, b, rel_tol, ev, absolute=False, floor=0.0):
-    """(int Lambda(t, x) weight(x) dx over a < log x < b, its error), on
-    the direct line.
-
-    weight maps arrays of x to arrays.  If the core |x-1| < _U_CORE lies
-    in the range, its mass weight(1) times ``_core_mass`` is summed first
-    and the core is left out of the panels.  The rest is adaptive Gauss
-    panels in tau = log x, cut at the marks of ``_tau_marks``; all of its
-    intervals refine together in one ``_adaptive_panels`` call, one line
-    call per sweep, each to max(rel_tol |its integral|, floor).  The error
-    is the panels' summed 12/6-point discrepancy; the core's term is left
-    out of it.  With absolute the integrand is |Lambda weight|.
-    """
+def _integrand(t, weight, ev):
+    """tau -> Lambda(t, x) weight(x) x at x = e^tau, on the direct line:
+    the integrand of ``_integral`` in tau = log x."""
     line = _line_assembly(ev, t, _C_DIRECT, "u")
 
     def f(tau):
         x = np.exp(tau)
         return line(tau)[0] * weight(x) * x
 
+    return f
+
+
+def _integral(t, weight, a, b, rel_tol, ev, absolute=False):
+    """(int Lambda(t, x) weight(x) dx over a < log x < b, its error), on
+    the direct line.
+
+    weight maps arrays of x to arrays.  If the core |x-1| < _U_CORE lies
+    in the range, its mass weight(1) times ``_core_mass`` is summed first
+    and the core is left out of the panels.  The rest is adaptive Gauss
+    panels in tau = log x of ``_integrand``, cut at the marks of
+    ``_tau_marks``; all of its intervals refine together in one
+    ``_adaptive_panels`` call, one line call per sweep, each to rel_tol of
+    its integral.  The error is the panels' summed 12/6-point discrepancy;
+    the core's term is left out of it.  With absolute the integrand is
+    |Lambda weight|.
+    """
+    f = _integrand(t, weight, ev)
     total = err = 0.0
     core = (math.log1p(-_U_CORE), math.log1p(_U_CORE))
     if a <= core[0] and core[1] <= b:
@@ -1431,48 +1520,79 @@ def _integral(t, weight, a, b, rel_tol, ev, absolute=False, floor=0.0):
             total = abs(total)
     marks = _tau_marks(a, b, t)
     spans = [span for span in zip(marks[:-1], marks[1:]) if span != core]
-    for v, e in _adaptive_panels(f, spans, rel_tol, absolute, floor):
+    for v, e in _adaptive_panels(f, spans, rel_tol, absolute):
         total += v
         err += e
     return total, err
 
 
 #: share of rel_tol times the running total that ``l1_norm_lambda`` lets
-#: each outward e-fold miss; with at most 60 e-folds a side the floors sum
-#: to below 0.6 rel_tol of the total
+#: each outward e-fold miss; with at most _EFOLDS e-folds a side the
+#: floors sum to below 0.6 rel_tol of the total
 _EFOLD_SHARE = 0.005
+_EFOLDS = 60
 
 
 def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
     """int_0^inf |Lambda(t, x)| dx, for every t > 0.
 
     The range |x-1| < 0.4, near-one core included, is one ``_integral``.
-    Then the x-range grows by one e-fold per call on each side until the
-    outermost e-fold falls below rel_tol of the running total.  Each
-    outward e-fold refines to rel_tol of its own mass or to a floor of
-    _EFOLD_SHARE rel_tol of the running total, whichever is looser, so
-    the far e-folds, whose masses are small, take one line call each.
-    The mass past the last e-fold, x < x_f or x > x_f, comes from that
-    e-fold's mass v: Lambda tends to the constant Lambda(t, 0+) at x = 0+,
-    so the rest is x_f Lambda(0+) = v/(e - 1), and decays like C x^-5 at
-    infinity, so the rest is C x_f^-4/4 = v/(e^4 - 1).
+    Then the x-range grows by one e-fold at a time on each side until the
+    outermost e-fold falls below rel_tol of the running total.  Lambda
+    tends to the constant Lambda(t, 0+) at x = 0+ and decays like C x^-5
+    at infinity, so an e-fold's mass falls like e^-k on the left and
+    e^-4k on the right, and the walk stops after about log(1/rel_tol) and
+    log(1/rel_tol)/4 e-folds.  The first panel of each e-fold so
+    predicted, ceil(log(1/rel_tol)) + 1 on the left and
+    ceil(log(1/rel_tol)/4) + 1 on the right, comes from one line call
+    (``_gauss_panels``) before the walk; an e-fold past them fetches its
+    own.  Each e-fold refines (``_adaptive_panels``, seeded with that
+    panel) to rel_tol of its own mass or to a floor of _EFOLD_SHARE
+    rel_tol of the running total, whichever is looser, so the far
+    e-folds, whose masses are small, take no line call of their own.  An
+    outward e-fold holds no mark of ``_tau_marks``, so each is the
+    ``_integral`` of its range.  The mass past the last e-fold, x < x_f or
+    x > x_f, comes from that e-fold's mass v: the rest is
+    x_f Lambda(0+) = v/(e - 1) on the left and C x_f^-4/4 = v/(e^4 - 1)
+    on the right.
     """
+    if not rel_tol > 0.0:
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     ev = evaluator or default_evaluator()
     lo, hi = math.log1p(-0.4), math.log1p(0.4)
     total, _ = _integral(t, np.ones_like, lo, hi, rel_tol, ev, absolute=True)
-    for sign, edge, rest in ((-1, lo, 1.0 / math.expm1(1.0)),
-                             (1, hi, 1.0 / math.expm1(4.0))):
-        for _ in range(60):
-            v, _ = _integral(t, np.ones_like, min(edge, edge + sign),
-                             max(edge, edge + sign), rel_tol, ev,
-                             absolute=True,
-                             floor=_EFOLD_SHARE * rel_tol * total)
+    digits = max(math.log(1.0 / rel_tol), 0.0)
+    walks = [(_efolds(-1, lo), math.ceil(digits) + 1, 1.0 / math.expm1(1.0)),
+             (_efolds(1, hi), math.ceil(digits / 4.0) + 1,
+              1.0 / math.expm1(4.0))]
+    f = _integrand(t, np.ones_like, ev)
+    heads = iter(_gauss_panels(f, [span for spans, n, _ in walks
+                                   for span in spans[:n]], True))
+    for spans, n, rest in walks:
+        # this side's fetched panels, of which those past the stop go
+        # unread; an e-fold past them fetches its own (first=None)
+        first = [next(heads) for _ in spans[:n]]
+        for k, span in enumerate(spans):
+            (v, _), = _adaptive_panels(f, [span], rel_tol, True,
+                                       _EFOLD_SHARE * rel_tol * total,
+                                       first[k:k + 1] or None)
             total += v
-            edge += sign
             if v < rel_tol * total:
                 break
         total += rest * v
     return total
+
+
+def _efolds(sign, edge):
+    """The _EFOLDS outward e-folds (lo, hi) in tau = log x of
+    ``l1_norm_lambda`` from edge, on the side sign.  The edge moves by one
+    step per e-fold, not by k steps at once, which would round
+    differently."""
+    spans = []
+    for _ in range(_EFOLDS):
+        spans.append((min(edge, edge + sign), max(edge, edge + sign)))
+        edge += sign
+    return spans
 
 
 def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):

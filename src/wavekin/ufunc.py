@@ -96,7 +96,7 @@ from wavekin.bfunc import (BranchError, _fft_correlate, _k_plus,
                            default_evaluator)
 from wavekin.complexfn import EULER, digamma, eval_W, log_gamma
 from wavekin.contour import ContourSpec, TailModel, integrate_vertical
-from wavekin.errors import ConvergenceError
+from wavekin.errors import ConvergenceError, RegimeError
 
 __all__ = [
     "SymbolSample",
@@ -201,6 +201,35 @@ def _on_grid(default, lo, hi, poles):
         if lo < x < hi and dist(x) >= need:
             return x
     return default
+
+
+def _pole_gap(re, beta):
+    """The distance from the left line Re sigma = beta to the nearest pole
+    line Re s - m of Gamma(sigma - s) it crosses or next lies right of."""
+    return min(abs(re - m - beta)
+               for m in range(math.ceil(re - beta) + 1))
+
+
+def _small_t_beta(re):
+    """The default line of ``eval_U_small_t`` at Re s = re: Re s / 2 on the
+    0.1 grid (``_on_grid``).  Where that lies within _POLE_MARGIN of a pole
+    line (Re s > 1.95, where Re s / 2 nears Re s - 1, and Re s < 0.1), the
+    grid point of (0, Re s) nearest Re s / 2 that keeps the margin, or, if
+    none does, the middle of (0, Re s - _POLE_MARGIN).  RegimeError at
+    Re s <= _POLE_MARGIN, where no line in (0, Re s) keeps it."""
+    beta = _on_grid(0.5 * re, 0.0, re, (0.0, re, re - 1.0))
+    if _pole_gap(re, beta) >= _POLE_MARGIN:
+        return beta
+    grid = sorted((k / _GRID for k in range(1, math.ceil(re * _GRID))),
+                  key=lambda x: abs(x - 0.5 * re))
+    for beta in grid:
+        if _pole_gap(re, beta) >= _POLE_MARGIN:
+            return beta
+    if re <= _POLE_MARGIN:
+        raise RegimeError(
+            f"no left line in (0, Re s) keeps {_POLE_MARGIN} from the pole "
+            f"line Re s = {re}")
+    return 0.5 * (re - _POLE_MARGIN)
 
 
 def _default_beta(s):
@@ -417,10 +446,13 @@ def eval_U_small_t(t, s, beta_prime=None, evaluator=None):
     """Evaluate U(t, s) via the left-shifted line, efficient as t -> 0.
 
     The line sits at beta' in (0, Re s), by default Re s / 2 moved onto
-    the 0.1 grid (``_on_grid``); the Gamma poles crossed on the way
-    contribute the Taylor polynomial of U, and the remaining integral is
-    O(t^(Re s - beta')).  Preferred below t ~ 0.05 where the direct
-    route's oscillation grows.
+    the 0.1 grid, or another point of (0, Re s) where that one is within
+    _POLE_MARGIN of a pole line (``_small_t_beta``; RegimeError at
+    Re s <= _POLE_MARGIN, where none keeps the margin).  A beta' the caller
+    passes that does not keep it raises ValueError.  The Gamma poles
+    crossed on the way contribute the Taylor polynomial of U, and the
+    remaining integral is O(t^(Re s - beta')).  Preferred below t ~ 0.05
+    where the direct route's oscillation grows.
     """
     s = _validate_s(s)
     if not 0.0 <= t < 1.0:
@@ -428,19 +460,17 @@ def eval_U_small_t(t, s, beta_prime=None, evaluator=None):
     if t == 0.0:
         return SymbolSample(t=0.0, s=s, value=INV_SQRT_2PI, err=0.0)
     if beta_prime is None:
-        beta_prime = _on_grid(0.5 * s.real, 0.0, s.real,
-                              (0.0, s.real, s.real - 1.0))
+        beta_prime = _small_t_beta(s.real)
     if not 0.0 < beta_prime < s.real:
         raise ValueError(
             f"beta_prime must lie in (0, Re s), got {beta_prime}"
         )
-    n_crossed = math.ceil(s.real - beta_prime)
-    gap = min(abs(s.real - m - beta_prime) for m in range(n_crossed + 1))
-    if gap < _POLE_MARGIN:
+    if _pole_gap(s.real, beta_prime) < _POLE_MARGIN:
         raise ValueError(
             f"beta_prime = {beta_prime} sits within {_POLE_MARGIN} of a "
             f"crossed pole line Re s - m; shift it"
         )
+    n_crossed = math.ceil(s.real - beta_prime)
     ev = evaluator if evaluator is not None else default_evaluator()
     b_s = ev.eval_B(s)
     poly = complex(np.dot(

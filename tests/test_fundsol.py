@@ -14,6 +14,7 @@ against adaptive vertical quadrature and an independent trapezoid rule,
 both on B at scattered points.
 """
 
+import collections
 import dataclasses
 import gc
 import math
@@ -192,6 +193,64 @@ def test_batches_of_a_long_call_change_no_value(ev, monkeypatch):
     monkeypatch.setattr(fundsol, "_Q_BATCH", q.size)
     whole = line(q)
     assert np.array_equal(vals, whole[0]) and np.array_equal(errs, whole[1])
+
+
+# ---------------- the store of q-only rows ----------------
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    store = collections.OrderedDict()
+    monkeypatch.setattr(fundsol, "_Q_ROWS", store)
+    return store
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+def test_stored_rows_are_fresh_rows(empty_store):
+    q = np.concatenate((_Q, [0.0, -0.0]))
+    kept = fundsol._q_rows(q)
+    assert list(empty_store) == [q.tobytes()]
+    # a hit on an equal array returns the kept rows, read-only
+    assert fundsol._q_rows(q.copy()) is kept
+    assert not any(row.flags.writeable for row in kept)
+    assert _bits(kept) == _bits(fundsol._filon_rows(q))
+
+
+def test_a_profile_at_a_second_t_equals_one_on_an_empty_store(
+        ev, empty_store):
+    radial_profile(0.9, 1e-2, 1e2, 64, evaluator=ev)
+    assert len(empty_store) == 1
+    grid = np.log(np.geomspace(1e-2, 1e2, 64))
+    warm = radial_profile(1.7, 1e-2, 1e2, 64, evaluator=ev)
+    warm_line = _line_assembly(ev, 1.7, 1.0, "u")(grid)
+    empty_store.clear()
+    cold = radial_profile(1.7, 1e-2, 1e2, 64, evaluator=ev)
+    assert warm.values.tobytes() == cold.values.tobytes()
+    empty_store.clear()
+    assert _bits(warm_line) == _bits(_line_assembly(ev, 1.7, 1.0, "u")(grid))
+
+
+def test_a_one_point_query_leaves_the_store_unchanged(ev, empty_store):
+    line = _line_assembly(ev, 1.3, 1.0, "u")
+    line(_Q)
+    line(_Q[::-1])
+    before = list(empty_store.items())
+    _lam(1.3, 2.0, "auto", ev)
+    line(np.array([0.5]))
+    line(0.0)
+    assert list(empty_store.items()) == before
+
+
+def test_the_store_stays_within_its_bound(empty_store):
+    rng = np.random.default_rng(50)
+    for _ in range(50):
+        fundsol._q_rows(rng.uniform(-9.0, 9.0, fundsol._Q_BATCH))
+    used = sum(map(fundsol._q_rows_bytes, empty_store.items()))
+    assert 0 < used <= fundsol._Q_ROWS_BYTES
+    assert 1 < len(empty_store) < 50
 
 
 @pytest.mark.parametrize("t", [0.3, 2.0])
@@ -613,52 +672,96 @@ def test_graded_ladder_first_sweep_is_short(ev, t, monkeypatch):
     assert calls[0] == 2 and calls[1] <= 400
 
 
-def _spy_integrals(monkeypatch):
-    """Record (a, b, value, error, rel_tol, floor, line calls) of every
-    ``_integral`` call."""
+def _spy_walk(monkeypatch):
+    """Record (intervals, value, error, rel_tol, floor, seeded, line calls)
+    of every ``_adaptive_panels`` call, with the values and errors summed
+    over the intervals; the line calls are those the call makes itself."""
     calls = _count_line_calls(monkeypatch)
     got = []
-    real = fundsol._integral
+    real = fundsol._adaptive_panels
 
-    def spy(t, weight, a, b, rel_tol, ev, absolute=False, floor=0.0):
+    def spy(f, intervals, rel_tol, absolute=False, floor=0.0, first=None):
         n = len(calls)
-        v, err = real(t, weight, a, b, rel_tol, ev, absolute, floor)
-        got.append((a, b, v, err, rel_tol, floor, len(calls) - n))
-        return v, err
+        out = real(f, intervals, rel_tol, absolute, floor, first)
+        got.append((intervals, sum(v for v, _ in out), sum(e for _, e in out),
+                    rel_tol, floor, first is not None, len(calls) - n))
+        return out
 
-    monkeypatch.setattr(fundsol, "_integral", spy)
-    return got
+    monkeypatch.setattr(fundsol, "_adaptive_panels", spy)
+    return got, calls
 
 
 @pytest.mark.parametrize("t", [0.25, 1.0])
 def test_integral_errors_are_within_their_tolerance(ev, t, monkeypatch):
+    # the near-one range, then one call per outward e-fold
     _line_assembly(ev, t, 1.0, "u")
-    got = _spy_integrals(monkeypatch)
+    got, _ = _spy_walk(monkeypatch)
     l1_norm_lambda(t, evaluator=ev)
     assert len(got) > 8
-    for _, _, v, err, rel_tol, floor, _ in got:
+    for _, v, err, rel_tol, floor, _, _ in got:
         assert 0.0 <= err <= max(rel_tol * abs(v), floor)
 
 
-def test_far_e_folds_take_one_line_call_each(ev, monkeypatch):
+def test_far_e_folds_are_not_refined(ev, monkeypatch):
     # at t = 0.25 the outermost e-folds carry about 1e-6 of the mass;
     # refined to rel_tol of their own mass, they took 4, 13 and 14 line
     # calls.  The first e-fold a side may refine once: at the right its
     # 12/6-point discrepancy, 3.5e-6 of its mass, is 0.2 rel_tol of the
-    # total
+    # total.  The first panels of the predicted e-folds come in one line
+    # call, and an e-fold past them takes one of its own
     t = 0.25
+    lo, hi = math.log1p(-0.4), math.log1p(0.4)
     _line_assembly(ev, t, 1.0, "u")
-    got = _spy_integrals(monkeypatch)
+    calls = _count_line_calls(monkeypatch)
+    _integral(t, np.ones_like, lo, hi, 1e-6, ev, absolute=True)
+    core_calls = len(calls)
+    got, calls = _spy_walk(monkeypatch)
     l1 = l1_norm_lambda(t, evaluator=ev)
     mass = SQRT_2PI * eval_U(t, 1.0, evaluator=ev).value.real
     assert abs(l1 - mass) <= 1e-6 * mass
+    assert (got[0][0][0][0], got[0][0][-1][1]) == (lo, hi)
+    efolds = got[1:]
+    assert all(len(intervals) == 1 for intervals, *_ in efolds)
+    sides = [(lo in span or hi in span, seeded, n)
+             for (span,), *_, seeded, n in efolds]
+    first = [n for near, seeded, n in sides if near]
+    far = [(seeded, n) for near, seeded, n in sides if not near]
+    assert len(first) == 2 and max(first) <= 1
+    assert len(far) >= 12 and all(n == (not seeded) for seeded, n in far)
+    assert len(calls) - core_calls <= 2
+
+
+def _l1_walk_per_e_fold(t, rel_tol, ev):
+    """``l1_norm_lambda`` by its walk with one adaptive call per outward
+    e-fold, each of which takes its own first panel."""
+    line = _line_assembly(ev, t, 1.0, "u")
+
+    def f(tau):
+        x = np.exp(tau)
+        return line(tau)[0] * np.ones_like(x) * x
+
     lo, hi = math.log1p(-0.4), math.log1p(0.4)
-    assert (got[0][0], got[0][1]) == (lo, hi)
-    sides = [(lo in (a, b) or hi in (a, b), n) for a, b, *_, n in got[1:]]
-    first = [n for near, n in sides if near]
-    far = [n for near, n in sides if not near]
-    assert len(first) == 2 and max(first) <= 2
-    assert len(far) >= 12 and set(far) == {1}
+    total, _ = _integral(t, np.ones_like, lo, hi, rel_tol, ev, absolute=True)
+    for sign, edge, rest in ((-1, lo, 1.0 / math.expm1(1.0)),
+                             (1, hi, 1.0 / math.expm1(4.0))):
+        for _ in range(60):
+            (v, _), = _adaptive_panels(
+                f, [(min(edge, edge + sign), max(edge, edge + sign))],
+                rel_tol, absolute=True,
+                floor=fundsol._EFOLD_SHARE * rel_tol * total)
+            total += v
+            edge += sign
+            if v < rel_tol * total:
+                break
+        total += rest * v
+    return total
+
+
+@pytest.mark.parametrize("t", [0.25, 0.7, 1.0, 4.0])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
+def test_l1_norm_is_the_walk_per_e_fold(ev, t, rel_tol):
+    assert (l1_norm_lambda(t, rel_tol, ev).hex()
+            == _l1_walk_per_e_fold(t, rel_tol, ev).hex())
 
 
 def test_a_floor_stops_an_interval_at_once():
@@ -840,6 +943,34 @@ def test_dlambda_dx_matches_central_difference(ev, t, x):
 
 def test_green_kernel_scaling_covariance(ev):
     assert 2.0 * eval_G(1.6, 2.6, 1.4, ev) == eval_G(0.8, 1.3, 0.7, ev)
+
+
+#: route -> (call, whether its scale overflows at x = 1e-300): x^-1.5 on
+#: the dLambda/dt line, x^-2 on the dLambda/dx line and theta^-1.5 on the
+#: Q1 line do, x^-1 on the direct lines does not
+_TINY_X_ROUTES = {
+    "direct": (lambda ev, x: _lam(0.3, x, "direct", ev), False),
+    "direct_t2": (lambda ev, x: _lam(2.0, x, "direct", ev), False),
+    "log_regularized": (lambda ev, x: _lam(0.3, x, "log_regularized", ev),
+                        False),
+    "large_t_asymptotic": (
+        lambda ev, x: _lam(3.0, x, "large_t_asymptotic", ev), True),
+    "dlambda_dt_0.8": (lambda ev, x: eval_dlambda_dt(0.8, x, ev), True),
+    "dlambda_dt_2": (lambda ev, x: eval_dlambda_dt(2.0, x, ev), True),
+    "dlambda_dx_2": (lambda ev, x: eval_dlambda_dx(2.0, x, ev), True),
+}
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-30])
+@pytest.mark.parametrize("route", list(_TINY_X_ROUTES))
+def test_routes_at_tiny_x_are_finite_or_raise_regime_error(ev, route, x):
+    # an overflow raised OverflowError or a RuntimeWarning before
+    call, overflows = _TINY_X_ROUTES[route]
+    if overflows and x == 1e-300:
+        with pytest.raises(RegimeError):
+            call(ev, x)
+    else:
+        assert np.all(np.isfinite(call(ev, x)))
 
 
 # ---------------- caches ----------------

@@ -17,7 +17,7 @@ import pytest
 
 from wavekin.bfunc import BranchError, default_evaluator
 from wavekin.complexfn import eval_W
-from wavekin.errors import ConvergenceError
+from wavekin.errors import ConvergenceError, RegimeError, WavekinError
 from wavekin import bfunc, ufunc
 from wavekin.ufunc import (
     INV_SQRT_2PI,
@@ -205,6 +205,39 @@ def test_small_t_rejects_bad_arguments(ev):
         eval_U_small_t(0.1, 1.2, beta_prime=1.4, evaluator=ev)
     with pytest.raises(ValueError):
         eval_U_small_t(0.1, 1.2, beta_prime=0.0, evaluator=ev)
+
+
+#: the Re s of a 0.005 sweep at t = 0.5, Im s = 3 where the default line
+#: sat within _POLE_MARGIN of a pole line: Re s / 2 next to Re s near 0,
+#: and the grid point 1.0 next to Re s - 1 near 2
+_SMALL_T_EDGES = [0.005 * k for k in range(1, 20)] + [
+    0.005 * k for k in range(391, 400)]
+
+
+@pytest.mark.parametrize("re", _SMALL_T_EDGES)
+def test_small_t_default_line_inside_its_zone(ev, re):
+    s = complex(re, 3.0)
+    try:
+        b = eval_U_small_t(0.5, s, evaluator=ev)
+    except WavekinError:
+        # no line in (0, Re s) keeps the margin
+        assert re <= ufunc._POLE_MARGIN
+        return
+    a = eval_U(0.5, s, evaluator=ev)
+    assert abs(a.value - b.value) <= a.err + b.err
+
+
+def test_small_t_default_line_keeps_its_margin():
+    # Re s / 2 on the grid where that keeps the margin, else the nearest
+    # grid point that does, else the middle of (0, Re s - margin)
+    assert ufunc._small_t_beta(1.2) == 0.6
+    assert ufunc._small_t_beta(1.99) == 0.9
+    assert ufunc._small_t_beta(0.08) == pytest.approx(0.015)
+    with pytest.raises(RegimeError):
+        ufunc._small_t_beta(0.05)
+    # a caller's line next to a pole line is still refused
+    with pytest.raises(ValueError):
+        eval_U_small_t(0.5, 1.99 + 3j, beta_prime=1.0)
 
 
 @pytest.mark.parametrize("call", [
