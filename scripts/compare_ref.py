@@ -43,12 +43,15 @@ blocks warm), a warm 256-point ``radial_profile``, a warm
 ``l1_norm_lambda``, a warm ``delta_pairing`` of that bump at t = 1.5, and
 a 256-point ``radial_profile`` on the fixed grid of the benchmark's
 ``lambda_integrals`` workload and an ``l1_norm_lambda``, each at a new t
-(line assembly included), and prints per case the median and quartiles of
-the per-round ratio working tree / REF (below 1 is faster).  It then
-prints the entry count and bytes of each tree's store of q-only query rows
-(``fundsol._Q_ROWS``), or n/a where the tree has none.  BLAS runs one
-thread.  Only the standard library and numpy are used; no test runs this
-script.
+(line assembly included), and that profile at a new t after two untimed
+profiles on the grid in the same round, so a store that admits an array
+on its second sighting holds it (``radial_third_t``).  It prints per case
+the median and quartiles of the per-round ratio working tree / REF (below
+1 is faster).  It then prints, per tree, the entry count and bytes of the
+store of q-only query rows (``fundsol._Q_ROWS``), with the keys held for
+arrays seen once (``fundsol._Q_SEEN``) where the tree has them, or n/a
+where the tree has no store.  BLAS runs one thread.  Only the standard
+library and numpy are used; no test runs this script.
 """
 
 import argparse
@@ -72,7 +75,11 @@ L1_TS = (0.7, 1.0, 1.5)
 #: (t, lo, hi) of the compared pairings: bumps whose support holds x = 1
 PAIRINGS = ((0.7, 0.5, 2.0), (1.5, 0.5, 2.0))
 TIME_CASES = ("one_q_new_t", "large_t_new_t", "dU_new_s", "radial_256",
-              "l1_norm", "pairing", "radial_new_t", "l1_new_t")
+              "l1_norm", "pairing", "radial_new_t", "l1_new_t",
+              "radial_third_t")
+#: untimed calls of a case before its timed ones; "radial_third_t" makes
+#: two, so that its grid has been seen twice
+WARM_CALLS = {"radial_third_t": 2}
 #: (t, s) of the symbol workload's cross pairs
 SYMBOL_PAIRS = ((0.5, 1.0 + 5.0j), (0.8, 0.6 + 20.0j))
 #: (abscissa, Im s from, to) of the compared B lines
@@ -206,7 +213,7 @@ def run(case):
     elif case == "pairing":
         fundsol.delta_pairing(1.5, fundsol.TestFunction.bump(0.5, 2.0),
                               evaluator=ev)
-    elif case == "radial_new_t":
+    elif case in ("radial_new_t", "radial_third_t"):
         radial_t[0] += 1e-6
         fundsol.radial_profile(radial_t[0], 1e-2, 1e2, 256, evaluator=ev)
     elif case == "l1_new_t":
@@ -217,7 +224,8 @@ def run(case):
 
 
 def timing(req):
-    run(req["case"])        # warm: B grids, spectra, assemblies
+    for _ in range(req["warm"]):
+        run(req["case"])    # warm: B grids, spectra, assemblies, store
     times = []
     for _ in range(req["reps"]):
         t0 = time.perf_counter()
@@ -229,9 +237,14 @@ def timing(req):
 def store(req):
     rows = getattr(fundsol, "_Q_ROWS", None)
     if rows is None:
-        return {"entries": None, "bytes": None}
-    return {"entries": len(rows),
-            "bytes": sum(map(fundsol._q_rows_bytes, rows.items()))}
+        return {"entries": None}
+    seen = getattr(fundsol, "_Q_SEEN", None)
+    if hasattr(fundsol, "_q_store_bytes"):
+        used = fundsol._q_store_bytes()
+    else:   # a tree that keeps every array: (key, rows) entries alone
+        used = sum(map(fundsol._q_rows_bytes, rows.items()))
+    return {"entries": len(rows), "bytes": used,
+            "keys": None if seen is None else len(seen)}
 
 
 for line in sys.stdin:
@@ -347,12 +360,13 @@ def compare_times(ref, work, rounds):
           f"(work / ref, {rounds} interleaved rounds)")
     reps = {"one_q_new_t": 20, "large_t_new_t": 20, "dU_new_s": 20,
             "radial_256": 5, "l1_norm": 1, "pairing": 3, "radial_new_t": 5,
-            "l1_new_t": 3}
+            "l1_new_t": 3, "radial_third_t": 5}
     for case in TIME_CASES:
         ratios = []
         for k in range(rounds):
             order = (ref, work) if k % 2 == 0 else (work, ref)
-            got = {id(tree): tree.ask(op="time", case=case, reps=reps[case])
+            got = {id(tree): tree.ask(op="time", case=case, reps=reps[case],
+                                      warm=WARM_CALLS.get(case, 1))
                    for tree in order}
             ratios.append(got[id(work)]["s"] / got[id(ref)]["s"])
         q1, med, q3 = statistics.quantiles(ratios, n=4)
@@ -361,9 +375,11 @@ def compare_times(ref, work, rounds):
         got = tree.ask(op="store")
         if got["entries"] is None:
             print(f"q-row store, {name}: n/a")
-        else:
-            print(f"q-row store, {name}: {got['entries']} entries, "
-                  f"{got['bytes']:,} bytes")
+            continue
+        keys = ("" if got["keys"] is None
+                else f", {got['keys']} keys of arrays seen once")
+        print(f"q-row store, {name}: {got['entries']} entries{keys}, "
+              f"{got['bytes']:,} bytes")
 
 
 def main():

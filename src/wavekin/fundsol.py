@@ -19,35 +19,39 @@ integrated along a rotated ray in geometric 16-point Gauss panels
 (``_ray_tail``), which keeps the quadrature non-oscillatory for any q.
 Each q starts its panels at its own depth, short enough for the rule to
 resolve the ray's decay e^(-|q| r/sqrt 2), and sweeps them only until its
-own sum has settled.  The fit reads the model's columns and the ray its
-sum.  One tabulation and fit (``_line_assembly``) serves every q: calling
-it with an array of q evaluates the moments, the phases and the ray panels
-of all of them at once, so profiles and integrals cost one call per batch
-of points.  Per q, the 240 panel phases are the outer product of 15 and 16
-exponentials, the panel sum is one BLAS product with the Legendre
-coefficients, and the tail model is one Horner expression whose samples,
-shared by the q of one ray direction and depth, already carry the ray's
-Gauss weights.  The ray's nodes double their distance from a fixed point
+own sum has settled.  One tabulation and fit (``_line_assembly``) serves
+every q: calling it with an array of q evaluates the moments, the phases
+and the ray panels of all of them at once, so profiles and integrals cost
+one call per batch of points.  Per q, the 240 panel phases are the outer
+product of 15 and 16 exponentials, and the panel sum is one BLAS product
+with the Legendre coefficients.  Only base = (ENV_B z)^(-2t) of the tail
+model depends on t, so the fit and the ray read it the same way: from
+t-free columns, log(ENV_B z) and the model's ladder (``_tail_columns``),
+as e^(-2t log(ENV_B z)) times the columns' sum with the line's amplitudes
+(``_tail_model``).  The fit keeps its columns per kind and abscissa
+(``_fit_ladders``), the ray per lane and block, with its Gauss weights
+(``_ray_columns``); the q of one ray direction and depth, a lane, share
+those samples.  The ray's nodes double their distance from a fixed point
 from one panel to the next, so e^(-(s-c) q) is one prefactor per q times
 factors that are, on each panel, the squares of the last panel's: a q
-takes one exponential per node only on every eighth panel.  The lanes
-(one direction and depth) are swept in turn, on panel nodes, weights and
-anchors kept per lane and block (``_ray_geometry``).  A batch's Filon
-moments and its 15 and 16 phase factors depend on q alone; for a batch of
-two or more q they are kept in a store bounded at 1 MB and keyed on the q
-array's bytes (``_q_rows``), so a profile on a fixed grid, or a panel
-sweep, repeated at a new t takes them from there.  In U only the
-kernel Gamma(z) t^(-z) depends on t, so B on the grid (``_b_grid``) and
-the spectrum of 1/B on the auxiliary line (``_inv_b_spectrum``) are
-tabulated once per abscissa, and the kernel's spectrum is known in closed
-form.  In the fit's columns only (ENV_B z)^(-2t) depends on t, so their
-Horner ladder is kept per kind and abscissa (``_fit_ladders``).  A new t
-costs the real exponential of the bins that do not underflow (about half
-of them), one inverse FFT, the Legendre coefficients and the fit.
-Every cache of a quantity that reads B is a bounded ``bfunc.memo`` map
-kept inside the evaluator, holds one quantity keyed by what it depends
-on, and is freed with the evaluator and keeps none alive; the fit's
-ladders, the ray's geometry and the q-only rows read no B and sit in
+takes one exponential per node only on every eighth panel.  The lanes are
+swept in turn, on panel nodes, weights and anchors kept per lane and
+block (``_ray_geometry``).  A query's Filon moments and phases, its
+lanes, their prefactors and their node factors on the first eight panels
+(block 0, which every q sweeps) depend on q and the abscissa alone.  A q
+array of two or more q that is seen a second time keeps them in a store
+bounded at 4 MB and keyed on its bytes (``_q_rows``), so a profile on a
+fixed grid, or a panel sweep, repeated at a new t takes them from there
+and pays only for its line.  In U only the kernel Gamma(z) t^(-z) depends
+on t, so B on the grid (``_b_grid``) and the spectrum of 1/B on the
+auxiliary line (``_inv_b_spectrum``) are tabulated once per abscissa, and
+the kernel's spectrum is known in closed form.  A new t costs the real
+exponential of the bins that do not underflow (about half of them), one
+inverse FFT, the Legendre coefficients and the fit.  Every cache of a
+quantity that reads B is a bounded ``bfunc.memo`` map kept inside the
+evaluator, holds one quantity keyed by what it depends on, and is freed
+with the evaluator and keeps none alive; the fit's and the ray's columns,
+the ray's geometry and the q-only rows read no B and sit in
 bounded module-level maps.  The residues and integer values
 of B that the asymptotic routes read come off B's memoized ladder
 (``BEvaluator.laurent``).
@@ -256,14 +260,12 @@ _LEG_ORDER = _LEG_K + 0.5
 #: the 11 grid nodes of each Filon panel, (_N_PANEL, 11)
 _LEG_IDX = 10 * np.arange(_N_PANEL)[:, None] + _LEG_K
 #: the tail model's fit on the window [0.55, 0.98] V: 8 probe nodes, 40
-#: check nodes, and i v there as (n, 1) columns; c + _FIT_IV_* is the
-#: line's s at those nodes, and the identity amplitudes read the columns
+#: check nodes, and i v there; c + _FIT_IV_* is the line's s at those nodes
 _FIT_LO, _FIT_HI = int(0.55 * (_NV - 1)), int(0.98 * (_NV - 1))
 _FIT_PROBE = np.linspace(_FIT_LO, _FIT_HI, 8).astype(int)
 _FIT_CHECK = np.arange(_FIT_LO, _FIT_HI, (_FIT_HI - _FIT_LO) // 40)
-_FIT_IV_PROBE = 1j * _H_V * _FIT_PROBE[:, None]
-_FIT_IV_CHECK = 1j * _H_V * _FIT_CHECK[:, None]
-_FIT_EYE = np.eye(_MODEL_K)
+_FIT_IV_PROBE = 1j * _H_V * _FIT_PROBE
+_FIT_IV_CHECK = 1j * _H_V * _FIT_CHECK
 #: the midpoint _PANEL_HALF (2 p + 1) of Filon panel p = 16 a + b
 #: (a < 15, b < 16) is _MID_HI[a] + _MID_LO[b], so the 240 panel phases
 #: e^(-i q mid) of one q are the outer product of 15 and 16 exponentials
@@ -322,10 +324,15 @@ _RAY_REACH = _ray_reach()
 #: own products, so the batch size changes no value
 _Q_BATCH = 256
 #: the q-only rows of recent passes (``_q_rows``), keyed on the bytes of
-#: their q array, least recently used first; their keys and rows hold at
-#: most _Q_ROWS_BYTES, 672 bytes of rows a q, so some 1,500 q
+#: their q array, least recently used first, and the keys of the arrays
+#: seen once, oldest first, at most _Q_SEEN_KEYS of them: an array is
+#: stored on its second sighting.  Rows and keys hold at most
+#: _Q_ROWS_BYTES together, about 6.1 kB a q on one line (the 240 phases
+#: 3,840, the block-0 node factors 2,048), so some 680 q
 _Q_ROWS = collections.OrderedDict()
-_Q_ROWS_BYTES = 1 << 20
+_Q_SEEN = collections.OrderedDict()
+_Q_SEEN_KEYS = 8
+_Q_ROWS_BYTES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +349,14 @@ def _line_B(ev, re_line, v):
 def _frozen(arr):
     arr.flags.writeable = False
     return arr
+
+
+def _check_arg(name, value, zero=False):
+    """ValueError naming the argument unless value is positive and finite,
+    or with zero also 0."""
+    if not (math.isfinite(value) and (value > 0.0 or zero and value == 0.0)):
+        sign = "non-negative" if zero else "positive"
+        raise ValueError(f"{name} must be {sign} and finite, got {value}")
 
 
 def _check_scale(log_scale, line):
@@ -499,69 +514,71 @@ def _symbol_line(ev, t, c, kind):
 # ---------------------------------------------------------------------------
 
 
-def _tail_model(kind, t, a, s):
-    """sum_k a[k] col_k(s), the model of the symbol beyond V.
+def _tail_columns(kind, s, w=1.0):
+    """(log(ENV_B z), cols): the t-free parts of the tail model at s, the
+    model of the symbol beyond V (``_tail_model``), with cols times w.
 
-    With base = (ENV_B z)^(-2t), z = s (s - 1 for "ut") and p = V_BAR / z,
-    the columns are one of two ladders, summed in Horner form:
+    With z = s (s - 1 for "ut") and p = V_BAR / z, the columns are one of
+    two ladders, (..., 5) for s of shape (...):
 
-      power  base [1, p, p^2, p^3, p^4]     "u", "q2"; "su" is z times it
-      log    base [log z, 1, p, p^2, p^3]   "ut"; "du" is it over z, with
-                                            the first two swapped
+      power  [1, p, p^2, p^3, p^4]     "u", "q2"; "su" is z times it
+      log    [log z, 1, p, p^2, p^3]   "ut"; "du" is it over z, with the
+                                       first two swapped
 
-    a is a line's (5,) amplitudes, or np.eye(5) with s[..., None] for the
-    fit's column matrix.  The columns are analytic in the closed upper-right
-    region swept by the rotated rays (principal branches; the tabulated
-    line and both ray directions stay in Im s >= V > 0).  Only base
-    depends on t: ``_tail_ladder`` is the Horner sum, ``_tail_scale`` the
-    rest, and the fit keeps the ladder of its nodes (``_fit_columns``).
+    and the model is base = (ENV_B z)^(-2t) times their sum with a line's
+    amplitudes.  The columns are analytic in the closed upper-right region
+    swept by the rotated rays (principal branches; the tabulated line and
+    both ray directions stay in Im s >= V > 0).  The fit keeps them at its
+    nodes (``_fit_ladders``), and the ray at each lane's nodes, times the
+    Gauss weights (``_ray_columns``).
     """
     z = s - 1.0 if kind == "ut" else s
-    return _tail_scale(kind, t, z, _tail_ladder(kind, a, z))
-
-
-def _tail_ladder(kind, a, z):
-    """The Horner sum of ``_tail_model`` at z, without base and the z of
-    "su" and "du"."""
     p = _V_BAR / z
+    p2 = p * p
     if kind in ("u", "q2", "su"):
-        return a[0] + p * (a[1] + p * (a[2] + p * (a[3] + p * a[4])))
-    if kind == "du":
-        a = a[[1, 0, 2, 3, 4]]
-    elif kind != "ut":  # pragma: no cover
+        cols = [np.ones_like(z), p, p2, p2 * p, p2 * p2]
+    elif kind in ("ut", "du"):
+        cols = [np.log(z), np.ones_like(z), p, p2, p2 * p]
+        if kind == "du":
+            cols[:2] = cols[1::-1]
+    else:  # pragma: no cover
         raise ValueError(kind)
-    return a[0] * np.log(z) + a[1] + p * (a[2] + p * (a[3] + p * a[4]))
-
-
-def _tail_scale(kind, t, z, ladder):
-    """``_tail_model`` from its ladder at z: base times it, times z for
-    "su" and over z for "du"."""
-    model = (ENV_B * z) ** (-2.0 * t) * ladder
+    cols = np.stack(cols, axis=-1)
     if kind == "su":
-        return model * z
-    return model / z if kind == "du" else model
+        cols *= z[..., None]
+    elif kind == "du":
+        cols /= z[..., None]
+    return np.log(ENV_B * z), cols * np.asarray(w)[..., None]
+
+
+def _tail_model(t, columns, a):
+    """sum_k a[k] col_k(s), the model of the symbol beyond V, from its
+    columns at s, (log(ENV_B z), cols) of ``_tail_columns``: base =
+    e^(-2t log(ENV_B z)) times cols @ a.  a is a line's (5,) amplitudes.
+    Only base depends on t, so the fit and the ray keep the columns of
+    their nodes and read the model this one way."""
+    log_b, cols = columns
+    return np.exp(-2.0 * t * log_b) * (cols @ a)
 
 
 @functools.lru_cache(maxsize=16)
 def _fit_ladders(kind, c):
-    """(z, ladder) at the fit's probe nodes, then at its check nodes, of
-    the line (kind, c), with the identity as amplitudes: the t-free part of
-    the fit's column matrices, read-only.  A line at a new t reads them
-    (``_fit_columns``); every entry is under 6 kB."""
+    """``_tail_columns`` of the line (kind, c) at the fit's probe nodes,
+    then at its check nodes: the t-free part of the fit's column matrices,
+    read-only.  A line at a new t reads them (``_fit_columns``); every
+    entry is under 6 kB."""
     out = []
     for iv in (_FIT_IV_PROBE, _FIT_IV_CHECK):
-        s = c + iv
-        z = s - 1.0 if kind == "ut" else s
-        out += [_frozen(z), _frozen(_tail_ladder(kind, _FIT_EYE, z))]
+        out += map(_frozen, _tail_columns(kind, c + iv))
     return tuple(out)
 
 
 def _fit_columns(kind, t, c):
-    """The fit's column matrices at the probe and the check nodes:
-    ``_tail_model`` with the identity as amplitudes, bit for bit."""
-    z_probe, probe, z_check, check = _fit_ladders(kind, c)
-    return (_tail_scale(kind, t, z_probe, probe),
-            _tail_scale(kind, t, z_check, check))
+    """The fit's column matrices at the probe and the check nodes: column
+    k is ``_tail_model`` with the k-th unit vector as amplitudes."""
+    log_probe, probe, log_check, check = _fit_ladders(kind, c)
+    return (np.exp(-2.0 * t * log_probe)[:, None] * probe,
+            np.exp(-2.0 * t * log_check)[:, None] * check)
 
 
 def _ray_len0(s0):
@@ -605,12 +622,73 @@ def _ray_geometry(s0, depth, side, block):
             _frozen(-d * rho[::_RAY_WAVE]))
 
 
-def _ray_tail(F, s0, q, c):
-    """int_{s0}^{s0 + i inf} F(s) e^(-(s-c) q) ds along a rotated ray, per q.
+@functools.lru_cache(maxsize=32)
+def _ray_columns(kind, s0, depth, side, block):
+    """``_tail_columns`` of kind at the nodes of ``_ray_geometry(s0, depth,
+    side, block)``, with its Gauss weights as w: the t-free part of a
+    lane's samples of the tail model, read-only.  A line at a new t reads
+    them (``_ray_lane``).  An entry holds at most 232 panels, 356 kB, and
+    32 entries at most 11.4 MB; 60 rounds of radial profiles, l1 norms and
+    pairings on the direct line reached 11 (lane, block) pairs."""
+    nodes, weights, _ = _ray_geometry(s0, depth, side, block)
+    return tuple(map(_frozen, _tail_columns(kind, nodes, weights)))
 
-    For each q of the 1-D array the contour is rotated to arg = pi/4
-    (q > 0), 3 pi/4 (q < 0) or kept vertical (q = 0); F must be analytic
-    and decaying in the swept sector, which holds for the tail model.
+
+def _ray_factors(q, anchors):
+    """e^(-d q rho) at every node of the anchor spans, for each q of the
+    1-D array: (_RAY_WAVE x q x spans x 16), exponentials on the anchors
+    -d rho, (spans, 16), then squares along the spans."""
+    vals = np.empty((_RAY_WAVE, q.size) + anchors.shape, complex)
+    np.multiply(q[:, None, None], anchors, out=vals[0])
+    np.exp(vals[0], out=vals[0])
+    for prev, cur in zip(vals[:-1], vals[1:]):
+        np.square(prev, out=cur)
+    return vals
+
+
+def _ray_lanes(qs, c):
+    """The lanes of ``_ray_tail`` for the 1-D q array qs on the line at
+    abscissa c, s0 = c + i _V_CUT: a tuple of (depth, side, at, q, pre,
+    head), one per lane.  The q = qs[at] form the lane of that depth and
+    direction _RAY_DIRS[side]; pre are their prefactors
+    e^(-(s0 - c - d first) q), and head their node factors on block 0
+    (``_ray_factors``), (_RAY_WAVE, q, 1, 16).  Block 0 is the first
+    _RAY_WAVE panels, which every q of a lane sweeps, in one wave.  All of
+    it depends on q and c alone.  One q takes a scalar path to its lane,
+    and at is then slice(None)."""
+    s0 = c + 1j * _V_CUT
+    len0 = _ray_len0(s0)
+    # each q's depth K, the least K >= 0 at which |q| len0 2^-K < _RAY_REACH,
+    # and side sign(q)
+    if qs.size == 1:
+        q0 = float(qs[0])
+        keys = [(max(math.frexp(q0 * (len0 / _RAY_REACH))[1], 0),
+                 (q0 > 0) - (q0 < 0), slice(None))]
+    else:
+        lane = (3 * np.maximum(np.frexp(qs * (len0 / _RAY_REACH))[1], 0)
+                + np.sign(qs))
+        keys = []
+        for key in np.unique(lane):
+            depth, side = divmod(int(key) + 1, 3)
+            keys.append((depth, side - 1, np.flatnonzero(lane == key)))
+    lanes = []
+    for depth, side, at in keys:
+        q = qs[at]
+        pre = np.exp((_RAY_DIRS[side] * math.ldexp(len0, -depth)
+                      - (s0 - c)) * q)
+        head = _ray_factors(q, _ray_geometry(s0, depth, side, 0)[2])
+        lanes.append((depth, side, at, q, pre, head))
+    return tuple(lanes)
+
+
+def _ray_tail(line, lanes, n):
+    """int_{s0}^{s0 + i inf} M(s) e^(-(s-c) q) ds along a rotated ray, for
+    the n q of the lanes (``_ray_lanes``): M is the tail model of the
+    assembled line (``_tail_model``), c its abscissa and s0 = c + i _V_CUT.
+
+    For each q the contour is rotated to arg = pi/4 (q > 0), 3 pi/4
+    (q < 0) or kept vertical (q = 0); M is analytic and decaying in the
+    swept sector.
 
     Each q sums 16-point Gauss panels (``_ray_panels``) at its own depth
     K, the least K >= 0 at which its first panel, len0 2^-K, is shorter
@@ -619,9 +697,12 @@ def _ray_tail(F, s0, q, c):
     (|q| < 4.976 on the lines of ``_line_assembly``) K = 0.  The q of one
     direction d and depth form a lane.  The lanes are swept in turn
     (``_ray_lane``) and the q of one lane together: they share its samples
-    of F, which take the Gauss weights, the half-lengths of the panels and
-    d there.  The nodes, weights and anchors of a lane's panels depend on
-    s0 and the lane alone, and are kept per block (``_ray_geometry``).
+    of M, which carry the Gauss weights, the half-lengths of the panels
+    and d there.  The nodes, weights and anchors of a lane's panels depend
+    on s0 and the lane alone, and are kept per block (``_ray_geometry``),
+    and so are the t-free columns of M there (``_ray_columns``): a sample
+    is e^(-2t log(ENV_B z)) times the columns' sum with the line's
+    amplitudes, the same reading of M as the fit's.
 
     The nodes lie at s = s0 + d (rho - first), and rho doubles exactly
     from one panel to the next, so e^(-(s-c) q) is the prefactor
@@ -631,37 +712,33 @@ def _ray_tail(F, s0, q, c):
     counted from the ray's start so that no q's figures depend on its
     batch, and squares on the _RAY_WAVE - 1 panels after each: at most
     about 2^7 eps of relative error beyond the exponential's own, and
-    q = 0 stays exactly 1.
+    q = 0 stays exactly 1.  The prefactors and the factors of block 0
+    depend on q and c alone and come with the lanes, which a repeated q
+    array keeps (``_q_rows``).
 
     The panels come in blocks (``_RAY_BLOCKS``), each twice as long as the
-    last.  F is sampled once per block and lane, and a block's sums are its
+    last.  M is sampled once per block and lane, and a block's sums are its
     start sum plus the running sum over the block, so the figures of one q
     do not depend on the others.  The factors are taken in waves of whole
     anchor spans (``_RAY_PIECES``), only for the q still sweeping: a sweep
     stops once three consecutive panels fall below _RAY_TOL of its running
     sum.
     """
-    len0 = _ray_len0(s0)
-    # each q's depth K, the least K >= 0 at which |q| len0 2^-K < _RAY_REACH,
-    # and side sign(q); one q takes a scalar path to its lane
-    if q.size == 1:
-        q0 = float(q[0])
-        return _ray_lane(F, s0, q, c,
-                         max(math.frexp(q0 * (len0 / _RAY_REACH))[1], 0),
-                         (q0 > 0) - (q0 < 0))
-    lane = 3 * np.maximum(np.frexp(q * (len0 / _RAY_REACH))[1], 0) + np.sign(q)
-    val, err = np.empty(q.shape, complex), np.empty(q.shape)
-    for key in np.unique(lane):
-        at = lane == key
-        depth, side = divmod(int(key) + 1, 3)
-        val[at], err[at] = _ray_lane(F, s0, q[at], c, depth, side - 1)
+    if len(lanes) == 1:
+        return _ray_lane(line, lanes[0])
+    val, err = np.empty(n, complex), np.empty(n)
+    for lane in lanes:
+        at = lane[2]
+        val[at], err[at] = _ray_lane(line, lane)
     return val, err
 
 
-def _ray_lane(F, s0, q, c, depth, side):
-    """``_ray_tail`` for q of one lane: one depth, all of side sign(q)."""
-    d = _RAY_DIRS[side]
-    pre = np.exp((d * math.ldexp(_ray_len0(s0), -depth) - (s0 - c)) * q)
+def _ray_lane(line, lane):
+    """``_ray_tail`` for the q of one lane of ``_ray_lanes``: one depth,
+    all of side sign(q).  Block 0 is one wave of every q, whose node
+    factors are the lane's head; the deeper blocks compute theirs."""
+    depth, side, _, q, pre, head = lane
+    s0 = line.c + 1j * _V_CUT
     # total holds each q's sum at the start of its block, run the running
     # sum over the block up to the last wave, both without the prefactor
     # pre: the stop test compares a q's panels with its own sum, so the
@@ -670,24 +747,24 @@ def _ray_lane(F, s0, q, c, depth, side):
     err, stall = np.zeros(q.shape), np.zeros(q.shape, int)
     todo = np.arange(q.size)
     for block, (b0, b1) in enumerate(_RAY_BLOCKS):
-        nodes, weights, anchors = _ray_geometry(s0, depth, side, block)
-        # F on the block's panels, in spans (_RAY_WAVE x spans x 16)
-        f = (F(nodes) * weights).reshape(-1, _RAY_WAVE, 16).transpose(1, 0, 2)
+        anchors = _ray_geometry(s0, depth, side, block)[2]
+        # M on the block's panels, weighted, in spans (_RAY_WAVE x spans x
+        # 16)
+        f = _tail_model(line.t, _ray_columns(line.kind, s0, depth, side,
+                                             block), line.model_a)
+        f = f.reshape(-1, _RAY_WAVE, 16).transpose(1, 0, 2)
         j0 = b0
         while j0 < b1 and todo.size:
             j1 = min(b1, j0 + _RAY_WAVE * max(
                 1, _RAY_PIECES // (_RAY_WAVE * todo.size)))
             spans = slice((j0 - b0) // _RAY_WAVE, (j1 - b0) // _RAY_WAVE)
-            # e^(-d q rho) at every node, in one (_RAY_WAVE x q x spans x
-            # 16) buffer: exponentials on the anchors, then squares along
-            # the spans
-            vals = np.empty((_RAY_WAVE, todo.size, spans.stop - spans.start,
-                             16), complex)
-            np.multiply(q[todo, None, None], anchors[spans], out=vals[0])
-            np.exp(vals[0], out=vals[0])
-            for prev, cur in zip(vals[:-1], vals[1:]):
-                np.square(prev, out=cur)
-            vals *= f[:, None, spans]
+            # e^(-d q rho) times M at every node, in one (_RAY_WAVE x q x
+            # spans x 16) buffer
+            if j0:
+                vals = _ray_factors(q[todo], anchors[spans])
+                vals *= f[:, None, spans]
+            else:
+                vals = head * f[:, None, spans]
             pieces = vals.sum(axis=-1).transpose(1, 2, 0).reshape(todo.size,
                                                                    -1)
             if j0 == b0:
@@ -727,12 +804,12 @@ def _ray_lane(F, s0, q, c, depth, side):
 
 
 def _filon_rows(qs):
-    """(moms, e_hi, e_lo), the rows of a line query that depend on q alone,
-    for the 1-D q array qs: the Filon moments int_{-1}^{1} P_k(tau)
+    """(moms, phases), the Filon rows of a line query, which depend on q
+    alone, for the 1-D q array qs: the Filon moments int_{-1}^{1} P_k(tau)
     e^(-i lam tau) dtau = 2 (-i)^k j_k(lam) at lam = _PANEL_HALF q,
-    (q, 11), with j_k(x) = sqrt(pi/2x) J_(k+1/2)(x), and the factors
-    e^(-i q _MID_HI), (q, 15, 1), and e^(-i q _MID_LO), (q, 1, 16), whose
-    product is the 240 panel phases."""
+    (q, 11), with j_k(x) = sqrt(pi/2x) J_(k+1/2)(x), and the 240 panel
+    phases e^(-i q mid), (q, 1, _N_PANEL), the outer product of the 15
+    factors e^(-i q _MID_HI) and the 16 factors e^(-i q _MID_LO)."""
     lam = _PANEL_HALF * qs[:, None]
     # the floor keeps j_0(0) = 1
     x = np.maximum(np.abs(lam), 1e-300)
@@ -740,34 +817,73 @@ def _filon_rows(qs):
     moms = np.where(lam < 0.0, np.conj(moms), moms)
     e_hi = np.exp(-1j * qs[:, None, None] * _MID_HI[:, None])
     e_lo = np.exp(-1j * qs[:, None, None] * _MID_LO)
-    return moms, e_hi, e_lo
+    return moms, (e_hi * e_lo).reshape(qs.size, 1, _N_PANEL)
 
 
-def _q_rows(qs):
-    """``_filon_rows`` of qs, kept in the store _Q_ROWS for arrays of two
-    or more q.  The rows depend on q alone, so the store is module-level,
-    like ``_ray_geometry``.  A hit returns the rows computed for the same
-    bytes, read-only, so no value moves.  One-point arrays skip it: the
-    point route's q seldom repeats, and storing its rows slowed one-q
-    queries."""
+def _q_rows(qs, c):
+    """(moms, phases, lanes) of the 1-D q array qs on the line at abscissa
+    c: ``_filon_rows`` of qs and ``_ray_lanes`` of qs and c, all of a
+    query's work that depends on q and c alone.
+
+    Arrays of two or more q are kept in the store _Q_ROWS, keyed on the
+    array's bytes: the Filon rows once, and the lanes per abscissa as the
+    lines ask for them.  They read no B, so the store is module-level, like
+    ``_ray_geometry``.  An array is stored only on its second sighting,
+    while its key is still among the last _Q_SEEN_KEYS keys seen once (the
+    ghost queue of 2Q, Johnson and Shasha, VLDB 1994): most panel sweeps
+    of an integral never repeat, and storing them evicted the grid of a
+    radial profile.  The rows, lanes and keys hold at most _Q_ROWS_BYTES
+    together; past it the least recently used arrays go.  A hit returns
+    the arrays computed for the same bytes, read-only, so no value moves.
+    One-point arrays skip the store: the point route's q seldom repeats,
+    and storing its rows slowed one-q queries."""
     if qs.size < 2:
-        return _filon_rows(qs)
+        return (*_filon_rows(qs), _ray_lanes(qs, c))
     key = qs.tobytes()
     rows = _Q_ROWS.get(key)
     if rows is not None:
         _Q_ROWS.move_to_end(key)
-        return rows
-    rows = _Q_ROWS[key] = tuple(map(_frozen, _filon_rows(qs)))
-    used = sum(map(_q_rows_bytes, _Q_ROWS.items()))
-    while used > _Q_ROWS_BYTES:
+    elif key in _Q_SEEN:
+        del _Q_SEEN[key]
+        rows = _Q_ROWS[key] = (*map(_frozen, _filon_rows(qs)), {})
+    else:
+        _Q_SEEN[key] = None
+        if len(_Q_SEEN) > _Q_SEEN_KEYS:
+            _Q_SEEN.popitem(last=False)
+        _q_trim()
+        return (*_filon_rows(qs), _ray_lanes(qs, c))
+    moms, phases, lanes_at = rows
+    lanes = lanes_at.get(c)
+    if lanes is None:
+        lanes = lanes_at[c] = _ray_lanes(qs, c)
+        for lane in lanes:
+            for arr in lane[2:]:
+                _frozen(arr)
+        _q_trim()
+    return moms, phases, lanes
+
+
+def _q_trim():
+    """Drop the least recently used entries of _Q_ROWS until the store
+    holds at most _Q_ROWS_BYTES."""
+    used = _q_store_bytes()
+    while used > _Q_ROWS_BYTES and _Q_ROWS:
         used -= _q_rows_bytes(_Q_ROWS.popitem(last=False))
-    return rows
 
 
 def _q_rows_bytes(entry):
-    """The bytes of one (key, rows) entry of _Q_ROWS."""
-    key, rows = entry
-    return len(key) + sum(row.nbytes for row in rows)
+    """The bytes of one (key, rows) entry of _Q_ROWS: its key, its Filon
+    rows and the arrays of its lanes."""
+    key, (moms, phases, lanes_at) = entry
+    return (len(key) + moms.nbytes + phases.nbytes
+            + sum(arr.nbytes for lanes in lanes_at.values()
+                  for lane in lanes for arr in lane[2:]))
+
+
+def _q_store_bytes():
+    """The bytes held by the entries of _Q_ROWS and the keys of _Q_SEEN."""
+    return (sum(map(_q_rows_bytes, _Q_ROWS.items()))
+            + sum(map(len, _Q_SEEN)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -795,12 +911,10 @@ class _LineAssembly:
 
         q is a scalar or an array; the values and errors take its shape.
         Each q's figures are its own, so the batches of at most _Q_BATCH
-        points that bound the temporaries change no value.  A batch's
-        q-only rows, its Filon moments and phase factors, come from the
-        store of ``_q_rows`` when the same q array was met before, so a
-        profile or a panel sweep repeated at a new t pays only the work of
-        its line.  Where x^-c passes e^_LOG_SCALE_MAX it raises
-        RegimeError.
+        points that bound the temporaries change no value, and a batch's
+        work that depends on q alone comes from the store of ``_q_rows``
+        when the same q array was met before (``_batch``).  Where x^-c
+        passes e^_LOG_SCALE_MAX it raises RegimeError.
         """
         q = np.asarray(q, dtype=float)
         qs = q.ravel()
@@ -816,9 +930,17 @@ class _LineAssembly:
         return val.reshape(q.shape)[()], err.reshape(q.shape)[()]
 
     def _batch(self, qs):
-        moms, e_hi, e_lo = _q_rows(qs)
-        # the 240 panel phases e^(-i q mid), as one (1 x _N_PANEL) row per q
-        phases = (e_hi * e_lo).reshape(qs.size, 1, _N_PANEL)
+        """(values, errors) at the q of one pass, a 1-D array.
+
+        Its Filon moments and panel phases and its ray lanes, with their
+        prefactors and node factors on block 0, depend on q and c alone
+        and come from ``_q_rows``: for a repeated q array, a profile on a
+        fixed grid or a repeated panel sweep, from its store.  A new t then
+        pays only for its line: the panel sums against this line's
+        Legendre coefficients, the ray's samples of its tail model, their
+        products with the kept factors, and the sweep past block 0.
+        """
+        moms, phases, lanes = _q_rows(qs, self.c)
         # sum_p phase_p coeffs_pk: the stacked product makes one
         # (1 x _N_PANEL) @ (_N_PANEL x 11) call per q, so each q is summed
         # the same way whatever the batch and an array call equals the
@@ -826,9 +948,7 @@ class _LineAssembly:
         # differently for each batch size
         d = np.matmul(phases, self.coeffs)[:, 0, :]
         win = _PANEL_HALF * (d * moms).sum(axis=-1)
-        ray, ray_err = _ray_tail(
-            lambda s: _tail_model(self.kind, self.t, self.model_a, s),
-            self.c + 1j * _V_CUT, qs, self.c)
+        ray, ray_err = _ray_tail(self, lanes, qs.size)
         err = (self.err_window + ray_err
                + self.fit_resid * _V_CUT / (2.0 * self.t + _MODEL_K - 1.0))
         scale = np.exp(-self.c * qs) / math.pi
@@ -867,10 +987,8 @@ class LambdaQuery:
     regime: str = "auto"
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t > 0.0):
-            raise ValueError(f"t must be positive and finite, got {self.t}")
-        if not (math.isfinite(self.x) and self.x > 0.0):
-            raise ValueError(f"x must be positive and finite, got {self.x}")
+        _check_arg("t", self.t)
+        _check_arg("x", self.x)
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
 
@@ -949,8 +1067,7 @@ def eval_lambda_log(t, log_x, regime="auto", evaluator=None):
     zones (large_t_asymptotic, small_t_series) live at x far from 1 and
     are reached through eval_lambda instead.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _check_arg("t", t)
     if not math.isfinite(log_x):
         raise ValueError(f"log_x must be finite, got {log_x}")
     if regime not in ("auto", "direct", "log_regularized"):
@@ -966,7 +1083,10 @@ def radial_profile(t, x_min, x_max, n_points, evaluator=None):
     the tabulation and evaluates every point at once; x = 1 with t <= 1/2
     gives inf, as in eval_lambda.
     """
-    if not (x_min > 0.0 and x_max > x_min):
+    _check_arg("t", t)
+    _check_arg("x_min", x_min)
+    _check_arg("x_max", x_max)
+    if not x_max > x_min:
         raise ValueError("need 0 < x_min < x_max")
     if n_points < 2:
         raise ValueError("need at least two points")
@@ -1286,6 +1406,8 @@ def eval_dlambda_dt(t, x, evaluator=None):
     integrable, so x = 1 is refused there.  Where x^-3/2 passes
     e^_LOG_SCALE_MAX (x below about 1e-203) the line raises RegimeError.
     """
+    _check_arg("t", t)
+    _check_arg("x", x)
     ev = evaluator or default_evaluator()
     if x == 1.0 and t <= 0.5:
         raise RegimeError("dLambda/dt at x = 1 needs t > 1/2")
@@ -1299,6 +1421,8 @@ def eval_dlambda_dx(t, x, evaluator=None):
     only for t > 1; smaller t raises RegimeError, and so does an x at
     which the scale x^(-c-1) passes e^_LOG_SCALE_MAX.
     """
+    _check_arg("t", t)
+    _check_arg("x", x)
     if not t > 1.0:
         raise RegimeError(f"x-derivative line needs t > 1; t={t}")
     q = math.log(x)
@@ -1314,8 +1438,8 @@ def eval_G(t, x, y, evaluator=None):
     Scaling covariance G(a t, a x; a y) = G(t, x; y)/a holds by
     construction and is pinned by tests.
     """
-    if not y > 0.0:
-        raise ValueError("y must be positive")
+    for name, value in (("t", t), ("x", x), ("y", y)):
+        _check_arg(name, value)
     val, _ = _eval_q(t / y, math.log(x / y), "auto",
                      evaluator or default_evaluator())
     return val / y
@@ -1556,6 +1680,7 @@ def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
     x_f Lambda(0+) = v/(e - 1) on the left and C x_f^-4/4 = v/(e^4 - 1)
     on the right.
     """
+    _check_arg("t", t)
     if not rel_tol > 0.0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     ev = evaluator or default_evaluator()
@@ -1603,6 +1728,7 @@ def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):
     log supp phi, which takes the core |x-1| < exp(-40) from the near-one
     law when supp phi holds x = 1.
     """
+    _check_arg("t", t, zero=True)
     if t == 0.0:
         return float(phi(1.0))
     lo, hi = phi.support
@@ -1658,6 +1784,7 @@ def transport_apply(phi, x):
     d Lambda/dt = (dLambda/dx * H) against phi moves one derivative onto
     phi and produces exactly this profile.
     """
+    _check_arg("x", x)
     lo, hi = phi.support
     r_lo, r_hi = lo / x, hi / x
     if r_hi <= 0.0:

@@ -7,8 +7,9 @@ differences of Lambda itself.  One array call of an assembled line must
 give exactly what scalar calls give, and an assembly at a new t, which reads
 B and the 1/B spectrum memoized at an earlier t, exactly what a cold build
 gives.
-The query's one-expression tail model must be the sum of the fit's columns,
-and its rotated ray must match scipy's quad on the same ray.
+The tail model, which the fit and the ray read off kept t-free columns,
+must match its closed form, and its rotated ray must match scipy's quad on
+the same ray.  A repeated q array's stored rows must equal fresh ones.
 The tabulated Mellin--Barnes lines of the asymptotic routes are checked
 against adaptive vertical quadrature and an independent trapezoid rule,
 both on B at scattered points.
@@ -56,7 +57,7 @@ from wavekin.fundsol import (
     transport_apply,
 )
 from wavekin.kernels import eval_H
-from wavekin.ufunc import SQRT_2PI, eval_U
+from wavekin.ufunc import ENV_B, SQRT_2PI, eval_U
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +203,7 @@ def test_batches_of_a_long_call_change_no_value(ev, monkeypatch):
 def empty_store(monkeypatch):
     store = collections.OrderedDict()
     monkeypatch.setattr(fundsol, "_Q_ROWS", store)
+    monkeypatch.setattr(fundsol, "_Q_SEEN", collections.OrderedDict())
     return store
 
 
@@ -209,22 +211,70 @@ def _bits(arrays):
     return [a.tobytes() for a in arrays]
 
 
+def _arrays(obj):
+    """Every numpy array inside nested tuples, lists and dicts."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _arrays(item)]
+    return []
+
+
+def _flat_rows(rows):
+    # moms, phases, then per lane its depth, side and arrays
+    moms, phases, lanes = rows
+    return ([moms.tobytes(), phases.tobytes()]
+            + [x if isinstance(x, int) else x.tobytes()
+               for lane in lanes for x in lane])
+
+
+#: the grid of the benchmark's radial profiles, in q = log x
+_PROFILE = (1e-2, 1e2, 256)
+
+
+def test_an_array_seen_once_leaves_only_its_key(ev, empty_store):
+    line = _line_assembly(ev, 1.3, 1.0, "u")
+    line(_Q)
+    assert not empty_store and list(fundsol._Q_SEEN) == [_Q.tobytes()]
+    # the keys of arrays seen once are bounded; a key that has left the
+    # list counts as unseen again
+    arrays = [_Q + k for k in range(1, fundsol._Q_SEEN_KEYS + 2)]
+    for q in arrays:
+        line(q)
+    assert list(fundsol._Q_SEEN) == [q.tobytes() for q in arrays[1:]]
+    line(_Q)
+    assert not empty_store
+
+
 def test_stored_rows_are_fresh_rows(empty_store):
     q = np.concatenate((_Q, [0.0, -0.0]))
-    kept = fundsol._q_rows(q)
-    assert list(empty_store) == [q.tobytes()]
-    # a hit on an equal array returns the kept rows, read-only
-    assert fundsol._q_rows(q.copy()) is kept
-    assert not any(row.flags.writeable for row in kept)
-    assert _bits(kept) == _bits(fundsol._filon_rows(q))
+    first = fundsol._q_rows(q, 1.0)
+    kept = fundsol._q_rows(q.copy(), 1.0)
+    # the second sighting stores the array, and a hit on an equal array
+    # returns the kept rows and lanes, read-only
+    assert list(empty_store) == [q.tobytes()] and not fundsol._Q_SEEN
+    again = fundsol._q_rows(q.copy(), 1.0)
+    assert all(a is b for a, b in zip(kept, again))
+    assert not any(arr.flags.writeable for arr in _arrays(kept))
+    fresh = (*fundsol._filon_rows(q), fundsol._ray_lanes(q, 1.0))
+    assert _flat_rows(kept) == _flat_rows(first) == _flat_rows(fresh)
+    # a line at another abscissa adds its lanes to the same entry
+    other = fundsol._q_rows(q, _C_DT)
+    assert other[0] is kept[0] and list(empty_store[q.tobytes()][2]) == [
+        1.0, _C_DT]
+    assert _flat_rows(other) == _flat_rows(
+        (*fundsol._filon_rows(q), fundsol._ray_lanes(q, _C_DT)))
 
 
 def test_a_profile_at_a_second_t_equals_one_on_an_empty_store(
         ev, empty_store):
     radial_profile(0.9, 1e-2, 1e2, 64, evaluator=ev)
-    assert len(empty_store) == 1
+    assert not empty_store
     grid = np.log(np.geomspace(1e-2, 1e2, 64))
     warm = radial_profile(1.7, 1e-2, 1e2, 64, evaluator=ev)
+    assert len(empty_store) == 1
     warm_line = _line_assembly(ev, 1.7, 1.0, "u")(grid)
     empty_store.clear()
     cold = radial_profile(1.7, 1e-2, 1e2, 64, evaluator=ev)
@@ -233,24 +283,67 @@ def test_a_profile_at_a_second_t_equals_one_on_an_empty_store(
     assert _bits(warm_line) == _bits(_line_assembly(ev, 1.7, 1.0, "u")(grid))
 
 
+def test_a_profile_at_a_third_t_takes_its_q_rows_from_the_store(
+        ev, empty_store, monkeypatch):
+    # on the benchmark's grid, the third profile computes no Filon row, no
+    # phase product and no lane, so no prefactor and no node factor of
+    # block 0; only the q next to 0 sweep past block 0 and take factors
+    # there
+    for t in (0.9, 1.6):
+        radial_profile(t, *_PROFILE, evaluator=ev)
+    calls = collections.Counter()
+    anchors = []
+
+    def spy(name):
+        real = getattr(fundsol, name)
+
+        def call(*args):
+            calls[name] += 1
+            if name == "_ray_factors":
+                anchors.append(args[1])
+            return real(*args)
+        monkeypatch.setattr(fundsol, name, call)
+
+    for name in ("_filon_rows", "_ray_lanes", "_ray_factors"):
+        spy(name)
+    warm = radial_profile(2.3, *_PROFILE, evaluator=ev)
+    assert calls["_filon_rows"] == calls["_ray_lanes"] == 0
+    s0 = 1.0 + 1j * fundsol._V_CUT
+    heads = [fundsol._ray_geometry(s0, 0, side, 0)[2] for side in (-1, 1)]
+    assert not any(np.shares_memory(a, h) for a in anchors for h in heads)
+    empty_store.clear()
+    cold = radial_profile(2.3, *_PROFILE, evaluator=ev)
+    assert calls["_filon_rows"] == 1 and calls["_ray_lanes"] == 1
+    assert warm.values.tobytes() == cold.values.tobytes()
+
+
 def test_a_one_point_query_leaves_the_store_unchanged(ev, empty_store):
     line = _line_assembly(ev, 1.3, 1.0, "u")
     line(_Q)
     line(_Q[::-1])
-    before = list(empty_store.items())
+    line(_Q)
+    before = list(empty_store.items()), list(fundsol._Q_SEEN)
     _lam(1.3, 2.0, "auto", ev)
     line(np.array([0.5]))
     line(0.0)
-    assert list(empty_store.items()) == before
+    assert (list(empty_store.items()), list(fundsol._Q_SEEN)) == before
 
 
 def test_the_store_stays_within_its_bound(empty_store):
     rng = np.random.default_rng(50)
-    for _ in range(50):
-        fundsol._q_rows(rng.uniform(-9.0, 9.0, fundsol._Q_BATCH))
-    used = sum(map(fundsol._q_rows_bytes, empty_store.items()))
+    for k in range(20):
+        q = rng.uniform(-9.0, 9.0, fundsol._Q_BATCH)
+        for c in (1.0, 1.0) + (_C_DT,) * (k % 5 == 0):
+            fundsol._q_rows(q, c)
+    for _ in range(fundsol._Q_SEEN_KEYS + 3):
+        fundsol._q_rows(rng.uniform(-9.0, 9.0, fundsol._Q_BATCH), 1.0)
+    # every kept array and key, counted here, not by the store's own sum
+    used = (sum(a.nbytes for a in _arrays(list(empty_store.values())))
+            + sum(map(len, empty_store)) + sum(map(len, fundsol._Q_SEEN)))
+    assert used == fundsol._q_store_bytes()
     assert 0 < used <= fundsol._Q_ROWS_BYTES
-    assert 1 < len(empty_store) < 50
+    assert 1 < len(empty_store) < 20
+    assert len(fundsol._Q_SEEN) == fundsol._Q_SEEN_KEYS
 
 
 @pytest.mark.parametrize("t", [0.3, 2.0])
@@ -345,25 +438,42 @@ def _ray_nodes(s0, n_panels=24):
     return s0 + fundsol._RAY_DIRS[:, None, None] * r
 
 
+def _closed_tail(kind, t, a, s):
+    # the tail model in closed form: (ENV_B z)^(-2t) times the Horner sum
+    # of its ladder, times z for "su" and over z for "du"
+    z = s - 1.0 if kind == "ut" else s
+    p = fundsol._V_BAR / z
+    if kind in ("u", "q2", "su"):
+        ladder = a[0] + p * (a[1] + p * (a[2] + p * (a[3] + p * a[4])))
+    else:
+        b = a[[1, 0, 2, 3, 4]] if kind == "du" else a
+        ladder = b[0] * np.log(z) + b[1] + p * (b[2] + p * (b[3] + p * b[4]))
+    model = (ENV_B * z) ** (-2.0 * t) * ladder
+    if kind == "su":
+        return model * z
+    return model / z if kind == "du" else model
+
+
 @pytest.mark.parametrize("kind, c, t", _TAIL_CASES)
 def test_tail_model_is_the_fit_columns_summed(ev, kind, c, t):
-    # the fit's column matrix (a = eye) times the amplitudes is the model
-    # that the ray sums in Horner form
+    # the fit's column matrix times the amplitudes is the model that the
+    # ray samples, and both are the model's closed form
     line = _line_assembly(ev, t, c, kind)
     s = _ray_nodes(c + 1j * fundsol._V_CUT)
-    cols = fundsol._tail_model(kind, t, np.eye(fundsol._MODEL_K),
-                               s[..., None])
+    log_b, cols = fundsol._tail_columns(kind, s)
     assert cols.shape == s.shape + (fundsol._MODEL_K,)
-    ref = cols @ line.model_a
-    got = fundsol._tail_model(kind, t, line.model_a, s)
-    assert got.shape == ref.shape
+    ref = (np.exp(-2.0 * t * log_b)[..., None] * cols) @ line.model_a
+    got = fundsol._tail_model(t, (log_b, cols), line.model_a)
+    closed = _closed_tail(kind, t, line.model_a, s)
+    assert got.shape == ref.shape == closed.shape
     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+    assert np.all(np.abs(got - closed) <= 1e-14 * np.abs(closed))
 
 
 def test_a_query_evaluates_no_fit_column(ev, monkeypatch):
     # an assembly reads the fit's column matrices once, off the kept
-    # ladders; a query reads none and passes the tail model only the
-    # line's 1-D amplitudes
+    # ladders; a query reads none and samples the tail model with the
+    # line's 1-D amplitudes only
     columns, amplitudes = [], []
     real_columns, real_model = fundsol._fit_columns, fundsol._tail_model
 
@@ -371,9 +481,9 @@ def test_a_query_evaluates_no_fit_column(ev, monkeypatch):
         columns.append((kind, t, c))
         return real_columns(kind, t, c)
 
-    def spy_model(kind, t, a, s):
+    def spy_model(t, cols, a):
         amplitudes.append(np.ndim(a))
-        return real_model(kind, t, a, s)
+        return real_model(t, cols, a)
 
     monkeypatch.setattr(fundsol, "_fit_columns", spy_columns)
     monkeypatch.setattr(fundsol, "_tail_model", spy_model)
@@ -391,16 +501,36 @@ def test_a_query_evaluates_no_fit_column(ev, monkeypatch):
 @pytest.mark.parametrize("t", [0.3, 1.37, 4.0])
 @pytest.mark.parametrize("kind, c", _KINDS)
 def test_kept_ladder_columns_are_the_tail_model(kind, c, t):
-    # the fit's columns at t from the ladders kept per (kind, c) are the
-    # tail model with the identity as amplitudes, bit for bit
-    eye = np.eye(fundsol._MODEL_K)
+    # the fit's columns at t from the columns kept per (kind, c) are the
+    # tail model with the unit vectors as amplitudes, bit for bit
     got = fundsol._fit_columns(kind, t, c)
     for cols, iv in zip(got, (fundsol._FIT_IV_PROBE, fundsol._FIT_IV_CHECK)):
-        ref = fundsol._tail_model(kind, t, eye, c + iv)
+        fresh = fundsol._tail_columns(kind, c + iv)
+        ref = np.stack([fundsol._tail_model(t, fresh, unit)
+                        for unit in np.eye(fundsol._MODEL_K)], axis=-1)
         assert cols.shape == ref.shape == (iv.size, fundsol._MODEL_K)
         assert cols.tobytes() == ref.tobytes()
     for kept in fundsol._fit_ladders(kind, c):
         assert not kept.flags.writeable
+
+
+@pytest.mark.parametrize("kind, c, t", _TAIL_CASES)
+def test_kept_ray_columns_are_the_tail_model(ev, kind, c, t):
+    # a lane's samples, read off the columns kept per lane and block and
+    # summed with the line's amplitudes, are the tail model at its nodes
+    # times its Gauss weights, bit for bit
+    line = _line_assembly(ev, t, c, kind)
+    s0 = c + 1j * fundsol._V_CUT
+    for depth, side in ((0, -1), (0, 0), (0, 1), (4, -1)):
+        for block in range(len(fundsol._RAY_BLOCKS)):
+            nodes, weights, _ = fundsol._ray_geometry(s0, depth, side, block)
+            kept = fundsol._ray_columns(kind, s0, depth, side, block)
+            assert not any(arr.flags.writeable for arr in kept)
+            got = fundsol._tail_model(t, kept, line.model_a)
+            ref = fundsol._tail_model(
+                t, fundsol._tail_columns(kind, nodes, weights), line.model_a)
+            assert got.shape == nodes.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 def _quad_ray(F, s0, q, c):
@@ -433,11 +563,13 @@ def test_ray_tail_matches_quad(ev, t, q):
     line = _line_assembly(ev, t, c, "u")
 
     def model(s):
-        return fundsol._tail_model("u", t, line.model_a, s)
+        return fundsol._tail_model(t, fundsol._tail_columns("u", s),
+                                   line.model_a)
 
     s0 = c + 1j * fundsol._V_CUT
     ref = _quad_ray(model, s0, q, c)
-    (got,), (err,) = fundsol._ray_tail(model, s0, np.array([q]), c)
+    lanes = fundsol._ray_lanes(np.array([q]), c)
+    (got,), (err,) = fundsol._ray_tail(line, lanes, 1)
     assert abs(got - ref) <= err
 
 
@@ -890,6 +1022,40 @@ def test_transport_apply_matches_quad_across_the_kink(x):
         "q2_t_one", "dt_at_one", "dx_t_one", "g_y_zero", "bump_empty"])
 def test_routes_refuse_arguments_outside_their_zone(call, error):
     with pytest.raises(error):
+        call()
+
+
+_BUMP = fundsol.TestFunction.bump(0.5, 3.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: radial_profile(0.0, 0.5, 2.0, 8), "t"),
+    (lambda: radial_profile(math.nan, 0.5, 2.0, 8), "t"),
+    (lambda: radial_profile(-1.0, 0.5, 2.0, 8), "t"),
+    (lambda: radial_profile(math.inf, 0.5, 2.0, 8), "t"),
+    (lambda: radial_profile(1.0, 0.5, math.inf, 8), "x_max"),
+    (lambda: l1_norm_lambda(0.0), "t"),
+    (lambda: l1_norm_lambda(math.nan), "t"),
+    (lambda: l1_norm_lambda(-1.0), "t"),
+    (lambda: delta_pairing(-1.0, _BUMP), "t"),
+    (lambda: delta_pairing(math.nan, _BUMP), "t"),
+    (lambda: eval_dlambda_dt(1.0, math.nan), "x"),
+    (lambda: eval_dlambda_dt(0.0, 2.0), "t"),
+    (lambda: eval_dlambda_dt(1.0, 0.0), "x"),
+    (lambda: eval_dlambda_dx(2.0, -1.0), "x"),
+    (lambda: eval_G(0.0, 1.0, 1.0), "t"),
+    (lambda: transport_apply(_BUMP, 0.0), "x"),
+    (lambda: transport_apply(_BUMP, -1.0), "x"),
+], ids=["profile_t_zero", "profile_t_nan", "profile_t_negative",
+        "profile_t_inf", "profile_x_max_inf", "l1_t_zero", "l1_t_nan",
+        "l1_t_negative", "pairing_t_negative", "pairing_t_nan", "dt_x_nan",
+        "dt_t_zero", "dt_x_zero", "dx_x_negative", "g_t_zero",
+        "transport_x_zero", "transport_x_negative"])
+def test_routes_validate_their_arguments(call, name):
+    # each of these raised a RuntimeWarning, a bare math domain error or
+    # ZeroDivisionError, or returned nan or 0.0, before its arguments were
+    # checked; now a ValueError names the argument, as LambdaQuery's does
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
         call()
 
 
