@@ -33,7 +33,10 @@ prints:
   fourth-order central difference (step 0.01 in Re s) of eval_U_small_t,
   or of eval_U at t >= 1;
 - ``eval_B_prime`` at the points ``B_PRIME_POINTS``: each tree's relative
-  distance to a Cauchy derivative circle of radius 0.05 on eval_B_many.
+  distance to a Cauchy derivative circle of radius 0.05 on eval_B_many;
+- B' on the output grid of the c = 1 lines (``fundsol._b_prime_grid``),
+  which the "du" line reads: per tree, the largest and the median relative
+  distance to eval_B_prime at every 97th grid node.
 
 With ``--time`` it then times, interleaved between the two trees round
 by round, a one-q query at a new t (line assembly included), one
@@ -193,7 +196,12 @@ def derivative(req):
             lambda z: fresh.eval_B_many(z) / (z - s) ** 2, s, 0.05,
             n_min=32).value
         b_prime.append(abs(fresh.eval_B_prime(s) - circle) / abs(circle))
-    return {"du": du, "b_prime": b_prime}
+    grid = fundsol._b_prime_grid(fresh, 1.0)[::97]
+    ref = np.array([fresh.eval_B_prime(1.0 + 1j * v)
+                    for v in fundsol._V_GRID[::97]])
+    rel = np.abs(grid - ref) / np.abs(ref)
+    return {"du": du, "b_prime": b_prime,
+            "grid": [float(rel.max()), float(np.median(rel))]}
 
 
 def run(case):
@@ -353,6 +361,9 @@ def compare_derivative(ref, work):
     print(f"{'eval_B_prime ~ circle, relative':<40}{'ref':>10}{'work':>10}")
     for s, x, y in zip(B_PRIME_POINTS, a["b_prime"], b["b_prime"]):
         print(f"{f's = {s}':<40}{x:>10.2g}{y:>10.2g}")
+    for name, x, y in zip(("max", "median"), a["grid"], b["grid"]):
+        label = "B' grid c = 1 ~ eval_B_prime, " + name
+        print(f"{label:<40}{x:>10.2g}{y:>10.2g}")
 
 
 def compare_times(ref, work, rounds):

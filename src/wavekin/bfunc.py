@@ -85,8 +85,11 @@ The walk adds W'/W for each of its factors.  At the base, the strip
 exponent's s-derivative is one more window sum on the same lattice, against
 d/ds k_plus = 2 i pi k_plus (k_plus - 1), which has no step and so no
 plateau.  A Cauchy derivative circle serves only where the walk collides,
-as the circle average serves B there; the strip kernel differentiated on
-Gauss panels (``eval_B_prime_strip``) and a circle are the tests' oracles.
+as the circle average serves B there.  Along a line, B' is the derivative
+of B's interpolant (``BLineInterpolator.derivative``), read off the same
+kept blocks as B with no step to choose; it shares only the strip values
+with eval_B_prime, and the tests hold both routes to a Cauchy derivative
+circle on eval_B_many.
 
 The poles and zeros of B on the real axis follow from the ladder, as the
 W-poles and W-zeros its walk crosses.  Poles: 0 and -1, the integers m >= 9
@@ -98,6 +101,7 @@ above each positive zero of W.  ``_b_singularities`` is their one list.
 """
 
 import collections
+import copy
 import dataclasses
 import functools
 import itertools
@@ -124,7 +128,6 @@ _WALK_LO = 0.55          # base window Re in [_WALK_LO, _WALK_LO + 1)
 _POLE_GUARD = 1e-6
 _COLLIDE_TOL = 1e-6
 _LADDER_TOL = 1e-9       # a ladder factor this close to a W zero/pole is on it
-_PANEL_W = 0.25          # eval_B_prime_strip's Gauss panel width
 _MARGIN = 6.5            # g+/g- windows: both decay below 2e-18 beyond
 _GAUGE_BETA = 0.3        # canonical line: the other line splices onto it
 _UPPER_BETA = _GAUGE_BETA + 0.5   # the strip's line for Re s >= 1.05
@@ -268,8 +271,6 @@ def _beta_for(re_base):
     return _GAUGE_BETA if re_base < _WALK_LO + 0.5 else _UPPER_BETA
 
 
-_gl24 = np.polynomial.legendre.leggauss(24)   # eval_B_prime_strip's panels
-
 _CHEB_DEG = 24
 _CHEB_SEG = 0.8
 _SEG_STEPS = 32          # lattice steps per Chebyshev segment
@@ -288,6 +289,14 @@ _CHEB_THETA = np.pi * (np.arange(_CHEB_DEG) + 0.5) / _CHEB_DEG
 _CHEB_X = np.cos(_CHEB_THETA)
 _BARY_W = np.where(np.arange(_CHEB_DEG) % 2 == 0, 1.0, -1.0) * np.sin(
     _CHEB_THETA)
+# the differentiation matrix of the interpolant at those nodes (Berrut &
+# Trefethen, SIAM Rev. 46, 2004, eq. 9.4): (w_j / w_i) / (x_i - x_j) off
+# the diagonal, and on it minus the rest of its row, so that the slopes of
+# a constant are 0 to rounding
+_CHEB_D = _BARY_W / _BARY_W[:, None] / (
+    _CHEB_X[:, None] - _CHEB_X + np.eye(_CHEB_DEG))
+np.fill_diagonal(_CHEB_D, 0.0)
+np.fill_diagonal(_CHEB_D, -_CHEB_D.sum(axis=1))
 
 
 def _g_plus(x, q):
@@ -540,7 +549,9 @@ class BLineInterpolator:
     view of the blocks that cover [im_lo, im_hi], so its values do not
     depend on the window that asked for them.  Quadrature routines that
     sample the same line thousands of times query this instead of
-    evaluating B per node.
+    evaluating B per node.  ``derivative`` gives B' along the line off the
+    same node values; the tests hold it to eval_B_prime and to a Cauchy
+    derivative circle.
     """
 
     def __init__(self, evaluator, re_line, im_lo, im_hi):
@@ -583,6 +594,18 @@ class BLineInterpolator:
                     idx[on_node], np.abs(t[on_node, None] - _CHEB_X).argmin(1)]
         return out.reshape(s_arr.shape)
 
+    def derivative(self):
+        """The interpolant of B' on the same segments.
+
+        Its node values are the slopes of each segment's interpolant, the
+        24 values times _CHEB_D, over the segment's half-width: dB/dv on
+        the line s = re_line + i v, which is i B'.  Exact differentiation
+        of the kept blocks, so no step amplifies B's rounding.
+        """
+        out = copy.copy(self)
+        out.vals = -1j * (self.vals @ _CHEB_D.T) / self.half[:, None]
+        return out
+
 
 class BEvaluator:
     """Evaluator for B, ``BEvaluator()``.
@@ -594,7 +617,9 @@ class BEvaluator:
     onto the lower one (``_gauge_offset``).  B and B' are the strip rule
     walked by the functional equation; a Cauchy circle serves only where
     a walk collides with a zero or pole of W (``_cauchy_fallback``,
-    ``eval_B_prime``).
+    ``eval_B_prime``).  Along a line, B' is the derivative of the line
+    interpolant (``BLineInterpolator.derivative``); the tests hold both
+    B' routes to a Cauchy derivative circle.
 
     The evaluator owns all of its caches, which are freed with it: one
     strip lattice per (line, step), the point cache ``cache``, keyed on
@@ -614,20 +639,6 @@ class BEvaluator:
 
     # ---------------- strip representation ----------------
 
-    def _line_values(self, beta, v):
-        """log(-W) at beta + i v, with the branch audit.
-
-        The principal branch is the continuous one here: the audit checks,
-        on the sorted nodes v themselves, that arg(-W) = Im log(-W) never
-        approaches +-pi nor jumps by >= pi between nodes, and that it decays
-        at the window ends, which pins the branch the representation needs
-        (arg -> 0 at +-i infinity).
-        """
-        logw = np.log(-eval_W(beta + 1j * v))
-        _audit_samples(logw.imag, beta)
-        _audit_ends(logw.imag[0], logw.imag[-1])
-        return logw
-
     def _rule_samples(self, beta, lo, hi, h):
         """Weighted samples of the h and 2h trapezoid rules over [lo, hi].
 
@@ -640,9 +651,13 @@ class BEvaluator:
         long double, since it reaches ~400 at |Im s| ~ 200 and its last
         digits are the phase of B.  ``gm`` is the g_minus window sum.
         All are read off the evaluator's lattice for (beta, h), grown to
-        cover [lo, hi] with the audit of _line_values; the end-decay check
-        runs on this window's own ends.  Returns (j_lo, a, plateau, gm),
-        j_lo the index of the window's first node.
+        cover [lo, hi].  The principal branch of log(-W) is the continuous
+        one here: growing audits, on the sorted nodes, that arg(-W) never
+        approaches +-pi nor jumps by >= pi between nodes, and the end-decay
+        check, on this window's own ends, that it decays there, which pins
+        the branch the representation needs (arg -> 0 at +-i infinity).
+        Returns (j_lo, a, plateau, gm), j_lo the index of the window's
+        first node.
         """
         j_lo = math.floor(lo / h - 0.5) - 2
         j_hi = math.ceil(hi / h - 0.5) + 3
@@ -1106,32 +1121,6 @@ class BEvaluator:
             lambda z: self.eval_B_many(z) / (z - s) ** 2, s, radius, n_min=32
         )
         return complex(r.value)
-
-    def eval_B_prime_strip(self, s):
-        """B'(s) by differentiating the strip kernel on Gauss panels.
-
-        Valid only in the walk window Re s in [0.55, 1.55); an independent
-        route that the tests hold eval_B_prime to.
-        """
-        s = complex(s)
-        if not _WALK_LO <= s.real < _WALK_LO + 1.0:
-            raise ValueError("strip derivative needs Re s in the walk window")
-        beta = _beta_for(s.real)
-        width = _PANEL_W
-        lo = min(0.0, s.imag) - _MARGIN
-        hi = max(0.0, s.imag) + _MARGIN
-        n_panels = int(math.ceil((hi - lo) / width))
-        edges = np.linspace(lo, hi, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * (edges[1] - edges[0])
-        x24, w24 = _gl24
-        v = (mid + half * x24).ravel()
-        wt = np.tile(w24[None, :] * half, (n_panels, 1)).ravel()
-        logw = self._line_values(beta, v)
-        kp = _k_plus(s, beta, v)
-        # dF/ds = i * int L * 2 i pi (k1^2 - k1) dv = -2 pi int L (k1^2-k1) dv
-        dF = -2.0 * np.pi * np.sum(logw * (kp * kp - kp) * wt)
-        return complex(dF * self.eval_B(s))
 
     @memo(64)
     def laurent(self, s):

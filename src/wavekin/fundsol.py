@@ -377,17 +377,11 @@ def _b_grid(ev, c):
 
 @memo(8)
 def _b_prime_grid(ev, c):
-    """B'(c + i v) on the output grid, by a 4th-order stencil in v on the
-    line interpolant."""
-    h = 1e-3
-    interp = ev.line_interpolator(c, -0.2, _V_CUT + 0.2)
-
-    def bb(dv):
-        return interp(c + 1j * (_V_GRID + dv))
-
-    db_dv = (8.0 * (bb(h) - bb(-h))
-             - (bb(2 * h) - bb(-2 * h))) / (12 * h)
-    return _frozen(-1j * db_dv)
+    """B'(c + i v) on the output grid, off the derivative of the line
+    interpolant (``BLineInterpolator.derivative``): the blocks B's grid
+    reads, differentiated exactly.  The tests hold it to eval_B_prime."""
+    interp = ev.line_interpolator(c, -0.2, _V_CUT + 0.2).derivative()
+    return _frozen(interp(c + 1j * _V_GRID))
 
 
 @memo(8)
@@ -1210,8 +1204,7 @@ def eval_Q1(theta, evaluator=None):
     Q1(0+) = 2 c1 Res(B, 0) and Q1(theta) ~ (c1 B(5)/2) theta^-5; both ends
     are integrable, so Q1 is an L1 profile.
     """
-    if not theta > 0.0:
-        raise ValueError("theta must be positive")
+    _check_arg("theta", theta)
     ev = evaluator or default_evaluator()
     return _q1_with_error(theta, ev)[0]
 
@@ -1228,10 +1221,10 @@ def eval_Q2(t, theta, evaluator=None):
     theta.  The remainder line sits at Re sigma = 7/2, so absolute
     convergence needs t > 1.
     """
+    _check_arg("t", t)
     if not t > 1.0:
         raise RegimeError(f"remainder line needs t > 1; t={t}")
-    if not theta > 0.0:
-        raise ValueError("theta must be positive")
+    _check_arg("theta", theta)
     ev = evaluator or default_evaluator()
     return _q2_with_error(t, theta, ev)[0]
 
@@ -1389,6 +1382,8 @@ def eval_lambda_series(t, x, *, evaluator=None):
     resummed and enter the error estimate instead.  Valid for 0 < t < 1,
     x/t > 1 and x away from 1; see the errors raised otherwise.
     """
+    _check_arg("t", t)
+    _check_arg("x", x)
     ev = evaluator or default_evaluator()
     return _series_with_error(t, x, ev)[0]
 
@@ -1455,10 +1450,13 @@ class TestFunction:
 
     u = (x - mid) / half maps the support onto (-1, 1); the profile and
     its slope are evaluated in closed form, and both are identically zero
-    outside the support.
+    outside the support.  The support lies in (0, infinity): 0 < lo < hi,
+    both finite, as the pairing's integral in log x needs.
     """
 
     def __init__(self, lo, hi):
+        _check_arg("lo", lo)
+        _check_arg("hi", hi)
         if not hi > lo:
             raise ValueError("need hi > lo")
         self.support = (float(lo), float(hi))
@@ -1681,8 +1679,7 @@ def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
     on the right.
     """
     _check_arg("t", t)
-    if not rel_tol > 0.0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    _check_arg("rel_tol", rel_tol)
     ev = evaluator or default_evaluator()
     lo, hi = math.log1p(-0.4), math.log1p(0.4)
     total, _ = _integral(t, np.ones_like, lo, hi, rel_tol, ev, absolute=True)
@@ -1729,6 +1726,7 @@ def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):
     law when supp phi holds x = 1.
     """
     _check_arg("t", t, zero=True)
+    _check_arg("rel_tol", rel_tol)
     if t == 0.0:
         return float(phi(1.0))
     lo, hi = phi.support
@@ -1787,8 +1785,6 @@ def transport_apply(phi, x):
     _check_arg("x", x)
     lo, hi = phi.support
     r_lo, r_hi = lo / x, hi / x
-    if r_hi <= 0.0:
-        return 0.0
     r_lo = max(r_lo, 1e-12)
 
     def f(r):

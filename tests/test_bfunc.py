@@ -381,10 +381,11 @@ def test_a_rule_that_never_meets_its_2h_rule_raises(monkeypatch):
     (lambda v: np.full(v.shape, 0.8), "decay"),
 ], ids=["near_pi", "jump", "no_decay"])
 def test_branch_audit_conditions(monkeypatch, arg, match):
-    # a fake -W = e^(i arg(v)) trips each condition of the audit in turn
+    # a fake -W = e^(i arg(v)) trips each condition of the audit in turn,
+    # on the strip lattice that every B value reads
     monkeypatch.setattr(bfunc, "eval_W", lambda s: -np.exp(1j * arg(s.imag)))
     with pytest.raises(BranchError, match=match):
-        BEvaluator()._line_values(0.3, np.linspace(-6.5, 6.5, 521))
+        BEvaluator()._rule_samples(0.3, -6.5, 6.5, bfunc._STEP)
 
 
 # ---------------- strip lattice ----------------
@@ -621,26 +622,32 @@ def circle_B_prime(ev, s, radius=0.05):
         lambda z: ev.eval_B_many(z) / (z - s) ** 2, s, radius, n_min=32).value)
 
 
+def line_B_prime(ev, s):
+    """B'(s) by the derivative of the line interpolant through s."""
+    line = ev.line_interpolator(s.real, s.imag - 1.0, s.imag + 1.0)
+    return complex(line.derivative()(s))
+
+
 @pytest.mark.parametrize("s", [0.6 + 2j, 0.9 + 15j, 1.2 - 7j, 0.75 + 40j])
 def test_strip_derivative_matches_circle_derivative(ev, s):
-    # differentiating the strip kernel on Gauss panels, and a Cauchy circle
+    # differentiating the line blocks of strip values, and a Cauchy circle
     # on eval_B_many, are independent routes to B'
     ref = circle_B_prime(ev, s)
-    assert abs(ev.eval_B_prime_strip(s) - ref) <= 1e-12 * abs(ref)
+    assert abs(line_B_prime(ev, s) - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("im", [0.5, 15.0, -40.0])
 @pytest.mark.parametrize("re", [-2.6, -1.7, -0.7, 0.6, 1.2, 2.3, 4.4, 7.3])
 def test_b_prime_matches_circle_across_walks(ev, re, im):
     # walks of k = -4 .. 6 steps: the strip's derivative kernel at the
-    # base plus the walk's W'/W, against a circle of B values
+    # base plus the walk's W'/W, against a circle of B values and the
+    # derivative of the walked line blocks
     s = complex(re, im)
     got = ev.eval_B_prime(s)
     ref = circle_B_prime(ev, s)
     assert abs(got - ref) <= 1e-12 * abs(ref)
-    if bfunc._WALK_LO <= re < bfunc._WALK_LO + 1.0:
-        strip = ev.eval_B_prime_strip(s)
-        assert abs(got - strip) <= 1e-12 * abs(strip)
+    line = line_B_prime(ev, s)
+    assert abs(got - line) <= 1e-12 * abs(line)
 
 
 def test_b_prime_reads_no_circle_off_collisions(ev, monkeypatch):

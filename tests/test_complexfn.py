@@ -365,3 +365,12 @@ class TestRootsAndResidues:
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: log_gamma(math.nan), "non-finite"),
+    (lambda: locate_W_roots(0), "n_max"),
+], ids=["log_gamma_nan", "roots_n_max_zero"])
+def test_routes_refuse_arguments_outside_their_zone(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

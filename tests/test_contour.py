@@ -113,6 +113,10 @@ class TestIntegrateVertical:
             ContourSpec(abscissa=0.0, half_height=1.0, rel_tol=0.0)
         with pytest.raises(ValueError):
             ContourSpec(abscissa=math.inf, half_height=1.0)
+        with pytest.raises(ValueError):
+            TailModel("gauss", 1.0)
+        with pytest.raises(ValueError):
+            TailModel("exp", 0.0)
 
 
 class TestIntegrateCircle:

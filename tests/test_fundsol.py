@@ -92,6 +92,15 @@ def test_direct_agrees_with_log_regularized(ev, t, x):
     assert abs(val - ref) <= err + ref_err
 
 
+def test_b_prime_grid_is_eval_b_prime(ev):
+    # the "du" line of log_regularized reads B' on its grid: it carries
+    # B's rounding, with no difference step to amplify it
+    v = fundsol._V_GRID[::97]
+    got = fundsol._b_prime_grid(ev, 1.0)[::97]
+    ref = np.array([ev.eval_B_prime(1.0 + 1j * y) for y in v])
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
 def test_near_one_exponent(ev):
     # Lambda ~ A |x-1|^(2t-1): the scaled value settles to A
     t = 0.25
@@ -1046,15 +1055,29 @@ _BUMP = fundsol.TestFunction.bump(0.5, 3.0)
     (lambda: eval_G(0.0, 1.0, 1.0), "t"),
     (lambda: transport_apply(_BUMP, 0.0), "x"),
     (lambda: transport_apply(_BUMP, -1.0), "x"),
+    (lambda: delta_pairing(1.0, _BUMP, rel_tol=0.0), "rel_tol"),
+    (lambda: delta_pairing(1.0, _BUMP, rel_tol=-1.0), "rel_tol"),
+    (lambda: l1_norm_lambda(1.0, rel_tol=math.inf), "rel_tol"),
+    (lambda: eval_Q1(math.inf), "theta"),
+    (lambda: eval_Q2(2.0, math.inf), "theta"),
+    (lambda: eval_Q2(math.inf, 1.0), "t"),
+    (lambda: eval_lambda_series(0.5, math.inf), "x"),
+    (lambda: fundsol.TestFunction(-1.0, 2.0), "lo"),
+    (lambda: fundsol.TestFunction(0.0, 2.0), "lo"),
+    (lambda: fundsol.TestFunction(0.5, math.inf), "hi"),
 ], ids=["profile_t_zero", "profile_t_nan", "profile_t_negative",
         "profile_t_inf", "profile_x_max_inf", "l1_t_zero", "l1_t_nan",
         "l1_t_negative", "pairing_t_negative", "pairing_t_nan", "dt_x_nan",
         "dt_t_zero", "dt_x_zero", "dx_x_negative", "g_t_zero",
-        "transport_x_zero", "transport_x_negative"])
+        "transport_x_zero", "transport_x_negative", "pairing_rel_tol_zero",
+        "pairing_rel_tol_negative", "l1_rel_tol_inf", "q1_theta_inf",
+        "q2_theta_inf", "q2_t_inf", "series_x_inf", "bump_lo_negative",
+        "bump_lo_zero", "bump_hi_inf"])
 def test_routes_validate_their_arguments(call, name):
     # each of these raised a RuntimeWarning, a bare math domain error or
-    # ZeroDivisionError, or returned nan or 0.0, before its arguments were
-    # checked; now a ValueError names the argument, as LambdaQuery's does
+    # ZeroDivisionError, refined for over a minute, or returned nan or 0.0,
+    # before its arguments were checked; now a ValueError names the
+    # argument, as LambdaQuery's does
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         call()
 
@@ -1142,6 +1165,16 @@ def test_routes_at_tiny_x_are_finite_or_raise_regime_error(ev, route, x):
 # ---------------- caches ----------------
 
 
+class _FlatLine:
+    """A line interpolant of B = 1, and of its derivative 0."""
+
+    def __call__(self, s):
+        return np.ones_like(s)
+
+    def derivative(self):
+        return np.zeros_like
+
+
 class _FlatB:
     """Just enough of BEvaluator for the cached helpers, with B = 1.
 
@@ -1157,7 +1190,7 @@ class _FlatB:
         return val
 
     def line_interpolator(self, re_line, im_lo, im_hi):
-        return self._count(np.ones_like)
+        return self._count(_FlatLine())
 
     def laurent(self, s):
         return self._count((0, 1.0 + 0j))     # B = 1 at the walk's base

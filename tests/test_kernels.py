@@ -185,6 +185,12 @@ class TestH:
         assert abs(eval_H(1.51) - (-0.14147449913325707197)) < 1e-15  # far
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0])
+def test_h_refuses_r_up_to_zero(r):
+    with pytest.raises(ValueError, match="r > 0"):
+        eval_H(r)
+
+
 class TestHFromK:
     def test_upper_branch(self):
         assert check_H_from_K(1.0, 2.0, 1e-8) <= 1e-8

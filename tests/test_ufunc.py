@@ -250,9 +250,13 @@ def test_small_t_default_line_keeps_its_margin():
     lambda ev: eval_V(1.0, 0.5, beta=0.5, evaluator=ev),
     lambda ev: eval_V(1.0, 0.5, beta=1.5, evaluator=ev),
     lambda ev: eval_dU_ds(-0.1, 1.2, evaluator=ev),
+    lambda ev: laplace_inverse_U(1.0, 1.0, evaluator=ev),
+    lambda ev: laplace_inverse_U(0.0, 1.5, evaluator=ev),
+    lambda ev: laplace_inverse_U(1.0, 1.5, d=0.0, evaluator=ev),
 ], ids=["line_t_zero", "line_t_negative", "line_beta_left",
         "line_beta_at_two", "small_t_beta_next_to_a_pole", "v_beta_left",
-        "v_beta_right", "du_t_negative"])
+        "v_beta_right", "du_t_negative", "inverse_re_s_one",
+        "inverse_t_zero", "inverse_d_zero"])
 def test_routes_refuse_arguments_outside_their_zone(ev, call):
     with pytest.raises(ValueError):
         call(ev)
@@ -502,10 +506,11 @@ def test_v_conjugate_symmetry(ev):
 
 def test_v_inverts_to_u(ev):
     # Bromwich-line quadrature of V at two abscissae reproduces U(1, s):
-    # the transform is abscissa-independent, so no canonical d is assumed
+    # the transform is abscissa-independent, so no canonical d is assumed;
+    # the first line is the default d = 0.8
     u = eval_U(1.0, 1.5, evaluator=ev).value
-    back = [laplace_inverse_U(1.0, 1.5, d=d, evaluator=ev, rel_tol=1e-6)
-            for d in (0.8, 1.4)]
+    back = [laplace_inverse_U(1.0, 1.5, evaluator=ev, rel_tol=1e-6),
+            laplace_inverse_U(1.0, 1.5, d=1.4, evaluator=ev, rel_tol=1e-6)]
     assert abs(back[0] - u) <= 1e-5
     assert abs(back[1] - u) <= 1e-5
     assert abs(back[0] - back[1]) <= 1e-5
