@@ -48,7 +48,10 @@ a 256-point ``radial_profile`` on the fixed grid of the benchmark's
 ``lambda_integrals`` workload and an ``l1_norm_lambda``, each at a new t
 (line assembly included), and that profile at a new t after two untimed
 profiles on the grid in the same round, so a store that admits an array
-on its second sighting holds it (``radial_third_t``).  It prints per case
+on its second sighting holds it (``radial_third_t``), then
+``eval_lambda`` at x = 1 and ``l1_norm_lambda`` at new t next to 0.55
+and 0.3, where the ray integrals at q = log x next to 0 decide the cost
+(``x_one_new_t``, ``l1_stall_new_t``).  It prints per case
 the median and quartiles of the per-round ratio working tree / REF (below
 1 is faster).  It then prints, per tree, the entry count and bytes of the
 store of q-only query rows (``fundsol._Q_ROWS``), with the keys held for
@@ -79,7 +82,7 @@ L1_TS = (0.7, 1.0, 1.5)
 PAIRINGS = ((0.7, 0.5, 2.0), (1.5, 0.5, 2.0))
 TIME_CASES = ("one_q_new_t", "large_t_new_t", "dU_new_s", "radial_256",
               "l1_norm", "pairing", "radial_new_t", "l1_new_t",
-              "radial_third_t")
+              "radial_third_t", "x_one_new_t", "l1_stall_new_t")
 #: untimed calls of a case before its timed ones; "radial_third_t" makes
 #: two, so that its grid has been seen twice
 WARM_CALLS = {"radial_third_t": 2}
@@ -116,6 +119,8 @@ large_t = [3.0]
 du_im = [12.0]
 radial_t = [1.3]
 l1_t = [1.2]
+x_one_t = [0.55]
+l1_stall_t = [0.3]
 
 
 def with_points(fn, *args):
@@ -227,6 +232,13 @@ def run(case):
     elif case == "l1_new_t":
         l1_t[0] += 1e-6
         fundsol.l1_norm_lambda(l1_t[0], evaluator=ev)
+    elif case == "x_one_new_t":
+        x_one_t[0] += 1e-6
+        fundsol.eval_lambda_with_error(fundsol.LambdaQuery(x_one_t[0], 1.0),
+                                       ev)
+    elif case == "l1_stall_new_t":
+        l1_stall_t[0] += 1e-6
+        fundsol.l1_norm_lambda(l1_stall_t[0], evaluator=ev)
     else:
         fundsol.l1_norm_lambda(1.0, evaluator=ev)
 
@@ -371,7 +383,8 @@ def compare_times(ref, work, rounds):
           f"(work / ref, {rounds} interleaved rounds)")
     reps = {"one_q_new_t": 20, "large_t_new_t": 20, "dU_new_s": 20,
             "radial_256": 5, "l1_norm": 1, "pairing": 3, "radial_new_t": 5,
-            "l1_new_t": 3, "radial_third_t": 5}
+            "l1_new_t": 3, "radial_third_t": 5, "x_one_new_t": 20,
+            "l1_stall_new_t": 3}
     for case in TIME_CASES:
         ratios = []
         for k in range(rounds):

@@ -15,11 +15,16 @@ is tabulated on a uniform grid by a matched-grid convolution (see
 ``_symbol_line``) and integrated panel-wise against exact oscillatory
 moments (Filon--Legendre); on [V, inf) a five-term model of the symbol's
 (ENV_B s)^(-2t) decay, ``_tail_model``, is fit on [0.55 V, 0.98 V] and
-integrated along a rotated ray in geometric 16-point Gauss panels
-(``_ray_tail``), which keeps the quadrature non-oscillatory for any q.
-Each q starts its panels at its own depth, short enough for the rule to
-resolve the ray's decay e^(-|q| r/sqrt 2), and sweeps them only until its
-own sum has settled.  One tabulation and fit (``_line_assembly``) serves
+integrated along a rotated ray (``_ray_tail``), which keeps the integral
+non-oscillatory for any q.  The model is a sum of powers z^(-alpha) (and
+one log z z^(-alpha) for "du" and "ut"), whose ray integrals are
+incomplete Gamma functions: for |q| |s0| <= 1, s0 = c + i V, their series
+(DLMF 8.7.3) gives them in closed form (``_RaySeries``), kept with the
+line, and the cusp q^(2t-1) of Lambda at x = 1 is its Gamma term.  Every
+other q sums geometric 16-point Gauss panels: each starts its panels at
+its own depth, short enough for the rule to resolve the ray's decay
+e^(-|q| r/sqrt 2), and sweeps them only until its own sum has settled,
+within 14 panels.  One tabulation and fit (``_line_assembly``) serves
 every q: calling it with an array of q evaluates the moments, the phases
 and the ray panels of all of them at once, so profiles and integrals cost
 one call per batch of points.  Per q, the 240 panel phases are the outer
@@ -38,7 +43,8 @@ takes one exponential per node only on every eighth panel.  The lanes are
 swept in turn, on panel nodes, weights and anchors kept per lane and
 block (``_ray_geometry``).  A query's Filon moments and phases, its
 lanes, their prefactors and their node factors on the first eight panels
-(block 0, which every q sweeps) depend on q and the abscissa alone.  A q
+(block 0, which every swept q sweeps) depend on q and the abscissa
+alone.  A q
 array of two or more q that is seen a second time keeps them in a store
 bounded at 4 MB and keyed on its bytes (``_q_rows``), so a profile on a
 fixed grid, or a panel sweep, repeated at a new t takes them from there
@@ -52,7 +58,8 @@ quantity that reads B is a bounded ``bfunc.memo`` map kept inside the
 evaluator, holds one quantity keyed by what it depends on, and is freed
 with the evaluator and keeps none alive; the fit's and the ray's columns,
 the ray's geometry and the q-only rows read no B and sit in
-bounded module-level maps.  The residues and integer values
+bounded module-level maps, and the closed form of a line's ray is kept
+on the line.  The residues and integer values
 of B that the asymptotic routes read come off B's memoized ladder
 (``BEvaluator.laurent``).
 
@@ -80,9 +87,12 @@ auto                the direct line for every x != 1; at x = 1 with
                     t <= 1/2, where Lambda is infinite, it returns (inf, inf).
 direct              the line integral of U itself.  For t > 1/2 the
                     |U| ~ v^(-2t) tail is absolutely integrable at x = 1; for
-                    t <= 1/2 and x != 1 the rotated ray still integrates the
-                    tail model, and the line keeps its relative accuracy down
-                    to |x-1| ~ 1e-30, where Lambda ~ A |x-1|^(2t-1).
+                    t <= 1/2 it is not, and the line reads (inf, inf) there,
+                    as every line does at q = 0 where its ray diverges.  For
+                    x != 1 the rotated ray integrates the tail model, in
+                    closed form next to x = 1, so the line keeps its
+                    relative accuracy down to |x-1| ~ 1e-30 and below, where
+                    Lambda ~ A |x-1|^(2t-1).
 log_regularized     the same line applied to dU/ds; since
                     log x * Lambda = (1/2 i pi) int sqrt(2 pi) dU/ds x^(-s) ds
                     (by parts; the boundary term vanishes on the line)
@@ -126,6 +136,7 @@ then gives the value at every theta or t.
 
 from __future__ import annotations
 
+import cmath
 import collections
 import dataclasses
 import functools
@@ -134,7 +145,7 @@ import math
 import numpy as np
 import scipy.fft
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.special import jv
+from scipy.special import digamma, gamma, jv, zeta
 
 from wavekin.bfunc import (_b_singularities, _fft_length, default_evaluator,
                            memo)
@@ -272,9 +283,12 @@ _FIT_IV_CHECK = 1j * _H_V * _FIT_CHECK
 _MID_HI = (32.0 * _PANEL_HALF) * np.arange(_N_PANEL // 16)
 _MID_LO = _PANEL_HALF * (2.0 * np.arange(16) + 1.0)
 #: the ray sweep of one q stops once three consecutive panels fall below
-#: _RAY_TOL of its running sum, or after _RAY_PANELS panels
+#: _RAY_TOL of its running sum, or after _RAY_PANELS panels.  Only q with
+#: |q| |s0| > 1 sweep (``_ray_lanes``): measured on every kind at t in
+#: [0.001, 1000] and |q| up to 700, none sweeps past panel 14, in block
+#: 1, and block 2 is the margin
 _RAY_TOL = 1e-10
-_RAY_PANELS = 480
+_RAY_PANELS = 56
 #: ray directions indexed by sign(q): 0 -> pi/2, 1 -> pi/4, -1 -> 3 pi/4
 _RAY_DIRS = np.exp(1j * np.pi * np.array([0.5, 0.25, 0.75]))
 #: the ray's node factors come in spans of _RAY_WAVE panels, an
@@ -292,7 +306,7 @@ _RAY_PIECES = 256
 _RAY_K = np.arange(_RAY_PANELS)
 _RAY_BLOCKS = tuple((_RAY_WAVE * (2 ** k - 1),
                      min(_RAY_WAVE * (2 ** (k + 1) - 1), _RAY_PANELS))
-                    for k in range(6))
+                    for k in range(3))
 
 
 def _ray_reach():
@@ -608,7 +622,7 @@ def _ray_geometry(s0, depth, side, block):
     d half w of the Gauss rule, (panels, 16), and -d rho on the anchor
     panels, (panels / _RAY_WAVE, 16).  They depend on the lane alone, not
     on the line, so every line's sweep reads them here.  Read-only; an
-    entry holds at most 232 panels, 126 kB, and 64 entries at most 8 MB."""
+    entry holds at most 32 panels, 17 kB, and 64 entries at most 1.1 MB."""
     j0, j1 = _RAY_BLOCKS[block]
     r, half, rho = _ray_panels(_ray_len0(s0), depth, j0, j1)
     d = _RAY_DIRS[side]
@@ -621,8 +635,8 @@ def _ray_columns(kind, s0, depth, side, block):
     """``_tail_columns`` of kind at the nodes of ``_ray_geometry(s0, depth,
     side, block)``, with its Gauss weights as w: the t-free part of a
     lane's samples of the tail model, read-only.  A line at a new t reads
-    them (``_ray_lane``).  An entry holds at most 232 panels, 356 kB, and
-    32 entries at most 11.4 MB; 60 rounds of radial profiles, l1 norms and
+    them (``_ray_sweep``).  An entry holds at most 32 panels, 49 kB, and
+    32 entries at most 1.6 MB; 60 rounds of radial profiles, l1 norms and
     pairings on the direct line reached 11 (lane, block) pairs."""
     nodes, weights, _ = _ray_geometry(s0, depth, side, block)
     return tuple(map(_frozen, _tail_columns(kind, nodes, weights)))
@@ -643,31 +657,44 @@ def _ray_factors(q, anchors):
 def _ray_lanes(qs, c):
     """The lanes of ``_ray_tail`` for the 1-D q array qs on the line at
     abscissa c, s0 = c + i _V_CUT: a tuple of (depth, side, at, q, pre,
-    head), one per lane.  The q = qs[at] form the lane of that depth and
-    direction _RAY_DIRS[side]; pre are their prefactors
+    head), one per swept lane.  The q = qs[at] form the lane of that depth
+    and direction _RAY_DIRS[side]; pre are their prefactors
     e^(-(s0 - c - d first) q), and head their node factors on block 0
     (``_ray_factors``), (_RAY_WAVE, q, 1, 16).  Block 0 is the first
-    _RAY_WAVE panels, which every q of a lane sweeps, in one wave.  All of
-    it depends on q and c alone.  One q takes a scalar path to its lane,
-    and at is then slice(None)."""
+    _RAY_WAVE panels, which every q of a lane sweeps, in one wave.  The q
+    with |q| |s0| <= 1 form one lane (None, None, at, q), whose ray
+    integrals come in closed form (``_RaySeries``), with no prefactor and
+    no node factor.  All of it depends on q and c alone.  One q takes a
+    scalar path to its lane, a float compare for the closed form, and at
+    is then slice(None)."""
     s0 = c + 1j * _V_CUT
     len0 = _ray_len0(s0)
     # each q's depth K, the least K >= 0 at which |q| len0 2^-K < _RAY_REACH,
-    # and side sign(q)
+    # and side sign(q); key -2 marks the q of the closed form
     if qs.size == 1:
         q0 = float(qs[0])
+        if abs(q0) * abs(s0) <= 1.0:
+            return ((None, None, slice(None), qs),)
         keys = [(max(math.frexp(q0 * (len0 / _RAY_REACH))[1], 0),
                  (q0 > 0) - (q0 < 0), slice(None))]
     else:
         lane = (3 * np.maximum(np.frexp(qs * (len0 / _RAY_REACH))[1], 0)
                 + np.sign(qs))
+        lane[np.abs(qs) * abs(s0) <= 1.0] = -2
         keys = []
         for key in np.unique(lane):
+            at = np.flatnonzero(lane == key)
+            if key == -2:
+                keys.append((None, None, at))
+                continue
             depth, side = divmod(int(key) + 1, 3)
-            keys.append((depth, side - 1, np.flatnonzero(lane == key)))
+            keys.append((depth, side - 1, at))
     lanes = []
     for depth, side, at in keys:
         q = qs[at]
+        if depth is None:
+            lanes.append((None, None, at, q))
+            continue
         pre = np.exp((_RAY_DIRS[side] * math.ldexp(len0, -depth)
                       - (s0 - c)) * q)
         head = _ray_factors(q, _ray_geometry(s0, depth, side, 0)[2])
@@ -684,18 +711,26 @@ def _ray_tail(line, lanes, n):
     (q < 0) or kept vertical (q = 0); M is analytic and decaying in the
     swept sector.
 
-    Each q sums 16-point Gauss panels (``_ray_panels``) at its own depth
-    K, the least K >= 0 at which its first panel, len0 2^-K, is shorter
-    than _RAY_REACH/|q|: there the rule resolves e^(-(1 +- i)|q| r/sqrt 2)
-    within _RAY_TOL/50 of the ray's integral.  For |q| len0 < _RAY_REACH
-    (|q| < 4.976 on the lines of ``_line_assembly``) K = 0.  The q of one
-    direction d and depth form a lane.  The lanes are swept in turn
-    (``_ray_lane``) and the q of one lane together: they share its samples
-    of M, which carry the Gauss weights, the half-lengths of the panels
-    and d there.  The nodes, weights and anchors of a lane's panels depend
-    on s0 and the lane alone, and are kept per block (``_ray_geometry``),
-    and so are the t-free columns of M there (``_ray_columns``): a sample
-    is e^(-2t log(ENV_B z)) times the columns' sum with the line's
+    For |q| |s0| <= 1 (|q| <= 0.00595 on the lines of ``_line_assembly``)
+    the integral comes in closed form: the lane of those q reads the
+    line's ``_RaySeries``, the incomplete Gamma series of M's powers, with
+    no panel and no node factor.  There the ray's decay e^(-|q| r/sqrt 2)
+    is slow, and the sweep took 30 to 60 panels a q, hundreds at q = 0,
+    where its stop test missed the v^(1-2t) tail.
+
+    Every other q sums 16-point Gauss panels (``_ray_panels``) at its own
+    depth K, the least K >= 0 at which its first panel, len0 2^-K, is
+    shorter than _RAY_REACH/|q|: there the rule resolves
+    e^(-(1 +- i)|q| r/sqrt 2) within _RAY_TOL/50 of the ray's integral.
+    For |q| len0 < _RAY_REACH (|q| < 4.976 on the lines of
+    ``_line_assembly``) K = 0.  The q of one direction d and depth form a
+    lane.  The lanes are swept in turn (``_ray_sweep``) and the q of one
+    lane together: they share its samples of M, which carry the Gauss
+    weights, the half-lengths of the panels and d there.  The nodes,
+    weights and anchors of a lane's panels depend on s0 and the lane
+    alone, and are kept per block (``_ray_geometry``), and so are the
+    t-free columns of M there (``_ray_columns``): a sample is
+    e^(-2t log(ENV_B z)) times the columns' sum with the line's
     amplitudes, the same reading of M as the fit's.
 
     The nodes lie at s = s0 + d (rho - first), and rho doubles exactly
@@ -716,7 +751,7 @@ def _ray_tail(line, lanes, n):
     do not depend on the others.  The factors are taken in waves of whole
     anchor spans (``_RAY_PIECES``), only for the q still sweeping: a sweep
     stops once three consecutive panels fall below _RAY_TOL of its running
-    sum.
+    sum, within 14 panels for every q above the closed form's cut.
     """
     if len(lanes) == 1:
         return _ray_lane(line, lanes[0])
@@ -728,8 +763,16 @@ def _ray_tail(line, lanes, n):
 
 
 def _ray_lane(line, lane):
-    """``_ray_tail`` for the q of one lane of ``_ray_lanes``: one depth,
-    all of side sign(q).  Block 0 is one wave of every q, whose node
+    """``_ray_tail`` for the q of one lane of ``_ray_lanes``: the closed
+    form of the line (``_RaySeries``) or the panel sweep."""
+    if lane[0] is None:
+        return line.ray_series(lane[3])
+    return _ray_sweep(line, lane)
+
+
+def _ray_sweep(line, lane):
+    """``_ray_tail`` for the q of one swept lane of ``_ray_lanes``: one
+    depth, all of side sign(q).  Block 0 is one wave of every q, whose node
     factors are the lane's head; the deeper blocks compute theirs."""
     depth, side, _, q, pre, head = lane
     s0 = line.c + 1j * _V_CUT
@@ -790,6 +833,217 @@ def _ray_lane(line, lane):
         if not todo.size:
             break
     return total * pre, err * np.abs(pre)
+
+
+#: the tail model as powers of z (``_tail_columns``): (shift, j, log) with
+#: column k the power z^(-alpha_k), alpha_k - 1 = 2t - 1 + shift + j[k],
+#: times V_BAR^j[k], and column ``log`` that power times log z
+_RAY_LADDERS = {"u": (0, (0, 1, 2, 3, 4), None),
+                "q2": (0, (0, 1, 2, 3, 4), None),
+                "su": (-1, (0, 1, 2, 3, 4), None),
+                "ut": (0, (0, 0, 1, 2, 3), 0),
+                "du": (1, (0, 0, 1, 2, 3), 1)}
+#: terms of the closed form's series in q: with |q z0| <= 1 the first
+#: left out is below 1/24! ~ 1.6e-24 of the sum
+_RAY_SERIES = 24
+#: an exponent alpha - 1 within _RAY_POLE_GAP of a whole m >= 0 takes the
+#: pole of Gamma(1 - alpha) and the series' term n = m as one term: apart,
+#: each is about 1/eps (1/eps^2 for a log column) times the sum, and at
+#: |eps| = 0.002 a "ut" line lost 1e-9 of it
+_RAY_POLE_GAP = 0.01
+#: relative rounding allowed each part of the closed form; exp(e log q*)
+#: takes |e log q*| times more (``_RaySeries``)
+_RAY_ROUND = 64.0 * np.finfo(float).eps
+#: 1/(k+1)! and k/(k+1)!, k < 22: the series of expm1(x)/x and of its
+#: derivative, which reach 1e-22 for |x| < 1/2 (``_exprel``)
+_EXPREL = 1.0 / np.cumprod(np.arange(1.0, 23.0))
+_EXPREL_D = np.arange(1.0, 22.0) * _EXPREL[1:]
+_FACT = np.cumprod(np.r_[1.0, np.arange(1.0, _RAY_SERIES)])
+
+
+def _exprel(x):
+    """(expm1(x)/x, its derivative) at complex x: by Horner on their Taylor
+    series for |x| < 1/2, so x = 0 needs no case of its own, and from expm1
+    beyond, where the derivative, (x e^x - expm1(x))/x^2, keeps its
+    digits."""
+    small = np.abs(x) < 0.5
+    xs = np.where(small, x, 0.0)
+    e0 = np.full(x.shape, _EXPREL[-1], complex)
+    for c in _EXPREL[-2::-1]:
+        e0 = e0 * xs + c
+    e1 = np.full(x.shape, _EXPREL_D[-1], complex)
+    for c in _EXPREL_D[-2::-1]:
+        e1 = e1 * xs + c
+    xb = np.where(small, 1.0, x)
+    em = np.expm1(xb)
+    return (np.where(small, e0, em / xb),
+            np.where(small, e1, (xb * (em + 1.0) - em) / (xb * xb)))
+
+
+def _abs_sum(z):
+    """|Re z| + |Im z|, a bound of |z| within sqrt 2 in exact operations."""
+    return np.abs(z.real) + np.abs(z.imag)
+
+
+def _power_term(lz, beta, log):
+    """z0^beta/beta, or for a log column z0^beta (Log z0/beta - 1/beta^2),
+    at Log z0 = lz: minus the term of the ray's series in (-q)^n/n!,
+    beta = 1 - alpha + n."""
+    zb = np.exp(beta * lz)
+    return zb * (lz / beta - 1.0 / beta ** 2) if log else zb / beta
+
+
+def _pole_log(m, eps):
+    """(l(eps), l'(eps)) with e^(eps l(eps)) = Gamma(1 - eps) / prod_{i <=
+    m} (1 + eps/i), from the Taylor series of both logs: l(0) = -psi(m+1).
+    Twelve terms reach eps^12 = 1e-24 for |eps| <= _RAY_POLE_GAP."""
+    k = np.arange(1, 13)
+    harm = (1.0 / np.arange(1, m + 1)[:, None] ** k).sum(axis=0)
+    coef = (zeta(np.maximum(k, 2)) + (-1.0) ** k * harm) / k
+    coef[0] = np.euler_gamma - harm[0]
+    return (float(np.polyval(coef[::-1], eps)),
+            float(np.polyval((coef[1:] * k[:-1])[::-1], eps)))
+
+
+class _RaySeries:
+    """``_ray_tail`` of one assembled line in closed form, for the q with
+    |q| |s0| <= 1.
+
+    The tail model is sum_k A_k z^(-alpha_k) (``_RAY_LADDERS``), A_k =
+    a_k ENV_B^(-2t) V_BAR^j, z = s (s - 1 for "ut"), and e^(-(s-c) q) =
+    e^(c' q) e^(-z q) with c' = c (c - 1).  Along the rotated ray each
+    power is an incomplete Gamma function, q^(alpha-1) Gamma(1-alpha, q z0)
+    continued to q < 0 through the sector the rays sweep, and its series
+    (DLMF 8.7.3) gives
+
+        int z^(-alpha) e^(-z q) dz = Gamma(1-alpha) q*^(alpha-1)
+            - sum_n (-q)^n z0^(1-alpha+n) / (n! (1-alpha+n)),
+
+    q* = |q| e^(-i pi [q < 0]).  A log column, log z z^(-alpha), is minus
+    the alpha-derivative.  Since alpha_k - 1 = e + j_k, the sum over k is
+    e^(c' q) [q*^e (G0(q) + log q* G1(q)) - P(-q)], two short polynomials
+    and one of _RAY_SERIES terms whose coefficients depend on the line
+    alone.  Where alpha - 1 lies within _RAY_POLE_GAP of a whole m >= 0,
+    e = m + eps, the pole of Gamma(1-alpha) and the vanishing divisor of
+    the term n = m are summed as one term (-q)^m/m! Phi(eps),
+
+        Phi(eps) = (z0^(-eps) - h(eps) q*^eps) / eps
+                 = -S e^(eps T) expm1(-eps S)/(-eps S),
+
+    h = -(-1)^m m! eps Gamma(-m-eps) = e^(eps l(eps)) (``_pole_log``),
+    T = log q* + l and S = T + Log z0, so Phi(0) = psi(m+1) - log q*
+    - Log z0; a log column takes -Phi'(eps).  At q = 0 the ray is vertical
+    and the integral is sum_k A_k z0^(1-alpha_k)/(alpha_k - 1) where every
+    alpha_k > 1; elsewhere it diverges (``diverges``) and reads i inf, so
+    that the line, Re(win - i ray), reads +inf.  Where e < 0 and q*^e
+    passes e^700, below |q| = q_floor, a q reads as q = 0.  The error is
+    _RAY_ROUND of the parts' sizes, the Gamma part's times 1 + |e log q*|
+    for the rounding of its exponent.
+    """
+
+    def __init__(self, kind, t, c, a):
+        shift, powers, log_col = _RAY_LADDERS[kind]
+        self.cq = c - 1.0 if kind == "ut" else c
+        z0 = complex(self.cq, _V_CUT)
+        self.lz = lz = cmath.log(z0)
+        self.e = e = 2.0 * t - 1.0 + shift
+        self.diverges = not e > 0.0
+        m0 = round(e)
+        self.eps = eps = e - m0
+        merge = abs(eps) <= _RAY_POLE_GAP
+        n = np.arange(_RAY_SERIES)
+        g0, g1 = np.zeros((2, _MODEL_K), complex)
+        self.p = np.zeros(_RAY_SERIES, complex)
+        poles = {}
+        at0 = 0j
+        for k, j in enumerate(powers):
+            amp = a[k] * math.exp(-2.0 * t * math.log(ENV_B)) * _V_BAR ** j
+            log = k == log_col
+            m = m0 + j if merge and m0 + j >= 0 else -1
+            if not self.diverges:
+                at0 -= amp * _power_term(lz, -(e + j), log)
+            # 1 - alpha + n, with the term n = m left to the pole's term
+            terms = _power_term(lz, np.where(n == m, 1.0, n - (e + j)), log)
+            if m >= 0:
+                terms[m] = 0.0
+                # the pole's term is (-q)^m/m! Phi, or -(-q)^m/m! Phi'
+                poles.setdefault(m, [0j, 0j])[log] += (
+                    (-amp if log else amp) / _FACT[m])
+            else:
+                # q^j = (-1)^j (-q)^j: G0 and G1 read the powers of -q
+                gam = (-1.0) ** j * amp * gamma(-(e + j))
+                if log:
+                    g0[j] += gam * digamma(-(e + j))
+                    g1[j] -= gam
+                else:
+                    g0[j] += gam
+            self.p += amp * terms / _FACT
+        # q*^e (G0 + log q* G1) = |q|^e (gam_a + log|q| gam_b), whose
+        # coefficients take q*^e/|q|^e = e^(-i pi e) and log q* - log|q|
+        # = -i pi where q < 0: rows q >= 0, q < 0
+        phase = cmath.exp(-1j * math.pi * e)
+        self.gam_a = np.array([g0, phase * (g0 - 1j * math.pi * g1)])
+        self.gam_b = np.array([g1, phase * g1])
+        self.at0 = complex(0.0, math.inf) if self.diverges else at0
+        self.q_floor = math.exp(700.0 / e) if e < 0.0 else 0.0
+        self.poles = np.array(sorted(poles), dtype=int)
+        coef = np.array([poles[m] for m in self.poles], complex).reshape(-1, 2)
+        self.pole_pow, self.pole_log = coef.T
+        self.ell, self.dell = (np.array([_pole_log(m, eps) for m in
+                                         self.poles]).reshape(-1, 2).T)
+        self.has_log = log_col is not None
+
+    def __call__(self, q):
+        """(values, errors) of the ray integrals at the 1-D q array.
+
+        No complex product is taken in place: numpy rounds one of a
+        one-element array in place by another path than an array's, and a
+        q's figures would hang on its batch."""
+        neg = q < 0.0
+        low = np.abs(q) <= self.q_floor
+        log_q = np.log(np.where(low, 1.0, np.abs(q)))
+        # (-q)^n, n < _RAY_SERIES
+        pw = np.empty((q.size, _RAY_SERIES))
+        pw[:, 0] = 1.0
+        pw[:, 1:] = -q[:, None]
+        np.cumprod(pw, axis=1, out=pw)
+        head = pw[:, :_MODEL_K]
+        sign = neg.view(np.int8)
+        gam = (head * self.gam_a[sign]).sum(axis=1)
+        if self.has_log:
+            gam = gam + log_q * (head * self.gam_b[sign]).sum(axis=1)
+        gam = np.exp(self.e * log_q) * gam
+        ser = (pw * self.p).sum(axis=1)
+        val = gam - ser
+        size = (_abs_sum(gam) * (1.0 + abs(self.e) * (np.abs(log_q) + np.pi))
+                + _abs_sum(ser))
+        if self.poles.size:
+            lq = log_q - 1j * np.pi * neg
+            pole = self._poles(lq[:, None]) * pw[:, self.poles]
+            val = val + pole.sum(axis=1)
+            size = size + _abs_sum(pole).sum(axis=1)
+        grow = np.exp(self.cq * q)
+        val = np.where(low, self.at0, grow * val)
+        size = np.where(low, abs(self.at0), grow * size)
+        return val, _RAY_ROUND * size
+
+    def _poles(self, lq):
+        """pole_pow Phi(eps) + pole_log Phi'(eps) per pole m, (q, poles),
+        at log q* lq, (q, 1): Phi from T = lq + l and S = T + Log z0 as
+        above, and Phi' = -e^(eps T) (l' E + S (T + eps l') E
+        - S (S + eps l') E'), E and E' expm1(x)/x and its derivative at
+        x = -eps S."""
+        eps = self.eps
+        tt = lq + self.ell
+        ss = tt + self.lz
+        ex = np.exp(eps * tt)
+        e0, e1 = _exprel(-eps * ss)
+        out = -ss * ex * e0 * self.pole_pow
+        if self.has_log:
+            d_phi = -ex * (self.dell * e0 + ss * (tt + eps * self.dell) * e0
+                           - ss * (ss + eps * self.dell) * e1)
+            out += d_phi * self.pole_log
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +1144,9 @@ class _LineAssembly:
                 defines its columns, the power or the log ladder of the kind
     fit_resid   max |g - model| on the check window
     err_window  Filon truncation estimate (integral units)
+
+    The closed form of its ray near q = 0 (``ray_series``) is kept on the
+    line, and goes with it.
     """
 
     t: float
@@ -900,6 +1157,12 @@ class _LineAssembly:
     fit_resid: float
     err_window: float
 
+    @functools.cached_property
+    def ray_series(self):
+        """The closed form of the ray (``_RaySeries``), built on the line's
+        first query with a q of |q| |s0| <= 1 and kept with the line."""
+        return _RaySeries(self.kind, self.t, self.c, self.model_a)
+
     def __call__(self, q):
         """((x^-c / pi) Re int_0^inf g(v) e^(-i v q) dv, error) at q = log x.
 
@@ -908,7 +1171,8 @@ class _LineAssembly:
         points that bound the temporaries change no value, and a batch's
         work that depends on q alone comes from the store of ``_q_rows``
         when the same q array was met before (``_batch``).  Where x^-c
-        passes e^_LOG_SCALE_MAX it raises RegimeError.
+        passes e^_LOG_SCALE_MAX it raises RegimeError.  At q = 0, where the
+        ray diverges (``_RaySeries.diverges``), it reads (inf, inf).
         """
         q = np.asarray(q, dtype=float)
         qs = q.ravel()
@@ -932,7 +1196,8 @@ class _LineAssembly:
         fixed grid or a repeated panel sweep, from its store.  A new t then
         pays only for its line: the panel sums against this line's
         Legendre coefficients, the ray's samples of its tail model, their
-        products with the kept factors, and the sweep past block 0.
+        products with the kept factors, and the sweep past block 0; the q
+        next to 0 read the line's closed form of the ray.
         """
         moms, phases, lanes = _q_rows(qs, self.c)
         # sum_p phase_p coeffs_pk: the stacked product makes one
@@ -946,7 +1211,8 @@ class _LineAssembly:
         err = (self.err_window + ray_err
                + self.fit_resid * _V_CUT / (2.0 * self.t + _MODEL_K - 1.0))
         scale = np.exp(-self.c * qs) / math.pi
-        return scale * (win - 1j * ray).real, scale * err
+        # Re(win - i ray), which a ray of value i inf makes +inf
+        return scale * (win.real + ray.imag), scale * err
 
 
 @memo(48)
@@ -1004,14 +1270,7 @@ class RadialProfile:
 
 def _direct(t, q, ev):
     """(Lambda, error) on the direct line at x = e^q; q scalar or array."""
-    q = np.asarray(q, dtype=float)
-    val, err = np.full(q.shape, math.inf), np.full(q.shape, math.inf)
-    # Lambda ~ A |x-1|^(2t-1) does not stay bounded at x = 1 for t <= 1/2
-    bounded = (q != 0.0) | (t > 0.5)
-    if bounded.any():
-        val[bounded], err[bounded] = _line_assembly(ev, t, _C_DIRECT, "u")(
-            q[bounded])
-    return val[()], err[()]
+    return _line_assembly(ev, t, _C_DIRECT, "u")(q)
 
 
 def _eval_q(t, q, regime, ev):

@@ -9,7 +9,9 @@ B and the 1/B spectrum memoized at an earlier t, exactly what a cold build
 gives.
 The tail model, which the fit and the ray read off kept t-free columns,
 must match its closed form, and its rotated ray must match scipy's quad on
-the same ray.  A repeated q array's stored rows must equal fresh ones.
+the same ray; next to q = 0 the ray's own closed form must match quad at
+q = 0 and the panel sweep elsewhere.  A repeated q array's stored rows must
+equal fresh ones.
 The tabulated Mellin--Barnes lines of the asymptotic routes are checked
 against adaptive vertical quadrature and an independent trapezoid rule,
 both on B at scattered points.
@@ -154,10 +156,14 @@ _Q = np.array([-30.0, -2.0, -0.3, -1e-9, -4e-18, 4e-18, 1e-9, 0.3, 2.0,
 def test_array_call_equals_scalar_calls(ev, kind, t, c, with_zero):
     # q = 0 is left out where the route refuses it: u for t <= 1/2, and du.
     # Next to the depth edge |q| len0 = _RAY_REACH and at |q| = 15 and 25
-    # the q reach depths 1, 2 and 3, so the batch holds every lane
+    # the q reach depths 1, 2 and 3, so the batch holds every lane; the q
+    # up to the cut |q| |s0| = 1 of the closed form and next to it above
+    # make its lane
     s0 = c + 1j * fundsol._V_CUT
     edge = fundsol._RAY_REACH / fundsol._ray_len0(s0)
-    more = np.array([edge * (1.0 - 1e-9), edge * (1.0 + 1e-9), 15.0, 25.0])
+    cut = 1.0 / abs(s0)
+    more = np.array([edge * (1.0 - 1e-9), edge * (1.0 + 1e-9), 15.0, 25.0,
+                     1e-4, 3e-3, cut * (1.0 - 1e-9), cut, cut * (1.0 + 1e-9)])
     q = np.concatenate((_Q, more, -more))
     q = np.sort(np.append(q, 0.0)) if with_zero else np.sort(q)
     depth = np.maximum(np.frexp(q * (fundsol._ray_len0(s0)
@@ -187,8 +193,13 @@ def test_deep_ray_sweeps_equal_scalar_calls(ev, n):
     near0 = np.concatenate((
         [0.0, 1e-16, -1e-16, 1e-15, -1e-15, 1e-13],
         rng.choice([-1.0, 1.0], 31) * 10.0 ** rng.uniform(-16.0, -12.0, 31)))
+    # and q just above the cut of the closed form, which sweep the most
+    cut = 1.0 / abs(1.0 + 1j * fundsol._V_CUT)
+    above = (rng.choice([-1.0, 1.0], n // 4 + 1)
+             * cut * (1.0 + 10.0 ** rng.uniform(-12.0, -1.0, n // 4 + 1)))
     q = rng.permutation(np.concatenate((near0[:n - n // 4],
-                                        rng.uniform(-3.0, 7.0, n // 4))))
+                                        rng.uniform(-3.0, 7.0, n // 4),
+                                        above)))
     line = _line_assembly(ev, 0.55, 1.0, "u")
     vals, errs = line(q)
     scalar = [line(x) for x in q]
@@ -232,10 +243,11 @@ def _arrays(obj):
 
 
 def _flat_rows(rows):
-    # moms, phases, then per lane its depth, side and arrays
+    # moms, phases, then per lane its depth, side (None for the closed
+    # form's lane) and arrays
     moms, phases, lanes = rows
     return ([moms.tobytes(), phases.tobytes()]
-            + [x if isinstance(x, int) else x.tobytes()
+            + [x if x is None or isinstance(x, int) else x.tobytes()
                for lane in lanes for x in lane])
 
 
@@ -257,7 +269,7 @@ def test_an_array_seen_once_leaves_only_its_key(ev, empty_store):
     assert not empty_store
 
 
-def test_stored_rows_are_fresh_rows(empty_store):
+def test_stored_rows_are_fresh_rows(ev, empty_store):
     q = np.concatenate((_Q, [0.0, -0.0]))
     first = fundsol._q_rows(q, 1.0)
     kept = fundsol._q_rows(q.copy(), 1.0)
@@ -275,6 +287,17 @@ def test_stored_rows_are_fresh_rows(empty_store):
         1.0, _C_DT]
     assert _flat_rows(other) == _flat_rows(
         (*fundsol._filon_rows(q), fundsol._ray_lanes(q, _C_DT)))
+    # 256 q, most of them in the closed form's lane: the values read off
+    # the kept lane equal those of the first sighting and of a fresh store
+    q = np.linspace(-0.008, 0.008, 256)
+    line = _line_assembly(ev, 0.35, 1.0, "u")
+    first, stored, kept = (line(q.copy()) for _ in range(3))
+    closed = [lane for lane in empty_store[q.tobytes()][2][1.0]
+              if lane[0] is None]
+    assert len(closed) == 1 and closed[0][3].size > 128
+    empty_store.clear()
+    fundsol._Q_SEEN.clear()
+    assert _bits(first) == _bits(stored) == _bits(kept) == _bits(line(q))
 
 
 def test_a_profile_at_a_second_t_equals_one_on_an_empty_store(
@@ -333,8 +356,10 @@ def test_a_one_point_query_leaves_the_store_unchanged(ev, empty_store):
     line(_Q)
     before = list(empty_store.items()), list(fundsol._Q_SEEN)
     _lam(1.3, 2.0, "auto", ev)
+    _lam(1.3, 1.0001, "auto", ev)
     line(np.array([0.5]))
     line(0.0)
+    line(np.array([-3e-3]))
     assert (list(empty_store.items()), list(fundsol._Q_SEEN)) == before
 
 
@@ -580,6 +605,155 @@ def test_ray_tail_matches_quad(ev, t, q):
     lanes = fundsol._ray_lanes(np.array([q]), c)
     (got,), (err,) = fundsol._ray_tail(line, lanes, 1)
     assert abs(got - ref) <= err
+
+
+# ---------------- the ray in closed form near q = 0 ----------------
+
+#: the block ladder of the sweep before the closed form took the q with
+#: |q| |s0| <= 1: 480 panels, enough for them to settle
+_FULL_BLOCKS = tuple((8 * (2 ** k - 1), 8 * (2 ** (k + 1) - 1))
+                     for k in range(6))
+
+
+@pytest.fixture
+def full_sweep(monkeypatch):
+    """The panel sweep of the q array q on the line, through a hand-built
+    depth-0 lane per sign and on _FULL_BLOCKS: (values, errors)."""
+    monkeypatch.setattr(fundsol, "_RAY_BLOCKS", _FULL_BLOCKS)
+    monkeypatch.setattr(fundsol, "_RAY_K", np.arange(_FULL_BLOCKS[-1][1]))
+
+    def sweep(line, q):
+        s0 = line.c + 1j * fundsol._V_CUT
+        len0 = fundsol._ray_len0(s0)
+        val, err = np.empty(q.size, complex), np.empty(q.size)
+        for side in (-1, 1):
+            at = np.flatnonzero(np.sign(q) == side)
+            qs = q[at]
+            pre = np.exp((fundsol._RAY_DIRS[side] * len0 - (s0 - line.c))
+                         * qs)
+            head = fundsol._ray_factors(
+                qs, fundsol._ray_geometry(s0, 0, side, 0)[2])
+            val[at], err[at] = fundsol._ray_sweep(
+                line, (0, side, at, qs, pre, head))
+        return val, err
+    return sweep
+
+
+def _closed(line, q):
+    """The closed form's (values, errors) at the q array on the line."""
+    assert np.all(np.abs(q) * abs(line.c + 1j * fundsol._V_CUT) <= 1.0)
+    lanes = fundsol._ray_lanes(q, line.c)
+    assert [lane[:2] for lane in lanes] == [(None, None)]
+    return fundsol._ray_tail(line, lanes, q.size)
+
+
+@pytest.mark.parametrize("kind, c, t", [
+    ("u", 1.0, 0.55), ("u", 1.0, 0.6), ("u", 1.0, 0.7), ("u", 1.0, 2.0),
+    ("du", 1.0, 0.3), ("du", 1.0, 2.0), ("q2", 1.0, 0.7), ("su", 1.0, 1.3),
+    ("ut", _C_DT, 0.7), ("ut", _C_DT, 2.0)])
+def test_closed_ray_at_q_zero_matches_quad(ev, kind, c, t):
+    # the vertical ray in w = log(1 + v/V), where the model's v^(-alpha)
+    # decays like e^(-(alpha - 1) w); the sweep missed by 6.3x its error at
+    # ("u", 0.55), as its stop test ignores the v^(1-2t) tail
+    line = _line_assembly(ev, t, c, kind)
+    s0 = c + 1j * fundsol._V_CUT
+
+    def f(w):
+        v = fundsol._V_CUT * math.expm1(w)
+        return complex(_closed_tail(kind, t, line.model_a, s0 + 1j * v)
+                       * (fundsol._V_CUT + v))
+
+    end = min(700.0, 40.0 / line.ray_series.e)
+    ref = 1j * scipy.integrate.quad(f, 0.0, end, epsabs=0.0, epsrel=1e-13,
+                                    limit=200, complex_func=True)[0]
+    (got,), (err,) = _closed(line, np.array([0.0]))
+    assert abs(got - ref) <= err <= 1e-13 * abs(ref)
+
+
+_SMALL_Q = np.array([1e-17, 4e-9, 1e-4, 3e-3, 5.9e-3])
+
+
+@pytest.mark.parametrize("t", [0.3, 0.45, 0.57, 0.83, 1.37, 2.21])
+@pytest.mark.parametrize("kind, c", _KINDS)
+def test_closed_ray_matches_the_sweep(ev, full_sweep, kind, c, t):
+    line = _line_assembly(ev, t, c, kind)
+    q = np.concatenate((_SMALL_Q, -_SMALL_Q))
+    val, err = _closed(line, q)
+    ref, ref_err = full_sweep(line, q)
+    assert np.all(np.abs(val - ref) <= 0.5 * ref_err)
+    assert np.all(err < ref_err)
+
+
+@pytest.mark.parametrize("t0", [1.0, 2.0])
+@pytest.mark.parametrize("kind, c", _KINDS)
+def test_closed_ray_is_continuous_across_whole_2t(ev, full_sweep, kind, c,
+                                                  t0):
+    # at whole 2t every exponent alpha - 1 is whole and meets a pole of
+    # Gamma(1 - alpha); within _RAY_POLE_GAP of it the pole and its series
+    # term are one term, past it two.  On the amplitudes of the line at t0
+    # the values change with t no faster than over the widest step, and
+    # agree with the sweep
+    base = _line_assembly(ev, t0, c, kind)
+    gap = fundsol._RAY_POLE_GAP / 2.0
+    steps = [0.0, 1e-12, 1e-8, 1e-5, 1e-3, 0.98 * gap, 1.02 * gap]
+    q = np.array([1e-12, 1e-4, 5.9e-3, -1e-12, -1e-4, -5.9e-3])
+    vals = {}
+    for dt in steps + [-dt for dt in steps[1:]]:
+        line = dataclasses.replace(base, t=t0 + dt)
+        vals[dt], err = _closed(line, q)
+        if abs(dt) in (0.0, 1e-8, 1e-3, 1.02 * gap):
+            ref, ref_err = full_sweep(line, q)
+            assert np.all(np.abs(vals[dt] - ref) <= 0.5 * ref_err)
+    slope = np.maximum(*(np.abs(vals[dt] - vals[0.0]) / abs(dt)
+                         for dt in (1.02 * gap, -1.02 * gap)))
+    for dt, val in vals.items():
+        assert np.all(np.abs(val - vals[0.0])
+                      <= 2.0 * slope * abs(dt) + 1e-13 * np.abs(vals[0.0]))
+
+
+@pytest.mark.parametrize("kind, c, t, diverges", [
+    ("u", 1.0, 0.5, True), ("u", 1.0, 0.3, True), ("q2", 1.0, 0.45, True),
+    ("ut", _C_DT, 0.4, True), ("ut", _C_DT, 0.5, True),
+    ("su", 1.0, 1.0, True), ("su", 1.0, 0.7, True), ("u", 1.0, 0.55, False),
+    ("q2", 1.0, 0.55, False), ("ut", _C_DT, 0.55, False),
+    ("su", 1.0, 1.05, False), ("du", 1.0, 0.05, False)])
+def test_line_at_q_zero_is_infinite_where_its_ray_diverges(ev, kind, c, t,
+                                                           diverges):
+    # the vertical ray of v^(-alpha), alpha <= 1, diverges: the sweep read
+    # 119.7 +- 0.25 at ("u", 0.5) and 1.04e58 +- 2.5e57 at ("u", 0.3)
+    line = _line_assembly(ev, t, c, kind)
+    assert line.ray_series.diverges == diverges
+    vals, errs = line(np.array([-1e-3, 0.0, 1e-9, 2.0]))
+    assert np.all(np.isfinite(np.delete(vals, 1)))
+    assert np.all(np.isfinite(np.delete(errs, 1)))
+    if diverges:
+        assert line(0.0) == line(-0.0) == (math.inf, math.inf)
+        assert vals[1] == errs[1] == math.inf
+    else:
+        assert math.isfinite(vals[1]) and 0.0 < errs[1] < 1e-3 * abs(vals[1])
+
+
+def test_no_sweep_reaches_the_last_ray_block(ev, monkeypatch):
+    # with the q of |q| |s0| <= 1 in closed form, the sweeps of the rest
+    # end in block 1 (14 panels at most, measured on every kind at t in
+    # [0.001, 1000] and |q| up to 700); block 2 is the margin
+    reached = set()
+    real = fundsol._ray_columns
+
+    def spy(kind, s0, depth, side, block):
+        reached.add(block)
+        return real(kind, s0, depth, side, block)
+
+    monkeypatch.setattr(fundsol, "_ray_columns", spy)
+    for kind, c in _KINDS:
+        cut = 1.0 / abs(c + 1j * fundsol._V_CUT)
+        q = np.concatenate((cut * (1.0 + np.array([1e-12, 1e-6, 1e-2])),
+                            [0.01, 0.1, 1.0, 10.0, 60.0]))
+        q = np.concatenate((q, -q))
+        for t in (0.05, 0.3, 0.55, 1.0, 2.2, 10.0):
+            _line_assembly(ev, t, c, kind)(q)
+    assert max(reached) == len(fundsol._RAY_BLOCKS) - 2
+    assert fundsol._RAY_BLOCKS[-1][1] == fundsol._RAY_PANELS
 
 
 # ---------------- tabulated lines of the asymptotic routes ----------------
