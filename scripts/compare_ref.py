@@ -14,9 +14,9 @@ prints:
   error, the largest |error difference| over that error, whether the two
   trees' values and errors are bit-identical, and whether an array call
   equals the scalar calls exactly in each tree;
-- ``l1_norm_lambda`` at t = 0.7, 1 and 1.5, and ``delta_pairing`` of the
-  bump on [0.5, 2], which holds x = 1, at t = 0.7 and 1.5, in both trees,
-  each with the number of line points it took;
+- ``l1_norm_lambda`` at t = 0.3, 0.7, 1 and 1.5, and ``delta_pairing`` of
+  the bump on [0.5, 2], which holds x = 1, at t = 0.3, 0.7 and 1.5, in both
+  trees, each with the number of line points it took;
 - the four cross pairs of the benchmark's ``symbol`` workload, eval_U
   against eval_U_small_t and against a one-point eval_U_line at
   (t, s) = (0.5, 1 + 5i) and (0.8, 0.6 + 20i), as |a - b| over the summed
@@ -51,7 +51,9 @@ profiles on the grid in the same round, so a store that admits an array
 on its second sighting holds it (``radial_third_t``), then
 ``eval_lambda`` at x = 1 and ``l1_norm_lambda`` at new t next to 0.55
 and 0.3, where the ray integrals at q = log x next to 0 decide the cost
-(``x_one_new_t``, ``l1_stall_new_t``).  It prints per case
+(``x_one_new_t``, ``l1_stall_new_t``), and ``delta_pairing`` of that bump
+at new t next to 0.3 (``pairing_stall_new_t``), where the near-one range
+of the integral takes every rung of its ladder.  It prints per case
 the median and quartiles of the per-round ratio working tree / REF (below
 1 is faster).  It then prints, per tree, the entry count and bytes of the
 store of q-only query rows (``fundsol._Q_ROWS``), with the keys held for
@@ -77,12 +79,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 LINES = [(kind, c, t) for kind, c in (("u", 1.0), ("du", 1.0), ("q2", 1.0),
                                       ("su", 1.0), ("ut", 1.5))
          for t in (0.7, 2.0) if kind != "su" or t > 1.0]
-L1_TS = (0.7, 1.0, 1.5)
+L1_TS = (0.3, 0.7, 1.0, 1.5)
 #: (t, lo, hi) of the compared pairings: bumps whose support holds x = 1
-PAIRINGS = ((0.7, 0.5, 2.0), (1.5, 0.5, 2.0))
+PAIRINGS = ((0.3, 0.5, 2.0), (0.7, 0.5, 2.0), (1.5, 0.5, 2.0))
 TIME_CASES = ("one_q_new_t", "large_t_new_t", "dU_new_s", "radial_256",
               "l1_norm", "pairing", "radial_new_t", "l1_new_t",
-              "radial_third_t", "x_one_new_t", "l1_stall_new_t")
+              "radial_third_t", "x_one_new_t", "l1_stall_new_t",
+              "pairing_stall_new_t")
 #: untimed calls of a case before its timed ones; "radial_third_t" makes
 #: two, so that its grid has been seen twice
 WARM_CALLS = {"radial_third_t": 2}
@@ -121,6 +124,7 @@ radial_t = [1.3]
 l1_t = [1.2]
 x_one_t = [0.55]
 l1_stall_t = [0.3]
+pairing_stall_t = [0.3]
 
 
 def with_points(fn, *args):
@@ -239,6 +243,11 @@ def run(case):
     elif case == "l1_stall_new_t":
         l1_stall_t[0] += 1e-6
         fundsol.l1_norm_lambda(l1_stall_t[0], evaluator=ev)
+    elif case == "pairing_stall_new_t":
+        pairing_stall_t[0] += 1e-6
+        fundsol.delta_pairing(pairing_stall_t[0],
+                              fundsol.TestFunction.bump(0.5, 2.0),
+                              evaluator=ev)
     else:
         fundsol.l1_norm_lambda(1.0, evaluator=ev)
 
@@ -379,12 +388,12 @@ def compare_derivative(ref, work):
 
 
 def compare_times(ref, work, rounds):
-    print(f"\n{'case':<14}{'median':>9}{'q1':>9}{'q3':>9}   "
+    print(f"\n{'case':<20}{'median':>9}{'q1':>9}{'q3':>9}   "
           f"(work / ref, {rounds} interleaved rounds)")
     reps = {"one_q_new_t": 20, "large_t_new_t": 20, "dU_new_s": 20,
             "radial_256": 5, "l1_norm": 1, "pairing": 3, "radial_new_t": 5,
             "l1_new_t": 3, "radial_third_t": 5, "x_one_new_t": 20,
-            "l1_stall_new_t": 3}
+            "l1_stall_new_t": 3, "pairing_stall_new_t": 3}
     for case in TIME_CASES:
         ratios = []
         for k in range(rounds):
@@ -394,7 +403,7 @@ def compare_times(ref, work, rounds):
                    for tree in order}
             ratios.append(got[id(work)]["s"] / got[id(ref)]["s"])
         q1, med, q3 = statistics.quantiles(ratios, n=4)
-        print(f"{case:<14}{med:>9.3f}{q1:>9.3f}{q3:>9.3f}")
+        print(f"{case:<20}{med:>9.3f}{q1:>9.3f}{q3:>9.3f}")
     for name, tree in (("ref", ref), ("work", work)):
         got = tree.ask(op="store")
         if got["entries"] is None:

@@ -867,7 +867,8 @@ def test_q2_small_theta_law_is_its_large_t_term(ev):
 # ---------------- integrals ----------------
 
 
-@pytest.mark.parametrize("t", [0.1, 0.3, 0.7, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("t", [0.1, 0.3, 0.7, 1.0, 1.5, 3.0, 0.02, 0.2, 0.45,
+                               0.55, 0.585])
 def test_l1_norm_is_the_mellin_mass(ev, t):
     # the rest past both truncated ends is added, so the panels' own
     # accuracy, far inside rel_tol, is what is left
@@ -883,25 +884,43 @@ def test_delta_pairing_across_the_core_returns(ev):
     assert math.isfinite(val) and val > 0.0
 
 
-@pytest.mark.parametrize("lo, hi", [(1.2, 2.5), (0.62, 1.9)])
-def test_delta_pairing_matches_quad(ev, lo, hi):
+@pytest.mark.parametrize("t, lo, hi", [
+    pytest.param(1.5, 1.2, 2.5, id="1.2-2.5"),
+    pytest.param(1.5, 0.62, 1.9, id="0.62-1.9"),
+    # t <= 1/2, where the cusp |x-1|^(2t-1) at x = 1 is infinite
+    pytest.param(0.3, 0.62, 1.9, id="0.3-0.62-1.9")])
+def test_delta_pairing_matches_quad(ev, t, lo, hi):
     # scalar Lambda points under quad in tau = log x, split at x = 1; the
-    # core |x-1| < exp(-40) adds its near-one mass as in delta_pairing
-    t, rel_tol = 1.5, 1e-7
+    # core |x-1| < exp(-40) adds its near-one mass as in delta_pairing.  For
+    # t <= 1/2, where the cusp A |x-1|^(2t-1) is infinite, each side's
+    # exp(-40) < |x-1| < 0.25 goes to quad in w = -log|x-1| instead, where
+    # the integrand is the smooth A e^(-2tw)
+    rel_tol = 1e-7
     phi = fundsol.TestFunction.bump(lo, hi)
 
     def g(tau):
         x = math.exp(tau)
         return eval_lambda(LambdaQuery(t, x), ev) * phi(x) * x
 
-    cuts = [math.log(lo), math.log(hi)]
+    def near_one(side):
+        def h(w):
+            step = side * math.exp(-w)
+            return (eval_lambda_log(t, math.log1p(step), evaluator=ev)
+                    * phi(1.0 + step) * abs(step))
+        return h
+
+    a, b = math.log(lo), math.log(hi)
+    pieces = [(g, a, b)]
     ref = 0.0
     if lo < 1.0 < hi:
-        cuts.insert(1, 0.0)
         ref += float(phi(1.0)) * _core_mass(t, ev)
-    ref += sum(scipy.integrate.quad(g, a, b, epsabs=0.0, epsrel=1e-11,
-                                    limit=200)[0]
-               for a, b in zip(cuts[:-1], cuts[1:]))
+        pieces = [(g, a, 0.0), (g, 0.0, b)]
+        if t <= 0.5:
+            w = -math.log(0.25)
+            pieces = [(g, a, math.log1p(-0.25)), (near_one(-1.0), w, 40.0),
+                      (near_one(1.0), w, 40.0), (g, math.log1p(0.25), b)]
+    ref += sum(scipy.integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-11,
+                                    limit=200)[0] for f, a, b in pieces)
     val = delta_pairing(t, phi, rel_tol=rel_tol, evaluator=ev)
     assert abs(val - ref) <= rel_tol * abs(ref)
 
@@ -977,9 +996,68 @@ def test_graded_ladder_keeps_the_near_one_integral(ev, t, monkeypatch):
     assert abs(graded - full) <= 1e-10 * full
 
 
-@pytest.mark.parametrize("t", [1.0, 4.0])
+@pytest.mark.parametrize("t", [0.05, 0.3, 0.55, 0.589])
+def test_w_near_one_integral_is_the_every_rung_ladder(ev, t, monkeypatch):
+    # up to t = 0.5891 the near-one ranges go in w = -log|x-1|; without
+    # them (no _w_spans) the same driver takes every rung of the tau ladder
+    near_w = _near_one(t, ev)
+    monkeypatch.setattr(fundsol, "_w_spans", lambda a, b, t: [])
+    assert fundsol._tau_marks(-0.5, 0.5, t) == fundsol._tau_marks(-0.5, 0.5,
+                                                                  0.5)
+    full = _near_one(t, ev)
+    assert abs(near_w - full) <= 1e-9 * full
+
+
+@pytest.mark.parametrize("lo, hi", [(0.9, 1.05), (1.0, 1.2), (0.5, 0.999),
+                                    (0.72, 0.99999)])
+def test_w_spans_of_a_partial_near_one_range(ev, lo, hi, monkeypatch):
+    # a range that holds part of a side's near-one range, or one side only,
+    # or no core: its w spans cover what the range holds
+    t, a, b = 0.3, math.log(lo), math.log(hi)
+    near_w = _integral(t, np.ones_like, a, b, 1e-6, ev, absolute=True)[0]
+    monkeypatch.setattr(fundsol, "_w_spans", lambda a, b, t: [])
+    full = _integral(t, np.ones_like, a, b, 1e-6, ev, absolute=True)[0]
+    assert abs(near_w - full) <= 1e-9 * full
+
+
+def _spans_handed_over(t, a, b, ev, monkeypatch):
+    """The intervals ``_integral`` hands ``_adaptive_panels`` on [a, b]."""
+    got = []
+    real = fundsol._adaptive_panels
+
+    def spy(f, intervals, *args):
+        got.append(intervals)
+        return real(f, intervals, *args)
+
+    monkeypatch.setattr(fundsol, "_adaptive_panels", spy)
+    _integral(t, np.ones_like, a, b, 1e-6, ev, absolute=True)
+    (intervals,) = got
+    return intervals
+
+
+@pytest.mark.parametrize("t", [0.589, 0.59, 0.7, 1.0, 1.5])
+def test_w_spans_end_where_the_ladder_drops_a_rung(ev, t, monkeypatch):
+    # the w spans, written as +-_W_SCALE w, stand in for the near-one tau
+    # spans only while _tau_marks keeps every rung, t <= 0.5891: the cross
+    # pairs of the benchmark at t = 0.7, 1 and 1.5 keep the tau ladder
+    a, b = math.log1p(-0.4), math.log1p(0.4)
+    spans = _spans_handed_over(t, a, b, ev, monkeypatch)
+    marks = fundsol._tau_marks(a, b, t)
+    core = (math.log1p(-fundsol._U_CORE), math.log1p(fundsol._U_CORE))
+    tau_spans = [span for span in zip(marks[:-1], marks[1:]) if span != core]
+    if t < 0.5891:
+        assert marks == fundsol._tau_marks(a, b, 0.5)
+        w = [span for span in spans if abs(span[0]) > fundsol._W_SCALE]
+        assert len(w) == 12 and len(spans) == 14
+    else:
+        assert marks != fundsol._tau_marks(a, b, 0.5)
+        assert spans == tau_spans
+
+
+@pytest.mark.parametrize("t", [1.0, 4.0, 0.1, 0.3, 0.55])
 def test_graded_ladder_first_sweep_is_short(ev, t, monkeypatch):
-    # the full ladder's first sweep takes 1,044 points at every t
+    # the full ladder's first sweep takes 1,044 points at every t; up to
+    # t = 0.5891 the w spans and the two outer tau spans take 252
     _line_assembly(ev, t, 1.0, "u")
     calls = _count_line_calls(monkeypatch)
     _near_one(t, ev)
@@ -1034,7 +1112,14 @@ def test_far_e_folds_are_not_refined(ev, monkeypatch):
     l1 = l1_norm_lambda(t, evaluator=ev)
     mass = SQRT_2PI * eval_U(t, 1.0, evaluator=ev).value.real
     assert abs(l1 - mass) <= 1e-6 * mass
-    assert (got[0][0][0][0], got[0][0][-1][1]) == (lo, hi)
+    # the near-one range is one call: read back in tau, its intervals, w
+    # spans among them, tile [lo, hi] but the core
+    tiles = sorted(map(_in_tau, got[0][0]))
+    assert (tiles[0][0], tiles[-1][1]) == (lo, hi)
+    gaps = [(p[1], q[0]) for p, q in zip(tiles[:-1], tiles[1:])
+            if not math.isclose(p[1], q[0], rel_tol=1e-12)]
+    core = (math.log1p(-fundsol._U_CORE), math.log1p(fundsol._U_CORE))
+    assert gaps == [pytest.approx(core, rel=1e-12)]
     efolds = got[1:]
     assert all(len(intervals) == 1 for intervals, *_ in efolds)
     sides = [(lo in span or hi in span, seeded, n)
@@ -1044,6 +1129,16 @@ def test_far_e_folds_are_not_refined(ev, monkeypatch):
     assert len(first) == 2 and max(first) <= 1
     assert len(far) >= 12 and all(n == (not seeded) for seeded, n in far)
     assert len(calls) - core_calls <= 2
+
+
+def _in_tau(span):
+    """A span handed to ``_adaptive_panels`` by ``_integral``, in tau =
+    log x: a w span, side _W_SCALE w, read back at x = 1 + side e^(-w)."""
+    if abs(span[0]) <= fundsol._W_SCALE:
+        return span
+    side = math.copysign(1.0, span[0])
+    return tuple(sorted(math.log1p(side * math.exp(-abs(y) / fundsol._W_SCALE))
+                        for y in span))
 
 
 def _l1_walk_per_e_fold(t, rel_tol, ev):
