@@ -72,12 +72,12 @@ geometric ladder (``_tau_marks``) only as deep as the cusp |x-1|^(2t-1)
 needs for the panel rule pair: down to 6e-8 at t = 0.7 and 1.3e-3 at
 t = 1; below its deepest rung one span a side is bisected.  Where the
 ladder would keep every rung, for t up to 0.5891, each side's range
-e^(-40) <= |x-1| <= 0.306 goes in w = -log|x-1| instead (``_w_spans``),
+e^(-40) <= |x-1| <= 0.306 goes in w = -log|x-1| instead (``_spans``),
 where the cusp is the smooth A e^(-2tw), on six fixed spans a side, with
-the line read at q = log1p(-+e^(-w)).  ``_adaptive_panels`` refines all
-intervals of one call, w spans among them, in lockstep, so each sweep of
-new panels is one call of the line, and each panel's two rules are
-row dots of its own values.  An interval stops at
+the line read at q = log1p(-+e^(-w)) (``_nodes``).  ``_adaptive_panels``
+refines all intervals of one call, w spans among them, in lockstep, so
+each sweep of new panels is one call of the line, and each panel's two
+rules are row dots of its own values.  An interval stops at
 rel_tol of its own integral or at an absolute floor; the outward e-folds
 of ``l1_norm_lambda`` set that floor to a small share of rel_tol times the
 running total, so a far e-fold of small mass is not refined.  The first
@@ -1772,9 +1772,8 @@ _W_RUNG = math.ldexp(_U_CORE, 56)
 #: thread, 2-vCPU VM)
 _W_MARKS = tuple((-math.log(_W_RUNG) + (40.0 + math.log(_W_RUNG))
                   * (np.arange(1, 6) / 6.0) ** 1.5).tolist())
-#: ``_integral`` hands a w span to ``_adaptive_panels`` as side _W_SCALE w,
-#: beyond every log x of a positive float (|log x| < 746) and scaled by a
-#: power of 2, exactly
+#: ``_spans`` writes a w span as side _W_SCALE w, beyond every log x of a
+#: positive float (|log x| < 746) and scaled by a power of 2, exactly
 _W_SCALE = 1024.0
 
 
@@ -1884,70 +1883,81 @@ def _core_mass(t, ev):
     return 0.5 * edges.sum() * u_c / t
 
 
+def _nodes(y):
+    """(q, x, dx/dy) at abscissae y of the intervals of ``_spans``.
+
+    A y with |y| <= _W_SCALE is tau = log x: q = y and dx/dy = x.  A y
+    beyond is side _W_SCALE w, w = |y|/_W_SCALE = -log|x-1|: x = 1 + side
+    e^(-w), the line is read at q = log1p(side e^(-w)), and dx/dy =
+    e^(-w)/_W_SCALE (dx = e^(-w) dw).
+    """
+    near = np.abs(y) > _W_SCALE
+    if not near.any():
+        x = np.exp(y)
+        return y, x, x
+    step = np.copysign(np.exp(np.abs(y[near]) / -_W_SCALE), y[near])
+    q, x, dx = np.empty((3,) + y.shape)
+    q[~near] = y[~near]
+    x[~near] = dx[~near] = np.exp(y[~near])
+    q[near] = np.log1p(step)
+    x[near] = 1.0 + step
+    dx[near] = np.abs(step) / _W_SCALE
+    return q, x, dx
+
+
 def _integrand(t, weight, ev):
-    """tau -> Lambda(t, x) weight(x) x at x = e^tau, on the direct line:
-    the integrand of ``_integral`` in tau = log x."""
-    line = _line_assembly(ev, t, _C_DIRECT, "u")
-
-    def f(tau):
-        x = np.exp(tau)
-        return line(tau)[0] * weight(x) * x
-
-    return f
-
-
-def _w_integrand(t, weight, ev):
-    """``_integrand`` on the spans of ``_w_spans`` as well: at a y with
-    |y| > _W_SCALE, w = |y|/_W_SCALE and x = 1 + sign(y) e^(-w), it is
-    Lambda(t, x) weight(x) e^(-w)/_W_SCALE (dx = e^(-w) dw and
-    dw = dy/_W_SCALE), the line read at q = log1p(sign(y) e^(-w)); near
-    x = 1, where Lambda ~ A |x-1|^(2t-1), that is the smooth
-    A e^(-2tw)/_W_SCALE.  All y go in one line call."""
+    """y -> Lambda(t, x) weight(x) dx/dy on the direct line, at the x of
+    ``_nodes``: the integrand of ``_integral``.  In tau = log x it is
+    Lambda weight x; in w = -log|x-1|, where Lambda ~ A |x-1|^(2t-1) near
+    x = 1, it is the smooth A e^(-2tw)/_W_SCALE.  All y go in one line
+    call."""
     line = _line_assembly(ev, t, _C_DIRECT, "u")
 
     def f(y):
-        near = np.abs(y) > _W_SCALE
-        step = np.copysign(np.exp(np.abs(y[near]) / -_W_SCALE), y[near])
-        q, x, dx = np.empty((3,) + y.shape)
-        q[~near] = y[~near]
-        x[~near] = dx[~near] = np.exp(y[~near])
-        q[near] = np.log1p(step)
-        x[near] = 1.0 + step
-        dx[near] = np.abs(step) / _W_SCALE
+        q, x, dx = _nodes(y)
         return line(q)[0] * weight(x) * dx
 
     return f
 
 
-def _w_spans(a, b, t):
-    """The near-one ranges of [a, b] (in tau = log x) that ``_integral``
-    takes in w = -log|x-1|, as (tau_lo, tau_hi, spans).
+def _spans(a, b, t):
+    """The intervals of ``_integral`` on [a, b] (tau = log x), in order,
+    the core |x-1| < u_core left out.
 
-    Where ``_tau_marks`` keeps every rung (t <= 0.5891), each side of
-    x = 1 whose range u_core <= |x-1| <= _W_RUNG meets [a, b] gives the
-    part [tau_lo, tau_hi] that [a, b] holds, bounded by marks of
-    ``_tau_marks``, and its w range cut at _W_MARKS, six spans on a whole
-    side, written as side _W_SCALE w (``_w_integrand``) with lo < hi.
-    There the cusp A |x-1|^(2t-1) is A e^(-2tw) in w, which the panels
-    resolve in a few bisections, where the ladder took 28 rungs a side.
-    At every other t the list is empty.
+    They are the spans between the marks of ``_tau_marks``, except where
+    that ladder keeps every rung (t <= 0.5891).  There each side's
+    near-one range u_core <= |x-1| <= _W_RUNG, as far as [a, b] holds
+    it, goes in w = -log|x-1| instead: cut at _W_MARKS, six spans on a
+    whole side, each written as side _W_SCALE w (``_nodes``) with
+    lo < hi.  In w the cusp A |x-1|^(2t-1) is A e^(-2tw), which the
+    panels resolve in a few bisections, where the ladder took 28 rungs a
+    side.
     """
+    core = (math.log1p(-_U_CORE), math.log1p(_U_CORE))
     if _cusp_depth(t) >= 16.0 * _U_CORE:
         # _tau_marks drops the rung 4 u_core, and those up to the depth
-        return []
-    near = []
-    for side in (-1.0, 1.0):
-        lo, hi = sorted((math.log1p(side * _U_CORE),
-                         math.log1p(side * _W_RUNG)))
-        lo, hi = max(a, lo), min(b, hi)
-        if lo < hi:
+        near = ()
+        marks = _tau_marks(a, b, t)
+    else:
+        # every rung stays; those inside the near-one ranges give way to w
+        near = ((-1.0, math.log1p(-_W_RUNG), core[0]),
+                (1.0, core[1], math.log1p(_W_RUNG)))
+        marks = sorted({a, b, *(m for _, *ends in near for m in ends
+                                if a < m < b)})
+    spans = []
+    for lo, hi in zip(marks[:-1], marks[1:]):
+        side = next((side for side, n0, n1 in near if n0 <= lo and hi <= n1),
+                    None)
+        if side is not None:
             w0, w1 = sorted(-math.log(abs(math.expm1(tau)))
                             for tau in (lo, hi))
             ys = sorted(side * _W_SCALE * w
                         for w in (w0, *(w for w in _W_MARKS if w0 < w < w1),
                                   w1))
-            near.append((lo, hi, list(zip(ys[:-1], ys[1:]))))
-    return near
+            spans += zip(ys[:-1], ys[1:])
+        elif (lo, hi) != core:
+            spans.append((lo, hi))
+    return spans
 
 
 def _integral(t, weight, a, b, rel_tol, ev, absolute=False):
@@ -1957,13 +1967,12 @@ def _integral(t, weight, a, b, rel_tol, ev, absolute=False):
     weight maps arrays of x to arrays.  If the core |x-1| < _U_CORE lies
     in the range, its mass weight(1) times ``_core_mass`` is summed first
     and the core is left out of the panels.  The rest is adaptive Gauss
-    panels in tau = log x of ``_integrand``, cut at the marks of
-    ``_tau_marks``, except where that ladder keeps every rung (t <=
-    0.5891): there the near-one ranges u_core <= |x-1| <= 0.306 go in
-    w = -log|x-1| on the spans of ``_w_spans`` (``_w_integrand``), in
-    place of their tau spans.  All of the intervals refine together in
-    one ``_adaptive_panels`` call, one line call per sweep, each to
-    rel_tol of its integral.  The error is the panels' summed 12/6-point
+    panels of ``_integrand`` on the intervals of ``_spans``: in tau =
+    log x, cut at the marks of ``_tau_marks``, except that for t <=
+    0.5891 the near-one ranges u_core <= |x-1| <= 0.306 go in
+    w = -log|x-1|.  All of the intervals refine together in one
+    ``_adaptive_panels`` call, one line call per sweep, each to rel_tol
+    of its integral.  The error is the panels' summed 12/6-point
     discrepancy; the core's term is left out of it.  With absolute the
     integrand is |Lambda weight|.
     """
@@ -1973,20 +1982,8 @@ def _integral(t, weight, a, b, rel_tol, ev, absolute=False):
         total = float(weight(1.0)) * _core_mass(t, ev)
         if absolute:
             total = abs(total)
-    marks = _tau_marks(a, b, t)
-    near = _w_spans(a, b, t)
-    f = (_w_integrand if near else _integrand)(t, weight, ev)
-    spans = []
-    for span in zip(marks[:-1], marks[1:]):
-        run = next((r for r in near if r[0] <= span[0] and span[1] <= r[1]),
-                   None)
-        if run is None:
-            if span != core:
-                spans.append(span)
-        elif span[0] == run[0]:
-            # a near-one range's w spans stand where its tau spans began
-            spans += run[2]
-    for v, e in _adaptive_panels(f, spans, rel_tol, absolute):
+    for v, e in _adaptive_panels(_integrand(t, weight, ev), _spans(a, b, t),
+                                 rel_tol, absolute):
         total += v
         err += e
     return total, err
@@ -2089,7 +2086,7 @@ def _cusp_depth(t):
     against the span's integral Lambda(t, 1) d.  The depth is the d at
     which d^a _CUSP_MISS = _CUSP_TOL, (1.3e-3)^(1/a): below 16 u_core, so
     that ``_tau_marks`` keeps every rung, for t up to 0.5891, where
-    ``_integral`` takes the near-one range in w instead (``_w_spans``),
+    ``_integral`` takes the near-one range in w instead (``_spans``),
     6e-8 at t = 0.7, 1.3e-3 at t = 1 and 0.39 at t = 4.  For t <= 1/2
     the cusp is infinite or logarithmic and the depth 0.
     """
@@ -2109,7 +2106,7 @@ def _tau_marks(a, b, t):
     span a side, from the core to that rung, goes to ``_adaptive_panels``
     whole.  For t <= 0.5891 (depth below 16 u_core; 0 for t <= 1/2) every
     rung stays, and ``_integral`` integrates the spans from the core edge
-    to the last rung, 0.306, in w = -log|x-1| (``_w_spans``).
+    to the last rung, 0.306, in w = -log|x-1| (``_spans``).
     """
     marks = {a, b}
     depth = _cusp_depth(t)

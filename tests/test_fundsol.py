@@ -998,10 +998,10 @@ def test_graded_ladder_keeps_the_near_one_integral(ev, t, monkeypatch):
 
 @pytest.mark.parametrize("t", [0.05, 0.3, 0.55, 0.589])
 def test_w_near_one_integral_is_the_every_rung_ladder(ev, t, monkeypatch):
-    # up to t = 0.5891 the near-one ranges go in w = -log|x-1|; without
-    # them (no _w_spans) the same driver takes every rung of the tau ladder
+    # up to t = 0.5891 the near-one ranges go in w = -log|x-1|; on the
+    # spans of _tau_marks alone the same driver takes every rung in tau
     near_w = _near_one(t, ev)
-    monkeypatch.setattr(fundsol, "_w_spans", lambda a, b, t: [])
+    monkeypatch.setattr(fundsol, "_spans", _tau_ladder)
     assert fundsol._tau_marks(-0.5, 0.5, t) == fundsol._tau_marks(-0.5, 0.5,
                                                                   0.5)
     full = _near_one(t, ev)
@@ -1015,9 +1015,17 @@ def test_w_spans_of_a_partial_near_one_range(ev, lo, hi, monkeypatch):
     # or no core: its w spans cover what the range holds
     t, a, b = 0.3, math.log(lo), math.log(hi)
     near_w = _integral(t, np.ones_like, a, b, 1e-6, ev, absolute=True)[0]
-    monkeypatch.setattr(fundsol, "_w_spans", lambda a, b, t: [])
+    monkeypatch.setattr(fundsol, "_spans", _tau_ladder)
     full = _integral(t, np.ones_like, a, b, 1e-6, ev, absolute=True)[0]
     assert abs(near_w - full) <= 1e-9 * full
+
+
+def _tau_ladder(a, b, t):
+    """The spans between the marks of ``_tau_marks`` on [a, b], the core
+    left out: the intervals of ``_integral`` had it no w spans."""
+    marks = fundsol._tau_marks(a, b, t)
+    core = (math.log1p(-fundsol._U_CORE), math.log1p(fundsol._U_CORE))
+    return [span for span in zip(marks[:-1], marks[1:]) if span != core]
 
 
 def _spans_handed_over(t, a, b, ev, monkeypatch):
@@ -1037,21 +1045,19 @@ def _spans_handed_over(t, a, b, ev, monkeypatch):
 
 @pytest.mark.parametrize("t", [0.589, 0.59, 0.7, 1.0, 1.5])
 def test_w_spans_end_where_the_ladder_drops_a_rung(ev, t, monkeypatch):
-    # the w spans, written as +-_W_SCALE w, stand in for the near-one tau
-    # spans only while _tau_marks keeps every rung, t <= 0.5891: the cross
-    # pairs of the benchmark at t = 0.7, 1 and 1.5 keep the tau ladder
+    # the w spans stand in for the near-one tau spans only while
+    # _tau_marks keeps every rung, t <= 0.5891: the cross pairs of the
+    # benchmark at t = 0.7, 1 and 1.5 keep the tau ladder
     a, b = math.log1p(-0.4), math.log1p(0.4)
     spans = _spans_handed_over(t, a, b, ev, monkeypatch)
     marks = fundsol._tau_marks(a, b, t)
-    core = (math.log1p(-fundsol._U_CORE), math.log1p(fundsol._U_CORE))
-    tau_spans = [span for span in zip(marks[:-1], marks[1:]) if span != core]
     if t < 0.5891:
         assert marks == fundsol._tau_marks(a, b, 0.5)
-        w = [span for span in spans if abs(span[0]) > fundsol._W_SCALE]
+        w = [span for span in spans if _in_tau(span) != span]
         assert len(w) == 12 and len(spans) == 14
     else:
         assert marks != fundsol._tau_marks(a, b, 0.5)
-        assert spans == tau_spans
+        assert spans == _tau_ladder(a, b, t)
 
 
 @pytest.mark.parametrize("t", [1.0, 4.0, 0.1, 0.3, 0.55])
@@ -1133,12 +1139,8 @@ def test_far_e_folds_are_not_refined(ev, monkeypatch):
 
 def _in_tau(span):
     """A span handed to ``_adaptive_panels`` by ``_integral``, in tau =
-    log x: a w span, side _W_SCALE w, read back at x = 1 + side e^(-w)."""
-    if abs(span[0]) <= fundsol._W_SCALE:
-        return span
-    side = math.copysign(1.0, span[0])
-    return tuple(sorted(math.log1p(side * math.exp(-abs(y) / fundsol._W_SCALE))
-                        for y in span))
+    log x: a w span is read back at its ends' q (``_nodes``)."""
+    return tuple(sorted(fundsol._nodes(np.array(span))[0].tolist()))
 
 
 def _l1_walk_per_e_fold(t, rel_tol, ev):
