@@ -17,6 +17,11 @@ prints:
 - ``l1_norm_lambda`` at t = 0.3, 0.7, 1 and 1.5, and ``delta_pairing`` of
   the bump on [0.5, 2], which holds x = 1, at t = 0.3, 0.7 and 1.5, in both
   trees, each with the number of line points it took;
+- ``delta_pairing`` of the bumps on [0.5, 2] and on [20, 40] at t = 0.3, 1
+  and 3 (``ROUTE_PAIRINGS``): the ref tree's value beside the working
+  tree's, their relative difference, and each tree's median time per call
+  over 5 calls at new t next to the case's (line assembly included), so a
+  route change shows its values and its cost side by side;
 - the four cross pairs of the benchmark's ``symbol`` workload, eval_U
   against eval_U_small_t and against a one-point eval_U_line at
   (t, s) = (0.5, 1 + 5i) and (0.8, 0.6 + 20i), as |a - b| over the summed
@@ -82,6 +87,10 @@ LINES = [(kind, c, t) for kind, c in (("u", 1.0), ("du", 1.0), ("q2", 1.0),
 L1_TS = (0.3, 0.7, 1.0, 1.5)
 #: (t, lo, hi) of the compared pairings: bumps whose support holds x = 1
 PAIRINGS = ((0.3, 0.5, 2.0), (0.7, 0.5, 2.0), (1.5, 0.5, 2.0))
+#: (t, lo, hi) of the pairings compared with per-call timings: a bump that
+#: holds x = 1 and one far right of it
+ROUTE_PAIRINGS = [(t, lo, hi) for lo, hi in ((0.5, 2.0), (20.0, 40.0))
+                  for t in (0.3, 1.0, 3.0)]
 TIME_CASES = ("one_q_new_t", "large_t_new_t", "dU_new_s", "radial_256",
               "l1_norm", "pairing", "radial_new_t", "l1_new_t",
               "radial_third_t", "x_one_new_t", "l1_stall_new_t",
@@ -159,6 +168,21 @@ def values(req):
     out["pairing"] = [with_points(fundsol.delta_pairing, t, bump(lo, hi))
                       for t, lo, hi in req["pairing"]]
     return out
+
+
+def pairings(req):
+    bump = fundsol.TestFunction.bump
+    out = []
+    for t, lo, hi in req["cases"]:
+        value = fundsol.delta_pairing(t, bump(lo, hi), evaluator=ev)
+        times = []
+        for k in range(1, 6):
+            t0 = time.perf_counter()
+            fundsol.delta_pairing(t * (1.0 + k * 1e-7), bump(lo, hi),
+                                  evaluator=ev)
+            times.append(time.perf_counter() - t0)
+        out.append([value, sorted(times)[2]])
+    return {"pairings": out}
 
 
 def symbol(req):
@@ -278,8 +302,9 @@ def store(req):
 
 for line in sys.stdin:
     req = json.loads(line)
-    ans = {"values": values, "symbol": symbol, "derivative": derivative,
-           "time": timing, "store": store}[req["op"]](req)
+    ans = {"values": values, "pairings": pairings, "symbol": symbol,
+           "derivative": derivative, "time": timing,
+           "store": store}[req["op"]](req)
     print(json.dumps(ans), flush=True)
 '''
 
@@ -339,6 +364,17 @@ def compare_values(ref, work):
         print(f"{name}: ref {x!r}  work {y!r}  "
               f"rel diff {abs(x - y) / abs(x):.3g}  "
               f"line points ref {nx}  work {ny}")
+
+
+def compare_pairings(ref, work):
+    req = {"op": "pairings", "cases": ROUTE_PAIRINGS}
+    a, b = ref.ask(**req), work.ask(**req)
+    print(f"\n{'delta_pairing':<26}{'ref':>24}{'work':>24}{'rel diff':>10}"
+          f"{'ref ms':>9}{'work ms':>9}")
+    for (t, lo, hi), (x, tx), (y, ty) in zip(ROUTE_PAIRINGS, a["pairings"],
+                                             b["pairings"]):
+        print(f"{f't={t}, bump({lo}, {hi})':<26}{x!r:>24}{y!r:>24}"
+              f"{abs(x - y) / abs(x):>10.2g}{1e3 * tx:>9.3f}{1e3 * ty:>9.3f}")
 
 
 def compare_symbol(ref, work):
@@ -427,6 +463,7 @@ def main():
             trees.append(Tree(extract(args.ref, tmp)))
             trees.append(Tree(ROOT / "src"))
             compare_values(*trees)
+            compare_pairings(*trees)
             compare_symbol(*trees)
             compare_derivative(*trees)
             if args.time:

@@ -63,8 +63,20 @@ on the line.  The residues and integer values
 of B that the asymptotic routes read come off B's memoized ladder
 (``BEvaluator.laurent``).
 
-The integrals against x (``l1_norm_lambda``, ``delta_pairing``) are calls
-of one driver, ``_integral``, which integrates Lambda against a weight over
+A pairing with a test function, ``delta_pairing``, has two routes on the
+direct line.  The first reads no Lambda: by Parseval's formula for the
+Mellin transform it is (1/pi) Re int_0^inf sqrt(2 pi) U(t, 1 + iv)
+phi~(1 + iv) dv, summed by the trapezoid rule on the line's own grid and
+its tail model beyond V, with phi~ from one FFT of phi(e^tau)
+(``_parseval_pairing``).  Since Lambda phi has compact support in log x,
+the rule's only error is truncation, and the FFT length doubles until the
+sum settles within rel_tol/2.  Where it cannot settle, because the line's
+absolute error passes that share of a small pairing, or for supports
+beyond |log x| = 10 or narrower than 0.044 in log x, the pairing takes
+the panels below.
+
+``l1_norm_lambda`` and those pairings are calls of one integrator,
+``_integral``, which integrates Lambda against a weight over
 a range of log x and returns the value with its panels' summed error: the
 core |x-1| < e^(-40) from the near-one law, the rest in adaptive Gauss
 panels in log x on that line.  Toward x = 1 the panels are cut at a
@@ -258,10 +270,11 @@ _TRANSPORT_TOL = 1e-9
 _LOG_SCALE_MAX = 700.0
 
 
-# equispaced nodes tau_j = -1 + j/5 and the inverse of the degree-10
-# Legendre interpolation matrix on them (computed once)
+# equispaced nodes tau_j = -1 + j/5, the degree-10 Legendre interpolation
+# matrix on them and its inverse (computed once)
 _TAU = np.linspace(-1.0, 1.0, 11)
-_LEG_INV = np.linalg.inv(legvander(_TAU, 10))
+_LEG_VAND = legvander(_TAU, 10)
+_LEG_INV = np.linalg.inv(_LEG_VAND)
 _GL16 = leggauss(16)
 #: the 16 Gauss nodes mapped to [0, 2], where a ray panel scales them
 _GL16_UNIT = _GL16[0] + 1.0
@@ -2059,21 +2072,133 @@ def _efolds(sign, edge):
     return spans
 
 
+#: FFT lengths of ``_parseval_pairing``: its first estimate compares the
+#: sums of _PARSEVAL_N0 and _PARSEVAL_N0/2 samples, and past _PARSEVAL_CAP
+#: the pairing takes the panels
+_PARSEVAL_N0 = 1 << 12
+_PARSEVAL_CAP = 1 << 17
+#: the least number of samples of phi(e^tau) across the support in that
+#: first, coarser sum; a narrower support starts at a longer N
+_PARSEVAL_SAMPLES = 32
+#: the route takes supports within |log x| <= _PARSEVAL_LOG_X: there the
+#: pairings of phi's shifts by the period 2 pi/_H_V = 89.8 in log x, which
+#: the sum adds, stay below e^-39 of the pairing
+_PARSEVAL_LOG_X = 10.0
+#: the share of the summed |terms| that the estimate counts as rounding
+_PARSEVAL_ROUND = 10.0 * np.finfo(float).eps
+
+
+def _grid_values(line):
+    """The line's symbol on the output grid v = 0.._V_CUT, read back off its
+    Legendre coefficients: within 3.6e-15 of its largest value, and
+    1.9e-14 relative, of ``_symbol_line`` at t from 0.05 to 4."""
+    g = line.coeffs @ _LEG_VAND.T
+    return np.append(g[:, :10].ravel(), g[-1, 10])
+
+
+def _parseval_pairing(t, phi, rel_tol, ev):
+    """<Lambda(t), phi> by Mellin--Parseval on the direct line, or None.
+
+    With phi~(1 + iv) = int phi(x) x^(-1-iv) dx = int phi(e^tau) e^(-iv tau)
+    dtau, Parseval's formula for the Mellin transform (Titchmarsh 1937)
+    gives
+
+        <Lambda(t), phi> = (1/pi) Re int_0^inf sqrt(2 pi) U(t, 1 + iv)
+                                              phi~(1 + iv) dv,
+
+    summed here by the trapezoid rule on the line's grid v_j = j _H_V, with
+    half weight at v = 0.  By Poisson summation that sum is the pairing
+    plus the pairings of phi's shifts by -+2 pi/_H_V = -+89.8 in log x.
+    For supports within |log x| <= _PARSEVAL_LOG_X those read Lambda at
+    x < e^-79 or x > e^79 and stay below e^-39 of the pairing, so the rule
+    has no error beyond truncation, as for any integrand of compact
+    support (Trefethen and Weideman, SIAM Rev. 56, 2014).  The symbol
+    comes from the memoised line: its grid values up to _V_CUT and its
+    tail model beyond.  phi~ at v_j, j < N/2, is one real FFT of
+    phi(e^tau) on tau = 2 pi m/(_H_V N), the trapezoid rule of a function
+    of compact support.
+
+    N doubles from _PARSEVAL_N0, or from the least power of two whose
+    coarser sum S_N/2 holds _PARSEVAL_SAMPLES samples across the support,
+    until the error estimate is at most rel_tol/2 of the sum S_N.  The
+    estimate is |S_N - S_N/2|, which holds both the truncation in v and
+    the aliasing in tau, plus a floor: the tail model's fit residual times
+    sum_{v > _V_CUT} |phi~| _H_V/pi, and _PARSEVAL_ROUND times the sum of
+    |terms| _H_V/pi.  It returns None, and the caller takes the panels,
+    past _PARSEVAL_CAP, for a support outside the zone or too narrow to
+    start below the cap, or once the floor alone passes rel_tol/2 of
+    |S_N| + |S_N - S_N/2|: the floor only grows with N, so no longer sum
+    settles.
+    No array outlives the call.
+    """
+    lo, hi = phi.support
+    a, b = math.log(lo), math.log(hi)
+    if not (-_PARSEVAL_LOG_X <= a and b <= _PARSEVAL_LOG_X):
+        return None
+    # the coarser sum's step 2 pi/(_H_V n) is at most
+    # (b - a)/_PARSEVAL_SAMPLES
+    n = max(_PARSEVAL_N0 // 2, 1 << math.ceil(math.log2(
+        2.0 * math.pi * _PARSEVAL_SAMPLES / (_H_V * (b - a)))))
+    if 2 * n > _PARSEVAL_CAP:
+        return None
+    line = _line_assembly(ev, t, _C_DIRECT, "u")
+    g = _grid_values(line)
+    scale = _H_V / math.pi
+    prev = None
+    while n <= _PARSEVAL_CAP:
+        step = 2.0 * math.pi / (_H_V * n)
+        m = np.arange(math.ceil(a / step), math.floor(b / step) + 1)
+        samples = np.zeros(n)
+        samples[m % n] = phi(np.exp(m * step))
+        # numpy's FFT, not scipy.fft's, whose plan cache held 2.4 MB for
+        # the lengths 2^11 to 2^16
+        ft = step * np.fft.rfft(samples)[:n // 2]
+        if g.size < n // 2:
+            v = _H_V * np.arange(g.size, n // 2)
+            g = np.concatenate([g, _tail_model(
+                t, _tail_columns("u", _C_DIRECT + 1j * v), line.model_a)])
+        terms = g[:n // 2] * ft
+        terms[0] *= 0.5
+        s = scale * terms.real.sum()
+        floor = scale * (line.fit_resid * np.abs(ft[_NV:]).sum()
+                         + _PARSEVAL_ROUND * np.abs(terms).sum())
+        if prev is not None:
+            miss = abs(s - prev)
+            if miss + floor < 0.5 * rel_tol * abs(s):
+                return float(s)
+            if floor > 0.5 * rel_tol * (abs(s) + miss):
+                return None
+        prev = s
+        n *= 2
+    return None
+
+
 def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):
     """<Lambda(t, .), phi> = int Lambda(t, x) phi(x) dx; phi a TestFunction.
 
     At t = 0 the fundamental solution is the unit mass at x = 1, so the
-    pairing is exactly phi(1).  For t > 0 it is one ``_integral`` over
-    log supp phi, which takes the core |x-1| < exp(-40) from the near-one
-    law when supp phi holds x = 1.
+    pairing is exactly phi(1).  For t > 0 there are two routes on the
+    direct line.  The first is Mellin--Parseval (``_parseval_pairing``):
+    the symbol on the line against one FFT of phi(e^tau), with no cusp at
+    x = 1 and no ray.  It is taken wherever its own error estimate settles
+    within rel_tol/2 of its sum.  Elsewhere the pairing is one
+    ``_integral`` over log supp phi, adaptive panels that take the core
+    |x-1| < exp(-40) from the near-one law when supp phi holds x = 1: for
+    supports beyond |log x| = 10, where the sum needs more than 2^17
+    samples (supports narrower than 0.044 in log x among them), and where
+    the line's absolute error, the tail model's fit residual, passes
+    rel_tol/2 of a small pairing.
     """
     _check_arg("t", t, zero=True)
     _check_arg("rel_tol", rel_tol)
     if t == 0.0:
         return float(phi(1.0))
+    ev = evaluator or default_evaluator()
+    value = _parseval_pairing(t, phi, rel_tol, ev)
+    if value is not None:
+        return value
     lo, hi = phi.support
-    return _integral(t, phi, math.log(lo), math.log(hi), rel_tol,
-                     evaluator or default_evaluator())[0]
+    return _integral(t, phi, math.log(lo), math.log(hi), rel_tol, ev)[0]
 
 
 def _cusp_depth(t):

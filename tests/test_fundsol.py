@@ -11,7 +11,9 @@ The tail model, which the fit and the ray read off kept t-free columns,
 must match its closed form, and its rotated ray must match scipy's quad on
 the same ray; next to q = 0 the ray's own closed form must match quad at
 q = 0 and the panel sweep elsewhere.  A repeated q array's stored rows must
-equal fresh ones.
+equal fresh ones.  The Mellin--Parseval route of ``delta_pairing`` must meet
+the adaptive panels, and its slope at small t minus the transport operator
+at x = 1.
 The tabulated Mellin--Barnes lines of the asymptotic routes are checked
 against adaptive vertical quadrature and an independent trapezoid rule,
 both on B at scattered points.
@@ -937,14 +939,101 @@ def _count_line_calls(monkeypatch):
     return calls
 
 
-def test_delta_pairing_takes_one_line_call_per_sweep(ev, monkeypatch):
+def test_panel_pairing_takes_one_line_call_per_sweep(ev, monkeypatch):
     # the intervals of the ladder around the core refine in lockstep, one
-    # panel sweep of all of them each call
+    # panel sweep of all of them each call; delta_pairing reads no Lambda
+    # on its Parseval route, so the panels are called directly
     phi = fundsol.TestFunction.bump(0.5, 3.0)
     _line_assembly(ev, 1.5, 1.0, "u")
     calls = _count_line_calls(monkeypatch)
-    delta_pairing(1.5, phi, evaluator=ev)
+    _integral(1.5, phi, math.log(0.5), math.log(3.0), 1e-7, ev)
     assert len(calls) <= 8
+
+
+_ORACLE_BUMPS = ((0.5, 2.0), (0.8, 1.25), (1.3, 2.5), (0.4, 0.9))
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3, 0.55, 1.0, 3.0])
+def test_parseval_pairing_meets_the_panels(ev, t):
+    # the panels at rel_tol 1e-9 are the oracle of the Parseval route, on
+    # bumps that hold x = 1, lie left of it or right of it
+    for lo, hi in _ORACLE_BUMPS:
+        phi = fundsol.TestFunction.bump(lo, hi)
+        ref, _ = _integral(t, phi, math.log(lo), math.log(hi), 1e-9, ev)
+        for rel_tol in (1e-6, 1e-7):
+            val = fundsol._parseval_pairing(t, phi, rel_tol, ev)
+            assert val is not None
+            assert delta_pairing(t, phi, rel_tol=rel_tol, evaluator=ev) == val
+            assert abs(val - ref) <= rel_tol * abs(ref)
+
+
+def test_pairing_slope_at_small_t_is_minus_the_transport(ev):
+    # Lambda(t) -> delta_1 with d/dt <Lambda, phi> = <Lambda, T phi>, so
+    # (<Lambda(t), phi> - phi(1))/t -> -(T phi)(1), an oracle that reads no
+    # U; the gap is O(t), and the Richardson value of t = 0.01 and 0.02
+    # removes its first order
+    phi = fundsol.TestFunction.bump(0.5, 2.0)
+    limit = -transport_apply(phi, 1.0)
+    slope = {t: (delta_pairing(t, phi, rel_tol=1e-8, evaluator=ev)
+                 - phi(1.0)) / t for t in (0.02, 0.01, 0.005)}
+    gaps = [abs(slope[t] - limit) for t in (0.02, 0.01, 0.005)]
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert abs(2.0 * slope[0.01] - slope[0.02] - limit) <= 1e-3
+
+
+@pytest.mark.parametrize("t, lo, hi, rel_tol", [
+    # the line's fit residual, an absolute error, passes rel_tol/2 of
+    # this small pairing, so the Parseval sum cannot settle
+    pytest.param(1.0, 50.0, 80.0, 1e-7, id="floor"),
+    # a support beyond |log x| = 10 is outside the route's zone, though
+    # the sum would settle there
+    pytest.param(1.5, 1e-5, 1e-4, 1e-6, id="zone"),
+    # 0.009 wide in log x: the first sum would need 2^18 samples to hold
+    # 32 across the support, and at 2^12 and 2^11 none fall inside it
+    pytest.param(1.0, 1.001, 1.01, 1e-7, id="narrow")])
+def test_an_unsettled_parseval_sum_takes_the_panels(ev, t, lo, hi,
+                                                    rel_tol, monkeypatch):
+    # the floor only grows with N, so the route gives up at the first
+    # estimate whose floor passes rel_tol/2, long before the cap, and a
+    # support too narrow for the cap is given up before any FFT
+    lengths = [0]
+    real_rfft = np.fft.rfft
+
+    def spy(x):
+        lengths.append(x.size)
+        return real_rfft(x)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    phi = fundsol.TestFunction.bump(lo, hi)
+    assert fundsol._parseval_pairing(t, phi, rel_tol, ev) is None
+    assert max(lengths) < fundsol._PARSEVAL_CAP // 4
+    ref, _ = _integral(t, phi, math.log(lo), math.log(hi), rel_tol, ev)
+    assert delta_pairing(t, phi, rel_tol=rel_tol, evaluator=ev) == ref
+
+
+@pytest.mark.parametrize("lo, hi", [(1.001, 1.01), (1.01, 1.1)])
+def test_narrow_pairings_meet_the_panels(ev, lo, hi):
+    # a narrow support takes the panels, or starts the Parseval sum at a
+    # length that samples it (2^16 for the second); either way the pairing
+    # is not lost between the samples
+    phi = fundsol.TestFunction.bump(lo, hi)
+    ref, _ = _integral(1.0, phi, math.log(lo), math.log(hi), 1e-9, ev)
+    val = delta_pairing(1.0, phi, rel_tol=1e-7, evaluator=ev)
+    assert abs(val - ref) <= 1e-7 * abs(ref)
+
+
+def test_pairing_refusals_and_t_zero_come_before_either_route(monkeypatch):
+    def no_route(*args):
+        raise AssertionError("a route was taken")
+
+    monkeypatch.setattr(fundsol, "_parseval_pairing", no_route)
+    monkeypatch.setattr(fundsol, "_integral", no_route)
+    phi = fundsol.TestFunction.bump(0.8, 1.25)
+    assert delta_pairing(0.0, phi) == phi(1.0)
+    for t, rel_tol in ((-1.0, 1e-7), (math.nan, 1e-7), (1.0, 0.0),
+                       (1.0, -1.0)):
+        with pytest.raises(ValueError):
+            delta_pairing(t, phi, rel_tol=rel_tol)
 
 
 def test_l1_norm_takes_one_line_call_per_sweep(ev, monkeypatch):
