@@ -14,9 +14,10 @@ prints:
   error, the largest |error difference| over that error, whether the two
   trees' values and errors are bit-identical, and whether an array call
   equals the scalar calls exactly in each tree;
-- ``l1_norm_lambda`` at t = 0.3, 0.7, 1 and 1.5, and ``delta_pairing`` of
-  the bump on [0.5, 2], which holds x = 1, at t = 0.3, 0.7 and 1.5, in both
-  trees, each with the number of line points it took;
+- ``l1_norm_lambda`` at t = 0.3, 0.59, 0.7, 1, 1.5 and 4, and
+  ``delta_pairing`` of the bump on [0.5, 2], which holds x = 1, at
+  t = 0.3, 0.7 and 1.5, in both trees, each with the number of line
+  points it took;
 - ``delta_pairing`` of the bumps on [0.5, 2] and on [20, 40] at t = 0.3, 1
   and 3 (``ROUTE_PAIRINGS``): the ref tree's value beside the working
   tree's, their relative difference, and each tree's median time per call
@@ -57,8 +58,7 @@ on its second sighting holds it (``radial_third_t``), then
 ``eval_lambda`` at x = 1 and ``l1_norm_lambda`` at new t next to 0.55
 and 0.3, where the ray integrals at q = log x next to 0 decide the cost
 (``x_one_new_t``, ``l1_stall_new_t``), and ``delta_pairing`` of that bump
-at new t next to 0.3 (``pairing_stall_new_t``), where the near-one range
-of the integral takes every rung of its ladder.  It prints per case
+at new t next to 0.3 (``pairing_stall_new_t``).  It prints per case
 the median and quartiles of the per-round ratio working tree / REF (below
 1 is faster).  It then prints, per tree, the entry count and bytes of the
 store of q-only query rows (``fundsol._Q_ROWS``), with the keys held for
@@ -84,7 +84,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 LINES = [(kind, c, t) for kind, c in (("u", 1.0), ("du", 1.0), ("q2", 1.0),
                                       ("su", 1.0), ("ut", 1.5))
          for t in (0.7, 2.0) if kind != "su" or t > 1.0]
-L1_TS = (0.3, 0.7, 1.0, 1.5)
+L1_TS = (0.3, 0.59, 0.7, 1.0, 1.5, 4.0)
 #: (t, lo, hi) of the compared pairings: bumps whose support holds x = 1
 PAIRINGS = ((0.3, 0.5, 2.0), (0.7, 0.5, 2.0), (1.5, 0.5, 2.0))
 #: (t, lo, hi) of the pairings compared with per-call timings: a bump that

@@ -79,20 +79,19 @@ the panels below.
 ``_integral``, which integrates Lambda against a weight over
 a range of log x and returns the value with its panels' summed error: the
 core |x-1| < e^(-40) from the near-one law, the rest in adaptive Gauss
-panels in log x on that line.  Toward x = 1 the panels are cut at a
-geometric ladder (``_tau_marks``) only as deep as the cusp |x-1|^(2t-1)
-needs for the panel rule pair: down to 6e-8 at t = 0.7 and 1.3e-3 at
-t = 1; below its deepest rung one span a side is bisected.  Where the
-ladder would keep every rung, for t up to 0.5891, each side's range
-e^(-40) <= |x-1| <= 0.306 goes in w = -log|x-1| instead (``_spans``),
-where the cusp is the smooth A e^(-2tw), on six fixed spans a side, with
-the line read at q = log1p(-+e^(-w)) (``_nodes``).  ``_adaptive_panels``
-refines all intervals of one call, w spans among them, in lockstep, so
-each sweep of new panels is one call of the line, and each panel's two
-rules are row dots of its own values.  An interval stops at
-rel_tol of its own integral or at an absolute floor; the outward e-folds
-of ``l1_norm_lambda`` set that floor to a small share of rel_tol times the
-running total, so a far e-fold of small mass is not refined.  The first
+panels on that line.  At every t, each side's range e^(-40) <= |x-1| <=
+0.306 goes in w = -log|x-1| (``_spans``), where the cusp A |x-1|^(2t-1)
+is the smooth A e^(-2tw), on four fixed spans a side, with the line read
+at q = log1p(-+e^(-w)) (``_nodes``); the rest of the range is in
+tau = log x.  ``_adaptive_panels`` refines all intervals of one call, w
+spans among them, in lockstep, so each sweep of new panels is one call
+of the line, and each panel's two rules are row dots of its own values.
+An interval stops at rel_tol of its own integral or at an absolute floor.
+``_integral`` sets that floor to rel_tol/2 of the range's first estimate,
+shared out evenly over its spans, so a span next to the core, of small
+mass, is not refined on its own scale; the outward e-folds of
+``l1_norm_lambda`` set it to a small share of rel_tol times the running
+total, so a far e-fold of small mass is not refined either.  The first
 panels of all the e-folds the decay laws predict come in one line call,
 so a far e-fold takes no line call of its own.  The mass past l1's two
 truncated ends comes from its last e-folds' masses: Lambda tends to
@@ -1771,44 +1770,20 @@ _X6, _W6 = leggauss(6)
 _X18 = np.concatenate([_X12, _X6])
 #: bisections of one panel after which ``_adaptive_panels`` stops splitting it
 _PANEL_DEPTH = 28
-#: 12/6-point discrepancy, over its own integral, that ``_tau_marks``
-#: allows the span below its deepest rung on that span's first panel
-_CUSP_TOL = 1e-6
-#: the last rung of ``_tau_marks``, 4^28 u_core = 0.306
+#: the outer edge of each side's near-one range u_core <= |x-1| <= _W_RUNG
+#: that ``_spans`` takes in w = -log|x-1|: 4^28 u_core = 0.306, w = 1.18
 _W_RUNG = math.ldexp(_U_CORE, 56)
-#: the w = -log|x-1| that cut each side's near-one range u_core <= |x-1| <=
-#: _W_RUNG, w from 1.18 to 40, into six spans, w_k = 1.18 + 38.8 (k/6)^1.5:
-#: 2.6 wide next to the rung, where Lambda is furthest from its power law,
-#: and widening to 9.3 toward the core, where the integrand is A e^(-2tw).
-#: Against six equal spans this took 10 % less time on l1 norms and
-#: pairings of bumps that hold x = 1, at 8 t from 0.2 to 0.55 (one BLAS
-#: thread, 2-vCPU VM)
-_W_MARKS = tuple((-math.log(_W_RUNG) + (40.0 + math.log(_W_RUNG))
-                  * (np.arange(1, 6) / 6.0) ** 1.5).tolist())
+#: the w that cut each side's near-one range, w from 1.18 to 40, into four
+#: spans: 1.8 wide next to _W_RUNG, where Lambda is furthest from its power
+#: law, and widening to 23 toward the core, where the integrand is the
+#: smooth A e^(-2tw).  On the last span the 12/6-point discrepancy of the
+#: first panel of a pairing of bump(0.5, 2) stays below the floor of
+#: ``_integral`` for t from 0.45 to 4 (0.39 of it at t = 0.55); a mark at
+#: 16 leaves it at 1.3 times the floor at t = 0.55, and the span bisects
+_W_MARKS = (3.0, 8.0, 17.0)
 #: ``_spans`` writes a w span as side _W_SCALE w, beyond every log x of a
 #: positive float (|log x| < 746) and scaled by a power of 2, exactly
 _W_SCALE = 1024.0
-
-
-def _cusp_miss():
-    """The largest |12-point - 6-point| of the panel rule pair on a power
-    x^a over [0, 1], on the grid a = k/64, 0 < a <= 12.
-
-    The pair misses 7.6e-4 at a = 0.2, 4.8e-4 at 0.4, 1.2e-5 at 1.2 and
-    3.7e-7 at 2.5; both rules are exact at whole a up to 11.  The largest
-    miss, 7.6e-4 at a = 0.21, bounds the pair on every power, so it also
-    covers the terms of Lambda past the cusp, whose exponents are not
-    2t - 1 (at t = 1.5, Lambda(t, 1 + u) - Lambda(t, 1) is mostly linear
-    in u for |u| > 1e-4).
-    """
-    a = np.arange(1, 12 * 64 + 1)[:, None] / 64.0
-    x12, x6 = 0.5 * (_X12 + 1.0), 0.5 * (_X6 + 1.0)
-    miss = 0.5 * np.abs((_W12 * x12 ** a).sum(axis=1)
-                        - (_W6 * x6 ** a).sum(axis=1))
-    return float(miss.max())
-
-
-_CUSP_MISS = _cusp_miss()
 
 
 def _gauss_panels(f, bounds, absolute):
@@ -1933,30 +1908,22 @@ def _integrand(t, weight, ev):
     return f
 
 
-def _spans(a, b, t):
+def _spans(a, b):
     """The intervals of ``_integral`` on [a, b] (tau = log x), in order,
     the core |x-1| < u_core left out.
 
-    They are the spans between the marks of ``_tau_marks``, except where
-    that ladder keeps every rung (t <= 0.5891).  There each side's
-    near-one range u_core <= |x-1| <= _W_RUNG, as far as [a, b] holds
-    it, goes in w = -log|x-1| instead: cut at _W_MARKS, six spans on a
-    whole side, each written as side _W_SCALE w (``_nodes``) with
+    Each side's near-one range u_core <= |x-1| <= _W_RUNG, as far as
+    [a, b] holds it, goes in w = -log|x-1|: cut at _W_MARKS, four spans
+    on a whole side, each written as side _W_SCALE w (``_nodes``) with
     lo < hi.  In w the cusp A |x-1|^(2t-1) is A e^(-2tw), which the
-    panels resolve in a few bisections, where the ladder took 28 rungs a
-    side.
+    panels resolve in a few bisections at every t.  What [a, b] holds
+    beyond those ranges is one tau span a side.
     """
     core = (math.log1p(-_U_CORE), math.log1p(_U_CORE))
-    if _cusp_depth(t) >= 16.0 * _U_CORE:
-        # _tau_marks drops the rung 4 u_core, and those up to the depth
-        near = ()
-        marks = _tau_marks(a, b, t)
-    else:
-        # every rung stays; those inside the near-one ranges give way to w
-        near = ((-1.0, math.log1p(-_W_RUNG), core[0]),
-                (1.0, core[1], math.log1p(_W_RUNG)))
-        marks = sorted({a, b, *(m for _, *ends in near for m in ends
-                                if a < m < b)})
+    near = ((-1.0, math.log1p(-_W_RUNG), core[0]),
+            (1.0, core[1], math.log1p(_W_RUNG)))
+    marks = sorted({a, b, *(m for _, *ends in near for m in ends
+                            if a < m < b)})
     spans = []
     for lo, hi in zip(marks[:-1], marks[1:]):
         side = next((side for side, n0, n1 in near if n0 <= lo and hi <= n1),
@@ -1980,14 +1947,16 @@ def _integral(t, weight, a, b, rel_tol, ev, absolute=False):
     weight maps arrays of x to arrays.  If the core |x-1| < _U_CORE lies
     in the range, its mass weight(1) times ``_core_mass`` is summed first
     and the core is left out of the panels.  The rest is adaptive Gauss
-    panels of ``_integrand`` on the intervals of ``_spans``: in tau =
-    log x, cut at the marks of ``_tau_marks``, except that for t <=
-    0.5891 the near-one ranges u_core <= |x-1| <= 0.306 go in
-    w = -log|x-1|.  All of the intervals refine together in one
-    ``_adaptive_panels`` call, one line call per sweep, each to rel_tol
-    of its integral.  The error is the panels' summed 12/6-point
-    discrepancy; the core's term is left out of it.  With absolute the
-    integrand is |Lambda weight|.
+    panels of ``_integrand`` on the intervals of ``_spans``: the near-one
+    ranges u_core <= |x-1| <= 0.306 in w = -log|x-1|, the rest in tau =
+    log x.  Their first panels come in one line call, and all of the
+    intervals refine together in one ``_adaptive_panels`` call, one line
+    call per sweep.  Each stops at rel_tol of its own integral or at a
+    floor shared out over the n intervals, rel_tol/(2n) of the first
+    estimate of the whole (core and first panels), so a span of small
+    mass next to the core is not refined on its own scale.  The error is
+    the panels' summed 12/6-point discrepancy; the core's term is left
+    out of it.  With absolute the integrand is |Lambda weight|.
     """
     total = err = 0.0
     core = (math.log1p(-_U_CORE), math.log1p(_U_CORE))
@@ -1995,8 +1964,10 @@ def _integral(t, weight, a, b, rel_tol, ev, absolute=False):
         total = float(weight(1.0)) * _core_mass(t, ev)
         if absolute:
             total = abs(total)
-    for v, e in _adaptive_panels(_integrand(t, weight, ev), _spans(a, b, t),
-                                 rel_tol, absolute):
+    f, spans = _integrand(t, weight, ev), _spans(a, b)
+    first = _gauss_panels(f, spans, absolute)
+    floor = rel_tol * abs(total + sum(v for v, _ in first)) / (2 * len(spans))
+    for v, e in _adaptive_panels(f, spans, rel_tol, absolute, floor, first):
         total += v
         err += e
     return total, err
@@ -2013,7 +1984,7 @@ def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
     """int_0^inf |Lambda(t, x)| dx, for every t > 0.
 
     The range |x-1| < 0.4, near-one core included, is one ``_integral``,
-    in w = -log|x-1| within |x-1| <= 0.306 for t up to 0.5891.
+    in w = -log|x-1| within |x-1| <= 0.306.
     Then the x-range grows by one e-fold at a time on each side until the
     outermost e-fold falls below rel_tol of the running total.  Lambda
     tends to the constant Lambda(t, 0+) at x = 0+ and decays like C x^-5
@@ -2027,9 +1998,9 @@ def l1_norm_lambda(t, rel_tol=1e-6, evaluator=None):
     panel) to rel_tol of its own mass or to a floor of _EFOLD_SHARE
     rel_tol of the running total, whichever is looser, so the far
     e-folds, whose masses are small, take no line call of their own.  An
-    outward e-fold holds no mark of ``_tau_marks``, so each is the
-    ``_integral`` of its range.  The mass past the last e-fold, x < x_f or
-    x > x_f, comes from that e-fold's mass v: the rest is
+    outward e-fold lies past the near-one ranges, so its one tau span is
+    the interval ``_spans`` gives it.  The mass past the last e-fold,
+    x < x_f or x > x_f, comes from that e-fold's mass v: the rest is
     x_f Lambda(0+) = v/(e - 1) on the left and C x_f^-4/4 = v/(e^4 - 1)
     on the right.
     """
@@ -2199,50 +2170,6 @@ def delta_pairing(t, phi, rel_tol=1e-7, evaluator=None):
         return value
     lo, hi = phi.support
     return _integral(t, phi, math.log(lo), math.log(hi), rel_tol, ev)[0]
-
-
-def _cusp_depth(t):
-    """|x-1| down to which the near-one cusp of Lambda(t, .) needs rungs.
-
-    For t > 1/2, Lambda(t, 1 + u) = Lambda(t, 1) + A |u|^a + ...,
-    a = 2t - 1, with |A| within a factor 2 of Lambda(t, 1) (measured on
-    the line for t in [0.55, 1]).  On a span 0 < |u| < d the panel rule
-    pair then misses at most about Lambda(t, 1) d^(a+1) _CUSP_MISS,
-    against the span's integral Lambda(t, 1) d.  The depth is the d at
-    which d^a _CUSP_MISS = _CUSP_TOL, (1.3e-3)^(1/a): below 16 u_core, so
-    that ``_tau_marks`` keeps every rung, for t up to 0.5891, where
-    ``_integral`` takes the near-one range in w instead (``_spans``),
-    6e-8 at t = 0.7, 1.3e-3 at t = 1 and 0.39 at t = 4.  For t <= 1/2
-    the cusp is infinite or logarithmic and the depth 0.
-    """
-    a = 2.0 * t - 1.0
-    if a <= 0.0:
-        return 0.0
-    return (_CUSP_TOL / _CUSP_MISS) ** (1.0 / a)
-
-
-def _tau_marks(a, b, t):
-    """Split [a, b] (in tau = log x) geometrically toward tau = 0.
-
-    Inserts the core edges log(1 -+ u_core) and the ladder
-    log(1 -+ 4^k u_core), u_core < 4^k u_core < 0.45, so panels shrink
-    toward the boundary layer at x = 1 where the integrand steepens.  The
-    ladder starts at its last rung at or below ``_cusp_depth(t)``, and one
-    span a side, from the core to that rung, goes to ``_adaptive_panels``
-    whole.  For t <= 0.5891 (depth below 16 u_core; 0 for t <= 1/2) every
-    rung stays, and ``_integral`` integrates the spans from the core edge
-    to the last rung, 0.306, in w = -log|x-1| (``_spans``).
-    """
-    marks = {a, b}
-    depth = _cusp_depth(t)
-    u = _U_CORE
-    while u < 0.45:
-        if u == _U_CORE or 4.0 * u > depth:
-            for s in (math.log1p(u), math.log1p(-u)):
-                if a < s < b:
-                    marks.add(s)
-        u *= 4.0
-    return sorted(marks)
 
 
 def transport_apply(phi, x):

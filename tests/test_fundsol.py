@@ -1043,10 +1043,7 @@ def test_l1_norm_takes_one_line_call_per_sweep(ev, monkeypatch):
     assert len(calls) <= 50
 
 
-def test_l1_norm_does_not_refine_on_ray_noise(ev, monkeypatch):
-    # the far-left e-folds at t = 0.3 carry below 1e-5 of the mass; a ray
-    # tail that under-resolves their |q| of about 10 makes their panels
-    # refine on its misses, to some 4,800 line points
+def _count_line_points(monkeypatch):
     points = []
     real_batch = fundsol._LineAssembly._batch
 
@@ -1055,46 +1052,77 @@ def test_l1_norm_does_not_refine_on_ray_noise(ev, monkeypatch):
         return real_batch(self, qs)
 
     monkeypatch.setattr(fundsol._LineAssembly, "_batch", spy)
+    return points
+
+
+def test_l1_norm_does_not_refine_on_ray_noise(ev, monkeypatch):
+    # the far-left e-folds at t = 0.3 carry below 1e-5 of the mass; a ray
+    # tail that under-resolves their |q| of about 10 makes their panels
+    # refine on its misses, to some 4,800 line points
+    points = _count_line_points(monkeypatch)
     l1 = l1_norm_lambda(0.3, evaluator=ev)
     mass = SQRT_2PI * eval_U(0.3, 1.0, evaluator=ev).value.real
     assert sum(points) <= 3000
     assert abs(l1 - mass) <= 1e-6 * mass
 
 
-def _near_one(t, ev):
+def _near_one(t, ev, rel_tol=1e-6):
     a, b = math.log1p(-0.4), math.log1p(0.4)
-    return _integral(t, np.ones_like, a, b, 1e-6, ev, absolute=True)[0]
+    return _integral(t, np.ones_like, a, b, rel_tol, ev, absolute=True)[0]
+
+
+def _tau_ladder(a, b):
+    """The every-rung ladder in tau = log x on [a, b]: the spans between
+    a, b and the marks log1p(-+4^k u_core), k = 0..28, that it holds, the
+    core left out.  Cut finely enough toward x = 1 that each span sees the
+    cusp |x-1|^(2t-1) as a smooth power, it is the oracle of the w spans."""
+    rungs = [math.log1p(s * math.ldexp(fundsol._U_CORE, 2 * k))
+             for k in range(29) for s in (-1.0, 1.0)]
+    marks = sorted({a, b, *(m for m in rungs if a < m < b)})
+    core = (math.log1p(-fundsol._U_CORE), math.log1p(fundsol._U_CORE))
+    return [span for span in zip(marks[:-1], marks[1:]) if span != core]
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5])
-def test_ladder_up_to_t_half_has_every_rung(t):
+def test_ladder_up_to_t_half_has_every_rung(ev, t, monkeypatch):
+    # the oracle of the w spans: on [log 0.3, log 2] the ladder that
+    # _integral hands over, once _spans is _tau_ladder, cuts at every rung
+    # 4^k e^-40 on both sides of x = 1, the core alone left out
     a, b = math.log(0.3), math.log(2.0)
     rungs = [math.exp(-40.0) * 4.0 ** k for k in range(29)]
-    assert fundsol._tau_marks(a, b, t) == sorted(
-        {a, b} | {math.log1p(s * u) for u in rungs for s in (-1.0, 1.0)})
+    marks = sorted({a, b} | {math.log1p(s * u) for u in rungs
+                             for s in (-1.0, 1.0)})
+    monkeypatch.setattr(fundsol, "_spans", _tau_ladder)
+    spans = _spans_handed_over(t, a, b, ev, monkeypatch)
+    core = (math.log1p(-math.exp(-40.0)), math.log1p(math.exp(-40.0)))
+    assert spans == [span for span in zip(marks[:-1], marks[1:])
+                     if span != core]
+    assert len(spans) == 2 * 29
 
 
-@pytest.mark.parametrize("t", [0.55, 0.6, 0.7, 1.0, 2.0, 4.0])
-def test_graded_ladder_keeps_the_near_one_integral(ev, t, monkeypatch):
-    graded = _near_one(t, ev)
-    # every rung: the ladder at t = 1/2
-    marks = fundsol._tau_marks
-    monkeypatch.setattr(fundsol, "_tau_marks",
-                        lambda a, b, t: marks(a, b, 0.5))
-    full = _near_one(t, ev)
-    assert abs(graded - full) <= 1e-10 * full
-
-
-@pytest.mark.parametrize("t", [0.05, 0.3, 0.55, 0.589])
+@pytest.mark.parametrize("t", [0.05, 0.3, 0.55, 0.589, 0.59, 0.6, 0.7, 1.0,
+                               2.0, 4.0])
 def test_w_near_one_integral_is_the_every_rung_ladder(ev, t, monkeypatch):
-    # up to t = 0.5891 the near-one ranges go in w = -log|x-1|; on the
-    # spans of _tau_marks alone the same driver takes every rung in tau
+    # the near-one ranges go in w = -log|x-1| at every t; on the spans of
+    # the ladder alone the same driver takes every rung in tau
     near_w = _near_one(t, ev)
     monkeypatch.setattr(fundsol, "_spans", _tau_ladder)
-    assert fundsol._tau_marks(-0.5, 0.5, t) == fundsol._tau_marks(-0.5, 0.5,
-                                                                  0.5)
-    full = _near_one(t, ev)
+    full = _near_one(t, ev, rel_tol=1e-10)
     assert abs(near_w - full) <= 1e-9 * full
+
+
+@pytest.mark.parametrize("t", [0.55, 1.5, 3.0])
+def test_graded_ladder_keeps_the_near_one_integral(ev, t, monkeypatch):
+    # _W_MARKS cut each side's near-one range into four w spans; a ladder of
+    # six spans a side, graded as ((k/6)^1.5) from w = 1.18 to 40, finer
+    # next to |x-1| = 0.306, keeps the same near-one integral
+    near_w = _near_one(t, ev)
+    w_rung = -math.log(fundsol._W_RUNG)
+    graded = tuple(w_rung + (40.0 - w_rung) * (k / 6.0) ** 1.5
+                   for k in range(1, 6))
+    monkeypatch.setattr(fundsol, "_W_MARKS", graded)
+    fine = _near_one(t, ev, rel_tol=1e-10)
+    assert abs(near_w - fine) <= 1e-9 * fine
 
 
 @pytest.mark.parametrize("lo, hi", [(0.9, 1.05), (1.0, 1.2), (0.5, 0.999),
@@ -1102,19 +1130,14 @@ def test_w_near_one_integral_is_the_every_rung_ladder(ev, t, monkeypatch):
 def test_w_spans_of_a_partial_near_one_range(ev, lo, hi, monkeypatch):
     # a range that holds part of a side's near-one range, or one side only,
     # or no core: its w spans cover what the range holds
-    t, a, b = 0.3, math.log(lo), math.log(hi)
-    near_w = _integral(t, np.ones_like, a, b, 1e-6, ev, absolute=True)[0]
-    monkeypatch.setattr(fundsol, "_spans", _tau_ladder)
-    full = _integral(t, np.ones_like, a, b, 1e-6, ev, absolute=True)[0]
-    assert abs(near_w - full) <= 1e-9 * full
-
-
-def _tau_ladder(a, b, t):
-    """The spans between the marks of ``_tau_marks`` on [a, b], the core
-    left out: the intervals of ``_integral`` had it no w spans."""
-    marks = fundsol._tau_marks(a, b, t)
-    core = (math.log1p(-fundsol._U_CORE), math.log1p(fundsol._U_CORE))
-    return [span for span in zip(marks[:-1], marks[1:]) if span != core]
+    a, b = math.log(lo), math.log(hi)
+    for t in (0.3, 1.5):
+        near_w = _integral(t, np.ones_like, a, b, 1e-6, ev, absolute=True)[0]
+        with monkeypatch.context() as m:
+            m.setattr(fundsol, "_spans", _tau_ladder)
+            full = _integral(t, np.ones_like, a, b, 1e-10, ev,
+                             absolute=True)[0]
+        assert abs(near_w - full) <= 1e-9 * full
 
 
 def _spans_handed_over(t, a, b, ev, monkeypatch):
@@ -1134,30 +1157,83 @@ def _spans_handed_over(t, a, b, ev, monkeypatch):
 
 @pytest.mark.parametrize("t", [0.589, 0.59, 0.7, 1.0, 1.5])
 def test_w_spans_end_where_the_ladder_drops_a_rung(ev, t, monkeypatch):
-    # the w spans stand in for the near-one tau spans only while
-    # _tau_marks keeps every rung, t <= 0.5891: the cross pairs of the
-    # benchmark at t = 0.7, 1 and 1.5 keep the tau ladder
+    # on |x-1| < 0.4 the w spans stand in for the ladder's spans from the
+    # core out to its last rung, 4^28 e^-40 = 0.306, at every t: read back
+    # in tau they end there, and beyond it the tau spans are the ladder's
     a, b = math.log1p(-0.4), math.log1p(0.4)
     spans = _spans_handed_over(t, a, b, ev, monkeypatch)
-    marks = fundsol._tau_marks(a, b, t)
-    if t < 0.5891:
-        assert marks == fundsol._tau_marks(a, b, 0.5)
-        w = [span for span in spans if _in_tau(span) != span]
-        assert len(w) == 12 and len(spans) == 14
-    else:
-        assert marks != fundsol._tau_marks(a, b, 0.5)
-        assert spans == _tau_ladder(a, b, t)
+    w = [_in_tau(span) for span in spans if _in_tau(span) != span]
+    assert len(w) == 2 * (len(fundsol._W_MARKS) + 1)
+    last = [math.log1p(s * math.ldexp(fundsol._U_CORE, 56))
+            for s in (-1.0, 1.0)]
+    ladder = _tau_ladder(a, b)
+    outer = [span for span in ladder if span[1] <= last[0] or
+             span[0] >= last[1]]
+    assert [span for span in spans if _in_tau(span) == span] == outer
+    assert min(lo for lo, _ in w) == pytest.approx(last[0], rel=1e-12)
+    assert max(hi for _, hi in w) == pytest.approx(last[1], rel=1e-12)
+
+
+def test_spans_of_the_l1_range_are_the_same_at_every_t(ev, monkeypatch):
+    # one scheme at every t: each side's near-one range in w on _W_MARKS,
+    # and one tau span a side out to |x-1| = 0.4
+    a, b = math.log1p(-0.4), math.log1p(0.4)
+    seen = [_spans_handed_over(t, a, b, ev, monkeypatch)
+            for t in (0.05, 0.59, 1.0, 4.0)]
+    spans = seen[0]
+    assert all(other == spans for other in seen[1:])
+    w = [span for span in spans if _in_tau(span) != span]
+    assert len(w) == 2 * (len(fundsol._W_MARKS) + 1)
+    assert len(spans) - len(w) == 2
 
 
 @pytest.mark.parametrize("t", [1.0, 4.0, 0.1, 0.3, 0.55])
-def test_graded_ladder_first_sweep_is_short(ev, t, monkeypatch):
-    # the full ladder's first sweep takes 1,044 points at every t; up to
-    # t = 0.5891 the w spans and the two outer tau spans take 252
+def test_near_one_first_sweep_is_short(ev, t, monkeypatch):
+    # the every-rung ladder's first sweep takes 1,044 points at every t;
+    # the w spans and the two outer tau spans take 180
     _line_assembly(ev, t, 1.0, "u")
     calls = _count_line_calls(monkeypatch)
     _near_one(t, ev)
     # calls[0] is the core's two edge points
     assert calls[0] == 2 and calls[1] <= 400
+
+
+@pytest.mark.parametrize("t", [0.45, 0.59, 0.7, 1.0, 4.0])
+def test_l1_norm_reads_few_line_points(ev, t, monkeypatch):
+    # with the tau ladder above t = 0.5891 and the w spans below it, l1
+    # read 794, 1,370, 866, 578 and 452 points at these t; one set of w
+    # spans under one floor reads 542-578
+    points = _count_line_points(monkeypatch)
+    l1 = l1_norm_lambda(t, evaluator=ev)
+    mass = SQRT_2PI * eval_U(t, 1.0, evaluator=ev).value.real
+    assert sum(points) <= 650
+    assert abs(l1 - mass) <= 1e-6 * mass
+
+
+def test_integral_floor_leaves_light_spans_whole(ev, monkeypatch):
+    # bump(0.5, 2) at t = 0.55: the w spans past the second mark carry
+    # 0.3 % of the pairing.  With each span refined to rel_tol of its own
+    # mass, six w spans a side put 18 of 42 panels past w = 14.9
+    t, rel_tol = 0.55, 1e-7
+    phi = fundsol.TestFunction.bump(0.5, 2.0)
+    a, b = math.log(0.5), math.log(2.0)
+    ref, _ = _integral(t, phi, a, b, 1e-9, ev)
+    sweeps = []
+    real = fundsol._gauss_panels
+
+    def spy(f, bounds, absolute):
+        sweeps.append(list(bounds))
+        return real(f, bounds, absolute)
+
+    monkeypatch.setattr(fundsol, "_gauss_panels", spy)
+    value, err = _integral(t, phi, a, b, rel_tol, ev)
+    # sweeps[0] is the first panel of every span; the rest are bisections
+    deep = fundsol._W_MARKS[1] * fundsol._W_SCALE
+    assert len(sweeps) > 1
+    assert all(max(abs(lo), abs(hi)) <= deep
+               for bounds in sweeps[1:] for lo, hi in bounds)
+    assert err <= rel_tol * abs(value)
+    assert abs(value - ref) <= rel_tol * abs(ref)
 
 
 def _spy_walk(monkeypatch):
