@@ -58,12 +58,16 @@ on its second sighting holds it (``radial_third_t``), then
 ``eval_lambda`` at x = 1 and ``l1_norm_lambda`` at new t next to 0.55
 and 0.3, where the ray integrals at q = log x next to 0 decide the cost
 (``x_one_new_t``, ``l1_stall_new_t``), and ``delta_pairing`` of that bump
-at new t next to 0.3 (``pairing_stall_new_t``).  It prints per case
-the median and quartiles of the per-round ratio working tree / REF (below
-1 is faster).  It then prints, per tree, the entry count and bytes of the
-store of q-only query rows (``fundsol._Q_ROWS``), with the keys held for
-arrays seen once (``fundsol._Q_SEEN``) where the tree has them, or n/a
-where the tree has no store.  BLAS runs one thread.  Only the standard
+at new t next to 0.3 (``pairing_stall_new_t``), and that profile on the
+benchmark's grid and an ``l1_norm_lambda`` at the same new t, timed
+together, as the ``lambda_integrals`` workload interleaves them
+(``l1_after_radial_new_t``).  It prints per case the median and quartiles
+of the per-round ratio working tree / REF (below 1 is faster).  It then
+prints, per tree, the store of q-only query rows: the entry count, hits
+and misses of ``fundsol._q_store.cache_info()`` where the tree has that
+cache; the entry count and bytes of ``fundsol._Q_ROWS``, with the keys
+held for arrays seen once (``fundsol._Q_SEEN``), where it has those; or
+n/a where the tree has no store.  BLAS runs one thread.  Only the standard
 library and numpy are used; no test runs this script.
 """
 
@@ -94,7 +98,7 @@ ROUTE_PAIRINGS = [(t, lo, hi) for lo, hi in ((0.5, 2.0), (20.0, 40.0))
 TIME_CASES = ("one_q_new_t", "large_t_new_t", "dU_new_s", "radial_256",
               "l1_norm", "pairing", "radial_new_t", "l1_new_t",
               "radial_third_t", "x_one_new_t", "l1_stall_new_t",
-              "pairing_stall_new_t")
+              "pairing_stall_new_t", "l1_after_radial_new_t")
 #: untimed calls of a case before its timed ones; "radial_third_t" makes
 #: two, so that its grid has been seen twice
 WARM_CALLS = {"radial_third_t": 2}
@@ -134,6 +138,7 @@ l1_t = [1.2]
 x_one_t = [0.55]
 l1_stall_t = [0.3]
 pairing_stall_t = [0.3]
+after_radial_t = [1.1]
 
 
 def with_points(fn, *args):
@@ -272,6 +277,11 @@ def run(case):
         fundsol.delta_pairing(pairing_stall_t[0],
                               fundsol.TestFunction.bump(0.5, 2.0),
                               evaluator=ev)
+    elif case == "l1_after_radial_new_t":
+        after_radial_t[0] += 1e-6
+        fundsol.radial_profile(after_radial_t[0], 1e-2, 1e2, 256,
+                               evaluator=ev)
+        fundsol.l1_norm_lambda(after_radial_t[0], evaluator=ev)
     else:
         fundsol.l1_norm_lambda(1.0, evaluator=ev)
 
@@ -288,6 +298,10 @@ def timing(req):
 
 
 def store(req):
+    if hasattr(fundsol, "_q_store"):
+        info = fundsol._q_store.cache_info()
+        return {"entries": info.currsize, "hits": info.hits,
+                "misses": info.misses}
     rows = getattr(fundsol, "_Q_ROWS", None)
     if rows is None:
         return {"entries": None}
@@ -424,12 +438,13 @@ def compare_derivative(ref, work):
 
 
 def compare_times(ref, work, rounds):
-    print(f"\n{'case':<20}{'median':>9}{'q1':>9}{'q3':>9}   "
+    print(f"\n{'case':<22}{'median':>9}{'q1':>9}{'q3':>9}   "
           f"(work / ref, {rounds} interleaved rounds)")
     reps = {"one_q_new_t": 20, "large_t_new_t": 20, "dU_new_s": 20,
             "radial_256": 5, "l1_norm": 1, "pairing": 3, "radial_new_t": 5,
             "l1_new_t": 3, "radial_third_t": 5, "x_one_new_t": 20,
-            "l1_stall_new_t": 3, "pairing_stall_new_t": 3}
+            "l1_stall_new_t": 3, "pairing_stall_new_t": 3,
+            "l1_after_radial_new_t": 3}
     for case in TIME_CASES:
         ratios = []
         for k in range(rounds):
@@ -439,11 +454,15 @@ def compare_times(ref, work, rounds):
                    for tree in order}
             ratios.append(got[id(work)]["s"] / got[id(ref)]["s"])
         q1, med, q3 = statistics.quantiles(ratios, n=4)
-        print(f"{case:<20}{med:>9.3f}{q1:>9.3f}{q3:>9.3f}")
+        print(f"{case:<22}{med:>9.3f}{q1:>9.3f}{q3:>9.3f}")
     for name, tree in (("ref", ref), ("work", work)):
         got = tree.ask(op="store")
         if got["entries"] is None:
             print(f"q-row store, {name}: n/a")
+            continue
+        if "hits" in got:
+            print(f"q-row store, {name}: {got['entries']} entries, "
+                  f"{got['hits']:,} hits, {got['misses']:,} misses")
             continue
         keys = ("" if got["keys"] is None
                 else f", {got['keys']} keys of arrays seen once")

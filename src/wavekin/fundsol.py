@@ -45,9 +45,9 @@ block (``_ray_geometry``).  A query's Filon moments and phases, its
 lanes, their prefactors and their node factors on the first eight panels
 (block 0, which every swept q sweeps) depend on q and the abscissa
 alone.  A q
-array of two or more q that is seen a second time keeps them in a store
-bounded at 4 MB and keyed on its bytes (``_q_rows``), so a profile on a
-fixed grid, or a panel sweep, repeated at a new t takes them from there
+array of two or more q keeps them in a store of the last eight arrays
+used, keyed on its bytes and the abscissa (``_q_store``), so a profile on
+a fixed grid, or a panel sweep, repeated at a new t takes them from there
 and pays only for its line.  In U only the kernel Gamma(z) t^(-z) depends
 on t, so B on the grid (``_b_grid``) and the spectrum of 1/B on the
 auxiliary line (``_inv_b_spectrum``) are tabulated once per abscissa, and
@@ -153,7 +153,6 @@ then gives the value at every theta or t.
 from __future__ import annotations
 
 import cmath
-import collections
 import dataclasses
 import functools
 import math
@@ -161,7 +160,7 @@ import math
 import numpy as np
 import scipy.fft
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.special import digamma, gamma, jv, zeta
+from scipy.special import digamma, gammaln, gammasgn, jv, zeta
 
 from wavekin.bfunc import (_b_singularities, _fft_length, default_evaluator,
                            memo)
@@ -351,19 +350,12 @@ _RAY_REACH = _ray_reach()
 #: most q one pass of an assembled line takes: it holds the (q x 240)
 #: Filon phases and a ray wave's (q x panels x 16) complex temporaries, 8
 #: panels a q at this size; a radial profile of 256 points still goes in
-#: one pass, and so is one entry of ``_Q_ROWS``.  Every q is summed by its
+#: one pass, and so is one entry of ``_q_store``.  Every q is summed by its
 #: own products, so the batch size changes no value
 _Q_BATCH = 256
-#: the q-only rows of recent passes (``_q_rows``), keyed on the bytes of
-#: their q array, least recently used first, and the keys of the arrays
-#: seen once, oldest first, at most _Q_SEEN_KEYS of them: an array is
-#: stored on its second sighting.  Rows and keys hold at most
-#: _Q_ROWS_BYTES together, about 6.1 kB a q on one line (the 240 phases
-#: 3,840, the block-0 node factors 2,048), so some 680 q
-_Q_ROWS = collections.OrderedDict()
-_Q_SEEN = collections.OrderedDict()
-_Q_SEEN_KEYS = 8
-_Q_ROWS_BYTES = 1 << 22
+#: q arrays whose rows ``_q_store`` keeps, each at most _Q_BATCH q of about
+#: 6.1 kB (phases 3,840, block-0 node factors 2,048): at most 12.6 MB
+_Q_ARRAYS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -901,11 +893,13 @@ def _abs_sum(z):
     return np.abs(z.real) + np.abs(z.imag)
 
 
-def _power_term(lz, beta, log):
-    """z0^beta/beta, or for a log column z0^beta (Log z0/beta - 1/beta^2),
-    at Log z0 = lz: minus the term of the ray's series in (-q)^n/n!,
-    beta = 1 - alpha + n."""
-    zb = np.exp(beta * lz)
+def _power_term(lz, lead, whole, beta, log):
+    """e^env z0^beta/beta, or for a log column e^env z0^beta (Log z0/beta
+    - 1/beta^2), at Log z0 = lz: minus the term of the ray's series in
+    (-q)^n/n!, beta = 1 - alpha + n = whole - e, as lead z0^whole.  The
+    factor lead = e^(env - e Log z0) is the same in every term of a line,
+    so its rounding is not magnified where the amplitudes cancel."""
+    zb = lead * np.exp(whole * lz)
     return zb * (lz / beta - 1.0 / beta ** 2) if log else zb / beta
 
 
@@ -941,7 +935,8 @@ class _RaySeries:
     and one of _RAY_SERIES terms whose coefficients depend on the line
     alone.  Where alpha - 1 lies within _RAY_POLE_GAP of a whole m >= 0,
     e = m + eps, the pole of Gamma(1-alpha) and the vanishing divisor of
-    the term n = m are summed as one term (-q)^m/m! Phi(eps),
+    the term n = m are summed as one term (-q)^m/m! Phi(eps), left out
+    with the term n = m past the series' end, m >= _RAY_SERIES,
 
         Phi(eps) = (z0^(-eps) - h(eps) q*^eps) / eps
                  = -S e^(eps T) expm1(-eps S)/(-eps S),
@@ -954,7 +949,11 @@ class _RaySeries:
     that the line, Re(win - i ray), reads +inf.  Where e < 0 and q*^e
     passes e^700, below |q| = q_floor, a q reads as q = 0.  The error is
     _RAY_ROUND of the parts' sizes, the Gamma part's times 1 + |e log q*|
-    for the rounding of its exponent.
+    for the rounding of its exponent.  The factor e^env = ENV_B^(-2t) of
+    A_k overflows past t = 877, and a_k V_BAR^j near t = 88, so e^env goes
+    into the exponents of the terms (``_power_term``) and of sgn Gamma
+    e^(env + ln|Gamma|), and a_k multiplies last; pole terms, met only at
+    t < 12.5, take e^env as a factor.
     """
 
     def __init__(self, kind, t, c, a):
@@ -972,22 +971,26 @@ class _RaySeries:
         self.p = np.zeros(_RAY_SERIES, complex)
         poles = {}
         at0 = 0j
+        env = -2.0 * t * math.log(ENV_B)
+        lead = cmath.exp(env - e * lz)
         for k, j in enumerate(powers):
-            amp = a[k] * math.exp(-2.0 * t * math.log(ENV_B)) * _V_BAR ** j
+            amp, vj = a[k], _V_BAR ** j
             log = k == log_col
             m = m0 + j if merge and m0 + j >= 0 else -1
             if not self.diverges:
-                at0 -= amp * _power_term(lz, -(e + j), log)
+                at0 -= amp * _power_term(lz, vj * lead, -j, -(e + j), log)
             # 1 - alpha + n, with the term n = m left to the pole's term
-            terms = _power_term(lz, np.where(n == m, 1.0, n - (e + j)), log)
-            if m >= 0:
+            terms = _power_term(lz, vj * lead, n - j,
+                                np.where(n == m, 1.0, n - (e + j)), log)
+            if 0 <= m < _RAY_SERIES:
                 terms[m] = 0.0
                 # the pole's term is (-q)^m/m! Phi, or -(-q)^m/m! Phi'
                 poles.setdefault(m, [0j, 0j])[log] += (
-                    (-amp if log else amp) / _FACT[m])
-            else:
+                    (-amp if log else amp) * (vj * math.exp(env) / _FACT[m]))
+            elif m < 0:
                 # q^j = (-1)^j (-q)^j: G0 and G1 read the powers of -q
-                gam = (-1.0) ** j * amp * gamma(-(e + j))
+                gam = ((-1.0) ** j * gammasgn(-(e + j)) * amp
+                       * (vj * math.exp(env + gammaln(-(e + j)))))
                 if log:
                     g0[j] += gam * digamma(-(e + j))
                     g1[j] -= gam
@@ -1087,67 +1090,26 @@ def _filon_rows(qs):
 def _q_rows(qs, c):
     """(moms, phases, lanes) of the 1-D q array qs on the line at abscissa
     c: ``_filon_rows`` of qs and ``_ray_lanes`` of qs and c, all of a
-    query's work that depends on q and c alone.
-
-    Arrays of two or more q are kept in the store _Q_ROWS, keyed on the
-    array's bytes: the Filon rows once, and the lanes per abscissa as the
-    lines ask for them.  They read no B, so the store is module-level, like
-    ``_ray_geometry``.  An array is stored only on its second sighting,
-    while its key is still among the last _Q_SEEN_KEYS keys seen once (the
-    ghost queue of 2Q, Johnson and Shasha, VLDB 1994): most panel sweeps
-    of an integral never repeat, and storing them evicted the grid of a
-    radial profile.  The rows, lanes and keys hold at most _Q_ROWS_BYTES
-    together; past it the least recently used arrays go.  A hit returns
-    the arrays computed for the same bytes, read-only, so no value moves.
-    One-point arrays skip the store: the point route's q seldom repeats,
-    and storing its rows slowed one-q queries."""
+    query's work that depends on q and c alone.  Arrays of two or more q
+    come from the store ``_q_store``; one-point arrays skip it: the point
+    route's q seldom repeats, and storing its rows slowed one-q queries."""
     if qs.size < 2:
         return (*_filon_rows(qs), _ray_lanes(qs, c))
-    key = qs.tobytes()
-    rows = _Q_ROWS.get(key)
-    if rows is not None:
-        _Q_ROWS.move_to_end(key)
-    elif key in _Q_SEEN:
-        del _Q_SEEN[key]
-        rows = _Q_ROWS[key] = (*map(_frozen, _filon_rows(qs)), {})
-    else:
-        _Q_SEEN[key] = None
-        if len(_Q_SEEN) > _Q_SEEN_KEYS:
-            _Q_SEEN.popitem(last=False)
-        _q_trim()
-        return (*_filon_rows(qs), _ray_lanes(qs, c))
-    moms, phases, lanes_at = rows
-    lanes = lanes_at.get(c)
-    if lanes is None:
-        lanes = lanes_at[c] = _ray_lanes(qs, c)
-        for lane in lanes:
-            for arr in lane[2:]:
-                _frozen(arr)
-        _q_trim()
-    return moms, phases, lanes
+    return _q_store(qs.tobytes(), c)
 
 
-def _q_trim():
-    """Drop the least recently used entries of _Q_ROWS until the store
-    holds at most _Q_ROWS_BYTES."""
-    used = _q_store_bytes()
-    while used > _Q_ROWS_BYTES and _Q_ROWS:
-        used -= _q_rows_bytes(_Q_ROWS.popitem(last=False))
-
-
-def _q_rows_bytes(entry):
-    """The bytes of one (key, rows) entry of _Q_ROWS: its key, its Filon
-    rows and the arrays of its lanes."""
-    key, (moms, phases, lanes_at) = entry
-    return (len(key) + moms.nbytes + phases.nbytes
-            + sum(arr.nbytes for lanes in lanes_at.values()
-                  for lane in lanes for arr in lane[2:]))
-
-
-def _q_store_bytes():
-    """The bytes held by the entries of _Q_ROWS and the keys of _Q_SEEN."""
-    return (sum(map(_q_rows_bytes, _Q_ROWS.items()))
-            + sum(map(len, _Q_SEEN)))
+@functools.lru_cache(maxsize=_Q_ARRAYS)
+def _q_store(key, c):
+    """``_q_rows`` of the q array of bytes key at abscissa c, read-only, for
+    the last _Q_ARRAYS pairs used: a profile grid and an l1 norm at a new t
+    reuse all five of theirs.  They read no B, so the store is
+    module-level; the same bytes give the same rows, so no value moves."""
+    qs = np.frombuffer(key)
+    lanes = _ray_lanes(qs, c)
+    for lane in lanes:
+        for arr in lane[2:]:
+            _frozen(arr)
+    return (*map(_frozen, _filon_rows(qs)), lanes)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1185,8 +1147,8 @@ class _LineAssembly:
         q is a scalar or an array; the values and errors take its shape.
         Each q's figures are its own, so the batches of at most _Q_BATCH
         points that bound the temporaries change no value, and a batch's
-        work that depends on q alone comes from the store of ``_q_rows``
-        when the same q array was met before (``_batch``).  Where x^-c
+        work that depends on q alone comes from the store ``_q_store``
+        when the same q array was met lately (``_batch``).  Where x^-c
         passes e^_LOG_SCALE_MAX it raises RegimeError.  At q = 0, where the
         ray diverges (``_RaySeries.diverges``), it reads (inf, inf).
         """
@@ -1208,7 +1170,7 @@ class _LineAssembly:
 
         Its Filon moments and panel phases and its ray lanes, with their
         prefactors and node factors on block 0, depend on q and c alone
-        and come from ``_q_rows``: for a repeated q array, a profile on a
+        and come from ``_q_rows``: for a recurring q array, a profile on a
         fixed grid or a repeated panel sweep, from its store.  A new t then
         pays only for its line: the panel sums against this line's
         Legendre coefficients, the ray's samples of its tail model, their
@@ -1956,7 +1918,8 @@ def _integral(t, weight, a, b, rel_tol, ev, absolute=False):
     estimate of the whole (core and first panels), so a span of small
     mass next to the core is not refined on its own scale.  The error is
     the panels' summed 12/6-point discrepancy; the core's term is left
-    out of it.  With absolute the integrand is |Lambda weight|.
+    out of it.  With absolute the integrand is |Lambda weight|; a range
+    with no interval (one double log x) gives the core's term alone.
     """
     total = err = 0.0
     core = (math.log1p(-_U_CORE), math.log1p(_U_CORE))
@@ -1965,6 +1928,8 @@ def _integral(t, weight, a, b, rel_tol, ev, absolute=False):
         if absolute:
             total = abs(total)
     f, spans = _integrand(t, weight, ev), _spans(a, b)
+    if not spans:
+        return total, err
     first = _gauss_panels(f, spans, absolute)
     floor = rel_tol * abs(total + sum(v for v, _ in first)) / (2 * len(spans))
     for v, e in _adaptive_panels(f, spans, rel_tol, absolute, floor, first):

@@ -19,7 +19,6 @@ against adaptive vertical quadrature and an independent trapezoid rule,
 both on B at scattered points.
 """
 
-import collections
 import dataclasses
 import gc
 import math
@@ -222,11 +221,10 @@ def test_batches_of_a_long_call_change_no_value(ev, monkeypatch):
 
 
 @pytest.fixture
-def empty_store(monkeypatch):
-    store = collections.OrderedDict()
-    monkeypatch.setattr(fundsol, "_Q_ROWS", store)
-    monkeypatch.setattr(fundsol, "_Q_SEEN", collections.OrderedDict())
-    return store
+def empty_store():
+    fundsol._q_store.cache_clear()
+    yield fundsol._q_store
+    fundsol._q_store.cache_clear()
 
 
 def _bits(arrays):
@@ -257,98 +255,125 @@ def _flat_rows(rows):
 _PROFILE = (1e-2, 1e2, 256)
 
 
-def test_an_array_seen_once_leaves_only_its_key(ev, empty_store):
+def _held(store):
+    info = store.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+def test_an_array_is_kept_on_first_sighting_and_the_least_recent_evicted(
+        ev, empty_store):
     line = _line_assembly(ev, 1.3, 1.0, "u")
     line(_Q)
-    assert not empty_store and list(fundsol._Q_SEEN) == [_Q.tobytes()]
-    # the keys of arrays seen once are bounded; a key that has left the
-    # list counts as unseen again
-    arrays = [_Q + k for k in range(1, fundsol._Q_SEEN_KEYS + 2)]
-    for q in arrays:
+    assert _held(empty_store) == (0, 1, 1)
+    kept = fundsol._q_rows(_Q.copy(), 1.0)
+    assert _held(empty_store) == (1, 1, 1)
+    # _Q_ARRAYS arrays fill the store; _Q, used last, outlives arrays[0]
+    # when one more comes
+    arrays = [_Q + k for k in range(1, fundsol._Q_ARRAYS + 1)]
+    for q in arrays[:-1]:
         line(q)
-    assert list(fundsol._Q_SEEN) == [q.tobytes() for q in arrays[1:]]
     line(_Q)
-    assert not empty_store
+    line(arrays[-1])
+    assert _held(empty_store) == (2, fundsol._Q_ARRAYS + 1,
+                                  fundsol._Q_ARRAYS)
+    assert fundsol._q_rows(_Q, 1.0) is kept
+    fundsol._q_rows(arrays[0], 1.0)
+    assert _held(empty_store) == (3, fundsol._Q_ARRAYS + 2,
+                                  fundsol._Q_ARRAYS)
 
 
 def test_stored_rows_are_fresh_rows(ev, empty_store):
     q = np.concatenate((_Q, [0.0, -0.0]))
     first = fundsol._q_rows(q, 1.0)
     kept = fundsol._q_rows(q.copy(), 1.0)
-    # the second sighting stores the array, and a hit on an equal array
-    # returns the kept rows and lanes, read-only
-    assert list(empty_store) == [q.tobytes()] and not fundsol._Q_SEEN
-    again = fundsol._q_rows(q.copy(), 1.0)
-    assert all(a is b for a, b in zip(kept, again))
+    # a hit on an equal array returns the kept rows and lanes, read-only
+    assert kept is first and _held(empty_store) == (1, 1, 1)
     assert not any(arr.flags.writeable for arr in _arrays(kept))
     fresh = (*fundsol._filon_rows(q), fundsol._ray_lanes(q, 1.0))
-    assert _flat_rows(kept) == _flat_rows(first) == _flat_rows(fresh)
-    # a line at another abscissa adds its lanes to the same entry
+    assert _flat_rows(kept) == _flat_rows(fresh)
+    # a line at another abscissa takes an entry of its own
     other = fundsol._q_rows(q, _C_DT)
-    assert other[0] is kept[0] and list(empty_store[q.tobytes()][2]) == [
-        1.0, _C_DT]
+    assert _held(empty_store) == (1, 2, 2)
     assert _flat_rows(other) == _flat_rows(
         (*fundsol._filon_rows(q), fundsol._ray_lanes(q, _C_DT)))
     # 256 q, most of them in the closed form's lane: the values read off
     # the kept lane equal those of the first sighting and of a fresh store
     q = np.linspace(-0.008, 0.008, 256)
     line = _line_assembly(ev, 0.35, 1.0, "u")
-    first, stored, kept = (line(q.copy()) for _ in range(3))
-    closed = [lane for lane in empty_store[q.tobytes()][2][1.0]
-              if lane[0] is None]
+    first, kept = (line(q.copy()) for _ in range(2))
+    closed = [lane for lane in fundsol._q_rows(q, 1.0)[2] if lane[0] is None]
     assert len(closed) == 1 and closed[0][3].size > 128
-    empty_store.clear()
-    fundsol._Q_SEEN.clear()
-    assert _bits(first) == _bits(stored) == _bits(kept) == _bits(line(q))
+    empty_store.cache_clear()
+    assert _bits(first) == _bits(kept) == _bits(line(q))
 
 
 def test_a_profile_at_a_second_t_equals_one_on_an_empty_store(
         ev, empty_store):
     radial_profile(0.9, 1e-2, 1e2, 64, evaluator=ev)
-    assert not empty_store
+    assert _held(empty_store) == (0, 1, 1)
     grid = np.log(np.geomspace(1e-2, 1e2, 64))
+    # the second profile on the grid reads its rows from the store
     warm = radial_profile(1.7, 1e-2, 1e2, 64, evaluator=ev)
-    assert len(empty_store) == 1
+    assert _held(empty_store) == (1, 1, 1)
     warm_line = _line_assembly(ev, 1.7, 1.0, "u")(grid)
-    empty_store.clear()
+    empty_store.cache_clear()
     cold = radial_profile(1.7, 1e-2, 1e2, 64, evaluator=ev)
     assert warm.values.tobytes() == cold.values.tobytes()
-    empty_store.clear()
+    empty_store.cache_clear()
     assert _bits(warm_line) == _bits(_line_assembly(ev, 1.7, 1.0, "u")(grid))
 
 
-def test_a_profile_at_a_third_t_takes_its_q_rows_from_the_store(
+def _spy(monkeypatch, name, calls):
+    """Record the arguments of every call of fundsol's name in calls."""
+    real = getattr(fundsol, name)
+
+    def call(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(fundsol, name, call)
+
+
+def test_a_second_profile_on_a_grid_takes_its_q_rows_from_the_store(
         ev, empty_store, monkeypatch):
-    # on the benchmark's grid, the third profile computes no Filon row, no
-    # phase product and no lane, so no prefactor and no node factor of
+    # on the benchmark's grid, the second profile computes no Filon row,
+    # no phase product and no lane, so no prefactor and no node factor of
     # block 0; only the q next to 0 sweep past block 0 and take factors
     # there
-    for t in (0.9, 1.6):
-        radial_profile(t, *_PROFILE, evaluator=ev)
-    calls = collections.Counter()
-    anchors = []
-
-    def spy(name):
-        real = getattr(fundsol, name)
-
-        def call(*args):
-            calls[name] += 1
-            if name == "_ray_factors":
-                anchors.append(args[1])
-            return real(*args)
-        monkeypatch.setattr(fundsol, name, call)
-
-    for name in ("_filon_rows", "_ray_lanes", "_ray_factors"):
-        spy(name)
+    radial_profile(0.9, *_PROFILE, evaluator=ev)
+    calls = {name: [] for name in ("_filon_rows", "_ray_lanes",
+                                   "_ray_factors")}
+    for name, args in calls.items():
+        _spy(monkeypatch, name, args)
     warm = radial_profile(2.3, *_PROFILE, evaluator=ev)
-    assert calls["_filon_rows"] == calls["_ray_lanes"] == 0
+    assert not calls["_filon_rows"] and not calls["_ray_lanes"]
     s0 = 1.0 + 1j * fundsol._V_CUT
     heads = [fundsol._ray_geometry(s0, 0, side, 0)[2] for side in (-1, 1)]
-    assert not any(np.shares_memory(a, h) for a in anchors for h in heads)
-    empty_store.clear()
+    assert not any(np.shares_memory(args[1], h)
+                   for args in calls["_ray_factors"] for h in heads)
+    empty_store.cache_clear()
     cold = radial_profile(2.3, *_PROFILE, evaluator=ev)
-    assert calls["_filon_rows"] == 1 and calls["_ray_lanes"] == 1
+    assert len(calls["_filon_rows"]) == len(calls["_ray_lanes"]) == 1
     assert warm.values.tobytes() == cold.values.tobytes()
+
+
+def test_profiles_and_l1_norms_at_new_t_recompute_no_q_rows(
+        ev, empty_store, monkeypatch):
+    # a profile on the benchmark's grid and an l1 norm, interleaved as in
+    # the benchmark's integrals: every array of the first round is still
+    # held in the two rounds after it
+    calls = []
+    _spy(monkeypatch, "_filon_rows", calls)
+    radial_profile(1.1, *_PROFILE, evaluator=ev)
+    l1_norm_lambda(1.1, evaluator=ev)
+    first = {args[0].tobytes() for args in calls if args[0].size > 1}
+    # the grid, and l1's core edges, near-range first panels and e-fold
+    # heads in two batches
+    assert len(first) == 5
+    calls.clear()
+    for t in (1.7, 2.3):
+        radial_profile(t, *_PROFILE, evaluator=ev)
+        l1_norm_lambda(t, evaluator=ev)
+    assert sum(args[0].tobytes() in first for args in calls) == 0
 
 
 def test_a_one_point_query_leaves_the_store_unchanged(ev, empty_store):
@@ -356,30 +381,44 @@ def test_a_one_point_query_leaves_the_store_unchanged(ev, empty_store):
     line(_Q)
     line(_Q[::-1])
     line(_Q)
-    before = list(empty_store.items()), list(fundsol._Q_SEEN)
+    before = empty_store.cache_info()
     _lam(1.3, 2.0, "auto", ev)
     _lam(1.3, 1.0001, "auto", ev)
     line(np.array([0.5]))
     line(0.0)
     line(np.array([-3e-3]))
-    assert (list(empty_store.items()), list(fundsol._Q_SEEN)) == before
+    assert empty_store.cache_info() == before
+    # the entries are the rows of the two arrays, as they were
+    kept = [fundsol._q_rows(q, 1.0) for q in (_Q, _Q[::-1])]
+    assert _flat_rows(kept[0]) == _flat_rows(
+        (*fundsol._filon_rows(_Q), fundsol._ray_lanes(_Q, 1.0)))
+    assert _held(empty_store) == (before.hits + 2, before.misses, 2)
 
 
 def test_the_store_stays_within_its_bound(empty_store):
     rng = np.random.default_rng(50)
+    used = {}
     for k in range(20):
         q = rng.uniform(-9.0, 9.0, fundsol._Q_BATCH)
         for c in (1.0, 1.0) + (_C_DT,) * (k % 5 == 0):
-            fundsol._q_rows(q, c)
-    for _ in range(fundsol._Q_SEEN_KEYS + 3):
-        fundsol._q_rows(rng.uniform(-9.0, 9.0, fundsol._Q_BATCH), 1.0)
-    # every kept array and key, counted here, not by the store's own sum
-    used = (sum(a.nbytes for a in _arrays(list(empty_store.values())))
-            + sum(map(len, empty_store)) + sum(map(len, fundsol._Q_SEEN)))
-    assert used == fundsol._q_store_bytes()
-    assert 0 < used <= fundsol._Q_ROWS_BYTES
-    assert 1 < len(empty_store) < 20
-    assert len(fundsol._Q_SEEN) == fundsol._Q_SEEN_KEYS
+            used.pop((q.tobytes(), c), None)
+            used[q.tobytes(), c] = fundsol._q_rows(q, c)
+    info = empty_store.cache_info()
+    assert info.currsize == fundsol._Q_ARRAYS
+    # the last _Q_ARRAYS pairs used are the entries: each is a hit that
+    # returns the rows it returned before
+    held = list(used.items())[-fundsol._Q_ARRAYS:]
+    for (key, c), rows in held:
+        assert fundsol._q_rows(np.frombuffer(key), c) is rows
+    assert _held(empty_store) == (info.hits + fundsol._Q_ARRAYS,
+                                  info.misses, fundsol._Q_ARRAYS)
+    # every kept array, counted here, against _Q_ARRAYS full batches of q
+    # that all sweep the ray
+    q = np.linspace(1.0, 9.0, fundsol._Q_BATCH)
+    full = sum(a.nbytes for a in _arrays(
+        (*fundsol._filon_rows(q), fundsol._ray_lanes(q, 1.0))))
+    kept = sum(a.nbytes for _, rows in held for a in _arrays(rows))
+    assert 0 < kept <= fundsol._Q_ARRAYS * full
 
 
 @pytest.mark.parametrize("t", [0.3, 2.0])
@@ -686,7 +725,7 @@ def test_closed_ray_matches_the_sweep(ev, full_sweep, kind, c, t):
     assert np.all(err < ref_err)
 
 
-@pytest.mark.parametrize("t0", [1.0, 2.0])
+@pytest.mark.parametrize("t0", [1.0, 2.0, 12.5, 30.0])
 @pytest.mark.parametrize("kind, c", _KINDS)
 def test_closed_ray_is_continuous_across_whole_2t(ev, full_sweep, kind, c,
                                                   t0):
@@ -711,6 +750,32 @@ def test_closed_ray_is_continuous_across_whole_2t(ev, full_sweep, kind, c,
     for dt, val in vals.items():
         assert np.all(np.abs(val - vals[0.0])
                       <= 2.0 * slope * abs(dt) + 1e-13 * np.abs(vals[0.0]))
+
+
+@pytest.mark.parametrize("t", [12.5, 30.0, 88.0, 880.0, 1e4])
+def test_routes_next_to_x_one_hold_at_large_t(ev, t):
+    # the merged pole of m = 2t - 1 + shift + j >= _RAY_SERIES lies past
+    # the series' end, the fit's amplitudes reach 1e300 near t = 88, and
+    # ENV_B^(-2t) passes the float range at t > 877: every line query with
+    # |q| |s0| <= 1 reads the closed form
+    q = np.array([0.0, 1e-12, -1e-12, 1e-3, -1e-3, 5.9e-3, -5.9e-3])
+    for kind, c in _KINDS:
+        vals, errs = _line_assembly(ev, t, c, kind)(q)
+        assert np.all(np.isfinite(vals)) and np.all(np.isfinite(errs))
+    direct, direct_err = _lam(t, 1.0, "direct", ev)
+    large, large_err = _lam(t, 1.0, "large_t_asymptotic", ev)
+    assert abs(direct - large) <= direct_err + large_err
+    if t == 88.0:
+        # l1's panels sweep the ray, whose tail model overflows there
+        # (item 14 of the roadmap)
+        return
+    # l1's core edges sit at q = +-4e-18; at 1e4 it misses the mass by
+    # 1.3e-6 (item 13 of the roadmap)
+    l1 = l1_norm_lambda(t, evaluator=ev)
+    mass = SQRT_2PI * eval_U(t, 1.0, evaluator=ev).value.real
+    assert math.isfinite(l1)
+    if t in (30.0, 880.0):
+        assert l1 == pytest.approx(mass, rel=1e-6)
 
 
 @pytest.mark.parametrize("kind, c, t, diverges", [
@@ -1020,6 +1085,15 @@ def test_narrow_pairings_meet_the_panels(ev, lo, hi):
     ref, _ = _integral(1.0, phi, math.log(lo), math.log(hi), 1e-9, ev)
     val = delta_pairing(1.0, phi, rel_tol=1e-7, evaluator=ev)
     assert abs(val - ref) <= 1e-7 * abs(ref)
+
+
+@pytest.mark.parametrize("lo", [1e300, 1e-300])
+def test_a_support_of_one_double_log_x_pairs_to_zero(ev, lo):
+    # its log support is one double, so the panels have no interval; the
+    # bump is 0 at both ends of its support
+    phi = fundsol.TestFunction(lo, math.nextafter(lo, math.inf))
+    assert math.log(phi.support[0]) == math.log(phi.support[1])
+    assert delta_pairing(1.0, phi, evaluator=ev) == 0.0
 
 
 def test_pairing_refusals_and_t_zero_come_before_either_route(monkeypatch):
