@@ -38,6 +38,8 @@ prints:
   relative gap between the trees, and each tree's relative distance to a
   fourth-order central difference (step 0.01 in Re s) of eval_U_small_t,
   or of eval_U at t >= 1;
+- ``eval_V`` on the (z, s) grid ``V_POINTS``: |V| and the relative gap
+  between the trees, and whether their values are bit-identical;
 - ``eval_B_prime`` at the points ``B_PRIME_POINTS``: each tree's relative
   distance to a Cauchy derivative circle of radius 0.05 on eval_B_many;
 - B' on the output grid of the c = 1 lines (``fundsol._b_prime_grid``),
@@ -47,8 +49,10 @@ prints:
 With ``--time`` it then times, interleaved between the two trees round
 by round, a one-q query at a new t (line assembly included), one
 ``large_t_asymptotic`` point at a new t (a "q2" assembly, Q1 and one
-query), one ``eval_dU_ds`` at a new Im s (B's point cache cold, its line
-blocks warm), a warm 256-point ``radial_profile``, a warm
+query), one ``eval_dU_ds`` and one ``eval_V`` at a new Im s (B's point
+cache cold, its line blocks warm; ``dU_new_s``, ``V_new_s``), a 100-point
+``eval_U_line`` line of step 20/99 at a new off-grid Re s, as the
+benchmark's ``symbol`` workload draws it (``U_line_new_s``), a warm 256-point ``radial_profile``, a warm
 ``l1_norm_lambda``, a warm ``delta_pairing`` of that bump at t = 1.5, and
 a 256-point ``radial_profile`` on the fixed grid of the benchmark's
 ``lambda_integrals`` workload and an ``l1_norm_lambda``, each at a new t
@@ -95,7 +99,8 @@ PAIRINGS = ((0.3, 0.5, 2.0), (0.7, 0.5, 2.0), (1.5, 0.5, 2.0))
 #: holds x = 1 and one far right of it
 ROUTE_PAIRINGS = [(t, lo, hi) for lo, hi in ((0.5, 2.0), (20.0, 40.0))
                   for t in (0.3, 1.0, 3.0)]
-TIME_CASES = ("one_q_new_t", "large_t_new_t", "dU_new_s", "radial_256",
+TIME_CASES = ("one_q_new_t", "large_t_new_t", "dU_new_s", "V_new_s",
+              "U_line_new_s", "radial_256",
               "l1_norm", "pairing", "radial_new_t", "l1_new_t",
               "radial_third_t", "x_one_new_t", "l1_stall_new_t",
               "pairing_stall_new_t", "l1_after_radial_new_t")
@@ -113,6 +118,9 @@ U_LINES = [(re, t) for re in (0.6, 1.0, 1.3, 1.81, 1.9)
 #: (t, s) of the compared eval_dU_ds values
 DU_POINTS = [(t, s) for t in (1e-6, 1e-4, 0.01, 0.2, 0.9, 2.5)
              for s in (0.5 + 10.0j, 1.2 + 3.0j, 1.7 + 50.0j)]
+#: (z, s) of the compared eval_V values
+V_POINTS = [(z, s) for z in (1.0, 2.0 + 3.0j, 0.3 - 2.5j, 1e3 + 50.0j)
+            for s in (1.2 + 0.5j, 0.7 - 40.0j, 1.9 + 20.0j)]
 #: points of the compared eval_B_prime values: walks of -4 to 6 steps
 B_PRIME_POINTS = [complex(re, im) for re in (-2.6, -0.7, 0.6, 1.2, 2.3, 7.3)
                   for im in (0.5, -40.0)]
@@ -133,6 +141,8 @@ Q = np.concatenate(([0.0], -np.logspace(-16, 1.6, 48),
 new_t = [0.7]
 large_t = [3.0]
 du_im = [12.0]
+v_im = [12.0]
+line_re = [0.733]
 radial_t = [1.3]
 l1_t = [1.2]
 x_one_t = [0.55]
@@ -227,6 +237,8 @@ def derivative(req):
              for k in (-2, -1, 1, 2)}
         fd = (8.0 * (u[1] - u[-1]) - (u[2] - u[-2])) / 0.12
         du.append([d.real, d.imag, abs(d - fd) / abs(fd)])
+    v = [ufunc.eval_V(complex(*z), complex(*s), evaluator=fresh)
+         for z, s in req["v"]]
     b_prime = []
     for re, im in req["b_prime"]:
         s = complex(re, im)
@@ -238,7 +250,7 @@ def derivative(req):
     ref = np.array([fresh.eval_B_prime(1.0 + 1j * v)
                     for v in fundsol._V_GRID[::97]])
     rel = np.abs(grid - ref) / np.abs(ref)
-    return {"du": du, "b_prime": b_prime,
+    return {"du": du, "v": [[x.real, x.imag] for x in v], "b_prime": b_prime,
             "grid": [float(rel.max()), float(np.median(rel))]}
 
 
@@ -254,6 +266,14 @@ def run(case):
     elif case == "dU_new_s":
         du_im[0] += 1e-3
         ufunc.eval_dU_ds(0.7, complex(1.0, du_im[0]), evaluator=ev)
+    elif case == "V_new_s":
+        v_im[0] += 1e-3
+        ufunc.eval_V(1.2 + 0.4j, complex(1.0, v_im[0]), evaluator=ev)
+    elif case == "U_line_new_s":
+        line_re[0] += 1.1e-3
+        ufunc.eval_U_line(
+            0.9, line_re[0] + 1j * np.linspace(13.3, 33.3, 100),
+            evaluator=ev)
     elif case == "radial_256":
         fundsol.radial_profile(1.0, 1e-3, 1e3, 256, evaluator=ev)
     elif case == "pairing":
@@ -420,6 +440,8 @@ def compare_symbol(ref, work):
 def compare_derivative(ref, work):
     req = {"op": "derivative",
            "du": [(t, (s.real, s.imag)) for t, s in DU_POINTS],
+           "v": [((complex(z).real, complex(z).imag), (s.real, s.imag))
+                 for z, s in V_POINTS],
            "b_prime": [(s.real, s.imag) for s in B_PRIME_POINTS]}
     a, b = ref.ask(**req), work.ask(**req)
     print(f"\n{'eval_dU_ds':<28}{'|dU|':>10}{'tree gap':>10}"
@@ -429,6 +451,11 @@ def compare_derivative(ref, work):
         x, y = complex(ra, ia), complex(rb, ib)
         print(f"{f't = {t:g}, s = {s}':<28}{abs(x):>10.3g}"
               f"{abs(x - y) / abs(x):>10.2g}{da:>12.2g}{db:>12.2g}")
+    print(f"{'eval_V':<36}{'|V|':>10}{'tree gap':>10}{'identical':>11}")
+    for (z, s), (ra, ia), (rb, ib) in zip(V_POINTS, a["v"], b["v"]):
+        x, y = complex(ra, ia), complex(rb, ib)
+        print(f"{f'z = {z}, s = {s}':<36}{abs(x):>10.3g}"
+              f"{abs(x - y) / abs(x):>10.2g}{str(x == y):>11}")
     print(f"{'eval_B_prime ~ circle, relative':<40}{'ref':>10}{'work':>10}")
     for s, x, y in zip(B_PRIME_POINTS, a["b_prime"], b["b_prime"]):
         print(f"{f's = {s}':<40}{x:>10.2g}{y:>10.2g}")
@@ -441,6 +468,7 @@ def compare_times(ref, work, rounds):
     print(f"\n{'case':<22}{'median':>9}{'q1':>9}{'q3':>9}   "
           f"(work / ref, {rounds} interleaved rounds)")
     reps = {"one_q_new_t": 20, "large_t_new_t": 20, "dU_new_s": 20,
+            "V_new_s": 20, "U_line_new_s": 20,
             "radial_256": 5, "l1_norm": 1, "pairing": 3, "radial_new_t": 5,
             "l1_new_t": 3, "radial_third_t": 5, "x_one_new_t": 20,
             "l1_stall_new_t": 3, "pairing_stall_new_t": 3,

@@ -108,7 +108,6 @@ import itertools
 import math
 
 import numpy as np
-import scipy.fft
 
 from wavekin.complexfn import (_w_pole_distance, eval_W, eval_W_prime,
                                locate_W_roots, w_residue)
@@ -247,13 +246,6 @@ def _pole_distance(s):
     return np.minimum(np.abs(s - poles[i - 1]), np.abs(s - poles[i]))[()]
 
 
-def _k_plus(s, beta, v):
-    """1/(1 - e^{2 i pi (s - rho)}) on rho = beta + iv, overflow-free:
-    ``_g_plus`` plus the step it leaves out at x = 2 pi (v - Im s) <= 0."""
-    x = 2.0 * np.pi * (v - s.imag)
-    return _g_plus(x, np.exp(2j * np.pi * (s.real - beta))) + (x <= 0)
-
-
 def _k_minus(v):
     # 1/(1 + e^{-2 i pi (rho - beta)}) on rho = beta + iv: a real logistic
     y = 2.0 * np.pi * v
@@ -299,27 +291,14 @@ np.fill_diagonal(_CHEB_D, 0.0)
 np.fill_diagonal(_CHEB_D, -_CHEB_D.sum(axis=1))
 
 
-def _g_plus(x, q):
-    # k_plus less its step at x = 2 pi (w - Im s): the step is taken where
-    # x <= 0, so the plateau must count the nodes w <= Im s; each entry
-    # computes its own branch alone
-    u = np.exp(-np.abs(x))
-    q = np.broadcast_to(q, x.shape)
-    out = np.empty(x.shape, dtype=complex)
-    grow = x > 0
-    out[grow] = -u[grow] / (q[grow] - u[grow])
-    qu = q[~grow] * u[~grow]
-    out[~grow] = qu / (1.0 - qu)
-    return out
-
-
 def _lattice_kernel(f, q, h):
     """g_plus(2 pi h (m - f), q) at the taps |m| <= ceil(_MARGIN / h).
 
     One row per fractional lattice position f in [0, 1) of a node (and
     one q per row, or one for all): the taps are the lattice nodes about
     it, m <= 0 on the step side.  There e^(-|x|) is a power of e^(-2 pi h)
-    times e^(-+2 pi h f), and with |q| = 1 both branches of ``_g_plus``
+    times e^(-+2 pi h f), and with |q| = 1 both branches of g_plus,
+    -u/(q - u) for x > 0 and q u/(1 - q u) for x <= 0 (u = e^(-|x|)),
     share the denominator |q - u|^2 = |1 - q u|^2 = (1 - u)^2 + 2u(1 - Re q),
     so every entry is real arithmetic: (+-u (u - Re q) + i u Im q) / D.
     """
@@ -407,44 +386,6 @@ def _fft_length(n):
     """The least of 2^k and 3 * 2^k that is >= n."""
     p = 1 << (n - 1).bit_length()
     return 3 * p // 4 if 3 * p // 4 >= n else p
-
-
-def _fft_correlate(a, kern, stride=1):
-    """The correlation of a with kern at every stride-th shift alone:
-
-        out[..., r] = sum_i kern[..., i] * a[..., i + stride r],
-
-    0 <= stride r <= N - K, along the last axis (N = a.shape[-1] >= K =
-    kern.shape[-1]; the leading axes broadcast).  No valid shift wraps
-    around a circular correlation of length L >= N.  With a moved
-    circularly left by K - 1, the correlation is the circular convolution
-    with kern reversed.  Its spectrum is folded into L / fold bins,
-    summing the bins f, f + L / fold, ..., so that one inverse FFT of that
-    length gives every fold-th shift: decimation in the frequency domain
-    (Crochiere & Rabiner, Multirate Digital Signal Processing, 1983).
-    fold is the largest divisor of stride among 2^k and 3 * 2^k, and
-    L / fold the least of those that is >= N / fold, so that every FFT
-    length is 3-smooth: scipy.fft keeps a plan per recent length, and a
-    factor like the 47 of stride 94 would make slow, large plans.  The
-    rest of the stride is a slice.  Real inputs give the real part.
-    scipy.signal is not imported because it and the scipy.stats it loads
-    take most of a cold start.
-    """
-    n_a, n_k = a.shape[-1], kern.shape[-1]
-    n_out = (n_a - n_k) // stride + 1
-    fold = stride & -stride
-    if stride % (3 * fold) == 0:
-        fold *= 3
-    bins = _fft_length(-(-n_a // fold))
-    size = fold * bins
-    rolled = np.zeros(a.shape[:-1] + (size,), dtype=a.dtype)
-    rolled[..., :n_a - n_k + 1] = a[..., n_k - 1:]
-    rolled[..., size - n_k + 1:] = a[..., :n_k - 1]
-    spectrum = scipy.fft.fft(rolled) * scipy.fft.fft(kern[..., ::-1], size)
-    folded = spectrum.reshape(spectrum.shape[:-1] + (fold, bins)).sum(-2)
-    step = stride // fold
-    out = scipy.fft.ifft(folded)[..., :(n_out - 1) * step + 1:step] / fold
-    return out if np.iscomplexobj(a) or np.iscomplexobj(kern) else out.real
 
 
 def _audit_samples(arg, beta):
@@ -626,8 +567,9 @@ class BEvaluator:
     (Re s, Im s) to 1e-12, which keeps the _POINT_CACHE most recently added
     strip values, the store of line blocks, which keeps the most recently
     used up to _LINE_BYTES, and the ``memo`` maps: the gauge offset, the
-    ladder (``laurent``), and fundsol's grid lines of B, B' and W and
-    spectra of 1/B, its assemblies and Mellin-Barnes lines.
+    ladder (``laurent``), ufunc's kept spectra of 1/B per line, step and
+    tile (``ufunc._tile_spectrum``), and fundsol's grid lines of B, B' and
+    W and spectra of 1/B, its assemblies and Mellin-Barnes lines.
     """
 
     def __init__(self):

@@ -48,12 +48,16 @@ alone.  A q
 array of two or more q keeps them in a store of the last eight arrays
 used, keyed on its bytes and the abscissa (``_q_store``), so a profile on
 a fixed grid, or a panel sweep, repeated at a new t takes them from there
-and pays only for its line.  In U only the kernel Gamma(z) t^(-z) depends
-on t, so B on the grid (``_b_grid``) and the spectrum of 1/B on the
-auxiliary line (``_inv_b_spectrum``) are tabulated once per abscissa, and
-the kernel's spectrum is known in closed form.  A new t costs the real
-exponential of the bins that do not underflow (about half of them), one
-inverse FFT, the Legendre coefficients and the fit.  Every cache of a
+and pays only for its line.  The line is the sigma-lattice rule of
+``ufunc``, the engine that ``eval_U_line``, ``eval_dU_ds`` and
+``eval_V`` read too: in U only the kernel Gamma(z) t^(-z) depends on t,
+so B on the grid (``_b_grid``) and the spectrum of 1/B on the auxiliary
+line (``_inv_b_spectrum``, built by ``ufunc._lattice_spectrum``) are
+tabulated once per abscissa, and the kernel's spectrum is known in closed
+form (``ufunc._gamma_t_spectrum``); ``_conv_core`` is that engine's fold
+by 2 on this fixed layout.  A new t costs the real exponential of the
+bins that do not underflow (about half of them), one inverse FFT, the
+Legendre coefficients and the fit.  Every cache of a
 quantity that reads B is a bounded ``bfunc.memo`` map kept inside the
 evaluator, holds one quantity keyed by what it depends on, and is freed
 with the evaluator and keeps none alive; the fit's and the ray's columns,
@@ -158,7 +162,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.fft
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import digamma, gammaln, gammasgn, jv, zeta
 
@@ -170,7 +173,9 @@ from wavekin.contour import integrate_vertical  # noqa: F401
 from wavekin.errors import (ConvergenceError, PoleError, RegimeError,
                             TruncationError)
 from wavekin.kernels import eval_H
-from wavekin.ufunc import ENV_B, _ROUND_FLOOR
+from wavekin.ufunc import (ENV_B, _ROUND_FLOOR, _bins, _conv_core as _fold,
+                           _frozen, _gamma_t_spectrum, _inv_b_samples,
+                           _lattice_spectrum, _underflow_bins as _cut)
 
 __all__ = [
     "REGIMES",
@@ -232,16 +237,11 @@ _N_LAT = 2 * (_K_HALF + _NV - 1) + 1        # 6343
 #: wraps); folded in pairs onto the _N_FFT/2 bins of one inverse FFT
 _N_FFT = _fft_length(_N_LAT)                # 8192
 #: u = -theta/_H_W at the frequency theta = 2 pi f/_N_FFT of bin f, wrapped
-#: to [-pi, pi), and e^u: ``_conv_core`` reads the kernel's spectrum
-#: e^(a u - t e^u) on them.  The bins run in fftshift order, f = _N_FFT/2
-#: first, so u falls from pi/_H_W to just above -pi/_H_W and the i-th bin
-#: folds onto output bin i mod _N_FFT/2; _NEG_U = -_U rises, for the cut
-_U = (-2.0 * np.pi / _H_W) * np.fft.fftshift(np.fft.fftfreq(_N_FFT))
-_EXP_U = np.exp(_U)
-_NEG_U = -_U
-#: a bin whose exponent a u - t e^u lies below -_UNDERFLOW has the
-#: exponential 0 exactly (exp underflows below -745.13)
-_UNDERFLOW = 746.0
+#: to [-pi, pi), and e^u (``ufunc._bins``): ``_conv_core`` reads the
+#: kernel's spectrum e^(a u - t e^u) on them.  The bins run in fftshift
+#: order, f = _N_FFT/2 first, so u falls from pi/_H_W to just above
+#: -pi/_H_W and the i-th bin folds onto output bin i mod _N_FFT/2
+_U, _EXP_U = _bins(_H_W, _N_FFT)
 #: scale entering the tail-model basis (b s)^(-2t) (V_bar/s)^k
 _V_BAR = 120.0
 _MODEL_K = 5
@@ -369,11 +369,6 @@ def _line_B(ev, re_line, v):
     return interp(re_line + 1j * v)
 
 
-def _frozen(arr):
-    arr.flags.writeable = False
-    return arr
-
-
 def _check_arg(name, value, zero=False):
     """ValueError naming the argument unless value is positive and finite,
     or with zero also 0."""
@@ -418,77 +413,50 @@ def _inv_b_spectrum(ev, beta):
     """The DFT over _N_FFT bins of 1/B(beta + i w) on the lattice w = m _H_W
     of the auxiliary line, |m| <= _K_HALF + _NV - 1, zero-padded and rolled
     so that w = 0 sits at bin 0 (the centring of the kernel row), halved
-    for the fold of ``_conv_core`` and in the bin order of _U."""
-    w = -_K_HALF * _H_W + _H_W * np.arange(_N_LAT)
-    inv_b = np.zeros(_N_FFT, complex)
-    inv_b[:_N_LAT] = 1.0 / _line_B(ev, beta, w)
-    return _frozen(np.fft.fftshift(
-        scipy.fft.fft(np.roll(inv_b, -_K_HALF)) / 2.0))
+    for the fold of ``_conv_core`` and in the bin order of _U
+    (``ufunc._lattice_spectrum``)."""
+    return _lattice_spectrum(_inv_b_samples(ev, beta, _H_W, -_K_HALF, _N_LAT),
+                             -_K_HALF, _N_FFT, 2.0)
 
 
 def _underflow_bins(a, t):
     """The number of leading bins of _U at which e^(a u - t e^u) is exactly
-    0 for a > 0: those with u >= log((_UNDERFLOW + a pi/_H_W)/t), where
-    t e^u - a u >= _UNDERFLOW, but at most _N_FFT/2.  Past t = _UNDERFLOW +
-    a pi/_H_W that cut lies below u = 0 and would reach into the lower half
-    of the fold; the bins of the lower half past it underflow too and are
-    computed."""
-    return min(_N_FFT // 2, int(np.searchsorted(
-        _NEG_U, -math.log((_UNDERFLOW + a * _U[0]) / t), side="right")))
+    0 for a > 0, at most _N_FFT/2 (``ufunc._underflow_bins``): past t =
+    _UNDERFLOW + a pi/_H_W the cut lies below u = 0 and would reach into
+    the lower half of the fold; the bins of the lower half past it
+    underflow too and are computed."""
+    return _cut(_U, a, t, _N_FFT // 2)
 
 
 def _conv_core(spectrum, a, t, du=False):
     """h/(2 pi) * sum_w K(w - v) / B(beta + i w) on the output grid
     v = 2 j h, for the kernel K(eta) = Gamma(a + i eta) t^(-(a + i eta)),
-    w on the lattice of step h = _H_W.
+    w on the lattice of step h = _H_W: ``ufunc._conv_core`` folded by 2.
 
-    spectrum is the DFT of that lattice of 1/B (``_inv_b_spectrum``).  Each
-    output is a plain trapezoid of the sigma-line integral of the U
+    spectrum is the DFT of that lattice of 1/B (``_inv_b_spectrum``), and
+    the kernel's is known in closed form, e^(a u - t e^u) on the bins _U
+    (``ufunc._gamma_t_spectrum``, the sigma-lattice rule of ``ufunc``).
+    Each output is a plain trapezoid of the sigma-line integral of the U
     representation, exact to the analyticity width of 1/B around the
-    beta-line (super-exponentially small error at _H_W).
+    beta-line (super-exponentially small error at _H_W).  For theta in
+    [-pi, pi) the aliased terms of the kernel's spectrum stay below
+    e^(-a pi / h) (2e-14 at a = _B_OFF).  Summing the bins f and f +
+    _N_FFT/2 (the 1/2 of that fold is in spectrum) keeps the even shifts,
+    the output nodes, so one inverse FFT of _N_FFT/2 bins gives the line.
 
-    Only K depends on t, and the DFT of its lattice row is known in closed
-    form.  Substituting x = e^u in the Mellin pair Gamma(z) t^(-z) =
-    int_0^inf x^(z-1) e^(-t x) dx gives
-
-        K(eta) = int G(u) e^(i eta u) du,    G(u) = e^(a u - t e^u),
-
-    and Poisson summation gives the DFT of the row K(-m h), m in Z:
-
-        sum_m K(-m h) e^(-i theta m) = (2 pi/h) sum_n G((2 pi n - theta)/h).
-
-    For theta in [-pi, pi) the terms n < 0 stay below e^(-a pi / h)
-    (2e-14 at a = _B_OFF) and the terms n > 0 underflow, and h/(2 pi)
-    cancels 2 pi / h: the kernel's spectrum is G(-theta / h), real, read on
-    the bins' -theta / h, the module grid _U.  The sum over w is the
-    circular correlation of the 1/B lattice with that row, whose DFT is the
-    product of the two spectra.  Summing the bins f and f + _N_FFT/2 (the
-    1/2 of that fold is in spectrum) keeps its even shifts, the output
-    nodes, so one inverse FFT of _N_FFT/2 bins gives the line.
-
-    For u > 0 the spectrum falls like e^(-t e^u): with a > 0, every bin
-    past u = log((_UNDERFLOW + a pi/_H_W)/t) has an exponent below
-    -_UNDERFLOW, and G there is exactly 0.  Those bins lead in the order of
-    _U (3,646-3,875 of the 8,192 for t in [0.05, 6]); they are skipped, at
-    most the upper half of the fold (``_underflow_bins``), and the rest of
-    the upper half is added onto the last bins of the lower half, which
-    adds only what the whole fold adds.  A new t costs one real
-    exponential of the other bins, one product and that FFT.
+    For u > 0 the spectrum falls like e^(-t e^u), and the bins past the
+    cut of ``_underflow_bins`` are exactly 0 (3,646-3,875 of the 8,192 for
+    t in [0.05, 6]); they are skipped, and the rest of the upper half is
+    added onto the last bins of the lower half, which adds only what the
+    whole fold adds.  A new t costs one real exponential of the other
+    bins, one product and that FFT.
 
     With du, the line of the kernel (log t - psi(a + i eta)) K(eta) of
-    dU/ds comes too, as the second row: d/dz Gamma(z) t^(-z) =
-    int u e^(z u - t e^u) du, so its transform is -u G(u).
+    dU/ds comes too, as the second row, of spectrum -u G(u).
     """
-    half = _N_FFT // 2
     skip = _underflow_bins(a, t)
-    u = _U[skip:]
-    g = np.exp(a * u - t * _EXP_U[skip:])
-    if du:
-        g = np.stack([g, -u * g])
-    prod = spectrum[skip:] * g
-    folded = prod[..., half - skip:]
-    folded[..., skip:] += prod[..., :half - skip]
-    return scipy.fft.ifft(folded)[..., :_NV]
+    return _fold(spectrum, _gamma_t_spectrum(_U[skip:], _EXP_U[skip:], a, t,
+                                             du), 2, skip)[..., :_NV]
 
 
 def _symbol_line(ev, t, c, kind):

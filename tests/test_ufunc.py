@@ -15,7 +15,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from wavekin.bfunc import BranchError, default_evaluator
+from wavekin.bfunc import BEvaluator, BranchError, default_evaluator
 from wavekin.complexfn import eval_W
 from wavekin.errors import ConvergenceError, RegimeError, WavekinError
 from wavekin import bfunc, ufunc
@@ -320,20 +320,23 @@ def test_default_abscissae_sit_on_the_grid(ev, monkeypatch):
     # no grid point keeps the distance: the exact default stays
     assert ufunc._default_beta(1.9 + 0j) == 1.95
     # eval_U_line and eval_dU_ds cross the pole at sigma = s instead, onto
-    # a grid line in (Re s - 1, Re s); at Re s <= 1 they keep the right line
-    read = []
-    real = ev.line_interpolator
-
-    def spy(re_line, im_lo, im_hi):
-        read.append(re_line)
-        return real(re_line, im_lo, im_hi)
-
-    monkeypatch.setattr(ev, "line_interpolator", spy)
+    # a grid line in (Re s - 1, Re s); at Re s <= 1 they keep the right line.
+    # Each route runs on a fresh evaluator, since a spectrum of 1/B that an
+    # evaluator keeps reads no B line again
     for re in (1.81, 1.86, 1.9, 1.95, 0.6, 1.0):
-        for route in (lambda s: eval_U_line(1.0, np.array([s]), evaluator=ev),
-                      lambda s: eval_dU_ds(1.0, s, evaluator=ev)):
-            read.clear()
-            route(re + 3j)
+        for route in (lambda s, e: eval_U_line(1.0, np.array([s]),
+                                               evaluator=e),
+                      lambda s, e: eval_dU_ds(1.0, s, evaluator=e)):
+            fresh = BEvaluator()
+            read = []
+            real = fresh.line_interpolator
+
+            def spy(re_line, im_lo, im_hi, _real=real, _read=read):
+                _read.append(re_line)
+                return _real(re_line, im_lo, im_hi)
+
+            monkeypatch.setattr(fresh, "line_interpolator", spy)
+            route(re + 3j, fresh)
             [got] = read
             if re > 1.0:
                 assert re - 1.0 < got < re and round(10 * got) == 10 * got
@@ -470,9 +473,12 @@ _FAR_Z = [1e6, 877582.56 + 479425.54j]
 @pytest.mark.parametrize("z", _FAR_Z)
 def test_v_far_z_needs_a_halved_lattice(z, monkeypatch):
     # at |z| = 1e6 the kernel's factor |z|^(i eta) turns 13.8 radians per
-    # unit of eta: the 2h rule at the starting step misses the tolerance,
-    # and only a halved lattice resolves the line
+    # unit of eta: the 2h rule at the step pi d / 40 misses the tolerance,
+    # and only a halved lattice resolves the line.  The kept spectra of
+    # single s start from the ladder's step below pi d / 40, 1/32 here,
+    # which resolves it; started at pi d / 40 itself, the rule refuses
     monkeypatch.setattr(ufunc, "_LINE_REFINEMENTS", 0)
+    monkeypatch.setattr(ufunc, "_ladder_step", lambda h0: h0)
     with pytest.raises(ConvergenceError):
         eval_V(z, 1.99, evaluator=default_evaluator())
 
@@ -625,8 +631,9 @@ def test_line_rejects_unequal_steps(ev):
 
 @pytest.mark.parametrize("re, step", [(1.0, 1e-6), (1.95, 1e-3)])
 def test_dense_line_matches_scalar(ev, re, step):
-    # a step below 2 pi d / 40 cannot be a multiple of the lattice step:
-    # each s takes its own kernel row on one lattice of step pi d / 40
+    # a step below pi d / 40 cannot be a multiple of the lattice step:
+    # each s takes its own dot over the bins of one kept spectrum, whose
+    # step is the ladder's below pi d / 40
     svals = re + 1j * (3.0 + step * np.arange(40))
     vals, errs = eval_U_line(0.7, svals, evaluator=ev)
     for i in (0, 39):
@@ -653,16 +660,16 @@ def test_v_array_matches_scalar_calls(ev):
 
 
 def test_v_near_a_pole_in_row_blocks(ev, monkeypatch):
-    # beta 0.01 from the pole of k_plus: ~86k lattice nodes, so the kernel
-    # matrix is built a few rows at a time; V does not depend on beta
+    # beta 0.01 from the pole of k_plus: ~173k lattice nodes, so the kernel
+    # spectra are read a few rows at a time; V does not depend on beta
     z = np.array([1.0, 2.0 + 3.0j, 0.3 - 2.5j, 5.0 - 0.1j, 0.7 + 9.0j])
     s = 1.2 + 0.5j
     near = eval_V(z, s, beta=1.21, evaluator=ev)
     assert np.abs(near - eval_V(z, s, evaluator=ev)).max() <= (
         1e-9 * np.abs(near).max())
-    # one row per block changes only the summation order of the products,
+    # one row per read changes only the summation order of the products,
     # whose terms near the pole exceed V by a factor ~1/0.01
-    monkeypatch.setattr(ufunc, "_ROW_ENTRIES", 1)
+    monkeypatch.setattr(ufunc, "_READ_ENTRIES", 1)
     rows = eval_V(z, s, beta=1.21, evaluator=ev)
     assert np.abs(rows - near).max() <= 1e-13 * np.abs(near).max()
 
