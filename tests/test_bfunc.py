@@ -524,6 +524,64 @@ def test_walked_points_equal_one_point_calls(im):
     assert np.array_equal(many, [ev.eval_B(x) for x in s])
 
 
+def _engine_correlate(a, kern, stride):
+    """out[..., r] = sum_i kern[..., i] * a[..., i + stride r] by the
+    sigma-line engine's read-out: the spectra of a and of kern reversed on
+    one lattice (``ufunc._lattice_spectrum``), their product folded and
+    inverted by ``ufunc._conv_core``.  The engine folds evenly, so an odd
+    stride folds by twice its fold and reads its odd shifts off a second
+    spectrum of a, placed half a fold lower on the lattice."""
+    n_a, n_k = a.shape[-1], kern.shape[-1]
+    shift = stride * np.arange((n_a - n_k) // stride + 1)
+    fold = stride & -stride
+    if stride % (3 * fold) == 0:
+        fold *= 3
+    offsets = (0, fold) if fold % 2 else (0,)
+    fold *= len(offsets)
+    n_fft = fold * bfunc._fft_length(-(-(n_a + fold) // fold))
+
+    def spectrum(x, j_lo, div):
+        return np.apply_along_axis(ufunc._lattice_spectrum, -1, x, j_lo,
+                                   n_fft, div)
+
+    a_spec = np.stack([spectrum(a, -j, fold) for j in offsets], axis=-2)
+    k_spec = spectrum(kern[..., ::-1], 1 - n_k, 1)[..., None, :]
+    out = ufunc._conv_core(a_spec, k_spec, fold)
+    offset = shift % fold
+    return out[..., offset // max(offsets[-1], 1), (shift - offset) // fold]
+
+
+@pytest.mark.parametrize("stride", [1, 2, 4, 16, 20, 94])
+@pytest.mark.parametrize("a_shape, k_shape, real", [
+    ((2, 1, 700), (1, 24, 537), False),   # two rows against 24 kernels
+    ((3000,), (6, 101), False),           # six kernel rows on one lattice
+    ((3000,), (3, 101), True),            # real rows
+    ((1700,), (2, 301), False),           # two kernel rows on one lattice
+    ((1700,), (301,), False),             # one kernel row
+])
+def test_fft_correlate_matches_direct_sums(a_shape, k_shape, real, stride):
+    # every kept shift against the exact sum in long double, within
+    # 4 eps of the sum of the terms' magnitudes
+    rng = np.random.default_rng(3)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x if real else x + 1j * rng.standard_normal(shape)
+
+    a, kern = draw(a_shape), draw(k_shape)
+    got = _engine_correlate(a, kern, stride)
+    n_out = (a_shape[-1] - k_shape[-1]) // stride + 1
+    ld = np.longdouble if real else np.clongdouble
+    windows = np.lib.stride_tricks.sliding_window_view(
+        a.astype(ld), k_shape[-1], axis=-1)[..., ::stride, :]
+    terms = windows * kern.astype(ld)[..., None, :]
+    exact, magnitude = terms.sum(-1), np.abs(terms).sum(-1)
+    assert got.shape == exact.shape and got.shape[-1] == n_out
+    assert got.dtype == complex
+    assert (np.abs(got - exact)
+            <= 4.0 * np.finfo(float).eps * magnitude).all()
+
+
 def test_correlations_invert_at_the_folded_length(monkeypatch):
     # a line's sums are inverse FFTs of the folded bins, never a
     # full-length inverse: a U line at Re s = 0.5 with Im s one apart
