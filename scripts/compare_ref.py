@@ -42,7 +42,7 @@ prints:
   between the trees, and whether their values are bit-identical;
 - ``eval_B_prime`` at the points ``B_PRIME_POINTS``: each tree's relative
   distance to a Cauchy derivative circle of radius 0.05 on eval_B_many;
-- B' on the output grid of the c = 1 lines (``fundsol._b_prime_grid``),
+- B' on the output grid of the c = 1 lines (``line._b_prime_grid``),
   which the "du" line reads: per tree, the largest and the median relative
   distance to eval_B_prime at every 97th grid node.
 
@@ -68,11 +68,13 @@ together, as the ``lambda_integrals`` workload interleaves them
 (``l1_after_radial_new_t``).  It prints per case the median and quartiles
 of the per-round ratio working tree / REF (below 1 is faster).  It then
 prints, per tree, the store of q-only query rows: the entry count, hits
-and misses of ``fundsol._q_store.cache_info()`` where the tree has that
-cache; the entry count and bytes of ``fundsol._Q_ROWS``, with the keys
-held for arrays seen once (``fundsol._Q_SEEN``), where it has those; or
-n/a where the tree has no store.  BLAS runs one thread.  Only the standard
-library and numpy are used; no test runs this script.
+and misses of ``line._q_store.cache_info()`` where the tree has that
+cache; the entry count and bytes of ``_Q_ROWS``, with the keys held for
+arrays seen once (``_Q_SEEN``), where it has those; or n/a where the tree
+has no store.  Each private name is read from the module that defines it
+in that tree: ``line``, or ``fundsol`` in a tree that has no ``line``.
+BLAS runs one thread.  Only the standard library and numpy are used; no
+test runs this script.
 """
 
 import argparse
@@ -132,6 +134,10 @@ import json, sys, time
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from wavekin import fundsol, ufunc
+try:                        # the assembled line and its store
+    from wavekin import line as home
+except ImportError:         # a tree where fundsol holds them
+    home = fundsol
 from wavekin.bfunc import BEvaluator
 from wavekin.contour import integrate_circle
 
@@ -154,23 +160,23 @@ after_radial_t = [1.1]
 def with_points(fn, *args):
     """(fn(*args, evaluator=ev), the line points it took)."""
     points = [0]
-    real = fundsol._LineAssembly.__call__
+    real = home._LineAssembly.__call__
 
     def counted(self, q):
         points[0] += np.size(q)
         return real(self, q)
 
-    fundsol._LineAssembly.__call__ = counted
+    home._LineAssembly.__call__ = counted
     try:
         return fn(*args, evaluator=ev), points[0]
     finally:
-        fundsol._LineAssembly.__call__ = real
+        home._LineAssembly.__call__ = real
 
 
 def values(req):
     out = {}
     for kind, c, t in req["lines"]:
-        line = fundsol._line_assembly(ev, t, c, kind)
+        line = home._line_assembly(ev, t, c, kind)
         q = Q[1:] if kind == "du" else Q
         vals, errs = line(q)
         scalar = [line(float(x)) for x in q]
@@ -246,9 +252,9 @@ def derivative(req):
             lambda z: fresh.eval_B_many(z) / (z - s) ** 2, s, 0.05,
             n_min=32).value
         b_prime.append(abs(fresh.eval_B_prime(s) - circle) / abs(circle))
-    grid = fundsol._b_prime_grid(fresh, 1.0)[::97]
+    grid = home._b_prime_grid(fresh, 1.0)[::97]
     ref = np.array([fresh.eval_B_prime(1.0 + 1j * v)
-                    for v in fundsol._V_GRID[::97]])
+                    for v in home._V_GRID[::97]])
     rel = np.abs(grid - ref) / np.abs(ref)
     return {"du": du, "v": [[x.real, x.imag] for x in v], "b_prime": b_prime,
             "grid": [float(rel.max()), float(np.median(rel))]}
@@ -318,18 +324,18 @@ def timing(req):
 
 
 def store(req):
-    if hasattr(fundsol, "_q_store"):
-        info = fundsol._q_store.cache_info()
+    if hasattr(home, "_q_store"):
+        info = home._q_store.cache_info()
         return {"entries": info.currsize, "hits": info.hits,
                 "misses": info.misses}
-    rows = getattr(fundsol, "_Q_ROWS", None)
+    rows = getattr(home, "_Q_ROWS", None)
     if rows is None:
         return {"entries": None}
-    seen = getattr(fundsol, "_Q_SEEN", None)
-    if hasattr(fundsol, "_q_store_bytes"):
-        used = fundsol._q_store_bytes()
+    seen = getattr(home, "_Q_SEEN", None)
+    if hasattr(home, "_q_store_bytes"):
+        used = home._q_store_bytes()
     else:   # a tree that keeps every array: (key, rows) entries alone
-        used = sum(map(fundsol._q_rows_bytes, rows.items()))
+        used = sum(map(home._q_rows_bytes, rows.items()))
     return {"entries": len(rows), "bytes": used,
             "keys": None if seen is None else len(seen)}
 

@@ -12,7 +12,12 @@ Layout:
 - ``kernels``   the transport kernel H
 - ``bfunc``     the normalizer B(s) and its residue ladder (``laurent``)
 - ``ufunc``     U(t, s) (Mellin symbol) and V(z, s) (Laplace transform)
-- ``fundsol``   Lambda(t, x): regimes, profiles, Q1/Q2 asymptotics, pairings
+- ``ray``       the tail model of a Lambda line beyond V and its rotated ray
+- ``line``      the assembled Lambda line: symbol grid, Filon panels, fit
+- ``asymptotic`` Q1/Q2 long-time decomposition, short-time residue series
+- ``integrals`` L1 norm, pairings with test functions, transport adjoint
+- ``fundsol``   Lambda(t, x): regimes, queries, profiles, derivatives; it
+  re-exports the public names of ``asymptotic`` and ``integrals``
 - ``errors``    the ``WavekinError`` hierarchy
 """
 

@@ -144,13 +144,14 @@ _LATTICE_BYTES = 2 ** 23  # a strip lattice over 8 MB shrinks (104 B/node)
 _B_SCALE = 7.37
 
 
-def memo(maxsize):
+def memo(maxsize, keep=None):
     """Memoize ``fn(ev, *args)`` in an LRU map that the evaluator ev owns.
 
     The map lives in ``ev._memo`` under fn, so it is freed with the
     evaluator and keeps no evaluator alive.  It is keyed on the arguments
     and keeps the maxsize most recently used entries; a hit renews its
-    entry.  fn never returns None.
+    entry.  A value for which keep(value) is false is returned but not
+    kept.  fn never returns None.
     """
     def decorate(fn):
         @functools.wraps(fn)
@@ -160,9 +161,11 @@ def memo(maxsize):
                 store = ev._memo[fn] = collections.OrderedDict()
             val = store.get(args)
             if val is None:
-                val = store[args] = fn(ev, *args)
-                if len(store) > maxsize:
-                    store.popitem(last=False)
+                val = fn(ev, *args)
+                if keep is None or keep(val):
+                    store[args] = val
+                    if len(store) > maxsize:
+                        store.popitem(last=False)
             else:
                 store.move_to_end(args)
             return val
@@ -568,8 +571,9 @@ class BEvaluator:
     strip values, the store of line blocks, which keeps the most recently
     used up to _LINE_BYTES, and the ``memo`` maps: the gauge offset, the
     ladder (``laurent``), ufunc's kept spectra of 1/B per line, step and
-    tile (``ufunc._tile_spectrum``), and fundsol's grid lines of B, B' and
-    W and spectra of 1/B, its assemblies and Mellin-Barnes lines.
+    tile (``ufunc._tile_spectrum``), ``line``'s grid lines of B, B' and W,
+    its spectra of 1/B and its assemblies, and ``asymptotic``'s
+    Mellin-Barnes lines.
     """
 
     def __init__(self):

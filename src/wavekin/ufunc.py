@@ -56,13 +56,13 @@ Sigma-lattice rule
 Both integrals have the form (1/2 pi) int K(w - Im s) / B(beta + i w) dw
 with a kernel K that depends on sigma - s only.  ``eval_U_line``,
 ``eval_dU_ds`` and ``eval_V`` evaluate them by one trapezoid rule on the
-absolute lattice w = j h (``_spectral_rule``), and so does fundsol's
-Lambda line (``fundsol._conv_core``).  No kernel row in w is built:
+absolute lattice w = j h (``_spectral_rule``), and so does the assembled
+Lambda line (``line._conv_core``).  No kernel row in w is built:
 
 - the kept spectrum.  The evaluator keeps the DFT of 1/B, sampled once
   off its line interpolant, on the lattice of step h over a fixed tile of
   the line (``_tile_spectrum``, a ``bfunc.memo`` map of _SPECTRA
-  entries, keyed by beta, h and the tile);
+  entries of at most _KEPT_BINS bins, keyed by beta, h and the tile);
 - closed-form kernel spectra.  Each kernel is a Fourier integral
   K(eta) = int G(u) e^(i eta u) du whose G is known: e^(a u - t e^u) for
   U, a = beta - Re s, from the Mellin pair of Gamma (minus 1 inside the
@@ -184,10 +184,12 @@ _READ_ENTRIES = 2 ** 19
 # their peaks.  A tile spans 127, 4,065 nodes at the step 1/32 of most
 # single s, within 4,096 bins, and the tile n = 0 holds the symbol's
 # lines up to |Im s| = 64.  An evaluator keeps the _SPECTRA most
-# recently used.
+# recently used of at most _KEPT_BINS bins, 2^24 bytes in all; a longer
+# one, of a line near a pole, is built for its call alone.
 _TILE = 64.0
 _TILE_REACH = 31.5
 _SPECTRA = 64
+_KEPT_BINS = 2 ** 14
 # A bin whose exponent a u - t e^u lies below -_UNDERFLOW has the
 # exponential 0 exactly (exp underflows below -745.13).
 _UNDERFLOW = 746.0
@@ -502,7 +504,7 @@ class _Spectrum:
     g_hi: float
 
 
-@memo(_SPECTRA)
+@memo(_SPECTRA, keep=lambda sp: sp.bins.size <= _KEPT_BINS)
 def _tile_spectrum(ev, beta, h, tile, fold):
     """The spectrum of 1/B(beta + i w) on the lattice w = j h over tile
     [tile _TILE - _TILE_REACH, (tile + 1) _TILE + _TILE_REACH]: its node
@@ -928,8 +930,10 @@ def eval_U_line(t, s_values, beta=None, evaluator=None):
     The workhorse behind profile reconstruction.  The s-values share the
     line Re sigma = beta, and their Im s must be equispaced with step
     Delta (a single s is allowed): Im s_k may miss Im s_0 + k Delta by at
-    most 1e-12 * max(1, |Im s range|).  A caller's beta lies in (Re s, 2),
-    d = beta - Re s from the Gamma pole at sigma = s.  Without one, the
+    most 16 eps max(1, max |Im s|), a few ulps, since each s is evaluated
+    at its grid node; ``np.linspace`` lines sit within that.  A caller's
+    beta lies in (Re s, 2), d = beta - Re s from the Gamma pole at
+    sigma = s.  Without one, the
     line is ``_default_beta``'s, or at Re s > 1 the left line beta' of the
     module docstring (``_lattice_line``), on the 0.1 grid in
     (Re s - 1, Re s) with d = min(Re s - beta', beta' - Re s + 1), about
@@ -969,7 +973,8 @@ def eval_U_line(t, s_values, beta=None, evaluator=None):
         span = im[-1] - im[0]
         grid = im[0] + span * np.arange(im.size) / (im.size - 1)
         if span == 0.0 or (np.abs(im - grid).max()
-                           > 1e-12 * max(1.0, abs(span))):
+                           > 16.0 * np.finfo(float).eps
+                           * max(1.0, np.abs(im).max())):
             raise ValueError("Im s must be equispaced and distinct")
     ev = evaluator if evaluator is not None else default_evaluator()
     a = beta - s0.real

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from wavekin import bfunc, fundsol, ufunc
+from wavekin import asymptotic, bfunc, ufunc
 from wavekin.bfunc import (
     BEvaluator,
     BLineInterpolator,
@@ -706,8 +706,8 @@ def test_derived_constants_match_the_closed_forms(ev):
     c2 = -6.0 * led.rho4 * b1 / (SQRT_2PI * wp0)
     assert abs(led.c1 - c1) <= 1e-15 * abs(c1)
     assert abs(led.c2 - c2) <= 1e-15 * abs(c2)
-    assert fundsol._res_inv_b(ev, 3.0) == -led.c1.real
-    assert fundsol._res_inv_b(ev, 4.0) == led.rho4.real
+    assert asymptotic._res_inv_b(ev, 3.0) == -led.c1.real
+    assert asymptotic._res_inv_b(ev, 4.0) == led.rho4.real
 
 
 def test_P_and_Q_lists(ev):
@@ -766,7 +766,7 @@ def test_series_reads_the_six_cascade_points():
     # the ladder points past 8 that a series call at x > 1 reads, less the
     # integers: B(8) and the poles 9..12
     ev = BEvaluator()
-    fundsol._series_with_error(0.55, 2.5, ev)
+    asymptotic._series_with_error(0.55, 2.5, ev)
     read = ev._memo[BEvaluator.laurent.__wrapped__]
     casc = sorted(s for (s,) in read if s > 8.0 and s != round(s))
     assert casc == sorted(_cascade_points())
@@ -806,10 +806,10 @@ def test_ladder_value_matches_the_walk_fallback(monkeypatch, k):
 
 def test_ladder_zero_at_4_is_exact(ev):
     assert ev.laurent(4.0)[0] == 1
-    assert fundsol._b_at(ev, 4) == 0.0
-    assert fundsol._b_at(ev, 3) == 0.0
+    assert asymptotic._b_at(ev, 4) == 0.0
+    assert asymptotic._b_at(ev, 3) == 0.0
     with pytest.raises(PoleError):
-        fundsol._b_at(ev, 9)
+        asymptotic._b_at(ev, 9)
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0, 2.5, -0.5, 3.3, 6.7, -3.5, -4.2])

@@ -1,7 +1,7 @@
 """The convolution of the Lambda line reads the Gamma kernel's spectrum in
 closed form.
 
-``fundsol._conv_core`` never builds the kernel row Gamma(z) t^(-z): it
+``line_mod._conv_core`` never builds the kernel row Gamma(z) t^(-z): it
 reads the row's DFT off the Mellin pair of Gamma as e^(a u - t e^u)
 (Poisson summation).  These tests hold its lines to the explicit trapezoid
 sum with the kernel rows of ``ufunc._gamma_t_kernel``, hold the bins it
@@ -17,9 +17,11 @@ import pytest
 import scipy.fft
 import scipy.special
 
-from wavekin import bfunc, complexfn, fundsol, ufunc
+from wavekin import (asymptotic, bfunc, complexfn, fundsol, integrals, ray,
+                     ufunc)
+from wavekin import line as line_mod
 from wavekin.bfunc import BEvaluator
-from wavekin.fundsol import _H_W, _K_HALF, _N_FFT, _N_LAT, _NV
+from wavekin.line import _H_W, _K_HALF, _N_FFT, _N_LAT, _NV
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +32,8 @@ def ev():
 def _aux_line(c, kind):
     # (beta, a): the auxiliary line of the convolution and the kernel offset
     if kind == "q2":
-        return fundsol._BETA2, fundsol._BETA2 - c
-    return c + fundsol._B_OFF, fundsol._B_OFF
+        return line_mod._BETA2, line_mod._BETA2 - c
+    return c + line_mod._B_OFF, line_mod._B_OFF
 
 
 def _trapezoid_rows(ev, t, c, kind):
@@ -40,7 +42,7 @@ def _trapezoid_rows(ev, t, c, kind):
     beta, a = _aux_line(c, kind)
     # the lattice of _inv_b_spectrum, node for node
     w = -_K_HALF * _H_W + _H_W * np.arange(_N_LAT)
-    inv_b = 1.0 / fundsol._line_B(ev, beta, w)
+    inv_b = 1.0 / line_mod._line_B(ev, beta, w)
     eta = _H_W * np.arange(-_K_HALF, _K_HALF + 1)
     k = ufunc._gamma_t_kernel(a, t, eta)
     rows = [k]
@@ -57,9 +59,9 @@ def _trapezoid_rows(ev, t, c, kind):
 @pytest.mark.parametrize("t", [0.05, 0.2, 1.0, 6.0])
 @pytest.mark.parametrize("kind", ["u", "q2", "du"])
 def test_closed_form_spectrum_matches_the_trapezoid_sum(ev, kind, t):
-    c = fundsol._C_DIRECT
+    c = line_mod._C_DIRECT
     beta, a = _aux_line(c, kind)
-    got = fundsol._conv_core(fundsol._inv_b_spectrum(ev, beta), a, t,
+    got = line_mod._conv_core(line_mod._inv_b_spectrum(ev, beta), a, t,
                              du=kind == "du")
     exact = _trapezoid_rows(ev, t, c, kind)
     got = got if kind == "du" else [got]
@@ -72,9 +74,9 @@ def test_closed_form_spectrum_matches_the_trapezoid_sum(ev, kind, t):
 def _all_bins(spectrum, a, t, du):
     # the kernel's spectrum on every bin, and the fold that adds bins i
     # and i + _N_FFT/2 of _U's order
-    g = np.exp(a * fundsol._U - t * fundsol._EXP_U)
+    g = np.exp(a * line_mod._U - t * line_mod._EXP_U)
     if du:
-        g = np.stack([g, -fundsol._U * g])
+        g = np.stack([g, -line_mod._U * g])
     prod = spectrum * g
     folded = prod[..., _N_FFT // 2:] + prod[..., :_N_FFT // 2]
     return scipy.fft.ifft(folded)[..., :_NV]
@@ -87,13 +89,13 @@ def test_skipped_bins_change_no_bit(ev, kind, t):
     # every bin bit for bit, both rows of du included; at t = 1000 the
     # underflow reaches below u = 0 for both offsets, and the cut stops at
     # the upper half of the fold
-    beta, a = _aux_line(fundsol._C_DIRECT, kind)
-    spectrum = fundsol._inv_b_spectrum(ev, beta)
-    skip = fundsol._underflow_bins(a, t)
+    beta, a = _aux_line(line_mod._C_DIRECT, kind)
+    spectrum = line_mod._inv_b_spectrum(ev, beta)
+    skip = line_mod._underflow_bins(a, t)
     assert 3600 <= skip <= _N_FFT // 2
-    u = fundsol._U[:skip]
-    assert (a * u - t * fundsol._EXP_U[:skip]).max() <= -745.2
-    got = fundsol._conv_core(spectrum, a, t, du=kind == "du")
+    u = line_mod._U[:skip]
+    assert (a * u - t * line_mod._EXP_U[:skip]).max() <= -745.2
+    got = line_mod._conv_core(spectrum, a, t, du=kind == "du")
     ref = _all_bins(spectrum, a, t, kind == "du")
     assert got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
@@ -103,7 +105,7 @@ def test_a_new_t_costs_one_inverse_fft(ev, monkeypatch):
     kinds = [("u", 1.0), ("du", 1.0), ("q2", 1.0), ("su", 1.0),
              ("ut", fundsol._C_DT)]
     for kind, c in kinds:
-        fundsol._symbol_line(ev, 0.9, c, kind)
+        line_mod._symbol_line(ev, 0.9, c, kind)
     calls = []
 
     def spy(name, fn):
@@ -115,13 +117,14 @@ def test_a_new_t_costs_one_inverse_fft(ev, monkeypatch):
     for mod in (scipy.fft, np.fft):
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
-    for mod in (scipy.special, fundsol, ufunc, bfunc, complexfn):
+    for mod in (scipy.special, fundsol, ray, line_mod, asymptotic,
+                integrals, ufunc, bfunc, complexfn):
         for name in ("loggamma", "digamma", "log_gamma"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name,
                                     spy(name, getattr(mod, name)))
     for kind, c in kinds:
-        line = fundsol._symbol_line(ev, 1.7, c, kind)
+        line = line_mod._symbol_line(ev, 1.7, c, kind)
         assert line.shape == (_NV,) and np.isfinite(line).all()
         assert calls == ["ifft"], kind
         calls.clear()

@@ -10,6 +10,12 @@ A public function or class that no other statement of ``wavekin`` reads
 is there for callers outside the package, so its module lists it in
 ``__all__``, which declares the package's API.  A check or oracle that
 only tests read is not API: it belongs in the tests, not in the library.
+
+A test's patch of a module's name, ``monkeypatch.setattr(module, "name",
+...)`` or the ``_spy`` of ``test_fundsol.py``, acts only where that module
+reads the name.  One on a module that holds the name only as an import,
+a re-export or a binding no statement reads, is dead: the code under test
+runs as if unpatched, and the test passes whatever that code does.
 """
 
 import ast
@@ -84,13 +90,58 @@ def _unexported(sources):
     return found
 
 
-def _package_sources():
-    package = os.path.dirname(os.path.abspath(wavekin.__file__))
+def _wavekin_aliases(tree):
+    """{alias: module} of the wavekin modules a file imports by name."""
+    aliases = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "wavekin":
+            aliases.update((a.asname or a.name, a.name) for a in stmt.names)
+    return aliases
+
+
+def _dead_patches(tests, sources):
+    """'file:line module.name' of each patch of a wavekin module's name in
+    the test files {filename: source} whose module, in the package files
+    {filename: source}, reads the name in no module-level statement other
+    than an import."""
+    reads = {filename[:-3]: set().union(*(
+        _read(stmt) for stmt in ast.parse(source, filename).body
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom))))
+        for filename, source in sources.items()}
+    found = []
+    for filename, source in sorted(tests.items()):
+        tree = ast.parse(source, filename)
+        aliases = _wavekin_aliases(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) and (
+                    node.func.attr == "setattr"):
+                target = node.args[:2]
+            elif isinstance(node.func, ast.Name) and node.func.id == "_spy":
+                target = node.args[1:3]
+            else:
+                continue
+            if (len(target) == 2 and isinstance(target[0], ast.Name)
+                    and target[0].id in aliases
+                    and isinstance(target[1], ast.Constant)
+                    and isinstance(target[1].value, str)):
+                module, name = aliases[target[0].id], target[1].value
+                if name not in reads.get(module, ()):
+                    found.append(f"{filename}:{node.lineno} {module}.{name}")
+    return found
+
+
+def _sources(directory):
     sources = {}
-    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+    for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
         with open(path) as fh:
             sources[os.path.basename(path)] = fh.read()
     return sources
+
+
+def _package_sources():
+    return _sources(os.path.dirname(os.path.abspath(wavekin.__file__)))
 
 
 def test_the_scan_finds_a_dead_helper():
@@ -138,3 +189,30 @@ def test_the_scan_finds_an_unexported_public_name():
 
 def test_every_unread_public_name_is_exported():
     assert _unexported(_package_sources()) == []
+
+
+def test_the_scan_finds_a_dead_patch():
+    sources = {
+        "a.py": ("from b import helper\n"
+                 "_LIMIT = 3\n"
+                 "def route(x):\n"
+                 "    return helper(x) + _LIMIT\n"),
+        "b.py": ("def helper(x):\n"
+                 "    return x\n"),
+    }
+    tests = {
+        "test_a.py": ("from wavekin import a, b\n"
+                      "def test_route(monkeypatch):\n"
+                      "    monkeypatch.setattr(a, '_LIMIT', 0)\n"
+                      "    monkeypatch.setattr(a, 'helper', abs)\n"
+                      "    monkeypatch.setattr(b, 'helper', abs)\n"
+                      "    _spy(monkeypatch, a, 'helper', [])\n"
+                      "    _spy(monkeypatch, b, 'helper', [])\n"),
+    }
+    assert _dead_patches(tests, sources) == [
+        "test_a.py:5 b.helper", "test_a.py:7 b.helper"]
+
+
+def test_no_patch_is_dead():
+    tests = _sources(os.path.dirname(os.path.abspath(__file__)))
+    assert _dead_patches(tests, _package_sources()) == []

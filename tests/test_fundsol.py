@@ -30,21 +30,15 @@ import pytest
 import scipy.integrate
 from scipy.special import loggamma
 
-from wavekin import bfunc, fundsol
+from wavekin import asymptotic, bfunc, fundsol, integrals, ray, ufunc
+from wavekin import line as line_mod
+from wavekin.asymptotic import _h_casc, _mb_line, _nu_hat, _q1_with_error
 from wavekin.bfunc import BEvaluator, default_evaluator
 from wavekin.contour import ContourSpec, TailModel, integrate_vertical
 from wavekin.errors import ConvergenceError, RegimeError, WavekinError
 from wavekin.fundsol import (
     LambdaQuery,
     _C_DT,
-    _adaptive_panels,
-    _core_mass,
-    _h_casc,
-    _integral,
-    _line_assembly,
-    _mb_line,
-    _nu_hat,
-    _q1_with_error,
     delta_pairing,
     eval_dlambda_dt,
     eval_dlambda_dx,
@@ -59,7 +53,9 @@ from wavekin.fundsol import (
     radial_profile,
     transport_apply,
 )
+from wavekin.integrals import _adaptive_panels, _core_mass, _integral
 from wavekin.kernels import eval_H
+from wavekin.line import _line_assembly
 from wavekin.ufunc import ENV_B, SQRT_2PI, eval_U
 
 
@@ -98,8 +94,8 @@ def test_direct_agrees_with_log_regularized(ev, t, x):
 def test_b_prime_grid_is_eval_b_prime(ev):
     # the "du" line of log_regularized reads B' on its grid: it carries
     # B's rounding, with no difference step to amplify it
-    v = fundsol._V_GRID[::97]
-    got = fundsol._b_prime_grid(ev, 1.0)[::97]
+    v = line_mod._V_GRID[::97]
+    got = line_mod._b_prime_grid(ev, 1.0)[::97]
     ref = np.array([ev.eval_B_prime(1.0 + 1j * y) for y in v])
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
@@ -160,15 +156,15 @@ def test_array_call_equals_scalar_calls(ev, kind, t, c, with_zero):
     # the q reach depths 1, 2 and 3, so the batch holds every lane; the q
     # up to the cut |q| |s0| = 1 of the closed form and next to it above
     # make its lane
-    s0 = c + 1j * fundsol._V_CUT
-    edge = fundsol._RAY_REACH / fundsol._ray_len0(s0)
+    s0 = c + 1j * ray._V_CUT
+    edge = ray._RAY_REACH / ray._ray_len0(s0)
     cut = 1.0 / abs(s0)
     more = np.array([edge * (1.0 - 1e-9), edge * (1.0 + 1e-9), 15.0, 25.0,
                      1e-4, 3e-3, cut * (1.0 - 1e-9), cut, cut * (1.0 + 1e-9)])
     q = np.concatenate((_Q, more, -more))
     q = np.sort(np.append(q, 0.0)) if with_zero else np.sort(q)
-    depth = np.maximum(np.frexp(q * (fundsol._ray_len0(s0)
-                                     / fundsol._RAY_REACH))[1], 0)
+    depth = np.maximum(np.frexp(q * (ray._ray_len0(s0)
+                                     / ray._RAY_REACH))[1], 0)
     assert {(k, np.sign(x)) for k, x in zip(depth, q) if x} == {
         (k, side) for k in range(4) for side in (-1.0, 1.0)}
     line = _line_assembly(ev, t, c, kind)
@@ -179,7 +175,7 @@ def test_array_call_equals_scalar_calls(ev, kind, t, c, with_zero):
     assert np.array_equal(errs, [e for _, e in scalar])
     # the lanes' panel geometry is kept read-only
     for side in (-1, 0, 1):
-        for arr in fundsol._ray_geometry(s0, 0, side, 0):
+        for arr in ray._ray_geometry(s0, 0, side, 0):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
@@ -195,7 +191,7 @@ def test_deep_ray_sweeps_equal_scalar_calls(ev, n):
         [0.0, 1e-16, -1e-16, 1e-15, -1e-15, 1e-13],
         rng.choice([-1.0, 1.0], 31) * 10.0 ** rng.uniform(-16.0, -12.0, 31)))
     # and q just above the cut of the closed form, which sweep the most
-    cut = 1.0 / abs(1.0 + 1j * fundsol._V_CUT)
+    cut = 1.0 / abs(1.0 + 1j * ray._V_CUT)
     above = (rng.choice([-1.0, 1.0], n // 4 + 1)
              * cut * (1.0 + 10.0 ** rng.uniform(-12.0, -1.0, n // 4 + 1)))
     q = rng.permutation(np.concatenate((near0[:n - n // 4],
@@ -210,9 +206,9 @@ def test_deep_ray_sweeps_equal_scalar_calls(ev, n):
 
 def test_batches_of_a_long_call_change_no_value(ev, monkeypatch):
     line = _line_assembly(ev, 0.7, 1.0, "u")
-    q = np.linspace(-9.0, 9.0, 2 * fundsol._Q_BATCH + 37)
+    q = np.linspace(-9.0, 9.0, 2 * line_mod._Q_BATCH + 37)
     vals, errs = line(q)
-    monkeypatch.setattr(fundsol, "_Q_BATCH", q.size)
+    monkeypatch.setattr(line_mod, "_Q_BATCH", q.size)
     whole = line(q)
     assert np.array_equal(vals, whole[0]) and np.array_equal(errs, whole[1])
 
@@ -222,9 +218,9 @@ def test_batches_of_a_long_call_change_no_value(ev, monkeypatch):
 
 @pytest.fixture
 def empty_store():
-    fundsol._q_store.cache_clear()
-    yield fundsol._q_store
-    fundsol._q_store.cache_clear()
+    line_mod._q_store.cache_clear()
+    yield line_mod._q_store
+    line_mod._q_store.cache_clear()
 
 
 def _bits(arrays):
@@ -265,43 +261,43 @@ def test_an_array_is_kept_on_first_sighting_and_the_least_recent_evicted(
     line = _line_assembly(ev, 1.3, 1.0, "u")
     line(_Q)
     assert _held(empty_store) == (0, 1, 1)
-    kept = fundsol._q_rows(_Q.copy(), 1.0)
+    kept = line_mod._q_rows(_Q.copy(), 1.0)
     assert _held(empty_store) == (1, 1, 1)
     # _Q_ARRAYS arrays fill the store; _Q, used last, outlives arrays[0]
     # when one more comes
-    arrays = [_Q + k for k in range(1, fundsol._Q_ARRAYS + 1)]
+    arrays = [_Q + k for k in range(1, line_mod._Q_ARRAYS + 1)]
     for q in arrays[:-1]:
         line(q)
     line(_Q)
     line(arrays[-1])
-    assert _held(empty_store) == (2, fundsol._Q_ARRAYS + 1,
-                                  fundsol._Q_ARRAYS)
-    assert fundsol._q_rows(_Q, 1.0) is kept
-    fundsol._q_rows(arrays[0], 1.0)
-    assert _held(empty_store) == (3, fundsol._Q_ARRAYS + 2,
-                                  fundsol._Q_ARRAYS)
+    assert _held(empty_store) == (2, line_mod._Q_ARRAYS + 1,
+                                  line_mod._Q_ARRAYS)
+    assert line_mod._q_rows(_Q, 1.0) is kept
+    line_mod._q_rows(arrays[0], 1.0)
+    assert _held(empty_store) == (3, line_mod._Q_ARRAYS + 2,
+                                  line_mod._Q_ARRAYS)
 
 
 def test_stored_rows_are_fresh_rows(ev, empty_store):
     q = np.concatenate((_Q, [0.0, -0.0]))
-    first = fundsol._q_rows(q, 1.0)
-    kept = fundsol._q_rows(q.copy(), 1.0)
+    first = line_mod._q_rows(q, 1.0)
+    kept = line_mod._q_rows(q.copy(), 1.0)
     # a hit on an equal array returns the kept rows and lanes, read-only
     assert kept is first and _held(empty_store) == (1, 1, 1)
     assert not any(arr.flags.writeable for arr in _arrays(kept))
-    fresh = (*fundsol._filon_rows(q), fundsol._ray_lanes(q, 1.0))
+    fresh = (*line_mod._filon_rows(q), ray._ray_lanes(q, 1.0))
     assert _flat_rows(kept) == _flat_rows(fresh)
     # a line at another abscissa takes an entry of its own
-    other = fundsol._q_rows(q, _C_DT)
+    other = line_mod._q_rows(q, _C_DT)
     assert _held(empty_store) == (1, 2, 2)
     assert _flat_rows(other) == _flat_rows(
-        (*fundsol._filon_rows(q), fundsol._ray_lanes(q, _C_DT)))
+        (*line_mod._filon_rows(q), ray._ray_lanes(q, _C_DT)))
     # 256 q, most of them in the closed form's lane: the values read off
     # the kept lane equal those of the first sighting and of a fresh store
     q = np.linspace(-0.008, 0.008, 256)
     line = _line_assembly(ev, 0.35, 1.0, "u")
     first, kept = (line(q.copy()) for _ in range(2))
-    closed = [lane for lane in fundsol._q_rows(q, 1.0)[2] if lane[0] is None]
+    closed = [lane for lane in line_mod._q_rows(q, 1.0)[2] if lane[0] is None]
     assert len(closed) == 1 and closed[0][3].size > 128
     empty_store.cache_clear()
     assert _bits(first) == _bits(kept) == _bits(line(q))
@@ -323,14 +319,14 @@ def test_a_profile_at_a_second_t_equals_one_on_an_empty_store(
     assert _bits(warm_line) == _bits(_line_assembly(ev, 1.7, 1.0, "u")(grid))
 
 
-def _spy(monkeypatch, name, calls):
-    """Record the arguments of every call of fundsol's name in calls."""
-    real = getattr(fundsol, name)
+def _spy(monkeypatch, module, name, calls):
+    """Record the arguments of every call of module's name in calls."""
+    real = getattr(module, name)
 
     def call(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(fundsol, name, call)
+    monkeypatch.setattr(module, name, call)
 
 
 def test_a_second_profile_on_a_grid_takes_its_q_rows_from_the_store(
@@ -342,12 +338,13 @@ def test_a_second_profile_on_a_grid_takes_its_q_rows_from_the_store(
     radial_profile(0.9, *_PROFILE, evaluator=ev)
     calls = {name: [] for name in ("_filon_rows", "_ray_lanes",
                                    "_ray_factors")}
-    for name, args in calls.items():
-        _spy(monkeypatch, name, args)
+    _spy(monkeypatch, line_mod, "_filon_rows", calls["_filon_rows"])
+    _spy(monkeypatch, line_mod, "_ray_lanes", calls["_ray_lanes"])
+    _spy(monkeypatch, ray, "_ray_factors", calls["_ray_factors"])
     warm = radial_profile(2.3, *_PROFILE, evaluator=ev)
     assert not calls["_filon_rows"] and not calls["_ray_lanes"]
-    s0 = 1.0 + 1j * fundsol._V_CUT
-    heads = [fundsol._ray_geometry(s0, 0, side, 0)[2] for side in (-1, 1)]
+    s0 = 1.0 + 1j * ray._V_CUT
+    heads = [ray._ray_geometry(s0, 0, side, 0)[2] for side in (-1, 1)]
     assert not any(np.shares_memory(args[1], h)
                    for args in calls["_ray_factors"] for h in heads)
     empty_store.cache_clear()
@@ -362,7 +359,7 @@ def test_profiles_and_l1_norms_at_new_t_recompute_no_q_rows(
     # the benchmark's integrals: every array of the first round is still
     # held in the two rounds after it
     calls = []
-    _spy(monkeypatch, "_filon_rows", calls)
+    _spy(monkeypatch, line_mod, "_filon_rows", calls)
     radial_profile(1.1, *_PROFILE, evaluator=ev)
     l1_norm_lambda(1.1, evaluator=ev)
     first = {args[0].tobytes() for args in calls if args[0].size > 1}
@@ -389,9 +386,9 @@ def test_a_one_point_query_leaves_the_store_unchanged(ev, empty_store):
     line(np.array([-3e-3]))
     assert empty_store.cache_info() == before
     # the entries are the rows of the two arrays, as they were
-    kept = [fundsol._q_rows(q, 1.0) for q in (_Q, _Q[::-1])]
+    kept = [line_mod._q_rows(q, 1.0) for q in (_Q, _Q[::-1])]
     assert _flat_rows(kept[0]) == _flat_rows(
-        (*fundsol._filon_rows(_Q), fundsol._ray_lanes(_Q, 1.0)))
+        (*line_mod._filon_rows(_Q), ray._ray_lanes(_Q, 1.0)))
     assert _held(empty_store) == (before.hits + 2, before.misses, 2)
 
 
@@ -399,26 +396,26 @@ def test_the_store_stays_within_its_bound(empty_store):
     rng = np.random.default_rng(50)
     used = {}
     for k in range(20):
-        q = rng.uniform(-9.0, 9.0, fundsol._Q_BATCH)
+        q = rng.uniform(-9.0, 9.0, line_mod._Q_BATCH)
         for c in (1.0, 1.0) + (_C_DT,) * (k % 5 == 0):
             used.pop((q.tobytes(), c), None)
-            used[q.tobytes(), c] = fundsol._q_rows(q, c)
+            used[q.tobytes(), c] = line_mod._q_rows(q, c)
     info = empty_store.cache_info()
-    assert info.currsize == fundsol._Q_ARRAYS
+    assert info.currsize == line_mod._Q_ARRAYS
     # the last _Q_ARRAYS pairs used are the entries: each is a hit that
     # returns the rows it returned before
-    held = list(used.items())[-fundsol._Q_ARRAYS:]
+    held = list(used.items())[-line_mod._Q_ARRAYS:]
     for (key, c), rows in held:
-        assert fundsol._q_rows(np.frombuffer(key), c) is rows
-    assert _held(empty_store) == (info.hits + fundsol._Q_ARRAYS,
-                                  info.misses, fundsol._Q_ARRAYS)
+        assert line_mod._q_rows(np.frombuffer(key), c) is rows
+    assert _held(empty_store) == (info.hits + line_mod._Q_ARRAYS,
+                                  info.misses, line_mod._Q_ARRAYS)
     # every kept array, counted here, against _Q_ARRAYS full batches of q
     # that all sweep the ray
-    q = np.linspace(1.0, 9.0, fundsol._Q_BATCH)
+    q = np.linspace(1.0, 9.0, line_mod._Q_BATCH)
     full = sum(a.nbytes for a in _arrays(
-        (*fundsol._filon_rows(q), fundsol._ray_lanes(q, 1.0))))
+        (*line_mod._filon_rows(q), ray._ray_lanes(q, 1.0))))
     kept = sum(a.nbytes for _, rows in held for a in _arrays(rows))
-    assert 0 < kept <= fundsol._Q_ARRAYS * full
+    assert 0 < kept <= line_mod._Q_ARRAYS * full
 
 
 @pytest.mark.parametrize("t", [0.3, 2.0])
@@ -443,7 +440,7 @@ def test_vertical_ray_at_x_one(ev, t, ref, ref_err):
 def test_lambda_is_not_negative(ev, t):
     # Lambda >= 0 within its error; 400 points take two batches of the line
     x = np.geomspace(1e-3, 100.0, 400)
-    assert x.size > fundsol._Q_BATCH
+    assert x.size > line_mod._Q_BATCH
     val, err = fundsol._direct(t, np.log(x), ev)
     assert np.all(np.isfinite(val))
     assert (val + err).min() >= 0.0
@@ -507,17 +504,17 @@ def _ray_nodes(s0, n_panels=24):
     # the Gauss nodes of the first n_panels panels of _ray_tail, on all
     # three ray directions, at depth 0 (|q| < 4.976) and at depth 4, the
     # depth of |q| = 40
-    len0 = fundsol._ray_len0(s0)
-    r = np.concatenate([fundsol._ray_panels(len0, depth, 0, n_panels)[0]
+    len0 = ray._ray_len0(s0)
+    r = np.concatenate([ray._ray_panels(len0, depth, 0, n_panels)[0]
                         for depth in (0, 4)])
-    return s0 + fundsol._RAY_DIRS[:, None, None] * r
+    return s0 + ray._RAY_DIRS[:, None, None] * r
 
 
 def _closed_tail(kind, t, a, s):
     # the tail model in closed form: (ENV_B z)^(-2t) times the Horner sum
     # of its ladder, times z for "su" and over z for "du"
     z = s - 1.0 if kind == "ut" else s
-    p = fundsol._V_BAR / z
+    p = ray._V_BAR / z
     if kind in ("u", "q2", "su"):
         ladder = a[0] + p * (a[1] + p * (a[2] + p * (a[3] + p * a[4])))
     else:
@@ -534,11 +531,11 @@ def test_tail_model_is_the_fit_columns_summed(ev, kind, c, t):
     # the fit's column matrix times the amplitudes is the model that the
     # ray samples, and both are the model's closed form
     line = _line_assembly(ev, t, c, kind)
-    s = _ray_nodes(c + 1j * fundsol._V_CUT)
-    log_b, cols = fundsol._tail_columns(kind, s)
-    assert cols.shape == s.shape + (fundsol._MODEL_K,)
+    s = _ray_nodes(c + 1j * ray._V_CUT)
+    log_b, cols = ray._tail_columns(kind, s)
+    assert cols.shape == s.shape + (ray._MODEL_K,)
     ref = (np.exp(-2.0 * t * log_b)[..., None] * cols) @ line.model_a
-    got = fundsol._tail_model(t, (log_b, cols), line.model_a)
+    got = ray._tail_model(t, (log_b, cols), line.model_a)
     closed = _closed_tail(kind, t, line.model_a, s)
     assert got.shape == ref.shape == closed.shape
     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
@@ -550,7 +547,7 @@ def test_a_query_evaluates_no_fit_column(ev, monkeypatch):
     # ladders; a query reads none and samples the tail model with the
     # line's 1-D amplitudes only
     columns, amplitudes = [], []
-    real_columns, real_model = fundsol._fit_columns, fundsol._tail_model
+    real_columns, real_model = line_mod._fit_columns, ray._tail_model
 
     def spy_columns(kind, t, c):
         columns.append((kind, t, c))
@@ -560,8 +557,8 @@ def test_a_query_evaluates_no_fit_column(ev, monkeypatch):
         amplitudes.append(np.ndim(a))
         return real_model(t, cols, a)
 
-    monkeypatch.setattr(fundsol, "_fit_columns", spy_columns)
-    monkeypatch.setattr(fundsol, "_tail_model", spy_model)
+    monkeypatch.setattr(line_mod, "_fit_columns", spy_columns)
+    monkeypatch.setattr(ray, "_tail_model", spy_model)
     q = np.linspace(-6.0, 6.0, 30)
     for kind, c in _KINDS:
         line = _line_assembly(ev, 1.37, c, kind)    # a t no other test uses
@@ -578,14 +575,14 @@ def test_a_query_evaluates_no_fit_column(ev, monkeypatch):
 def test_kept_ladder_columns_are_the_tail_model(kind, c, t):
     # the fit's columns at t from the columns kept per (kind, c) are the
     # tail model with the unit vectors as amplitudes, bit for bit
-    got = fundsol._fit_columns(kind, t, c)
-    for cols, iv in zip(got, (fundsol._FIT_IV_PROBE, fundsol._FIT_IV_CHECK)):
-        fresh = fundsol._tail_columns(kind, c + iv)
-        ref = np.stack([fundsol._tail_model(t, fresh, unit)
-                        for unit in np.eye(fundsol._MODEL_K)], axis=-1)
-        assert cols.shape == ref.shape == (iv.size, fundsol._MODEL_K)
+    got = line_mod._fit_columns(kind, t, c)
+    for cols, iv in zip(got, (line_mod._FIT_IV_PROBE, line_mod._FIT_IV_CHECK)):
+        fresh = ray._tail_columns(kind, c + iv)
+        ref = np.stack([ray._tail_model(t, fresh, unit)
+                        for unit in np.eye(ray._MODEL_K)], axis=-1)
+        assert cols.shape == ref.shape == (iv.size, ray._MODEL_K)
         assert cols.tobytes() == ref.tobytes()
-    for kept in fundsol._fit_ladders(kind, c):
+    for kept in line_mod._fit_ladders(kind, c):
         assert not kept.flags.writeable
 
 
@@ -595,15 +592,15 @@ def test_kept_ray_columns_are_the_tail_model(ev, kind, c, t):
     # summed with the line's amplitudes, are the tail model at its nodes
     # times its Gauss weights, bit for bit
     line = _line_assembly(ev, t, c, kind)
-    s0 = c + 1j * fundsol._V_CUT
+    s0 = c + 1j * ray._V_CUT
     for depth, side in ((0, -1), (0, 0), (0, 1), (4, -1)):
-        for block in range(len(fundsol._RAY_BLOCKS)):
-            nodes, weights, _ = fundsol._ray_geometry(s0, depth, side, block)
-            kept = fundsol._ray_columns(kind, s0, depth, side, block)
+        for block in range(len(ray._RAY_BLOCKS)):
+            nodes, weights, _ = ray._ray_geometry(s0, depth, side, block)
+            kept = ray._ray_columns(kind, s0, depth, side, block)
             assert not any(arr.flags.writeable for arr in kept)
-            got = fundsol._tail_model(t, kept, line.model_a)
-            ref = fundsol._tail_model(
-                t, fundsol._tail_columns(kind, nodes, weights), line.model_a)
+            got = ray._tail_model(t, kept, line.model_a)
+            ref = ray._tail_model(
+                t, ray._tail_columns(kind, nodes, weights), line.model_a)
             assert got.shape == nodes.shape
             assert got.tobytes() == ref.tobytes()
 
@@ -614,7 +611,7 @@ def _quad_ray(F, s0, q, c):
     The integrand's phase e^(-(s0-c) q) and the direction are taken out, and
     the rest, which decays like e^(-|q| r / sqrt 2), goes in pieces of 1, 1,
     2, 4, ... decay lengths."""
-    d = fundsol._RAY_DIRS[int(np.sign(q))]
+    d = ray._RAY_DIRS[int(np.sign(q))]
 
     def g(r):
         return complex(F(s0 + d * r) * np.exp(-d * r * q))
@@ -638,13 +635,13 @@ def test_ray_tail_matches_quad(ev, t, q):
     line = _line_assembly(ev, t, c, "u")
 
     def model(s):
-        return fundsol._tail_model(t, fundsol._tail_columns("u", s),
+        return ray._tail_model(t, ray._tail_columns("u", s),
                                    line.model_a)
 
-    s0 = c + 1j * fundsol._V_CUT
+    s0 = c + 1j * ray._V_CUT
     ref = _quad_ray(model, s0, q, c)
-    lanes = fundsol._ray_lanes(np.array([q]), c)
-    (got,), (err,) = fundsol._ray_tail(line, lanes, 1)
+    lanes = ray._ray_lanes(np.array([q]), c)
+    (got,), (err,) = ray._ray_tail(line, lanes, 1)
     assert abs(got - ref) <= err
 
 
@@ -660,21 +657,21 @@ _FULL_BLOCKS = tuple((8 * (2 ** k - 1), 8 * (2 ** (k + 1) - 1))
 def full_sweep(monkeypatch):
     """The panel sweep of the q array q on the line, through a hand-built
     depth-0 lane per sign and on _FULL_BLOCKS: (values, errors)."""
-    monkeypatch.setattr(fundsol, "_RAY_BLOCKS", _FULL_BLOCKS)
-    monkeypatch.setattr(fundsol, "_RAY_K", np.arange(_FULL_BLOCKS[-1][1]))
+    monkeypatch.setattr(ray, "_RAY_BLOCKS", _FULL_BLOCKS)
+    monkeypatch.setattr(ray, "_RAY_K", np.arange(_FULL_BLOCKS[-1][1]))
 
     def sweep(line, q):
-        s0 = line.c + 1j * fundsol._V_CUT
-        len0 = fundsol._ray_len0(s0)
+        s0 = line.c + 1j * ray._V_CUT
+        len0 = ray._ray_len0(s0)
         val, err = np.empty(q.size, complex), np.empty(q.size)
         for side in (-1, 1):
             at = np.flatnonzero(np.sign(q) == side)
             qs = q[at]
-            pre = np.exp((fundsol._RAY_DIRS[side] * len0 - (s0 - line.c))
+            pre = np.exp((ray._RAY_DIRS[side] * len0 - (s0 - line.c))
                          * qs)
-            head = fundsol._ray_factors(
-                qs, fundsol._ray_geometry(s0, 0, side, 0)[2])
-            val[at], err[at] = fundsol._ray_sweep(
+            head = ray._ray_factors(
+                qs, ray._ray_geometry(s0, 0, side, 0)[2])
+            val[at], err[at] = ray._ray_sweep(
                 line, (0, side, at, qs, pre, head))
         return val, err
     return sweep
@@ -682,10 +679,10 @@ def full_sweep(monkeypatch):
 
 def _closed(line, q):
     """The closed form's (values, errors) at the q array on the line."""
-    assert np.all(np.abs(q) * abs(line.c + 1j * fundsol._V_CUT) <= 1.0)
-    lanes = fundsol._ray_lanes(q, line.c)
+    assert np.all(np.abs(q) * abs(line.c + 1j * ray._V_CUT) <= 1.0)
+    lanes = ray._ray_lanes(q, line.c)
     assert [lane[:2] for lane in lanes] == [(None, None)]
-    return fundsol._ray_tail(line, lanes, q.size)
+    return ray._ray_tail(line, lanes, q.size)
 
 
 @pytest.mark.parametrize("kind, c, t", [
@@ -697,12 +694,12 @@ def test_closed_ray_at_q_zero_matches_quad(ev, kind, c, t):
     # decays like e^(-(alpha - 1) w); the sweep missed by 6.3x its error at
     # ("u", 0.55), as its stop test ignores the v^(1-2t) tail
     line = _line_assembly(ev, t, c, kind)
-    s0 = c + 1j * fundsol._V_CUT
+    s0 = c + 1j * ray._V_CUT
 
     def f(w):
-        v = fundsol._V_CUT * math.expm1(w)
+        v = ray._V_CUT * math.expm1(w)
         return complex(_closed_tail(kind, t, line.model_a, s0 + 1j * v)
-                       * (fundsol._V_CUT + v))
+                       * (ray._V_CUT + v))
 
     end = min(700.0, 40.0 / line.ray_series.e)
     ref = 1j * scipy.integrate.quad(f, 0.0, end, epsabs=0.0, epsrel=1e-13,
@@ -735,7 +732,7 @@ def test_closed_ray_is_continuous_across_whole_2t(ev, full_sweep, kind, c,
     # the values change with t no faster than over the widest step, and
     # agree with the sweep
     base = _line_assembly(ev, t0, c, kind)
-    gap = fundsol._RAY_POLE_GAP / 2.0
+    gap = ray._RAY_POLE_GAP / 2.0
     steps = [0.0, 1e-12, 1e-8, 1e-5, 1e-3, 0.98 * gap, 1.02 * gap]
     q = np.array([1e-12, 1e-4, 5.9e-3, -1e-12, -1e-4, -5.9e-3])
     vals = {}
@@ -805,22 +802,22 @@ def test_no_sweep_reaches_the_last_ray_block(ev, monkeypatch):
     # end in block 1 (14 panels at most, measured on every kind at t in
     # [0.001, 1000] and |q| up to 700); block 2 is the margin
     reached = set()
-    real = fundsol._ray_columns
+    real = ray._ray_columns
 
     def spy(kind, s0, depth, side, block):
         reached.add(block)
         return real(kind, s0, depth, side, block)
 
-    monkeypatch.setattr(fundsol, "_ray_columns", spy)
+    monkeypatch.setattr(ray, "_ray_columns", spy)
     for kind, c in _KINDS:
-        cut = 1.0 / abs(c + 1j * fundsol._V_CUT)
+        cut = 1.0 / abs(c + 1j * ray._V_CUT)
         q = np.concatenate((cut * (1.0 + np.array([1e-12, 1e-6, 1e-2])),
                             [0.01, 0.1, 1.0, 10.0, 60.0]))
         q = np.concatenate((q, -q))
         for t in (0.05, 0.3, 0.55, 1.0, 2.2, 10.0):
             _line_assembly(ev, t, c, kind)(q)
-    assert max(reached) == len(fundsol._RAY_BLOCKS) - 2
-    assert fundsol._RAY_BLOCKS[-1][1] == fundsol._RAY_PANELS
+    assert max(reached) == len(ray._RAY_BLOCKS) - 2
+    assert ray._RAY_BLOCKS[-1][1] == ray._RAY_PANELS
 
 
 # ---------------- tabulated lines of the asymptotic routes ----------------
@@ -861,12 +858,12 @@ def test_nu_hat_line_matches_vertical_quadrature(ev, m, t):
 def test_cascade_profiles_match_a_finer_trapezoid(ev):
     # B(z - w) straight from eval_B_many, on the full line, at half the step
     theta = 1.7 / 0.65
-    h = fundsol._MB_H / 2.0
-    n = int(round(fundsol._MB_V / h))
+    h = asymptotic._MB_H / 2.0
+    n = int(round(asymptotic._MB_V / h))
     w = -0.5 + 1j * h * np.arange(-n, n + 1)
     weights = np.full(w.size, h)
     weights[[0, -1]] *= 0.5
-    casc = fundsol._cascade_zeros()
+    casc = asymptotic._cascade_zeros()
     assert len(casc) == 6
     for z in casc:
         f = np.exp(loggamma(w) + w * math.log(theta)) * ev.eval_B_many(z - w)
@@ -876,17 +873,20 @@ def test_cascade_profiles_match_a_finer_trapezoid(ev):
 
 def test_unresolved_line_raises():
     # a pole 1e-3 from the line keeps the h and 2h rules apart at _MB_H
-    line = fundsol._MBLine(lambda s: 1.0 / (s - (1e-3 + 5j)), 0.0, 1e-18)
+    line = asymptotic._MBLine(lambda s: 1.0 / (s - (1e-3 + 5j)), 0.0, 1e-18)
     with pytest.raises(ConvergenceError):
         line(0.0)
 
 
 def test_asymptotic_routes_need_no_vertical_quadrature(ev, monkeypatch):
+    # ufunc's binding is the one eval_U and eval_U_small_t call, and no
+    # other module of the package calls integrate_vertical
     def refuse(*args, **kwargs):
         raise AssertionError("integrate_vertical was called")
 
-    monkeypatch.setattr(fundsol, "integrate_vertical", refuse)
-    assert math.isfinite(eval_lambda_series(0.55, 2.5, evaluator=ev))
+    monkeypatch.setattr(ufunc, "integrate_vertical", refuse)
+    for t, x in ((0.55, 2.5), (0.3, 0.6)):
+        assert math.isfinite(eval_lambda_series(t, x, evaluator=ev))
     val, err = _lam(3.0, 2.0, "large_t_asymptotic", ev)
     assert math.isfinite(val) and math.isfinite(err)
 
@@ -994,13 +994,13 @@ def test_delta_pairing_matches_quad(ev, t, lo, hi):
 
 def _count_line_calls(monkeypatch):
     calls = []
-    real_call = fundsol._LineAssembly.__call__
+    real_call = line_mod._LineAssembly.__call__
 
     def spy(self, q):
         calls.append(np.size(q))
         return real_call(self, q)
 
-    monkeypatch.setattr(fundsol._LineAssembly, "__call__", spy)
+    monkeypatch.setattr(line_mod._LineAssembly, "__call__", spy)
     return calls
 
 
@@ -1026,7 +1026,7 @@ def test_parseval_pairing_meets_the_panels(ev, t):
         phi = fundsol.TestFunction.bump(lo, hi)
         ref, _ = _integral(t, phi, math.log(lo), math.log(hi), 1e-9, ev)
         for rel_tol in (1e-6, 1e-7):
-            val = fundsol._parseval_pairing(t, phi, rel_tol, ev)
+            val = integrals._parseval_pairing(t, phi, rel_tol, ev)
             assert val is not None
             assert delta_pairing(t, phi, rel_tol=rel_tol, evaluator=ev) == val
             assert abs(val - ref) <= rel_tol * abs(ref)
@@ -1070,8 +1070,8 @@ def test_an_unsettled_parseval_sum_takes_the_panels(ev, t, lo, hi,
 
     monkeypatch.setattr(np.fft, "rfft", spy)
     phi = fundsol.TestFunction.bump(lo, hi)
-    assert fundsol._parseval_pairing(t, phi, rel_tol, ev) is None
-    assert max(lengths) < fundsol._PARSEVAL_CAP // 4
+    assert integrals._parseval_pairing(t, phi, rel_tol, ev) is None
+    assert max(lengths) < integrals._PARSEVAL_CAP // 4
     ref, _ = _integral(t, phi, math.log(lo), math.log(hi), rel_tol, ev)
     assert delta_pairing(t, phi, rel_tol=rel_tol, evaluator=ev) == ref
 
@@ -1100,8 +1100,8 @@ def test_pairing_refusals_and_t_zero_come_before_either_route(monkeypatch):
     def no_route(*args):
         raise AssertionError("a route was taken")
 
-    monkeypatch.setattr(fundsol, "_parseval_pairing", no_route)
-    monkeypatch.setattr(fundsol, "_integral", no_route)
+    monkeypatch.setattr(integrals, "_parseval_pairing", no_route)
+    monkeypatch.setattr(integrals, "_integral", no_route)
     phi = fundsol.TestFunction.bump(0.8, 1.25)
     assert delta_pairing(0.0, phi) == phi(1.0)
     for t, rel_tol in ((-1.0, 1e-7), (math.nan, 1e-7), (1.0, 0.0),
@@ -1119,13 +1119,13 @@ def test_l1_norm_takes_one_line_call_per_sweep(ev, monkeypatch):
 
 def _count_line_points(monkeypatch):
     points = []
-    real_batch = fundsol._LineAssembly._batch
+    real_batch = line_mod._LineAssembly._batch
 
     def spy(self, qs):
         points.append(qs.size)
         return real_batch(self, qs)
 
-    monkeypatch.setattr(fundsol._LineAssembly, "_batch", spy)
+    monkeypatch.setattr(line_mod._LineAssembly, "_batch", spy)
     return points
 
 
@@ -1150,10 +1150,10 @@ def _tau_ladder(a, b):
     a, b and the marks log1p(-+4^k u_core), k = 0..28, that it holds, the
     core left out.  Cut finely enough toward x = 1 that each span sees the
     cusp |x-1|^(2t-1) as a smooth power, it is the oracle of the w spans."""
-    rungs = [math.log1p(s * math.ldexp(fundsol._U_CORE, 2 * k))
+    rungs = [math.log1p(s * math.ldexp(integrals._U_CORE, 2 * k))
              for k in range(29) for s in (-1.0, 1.0)]
     marks = sorted({a, b, *(m for m in rungs if a < m < b)})
-    core = (math.log1p(-fundsol._U_CORE), math.log1p(fundsol._U_CORE))
+    core = (math.log1p(-integrals._U_CORE), math.log1p(integrals._U_CORE))
     return [span for span in zip(marks[:-1], marks[1:]) if span != core]
 
 
@@ -1166,7 +1166,7 @@ def test_ladder_up_to_t_half_has_every_rung(ev, t, monkeypatch):
     rungs = [math.exp(-40.0) * 4.0 ** k for k in range(29)]
     marks = sorted({a, b} | {math.log1p(s * u) for u in rungs
                              for s in (-1.0, 1.0)})
-    monkeypatch.setattr(fundsol, "_spans", _tau_ladder)
+    monkeypatch.setattr(integrals, "_spans", _tau_ladder)
     spans = _spans_handed_over(t, a, b, ev, monkeypatch)
     core = (math.log1p(-math.exp(-40.0)), math.log1p(math.exp(-40.0)))
     assert spans == [span for span in zip(marks[:-1], marks[1:])
@@ -1180,7 +1180,7 @@ def test_w_near_one_integral_is_the_every_rung_ladder(ev, t, monkeypatch):
     # the near-one ranges go in w = -log|x-1| at every t; on the spans of
     # the ladder alone the same driver takes every rung in tau
     near_w = _near_one(t, ev)
-    monkeypatch.setattr(fundsol, "_spans", _tau_ladder)
+    monkeypatch.setattr(integrals, "_spans", _tau_ladder)
     full = _near_one(t, ev, rel_tol=1e-10)
     assert abs(near_w - full) <= 1e-9 * full
 
@@ -1191,10 +1191,10 @@ def test_graded_ladder_keeps_the_near_one_integral(ev, t, monkeypatch):
     # six spans a side, graded as ((k/6)^1.5) from w = 1.18 to 40, finer
     # next to |x-1| = 0.306, keeps the same near-one integral
     near_w = _near_one(t, ev)
-    w_rung = -math.log(fundsol._W_RUNG)
+    w_rung = -math.log(integrals._W_RUNG)
     graded = tuple(w_rung + (40.0 - w_rung) * (k / 6.0) ** 1.5
                    for k in range(1, 6))
-    monkeypatch.setattr(fundsol, "_W_MARKS", graded)
+    monkeypatch.setattr(integrals, "_W_MARKS", graded)
     fine = _near_one(t, ev, rel_tol=1e-10)
     assert abs(near_w - fine) <= 1e-9 * fine
 
@@ -1208,7 +1208,7 @@ def test_w_spans_of_a_partial_near_one_range(ev, lo, hi, monkeypatch):
     for t in (0.3, 1.5):
         near_w = _integral(t, np.ones_like, a, b, 1e-6, ev, absolute=True)[0]
         with monkeypatch.context() as m:
-            m.setattr(fundsol, "_spans", _tau_ladder)
+            m.setattr(integrals, "_spans", _tau_ladder)
             full = _integral(t, np.ones_like, a, b, 1e-10, ev,
                              absolute=True)[0]
         assert abs(near_w - full) <= 1e-9 * full
@@ -1217,13 +1217,13 @@ def test_w_spans_of_a_partial_near_one_range(ev, lo, hi, monkeypatch):
 def _spans_handed_over(t, a, b, ev, monkeypatch):
     """The intervals ``_integral`` hands ``_adaptive_panels`` on [a, b]."""
     got = []
-    real = fundsol._adaptive_panels
+    real = integrals._adaptive_panels
 
     def spy(f, intervals, *args):
         got.append(intervals)
         return real(f, intervals, *args)
 
-    monkeypatch.setattr(fundsol, "_adaptive_panels", spy)
+    monkeypatch.setattr(integrals, "_adaptive_panels", spy)
     _integral(t, np.ones_like, a, b, 1e-6, ev, absolute=True)
     (intervals,) = got
     return intervals
@@ -1237,8 +1237,8 @@ def test_w_spans_end_where_the_ladder_drops_a_rung(ev, t, monkeypatch):
     a, b = math.log1p(-0.4), math.log1p(0.4)
     spans = _spans_handed_over(t, a, b, ev, monkeypatch)
     w = [_in_tau(span) for span in spans if _in_tau(span) != span]
-    assert len(w) == 2 * (len(fundsol._W_MARKS) + 1)
-    last = [math.log1p(s * math.ldexp(fundsol._U_CORE, 56))
+    assert len(w) == 2 * (len(integrals._W_MARKS) + 1)
+    last = [math.log1p(s * math.ldexp(integrals._U_CORE, 56))
             for s in (-1.0, 1.0)]
     ladder = _tau_ladder(a, b)
     outer = [span for span in ladder if span[1] <= last[0] or
@@ -1257,7 +1257,7 @@ def test_spans_of_the_l1_range_are_the_same_at_every_t(ev, monkeypatch):
     spans = seen[0]
     assert all(other == spans for other in seen[1:])
     w = [span for span in spans if _in_tau(span) != span]
-    assert len(w) == 2 * (len(fundsol._W_MARKS) + 1)
+    assert len(w) == 2 * (len(integrals._W_MARKS) + 1)
     assert len(spans) - len(w) == 2
 
 
@@ -1293,16 +1293,16 @@ def test_integral_floor_leaves_light_spans_whole(ev, monkeypatch):
     a, b = math.log(0.5), math.log(2.0)
     ref, _ = _integral(t, phi, a, b, 1e-9, ev)
     sweeps = []
-    real = fundsol._gauss_panels
+    real = integrals._gauss_panels
 
     def spy(f, bounds, absolute):
         sweeps.append(list(bounds))
         return real(f, bounds, absolute)
 
-    monkeypatch.setattr(fundsol, "_gauss_panels", spy)
+    monkeypatch.setattr(integrals, "_gauss_panels", spy)
     value, err = _integral(t, phi, a, b, rel_tol, ev)
     # sweeps[0] is the first panel of every span; the rest are bisections
-    deep = fundsol._W_MARKS[1] * fundsol._W_SCALE
+    deep = integrals._W_MARKS[1] * integrals._W_SCALE
     assert len(sweeps) > 1
     assert all(max(abs(lo), abs(hi)) <= deep
                for bounds in sweeps[1:] for lo, hi in bounds)
@@ -1316,7 +1316,7 @@ def _spy_walk(monkeypatch):
     over the intervals; the line calls are those the call makes itself."""
     calls = _count_line_calls(monkeypatch)
     got = []
-    real = fundsol._adaptive_panels
+    real = integrals._adaptive_panels
 
     def spy(f, intervals, rel_tol, absolute=False, floor=0.0, first=None):
         n = len(calls)
@@ -1325,7 +1325,7 @@ def _spy_walk(monkeypatch):
                     rel_tol, floor, first is not None, len(calls) - n))
         return out
 
-    monkeypatch.setattr(fundsol, "_adaptive_panels", spy)
+    monkeypatch.setattr(integrals, "_adaptive_panels", spy)
     return got, calls
 
 
@@ -1363,7 +1363,7 @@ def test_far_e_folds_are_not_refined(ev, monkeypatch):
     assert (tiles[0][0], tiles[-1][1]) == (lo, hi)
     gaps = [(p[1], q[0]) for p, q in zip(tiles[:-1], tiles[1:])
             if not math.isclose(p[1], q[0], rel_tol=1e-12)]
-    core = (math.log1p(-fundsol._U_CORE), math.log1p(fundsol._U_CORE))
+    core = (math.log1p(-integrals._U_CORE), math.log1p(integrals._U_CORE))
     assert gaps == [pytest.approx(core, rel=1e-12)]
     efolds = got[1:]
     assert all(len(intervals) == 1 for intervals, *_ in efolds)
@@ -1379,7 +1379,7 @@ def test_far_e_folds_are_not_refined(ev, monkeypatch):
 def _in_tau(span):
     """A span handed to ``_adaptive_panels`` by ``_integral``, in tau =
     log x: a w span is read back at its ends' q (``_nodes``)."""
-    return tuple(sorted(fundsol._nodes(np.array(span))[0].tolist()))
+    return tuple(sorted(integrals._nodes(np.array(span))[0].tolist()))
 
 
 def _l1_walk_per_e_fold(t, rel_tol, ev):
@@ -1399,7 +1399,7 @@ def _l1_walk_per_e_fold(t, rel_tol, ev):
             (v, _), = _adaptive_panels(
                 f, [(min(edge, edge + sign), max(edge, edge + sign))],
                 rel_tol, absolute=True,
-                floor=fundsol._EFOLD_SHARE * rel_tol * total)
+                floor=integrals._EFOLD_SHARE * rel_tol * total)
             total += v
             edge += sign
             if v < rel_tol * total:
@@ -1416,7 +1416,7 @@ def test_l1_norm_is_the_walk_per_e_fold(ev, t, rel_tol):
 
 
 def test_a_floor_stops_an_interval_at_once():
-    (v, e), = fundsol._gauss_panels(_jumpy, [(0.0, 1.0)], False)
+    (v, e), = integrals._gauss_panels(_jumpy, [(0.0, 1.0)], False)
     rel_tol = 0.1 * e / abs(v)
     n_calls = []
 
@@ -1445,7 +1445,7 @@ _INTERVALS = [(0.0, 1.0), (1.0, 2.5), (-3.0, -0.5), (2.5, 2.6), (3.0, 9.0)]
 
 @pytest.mark.parametrize("absolute", [False, True])
 def test_lockstep_panels_equal_one_interval_calls(absolute, monkeypatch):
-    monkeypatch.setattr(fundsol, "_PANEL_DEPTH", 10)
+    monkeypatch.setattr(integrals, "_PANEL_DEPTH", 10)
     points = []
 
     def f(x):
@@ -1710,9 +1710,9 @@ class _FlatB:
     lambda ev: _line_assembly(ev, 0.8, 1.0, "u"),
     lambda ev: _mb_line(ev, "nu", 8.5, 9),
     lambda ev: BEvaluator.laurent(ev, 3.0),
-    lambda ev: fundsol._b_grid(ev, 1.0),
-    lambda ev: fundsol._b_prime_grid(ev, 1.0),
-    lambda ev: fundsol._inv_b_spectrum(ev, 1.0 + fundsol._B_OFF),
+    lambda ev: line_mod._b_grid(ev, 1.0),
+    lambda ev: line_mod._b_prime_grid(ev, 1.0),
+    lambda ev: line_mod._inv_b_spectrum(ev, 1.0 + line_mod._B_OFF),
 ], ids=["line_assembly", "nu_hat", "laurent", "b_grid", "b_prime_grid",
         "inv_b_spectrum"])
 def test_fresh_evaluator_recomputes(call):
@@ -1739,9 +1739,9 @@ def test_residues_and_integer_values_draw_no_circle(monkeypatch):
     for s in np.concatenate([poles, zeros]).tolist():
         ev.laurent(s)
     for k in (-5, -4, -3, -2, 4, 5, 6, 7, 8):   # all the series reads
-        fundsol._b_at(ev, k)
-    fundsol._series_with_error(0.3, 0.6, ev)
-    fundsol._series_with_error(0.2, 3.0, ev)
+        asymptotic._b_at(ev, k)
+    asymptotic._series_with_error(0.3, 0.6, ev)
+    asymptotic._series_with_error(0.2, 3.0, ev)
     assert circles == []
 
 
@@ -1809,7 +1809,7 @@ def test_warm_line_equals_a_cold_one(kind, c, line_builds):
     # the warm evaluator assembles each t from the memos built at t = 0.45;
     # the cold side builds its own on a fresh evaluator
     warm_ev = BEvaluator()
-    fundsol._symbol_line(warm_ev, 0.45, c, kind)
+    line_mod._symbol_line(warm_ev, 0.45, c, kind)
     q = np.linspace(-6.0, 6.0, 31)
     for t in (0.3, 1.0, 2.2):
         n = len(line_builds)
@@ -1869,8 +1869,8 @@ def test_memoized_arrays_are_read_only_and_per_evaluator():
     for arr in arrays:
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
-    spectrum = fundsol._inv_b_spectrum(ev, 1.0 + fundsol._B_OFF)
-    other = fundsol._inv_b_spectrum(BEvaluator(), 1.0 + fundsol._B_OFF)
+    spectrum = line_mod._inv_b_spectrum(ev, 1.0 + line_mod._B_OFF)
+    other = line_mod._inv_b_spectrum(BEvaluator(), 1.0 + line_mod._B_OFF)
     assert not np.shares_memory(other, spectrum)
     assert np.array_equal(other, spectrum)
 
@@ -1891,7 +1891,7 @@ def test_mb_lines_are_read_only(ev):
     eval_Q1(2.0, evaluator=ev)
     eval_lambda_series(0.2, 3.0, evaluator=ev)
     lines = [val for store in ev._memo.values() for val in store.values()
-             if isinstance(val, fundsol._MBLine)]
+             if isinstance(val, asymptotic._MBLine)]
     assert len(lines) == 11      # the q1 line, four nu and six casc lines
     for line in lines:
         with pytest.raises(ValueError):

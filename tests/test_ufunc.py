@@ -629,6 +629,20 @@ def test_line_rejects_unequal_steps(ev):
         eval_U_line(0.5, 1.2 + 1j * im, evaluator=ev)
 
 
+def test_line_refuses_a_node_off_by_more_than_ulps(ev):
+    # 1.1e-10 off passed the old bound 1e-12 * span, and the line read U at
+    # the grid node: 8.5e-11 from U at the given s, against summed errors
+    # of 8.9e-15.  np.linspace lines sit within about 2 ulps of the grid
+    im = np.linspace(-60.0, 60.0, 41)
+    im[7] += 1.1e-10
+    with pytest.raises(ValueError):
+        eval_U_line(0.7, 1.2 + 1j * im, evaluator=ev)
+    for lo, hi in ((-60.0, 60.0), (13.3, 33.3), (-60.0, -0.7)):
+        vals, errs = eval_U_line(0.7, 1.2 + 1j * np.linspace(lo, hi, 100),
+                                 evaluator=ev)
+        assert np.isfinite(vals).all() and (errs < 1e-9).all()
+
+
 @pytest.mark.parametrize("re, step", [(1.0, 1e-6), (1.95, 1e-3)])
 def test_dense_line_matches_scalar(ev, re, step):
     # a step below pi d / 40 cannot be a multiple of the lattice step:
@@ -667,6 +681,11 @@ def test_v_near_a_pole_in_row_blocks(ev, monkeypatch):
     near = eval_V(z, s, beta=1.21, evaluator=ev)
     assert np.abs(near - eval_V(z, s, evaluator=ev)).max() <= (
         1e-9 * np.abs(near).max())
+    # the near line's 196,608 bins are built for the call, not kept, and
+    # built again alike
+    kept = ev._memo[ufunc._tile_spectrum.__wrapped__].values()
+    assert kept and max(sp.bins.size for sp in kept) <= ufunc._KEPT_BINS
+    assert eval_V(z, s, beta=1.21, evaluator=ev).tobytes() == near.tobytes()
     # one row per read changes only the summation order of the products,
     # whose terms near the pole exceed V by a factor ~1/0.01
     monkeypatch.setattr(ufunc, "_READ_ENTRIES", 1)
