@@ -9,11 +9,11 @@ directory, and each tree, REF's and the working tree's ``src``, runs in
 one subprocess of its own, so the two imports never meet.  The script
 prints:
 
-- per line kind ("u", "du", "q2", "su", "ut") at t = 0.7 and 2, on a fixed
-  q grid: the largest |value difference| over the working tree's reported
-  error, the largest |error difference| over that error, whether the two
-  trees' values and errors are bit-identical, and whether an array call
-  equals the scalar calls exactly in each tree;
+- per line kind ("u", "du", "q2", "su") at t = 0.7 and 2 ("su" at 2
+  only), on a fixed q grid: the largest |value difference| over the
+  working tree's reported error, the largest |error difference| over that
+  error, whether the two trees' values and errors are bit-identical, and
+  whether an array call equals the scalar calls exactly in each tree;
 - ``l1_norm_lambda`` at t = 0.3, 0.59, 0.7, 1, 1.5 and 4, and
   ``delta_pairing`` of the bump on [0.5, 2], which holds x = 1, at
   t = 0.3, 0.7 and 1.5, in both trees, each with the number of line
@@ -40,6 +40,10 @@ prints:
   or of eval_U at t >= 1;
 - ``eval_V`` on the (z, s) grid ``V_POINTS``: |V| and the relative gap
   between the trees, and whether their values are bit-identical;
+- ``eval_dlambda_dt`` on the (t, x) grid ``DT_POINTS``: each tree's value
+  and its distance to a fourth-order central difference in t (step
+  ``DT_STEP``) of ``eval_lambda`` on the "direct" regime, which reads only
+  public routes, and the work tree's distance over the ref tree's;
 - ``eval_B_prime`` at the points ``B_PRIME_POINTS``: each tree's relative
   distance to a Cauchy derivative circle of radius 0.05 on eval_B_many;
 - B' on the output grid of the c = 1 lines (``line._b_prime_grid``),
@@ -91,8 +95,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: (kind, abscissa, t) of the compared lines
-LINES = [(kind, c, t) for kind, c in (("u", 1.0), ("du", 1.0), ("q2", 1.0),
-                                      ("su", 1.0), ("ut", 1.5))
+LINES = [(kind, 1.0, t) for kind in ("u", "du", "q2", "su")
          for t in (0.7, 2.0) if kind != "su" or t > 1.0]
 L1_TS = (0.3, 0.59, 0.7, 1.0, 1.5, 4.0)
 #: (t, lo, hi) of the compared pairings: bumps whose support holds x = 1
@@ -123,6 +126,11 @@ DU_POINTS = [(t, s) for t in (1e-6, 1e-4, 0.01, 0.2, 0.9, 2.5)
 #: (z, s) of the compared eval_V values
 V_POINTS = [(z, s) for z in (1.0, 2.0 + 3.0j, 0.3 - 2.5j, 1e3 + 50.0j)
             for s in (1.2 + 0.5j, 0.7 - 40.0j, 1.9 + 20.0j)]
+#: (t, x) of the compared eval_dlambda_dt values
+DT_POINTS = [(t, x) for t in (0.55, 0.8, 1.0, 1.5, 2.5)
+             for x in (1e-3, 0.5, 0.999, 1.0, 1.001, 2.0, 100.0)]
+#: step in t of the central difference they are held to
+DT_STEP = 1e-3
 #: points of the compared eval_B_prime values: walks of -4 to 6 steps
 B_PRIME_POINTS = [complex(re, im) for re in (-2.6, -0.7, 0.6, 1.2, 2.3, 7.3)
                   for im in (0.5, -40.0)]
@@ -256,8 +264,17 @@ def derivative(req):
     ref = np.array([fresh.eval_B_prime(1.0 + 1j * v)
                     for v in home._V_GRID[::97]])
     rel = np.abs(grid - ref) / np.abs(ref)
+    dt = []
+    for t, x in req["dt"]:
+        h = req["dt_step"]
+        lam = {k: fundsol.eval_lambda(
+                   fundsol.LambdaQuery(t + k * h, x, "direct"), fresh)
+               for k in (-2, -1, 1, 2)}
+        fd = (8.0 * (lam[1] - lam[-1]) - (lam[2] - lam[-2])) / (12.0 * h)
+        d = fundsol.eval_dlambda_dt(t, x, fresh)
+        dt.append([d, abs(d - fd)])
     return {"du": du, "v": [[x.real, x.imag] for x in v], "b_prime": b_prime,
-            "grid": [float(rel.max()), float(np.median(rel))]}
+            "grid": [float(rel.max()), float(np.median(rel))], "dt": dt}
 
 
 def run(case):
@@ -448,7 +465,8 @@ def compare_derivative(ref, work):
            "du": [(t, (s.real, s.imag)) for t, s in DU_POINTS],
            "v": [((complex(z).real, complex(z).imag), (s.real, s.imag))
                  for z, s in V_POINTS],
-           "b_prime": [(s.real, s.imag) for s in B_PRIME_POINTS]}
+           "b_prime": [(s.real, s.imag) for s in B_PRIME_POINTS],
+           "dt": DT_POINTS, "dt_step": DT_STEP}
     a, b = ref.ask(**req), work.ask(**req)
     print(f"\n{'eval_dU_ds':<28}{'|dU|':>10}{'tree gap':>10}"
           f"{'ref ~ diff':>12}{'work ~ diff':>12}   (relative)")
@@ -468,6 +486,11 @@ def compare_derivative(ref, work):
     for name, x, y in zip(("max", "median"), a["grid"], b["grid"]):
         label = "B' grid c = 1 ~ eval_B_prime, " + name
         print(f"{label:<40}{x:>10.2g}{y:>10.2g}")
+    print(f"{'eval_dlambda_dt':<20}{'ref':>20}{'work':>20}{'ref ~ diff':>12}"
+          f"{'work ~ diff':>12}{'work/ref':>10}")
+    for (t, x), (va, da), (vb, db) in zip(DT_POINTS, a["dt"], b["dt"]):
+        print(f"{f't = {t}, x = {x}':<20}{va:>20.12g}{vb:>20.12g}"
+              f"{da:>12.2g}{db:>12.2g}{db / da:>10.3g}")
 
 
 def compare_times(ref, work, rounds):

@@ -571,7 +571,7 @@ class BEvaluator:
     strip values, the store of line blocks, which keeps the most recently
     used up to _LINE_BYTES, and the ``memo`` maps: the gauge offset, the
     ladder (``laurent``), ufunc's kept spectra of 1/B per line, step and
-    tile (``ufunc._tile_spectrum``), ``line``'s grid lines of B, B' and W,
+    tile (``ufunc._tile_spectrum``), ``line``'s grid lines of B and B',
     its spectra of 1/B and its assemblies, and ``asymptotic``'s
     Mellin-Barnes lines.
     """

@@ -90,7 +90,6 @@ REGIMES = (
     "small_t_series",
 )
 
-_C_DT = 1.5
 _T_LOGREG_MAX = 0.6
 
 
@@ -216,19 +215,21 @@ def radial_profile(t, x_min, x_max, n_points, evaluator=None):
 
 
 def eval_dlambda_dt(t, x, evaluator=None):
-    """d Lambda / d t via the delay identity dU/dt(t,s) = W(s-1) U(t,s-1).
+    """d Lambda / d t on the direct line, Re s = 1.
 
-    The shifted line sits at Re s = 3/2 so the inner symbol is evaluated on
-    Re = 1/2, inside the strip.  For t <= 1/2 the tail is only conditionally
-    integrable, so x = 1 is refused there.  Where x^-3/2 passes
-    e^_LOG_SCALE_MAX (x below about 1e-203) the line raises RegimeError.
+    In U only the kernel Gamma(z) t^(-z) depends on t, and its
+    t-derivative is -Gamma(z + 1) t^(-(z + 1)): the line is U's own
+    convolution with the kernel's offset moved by 1 (``line._symbol_line``,
+    kind "dt").  For t <= 1/2 the tail is only conditionally integrable,
+    so x = 1 is refused there.  Where x^-1 passes e^_LOG_SCALE_MAX (x below
+    about 1e-304) the line raises RegimeError.
     """
     _check_arg("t", t)
     _check_arg("x", x)
     ev = evaluator or default_evaluator()
     if x == 1.0 and t <= 0.5:
         raise RegimeError("dLambda/dt at x = 1 needs t > 1/2")
-    return _line_assembly(ev, t, _C_DT, "ut")(math.log(x))[0]
+    return _line_assembly(ev, t, _C_DIRECT, "dt")(math.log(x))[0]
 
 
 def eval_dlambda_dx(t, x, evaluator=None):

@@ -24,9 +24,11 @@ kernel Gamma(z) t^(-z) depends on t, so B on the grid (``_b_grid``) and the
 spectrum of 1/B on the auxiliary line (``_inv_b_spectrum``, built by
 ``ufunc._lattice_spectrum``) are tabulated once per abscissa, and the
 kernel's spectrum is known in closed form (``ufunc._gamma_t_spectrum``);
-``_conv_core`` is that engine's fold by 2 on this fixed layout.  A new t
-costs the real exponential of the bins that do not underflow (about half of
-them), one inverse FFT, the Legendre coefficients and the fit.  Every cache
+``_conv_core`` is that engine's fold by 2 on this fixed layout.  The time
+derivative ("dt") reads the same spectrum of 1/B: d/dt of the kernel is
+the kernel with its offset moved by 1, negated.  A new t costs the real
+exponential of the bins that do not underflow (about half of them), one
+inverse FFT, the Legendre coefficients and the fit.  Every cache
 of a quantity that reads B is a bounded ``bfunc.memo`` map kept inside the
 evaluator, holds one quantity keyed by what it depends on, and is freed
 with the evaluator and keeps none alive; the fit's and the ray's columns,
@@ -45,7 +47,6 @@ from numpy.polynomial.legendre import legvander
 from scipy.special import jv
 
 from wavekin.bfunc import _fft_length, memo
-from wavekin.complexfn import eval_W
 from wavekin.errors import RegimeError
 from wavekin.ray import (_MODEL_K, _V_CUT, _RaySeries, _ray_lanes, _ray_tail,
                          _tail_columns)
@@ -173,12 +174,6 @@ def _b_prime_grid(ev, c):
 
 
 @memo(8)
-def _w_grid(ev, c):
-    """W(c - 1 + i v) on the output grid, the delay factor of kind "ut"."""
-    return _frozen(eval_W((c - 1.0) + 1j * _V_GRID))
-
-
-@memo(8)
 def _inv_b_spectrum(ev, beta):
     """The DFT over _N_FFT bins of 1/B(beta + i w) on the lattice w = m _H_W
     of the auxiliary line, |m| <= _K_HALF + _NV - 1, zero-padded and rolled
@@ -234,23 +229,23 @@ def _symbol_line(ev, t, c, kind):
 
     kind "u"   Sym = U(t, s)
     kind "du"  Sym = dU/ds (t, s)
+    kind "dt"  Sym = dU/dt (t, s)
     kind "su"  Sym = s U(t, s)
-    kind "ut"  Sym = W(s-1) U(t, s-1)     (the time derivative symbol)
     kind "q2"  Sym = U_rem(t, s), the remainder of U after removing the
                residue at the first zero of B (auxiliary line at _BETA2)
 
-    The one map from a kind to its lines: "u" and "du" convolve on the
-    auxiliary line c + _B_OFF, "q2" on _BETA2, "su" and "ut" read the "u"
-    line at c and c - 1.  Only the kernel Gamma(z) t^(-z) depends on t: B,
-    B' and W on the grid and the spectrum of 1/B are memoized per
-    evaluator and abscissa, and the kernel's spectrum e^(a u - t e^u) is
-    known in closed form (``_conv_core``), so a new t costs the real
-    exponential of the bins that do not underflow and one inverse FFT.
+    The one map from a kind to its lines: "u", "du" and "dt" convolve on
+    the auxiliary line c + _B_OFF, "q2" on _BETA2, and "su" reads the "u"
+    line.  Only the kernel Gamma(z) t^(-z) depends on t, and its
+    t-derivative is -Gamma(z + 1) t^(-(z + 1)) (DLMF 5.5.1): "dt" is the
+    "u" line's convolution with the kernel's offset moved by 1.  B and B'
+    on the grid and the spectrum of 1/B are memoized per evaluator and
+    abscissa, and the kernel's spectrum e^(a u - t e^u) is known in closed
+    form (``_conv_core``), so a new t costs the real exponential of the
+    bins that do not underflow and one inverse FFT.
     """
     if kind == "su":
         return (c + 1j * _V_GRID) * _symbol_line(ev, t, c, "u")
-    if kind == "ut":
-        return _w_grid(ev, c) * _symbol_line(ev, t, c - 1.0, "u")
     if kind == "q2":
         spectrum = _inv_b_spectrum(ev, _BETA2)
         return _b_grid(ev, c) * _conv_core(spectrum, _BETA2 - c, t)
@@ -261,6 +256,8 @@ def _symbol_line(ev, t, c, kind):
     if kind == "du":
         core, core2 = _conv_core(spectrum, _B_OFF, t, du=True)
         return _b_prime_grid(ev, c) * core + _b_grid(ev, c) * core2
+    if kind == "dt":
+        return -_b_grid(ev, c) * _conv_core(spectrum, _B_OFF + 1.0, t)
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 

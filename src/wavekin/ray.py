@@ -3,26 +3,27 @@
 Beyond V the line's symbol is a five-term model of its (ENV_B s)^(-2t)
 decay (``_tail_model``), fit by ``line`` and integrated here along a
 rotated ray (``_ray_tail``), which keeps the integral non-oscillatory for
-any q.  The model is a sum of powers z^(-alpha) (and one log z z^(-alpha)
-for "du" and "ut"), whose ray integrals are incomplete Gamma functions: for
+any q.  The model is a sum of powers s^(-alpha) (and one log s s^(-alpha)
+for "du" and "dt"), whose ray integrals are incomplete Gamma functions: for
 |q| |s0| <= 1, s0 = c + i V, their series (DLMF 8.7.3) gives them in closed
 form (``_RaySeries``), kept with the line, and the cusp q^(2t-1) of Lambda
 at x = 1 is its Gamma term.  Every other q sums geometric 16-point Gauss
 panels: each starts its panels at its own depth, short enough for the rule
 to resolve the ray's decay e^(-|q| r/sqrt 2), and sweeps them only until
-its own sum has settled, within 14 panels.  Only base = (ENV_B z)^(-2t) of
+its own sum has settled, within 14 panels.  Only base = (ENV_B s)^(-2t) of
 the tail model depends on t, so the fit and the ray read it the same way:
-from t-free columns, log(ENV_B z) and the model's ladder
-(``_tail_columns``), as e^(-2t log(ENV_B z)) times the columns' sum with
-the line's amplitudes (``_tail_model``).  The fit keeps its columns per
-kind and abscissa (``line._fit_ladders``), the ray per lane and block, with
-its Gauss weights (``_ray_columns``); the q of one ray direction and depth,
-a lane, share those samples.  The ray's nodes double their distance from a
-fixed point from one panel to the next, so e^(-(s-c) q) is one prefactor
-per q times factors that are, on each panel, the squares of the last
-panel's: a q takes one exponential per node only on every eighth panel.
-The lanes are swept in turn, on panel nodes, weights and anchors kept per
-lane and block (``_ray_geometry``).
+from t-free columns, log(ENV_B s) and the model's ladder
+(``_tail_columns``), as e^(-2t log(ENV_B s)) times the columns' sum with
+the line's amplitudes (``_tail_model``).  Each kind's ladder is stated
+once, in ``_RAY_LADDERS``, which the columns and the closed form read.
+The fit keeps its columns per kind and abscissa (``line._fit_ladders``), the
+ray per lane and block, with its Gauss weights (``_ray_columns``); the q of
+one ray direction and depth, a lane, share those samples.  The ray's nodes
+double their distance from a fixed point from one panel to the next, so
+e^(-(s-c) q) is one prefactor per q times factors that are, on each panel,
+the squares of the last panel's: a q takes one exponential per node only on
+every eighth panel.  The lanes are swept in turn, on panel nodes, weights
+and anchors kept per lane and block (``_ray_geometry``).
 """
 
 from __future__ import annotations
@@ -103,48 +104,53 @@ def _ray_reach():
 _RAY_REACH = _ray_reach()
 
 
+#: the tail model as powers of s, the one statement of each kind's ladder
+#: (``_tail_columns``, ``_RaySeries``): (shift, j, log) with column k the
+#: power s^(-alpha_k), alpha_k - 1 = 2t - 1 + shift + j[k], times
+#: V_BAR^j[k], and column ``log`` that power times log s; shift is -1, 0
+#: or 1
+_RAY_LADDERS = {"u": (0, (0, 1, 2, 3, 4), None),
+                "q2": (0, (0, 1, 2, 3, 4), None),
+                "su": (-1, (0, 1, 2, 3, 4), None),
+                "dt": (0, (0, 0, 1, 2, 3), 0),
+                "du": (1, (0, 0, 1, 2, 3), 1)}
+
 
 def _tail_columns(kind, s, w=1.0):
-    """(log(ENV_B z), cols): the t-free parts of the tail model at s, the
+    """(log(ENV_B s), cols): the t-free parts of the tail model at s, the
     model of the symbol beyond V (``_tail_model``), with cols times w.
 
-    With z = s (s - 1 for "ut") and p = V_BAR / z, the columns are one of
-    two ladders, (..., 5) for s of shape (...):
-
-      power  [1, p, p^2, p^3, p^4]     "u", "q2"; "su" is z times it
-      log    [log z, 1, p, p^2, p^3]   "ut"; "du" is it over z, with the
-                                       first two swapped
-
-    and the model is base = (ENV_B z)^(-2t) times their sum with a line's
-    amplitudes.  The columns are analytic in the closed upper-right region
-    swept by the rotated rays (principal branches; the tabulated line and
-    both ray directions stay in Im s >= V > 0).  The fit keeps them at its
-    nodes (``_fit_ladders``), and the ray at each lane's nodes, times the
-    Gauss weights (``_ray_columns``).
+    With p = V_BAR / s, the kind's ladder in ``_RAY_LADDERS`` gives the
+    columns, (..., 5) for s of shape (...): column k is p^j[k], times log s
+    for k = log, all times s for shift -1 and over s for shift 1.  So "u"
+    and "q2" are the power ladder [1, p, p^2, p^3, p^4] and "su" s times it,
+    "dt" the log ladder [log s, 1, p, p^2, p^3] and "du" [1, log s, p, p^2,
+    p^3] over s.  The model is base = (ENV_B s)^(-2t) times their sum with a
+    line's amplitudes.  The columns are analytic in the closed upper-right
+    region swept by the rotated rays (principal branches; the tabulated line
+    and both ray directions stay in Im s >= V > 0).  The fit keeps them at
+    its nodes (``_fit_ladders``), and the ray at each lane's nodes, times
+    the Gauss weights (``_ray_columns``).
     """
-    z = s - 1.0 if kind == "ut" else s
-    p = _V_BAR / z
+    shift, powers, log = _RAY_LADDERS[kind]
+    p = _V_BAR / s
     p2 = p * p
-    if kind in ("u", "q2", "su"):
-        cols = [np.ones_like(z), p, p2, p2 * p, p2 * p2]
-    elif kind in ("ut", "du"):
-        cols = [np.log(z), np.ones_like(z), p, p2, p2 * p]
-        if kind == "du":
-            cols[:2] = cols[1::-1]
-    else:  # pragma: no cover
-        raise ValueError(kind)
+    ladder = (np.ones_like(s), p, p2, p2 * p, p2 * p2)
+    cols = [ladder[j] for j in powers]
+    if log is not None:
+        cols[log] = np.log(s) * cols[log]
     cols = np.stack(cols, axis=-1)
-    if kind == "su":
-        cols *= z[..., None]
-    elif kind == "du":
-        cols /= z[..., None]
-    return np.log(ENV_B * z), cols * np.asarray(w)[..., None]
+    if shift < 0:
+        cols *= s[..., None]
+    elif shift > 0:
+        cols /= s[..., None]
+    return np.log(ENV_B * s), cols * np.asarray(w)[..., None]
 
 
 def _tail_model(t, columns, a):
     """sum_k a[k] col_k(s), the model of the symbol beyond V, from its
-    columns at s, (log(ENV_B z), cols) of ``_tail_columns``: base =
-    e^(-2t log(ENV_B z)) times cols @ a.  a is a line's (5,) amplitudes.
+    columns at s, (log(ENV_B s), cols) of ``_tail_columns``: base =
+    e^(-2t log(ENV_B s)) times cols @ a.  a is a line's (5,) amplitudes.
     Only base depends on t, so the fit and the ray keep the columns of
     their nodes and read the model this one way."""
     log_b, cols = columns
@@ -293,7 +299,7 @@ def _ray_tail(line, lanes, n):
     weights and anchors of a lane's panels depend on s0 and the lane
     alone, and are kept per block (``_ray_geometry``), and so are the
     t-free columns of M there (``_ray_columns``): a sample is
-    e^(-2t log(ENV_B z)) times the columns' sum with the line's
+    e^(-2t log(ENV_B s)) times the columns' sum with the line's
     amplitudes, the same reading of M as the fit's.
 
     The nodes lie at s = s0 + d (rho - first), and rho doubles exactly
@@ -397,21 +403,13 @@ def _ray_sweep(line, lane):
     return total * pre, err * np.abs(pre)
 
 
-#: the tail model as powers of z (``_tail_columns``): (shift, j, log) with
-#: column k the power z^(-alpha_k), alpha_k - 1 = 2t - 1 + shift + j[k],
-#: times V_BAR^j[k], and column ``log`` that power times log z
-_RAY_LADDERS = {"u": (0, (0, 1, 2, 3, 4), None),
-                "q2": (0, (0, 1, 2, 3, 4), None),
-                "su": (-1, (0, 1, 2, 3, 4), None),
-                "ut": (0, (0, 0, 1, 2, 3), 0),
-                "du": (1, (0, 0, 1, 2, 3), 1)}
 #: terms of the closed form's series in q: with |q z0| <= 1 the first
 #: left out is below 1/24! ~ 1.6e-24 of the sum
 _RAY_SERIES = 24
 #: an exponent alpha - 1 within _RAY_POLE_GAP of a whole m >= 0 takes the
 #: pole of Gamma(1 - alpha) and the series' term n = m as one term: apart,
 #: each is about 1/eps (1/eps^2 for a log column) times the sum, and at
-#: |eps| = 0.002 a "ut" line lost 1e-9 of it
+#: |eps| = 0.002 a line of the log ladder lost 1e-9 of it
 _RAY_POLE_GAP = 0.01
 #: relative rounding allowed each part of the closed form; exp(e log q*)
 #: takes |e log q*| times more (``_RaySeries``)
@@ -474,18 +472,17 @@ class _RaySeries:
     |q| |s0| <= 1.
 
     The tail model is sum_k A_k z^(-alpha_k) (``_RAY_LADDERS``), A_k =
-    a_k ENV_B^(-2t) V_BAR^j, z = s (s - 1 for "ut"), and e^(-(s-c) q) =
-    e^(c' q) e^(-z q) with c' = c (c - 1).  Along the rotated ray each
-    power is an incomplete Gamma function, q^(alpha-1) Gamma(1-alpha, q z0)
-    continued to q < 0 through the sector the rays sweep, and its series
-    (DLMF 8.7.3) gives
+    a_k ENV_B^(-2t) V_BAR^j, in z = s from z0 = s0, and e^(-(s-c) q) =
+    e^(c q) e^(-z q).  Along the rotated ray each power is an incomplete
+    Gamma function, q^(alpha-1) Gamma(1-alpha, q z0) continued to q < 0
+    through the sector the rays sweep, and its series (DLMF 8.7.3) gives
 
         int z^(-alpha) e^(-z q) dz = Gamma(1-alpha) q*^(alpha-1)
             - sum_n (-q)^n z0^(1-alpha+n) / (n! (1-alpha+n)),
 
     q* = |q| e^(-i pi [q < 0]).  A log column, log z z^(-alpha), is minus
     the alpha-derivative.  Since alpha_k - 1 = e + j_k, the sum over k is
-    e^(c' q) [q*^e (G0(q) + log q* G1(q)) - P(-q)], two short polynomials
+    e^(c q) [q*^e (G0(q) + log q* G1(q)) - P(-q)], two short polynomials
     and one of _RAY_SERIES terms whose coefficients depend on the line
     alone.  Where alpha - 1 lies within _RAY_POLE_GAP of a whole m >= 0,
     e = m + eps, the pole of Gamma(1-alpha) and the vanishing divisor of
@@ -512,8 +509,8 @@ class _RaySeries:
 
     def __init__(self, kind, t, c, a):
         shift, powers, log_col = _RAY_LADDERS[kind]
-        self.cq = c - 1.0 if kind == "ut" else c
-        z0 = complex(self.cq, _V_CUT)
+        self.c = c
+        z0 = complex(c, _V_CUT)
         self.lz = lz = cmath.log(z0)
         self.e = e = 2.0 * t - 1.0 + shift
         self.diverges = not e > 0.0
@@ -595,7 +592,7 @@ class _RaySeries:
             pole = self._poles(lq[:, None]) * pw[:, self.poles]
             val = val + pole.sum(axis=1)
             size = size + _abs_sum(pole).sum(axis=1)
-        grow = np.exp(self.cq * q)
+        grow = np.exp(self.c * q)
         val = np.where(low, self.at0, grow * val)
         size = np.where(low, abs(self.at0), grow * size)
         return val, _RAY_ROUND * size

@@ -48,6 +48,9 @@ def _trapezoid_rows(ev, t, c, kind):
     rows = [k]
     if kind == "du":
         rows.append((math.log(t) - scipy.special.digamma(a + 1j * eta)) * k)
+    elif kind == "dt":
+        # d/dt Gamma(z) t^(-z) = -Gamma(z + 1) t^(-(z + 1))
+        rows = [-ufunc._gamma_t_kernel(a + 1.0, t, eta)]
     windows = np.lib.stride_tricks.sliding_window_view(
         inv_b.astype(np.clongdouble), eta.size)[::2]
     assert windows.shape[0] == _NV
@@ -57,14 +60,18 @@ def _trapezoid_rows(ev, t, c, kind):
 
 
 @pytest.mark.parametrize("t", [0.05, 0.2, 1.0, 6.0])
-@pytest.mark.parametrize("kind", ["u", "q2", "du"])
+@pytest.mark.parametrize("kind", ["u", "q2", "du", "dt"])
 def test_closed_form_spectrum_matches_the_trapezoid_sum(ev, kind, t):
     c = line_mod._C_DIRECT
     beta, a = _aux_line(c, kind)
-    got = line_mod._conv_core(line_mod._inv_b_spectrum(ev, beta), a, t,
-                             du=kind == "du")
+    spectrum = line_mod._inv_b_spectrum(ev, beta)
+    if kind == "dt":
+        # the "u" line's spectrum against the kernel's offset moved by 1
+        got = [-line_mod._conv_core(spectrum, a + 1.0, t)]
+    else:
+        got = line_mod._conv_core(spectrum, a, t, du=kind == "du")
+        got = got if kind == "du" else [got]
     exact = _trapezoid_rows(ev, t, c, kind)
-    got = got if kind == "du" else [got]
     assert len(got) == len(exact)
     for row, ref in zip(got, exact):
         assert row.shape == (_NV,)
@@ -83,13 +90,15 @@ def _all_bins(spectrum, a, t, du):
 
 
 @pytest.mark.parametrize("t", [0.05, 0.2, 1.0, 6.0, 40.0, 1000.0])
-@pytest.mark.parametrize("kind", ["u", "q2", "du"])
+@pytest.mark.parametrize("kind", ["u", "q2", "du", "dt"])
 def test_skipped_bins_change_no_bit(ev, kind, t):
     # the bins that _conv_core skips underflow, so its line is the fold of
     # every bin bit for bit, both rows of du included; at t = 1000 the
-    # underflow reaches below u = 0 for both offsets, and the cut stops at
+    # underflow reaches below u = 0 for every offset, and the cut stops at
     # the upper half of the fold
     beta, a = _aux_line(line_mod._C_DIRECT, kind)
+    if kind == "dt":
+        a += 1.0    # the offset of the "dt" kernel
     spectrum = line_mod._inv_b_spectrum(ev, beta)
     skip = line_mod._underflow_bins(a, t)
     assert 3600 <= skip <= _N_FFT // 2
@@ -102,8 +111,7 @@ def test_skipped_bins_change_no_bit(ev, kind, t):
 
 
 def test_a_new_t_costs_one_inverse_fft(ev, monkeypatch):
-    kinds = [("u", 1.0), ("du", 1.0), ("q2", 1.0), ("su", 1.0),
-             ("ut", fundsol._C_DT)]
+    kinds = [(kind, 1.0) for kind in ray._RAY_LADDERS]
     for kind, c in kinds:
         line_mod._symbol_line(ev, 0.9, c, kind)
     calls = []
